@@ -13,7 +13,7 @@ BENCH_MAX_SLOWDOWN ?= 1.15
 
 .PHONY: build test vet lint lint-ci lint-baseline \
 	fuzz-smoke fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault \
-	fmt-check check check-nolint race race-tensor trace-golden \
+	fmt-check check check-nolint race race-tensor purego trace-golden \
 	bench bench-parallel bench-gemm bench-gemm-f32 bench-sched bench-ci \
 	bench-regression bench-regression-serve \
 	population-smoke fault-smoke serve-smoke
@@ -79,7 +79,7 @@ fmt-check:
 # pass): the fl race suite retrains real models for minutes, far too
 # slow to gate every local pre-push run. CI covers the gap — its `race`
 # job runs `make race` on every push in parallel with this gate.
-check: build vet lint test race-tensor
+check: build vet lint test race-tensor purego
 
 # The check gate without the lint pass — what CI's `check` job runs now
 # that lint has its own cached job (with annotations and the fuzz
@@ -94,6 +94,16 @@ race:
 race-tensor:
 	$(GO) test -race ./internal/tensor/...
 
+# Asm/twin parity by construction: the purego tag swaps the SSE2
+# micro-kernels for their scalar twins (internal/tensor/gemm_noasm.go),
+# so the kernel and layer suites and the golden traces run against the
+# code every non-amd64 target runs; the arm64 vet catches anything that
+# only compiles on amd64.
+purego:
+	$(GO) test -tags purego ./internal/tensor ./internal/nn
+	$(GO) test -tags purego -run 'TestGoldenTrace' .
+	GOARCH=arm64 $(GO) vet ./...
+
 # Regenerate the golden round traces under testdata/trace after an
 # intentional behaviour change, then review the diff before committing
 # (see README "Round traces & goldens").
@@ -107,17 +117,23 @@ bench:
 bench-parallel:
 	$(GO) test -run '^$$' -bench 'BenchmarkRun(Serial|Parallel)$$' -benchtime=3x -benchmem .
 
-# The naive-vs-blocked kernel pairs and layer triples behind BENCH_gemm.json.
+# The naive-vs-blocked kernel pairs and layer triples behind
+# BENCH_gemm.json, plus the shapes the benchmark jobs actually train:
+# LeNet-S conv1/conv2 (fwd / dW / dX) and the whole LeNet-S train step.
+# -p 1: one package at a time, so the packages' benchmarks do not time
+# each other's cache and core contention.
 bench-gemm:
-	$(GO) test -run '^$$' -bench 'BenchmarkGEMM' -benchtime=2s ./internal/tensor/ .
+	$(GO) test -run '^$$' \
+		-bench 'BenchmarkGEMM|BenchmarkConvLeNetS/.*/.*/f64|BenchmarkLeNetSmallTrainBatch$$' \
+		-benchtime=2s -p 1 ./internal/tensor/ ./internal/nn/ .
 
-# The float32 kernels: blocked f32 shapes, the register-tile bake-off and
-# the implicit-GEMM vs im2col convolution pairs behind BENCH_gemm.json's
-# f32 sections.
+# The float32 kernels: blocked f32 shapes, the register-tile bake-off
+# (both widths) and the implicit-GEMM vs im2col convolution pairs behind
+# BENCH_gemm.json's f32 sections, plus the f32 LeNet-S shapes.
 bench-gemm-f32:
 	$(GO) test -run '^$$' \
-		-bench 'GEMMBlockedF32|GEMMF32Tile|BenchmarkConv(Im2Col|Implicit)|GEMMF32_(LeNet|VGG6)$$' \
-		-benchtime=2s -benchmem ./internal/tensor/ .
+		-bench 'GEMMBlockedF32|GEMMF(32|64)Tile|BenchmarkConv(Im2Col|Implicit)|GEMMF32_(LeNet|VGG6)$$|BenchmarkConvLeNetS/.*/.*/f32|BenchmarkLeNetSmallTrainBatchF32$$' \
+		-benchtime=2s -benchmem -p 1 ./internal/tensor/ ./internal/nn/ .
 
 # Population-scale scheduling: the sparse/dense solver pair and the
 # O(selected) round loop at 10^3..10^6 clients, behind BENCH_sched.json.
@@ -125,12 +141,17 @@ bench-sched:
 	$(GO) test -run '^$$' -bench 'FedLBAPSparse|FedLBAPDense|BenchmarkRoundLoop' \
 		-benchtime=3x -benchmem .
 
-# CI bench smoke: 5 repetitions of the gated benchmarks; the raw output
-# feeds bench-regression and is uploaded as a CI artifact.
+# CI bench smoke: 5 repetitions of the gated benchmarks — the root
+# layer triples and engine runs, then the LeNet-S kernels and train step
+# the benchmark jobs actually execute; the raw output feeds
+# bench-regression and is uploaded as a CI artifact.
 bench-ci:
 	$(GO) test -run '^$$' \
 		-bench 'GEMM(F32)?_(LeNet|VGG6)$$|Run(Serial|Parallel)$$|FedLBAPSparse|BenchmarkRoundLoop' \
 		-benchtime=3x -count=5 . | tee bench-results.txt
+	$(GO) test -run '^$$' \
+		-bench 'BenchmarkConvLeNetS|BenchmarkLeNetSmallTrainBatch' \
+		-benchtime=200x -count=5 -p 1 ./internal/tensor/ ./internal/nn/ | tee -a bench-results.txt
 
 # Compare the bench-ci output against the recorded baselines; benchdiff
 # takes the min ns/op over the 5 reps and fails on a >15% geomean

@@ -20,7 +20,8 @@ func sameStorage[T tensor.Float](a, b *tensor.TensorOf[T]) bool {
 // fuses the activation into the producer's kernel: the producer calls
 // ensureMask to hand the clamp decision back to this layer, and this
 // layer's Forward is skipped for that pass. Backward is identical either
-// way — it only consumes the mask.
+// way — it only consumes the mask, which only a training forward
+// (train = true) records.
 type ReLUOf[T tensor.Float] struct {
 	mask []bool
 	y    *tensor.TensorOf[T] // forward output (unfused path)
@@ -57,16 +58,17 @@ func (r *ReLUOf[T]) ensureMask(n int) []bool {
 // fedlint:hotpath
 func (r *ReLUOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
 	r.y = tensor.EnsureShape(r.y, x.Shape()...)
-	mask := r.ensureMask(x.Len())
 	xd, yd := x.Data(), r.y.Data()
-	for i, v := range xd {
-		if v > 0 {
-			mask[i] = true
-			yd[i] = v
-		} else {
-			mask[i] = false
-			yd[i] = 0
+	if !train {
+		for i, v := range xd {
+			yd[i] = tensor.Select(v > 0, v, 0)
 		}
+		return r.y
+	}
+	mask := r.ensureMask(x.Len())
+	for i, v := range xd {
+		mask[i] = v > 0
+		yd[i] = tensor.Select(mask[i], v, 0)
 	}
 	return r.y
 }
@@ -76,13 +78,9 @@ func (r *ReLUOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[
 // fedlint:hotpath
 func (r *ReLUOf[T]) Backward(grad *tensor.TensorOf[T]) *tensor.TensorOf[T] {
 	r.dx = tensor.EnsureShape(r.dx, grad.Shape()...)
-	gd, dd := grad.Data(), r.dx.Data()
-	for i, v := range gd {
-		if r.mask[i] {
-			dd[i] = v
-		} else {
-			dd[i] = 0
-		}
+	gd, dd, mask := grad.Data(), r.dx.Data(), r.mask[:grad.Len()]
+	for i, keep := range mask {
+		dd[i] = tensor.Select(keep, gd[i], 0)
 	}
 	return r.dx
 }
@@ -118,7 +116,9 @@ func (f *FlattenOf[T]) Params() []*ParamOf[T] { return nil }
 //
 // fedlint:hotpath
 func (f *FlattenOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
-	f.inShape = x.Shape()
+	if train {
+		f.inShape = x.Shape()
+	}
 	n := x.Dim(0)
 	cols := x.Len() / n
 	if f.out == nil || !sameStorage(f.out, x) || f.out.Dim(0) != n || f.out.Dim(1) != cols {
@@ -150,6 +150,8 @@ func shapeEq(a, b []int) bool {
 }
 
 // MaxPool2DOf is a non-overlapping 2-D max pooling layer over (N, C, H, W).
+// The argmax index its Backward scatters through is recorded by training
+// forwards only.
 type MaxPool2DOf[T tensor.Float] struct {
 	Size, Stride int
 	argmax       []int
@@ -186,32 +188,39 @@ func (p *MaxPool2DOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.Tens
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh := (h-p.Size)/p.Stride + 1
 	ow := (w-p.Size)/p.Stride + 1
-	p.inShape = x.Shape()
 	p.y = tensor.EnsureShape(p.y, n, c, oh, ow)
 	y := p.y
-	if cap(p.argmax) < y.Len() {
-		p.argmax = make([]int, y.Len())
+	if train {
+		p.inShape = x.Shape()
+		if cap(p.argmax) < y.Len() {
+			p.argmax = make([]int, y.Len())
+		}
+		p.argmax = p.argmax[:y.Len()]
 	}
-	p.argmax = p.argmax[:y.Len()]
 	xd, yd := x.Data(), y.Data()
 	for img := 0; img < n; img++ {
 		for ch := 0; ch < c; ch++ {
 			base := (img*c + ch) * h * w
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
+					// First maximum wins (strict >); selects, not branches.
 					bestIdx := base + (oy*p.Stride)*w + ox*p.Stride
 					best := xd[bestIdx]
 					for ky := 0; ky < p.Size; ky++ {
 						row := base + (oy*p.Stride+ky)*w + ox*p.Stride
-						for kx := 0; kx < p.Size; kx++ {
-							if v := xd[row+kx]; v > best {
-								best, bestIdx = v, row+kx
+						for kx, v := range xd[row : row+p.Size] {
+							gt := v > best
+							best = tensor.Select(gt, v, best)
+							if gt {
+								bestIdx = row + kx
 							}
 						}
 					}
 					out := ((img*c+ch)*oh+oy)*ow + ox
 					yd[out] = best
-					p.argmax[out] = bestIdx
+					if train {
+						p.argmax[out] = bestIdx
+					}
 				}
 			}
 		}
@@ -268,7 +277,10 @@ func (d *DropoutOf[T]) Params() []*ParamOf[T] { return nil }
 //
 // fedlint:hotpath
 func (d *DropoutOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
-	if !train || d.P <= 0 {
+	if !train {
+		return x
+	}
+	if d.P <= 0 {
 		d.keep = nil
 		return x
 	}

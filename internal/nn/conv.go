@@ -15,27 +15,27 @@ import (
 // matrix — historically the largest steady-state training buffer — is
 // never materialized. Weights have shape (OutC, InC·K·K).
 //
-// The layer keeps every per-batch buffer — the matmul-layout results and
-// the output activation itself — alive across batches, so on steady-state
-// batch sizes the forward and backward passes allocate nothing at all.
-// Workspaces are per layer (hence per network), so concurrently-training
-// client networks never share scratch memory. The bias add is fused into
-// the GEMM epilogue; a directly following ReLU fuses into the NHWC→NCHW
-// permute (see NetworkOf.Forward).
+// The layer keeps every per-batch buffer — the output activation and the
+// two gradients — alive across batches, so on steady-state batch sizes
+// the forward and backward passes allocate nothing at all. Workspaces are
+// per layer (hence per network), so concurrently-training client networks
+// never share scratch memory. Activations and gradients stay in
+// (N,C,H,W) end to end: the kernels write the output, and read the
+// output gradient, through that layout directly, with the bias add — and
+// a directly following ReLU (see NetworkOf.Forward) — fused into the
+// GEMM epilogue.
 type Conv2DOf[T tensor.Float] struct {
 	InC, OutC      int
 	K, Stride, Pad int
 	InH, InW       int // set on first Forward; used for FLOP estimates
 	w, b           *ParamOf[T]
-	x              *tensor.TensorOf[T] // cached input for backward (weight grad)
+	x              *tensor.TensorOf[T] // cached training input for backward (weight grad)
 	outH, outW     int
 
 	// Reusable workspaces, sized lazily and re-sized only when the batch
 	// geometry changes. y is overwritten by the next Forward; downstream
 	// layers consume it within the current pass.
-	ym *tensor.TensorOf[T] // forward matmul result (N*OH*OW, OutC)
 	y  *tensor.TensorOf[T] // forward output (N, OutC, OH, OW)
-	gm *tensor.TensorOf[T] // grad re-layout (N*OH*OW, OutC)
 	dw *tensor.TensorOf[T] // weight gradient (OutC, InC*K*K)
 	dx *tensor.TensorOf[T] // input gradient (N, InC, H, W)
 }
@@ -104,56 +104,36 @@ func (c *Conv2DOf[T]) OutSize(h, w int) (int, int) {
 //
 // fedlint:hotpath
 func (c *Conv2DOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
-	return c.forward(x, nil)
+	c.prepare(x, train)
+	tensor.ConvForwardInto(c.y, x, c.w.W, c.b.W, c.K, c.K, c.Stride, c.Pad)
+	return c.y
 }
 
-// forwardFusedReLU implements reluFused: the activation clamp and its
-// backward mask ride along with the NHWC→NCHW permute pass.
+// forwardFusedReLU implements reluFused: the activation clamp and (when
+// training) its backward mask ride along in the kernel epilogue.
 //
 // fedlint:hotpath
 func (c *Conv2DOf[T]) forwardFusedReLU(x *tensor.TensorOf[T], train bool, r *ReLUOf[T]) *tensor.TensorOf[T] {
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	oh, ow := c.OutSize(h, w)
-	return c.forward(x, r.ensureMask(n*c.OutC*oh*ow))
+	c.prepare(x, train)
+	var mask []bool
+	if train {
+		mask = r.ensureMask(c.y.Len())
+	}
+	tensor.ConvForwardReLUInto(c.y, x, c.w.W, c.b.W, mask, c.K, c.K, c.Stride, c.Pad)
+	return c.y
 }
 
-// forward runs the implicit-GEMM convolution with the bias fused into the
-// kernel epilogue, and permutes the (N*OH*OW, OutC) result into
-// (N, OutC, OH, OW). A non-nil mask additionally applies ReLU during the
-// permute, recording which activations stayed positive.
-func (c *Conv2DOf[T]) forward(x *tensor.TensorOf[T], mask []bool) *tensor.TensorOf[T] {
+// prepare validates x, records the geometry, sizes the output workspace
+// and — only when training — keeps x for the backward pass.
+func (c *Conv2DOf[T]) prepare(x *tensor.TensorOf[T], train bool) {
 	if x.Rank() != 4 || x.Dim(1) != c.InC {
 		panic(fmt.Sprintf("nn: %s got input %v", c.Name(), x.Shape()))
 	}
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	c.SetInputSize(h, w)
-	c.x = x
-	oh, ow := c.outH, c.outW
-	c.ym = tensor.EnsureShape(c.ym, n*oh*ow, c.OutC)
-	tensor.ConvForwardInto(c.ym, x, c.w.W, c.b.W, c.K, c.K, c.Stride, c.Pad)
-	c.y = tensor.EnsureShape(c.y, n, c.OutC, oh, ow)
-	yd, md := c.y.Data(), c.ym.Data()
-	for img := 0; img < n; img++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				row := ((img*oh+oy)*ow + ox) * c.OutC
-				for f := 0; f < c.OutC; f++ {
-					v := md[row+f]
-					out := ((img*c.OutC+f)*oh+oy)*ow + ox
-					if mask != nil {
-						if v > 0 {
-							mask[out] = true
-						} else {
-							mask[out] = false
-							v = 0
-						}
-					}
-					yd[out] = v
-				}
-			}
-		}
+	c.SetInputSize(x.Dim(2), x.Dim(3))
+	if train {
+		c.x = x
 	}
-	return c.y
+	c.y = tensor.EnsureShape(c.y, x.Dim(0), c.OutC, c.outH, c.outW)
 }
 
 // Backward implements LayerOf. grad must be (N, OutC, OH, OW). The returned
@@ -163,30 +143,34 @@ func (c *Conv2DOf[T]) forward(x *tensor.TensorOf[T], mask []bool) *tensor.Tensor
 //
 // fedlint:hotpath
 func (c *Conv2DOf[T]) Backward(grad *tensor.TensorOf[T]) *tensor.TensorOf[T] {
-	n := grad.Dim(0)
-	oh, ow := c.outH, c.outW
-	// Re-layout grad to (N*OH*OW, OutC) to mirror the forward matmul.
-	c.gm = tensor.EnsureShape(c.gm, n*oh*ow, c.OutC)
-	gd, gmd := grad.Data(), c.gm.Data()
-	bg := c.b.Grad.Data()
-	for img := 0; img < n; img++ {
-		for f := 0; f < c.OutC; f++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					v := gd[((img*c.OutC+f)*oh+oy)*ow+ox]
-					gmd[((img*oh+oy)*ow+ox)*c.OutC+f] = v
-					bg[f] += v
-				}
-			}
-		}
-	}
-	// dW = gmᵀ·im2col(x), with the patch matrix synthesized in-kernel.
-	c.dw = tensor.EnsureShape(c.dw, c.OutC, c.InC*c.K*c.K)
-	tensor.ConvGradWeightsInto(c.dw, c.gm, c.x, c.K, c.K, c.Stride, c.Pad)
-	c.w.Grad.Add(c.dw)
-	// dx = col2im(gm·W), chunked through a bounded pooled buffer instead
+	c.backwardParams(grad)
+	// dx = col2im(grad·W), chunked through a bounded pooled buffer instead
 	// of a full materialized column-gradient matrix.
 	c.dx = tensor.EnsureShape(c.dx, c.x.Shape()...)
-	tensor.ConvGradInputInto(c.dx, c.gm, c.w.W, c.K, c.K, c.Stride, c.Pad)
+	tensor.ConvGradInputInto(c.dx, grad, c.w.W, c.K, c.K, c.Stride, c.Pad)
 	return c.dx
+}
+
+// backwardParams implements paramsBackward: the bias and weight
+// gradients of Backward, without the input gradient.
+//
+// fedlint:hotpath
+func (c *Conv2DOf[T]) backwardParams(grad *tensor.TensorOf[T]) {
+	// db[f] += Σ grad[img, f, ·, ·], images ascending, positions ascending
+	// within — one running sum per filter.
+	plane := c.outH * c.outW
+	gd, bg := grad.Data(), c.b.Grad.Data()
+	for img := 0; img < grad.Dim(0); img++ {
+		for f := range bg {
+			s := bg[f]
+			for _, v := range gd[(img*c.OutC+f)*plane:][:plane] {
+				s += v
+			}
+			bg[f] = s
+		}
+	}
+	// dW = gradᵀ·im2col(x), with the patch matrix synthesized in-kernel.
+	c.dw = tensor.EnsureShape(c.dw, c.OutC, c.InC*c.K*c.K)
+	tensor.ConvGradWeightsInto(c.dw, grad, c.x, c.K, c.K, c.Stride, c.Pad)
+	c.w.Grad.Add(c.dw)
 }

@@ -18,7 +18,7 @@ import (
 type DenseOf[T tensor.Float] struct {
 	In, Out int
 	w, b    *ParamOf[T]
-	x       *tensor.TensorOf[T] // cached input for backward
+	x       *tensor.TensorOf[T] // cached training input for backward
 
 	// Reusable workspaces, sized lazily. y is overwritten by the next
 	// Forward; downstream layers consume it within the current pass.
@@ -69,29 +69,36 @@ func (d *DenseOf[T]) FlopsPerSample() float64 { return 2 * float64(d.In) * float
 //
 // fedlint:hotpath
 func (d *DenseOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
-	if x.Rank() != 2 || x.Dim(1) != d.In {
-		panic(fmt.Sprintf("nn: %s got input %v", d.Name(), x.Shape()))
-	}
-	d.x = x
-	d.y = tensor.EnsureShape(d.y, x.Dim(0), d.Out)
+	d.prepare(x, train)
 	tensor.MatMulTransBBiasInto(d.y, x, d.w.W, d.b.W) // (N,in)·(out,in)ᵀ + b
 	return d.y
 }
 
 // forwardFusedReLU implements reluFused: it additionally rectifies the
-// output in the kernel epilogue, recording the mask the downstream ReLU
-// layer will use in its Backward.
+// output in the kernel epilogue, recording (when training) the mask the
+// downstream ReLU layer will use in its Backward.
 //
 // fedlint:hotpath
 func (d *DenseOf[T]) forwardFusedReLU(x *tensor.TensorOf[T], train bool, r *ReLUOf[T]) *tensor.TensorOf[T] {
+	d.prepare(x, train)
+	var mask []bool
+	if train {
+		mask = r.ensureMask(d.y.Len())
+	}
+	tensor.MatMulTransBBiasReLUInto(d.y, x, d.w.W, d.b.W, mask)
+	return d.y
+}
+
+// prepare validates x, sizes the output workspace and — only when
+// training — keeps x for the backward pass.
+func (d *DenseOf[T]) prepare(x *tensor.TensorOf[T], train bool) {
 	if x.Rank() != 2 || x.Dim(1) != d.In {
 		panic(fmt.Sprintf("nn: %s got input %v", d.Name(), x.Shape()))
 	}
-	d.x = x
-	n := x.Dim(0)
-	d.y = tensor.EnsureShape(d.y, n, d.Out)
-	tensor.MatMulTransBBiasReLUInto(d.y, x, d.w.W, d.b.W, r.ensureMask(n*d.Out))
-	return d.y
+	if train {
+		d.x = x
+	}
+	d.y = tensor.EnsureShape(d.y, x.Dim(0), d.Out)
 }
 
 // Backward implements LayerOf. grad must be (N, Out). The returned input
@@ -101,19 +108,25 @@ func (d *DenseOf[T]) forwardFusedReLU(x *tensor.TensorOf[T], train bool, r *ReLU
 //
 // fedlint:hotpath
 func (d *DenseOf[T]) Backward(grad *tensor.TensorOf[T]) *tensor.TensorOf[T] {
-	// dW = gradᵀ·x, db = Σ grad rows, dx = grad·W.
+	d.backwardParams(grad)
+	d.dx = tensor.EnsureShape(d.dx, grad.Dim(0), d.In)
+	tensor.MatMulInto(d.dx, grad, d.w.W) // (N,out)·(out,in) = (N,in)
+	return d.dx
+}
+
+// backwardParams implements paramsBackward: dW = gradᵀ·x and
+// db = Σ grad rows, without the input gradient.
+//
+// fedlint:hotpath
+func (d *DenseOf[T]) backwardParams(grad *tensor.TensorOf[T]) {
 	d.dw = tensor.EnsureShape(d.dw, d.Out, d.In)
 	tensor.MatMulTransAInto(d.dw, grad, d.x)
 	d.w.Grad.Add(d.dw)
-	n := grad.Dim(0)
 	gd, bg := grad.Data(), d.b.Grad.Data()
-	for i := 0; i < n; i++ {
+	for i := 0; i < grad.Dim(0); i++ {
 		row := gd[i*d.Out : (i+1)*d.Out]
 		for j, v := range row {
 			bg[j] += v
 		}
 	}
-	d.dx = tensor.EnsureShape(d.dx, n, d.In)
-	tensor.MatMulInto(d.dx, grad, d.w.W) // (N,out)·(out,in) = (N,in)
-	return d.dx
 }

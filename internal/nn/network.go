@@ -25,6 +25,10 @@ type NetworkOf[T tensor.Float] struct {
 	// assembled directly with NewNetwork); it enables Clone.
 	arch *Arch
 
+	// firstParam is the index of the first layer that has parameters
+	// (len(Layers) when none does): where Backward stops, see there.
+	firstParam int
+
 	// lossGrad is the persistent workspace for the logits gradient, so a
 	// steady-state TrainBatch allocates nothing.
 	lossGrad *tensor.TensorOf[T]
@@ -44,6 +48,13 @@ type reluFused[T tensor.Float] interface {
 	forwardFusedReLU(x *tensor.TensorOf[T], train bool, r *ReLUOf[T]) *tensor.TensorOf[T]
 }
 
+// paramsBackward is implemented by the parameterized layers (Dense,
+// Conv2D): backwardParams accumulates exactly the parameter gradients
+// Backward would, and skips the input gradient.
+type paramsBackward[T tensor.Float] interface {
+	backwardParams(grad *tensor.TensorOf[T])
+}
+
 // NewNetwork builds a float64 network from layers with the given
 // architecture name.
 func NewNetwork(arch string, layers ...Layer) *Network {
@@ -53,11 +64,18 @@ func NewNetwork(arch string, layers ...Layer) *Network {
 // NewNetworkOf builds a network from layers with the given architecture
 // name.
 func NewNetworkOf[T tensor.Float](arch string, layers ...LayerOf[T]) *NetworkOf[T] {
-	return &NetworkOf[T]{Arch: arch, Layers: layers}
+	first := 0
+	for first < len(layers) && len(layers[first].Params()) == 0 {
+		first++
+	}
+	return &NetworkOf[T]{Arch: arch, Layers: layers, firstParam: first}
 }
 
 // Forward runs all layers and returns the logits. Dense/Conv2D layers
 // directly followed by a ReLU run as one fused kernel (see reluFused).
+// Only a training forward (train = true) leaves behind what Backward
+// needs — cached inputs, ReLU masks, pooling argmax — so inference
+// between two training steps disturbs nothing.
 //
 // fedlint:hotpath
 func (n *NetworkOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
@@ -75,13 +93,25 @@ func (n *NetworkOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.Tensor
 	return x
 }
 
-// Backward propagates a logits gradient through all layers, accumulating
-// parameter gradients.
+// Backward propagates a logits gradient (of the last training Forward)
+// through the layers, accumulating parameter gradients. It computes no
+// dead gradient: the gradient with respect to the network input feeds no
+// parameter and no caller reads it, so the walk stops at the first layer
+// that has parameters, asks that layer for its parameter gradients only,
+// and never runs the parameter-free layers in front of it.
 //
 // fedlint:hotpath
 func (n *NetworkOf[T]) Backward(grad *tensor.TensorOf[T]) {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
+	for i := len(n.Layers) - 1; i > n.firstParam; i-- {
 		grad = n.Layers[i].Backward(grad)
+	}
+	if n.firstParam == len(n.Layers) {
+		return
+	}
+	if l, ok := n.Layers[n.firstParam].(paramsBackward[T]); ok {
+		l.backwardParams(grad)
+	} else {
+		n.Layers[n.firstParam].Backward(grad)
 	}
 }
 

@@ -436,18 +436,135 @@ func TestTrainBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func BenchmarkLeNetSmallTrainBatch(b *testing.B) {
+// benchLeNetSmallTrainBatch times the full local-training step (forward,
+// loss, backward, SGD) on the network every benchmark job trains —
+// LeNet-S on 16×16 inputs at batch 20 — single-lane, so ns/op tracks the
+// kernels rather than the lane scheduler.
+func benchLeNetSmallTrainBatch[T tensor.Float](b *testing.B) {
+	old := tensor.MaxLanes()
+	tensor.SetMaxLanes(0)
+	defer tensor.SetMaxLanes(old)
 	rng := rand.New(rand.NewSource(1))
-	net := LeNetSmall(1, 16, 16, 10).Build(rng)
-	x := tensor.Randn(rng, 1, 20, 1, 16, 16)
+	net := BuildNetwork[T](LeNetSmall(1, 16, 16, 10), rng)
+	x := tensor.RandnOf[T](rng, 1, 20, 1, 16, 16)
 	labels := make([]int, 20)
 	for i := range labels {
 		labels[i] = i % 10
 	}
-	opt := NewSGD(0.01, 0.9, 0)
+	opt := NewSGDOf[T](0.01, 0.9, 0)
+	params := net.Params()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.TrainBatch(x, labels)
-		opt.Step(net.Params())
+		opt.Step(params)
 	}
+}
+
+func BenchmarkLeNetSmallTrainBatch(b *testing.B)    { benchLeNetSmallTrainBatch[float64](b) }
+func BenchmarkLeNetSmallTrainBatchF32(b *testing.B) { benchLeNetSmallTrainBatch[float32](b) }
+
+// sameBits reports the first index at which two equally long slices
+// differ in bits (widened to float64, which is exact for float32).
+func sameBits[T tensor.Float](a, b []T) (int, bool) {
+	for i := range a {
+		if math.Float64bits(float64(a[i])) != math.Float64bits(float64(b[i])) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// testPredictInterleaved pins train=false: inference records nothing
+// the backward pass reads, so Predict calls — on another batch size,
+// between steps and even between a step's forward and backward — leave
+// the loss and weight sequence of training bit-identical.
+func testPredictInterleaved[T tensor.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	plain := BuildNetwork[T](LeNetSmall(1, 16, 16, 10), rng)
+	mixed := plain.Clone()
+	x := tensor.RandnOf[T](rng, 1, 8, 1, 16, 16)
+	other := tensor.RandnOf[T](rng, 1, 3, 1, 16, 16)
+	labels := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	optP, optM := NewSGDOf[T](0.05, 0.9, 0), NewSGDOf[T](0.05, 0.9, 0)
+	for step := 0; step < 4; step++ {
+		lossP := plain.TrainBatch(x, labels)
+		optP.Step(plain.Params())
+
+		mixed.Predict(other)
+		logits := mixed.Forward(x, true)
+		grad := tensor.NewOf[T](logits.Shape()...)
+		lossM := SoftmaxCrossEntropyInto(grad, logits, labels)
+		mixed.Predict(other)
+		mixed.Predict(x)
+		mixed.Backward(grad)
+		optM.Step(mixed.Params())
+
+		if math.Float64bits(lossP) != math.Float64bits(lossM) {
+			t.Fatalf("step %d: loss %v with interleaved Predict, %v without", step, lossM, lossP)
+		}
+		pp, pm := plain.Params(), mixed.Params()
+		for i := range pp {
+			if at, ok := sameBits(pp[i].W.Data(), pm[i].W.Data()); !ok {
+				t.Fatalf("step %d: %s differs at %d after interleaved Predict", step, pp[i].Name, at)
+			}
+		}
+	}
+}
+
+func TestPredictInterleavedBitIdentical(t *testing.T) {
+	t.Run("f64", testPredictInterleaved[float64])
+	t.Run("f32", testPredictInterleaved[float32])
+}
+
+// testParamsOnlyBackward pins the dead-gradient rule: NetworkOf.Backward
+// stops at the first layer that has parameters and asks it for parameter
+// gradients only, and that must give every parameter the gradient, bit
+// for bit, that driving each layer's full Backward gives.
+func testParamsOnlyBackward[T tensor.Float](t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(rng *rand.Rand) *NetworkOf[T]
+		shape []int
+	}{
+		{"conv-first", func(rng *rand.Rand) *NetworkOf[T] {
+			return BuildNetwork[T](LeNetSmall(2, 12, 12, 5), rng)
+		}, []int{6, 2, 12, 12}},
+		{"dense-first", func(rng *rand.Rand) *NetworkOf[T] {
+			return NewNetworkOf[T]("dense-first",
+				NewDenseOf[T](rng, 30, 16), NewReLUOf[T](), NewDenseOf[T](rng, 16, 4))
+		}, []int{6, 30}},
+		{"parameter-free-first", func(rng *rand.Rand) *NetworkOf[T] {
+			return BuildNetwork[T](MLP(30, 16, 4), rng) // Flatten, Dense, ReLU, Dense
+		}, []int{6, 1, 1, 30}},
+	}
+	labels := []int{0, 1, 2, 3, 0, 1}
+	for _, tc := range cases {
+		pruned := tc.build(rand.New(rand.NewSource(41)))
+		full := tc.build(rand.New(rand.NewSource(41)))
+		x := tensor.RandnOf[T](rand.New(rand.NewSource(42)), 1, tc.shape...)
+		pruned.TrainBatch(x, labels)
+
+		y := x
+		for _, l := range full.Layers {
+			y = l.Forward(y, true)
+		}
+		g := tensor.NewOf[T](y.Shape()...)
+		SoftmaxCrossEntropyInto(g, y, labels)
+		for i := len(full.Layers) - 1; i >= 0; i-- {
+			g = full.Layers[i].Backward(g)
+		}
+
+		pp, pf := pruned.Params(), full.Params()
+		for i := range pp {
+			if at, ok := sameBits(pp[i].Grad.Data(), pf[i].Grad.Data()); !ok {
+				t.Fatalf("%s: %s grad differs at %d: %v vs %v", tc.name, pp[i].Name, at,
+					pp[i].Grad.Data()[at], pf[i].Grad.Data()[at])
+			}
+		}
+	}
+}
+
+func TestParamsOnlyBackwardBitIdentical(t *testing.T) {
+	t.Run("f64", testParamsOnlyBackward[float64])
+	t.Run("f32", testParamsOnlyBackward[float32])
 }

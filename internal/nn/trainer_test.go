@@ -169,7 +169,7 @@ func TestConvNoIm2ColWorkspace(t *testing.T) {
 
 	m := 2 * 14 * 14              // batch × OH × OW rows
 	im2colElems := m * 24 * 3 * 3 // the buffer the old path kept alive
-	retained := conv.ym.Len() + conv.y.Len() + conv.gm.Len() + conv.dw.Len() + conv.dx.Len()
+	retained := conv.y.Len() + conv.dw.Len() + conv.dx.Len()
 	if retained >= im2colElems {
 		t.Fatalf("conv retains %d workspace elements ≥ im2col's %d — patch matrix not eliminated",
 			retained, im2colElems)

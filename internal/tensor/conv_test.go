@@ -231,3 +231,228 @@ func BenchmarkConvImplicitVGG6Block3(b *testing.B) {
 func BenchmarkConvImplicitF32VGG6Block3(b *testing.B) {
 	benchConvShape[float32](b, true, 20, 80, 7, 7, 96, 3, 1, 1)
 }
+
+// The shapes the benchmark jobs actually train: LeNet-S on 16×16 inputs
+// at batch 20. conv1 is (20,1,16,16) → 6 filters 5×5 pad 2 (GEMM
+// 5120×25×6), conv2 is (20,6,8,8) → 12 filters 5×5 (GEMM 320×150×12).
+// Forward (with the fused ReLU the network runs), weight gradient and
+// input gradient are timed separately, through the (N,C,H,W) entry
+// points nn uses, single-lane.
+func benchLeNetSConv[T Float](b *testing.B, pass string, c, hw, f, pad int) {
+	rng := rand.New(rand.NewSource(1))
+	const n, k = 20, 5
+	x := randTensorOf[T](rng, n, c, hw, hw)
+	w := randTensorOf[T](rng, f, c*k*k)
+	bias := randTensorOf[T](rng, f)
+	o := ConvOutSize(hw, k, 1, pad)
+	g := randTensorOf[T](rng, n, f, o, o)
+	y := NewOf[T](n, f, o, o)
+	mask := make([]bool, y.Len())
+	dw := NewOf[T](f, c*k*k)
+	dx := NewOf[T](n, c, hw, hw)
+	old := MaxLanes()
+	SetMaxLanes(0)
+	defer SetMaxLanes(old)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		switch pass {
+		case "fwd":
+			ConvForwardReLUInto(y, x, w, bias, mask, k, k, 1, pad)
+		case "dW":
+			ConvGradWeightsInto(dw, g, x, k, k, 1, pad)
+		case "dX":
+			ConvGradInputInto(dx, g, w, k, k, 1, pad)
+		}
+	}
+}
+
+func BenchmarkConvLeNetS(b *testing.B) {
+	for _, l := range []struct {
+		name          string
+		c, hw, f, pad int
+	}{{"conv1", 1, 16, 6, 2}, {"conv2", 6, 8, 12, 0}} {
+		b.Run(l.name, func(b *testing.B) {
+			for _, pass := range []string{"fwd", "dW", "dX"} {
+				b.Run(pass, func(b *testing.B) {
+					b.Run("f64", func(b *testing.B) { benchLeNetSConv[float64](b, pass, l.c, l.hw, l.f, l.pad) })
+					b.Run("f32", func(b *testing.B) { benchLeNetSConv[float32](b, pass, l.c, l.hw, l.f, l.pad) })
+				})
+			}
+		})
+	}
+}
+
+// packCases is the geometry grid for the packer and fused-layout
+// property tests: stride 1 and 2, pad 0/1/2, output rows narrower than a
+// micro-panel (ow = 4 < f32's mr = 8) and wider, ragged m and n tails
+// against both register tiles, patch lengths that split kernel rows
+// across B micro-panels, and k long enough for several KC panels in both
+// the forward (kdim > 256) and the weight-gradient (positions > 256)
+// GEMM.
+var packCases = []convCase{
+	{20, 1, 16, 16, 6, 5, 1, 2}, // LeNet-S conv1
+	{20, 6, 8, 8, 12, 5, 1, 0},  // LeNet-S conv2: ow = 4
+	{3, 2, 9, 7, 5, 3, 1, 1},    // ragged everything, ow = 7
+	{2, 3, 11, 11, 7, 3, 2, 1},  // stride 2
+	{2, 2, 10, 13, 3, 5, 2, 2},  // stride 2, pad 2, ow ≠ oh
+	{2, 11, 8, 8, 9, 5, 1, 2},   // kdim = 275: two KC panels forward
+	{5, 12, 6, 6, 10, 5, 1, 0},  // kdim = 300, ow = 2
+	{1, 4, 5, 5, 6, 1, 1, 0},    // 1×1 kernel: every lane run is one column
+	{2, 1, 6, 6, 4, 3, 1, 2},    // pad = k-1: whole kernel rows in the padding
+}
+
+// testConvPackersMatchIm2col pins the virtual packers at panel level:
+// for every block of the grid the blocked kernel would ask for (and a
+// few ragged ones it would not), packAConv and packBConv must fill their
+// panels with exactly what packA and packB produce from the materialized
+// im2col matrix — padding taps, ragged-tail lanes and all — and the
+// gradient-view packers exactly what packA produces from the re-laid-out
+// gradient.
+func testConvPackersMatchIm2col[T Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	mr, nr := microTile[T]()
+	for _, tc := range packCases {
+		x := randTensorOf[T](rng, tc.n, tc.c, tc.h, tc.w)
+		cols := im2col(x, tc.k, tc.k, tc.stride, tc.pad)
+		g := makeConvGeom(x.shape, tc.k, tc.k, tc.stride, tc.pad)
+		rows, kdim := g.rows(), g.cols()
+		want := make([]T, gemmMC*gemmKC+gemmKC*gemmNC)
+		got := make([]T, len(want))
+		fill := func() {
+			for i := range want {
+				want[i], got[i] = T(7), T(7)
+			}
+		}
+		check := func(what string, i0, p0, a, b int) {
+			t.Helper()
+			for i := range want {
+				if math.Float64bits(float64(want[i])) != math.Float64bits(float64(got[i])) {
+					t.Fatalf("%+v: %s block (%d,%d) %dx%d: panel differs at %d: %v vs %v",
+						tc, what, i0, p0, a, b, i, got[i], want[i])
+				}
+			}
+		}
+		// A blocks: the kernel's own grid, plus offsets that start mid
+		// output row / mid kernel row.
+		for _, i0 := range []int{0, gemmMC, 3, rows - 5} {
+			for _, p0 := range []int{0, gemmKC, 7} {
+				if i0 < 0 || i0 >= rows || p0 >= kdim {
+					continue
+				}
+				mc, kc := min(gemmMC, rows-i0), min(gemmKC, kdim-p0)
+				fill()
+				packA(want, cols.data, kdim, 1, i0, p0, mc, kc, mr)
+				packAConv(got, x.data, &g, i0, p0, mc, kc, mr)
+				check("A", i0, p0, mc, kc)
+			}
+		}
+		// B blocks (the weight-gradient operand: depth = positions).
+		for _, p0 := range []int{0, gemmKC, 5} {
+			for _, j0 := range []int{0, gemmNC, 2} {
+				if p0 >= rows || j0 >= kdim {
+					continue
+				}
+				kc, nc := min(gemmKC, rows-p0), min(gemmNC, kdim-j0)
+				fill()
+				packB(want, cols.data, kdim, 1, p0, j0, kc, nc, nr)
+				packBConv(got, x.data, &g, p0, j0, kc, nc, nr)
+				check("B", p0, j0, kc, nc)
+			}
+		}
+		// Gradient views against the matmul-layout matrix they replace.
+		grad := randTensorOf[T](rng, tc.n, tc.f, g.oh, g.ow)
+		gm := NewOf[T](rows, tc.f)
+		gv := convView(grad, &g, tc.f, "test")
+		for i := 0; i < rows; i++ {
+			for j := 0; j < tc.f; j++ {
+				gm.data[i*tc.f+j] = grad.data[gv.off(i, j)]
+			}
+		}
+		for _, i0 := range []int{0, 3, rows - 5} {
+			mc, kc := min(gemmMC, rows-i0), tc.f
+			fill()
+			packA(want, gm.data, tc.f, 1, i0, 0, mc, kc, mr)
+			packAPosChan(got, &gv, i0, 0, mc, kc, mr)
+			check("posChan", i0, 0, mc, kc)
+		}
+		for _, p0 := range []int{0, gemmKC, 5} {
+			if p0 >= rows {
+				continue
+			}
+			mc, kc := tc.f, min(gemmKC, rows-p0)
+			fill()
+			packA(want, gm.data, 1, tc.f, 0, p0, mc, kc, mr)
+			packAChanPos(got, &gv, 0, p0, mc, kc, mr)
+			check("chanPos", 0, p0, mc, kc)
+		}
+	}
+}
+
+func TestConvPackersMatchIm2col(t *testing.T) {
+	t.Run("f64", testConvPackersMatchIm2col[float64])
+	t.Run("f32", testConvPackersMatchIm2col[float32])
+}
+
+// testConvFusedLayoutsMatchOracle pins the (N,C,H,W) entry points — the
+// ones nn calls — against the im2col oracle over the same grid: output
+// written straight into the activation layout with bias, ReLU and mask
+// applied in the epilogue, and both gradients read straight from the
+// activation-layout output gradient, must equal, bit for bit, the
+// materialized matmul-layout pipeline followed by an explicit permute
+// and clamp.
+func testConvFusedLayoutsMatchOracle[T Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for _, tc := range append(packCases, convCases...) {
+		x := randTensorOf[T](rng, tc.n, tc.c, tc.h, tc.w)
+		w := randTensorOf[T](rng, tc.f, tc.c*tc.k*tc.k)
+		bias := randTensorOf[T](rng, tc.f)
+		g := makeConvGeom(x.shape, tc.k, tc.k, tc.stride, tc.pad)
+		grad := randTensorOf[T](rng, tc.n, tc.f, g.oh, g.ow)
+		gv := convView(grad, &g, tc.f, "test")
+		gm := NewOf[T](g.rows(), tc.f)
+		for i := 0; i < g.rows(); i++ {
+			for j := 0; j < tc.f; j++ {
+				gm.data[i*tc.f+j] = grad.data[gv.off(i, j)]
+			}
+		}
+		wantYm, wantDW, wantDX := oracleConv(x, w, bias, gm, tc.k, tc.stride, tc.pad)
+
+		y := NewOf[T](tc.n, tc.f, g.oh, g.ow)
+		yr := NewOf[T](tc.n, tc.f, g.oh, g.ow)
+		mask := make([]bool, yr.Len())
+		ConvForwardInto(y, x, w, bias, tc.k, tc.k, tc.stride, tc.pad)
+		ConvForwardReLUInto(yr, x, w, bias, mask, tc.k, tc.k, tc.stride, tc.pad)
+		yv := convView(y, &g, tc.f, "test")
+		for i := 0; i < g.rows(); i++ {
+			for j := 0; j < tc.f; j++ {
+				o := yv.off(i, j)
+				pre := wantYm.data[i*tc.f+j]
+				if math.Float64bits(float64(pre)) != math.Float64bits(float64(y.data[o])) {
+					t.Fatalf("%+v: forward (%d,%d): %v vs %v", tc, i, j, y.data[o], pre)
+				}
+				clamped := pre
+				if !(pre > 0) {
+					clamped = 0
+				}
+				if math.Float64bits(float64(clamped)) != math.Float64bits(float64(yr.data[o])) || mask[o] != (pre > 0) {
+					t.Fatalf("%+v: fused ReLU (%d,%d): %v mask %v, pre-activation %v", tc, i, j, yr.data[o], mask[o], pre)
+				}
+			}
+		}
+		dw := NewOf[T](tc.f, tc.c*tc.k*tc.k)
+		dx := NewOf[T](tc.n, tc.c, tc.h, tc.w)
+		ConvGradWeightsInto(dw, grad, x, tc.k, tc.k, tc.stride, tc.pad)
+		ConvGradInputInto(dx, grad, w, tc.k, tc.k, tc.stride, tc.pad)
+		if i, ok := bitsEqual(wantDW, dw); !ok {
+			t.Fatalf("%+v: dW differs at %d: %v vs %v", tc, i, dw.data[i], wantDW.data[i])
+		}
+		if i, ok := bitsEqual(wantDX, dx); !ok {
+			t.Fatalf("%+v: dX differs at %d: %v vs %v", tc, i, dx.data[i], wantDX.data[i])
+		}
+	}
+}
+
+func TestConvFusedLayoutsMatchOracle(t *testing.T) {
+	t.Run("f64", testConvFusedLayoutsMatchOracle[float64])
+	t.Run("f32", testConvFusedLayoutsMatchOracle[float32])
+}

@@ -29,3 +29,18 @@ func Eps[T Float]() float64 {
 	}
 	return 1e-12
 }
+
+// Select returns a when c is set and b otherwise, bit for bit, as
+// straight-line code: an indexed load from a two-entry table. ReLU
+// (forward and backward) and max-pooling select on sign and order
+// patterns that are close to random on real activations; written as a
+// branch, every other element is a misprediction.
+//
+// fedlint:hotpath
+func Select[T Float](c bool, a, b T) T {
+	var i int
+	if c {
+		i = 1
+	}
+	return [2]T{b, a}[i]
+}

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"sync"
-	"unsafe"
-)
+import "sync"
 
 // Blocked, packed GEMM core with fused epilogues, generic over the
 // element type.
@@ -16,18 +13,23 @@ import (
 //   - Each cell is computed start-to-finish by exactly one goroutine: it
 //     walks the k dimension in gemmKC panels (in ascending order), packs
 //     the A and B panels into per-goroutine scratch (pack.go), and runs a
-//     register-tiled micro-kernel over the packed panels (4×2 scalar at
-//     float64, 8×4 SSE at float32 — see microTile and gemm_f32_amd64.s).
-//     The first k-panel stores into C (implicit beta=0 — callers never
-//     pre-zero), subsequent panels accumulate.
-//   - After the k loop the cell owner applies the fused epilogue (+bias,
-//     +bias→ReLU with optional mask capture) to its region of C.
+//     register-tiled micro-kernel over the packed panels (4×4 packed
+//     doubles at float64, 8×4 packed singles at float32 — SSE2 assembly
+//     on amd64, order-identical scalar twins elsewhere; see microTile and
+//     gemm_amd64.s). The first k-panel stores into C (implicit beta=0 —
+//     callers never pre-zero), subsequent panels accumulate.
+//   - The merge of the last k-panel applies the fused epilogue (+bias,
+//     +bias→ReLU with optional mask capture) to the tile it is writing,
+//     so C is never re-read for it.
 //
-// Operands are described by packSrc: either a real strided matrix, or a
-// virtual im2col matrix whose panels are synthesized on the fly from the
-// convolution input (implicit GEMM, convgemm.go) — the blocked core is
-// identical either way, so convolution inherits every determinism
-// property below without a materialized im2col buffer.
+// Operands are described by packSrc: a real strided matrix, a virtual
+// im2col matrix whose panels are synthesized on the fly from the
+// convolution input (implicit GEMM, convgemm.go), or the
+// position-by-channel view of an (N,C,H,W) gradient. The output is a
+// matView: row-major, or that same position-by-channel view of an
+// (N,C,H,W) activation tensor. The blocked core is identical for every
+// combination, so convolution inherits every determinism property below
+// without a materialized im2col buffer or a layout-permute pass.
 //
 // Determinism: the cell grid and panel boundaries depend only on the
 // problem shape (compile-time constants), and each output element is
@@ -37,8 +39,8 @@ import (
 // count, which the federated engines' bit-identical-history guarantee
 // (internal/fl) inherits. The register tile shape does not participate
 // in that argument (each output element is a strictly-ascending-k sum
-// within each KC panel for every tile), so the f32 SIMD tile and the
-// scalar fallback produce bit-identical results too.
+// within each KC panel for every tile), so the SIMD tiles and their
+// scalar twins produce bit-identical results too.
 
 // gemmSmallCutoff is the m·n·k volume below which the retained naive
 // kernels win (no packing or pool traffic). Depends only on the shape,
@@ -58,33 +60,112 @@ const gemmAccLen = gemmMaxMR * gemmMaxNR
 type epi[T Float] struct {
 	bias []T // length n, broadcast across rows; nil = none
 	relu bool
-	mask []bool // optional m*n ReLU mask: mask[i*n+j] = (pre-clamp value > 0)
+	mask []bool // optional ReLU mask, indexed like the output: mask[off] = (pre-clamp value > 0)
 }
 
-// packSrc describes one GEMM operand: a real strided matrix (virt
-// unset — element (i,l) lives at d[i*rs+l*cs]) or a virtual im2col view
-// of a convolution input (virt set — elements are synthesized from geom
-// during packing; see convgemm.go). Held by value end-to-end so the
+func (e *epi[T]) active() bool { return e.bias != nil || e.relu }
+
+// matView addresses a logical rows×cols matrix in one of two storage
+// layouts: row-major with leading dimension ld (sp == 0), or the
+// position-by-channel view of an (N, ch, sp) activation tensor — row
+// i = img·sp + p is spatial position p of image img, column j is channel
+// j, and the element lives at the tensor's own (img, j, p) offset. The
+// second form is how convolution reads gradients from, and writes
+// activations to, (N,C,H,W) tensors with no re-layout pass.
+type matView[T Float] struct {
+	d      []T
+	ld     int
+	sp, ch int
+}
+
+// off returns the storage offset of element (i, j).
+func (v *matView[T]) off(i, j int) int {
+	if v.sp == 0 {
+		return i*v.ld + j
+	}
+	img := i / v.sp
+	return (img*v.ch+j)*v.sp + i - img*v.sp
+}
+
+// rowOffsets fills offs[r] with the storage offset of element (i0+r, 0)
+// and returns the column stride, so element (i0+r, j) lives at
+// offs[r] + j·cs in either layout.
+func (v *matView[T]) rowOffsets(offs []int, i0 int) (cs int) {
+	if v.sp == 0 {
+		for r := range offs {
+			offs[r] = (i0 + r) * v.ld
+		}
+		return 1
+	}
+	img := i0 / v.sp
+	p := i0 - img*v.sp
+	for r := range offs {
+		offs[r] = img*v.ch*v.sp + p
+		if p++; p == v.sp {
+			p = 0
+			img++
+		}
+	}
+	return v.sp
+}
+
+// srcKind selects how a packSrc synthesizes operand elements.
+type srcKind uint8
+
+const (
+	srcStrided srcKind = iota // element (i,l) at d[i*rs+l*cs]
+	srcIm2col                 // virtual im2col matrix of geom over d (convgemm.go)
+	srcPosChan                // view: element (i,l) at view.off(i,l)
+	srcChanPos                // the transpose of view: element (i,l) at view.off(l,i)
+)
+
+// packSrc describes one GEMM operand: a real strided matrix, a virtual
+// im2col view of a convolution input whose elements are synthesized from
+// geom during packing, or a position-by-channel matView (plain, from
+// logical row row0 on, or transposed). Held by value end-to-end so the
 // serial path allocates nothing.
 type packSrc[T Float] struct {
 	d      []T
+	kind   srcKind
 	rs, cs int
 	geom   convGeom
-	virt   bool
+	view   matView[T]
+	row0   int
+}
+
+// asA describes rows [row0, …) of the view — or its transpose — as a
+// GEMM operand. A row-major view is an ordinary strided matrix.
+func (v matView[T]) asA(trans bool, row0 int) packSrc[T] {
+	switch {
+	case v.sp == 0 && trans:
+		return packSrc[T]{d: v.d, rs: 1, cs: v.ld}
+	case v.sp == 0:
+		return packSrc[T]{d: v.d[row0*v.ld:], rs: v.ld, cs: 1}
+	case trans:
+		return packSrc[T]{kind: srcChanPos, view: v}
+	}
+	return packSrc[T]{kind: srcPosChan, view: v, row0: row0}
 }
 
 // packIntoA packs the mc×kc block at (i0, p0) of the operand viewed as A.
 func (p *packSrc[T]) packIntoA(ap []T, i0, p0, mc, kc, mr int) {
-	if p.virt {
+	switch p.kind {
+	case srcIm2col:
 		packAConv(ap, p.d, &p.geom, i0, p0, mc, kc, mr)
-		return
+	case srcPosChan:
+		packAPosChan(ap, &p.view, p.row0+i0, p0, mc, kc, mr)
+	case srcChanPos:
+		packAChanPos(ap, &p.view, i0, p0, mc, kc, mr)
+	default:
+		packA(ap, p.d, p.rs, p.cs, i0, p0, mc, kc, mr)
 	}
-	packA(ap, p.d, p.rs, p.cs, i0, p0, mc, kc, mr)
 }
 
 // packIntoB packs the kc×nc block at (p0, j0) of the operand viewed as B.
+// Views only ever appear as the A operand (the output gradient of a
+// convolution), so B is strided or im2col.
 func (p *packSrc[T]) packIntoB(bp []T, p0, j0, kc, nc, nr int) {
-	if p.virt {
+	if p.kind == srcIm2col {
 		packBConv(bp, p.d, &p.geom, p0, j0, kc, nc, nr)
 		return
 	}
@@ -159,11 +240,12 @@ func gemm[T Float](dst, a, b *TensorOf[T], transA, transB bool, e epi[T]) {
 	if m == 0 || n == 0 {
 		return
 	}
+	c := matView[T]{d: cd, ld: n}
 	if k == 0 {
 		for i := range cd {
 			cd[i] = 0
 		}
-		applyEpi(cd, n, 0, m, 0, n, e)
+		applyEpi(&c, m, n, &e)
 		return
 	}
 	if m*n*k <= gemmSmallCutoff {
@@ -175,303 +257,100 @@ func gemm[T Float](dst, a, b *TensorOf[T], transA, transB bool, e epi[T]) {
 		default:
 			naiveMatMulInto(dst, a, b)
 		}
-		applyEpi(cd, n, 0, m, 0, n, e)
+		applyEpi(&c, m, n, &e)
 		return
 	}
-	gemmBlocked(cd, a.data, b.data, m, n, k, ars, acs, brs, bcs, e)
-}
-
-// gemmBlocked runs the panel-blocked kernel over the full output with
-// the production register tile for T.
-func gemmBlocked[T Float](cd, ad, bd []T, m, n, k, ars, acs, brs, bcs int, e epi[T]) {
-	mr, nr := microTile[T]()
-	gemmBlockedOps(cd,
-		packSrc[T]{d: ad, rs: ars, cs: acs},
-		packSrc[T]{d: bd, rs: brs, cs: bcs},
-		m, n, k, mr, nr, e)
+	gemmBlockedOps(c,
+		packSrc[T]{d: a.data, rs: ars, cs: acs},
+		packSrc[T]{d: b.data, rs: brs, cs: bcs},
+		m, n, k, e)
 }
 
 // gemmBlockedOps runs the panel-blocked kernel over the full output,
 // fanning grid cells out across whatever lanes the shared semaphore
-// grants. The (mr, nr) register tile is a parameter so benchmarks can
-// bake off candidate tiles; production callers pass microTile[T]().
-func gemmBlockedOps[T Float](cd []T, a, b packSrc[T], m, n, k, mr, nr int, e epi[T]) {
+// grants.
+func gemmBlockedOps[T Float](c matView[T], a, b packSrc[T], m, n, k int, e epi[T]) {
 	rc := (m + gemmMC - 1) / gemmMC
 	cc := (n + gemmNC - 1) / gemmNC
 	cells := rc * cc
-	// Serial path first, with no closures in scope: an escaping kernel
-	// closure would be heap-allocated even when never spawned, costing a
-	// few objects per call on the steady-state training path. The
-	// MaxLanes()==0 check only short-circuits dispatch — per-cell results
-	// are bit-identical on either path, so it cannot affect outputs.
-	if cells == 1 || m*n*k < gemmParallelCutoff || MaxLanes() == 0 {
-		pool := gemmScratchPool[T]()
-		s := pool.Get().(*gemmScratch[T])
-		for cell := 0; cell < cells; cell++ {
-			gemmProcCell(cd, a, b, m, n, k, mr, nr, e, cc, cell, s)
-		}
-		pool.Put(s)
+	// The MaxLanes()==0 check only short-circuits dispatch — per-cell
+	// results are bit-identical on either path, so it cannot affect
+	// outputs.
+	if cells > 1 && m*n*k >= gemmParallelCutoff && MaxLanes() > 0 {
+		gemmCellsParallel(c, a, b, m, n, k, e, cc, cells)
 		return
 	}
+	pool := gemmScratchPool[T]()
+	s := pool.Get().(*gemmScratch[T])
+	for cell := 0; cell < cells; cell++ {
+		gemmCell(c, a, b, m, n, k, e, cc, cell, s)
+	}
+	pool.Put(s)
+}
+
+// gemmCellsParallel is the fan-out path of gemmBlockedOps. It is its own
+// function so that the closure — and the operands it captures, which
+// move to the heap with it — exist only when cells are actually handed
+// to other lanes: the serial path above stays allocation-free.
+func gemmCellsParallel[T Float](c matView[T], a, b packSrc[T], m, n, k int, e epi[T], cc, cells int) {
 	parallelChunks(cells, func(c0, c1 int) {
 		pool := gemmScratchPool[T]()
 		s := pool.Get().(*gemmScratch[T])
 		for cell := c0; cell < c1; cell++ {
-			gemmProcCell(cd, a, b, m, n, k, mr, nr, e, cc, cell, s)
+			gemmCell(c, a, b, m, n, k, e, cc, cell, s)
 		}
 		pool.Put(s)
 	})
 }
 
-// gemmProcCell computes one output grid cell and applies the epilogue to
-// its region. Top-level (not a closure) so the serial path stays
+// gemmCell computes one output grid cell: pack a k-panel of each
+// operand, run the micro-kernel over every register tile, merge into C
+// (store on the first panel, accumulate on the rest, epilogue with the
+// last). Top-level (not a closure) so the serial path stays
 // allocation-free.
-func gemmProcCell[T Float](cd []T, a, b packSrc[T], m, n, k, mr, nr int, e epi[T], cc, cell int, s *gemmScratch[T]) {
+//
+// fedlint:hotpath
+func gemmCell[T Float](c matView[T], a, b packSrc[T], m, n, k int, e epi[T], cc, cell int, s *gemmScratch[T]) {
 	i0 := (cell / cc) * gemmMC
 	j0 := (cell % cc) * gemmNC
 	mc := min(gemmMC, m-i0)
 	nc := min(gemmNC, n-j0)
-	gemmCell(cd, a, b, n, k, i0, j0, mc, nc, mr, nr, s)
-	applyEpi(cd, n, i0, i0+mc, j0, j0+nc, e)
-}
-
-// gemmCell computes the mc×nc output cell at (i0, j0): pack a k-panel of
-// each operand, run the micro-kernel over every register tile, merge into
-// C (store on the first panel, accumulate on the rest).
-func gemmCell[T Float](cd []T, a, b packSrc[T], n, k, i0, j0, mc, nc, mr, nr int, s *gemmScratch[T]) {
+	mr, nr := microTile[T]()
+	var rowOffs [gemmMC]int
+	cs := c.rowOffsets(rowOffs[:mc], i0)
 	for p0 := 0; p0 < k; p0 += gemmKC {
 		kc := min(gemmKC, k-p0)
 		a.packIntoA(s.ap, i0, p0, mc, kc, mr)
 		b.packIntoB(s.bp, p0, j0, kc, nc, nr)
 		first := p0 == 0
+		var fin *epi[T]
+		if p0+kc == k && e.active() {
+			fin = &e
+		}
 		var acc [gemmAccLen]T
 		for jr := 0; jr < nc; jr += nr {
 			bp := s.bp[(jr/nr)*nr*kc:]
 			for ir := 0; ir < mc; ir += mr {
 				ap := s.ap[(ir/mr)*mr*kc:]
-				microKernel(kc, ap, bp, &acc, mr, nr)
-				mergeTile(cd, n, i0+ir, j0+jr, min(mr, mc-ir), min(nr, nc-jr), nr, &acc, first)
+				microKernel(kc, ap, bp, &acc)
+				mergeTile(c.d, rowOffs[ir:min(ir+mr, mc)], cs, j0+jr, min(nr, nc-jr), nr, &acc, first, fin)
 			}
 		}
 	}
 }
 
-// microKernel runs the register-tiled inner kernel for one packed
-// micro-panel pair. Production tiles are (4,2) at float64 (scalar) and
-// (f32MR, f32NR) = (8,4) at float32 (4-lane SSE on amd64, an
-// order-identical scalar loop elsewhere); the remaining shapes exist for
-// the tile bake-off benchmarks. Every kernel sums each output element in
-// strictly ascending k order, so the choice of tile never changes bits.
-func microKernel[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T, mr, nr int) {
-	if isF32[T]() && mr == 8 && nr == 4 {
-		// Pointer reinterpretation, not conversion: guarded by isF32, T is
-		// float32 here. Pointers (rather than slices) keep the call free of
-		// interface-boxing allocations on the hot path.
-		microF32SIMD(kc, f32ptr(&ap[0]), f32ptr(&bp[0]), f32ptr(&acc[0]))
-		return
-	}
-	switch {
-	case mr == 8 && nr == 2:
-		micro8x2(kc, ap, bp, acc)
-	case mr == 4 && nr == 4:
-		micro4x4(kc, ap, bp, acc)
-	default:
-		micro4x2(kc, ap, bp, acc)
-	}
-}
-
-// f32ptr reinterprets a *T as *float32. Callers must guard with isF32;
-// the generic signature only exists so microKernel compiles for both
-// instantiations.
-func f32ptr[T Float](p *T) *float32 { return (*float32)(unsafe.Pointer(p)) }
-
-// micro4x2 multiplies one packed A micro-panel (4×kc, column-major) by
-// one packed B micro-panel (kc×2, row-major), keeping the full 4×2
-// product tile in scalar registers across the k loop. The tile shape is
-// chosen for the float64 register budget: 8 accumulators + 4 A values +
-// 2 B values = 14 live doubles, which fits amd64's 16 XMM registers — a
-// 4×4 tile needs 24 and spills every iteration, which benchmarked slower
-// than the naive kernel it was meant to replace (micro4x4 below exists
-// to keep that measurement honest per element type). The k loop is
-// unrolled 8× (with a single-step remainder loop) to amortize branch
-// overhead over the 16 independent multiply-add chains per step.
+// micro4x4 is the portable twin of the amd64 float64 kernel: one packed
+// A micro-panel (4×kc, column-major) times one packed B micro-panel
+// (kc×4, row-major) into the 4×4 accumulator tile (row stride 4, fully
+// overwritten). One rounding per multiply and per add, k strictly
+// ascending per output element — the exact operation sequence of
+// microF64SIMD, per lane.
 //
-// k runs strictly ascending through both loops, which fixes the
-// floating-point reduction order regardless of kc or unroll boundaries.
-func micro4x2[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
-	var c00, c01 T
-	var c10, c11 T
-	var c20, c21 T
-	var c30, c31 T
-	ap = ap[: 4*kc : 4*kc]
-	bp = bp[: 2*kc : 2*kc]
-	for len(ap) >= 32 && len(bp) >= 16 {
-		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
-		b0, b1 := bp[0], bp[1]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
-		a0, a1, a2, a3 = ap[4], ap[5], ap[6], ap[7]
-		b0, b1 = bp[2], bp[3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
-		a0, a1, a2, a3 = ap[8], ap[9], ap[10], ap[11]
-		b0, b1 = bp[4], bp[5]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
-		a0, a1, a2, a3 = ap[12], ap[13], ap[14], ap[15]
-		b0, b1 = bp[6], bp[7]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
-		a0, a1, a2, a3 = ap[16], ap[17], ap[18], ap[19]
-		b0, b1 = bp[8], bp[9]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
-		a0, a1, a2, a3 = ap[20], ap[21], ap[22], ap[23]
-		b0, b1 = bp[10], bp[11]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
-		a0, a1, a2, a3 = ap[24], ap[25], ap[26], ap[27]
-		b0, b1 = bp[12], bp[13]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
-		a0, a1, a2, a3 = ap[28], ap[29], ap[30], ap[31]
-		b0, b1 = bp[14], bp[15]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
-		ap = ap[32:]
-		bp = bp[16:]
-	}
-	for len(ap) >= 4 && len(bp) >= 2 {
-		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
-		b0, b1 := bp[0], bp[1]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
-		ap = ap[4:]
-		bp = bp[2:]
-	}
-	acc[0], acc[1] = c00, c01
-	acc[2], acc[3] = c10, c11
-	acc[4], acc[5] = c20, c21
-	acc[6], acc[7] = c30, c31
-}
-
-// micro8x2 is the 8×2 scalar candidate tile from the f32 bake-off
-// (18 live values — two more than the amd64 XMM file, so the compiler
-// spills; kept for the benchmark record). Accumulator stride 2.
-func micro8x2[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
-	var c [16]T
-	ap = ap[: 8*kc : 8*kc]
-	bp = bp[: 2*kc : 2*kc]
-	for len(ap) >= 16 && len(bp) >= 4 {
-		b0, b1 := bp[0], bp[1]
-		for r := 0; r < 8; r++ {
-			a := ap[r]
-			c[2*r] += a * b0
-			c[2*r+1] += a * b1
-		}
-		b0, b1 = bp[2], bp[3]
-		for r := 0; r < 8; r++ {
-			a := ap[8+r]
-			c[2*r] += a * b0
-			c[2*r+1] += a * b1
-		}
-		ap = ap[16:]
-		bp = bp[4:]
-	}
-	for len(ap) >= 8 && len(bp) >= 2 {
-		b0, b1 := bp[0], bp[1]
-		for r := 0; r < 8; r++ {
-			a := ap[r]
-			c[2*r] += a * b0
-			c[2*r+1] += a * b1
-		}
-		ap = ap[8:]
-		bp = bp[2:]
-	}
-	copy(acc[:16], c[:])
-}
-
-// micro4x4 is the 4×4 scalar candidate tile from the f32 bake-off
-// (24 live values; spills at float64, borderline at float32 — kept for
-// the benchmark record). Accumulator stride 4.
+// fedlint:hotpath
 func micro4x4[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
 	var c [16]T
 	ap = ap[: 4*kc : 4*kc]
 	bp = bp[: 4*kc : 4*kc]
-	for len(ap) >= 8 && len(bp) >= 8 {
-		b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-		for r := 0; r < 4; r++ {
-			a := ap[r]
-			c[4*r] += a * b0
-			c[4*r+1] += a * b1
-			c[4*r+2] += a * b2
-			c[4*r+3] += a * b3
-		}
-		b0, b1, b2, b3 = bp[4], bp[5], bp[6], bp[7]
-		for r := 0; r < 4; r++ {
-			a := ap[4+r]
-			c[4*r] += a * b0
-			c[4*r+1] += a * b1
-			c[4*r+2] += a * b2
-			c[4*r+3] += a * b3
-		}
-		ap = ap[8:]
-		bp = bp[8:]
-	}
 	for len(ap) >= 4 && len(bp) >= 4 {
 		b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
 		for r := 0; r < 4; r++ {
@@ -487,55 +366,90 @@ func micro4x4[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
 	copy(acc[:16], c[:])
 }
 
-// mergeTile writes the valid mr×nr corner of a micro-tile into C at
-// (i, j): plain store for the first k-panel (beta=0), accumulate after.
-// accStride is the full tile NR (the accumulator row stride), which may
-// exceed the valid nr at the right edge of the output.
-func mergeTile[T Float](cd []T, n, i, j, mr, nr, accStride int, acc *[gemmAccLen]T, first bool) {
-	for r := 0; r < mr; r++ {
-		row := cd[(i+r)*n+j : (i+r)*n+j+nr]
-		av := acc[r*accStride : r*accStride+nr]
-		if first {
-			copy(row, av)
-		} else {
-			for c, v := range av {
-				row[c] += v
+// micro8x4 is the portable twin of the amd64 float32 kernel: the 8×4
+// tile (A micro-panel 8×kc) on the same schedule as micro4x4.
+//
+// fedlint:hotpath
+func micro8x4[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
+	var c [32]T
+	ap = ap[: 8*kc : 8*kc]
+	bp = bp[: 4*kc : 4*kc]
+	for len(ap) >= 8 && len(bp) >= 4 {
+		b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
+		for r := 0; r < 8; r++ {
+			a := ap[r]
+			c[4*r] += a * b0
+			c[4*r+1] += a * b1
+			c[4*r+2] += a * b2
+			c[4*r+3] += a * b3
+		}
+		ap = ap[8:]
+		bp = bp[4:]
+	}
+	copy(acc[:32], c[:])
+}
+
+// mergeTile writes the valid corner of a micro-tile into C: row r of the
+// tile goes to offsets rowOffs[r] + (j+c)·cs for c < nrv. Plain store for
+// the first k-panel (beta=0), accumulate after. accStride is the full
+// tile NR (the accumulator row stride), which may exceed nrv at the right
+// edge of the output. A non-nil e marks the last k-panel: the fused
+// epilogue is applied to the finished sums on their way out.
+//
+// fedlint:hotpath
+func mergeTile[T Float](cd []T, rowOffs []int, cs, j, nrv, accStride int, acc *[gemmAccLen]T, first bool, e *epi[T]) {
+	for r, base := range rowOffs {
+		av := acc[r*accStride : r*accStride+nrv]
+		off := base + j*cs
+		if e == nil {
+			if first {
+				for c, v := range av {
+					cd[off+c*cs] = v
+				}
+			} else {
+				for c, v := range av {
+					cd[off+c*cs] += v
+				}
 			}
+			continue
+		}
+		for c, v := range av {
+			o := off + c*cs
+			if !first {
+				v = cd[o] + v
+			}
+			cd[o] = e.apply(v, j+c, o)
 		}
 	}
 }
 
-// applyEpi applies the fused epilogue over rows [i0,i1) × cols [j0,j1) of
-// the n-column output. A no-op for the plain kernels.
-func applyEpi[T Float](cd []T, n, i0, i1, j0, j1 int, e epi[T]) {
-	if e.bias == nil && !e.relu {
+// apply finishes one output element: v is the full k sum of column j,
+// stored at offset o.
+func (e *epi[T]) apply(v T, j, o int) T {
+	if e.bias != nil {
+		v += e.bias[j]
+	}
+	if e.relu {
+		pos := v > 0
+		v = Select(pos, v, 0)
+		if e.mask != nil {
+			e.mask[o] = pos
+		}
+	}
+	return v
+}
+
+// applyEpi applies the epilogue to a finished m×n output in place — the
+// path of the naive small-shape kernels and of k = 0, where no blocked
+// merge runs.
+func applyEpi[T Float](c *matView[T], m, n int, e *epi[T]) {
+	if !e.active() {
 		return
 	}
-	for i := i0; i < i1; i++ {
-		row := cd[i*n+j0 : i*n+j1]
-		if e.bias != nil {
-			for jj, bv := range e.bias[j0:j1] {
-				row[jj] += bv
-			}
-		}
-		if e.relu {
-			if e.mask != nil {
-				base := i*n + j0
-				for jj, v := range row {
-					if v > 0 {
-						e.mask[base+jj] = true
-					} else {
-						e.mask[base+jj] = false
-						row[jj] = 0
-					}
-				}
-			} else {
-				for jj, v := range row {
-					if v <= 0 {
-						row[jj] = 0
-					}
-				}
-			}
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			o := c.off(i, j)
+			c.d[o] = e.apply(c.d[o], j, o)
 		}
 	}
 }

@@ -1,0 +1,18 @@
+//go:build !amd64 || purego
+
+package tensor
+
+// microKernel runs the production register tile for T — 4×4 at float64,
+// 8×4 at float32 — through the scalar twins of the SSE2 kernels in
+// gemm_amd64.s. Built on every non-amd64 target, and on amd64 under the
+// purego tag so the whole suite, goldens included, can be run against the
+// twins on the host where the assembly normally runs.
+//
+// fedlint:hotpath
+func microKernel[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
+	if isF32[T]() {
+		micro8x4(kc, ap, bp, acc)
+		return
+	}
+	micro4x4(kc, ap, bp, acc)
+}

@@ -22,33 +22,29 @@ func randTensorOf[T Float](rng *rand.Rand, shape ...int) *TensorOf[T] {
 // fast path) with the same stride setup as gemm, so property tests can
 // exercise packing/micro-kernel logic on tiny shapes too.
 func blockedInto[T Float](dst, a, b *TensorOf[T], transA, transB bool, e epi[T]) {
-	mr, nr := microTile[T]()
-	blockedTileInto(dst, a, b, transA, transB, e, mr, nr)
+	m, n, k, pa, pb := stridedOperands(a, b, transA, transB)
+	gemmBlockedOps(matView[T]{d: dst.data, ld: n}, pa, pb, m, n, k, e)
 }
 
-// blockedTileInto is blockedInto with an explicit register tile, used by
-// the tile bake-off benchmarks and the cross-tile equivalence test.
-func blockedTileInto[T Float](dst, a, b *TensorOf[T], transA, transB bool, e epi[T], mr, nr int) {
-	var m, k, n int
-	var ars, acs, brs, bcs int
+// stridedOperands is gemm's operand setup: the logical m, n, k and the
+// two strided packSrcs for op(a)·op(b).
+func stridedOperands[T Float](a, b *TensorOf[T], transA, transB bool) (m, n, k int, pa, pb packSrc[T]) {
+	pa, pb = packSrc[T]{d: a.data}, packSrc[T]{d: b.data}
 	if transA {
 		k, m = a.Dim(0), a.Dim(1)
-		ars, acs = 1, m
+		pa.rs, pa.cs = 1, m
 	} else {
 		m, k = a.Dim(0), a.Dim(1)
-		ars, acs = k, 1
+		pa.rs, pa.cs = k, 1
 	}
 	if transB {
 		n = b.Dim(0)
-		brs, bcs = 1, k
+		pb.rs, pb.cs = 1, k
 	} else {
 		n = b.Dim(1)
-		brs, bcs = n, 1
+		pb.rs, pb.cs = n, 1
 	}
-	gemmBlockedOps(dst.data,
-		packSrc[T]{d: a.data, rs: ars, cs: acs},
-		packSrc[T]{d: b.data, rs: brs, cs: bcs},
-		m, n, k, mr, nr, e)
+	return m, n, k, pa, pb
 }
 
 // maxAbsDiff returns the largest elementwise |a−b|.
@@ -106,47 +102,6 @@ func testBlockedMatchesNaive[T Float](t *testing.T) {
 func TestBlockedMatchesNaiveProperty(t *testing.T) {
 	t.Run("f64", testBlockedMatchesNaive[float64])
 	t.Run("f32", testBlockedMatchesNaive[float32])
-}
-
-// TestBlockedTileEquivalence pins the tile-shape independence claim the
-// bake-off relies on: within one KC panel every candidate register tile
-// sums each output element in the same ascending-k order, so all tiles
-// (including the f32 SIMD 8×4) produce bit-identical results.
-func TestBlockedTileEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	m, k, n := 65, 130, 37 // ragged against every tile, single k-panel and multi-cell-free
-	tiles := [][2]int{{4, 2}, {8, 2}, {4, 4}, {8, 4}}
-	t.Run("f32", func(t *testing.T) {
-		a := randTensorOf[float32](rng, m, k)
-		b := randTensorOf[float32](rng, k, n)
-		ref := NewOf[float32](m, n)
-		blockedTileInto(ref, a, b, false, false, epi[float32]{}, 4, 2)
-		for _, tile := range tiles[1:] {
-			got := NewOf[float32](m, n)
-			blockedTileInto(got, a, b, false, false, epi[float32]{}, tile[0], tile[1])
-			for i, v := range got.Data() {
-				if math.Float32bits(v) != math.Float32bits(ref.Data()[i]) {
-					t.Fatalf("tile %dx%d differs from 4x2 at %d: %x vs %x",
-						tile[0], tile[1], i, math.Float32bits(v), math.Float32bits(ref.Data()[i]))
-				}
-			}
-		}
-	})
-	t.Run("f64", func(t *testing.T) {
-		a := randTensorOf[float64](rng, m, k)
-		b := randTensorOf[float64](rng, k, n)
-		ref := NewOf[float64](m, n)
-		blockedTileInto(ref, a, b, false, false, epi[float64]{}, 4, 2)
-		for _, tile := range [][2]int{{8, 2}, {4, 4}} {
-			got := NewOf[float64](m, n)
-			blockedTileInto(got, a, b, false, false, epi[float64]{}, tile[0], tile[1])
-			for i, v := range got.Data() {
-				if math.Float64bits(v) != math.Float64bits(ref.Data()[i]) {
-					t.Fatalf("tile %dx%d differs from 4x2 at %d", tile[0], tile[1], i)
-				}
-			}
-		}
-	})
 }
 
 // TestBlockedMatchesNaiveMultiPanel covers shapes that span several MC/NC
@@ -433,27 +388,33 @@ func BenchmarkGEMMBlockedF32VGG6Dense(b *testing.B) {
 	benchGEMMShapeOf[float32](b, 20, 4704, 1120, false)
 }
 
-// f32 register-tile bake-off: the candidate tiles the tentpole asked to
-// re-derive, on the LeNet conv2 shape, serial. 8×4 routes to the SSE
-// kernel on amd64; the others are the scalar candidates. Results are
-// recorded under "f32_tile_bakeoff" in BENCH_gemm.json.
-func benchF32Tile(b *testing.B, mr, nr int) {
-	m, k, n := 1280, 500, 40
-	rng := rand.New(rand.NewSource(1))
-	a := randTensorOf[float32](rng, m, k)
-	bt := randTensorOf[float32](rng, n, k)
-	dst := NewOf[float32](m, n)
-	old := MaxLanes()
-	SetMaxLanes(0)
-	defer SetMaxLanes(old)
-	b.SetBytes(int64(4 * (m*k + n*k + m*n)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blockedTileInto(dst, a, bt, false, true, epi[float32]{}, mr, nr)
-	}
+// TestMicroKernelMatchesTwin runs the production micro-kernels against
+// their portable twins on the same random packed panels, directly —
+// below any packing or merging. On amd64 that is SSE2 assembly against
+// scalar Go; under the purego tag (and on other architectures) both sides
+// are the twin, and the test only pins the fully-overwritten accumulator
+// contract.
+func TestMicroKernelMatchesTwin(t *testing.T) {
+	t.Run("f64", func(t *testing.T) { testMicroKernelMatchesTwin(t, 4, micro4x4[float64]) })
+	t.Run("f32", func(t *testing.T) { testMicroKernelMatchesTwin(t, 8, micro8x4[float32]) })
 }
 
-func BenchmarkGEMMF32Tile4x2(b *testing.B) { benchF32Tile(b, 4, 2) }
-func BenchmarkGEMMF32Tile8x2(b *testing.B) { benchF32Tile(b, 8, 2) }
-func BenchmarkGEMMF32Tile4x4(b *testing.B) { benchF32Tile(b, 4, 4) }
-func BenchmarkGEMMF32Tile8x4(b *testing.B) { benchF32Tile(b, 8, 4) }
+func testMicroKernelMatchesTwin[T Float](t *testing.T, mr int, twin func(int, []T, []T, *[gemmAccLen]T)) {
+	rng := rand.New(rand.NewSource(71))
+	for _, kc := range []int{0, 1, 7, 25, 150, 256} {
+		// One spare step keeps &ap[0] valid at kc = 0.
+		ap := randTensorOf[T](rng, mr*(kc+1)).data
+		bp := randTensorOf[T](rng, 4*(kc+1)).data
+		var got, want [gemmAccLen]T
+		for i := range got {
+			got[i], want[i] = 9, 9
+		}
+		microKernel(kc, ap, bp, &got)
+		twin(kc, ap, bp, &want)
+		for i := range want[:mr*4] {
+			if math.Float64bits(float64(got[i])) != math.Float64bits(float64(want[i])) {
+				t.Fatalf("kc=%d: acc[%d] = %v, twin %v", kc, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -1,11 +1,11 @@
 package tensor
 
-// Materialized im2col lowering, retained as the unexported reference
-// oracle for the implicit-GEMM convolution kernels (convgemm.go). The
-// production path never builds these matrices any more — the blocked
-// GEMM packs the same patch rows straight from the input tensor — but
-// the property tests verify the implicit kernels element-for-element
-// (and bit-for-bit at float64) against this lowering.
+// Materialized im2col lowering: the reference oracle for the
+// implicit-GEMM convolution kernels (convgemm.go). Nothing outside the
+// tests builds these matrices — the blocked GEMM packs the same patch
+// rows straight from the input tensor — and the property tests in
+// conv_test.go verify the implicit kernels bit-for-bit against this
+// lowering.
 
 // im2col lowers a batch of images (N, C, H, W) into a matrix of patch
 // columns so that a convolution with kernel (KH, KW), stride and padding
@@ -113,10 +113,4 @@ func col2imInto[T Float](x, cols *TensorOf[T], kh, kw, stride, pad int) {
 			}
 		}
 	}
-}
-
-// ConvOutSize returns the output spatial size for input size in, kernel k,
-// stride and padding.
-func ConvOutSize(in, k, stride, pad int) int {
-	return (in+2*pad-k)/stride + 1
 }

@@ -18,29 +18,29 @@ package tensor
 // never differ between two code paths that are expected to produce
 // bit-identical results.
 const (
-	// gemmMR × gemmNR is the float64 register tile: the micro-kernel keeps
-	// a full MR×NR block of C in scalar registers across the k loop. 4×2
-	// is the largest tile whose working set (MR·NR accumulators + MR A
-	// values + NR B values = 14 doubles) fits amd64's 16 XMM registers;
-	// see micro4x2 in gemm.go for the measured cost of exceeding that.
-	// float32 uses the wider f32MR×f32NR tile (gemm_f32_*.go): at half the
-	// element width a 128-bit register holds a 4-lane row, so the f32
-	// kernel keeps an 8×4 C block in 8 XMM registers.
+	// gemmMR × gemmNR is the float64 register tile: a 4×4 block of C held
+	// as packed doubles in 8 XMM accumulators (two per row), with two
+	// registers for the current B row and the rest for broadcast A values
+	// — see gemm_amd64.s. float32 uses the wider f32MR×f32NR tile: at
+	// half the element width one 128-bit register holds a 4-lane row, so
+	// the f32 kernel keeps an 8×4 C block in the same 8 accumulators.
 	gemmMR = 4
-	gemmNR = 2
-	// gemmMC rows of A are packed per panel. Must be a multiple of every
-	// candidate MR (4 and 8).
+	gemmNR = 4
+	// f32MR × f32NR is the float32 register tile.
+	f32MR = 8
+	f32NR = 4
+	// gemmMC rows of A are packed per panel. Must be a multiple of both
+	// MRs.
 	gemmMC = 128
 	// gemmKC is the depth of one packed panel pair: an A panel is
 	// gemmMC×gemmKC (256 KB at f64), small enough to stay cache-resident
 	// while the B panel streams against it.
 	gemmKC = 256
 	// gemmNC columns of B are packed per panel. Must be a multiple of
-	// every candidate NR (2 and 4).
+	// both NRs.
 	gemmNC = 240
 	// gemmMaxMR/gemmMaxNR bound the register tile across element types;
-	// they size the shared accumulator (gemmAccLen in gemm.go) and the
-	// per-panel scratch arrays in the virtual conv packers.
+	// they size the shared accumulator (gemmAccLen in gemm.go).
 	gemmMaxMR = 8
 	gemmMaxNR = 4
 )
@@ -95,5 +95,70 @@ func packB[T Float](bp, bd []T, brs, bcs, p0, j0, kc, nc, nr int) {
 			}
 			idx += nr
 		}
+	}
+}
+
+// zeroLanes clears lanes [lane0, ld) of every depth step of a micro-panel
+// ld lanes wide: the padding past a ragged m or n tail. Scratch is pooled
+// and dirty, so the zeros are written on every pack.
+func zeroLanes[T Float](panel []T, ld, lane0 int) {
+	for l := 0; l+ld <= len(panel); l += ld {
+		for r := lane0; r < ld; r++ {
+			panel[l+r] = 0
+		}
+	}
+}
+
+// packAPosChan is packA over a position-by-channel view (rows are
+// positions, depth is channels): the row offsets of a micro-panel are
+// found once, and a depth step moves all of them one plane on.
+//
+// fedlint:hotpath
+func packAPosChan[T Float](ap []T, v *matView[T], i0, p0, mc, kc, mr int) {
+	var offs [gemmMaxMR]int
+	idx := 0
+	for ir := 0; ir < mc; ir += mr {
+		rows := min(mr, mc-ir)
+		cs := v.rowOffsets(offs[:rows], i0+ir)
+		for l := 0; l < kc; l++ {
+			col := (p0 + l) * cs
+			for r := 0; r < rows; r++ {
+				ap[idx+r] = v.d[offs[r]+col]
+			}
+			for r := rows; r < mr; r++ {
+				ap[idx+r] = 0
+			}
+			idx += mr
+		}
+	}
+}
+
+// packAChanPos is packA over the transpose of a position-by-channel view
+// (rows are channels, depth is positions): each row of a micro-panel
+// reads its channel's planes front to back — contiguous runs, one per
+// image the k-panel touches — and writes them mr apart.
+//
+// fedlint:hotpath
+func packAChanPos[T Float](ap []T, v *matView[T], i0, p0, mc, kc, mr int) {
+	img0 := p0 / v.sp
+	pos0 := p0 - img0*v.sp
+	for ir := 0; ir < mc; ir += mr {
+		panel := ap[(ir/mr)*mr*kc:][:mr*kc]
+		rows := min(mr, mc-ir)
+		for r := 0; r < rows; r++ {
+			img, pos := img0, pos0
+			for l := 0; l < kc; {
+				n := min(v.sp-pos, kc-l)
+				src := v.d[(img*v.ch+i0+ir+r)*v.sp+pos:][:n]
+				dst := panel[l*mr+r:]
+				for t, x := range src {
+					dst[t*mr] = x
+				}
+				l += n
+				pos = 0
+				img++
+			}
+		}
+		zeroLanes(panel, mr, rows)
 	}
 }
