@@ -13,7 +13,7 @@ BENCH_MAX_SLOWDOWN ?= 1.15
 
 .PHONY: build test vet lint lint-ci lint-baseline \
 	fuzz-smoke fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault \
-	fmt-check check check-nolint race race-tensor purego trace-golden \
+	fmt-check check check-nolint race race-tensor purego trace-golden loc \
 	bench bench-parallel bench-gemm bench-gemm-f32 bench-sched bench-ci \
 	bench-regression bench-regression-serve \
 	population-smoke fault-smoke serve-smoke
@@ -86,8 +86,13 @@ check: build vet lint test race-tensor purego
 # smoke). Local pre-push runs should keep using `make check`.
 check-nolint: build vet test race-tensor
 
+# The engines, kernels and daemon, plus the cheap packages the round core
+# calls into from its worker pool (samplers, fault draws, schedulers, trace
+# rings, device and event-loop simulators — a few seconds all together).
 race:
-	$(GO) test -race ./internal/fl/... ./internal/tensor/... ./internal/serve/...
+	$(GO) test -race ./internal/fl/... ./internal/tensor/... ./internal/serve/... \
+		./internal/sample/... ./internal/fault/... ./internal/sched/... \
+		./internal/trace/... ./internal/device/... ./internal/sim/...
 
 # Fast race pass over just the GEMM core and lane semaphore — cheap
 # enough (~10s) to gate every `make check`.
@@ -103,6 +108,23 @@ purego:
 	$(GO) test -tags purego ./internal/tensor ./internal/nn
 	$(GO) test -tags purego -run 'TestGoldenTrace' .
 	GOARCH=arm64 $(GO) vet ./...
+
+# Size of the tree, for "same behaviour from less code" PRs: non-test Go
+# lines, raw and code-only (no blank or comment-only lines), for the FL
+# engines and for everything outside bench/ (testdata fixtures excluded),
+# plus the internal package count. Informational — CI prints it, nothing
+# gates on it.
+LOC_FILES = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' \
+	! -path '*/testdata/*' ! -path './.bench_build/*' -print0
+loc:
+	@printf '%-28s %8s %10s\n' scope raw code-only
+	@for scope in internal/fl .; do \
+		printf '%-28s %8d %10d\n' "$$scope (non-test .go)" \
+			"$$($(call LOC_FILES,$$scope) | xargs -0 cat | wc -l)" \
+			"$$($(call LOC_FILES,$$scope) | xargs -0 cat | grep -vcE '^\s*(//.*)?$$')"; \
+	done
+	@printf '%-28s %8d\n' 'internal/ packages' \
+		"$$(find internal -name '*.go' ! -path '*/testdata/*' -exec dirname {} \; | sort -u | wc -l)"
 
 # Regenerate the golden round traces under testdata/trace after an
 # intentional behaviour change, then review the diff before committing

@@ -151,11 +151,7 @@ type populationOpts struct {
 // runPopulation executes population mode and prints one line per round.
 func runPopulation(o populationOpts) error {
 	pop := device.NewPopulation(o.n, o.seed)
-	fseed := o.faultSeed
-	if fseed == 0 {
-		fseed = o.seed*0x9e3779b9 + 97
-	}
-	plan, err := fault.ParseSpec(o.faults, fseed)
+	plan, err := fault.ParseSpec(o.faults, fault.PlanSeed(o.faultSeed, o.seed))
 	if err != nil {
 		return err
 	}
@@ -202,7 +198,7 @@ func runPopulation(o populationOpts) error {
 		fmt.Printf("population %d, cohort %d (%s), %d shards/round, %d rounds",
 			o.n, drawn, s.Name(), o.shards, o.rounds)
 		if plan != nil {
-			fmt.Printf(", faults %s (seed %d)", plan, fseed)
+			fmt.Printf(", faults %s (seed %d)", plan, plan.Seed)
 		}
 		if q > 0 {
 			fmt.Printf(", quorum %d", q)

@@ -123,18 +123,7 @@ func main() {
 	check(err)
 
 	// Rescale the schedule onto the reduced training set.
-	sizes := make([]int, users)
-	assigned := 0
-	for j, sh := range asg.Shards {
-		sizes[j] = sh * train.Len() / req.TotalShards
-		assigned += sizes[j]
-	}
-	for j := 0; assigned < train.Len(); j = (j + 1) % users {
-		if sizes[j] > 0 || *classes == 0 {
-			sizes[j]++
-			assigned++
-		}
-	}
+	sizes := asg.Rescale(req.TotalShards, train.Len(), *classes > 0)
 	var part fedsched.Partition
 	if *classes > 0 {
 		part = data.ByClassSets(train, classSets, sizes, rng)
@@ -147,11 +136,7 @@ func main() {
 	fmt.Printf("schedule (samples): %v  — predicted makespan %.0f s at paper scale\n",
 		part.Sizes(), asg.PredictedMakespan)
 
-	fseed := *faultSeed
-	if fseed == 0 {
-		fseed = *seed*0x9e3779b9 + 97
-	}
-	plan, err := fedsched.ParseFaultSpec(*faults, fseed)
+	plan, err := fedsched.ParseFaultSpec(*faults, fedsched.FaultPlanSeed(*faultSeed, *seed))
 	check(err)
 	cfg := fedsched.RunConfig{
 		Arch: arch, Rounds: *rounds, LR: *lr, Momentum: *momentum,

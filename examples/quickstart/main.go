@@ -54,14 +54,7 @@ func main() {
 	// Fed-LBAP partition shape.
 	train := fedsched.SMNIST(1200, 42)
 	test := fedsched.SMNIST(400, 42)
-	sizes := make([]int, len(optimal.Shards))
-	total := 0
-	for j, s := range optimal.Shards {
-		sizes[j] = s * train.Len() / req.TotalShards
-		total += sizes[j]
-	}
-	sizes[0] += train.Len() - total // rounding remainder
-	part := fedsched.PartitionIIDSizes(train, sizes, 7)
+	part := fedsched.PartitionIIDSizes(train, optimal.Rescale(req.TotalShards, train.Len(), false), 7)
 	hist, err := tb.RunFederated(fedsched.RunConfig{
 		Arch: fedsched.LeNetSmall(1, 16, 16, 10), Rounds: 5,
 		LR: 0.02, Momentum: 0.9, Seed: 7,

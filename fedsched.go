@@ -14,9 +14,8 @@
 //   - WiFi/LTE link models;
 //   - the two-step performance profiler (Fig 4);
 //   - the scheduling algorithms: Fed-LBAP (Algorithm 1), Fed-MinAvg
-//     (Algorithm 2), the Proportional/Random/Equal baselines, an exact
-//     brute-force oracle, plus classic LBAP and fragmentable bin packing
-//     reference solvers;
+//     (Algorithm 2), the Proportional/Random/Equal baselines and an exact
+//     brute-force oracle;
 //   - a synchronous FedAvg federated-learning engine over the simulated
 //     testbed;
 //   - experiment drivers regenerating every table and figure of the paper.
@@ -199,6 +198,9 @@ var (
 	// ParseFaultSpec parses "crash=0.1,flap=0.05,…" into a FaultPlan
 	// (empty spec = nil plan, no faults).
 	ParseFaultSpec = fault.ParseSpec
+	// FaultPlanSeed picks a run's fault-plan seed: the explicit one, or a
+	// fixed derivation from the run seed when it is 0.
+	FaultPlanSeed = fault.PlanSeed
 	// LoadRunCheckpoint reads a snapshot written by RunCheckpoint.Save.
 	LoadRunCheckpoint = fl.LoadCheckpoint
 	// NewCooldownSampler wraps a Sampler with per-client failure backoff
@@ -350,15 +352,21 @@ func (tb *Testbed) ScheduleNonIID(arch *nn.Arch, totalSamples int, classSets [][
 	return sched.FedMinAvg{}.Schedule(req, nil)
 }
 
-// SimulateRounds runs `rounds` synchronous rounds of the assignment on
-// fresh devices and returns each round's makespan in simulated seconds.
-func (tb *Testbed) SimulateRounds(arch *nn.Arch, asg *sched.Assignment, rounds int) ([]float64, error) {
+// devices builds one fresh simulated phone and link per testbed profile.
+func (tb *Testbed) devices() ([]*device.Device, []network.Link) {
 	devs := make([]*device.Device, len(tb.Profiles))
 	links := make([]network.Link, len(tb.Profiles))
 	for i, p := range tb.Profiles {
 		devs[i] = device.New(p)
 		links[i] = tb.Link
 	}
+	return devs, links
+}
+
+// SimulateRounds runs `rounds` synchronous rounds of the assignment on
+// fresh devices and returns each round's makespan in simulated seconds.
+func (tb *Testbed) SimulateRounds(arch *nn.Arch, asg *sched.Assignment, rounds int) ([]float64, error) {
+	devs, links := tb.devices()
 	return fl.SimulateRounds(arch, devs, links, asg.Samples(ShardSize), 20, rounds)
 }
 
@@ -366,16 +374,7 @@ func (tb *Testbed) SimulateRounds(arch *nn.Arch, asg *sched.Assignment, rounds i
 // dataset on this testbed's simulated devices and returns the history
 // (per-round makespans, losses, accuracy).
 func (tb *Testbed) RunFederated(cfg fl.Config, train *data.Dataset, part data.Partition, test *data.Dataset) (*fl.History, error) {
-	if len(part) != len(tb.Profiles) {
-		return nil, fmt.Errorf("fedsched: partition for %d users, testbed has %d devices", len(part), len(tb.Profiles))
-	}
-	devs := make([]*device.Device, len(tb.Profiles))
-	links := make([]network.Link, len(tb.Profiles))
-	for i, p := range tb.Profiles {
-		devs[i] = device.New(p)
-		links[i] = tb.Link
-	}
-	clients, err := fl.BuildClients(devs, links, part.Materialize(train))
+	clients, err := tb.Clients(train, part)
 	if err != nil {
 		return nil, err
 	}
@@ -388,12 +387,7 @@ func (tb *Testbed) Clients(train *data.Dataset, part data.Partition) ([]*fl.Clie
 	if len(part) != len(tb.Profiles) {
 		return nil, fmt.Errorf("fedsched: partition for %d users, testbed has %d devices", len(part), len(tb.Profiles))
 	}
-	devs := make([]*device.Device, len(tb.Profiles))
-	links := make([]network.Link, len(tb.Profiles))
-	for i, p := range tb.Profiles {
-		devs[i] = device.New(p)
-		links[i] = tb.Link
-	}
+	devs, links := tb.devices()
 	return fl.BuildClients(devs, links, part.Materialize(train))
 }
 

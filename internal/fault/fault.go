@@ -75,9 +75,11 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Fatal reports whether the kind loses the client's update (every kind
-// but None; Corrupt updates arrive but are rejected).
-func (k Kind) Fatal() bool { return k != None }
+// Aborts reports whether the kind kills the round before the update is
+// out (Crash, Battery, LinkFlap): the doomed work burns time and energy
+// up to Fault.Point and nothing reaches the server. Corrupt updates
+// arrive — and are rejected there.
+func (k Kind) Aborts() bool { return k == Crash || k == Battery || k == LinkFlap }
 
 // Fault is one (round, client) draw: what happened to the client and how
 // far it got.
@@ -178,7 +180,7 @@ func (p *Plan) Fault(round, client int) Fault {
 	case p.CorruptRate > 0 && p.draw(laneCorrupt, round, client) < p.CorruptRate:
 		f.Kind = Corrupt
 	}
-	if f.Kind == Crash || f.Kind == Battery || f.Kind == LinkFlap {
+	if f.Kind.Aborts() {
 		f.Point = p.draw(lanePoint, round, client)
 	}
 	if p.DegradeRate > 0 && p.draw(laneDegrade, round, client) < p.DegradeRate {
@@ -220,6 +222,17 @@ func (p *Plan) Check() error {
 		return fmt.Errorf("fault: degrade factor %g must be 0 (default) or ≥ 1", f)
 	}
 	return nil
+}
+
+// PlanSeed is the fault-plan seed of a run: the explicit fault seed when
+// one is set, otherwise a fixed derivation from the run seed — so every
+// front end (fedsim, fedtrain, fedserve) replays the same faults for the
+// same -seed.
+func PlanSeed(faultSeed, runSeed int64) int64 {
+	if faultSeed != 0 {
+		return faultSeed
+	}
+	return runSeed*0x9e3779b9 + 97
 }
 
 // ParseSpec parses a fault scenario of the form

@@ -3,12 +3,10 @@ package fl
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"fedsched/internal/data"
 	"fedsched/internal/fault"
-	"fedsched/internal/nn"
 	"fedsched/internal/sim"
 	"fedsched/internal/tensor"
 	"fedsched/internal/trace"
@@ -61,7 +59,10 @@ type AsyncHistory struct {
 // RunAsync executes staleness-weighted asynchronous federated learning on
 // the simulated testbed. Every client loops download → local epoch →
 // upload; the server merges each upload immediately, so fast devices never
-// wait for stragglers — at the price of stale gradients.
+// wait for stragglers — at the price of stale gradients. There are no
+// rounds to close, so the engine keeps its own virtual-time event loop,
+// but a client cycle is built from the round core's primitives (round.go):
+// the same fault strike, compute burn, device meter and local epoch.
 //
 // Real wall-clock parallelism: a client's local epoch is a pure function
 // of the weights it pulled and its own RNG/optimizer state, both fixed
@@ -72,63 +73,23 @@ type AsyncHistory struct {
 // time order — results are bit-identical to the sequential engine.
 //
 // Injected faults (Config.Faults) are drawn per (client cycle, client
-// id): a fatal fault wastes the cycle's virtual time and energy without
-// ever merging (the trainer and RNG are untouched, exactly as in the
-// synchronous engine), and a corrupted upload is rejected at the server
-// without advancing the model version. Each costs one KindFault event.
+// id): a fault that aborts the cycle wastes its virtual time and energy
+// without ever merging (the trainer and RNG are untouched, exactly as in
+// the synchronous engine) — then the client starts its next cycle, like a
+// restarted app — and a corrupted upload is rejected at the server
+// without advancing the model version (the client trained for real, so
+// only the merge is lost). Each costs one KindFault event.
 //
 // fedlint:deterministic
 // fedlint:trace KindMerge,KindFault
 func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHistory, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Arch == nil {
-		return nil, fmt.Errorf("fl: no architecture")
-	}
-	if err := cfg.Faults.Check(); err != nil {
-		return nil, fmt.Errorf("fl: %w", err)
-	}
-	active := make([]*Client, 0, len(clients))
-	for _, c := range clients {
-		if c.Local != nil && c.Local.Len() > 0 {
-			active = append(active, c)
-		}
-	}
-	if len(active) == 0 {
-		return nil, fmt.Errorf("fl: no client holds data")
-	}
-	if err := checkSampler(cfg.Sampler, len(active)); err != nil {
+	active, global, err := setup(&cfg.Config, asyncEngine, clients)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Sampler != nil {
-		// Async has no synchronous rounds to re-sample at, so the cohort is
-		// drawn once (round 0) and cycles for the whole run.
-		sel := cfg.Sampler.Cohort(0, nil)
-		if len(sel) == 0 {
-			return nil, fmt.Errorf("fl: async sampler drew an empty cohort")
-		}
-		sub := make([]*Client, len(sel))
-		for i, idx := range sel {
-			sub[i] = active[idx]
-		}
-		active = sub
-	}
-
-	rootRNG := rand.New(rand.NewSource(cfg.Seed))
-	global := cfg.Arch.Build(rootRNG)
 	globalW := global.GetWeights()
 	version := 0
-
-	for _, c := range active {
-		c.net = nn.NewTrainer(cfg.Precision, cfg.Arch, rootRNG, cfg.LR, cfg.Momentum)
-		c.rng = rand.New(rand.NewSource(cfg.Seed + int64(c.ID)*7919 + 1))
-		if cfg.Trace != nil && c.Device != nil {
-			// Device work (TrainSamples/Idle) runs on the event-loop
-			// goroutine only — the background futures touch nothing but
-			// the network — so devices can share the run recorder.
-			c.Device.Tracer = cfg.Trace
-			c.Device.TraceID = c.ID
-		}
-	}
 
 	hist := &AsyncHistory{UpdatesPerClient: make([]int, len(clients))}
 	stalenessSum := 0.0
@@ -159,25 +120,6 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 	outstanding := 0
 	var inflight sync.WaitGroup
 
-	// localEpoch runs one full local epoch on c starting from the pulled
-	// weights — the compute-heavy, side-effect-free-outside-c part of a
-	// cycle.
-	localEpoch := func(c *Client, pulled []*tensor.Tensor) {
-		c.net.SetWeights(pulled)
-		c.net.ResetOpt()
-		c.Local.Shuffle(c.rng)
-		n := c.Local.Len()
-		for i := 0; i < n; i += cfg.BatchSize {
-			end := i + cfg.BatchSize
-			if end > n {
-				end = n
-			}
-			x, y := c.Local.Batch(i, end)
-			c.net.TrainBatch(x, y)
-			c.net.Step()
-		}
-	}
-
 	// cycles counts each client's started iterations — the "round" key for
 	// its fault draws. Touched only on the event-loop goroutine.
 	cycles := make([]int, len(active))
@@ -190,78 +132,44 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 			return
 		}
 		c := active[ci]
-		f := cfg.Faults.Fault(cycles[ci], c.ID)
 		fcycle := cycles[ci]
 		cycles[ci]++
+		f := cfg.Faults.Fault(fcycle, c.ID)
+		aborted := f.Kind.Aborts()
 		link := c.Link.Degraded(f.Slow)
-		if f.Kind == fault.Crash || f.Kind == fault.Battery || f.Kind == fault.LinkFlap {
-			// Fatal fault: the update is lost before it can merge, so the
-			// real gradient work is skipped (trainer and RNG untouched)
-			// and only the wasted virtual time and energy are simulated —
-			// then the client starts its next cycle, like a restarted app.
-			commDown := link.DownloadTime(modelBytes)
-			engine.After(commDown, func() {
-				if done() {
-					return
-				}
-				n := c.Local.Len()
-				compute, energy, battery := 0.0, 0.0, 1.0
-				if c.Device != nil {
-					e0 := c.Device.EnergyJ
-					if f.Kind == fault.LinkFlap {
-						// Full epoch computed; the link dies Point of the
-						// way through the upload.
-						compute, _ = c.Device.TrainSamples(cfg.Arch, n, cfg.BatchSize)
-					} else {
-						// Crash / battery death Point of the way through
-						// the shard.
-						compute, _ = c.Device.TrainSamples(cfg.Arch, int(f.Point*float64(n)), cfg.BatchSize)
-						if f.Kind == fault.Battery {
-							c.Device.DrainBattery()
-						}
-					}
-					energy = c.Device.EnergyJ - e0
-					battery = c.Device.BatteryRemaining()
-				}
-				commUp := 0.0
-				if f.Kind == fault.LinkFlap {
-					commUp = f.Point * link.UploadTime(modelBytes)
-				}
-				engine.After(compute+commUp, func() {
-					if done() {
-						return
-					}
-					cfg.Trace.Emit(trace.Event{
-						Kind: trace.KindFault, Round: fcycle, Client: c.ID,
-						Samples: n, Flag: int(f.Kind), AtS: engine.Now(),
-						ComputeS: compute, CommS: commDown + commUp,
-						EnergyJ: energy, Battery: battery,
-					})
-					cycle(ci)
-				})
-			})
-			return
+		commDown := link.DownloadTime(modelBytes)
+		commUp := link.UploadTime(modelBytes)
+		switch f.Kind {
+		case fault.Crash, fault.Battery:
+			commUp = 0 // died mid-shard: nothing is uploaded
+		case fault.LinkFlap:
+			commUp *= f.Point // the link dies Point of the way through the upload
 		}
-		versionAtPull := version
-		pulled := cloneWeights(globalW)
+
 		// Speculatively start the local epoch on a background future when
 		// the pool has room and the lane budget allows it. The inputs are
 		// frozen (pulled is a snapshot; c's state is untouched until the
 		// join below), so the future computes exactly what the inline
-		// path would.
-		var trained chan struct{}
-		if workers > 1 && outstanding < workers && tensor.TryAcquireLanes(1) == 1 {
-			outstanding++
-			trained = make(chan struct{})
-			inflight.Add(1)
-			go func() {
-				defer inflight.Done()
-				localEpoch(c, pulled)
-				tensor.ReleaseLanes(1)
-				close(trained)
-			}()
+		// path would. An aborted cycle never trains.
+		var (
+			versionAtPull int
+			pulled        []*tensor.Tensor
+			trained       chan struct{}
+		)
+		if !aborted {
+			versionAtPull, pulled = version, cloneWeights(globalW)
+			if workers > 1 && outstanding < workers && tensor.TryAcquireLanes(1) == 1 {
+				outstanding++
+				trained = make(chan struct{})
+				inflight.Add(1)
+				go func() {
+					defer inflight.Done()
+					c.train(&cfg.Config, pulled)
+					tensor.ReleaseLanes(1)
+					close(trained)
+				}()
+			}
 		}
-		commDown := link.DownloadTime(modelBytes)
 		engine.After(commDown, func() {
 			if trained != nil {
 				<-trained // join before anything can observe c's state
@@ -270,51 +178,42 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 			if done() {
 				return
 			}
-			if trained == nil {
+			if !aborted && trained == nil {
 				// Sequential path: real gradient descent inline.
-				localEpoch(c, pulled)
+				c.train(&cfg.Config, pulled)
 			}
-			compute, energy, battery := 0.0, 0.0, 1.0
+			cr := ClientRound{Samples: c.Local.Len(), BatteryFrac: 1}
 			if c.Device != nil {
-				e0 := c.Device.EnergyJ
-				compute, _ = c.Device.TrainSamples(cfg.Arch, c.Local.Len(), cfg.BatchSize)
-				c.Device.Idle(link.UploadTime(modelBytes))
-				energy = c.Device.EnergyJ - e0
-				battery = c.Device.BatteryRemaining()
+				m := meterOn(c.Device)
+				burn(&cr, c.Device, cfg.Arch, cfg.BatchSize, f)
+				if !aborted {
+					c.Device.Idle(commUp)
+				}
+				m.read(&cr)
 			}
-			engine.After(compute+link.UploadTime(modelBytes), func() {
+			engine.After(cr.ComputeS+commUp, func() {
 				if done() {
 					return
 				}
-				if f.Kind == fault.Corrupt {
-					// The upload arrived but is garbage: the server
-					// rejects it without touching the model or version.
-					// The client trained for real (its RNG advanced), so
-					// only the merge is lost.
-					cfg.Trace.Emit(trace.Event{
-						Kind: trace.KindFault, Round: fcycle, Client: c.ID,
-						Samples: c.Local.Len(), Flag: int(f.Kind), AtS: engine.Now(),
-						ComputeS: compute, CommS: commDown + link.UploadTime(modelBytes),
-						EnergyJ: energy, Battery: battery,
-					})
-					cycle(ci)
-					return
+				ev := trace.Event{
+					Kind: trace.KindFault, Round: fcycle, Client: c.ID,
+					Samples: cr.Samples, Flag: int(f.Kind), AtS: engine.Now(),
+					ComputeS: cr.ComputeS, CommS: commDown + commUp,
+					EnergyJ: cr.EnergyJ, Battery: cr.BatteryFrac,
 				}
-				// Server merge with staleness damping.
-				staleness := float64(version - versionAtPull)
-				eta := cfg.MixRate / math.Pow(1+staleness, cfg.StalenessPower)
-				scaleWeights(globalW, 1-eta)
-				accumulateWeighted(globalW, c.net.Weights(), eta)
-				version++
-				hist.Updates++
-				hist.UpdatesPerClient[clientIndex(clients, c.ID)]++
-				stalenessSum += staleness
-				cfg.Trace.Emit(trace.Event{
-					Kind: trace.KindMerge, Round: hist.Updates - 1, Client: c.ID,
-					Samples: c.Local.Len(), Staleness: int(staleness), AtS: engine.Now(),
-					ComputeS: compute, CommS: commDown + link.UploadTime(modelBytes),
-					EnergyJ: energy, Battery: battery,
-				})
+				if f.Kind == fault.None {
+					// Server merge with staleness damping.
+					staleness := float64(version - versionAtPull)
+					eta := cfg.MixRate / math.Pow(1+staleness, cfg.StalenessPower)
+					scaleWeights(globalW, 1-eta)
+					accumulateWeighted(globalW, c.net.Weights(), eta)
+					version++
+					hist.Updates++
+					hist.UpdatesPerClient[c.at]++
+					stalenessSum += staleness
+					ev.Kind, ev.Round, ev.Flag, ev.Staleness = trace.KindMerge, hist.Updates-1, 0, int(staleness)
+				}
+				cfg.Trace.Emit(ev)
 				cycle(ci) // immediately start the next iteration
 			})
 		})

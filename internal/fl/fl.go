@@ -1,16 +1,17 @@
-// Package fl is the synchronous federated-learning engine: a parameter
-// server aggregating FedAvg updates from simulated mobile clients. Each
-// round, every participant downloads the global model, trains one local
-// epoch over its assigned data, and uploads its weights; the server takes
-// the sample-weighted average (McMahan et al. [2]). Round wall time is the
-// makespan over participants of simulated computation (device package)
-// plus communication (network package); model quality comes from real
-// gradient descent on the nn package.
+// Package fl holds the federated-learning engines: a parameter server
+// aggregating FedAvg updates from simulated mobile clients (Run), its
+// asynchronous (RunAsync) and serverless (RunGossip) variants, and the
+// train-free population-scale and round simulators. Round wall time is
+// the makespan over surviving participants of simulated computation
+// (device package) plus communication (network package); model quality
+// comes from real gradient descent on the nn package. The round itself —
+// client step and round close — is implemented once, in round.go; the
+// engines are policies over it.
 //
-// Clients within a synchronous round are independent by construction, so
-// the engine trains them concurrently on a bounded worker pool
-// (Config.Workers) and then aggregates in client-ID order after the
-// join — a run is bit-identical for any Workers value at a fixed Seed.
+// Clients within a round are independent by construction, so the engines
+// train them concurrently on a bounded worker pool (Config.Workers) and
+// then close the round in cohort order after the join — a run is
+// bit-identical for any Workers value at a fixed Seed.
 package fl
 
 import (
@@ -18,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"fedsched/internal/data"
 	"fedsched/internal/device"
@@ -49,6 +49,7 @@ type Client struct {
 	net   nn.Trainer
 	rng   *rand.Rand
 	round int // rounds this client has trained (drives LR schedules)
+	at    int // position in the run's client list (set by setup)
 }
 
 // NewClient constructs a client. dev may be nil when only accuracy (not
@@ -57,7 +58,10 @@ func NewClient(id int, name string, dev *device.Device, link network.Link, local
 	return &Client{ID: id, Name: name, Device: dev, Link: link, Local: local}
 }
 
-// Config drives a federated run.
+// Config drives a federated run. Run honours every field; RunAsync and
+// RunGossip reject the ones they cannot honour — Quorum, MinParticipants,
+// DeadlineSeconds, SecureAgg, CheckpointSink, Resume, LRSchedule — by
+// name instead of ignoring them (Config.check).
 type Config struct {
 	Arch      *nn.Arch
 	Rounds    int
@@ -240,6 +244,11 @@ type History struct {
 // fixed seed, and every round emits its per-client and summary events
 // (plus one KindFault event per injected fault).
 //
+// Run is the parameter-server policy over the round core (round.go): the
+// cohort is the sampler's pick of the data-holding clients, a model
+// exchange is one round trip, surviving updates merge by sample-weighted
+// FedAvg (plaintext or secure), and a checkpoint may follow every round.
+//
 // When a mid-run error occurs (a failed round below the legacy no-floor
 // path, a secure-aggregation dropout, a checkpoint-sink failure), the
 // completed rounds are NOT discarded: the partial History — including
@@ -250,51 +259,15 @@ type History struct {
 // fedlint:trace KindClientRound,KindRoundSummary,KindFault
 func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Arch == nil {
-		return nil, fmt.Errorf("fl: no architecture")
-	}
-	if len(clients) == 0 {
-		return nil, fmt.Errorf("fl: no clients")
-	}
-	if err := cfg.Faults.Check(); err != nil {
-		return nil, fmt.Errorf("fl: %w", err)
-	}
-	if cfg.SecureAgg && cfg.Quorum > 0 {
-		// The quorum cut discards late masked shares by design, and the
-		// pairwise-mask protocol cannot recover them (see DESIGN).
-		return nil, fmt.Errorf("fl: Quorum is incompatible with SecureAgg")
-	}
-	active := make([]*Client, 0, len(clients))
-	for _, c := range clients {
-		if c.Local != nil && c.Local.Len() > 0 {
-			active = append(active, c)
-		}
-	}
-	if len(active) == 0 {
-		return nil, fmt.Errorf("fl: no client holds data")
-	}
-	if err := checkSampler(cfg.Sampler, len(active)); err != nil {
+	active, global, err := setup(&cfg, syncEngine, clients)
+	if err != nil {
 		return nil, err
 	}
+	rc := newRoundCore(cfg.Arch, cfg.BatchSize, len(active), cfg.Sampler, cfg.Faults, cfg.Trace)
+	rc.deadline, rc.quorum, rc.floor, rc.idleByParts = cfg.DeadlineSeconds, cfg.Quorum, cfg.MinParticipants, true
 
-	rootRNG := rand.New(rand.NewSource(cfg.Seed))
-	global := cfg.Arch.Build(rootRNG)
-	for _, c := range clients {
-		// Geometry clone at the configured precision; weights overwritten.
-		c.net = nn.NewTrainer(cfg.Precision, cfg.Arch, rootRNG, cfg.LR, cfg.Momentum)
-		c.rng = rand.New(rand.NewSource(cfg.Seed + int64(c.ID)*7919 + 1))
-	}
-
-	modelBytes := cfg.Arch.SizeBytes()
 	hist := &History{}
 	globalW := global.GetWeights()
-	crs := make([]ClientRound, len(active))
-	spans := make([]float64, len(active))
-	diverged := make([]bool, len(active))
-	eligible := make([]int, 0, len(active))
-	clientTrace := attachClientTracers(cfg.Trace, active)
-	selIdent, selBuf, recsSel := samplerScratch(cfg.Sampler, len(active), clientTrace != nil)
-	rep, _ := cfg.Sampler.(sample.FailureReporter)
 	// sumW is the plaintext aggregation scratch, allocated once and
 	// reused (zeroed) every round instead of cloning per participant.
 	var sumW []*tensor.Tensor
@@ -315,240 +288,97 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 
 	startRound := 0
 	if cfg.Resume != nil {
-		next, err := resumeRun(cfg, active, global, hist)
-		if err != nil {
+		if startRound, err = resumeRun(cfg, active, global, hist); err != nil {
 			return nil, err
 		}
-		startRound = next
 		globalW = global.GetWeights()
-	}
-
-	// checkpointAfter snapshots the run once `round` has fully completed
-	// (history appended, devices idled), when the cadence says so.
-	checkpointAfter := func(round int) error {
-		if cfg.CheckpointEvery <= 0 || cfg.CheckpointSink == nil || (round+1)%cfg.CheckpointEvery != 0 {
-			return nil
-		}
-		ck, err := buildCheckpoint(cfg, active, global, globalW, hist, round+1)
-		if err != nil {
-			return err
-		}
-		return cfg.CheckpointSink(ck)
 	}
 
 	for round := startRound; round < cfg.Rounds; round++ {
 		if cfg.Cancel != nil && cfg.Cancel() {
 			return finish(), fmt.Errorf("fl: run stopped before round %d: %w", round, ErrCancelled)
 		}
-		stats := RoundStats{Round: round}
-
-		// The round's cohort: indices into active. Without a sampler every
-		// client participates; with one, only the drawn cohort does any
-		// work this round.
-		sel := selIdent
-		if cfg.Sampler != nil {
-			sel = cfg.Sampler.Cohort(round, selBuf)
-		}
-		if len(sel) == 0 {
-			// Nobody available (availability-window sampling at a dead
-			// hour): an idle round, recorded as such.
-			stats.TrainLoss = math.NaN()
-			stats.Accuracy = -1
-			emitRoundTrace(cfg.Trace, nil, stats, -1)
-			hist.Rounds = append(hist.Rounds, stats)
-			if err := checkpointAfter(round); err != nil {
-				return finish(), fmt.Errorf("fl: checkpoint after round %d: %w", round, err)
-			}
-			continue
-		}
-		roundRecs := clientTrace
-		if recsSel != nil {
-			for si, i := range sel {
-				recsSel[si] = clientTrace[i]
-			}
-			roundRecs = recsSel[:len(sel)]
-		}
-
-		// Local training fans out across the worker pool. Every client
-		// owns its network, optimizer, RNG, local shard and simulated
-		// device, so workers never share mutable state; everything
-		// order-sensitive happens after the join, in cohort order. Fault
-		// draws are pure hashes of (round, client id), so evaluating them
-		// inside the workers costs nothing in determinism.
-		forEach(workerCount(cfg.Workers, len(sel)), len(sel), func(si int) {
-			i := sel[si]
-			f := cfg.Faults.Fault(round, active[i].ID)
-			crs[si] = active[i].trainRound(cfg, globalW, modelBytes, f)
-			// A fatally-faulted client never touched its trainer, so the
-			// non-finite check would read stale weights.
-			diverged[si] = f.Kind == fault.None && active[i].net.HasNonFinite()
-		})
-
-		// Pass 1 — classify: faulted and diverged updates are out
-		// immediately; deadline overruns drop; the rest are candidates for
-		// the quorum cut.
-		eligible = eligible[:0]
-		for si := range sel {
-			cr := &crs[si]
-			if cr.Fault != fault.None {
-				continue
-			}
-			if diverged[si] {
-				cr.Diverged = true
-				continue
-			}
-			spans[si] = cr.ComputeS + cr.CommS
-			if cfg.DeadlineSeconds > 0 && spans[si] > cfg.DeadlineSeconds {
-				cr.Dropped = true
-				continue
-			}
-			eligible = append(eligible, si)
-		}
-
-		// Pass 2 — quorum: with over-selection, the round closes after the
-		// first Quorum survivors ordered by realized span (ties by client
-		// id — a strict total order, so the cut is deterministic). The
-		// rest finished too late and are discarded. Aggregation below must
-		// still run in cohort order for bit-identical float reduction, so
-		// the surviving indices are re-sorted ascending.
-		if cfg.Quorum > 0 && len(eligible) > cfg.Quorum {
-			sort.Slice(eligible, func(a, b int) bool {
-				sa, sb := eligible[a], eligible[b]
-				if spans[sa] < spans[sb] {
-					return true
-				}
-				if spans[sb] < spans[sa] {
-					return false
-				}
-				return crs[sa].ClientID < crs[sb].ClientID
+		// An empty cohort (availability sampling at a dead hour) is an
+		// idle round, recorded as such.
+		stats := RoundStats{Round: round, TrainLoss: math.NaN(), Accuracy: -1}
+		cl := roundClose{straggler: -1}
+		sel := rc.draw(round)
+		if len(sel) > 0 {
+			// Local training fans out across the worker pool. Every client
+			// owns its network, optimizer, RNG, local shard and simulated
+			// device, so workers never share mutable state; everything
+			// order-sensitive happens after the join, in cohort order.
+			forEach(workerCount(cfg.Workers, len(sel)), len(sel), func(si int) {
+				c := active[sel[si]]
+				rc.stepClient(si, round, c, &cfg, globalW)
+				// The server rejects non-finite updates. (A fault victim
+				// is out anyway, and one that never trained would read
+				// stale weights.)
+				rc.crs[si].Diverged = rc.crs[si].Fault == fault.None && c.net.HasNonFinite()
 			})
-			for _, si := range eligible[cfg.Quorum:] {
-				crs[si].Late = true
-			}
-			eligible = eligible[:cfg.Quorum]
-			sort.Ints(eligible)
+			cl = rc.close(round, sel)
+			stats.Makespan, stats.Failed = cl.makespan, cl.failed
+			stats.Clients = append(stats.Clients, rc.crs[:len(sel)]...)
 		}
-
-		// Pass 3 — reduce in cohort order, exactly the legacy loop with
-		// extra skip cases: faulted, diverged and late updates are
-		// recorded but never aggregate and (like diverged updates) do not
-		// extend the makespan — the server stops waiting the moment it
-		// learns the update is lost.
-		var (
-			total        int
-			lossSum      float64
-			participants []*Client
-			sampleCounts []int
-		)
-		straggler := -1
-		for si, i := range sel {
-			c := active[i]
-			cr := crs[si]
-			stats.Clients = append(stats.Clients, cr)
-			if cr.Fault != fault.None || cr.Diverged || cr.Late {
-				continue
-			}
-			if cr.Dropped {
-				if cfg.DeadlineSeconds > stats.Makespan {
-					stats.Makespan = cfg.DeadlineSeconds
-				}
-				continue
-			}
-			if span := spans[si]; span > stats.Makespan {
-				stats.Makespan = span
-				straggler = c.ID
-			}
-			lossSum += cr.TrainLoss * float64(cr.Samples)
-			participants = append(participants, c)
-			sampleCounts = append(sampleCounts, cr.Samples)
-			total += cr.Samples
-		}
-
-		// Feed outcomes back to a failure-aware sampler (cohort order, on
-		// the engine goroutine — deterministic). Late survivors did finish,
-		// so they count as successes for backoff purposes.
-		if rep != nil {
-			for si, i := range sel {
-				cr := &crs[si]
-				if cr.Fault != fault.None || cr.Diverged || cr.Dropped {
-					rep.ReportFailure(i, round)
-				} else {
-					rep.ReportSuccess(i)
-				}
-			}
-		}
-
-		if total == 0 || (cfg.MinParticipants > 0 && len(participants) < cfg.MinParticipants) {
-			if cfg.DeadlineSeconds > 0 || cfg.MinParticipants > 0 || cfg.Faults.Active() {
-				// Below the participation floor (or nobody at all) in a
-				// run that expects attrition: a failed round, not a run
-				// error. Nothing aggregates; the global model stands.
-				stats.Failed = true
-				stats.TrainLoss = math.NaN()
-				stats.Accuracy = -1
-				emitRoundTrace(cfg.Trace, roundRecs, stats, straggler)
-				hist.Rounds = append(hist.Rounds, stats)
-				hist.TotalSeconds += stats.Makespan
-				if err := checkpointAfter(round); err != nil {
-					return finish(), fmt.Errorf("fl: checkpoint after round %d: %w", round, err)
-				}
-				continue
-			}
+		switch {
+		case len(sel) == 0 || cl.failed:
+			// Idle, or below the floor: nothing aggregates, the global
+			// model stands and (pinned) the devices do not idle.
+		case cl.survivors == 0:
 			return finish(), fmt.Errorf("fl: round %d had no participants", round)
-		}
-		if cfg.SecureAgg {
-			if len(participants) < len(sel) {
-				// The pairwise masks were exchanged across the whole
-				// cohort before training; a member that never delivers
-				// leaves its mask shares unsummed, and this simulation has
-				// no share-recovery round. Silently aggregating would
-				// yield a mask-polluted model, so fail loudly instead (see
-				// DESIGN).
-				return finish(), fmt.Errorf(
-					"fl: secure aggregation round %d lost %d of %d masked cohort members; "+
-						"pairwise mask shares cannot be recovered — disable SecureAgg to tolerate dropouts",
-					round, len(sel)-len(participants), len(sel))
+		default:
+			survivors := rc.order[:cl.survivors]
+			if cfg.SecureAgg {
+				if cl.survivors < len(sel) {
+					// The pairwise masks were exchanged across the whole
+					// cohort before training; a member that never delivers
+					// leaves its mask shares unsummed, and this simulation has
+					// no share-recovery round. Silently aggregating would
+					// yield a mask-polluted model, so fail loudly instead (see
+					// DESIGN).
+					return finish(), fmt.Errorf(
+						"fl: secure aggregation round %d lost %d of %d masked cohort members; "+
+							"pairwise mask shares cannot be recovered — disable SecureAgg to tolerate dropouts",
+						round, len(sel)-cl.survivors, len(sel))
+				}
+				agg, err := secureRound(global, active, sel, rc.crs)
+				if err != nil {
+					return finish(), err
+				}
+				globalW = agg
+			} else {
+				// Weighted plaintext accumulation, straight from the live
+				// client weights (no per-client clone), in cohort order.
+				// globalW may alias sumW from the previous round — by now
+				// every reader of the old global weights has finished.
+				sumW = ensureWeightsLike(sumW, globalW)
+				for _, si := range survivors {
+					accumulateWeighted(sumW, active[sel[si]].net.Weights(), float64(rc.crs[si].Samples))
+				}
+				scaleWeights(sumW, 1/float64(cl.samples))
+				globalW = sumW
 			}
-			agg, err := secureRound(global, participants, sampleCounts)
-			if err != nil {
-				return finish(), err
-			}
-			globalW = agg
-		} else {
-			// Weighted plaintext accumulation, straight from the live
-			// client weights (no per-client clone). globalW may alias
-			// sumW from the previous round — by now every reader of the
-			// old global weights has finished.
-			sumW = ensureWeightsLike(sumW, globalW)
-			for i, c := range participants {
-				accumulateWeighted(sumW, c.net.Weights(), float64(sampleCounts[i]))
-			}
-			scaleWeights(sumW, 1/float64(total))
-			globalW = sumW
-		}
-		stats.TrainLoss = lossSum / float64(total)
-
-		// Idle the devices for the rest of the round so stragglers' heat
-		// and fast devices' cooling evolve realistically.
-		for _, cr := range stats.Clients {
-			c := clients[clientIndex(clients, cr.ClientID)]
-			if c.Device != nil {
-				c.Device.Idle(stats.Makespan - cr.ComputeS - cr.CommS)
+			stats.TrainLoss = cl.lossSum / float64(cl.samples)
+			rc.idle(len(sel), cl.makespan)
+			if test != nil && (round == cfg.Rounds-1 || (cfg.EvalEvery > 0 && (round+1)%cfg.EvalEvery == 0)) {
+				global.SetWeights(globalW)
+				stats.Accuracy = Evaluate(global, test, 256)
 			}
 		}
-
-		evalNow := test != nil && (round == cfg.Rounds-1 || (cfg.EvalEvery > 0 && (round+1)%cfg.EvalEvery == 0))
-		if evalNow {
-			global.SetWeights(globalW)
-			stats.Accuracy = Evaluate(global, test, 256)
-		} else {
-			stats.Accuracy = -1
-		}
-		emitRoundTrace(cfg.Trace, roundRecs, stats, straggler)
+		rc.emit(round, len(sel), &cl, stats.TrainLoss, stats.Accuracy)
 		hist.Rounds = append(hist.Rounds, stats)
 		hist.TotalSeconds += stats.Makespan
-		if err := checkpointAfter(round); err != nil {
-			return finish(), fmt.Errorf("fl: checkpoint after round %d: %w", round, err)
+
+		// Snapshot once the round has fully completed (history appended,
+		// devices idled), when the cadence says so.
+		if cfg.CheckpointEvery > 0 && cfg.CheckpointSink != nil && (round+1)%cfg.CheckpointEvery == 0 {
+			ck, err := buildCheckpoint(cfg, active, global, globalW, hist, round+1)
+			if err == nil {
+				err = cfg.CheckpointSink(ck)
+			}
+			if err != nil {
+				return finish(), fmt.Errorf("fl: checkpoint after round %d: %w", round, err)
+			}
 		}
 	}
 
@@ -560,104 +390,6 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 		hist.FinalAccuracy = hist.Confusion.Accuracy()
 	}
 	return hist, nil
-}
-
-// hasNonFinite reports whether any weight of the float64 network is NaN or
-// ±Inf. Clients check their own models through Trainer.HasNonFinite; this
-// covers server-side networks (the global model).
-func hasNonFinite(net *nn.Network) bool {
-	for _, p := range net.Params() {
-		for _, v := range p.W.Data() {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func clientIndex(clients []*Client, id int) int {
-	for i, c := range clients {
-		if c.ID == id {
-			return i
-		}
-	}
-	panic("fl: unknown client id")
-}
-
-// trainRound runs one local epoch on the client and returns its stats.
-// f is the round's injected fault: a fatal pre-upload fault (crash,
-// battery death, link flap) skips the real gradient work entirely — the
-// update would be discarded anyway, and leaving the trainer, RNG and
-// round counter untouched means a resumed run replays only completed
-// training — while still charging the simulated cost spent before the
-// failure. Corrupt clients train normally (the damage happens on the
-// wire) and are rejected by the server after the join. The fault's Slow
-// factor degrades the link for victims and survivors alike.
-//
-// fedlint:hotpath
-func (c *Client) trainRound(cfg Config, globalW []*tensor.Tensor, modelBytes int, f fault.Fault) ClientRound {
-	n := c.Local.Len()
-	link := c.Link.Degraded(f.Slow)
-	if f.Kind == fault.Crash || f.Kind == fault.Battery || f.Kind == fault.LinkFlap {
-		cr := ClientRound{ClientID: c.ID, Samples: n, TrainLoss: -1, Fault: f.Kind}
-		if c.Device != nil {
-			e0 := c.Device.EnergyJ
-			th0 := c.Device.Throttles
-			if f.Kind == fault.LinkFlap {
-				// Full epoch computed; the link dies Point of the way
-				// through the model exchange.
-				cr.ComputeS, _ = c.Device.TrainSamples(cfg.Arch, n, cfg.BatchSize)
-				cr.CommS = f.Point * link.RoundTripTime(modelBytes)
-			} else {
-				// The process (or battery) dies Point of the way through
-				// the shard; nothing is ever transmitted.
-				cr.ComputeS, _ = c.Device.TrainSamples(cfg.Arch, int(f.Point*float64(n)), cfg.BatchSize)
-				if f.Kind == fault.Battery {
-					c.Device.DrainBattery()
-				}
-			}
-			cr.EnergyJ = c.Device.EnergyJ - e0
-			cr.Temperature = c.Device.TempC
-			cr.Throttles = c.Device.Throttles - th0
-			cr.BatteryFrac = c.Device.BatteryRemaining()
-		}
-		return cr
-	}
-
-	c.net.SetWeights(globalW)
-	c.net.ResetOpt()
-	if cfg.LRSchedule != nil {
-		c.net.SetLR(cfg.LRSchedule(c.round))
-	}
-	c.round++
-	c.Local.Shuffle(c.rng)
-
-	lossSum := 0.0
-	batches := 0
-	for i := 0; i < n; i += cfg.BatchSize {
-		end := i + cfg.BatchSize
-		if end > n {
-			end = n
-		}
-		x, y := c.Local.Batch(i, end)
-		lossSum += c.net.TrainBatch(x, y)
-		c.net.Step()
-		batches++
-	}
-
-	cr := ClientRound{ClientID: c.ID, Samples: n, TrainLoss: lossSum / float64(batches), Fault: f.Kind}
-	if c.Device != nil {
-		e0 := c.Device.EnergyJ
-		th0 := c.Device.Throttles
-		cr.ComputeS, _ = c.Device.TrainSamples(cfg.Arch, n, cfg.BatchSize)
-		cr.CommS = link.RoundTripTime(modelBytes)
-		cr.EnergyJ = c.Device.EnergyJ - e0
-		cr.Temperature = c.Device.TempC
-		cr.Throttles = c.Device.Throttles - th0
-		cr.BatteryFrac = c.Device.BatteryRemaining()
-	}
-	return cr
 }
 
 // EvaluateConfusion runs the model over the test set and returns the full

@@ -5,9 +5,6 @@ import (
 	"math/rand"
 
 	"fedsched/internal/data"
-	"fedsched/internal/fault"
-	"fedsched/internal/nn"
-	"fedsched/internal/sample"
 )
 
 // Topology selects the gossip communication pattern.
@@ -55,74 +52,43 @@ type GossipHistory struct {
 // RunGossip executes decentralized training. test may be nil (accuracy
 // fields stay zero).
 //
-// Injected faults (Config.Faults): a fatally-faulted client neither
-// trains nor exchanges that round (only its wasted time/energy is
-// simulated), and a client with a corrupted exchange trains locally but
-// is excluded from the round's pairings — its peers reject the garbage
-// model. Faulted clients do not extend the round makespan.
+// RunGossip is the serverless policy over the round core (round.go): the
+// cohort is the sampler's pick (rounds with fewer than two members idle),
+// a model exchange is a peer swap — upload own model, download the
+// peer's; a flapping link loses the upload — and surviving models merge
+// by pairwise averaging. Only clean clients pair: fault victims never
+// sent a model and corrupted senders are rejected by their peers; neither
+// extends the round makespan.
 //
 // fedlint:deterministic
 // fedlint:trace KindClientRound,KindRoundSummary,KindFault
 func RunGossip(cfg GossipConfig, clients []*Client, test *data.Dataset) (*GossipHistory, error) {
 	cfg.Config = cfg.Config.withDefaults()
-	if cfg.Arch == nil {
-		return nil, fmt.Errorf("fl: no architecture")
-	}
-	if err := cfg.Faults.Check(); err != nil {
-		return nil, fmt.Errorf("fl: %w", err)
-	}
-	var active []*Client
-	for _, c := range clients {
-		if c.Local != nil && c.Local.Len() > 0 {
-			active = append(active, c)
-		}
-	}
-	if len(active) < 2 {
-		return nil, fmt.Errorf("fl: gossip needs ≥2 clients with data, have %d", len(active))
-	}
-	if err := checkSampler(cfg.Sampler, len(active)); err != nil {
+	active, global, err := setup(&cfg.Config, gossipEngine, clients)
+	if err != nil {
 		return nil, err
 	}
-
-	rootRNG := rand.New(rand.NewSource(cfg.Seed))
-	init := cfg.Arch.Build(rootRNG).GetWeights()
+	// There is no server: every peer starts from the same initial model.
+	init := global.GetWeights()
 	for _, c := range active {
-		c.net = nn.NewTrainer(cfg.Precision, cfg.Arch, rootRNG, cfg.LR, cfg.Momentum)
 		c.net.SetWeights(init)
-		c.rng = rand.New(rand.NewSource(cfg.Seed + int64(c.ID)*7919 + 1))
 	}
+	rc := newRoundCore(cfg.Arch, cfg.BatchSize, len(active), cfg.Sampler, cfg.Faults, cfg.Trace)
+	rc.swap = true
 
 	hist := &GossipHistory{Rounds: cfg.Rounds}
 	pairRNG := rand.New(rand.NewSource(cfg.Seed + 13))
-	modelBytes := cfg.Arch.SizeBytes()
-	spans := make([]float64, len(active))
-	crs := make([]ClientRound, len(active))
-	pairable := make([]int, 0, len(active))
-	clientTrace := attachClientTracers(cfg.Trace, active)
-	selIdent, selBuf, recsSel := samplerScratch(cfg.Sampler, len(active), clientTrace != nil)
-	rep, _ := cfg.Sampler.(sample.FailureReporter)
-
 	for round := 0; round < cfg.Rounds; round++ {
 		if cfg.Cancel != nil && cfg.Cancel() {
 			hist.Rounds = round
 			return hist, fmt.Errorf("fl: gossip stopped before round %d: %w", round, ErrCancelled)
 		}
-		sel := selIdent
-		if cfg.Sampler != nil {
-			sel = cfg.Sampler.Cohort(round, selBuf)
-		}
+		sel := rc.draw(round)
 		if len(sel) < 2 {
 			// Gossip needs a pair; a round with fewer eligible clients
 			// idles (no training, no exchange), recorded as empty.
-			emitRoundTrace(cfg.Trace, nil, RoundStats{Round: round, Accuracy: -1, TrainLoss: -1}, -1)
+			rc.emit(round, 0, &roundClose{straggler: -1}, -1, -1)
 			continue
-		}
-		roundRecs := clientTrace
-		if recsSel != nil {
-			for si, i := range sel {
-				recsSel[si] = clientTrace[i]
-			}
-			roundRecs = recsSel[:len(sel)]
 		}
 
 		// Local epochs are independent (per-client model, RNG, device),
@@ -130,117 +96,24 @@ func RunGossip(cfg GossipConfig, clients []*Client, test *data.Dataset) (*Gossip
 		// clients — makespan, idling, pairwise averaging — runs after the
 		// join in deterministic order.
 		forEach(workerCount(cfg.Workers, len(sel)), len(sel), func(si int) {
-			c := active[sel[si]]
-			f := cfg.Faults.Fault(round, c.ID)
-			link := c.Link.Degraded(f.Slow)
-			spans[si] = 0
-			if f.Kind == fault.Crash || f.Kind == fault.Battery || f.Kind == fault.LinkFlap {
-				// Fatal fault: no real gradient work (trainer and RNG
-				// untouched — the client keeps its pre-round model), only
-				// the simulated cost of the doomed attempt.
-				n := c.Local.Len()
-				crs[si] = ClientRound{ClientID: c.ID, Samples: n, TrainLoss: -1, Fault: f.Kind}
-				if c.Device != nil {
-					e0 := c.Device.EnergyJ
-					th0 := c.Device.Throttles
-					if f.Kind == fault.LinkFlap {
-						comp, _ := c.Device.TrainSamples(cfg.Arch, n, cfg.BatchSize)
-						crs[si].ComputeS = comp
-						crs[si].CommS = f.Point * link.UploadTime(modelBytes)
-					} else {
-						comp, _ := c.Device.TrainSamples(cfg.Arch, int(f.Point*float64(n)), cfg.BatchSize)
-						crs[si].ComputeS = comp
-						if f.Kind == fault.Battery {
-							c.Device.DrainBattery()
-						}
-					}
-					spans[si] = crs[si].ComputeS + crs[si].CommS
-					crs[si].EnergyJ = c.Device.EnergyJ - e0
-					crs[si].Temperature = c.Device.TempC
-					crs[si].Throttles = c.Device.Throttles - th0
-					crs[si].BatteryFrac = c.Device.BatteryRemaining()
-				}
-				return
-			}
-			c.net.ResetOpt()
-			c.Local.Shuffle(c.rng)
-			n := c.Local.Len()
-			lossSum, batches := 0.0, 0
-			for s := 0; s < n; s += cfg.BatchSize {
-				end := s + cfg.BatchSize
-				if end > n {
-					end = n
-				}
-				x, y := c.Local.Batch(s, end)
-				lossSum += c.net.TrainBatch(x, y)
-				c.net.Step()
-				batches++
-			}
-			crs[si] = ClientRound{ClientID: c.ID, Samples: n, TrainLoss: lossSum / float64(batches), Fault: f.Kind}
-			if c.Device != nil {
-				e0 := c.Device.EnergyJ
-				th0 := c.Device.Throttles
-				comp, _ := c.Device.TrainSamples(cfg.Arch, n, cfg.BatchSize)
-				// Peer exchange: send own model, receive the peer's.
-				spans[si] = comp + link.UploadTime(modelBytes) + link.DownloadTime(modelBytes)
-				crs[si].ComputeS = comp
-				crs[si].CommS = spans[si] - comp
-				crs[si].EnergyJ = c.Device.EnergyJ - e0
-				crs[si].Temperature = c.Device.TempC
-				crs[si].Throttles = c.Device.Throttles - th0
-				crs[si].BatteryFrac = c.Device.BatteryRemaining()
-			}
+			rc.stepClient(si, round, active[sel[si]], &cfg.Config, nil)
 		})
-		makespan := 0.0
-		straggler := -1
-		for si, s := range spans[:len(sel)] {
-			if crs[si].Fault != fault.None {
-				// A faulted client never completes its exchange, so the
-				// round does not wait for it.
-				continue
-			}
-			if s > makespan {
-				makespan = s
-				straggler = active[sel[si]].ID
-			}
+		cl := rc.close(round, sel)
+		rc.idle(len(sel), cl.makespan)
+		hist.TotalSeconds += cl.makespan
+		loss := -1.0
+		if cl.samples > 0 {
+			loss = cl.lossSum / float64(cl.samples)
 		}
-		for si, i := range sel {
-			if c := active[i]; c.Device != nil {
-				c.Device.Idle(makespan - spans[si])
-			}
-		}
-		hist.TotalSeconds += makespan
-		emitRoundTrace(cfg.Trace, roundRecs, RoundStats{
-			Round: round, Makespan: makespan, Accuracy: -1, Clients: crs[:len(sel)],
-			TrainLoss: meanLoss(crs[:len(sel)]),
-		}, straggler)
-		if rep != nil {
-			for si, i := range sel {
-				if crs[si].Fault != fault.None {
-					rep.ReportFailure(i, round)
-				} else {
-					rep.ReportSuccess(i)
-				}
-			}
-		}
-
-		// Only clean clients exchange: fatal victims never sent a model,
-		// and corrupted senders are rejected by their peers. With no fault
-		// plan this is the whole cohort, so pairRNG draws exactly as
-		// before.
-		pairable = pairable[:0]
-		for si := range sel {
-			if crs[si].Fault == fault.None {
-				pairable = append(pairable, si)
-			}
-		}
+		rc.emit(round, len(sel), &cl, loss, -1)
 
 		// Pairwise averaging in float64 boundary space: both partners'
 		// weights widen into a's boundary tensors, average there, and the
 		// result writes back through SetWeights on both sides (a's boundary
 		// tensors are only guaranteed to be live views on the f64 path).
-		// Pairings draw over the cohort, so the peer graph follows the
-		// sampler.
+		// Pairings draw over the round's survivors, so the peer graph
+		// follows the sampler; with no fault plan that is the whole cohort.
+		pairable := rc.order[:cl.survivors]
 		for _, pair := range pairings(len(pairable), round, cfg.Topology, pairRNG) {
 			a, b := active[sel[pairable[pair[0]]]], active[sel[pairable[pair[1]]]]
 			wa := a.net.Weights()

@@ -20,18 +20,9 @@ func Centralized(cfg Config, train, test *data.Dataset) (float64, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tr := nn.NewTrainer(cfg.Precision, cfg.Arch, rng, cfg.LR, cfg.Momentum)
-	local := train.Subset(seq(train.Len())) // private copy; Run shuffles in place
+	local := train.Subset(seq(train.Len())) // private copy; the epoch shuffles in place
 	for e := 0; e < cfg.Rounds; e++ {
-		local.Shuffle(rng)
-		for i := 0; i < local.Len(); i += cfg.BatchSize {
-			end := i + cfg.BatchSize
-			if end > local.Len() {
-				end = local.Len()
-			}
-			x, y := local.Batch(i, end)
-			tr.TrainBatch(x, y)
-			tr.Step()
-		}
+		localEpoch(tr, local, rng, cfg.BatchSize)
 	}
 	return Evaluate(tr.EvalNetwork(), test, 256), nil
 }
@@ -75,61 +66,36 @@ func SimulateRounds(arch *nn.Arch, devices []*device.Device, links []network.Lin
 // SimulateRoundsTraced is SimulateRounds with a round trace: devices emit
 // their throttle transitions and each round closes with per-client
 // KindClientRound events plus a KindRoundSummary (makespan, straggler).
-// The loop is sequential, so devices emit straight into rec. rec may be
-// nil (no trace, identical to SimulateRounds).
+// rec may be nil (no trace, identical to SimulateRounds). It is the
+// simplest policy over the round core (round.go): everyone participates
+// with a fixed sample count, nothing trains and nothing merges.
 func SimulateRoundsTraced(arch *nn.Arch, devices []*device.Device, links []network.Link, samples []int, batch, rounds int, rec *trace.Recorder) ([]float64, error) {
 	if len(devices) != len(samples) || len(links) != len(samples) {
 		return nil, fmt.Errorf("fl: mismatched lengths: %d devices, %d links, %d sample counts",
 			len(devices), len(links), len(samples))
 	}
-	var recs []*trace.Recorder
 	if rec != nil {
 		// Per-device rings (even though this loop is sequential) so the
 		// throttle events get round-stamped on the drain, exactly like the
 		// training engines.
-		recs = make([]*trace.Recorder, len(devices))
 		for i, dev := range devices {
-			recs[i] = trace.New(clientRingCapacity)
-			dev.Tracer = recs[i]
+			dev.Tracer = trace.New(clientRingCapacity)
 			dev.TraceID = i
 		}
 	}
-	bytes := arch.SizeBytes()
+	rc := newRoundCore(arch, batch, len(devices), nil, nil, rec)
 	spans := make([]float64, 0, rounds)
-	crs := make([]ClientRound, len(devices))
 	for r := 0; r < rounds; r++ {
-		makespan := 0.0
-		straggler := -1
-		times := make([]float64, len(devices))
 		for i, dev := range devices {
-			crs[i] = ClientRound{ClientID: i, Samples: samples[i], BatteryFrac: dev.BatteryRemaining(), Temperature: dev.TempC}
-			if samples[i] <= 0 {
-				continue
-			}
-			e0 := dev.EnergyJ
-			th0 := dev.Throttles
-			comp, _ := dev.TrainSamples(arch, samples[i], batch)
-			t := comp + links[i].RoundTripTime(bytes)
-			times[i] = t
-			crs[i].ComputeS = comp
-			crs[i].CommS = t - comp
-			crs[i].EnergyJ = dev.EnergyJ - e0
-			crs[i].Temperature = dev.TempC
-			crs[i].Throttles = dev.Throttles - th0
-			crs[i].BatteryFrac = dev.BatteryRemaining()
-			if t > makespan {
-				makespan = t
-				straggler = i
-			}
+			rc.step(i, r, i, samples[i], dev, links[i])
+			// Pinned for golden compatibility: this loop has always
+			// reported comm as span − compute.
+			rc.crs[i].CommS = rc.spans[i] - rc.crs[i].ComputeS
 		}
-		for i, dev := range devices {
-			dev.Idle(makespan - times[i])
-		}
-		spans = append(spans, makespan)
-		emitRoundTrace(rec, recs, RoundStats{
-			Round: r, Makespan: makespan, Accuracy: -1, Clients: crs,
-			TrainLoss: -1,
-		}, straggler)
+		cl := rc.close(r, rc.sel)
+		rc.idle(len(devices), cl.makespan)
+		spans = append(spans, cl.makespan)
+		rc.emit(r, len(devices), &cl, -1, -1)
 	}
 	return spans, nil
 }

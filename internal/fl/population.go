@@ -3,7 +3,6 @@ package fl
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"fedsched/internal/device"
 	"fedsched/internal/fault"
@@ -159,44 +158,19 @@ type PopulationRunner struct {
 
 	rng *rand.Rand // for schedulers that draw (Random baseline)
 
-	comm       float64 // per-round communication seconds (uniform link)
-	modelBytes int
+	comm float64 // per-round communication seconds (uniform link)
 
-	rep sample.FailureReporter // cfg.Sampler, if failure-aware
+	// rc is the shared round core (round.go): cohort draw, fault strike,
+	// device burn and meter, quorum cut, reduction, sampler reports and
+	// trace emission, over its own cohort-sized scratch.
+	rc *roundCore
 
 	// Cohort-sized scratch, reused every round.
-	cohort []int
-	devs   []device.Device
-	costs  []popCost
-	users  []sched.User
-	uptrs  []*sched.User
-	crs    []ClientRound
-	spans  []float64
-	order  []int             // quorum ordering scratch
-	sorter spanOrder         // closure-free sorter over order
-	rings  []*trace.Recorder // per-slot event rings (tracing only)
-}
-
-// spanOrder sorts slot indices by (realized span asc, client id asc) via
-// a pointer receiver and pre-bound slices — no closures, so the quorum
-// cut stays allocation-free inside the hot Round path.
-type spanOrder struct {
-	idx   []int
-	spans []float64
-	crs   []ClientRound
-}
-
-func (s *spanOrder) Len() int      { return len(s.idx) }
-func (s *spanOrder) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
-func (s *spanOrder) Less(a, b int) bool {
-	x, y := s.idx[a], s.idx[b]
-	if s.spans[x] < s.spans[y] {
-		return true
-	}
-	if s.spans[y] < s.spans[x] {
-		return false
-	}
-	return s.crs[x].ClientID < s.crs[y].ClientID
+	devs  []device.Device
+	costs []popCost
+	users []sched.User
+	uptrs []*sched.User
+	rings []*trace.Recorder // per-slot event rings (tracing only)
 }
 
 // NewPopulationRunner validates the config, profiles the archetypes
@@ -228,22 +202,16 @@ func NewPopulationRunner(cfg PopulationConfig) (*PopulationRunner, error) {
 	}
 
 	r := &PopulationRunner{
-		cfg:        cfg,
-		rng:        rand.New(rand.NewSource(cfg.Population.Seed*0x5deece66d + 11)),
-		modelBytes: cfg.Arch.SizeBytes(),
-		cohort:     make([]int, k),
-		devs:       make([]device.Device, k),
-		costs:      make([]popCost, k),
-		users:      make([]sched.User, k),
-		uptrs:      make([]*sched.User, k),
-		crs:        make([]ClientRound, k),
-		spans:      make([]float64, k),
-		order:      make([]int, k),
+		cfg:   cfg,
+		rng:   rand.New(rand.NewSource(cfg.Population.Seed*0x5deece66d + 11)),
+		rc:    newRoundCore(cfg.Arch, cfg.BatchSize, k, cfg.Sampler, cfg.Faults, cfg.Trace),
+		devs:  make([]device.Device, k),
+		costs: make([]popCost, k),
+		users: make([]sched.User, k),
+		uptrs: make([]*sched.User, k),
 	}
-	r.rep, _ = cfg.Sampler.(sample.FailureReporter)
-	r.sorter.spans = r.spans
-	r.sorter.crs = r.crs
-	r.comm = cfg.Link.RoundTripTime(r.modelBytes)
+	r.rc.quorum, r.rc.floor = cfg.Quorum, cfg.MinParticipants
+	r.comm = cfg.Link.RoundTripTime(r.rc.modelBytes)
 
 	// One offline profile per archetype, shared between archetypes with
 	// the same model string (BuildTestbed's dedup, without the map range).
@@ -286,33 +254,35 @@ func NewPopulationRunner(cfg PopulationConfig) (*PopulationRunner, error) {
 
 // Round simulates one population round: sample the cohort, materialize
 // its devices, schedule the shards, fan the device simulation out over
-// the worker pool, and reduce the round statistics in one streaming pass
-// post-join. Steady-state heap growth is O(selected) per round — nothing
-// here scales with Population.N — and the emitted trace is bit-identical
-// for any Workers value (per-slot rings drained in slot order after the
-// join).
+// the worker pool, and close the round in one streaming pass post-join.
+// It is the population policy over the round core (round.go): the cohort
+// is drawn from the whole fleet and re-materialized every round, each
+// member's work is what the scheduler assigned it, a model exchange is
+// one round trip, and nothing merges — no model is trained. Steady-state
+// heap growth is O(selected) per round — nothing here scales with
+// Population.N — and the emitted trace is bit-identical for any Workers
+// value (per-slot rings drained in slot order after the join).
 //
 // fedlint:hotpath
 // fedlint:deterministic
 // fedlint:trace KindClientRound,KindRoundSummary,KindFault
 func (r *PopulationRunner) Round(round int) (PopulationRound, error) {
-	cfg := r.cfg
+	cfg, rc := r.cfg, r.rc
 	pr := PopulationRound{Round: round, Straggler: -1}
 
-	r.cohort = cfg.Sampler.Cohort(round, r.cohort)
-	k := len(r.cohort)
+	cohort := rc.draw(round)
+	k := len(cohort)
 	pr.Selected = k
 	if k == 0 {
 		// Nobody available (availability sampling at a dead hour): an
 		// empty round, recorded as such.
-		emitRoundTrace(cfg.Trace, nil, RoundStats{Round: round, Accuracy: -1, TrainLoss: -1}, -1)
+		rc.emit(round, 0, &roundClose{straggler: -1}, -1, -1)
 		return pr, nil
 	}
 
 	// Materialize the cohort into the reusable slots (sequential: the
 	// population hash chains and profile lookups are cheap).
-	for i := 0; i < k; i++ {
-		id := r.cohort[i]
+	for i, id := range cohort {
 		d := &r.devs[i]
 		cfg.Population.Materialize(id, d)
 		r.costs[i] = popCost{
@@ -325,13 +295,9 @@ func (r *PopulationRunner) Round(round int) (PopulationRound, error) {
 		u.MeanFreqGHz = d.MeanFreqGHz()
 		u.CapacityShards = 0
 		if cfg.BatteryBudget > 0 {
-			c := d.CapacityShards(cfg.Arch, cfg.ShardSize, cfg.BatteryBudget)
-			if c < 1 {
-				// CapacityShards ≤ 0 would mean "unlimited" to the
-				// scheduler; a nearly-dead phone still carries one shard.
-				c = 1
-			}
-			u.CapacityShards = c
+			// CapacityShards ≤ 0 would mean "unlimited" to the scheduler;
+			// a nearly-dead phone still carries one shard.
+			u.CapacityShards = max(1, d.CapacityShards(cfg.Arch, cfg.ShardSize, cfg.BatteryBudget))
 		}
 		if r.rings != nil {
 			r.rings[i].Reset()
@@ -353,118 +319,21 @@ func (r *PopulationRunner) Round(round int) (PopulationRound, error) {
 	pr.PredictedS = asg.PredictedMakespan
 
 	// Device simulation fans out across the worker pool; each slot owns
-	// its device, ring and result cells, so workers share nothing. Fault
-	// draws are pure hashes of (round, client id), so evaluating them
-	// inside the workers is order-independent.
-	workers := workerCount(cfg.Workers, k)
-	forEach(workers, k, func(i int) {
-		d := &r.devs[i]
-		samples := asg.Shards[i] * cfg.ShardSize
-		r.spans[i] = 0
-		r.crs[i] = ClientRound{
-			ClientID: r.cohort[i], Samples: samples,
-			BatteryFrac: d.BatteryRemaining(), Temperature: d.TempC,
-		}
-		if samples <= 0 {
-			return
-		}
-		f := cfg.Faults.Fault(round, r.cohort[i])
-		cr := &r.crs[i]
-		cr.Fault = f.Kind
-		e0 := d.EnergyJ
-		th0 := d.Throttles
-		switch f.Kind {
-		case fault.Crash, fault.Battery:
-			// Died Point of the way through its assignment: partial
-			// compute spent, nothing transmitted.
-			cr.ComputeS, _ = d.TrainSamples(cfg.Arch, int(f.Point*float64(samples)), cfg.BatchSize)
-			if f.Kind == fault.Battery {
-				d.DrainBattery()
-			}
-		case fault.LinkFlap:
-			// Full assignment computed; the link dies Point of the way
-			// through the (possibly degraded) model exchange.
-			cr.ComputeS, _ = d.TrainSamples(cfg.Arch, samples, cfg.BatchSize)
-			cr.CommS = f.Point * cfg.Link.Degraded(f.Slow).RoundTripTime(r.modelBytes)
-		default:
-			cr.ComputeS, _ = d.TrainSamples(cfg.Arch, samples, cfg.BatchSize)
-			cr.CommS = cfg.Link.Degraded(f.Slow).RoundTripTime(r.modelBytes)
-		}
-		r.spans[i] = cr.ComputeS + cr.CommS
-		cr.EnergyJ = d.EnergyJ - e0
-		cr.Temperature = d.TempC
-		cr.Throttles = d.Throttles - th0
-		cr.BatteryFrac = d.BatteryRemaining()
+	// its device, ring and result cells, so workers share nothing.
+	// Unscheduled slots (no shards) sit the round out.
+	forEach(workerCount(cfg.Workers, k), k, func(i int) {
+		rc.step(i, round, cohort[i], asg.Shards[i]*cfg.ShardSize, &r.devs[i], cfg.Link)
 	})
 
-	// Quorum cut: collect surviving worked slots in (span, client id)
-	// order and flag everything beyond the first Quorum as late. The
-	// sorter and order scratch live on the runner, so the cut allocates
-	// nothing.
-	if cfg.Quorum > 0 {
-		n := 0
-		for i := 0; i < k; i++ {
-			if r.crs[i].Samples > 0 && r.crs[i].Fault == fault.None {
-				r.order[n] = i
-				n++
-			}
-		}
-		if n > cfg.Quorum {
-			r.sorter.idx = r.order[:n]
-			sort.Sort(&r.sorter)
-			for _, i := range r.order[cfg.Quorum:n] {
-				r.crs[i].Late = true
-			}
-		}
-	}
-
-	// Streaming reduction, one pass in slot order after the join.
 	// Faulted and late slots never participate and do not extend the
 	// makespan (the round closes without them); their wasted energy and
 	// throttles still count.
-	for i := 0; i < k; i++ {
-		cr := &r.crs[i]
-		if cr.Fault != fault.None {
-			pr.Faulted++
-		} else if cr.Late {
-			pr.Late++
-		} else if cr.Samples > 0 {
-			pr.Participants++
-			pr.Samples += cr.Samples
-			if r.spans[i] > pr.MakespanS {
-				pr.MakespanS = r.spans[i]
-				pr.Straggler = cr.ClientID
-			}
-		}
-		pr.EnergyJ += cr.EnergyJ
-		pr.Throttles += cr.Throttles
-	}
-	if (cfg.MinParticipants > 0 && pr.Participants < cfg.MinParticipants) ||
-		(pr.Participants == 0 && cfg.Faults.Active()) {
-		pr.Failed = true
-	}
-
-	// Feed outcomes back to a failure-aware sampler, in slot order.
-	if r.rep != nil {
-		for i := 0; i < k; i++ {
-			cr := &r.crs[i]
-			if cr.Samples <= 0 {
-				continue // unscheduled slots neither failed nor succeeded
-			}
-			if cr.Fault != fault.None {
-				r.rep.ReportFailure(cr.ClientID, round)
-			} else {
-				r.rep.ReportSuccess(cr.ClientID)
-			}
-		}
-	}
-
-	if cfg.Trace != nil {
-		emitRoundTrace(cfg.Trace, r.rings[:k], RoundStats{
-			Round: round, Makespan: pr.MakespanS, Accuracy: -1, TrainLoss: -1,
-			Clients: r.crs[:k], Failed: pr.Failed,
-		}, pr.Straggler)
-	}
+	cl := rc.close(round, cohort)
+	pr.Participants, pr.Samples = cl.survivors, cl.samples
+	pr.MakespanS, pr.Straggler = cl.makespan, cl.straggler
+	pr.EnergyJ, pr.Throttles = cl.energyJ, cl.throttles
+	pr.Faulted, pr.Late, pr.Failed = cl.faulted, cl.late, cl.failed
+	rc.emit(round, k, &cl, -1, -1)
 	return pr, nil
 }
 

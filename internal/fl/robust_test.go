@@ -78,3 +78,16 @@ func TestHasNonFinite(t *testing.T) {
 		t.Fatal("Inf weight missed")
 	}
 }
+
+// hasNonFinite reports whether any weight of the float64 network is NaN or
+// ±Inf (clients check their own models through Trainer.HasNonFinite).
+func hasNonFinite(net *nn.Network) bool {
+	for _, p := range net.Params() {
+		for _, v := range p.W.Data() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return true
+			}
+		}
+	}
+	return false
+}

@@ -43,25 +43,27 @@ func unflattenInto(ws []*tensor.Tensor, flat []float64, scale float64) {
 }
 
 // secureRound aggregates the round's client weights through the
-// pairwise-mask protocol: each participant masks n_i·w_i; the server sums
-// the masked vectors (individual updates stay hidden) and divides by the
-// total sample count. The returned tensors replace the global weights.
-func secureRound(net *nn.Network, participants []*Client, samples []int) ([]*tensor.Tensor, error) {
-	n := len(participants)
-	group, err := secagg.NewGroup(n, 0x5eca66)
+// pairwise-mask protocol: each cohort member masks n_i·w_i; the server
+// sums the masked vectors (individual updates stay hidden) and divides by
+// the total sample count. The whole cohort sel (indices into active, one
+// ClientRound each) must have survived. The returned tensors replace the
+// global weights.
+func secureRound(net *nn.Network, active []*Client, sel []int, crs []ClientRound) ([]*tensor.Tensor, error) {
+	group, err := secagg.NewGroup(len(sel), 0x5eca66)
 	if err != nil {
 		return nil, err
 	}
-	masked := make([][]uint64, n)
+	masked := make([][]uint64, len(sel))
 	var scratch []float64
 	total := 0
-	for i, c := range participants {
-		scratch = flattenWeights(c.net.GetWeights(), float64(samples[i]), scratch)
+	for i, idx := range sel {
+		c := active[idx]
+		scratch = flattenWeights(c.net.GetWeights(), float64(crs[i].Samples), scratch)
 		masked[i], err = group.Mask(i, scratch)
 		if err != nil {
 			return nil, fmt.Errorf("fl: secure aggregation mask for client %d: %w", c.ID, err)
 		}
-		total += samples[i]
+		total += crs[i].Samples
 	}
 	sum, err := group.Aggregate(masked)
 	if err != nil {

@@ -112,6 +112,27 @@ func (a *Assignment) Samples(shardSize int) []int {
 	return out
 }
 
+// Rescale maps the assignment — computed over totalShards at paper
+// scale — onto a reduced dataset of n samples: each user keeps its share,
+// rounded down, and the remainder is dealt one sample at a time in user
+// order. With assignedOnly the remainder only goes to users that already
+// hold data, so a Fed-MinAvg schedule's excluded users stay excluded.
+func (a *Assignment) Rescale(totalShards, n int, assignedOnly bool) []int {
+	sizes := make([]int, len(a.Shards))
+	assigned := 0
+	for j, sh := range a.Shards {
+		sizes[j] = sh * n / totalShards
+		assigned += sizes[j]
+	}
+	for j := 0; assigned < n; j = (j + 1) % len(sizes) {
+		if sizes[j] > 0 || !assignedOnly {
+			sizes[j]++
+			assigned++
+		}
+	}
+	return sizes
+}
+
 // Participants returns the number of users with non-zero workload.
 func (a *Assignment) Participants() int {
 	n := 0

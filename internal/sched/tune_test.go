@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"fedsched/internal/binpack"
 )
 
 func TestTuneAlphaPicksTimeOptimal(t *testing.T) {
@@ -81,41 +79,27 @@ func TestRandomClassSets(t *testing.T) {
 	}
 }
 
-// Cross-validation with the bin-packing substrate: a Fed-MinAvg assignment
-// under capacities is exactly a fragmentable packing of the dataset into
-// user bins, so binpack.Validate must accept it.
+// A Fed-MinAvg assignment under capacities is a fragmentable packing of
+// the dataset into user bins: Validate checks the packing (every shard
+// placed once, no bin over capacity), and the capped users are asserted
+// explicitly so a Validate regression cannot hide an overfull bin.
 func TestFedMinAvgFormsValidPacking(t *testing.T) {
 	req := nonIIDRequest(30, 200, 2)
-	req.Users[0].CapacityShards = 12
-	req.Users[1].CapacityShards = 15
-	req.Users[2].CapacityShards = 20
+	caps := []int{12, 15, 20}
+	for j, c := range caps {
+		req.Users[j].CapacityShards = c
+	}
 	asg, err := FedMinAvg{}.Schedule(req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	caps := make([]int, len(req.Users))
-	for j, u := range req.Users {
-		caps[j] = u.CapacityShards
+	if err := Validate(req, asg); err != nil {
+		t.Fatalf("Fed-MinAvg assignment is not a valid packing: %v", err)
 	}
-	p := &binpack.Packing{}
-	for j, k := range asg.Shards {
-		if k > 0 {
-			p.Fragments = append(p.Fragments, binpack.Fragment{Item: 0, Bin: j, Size: k})
+	for j, c := range caps {
+		if asg.Shards[j] > c {
+			t.Fatalf("user %d holds %d shards, capacity %d", j, asg.Shards[j], c)
 		}
-	}
-	if err := binpack.Validate(p, []int{req.TotalShards}, caps); err != nil {
-		t.Fatalf("Fed-MinAvg assignment is not a valid fragment packing: %v", err)
-	}
-	// And its fragment count is bounded below by the packing lower bound.
-	splits := 0
-	for _, k := range asg.Shards {
-		if k > 0 {
-			splits++
-		}
-	}
-	splits-- // fragments beyond the first
-	if lb := binpack.MinSplitsLowerBound([]int{req.TotalShards}, caps); splits < lb {
-		t.Fatalf("assignment uses %d splits, below the packing lower bound %d", splits, lb)
 	}
 }
 

@@ -190,6 +190,9 @@ func (c JobConfig) Validate() error {
 	if c.Engine != "async" && c.MaxUpdates != 0 {
 		return fmt.Errorf("max_updates only applies to async jobs")
 	}
+	if c.Engine != "sync" && (c.Quorum > 0 || c.MinParticipants > 0 || c.DeadlineSeconds > 0) {
+		return fmt.Errorf("quorum, min_participants and deadline_seconds only apply to sync jobs (%s has no server-closed rounds)", c.Engine)
+	}
 	return nil
 }
 
@@ -253,11 +256,7 @@ func build(cfg JobConfig, rec *trace.Recorder) (*built, error) {
 		}
 	}
 
-	fseed := cfg.FaultSeed
-	if fseed == 0 {
-		fseed = cfg.Seed*0x9e3779b9 + 97
-	}
-	plan, err := fault.ParseSpec(cfg.Faults, fseed)
+	plan, err := fault.ParseSpec(cfg.Faults, fault.PlanSeed(cfg.FaultSeed, cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +298,6 @@ func build(cfg JobConfig, rec *trace.Recorder) (*built, error) {
 // simulated client per device.
 func buildTestbedClients(cfg JobConfig, train *data.Dataset, rec *trace.Recorder) ([]*fl.Client, error) {
 	tb := fedsched.NewTestbed(cfg.Testbed)
-	users := len(tb.Profiles)
 	paperArch := fedsched.LeNet(train.C, 28, 28, 10)
 	req, err := tb.Request(paperArch, 60000)
 	if err != nil {
@@ -324,16 +322,6 @@ func buildTestbedClients(cfg JobConfig, train *data.Dataset, rec *trace.Recorder
 	if err != nil {
 		return nil, err
 	}
-	sizes := make([]int, users)
-	assigned := 0
-	for j, sh := range asg.Shards {
-		sizes[j] = sh * train.Len() / req.TotalShards
-		assigned += sizes[j]
-	}
-	for j := 0; assigned < train.Len(); j = (j + 1) % users {
-		sizes[j]++
-		assigned++
-	}
-	part := data.IIDSizes(train, sizes, rng)
+	part := data.IIDSizes(train, asg.Rescale(req.TotalShards, train.Len(), false), rng)
 	return tb.Clients(train, part)
 }

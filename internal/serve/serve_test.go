@@ -174,6 +174,12 @@ func TestMalformedConfigsRejected(t *testing.T) {
 		`{"faults":"crash=oops"}`,
 		`{"topology":"ring"}`,
 		`{"max_updates":5}`,
+		`{"engine":"async","quorum":2}`,
+		`{"engine":"async","min_participants":1}`,
+		`{"engine":"async","deadline_seconds":30}`,
+		`{"engine":"gossip","quorum":2}`,
+		`{"engine":"gossip","min_participants":1}`,
+		`{"engine":"gossip","deadline_seconds":30}`,
 		`{"scheduler":"fedlbap"}`,
 		`{"samples":5}`,
 	}
