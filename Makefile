@@ -12,10 +12,10 @@ GO ?= go
 BENCH_MAX_SLOWDOWN ?= 1.15
 
 .PHONY: build test vet lint lint-ci lint-baseline \
-	fuzz-smoke fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault \
+	fuzz-smoke fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace \
 	fmt-check check check-nolint race race-tensor purego trace-golden loc \
 	bench bench-parallel bench-gemm bench-gemm-f32 bench-sched bench-ci \
-	bench-regression bench-regression-serve \
+	bench-regression bench-regression-serve profile-pop \
 	population-smoke fault-smoke serve-smoke
 
 build:
@@ -46,11 +46,12 @@ lint-baseline:
 	$(GO) run ./cmd/fedlint -write-baseline ./...
 
 # Short native-fuzz pass over the property-based targets: the sparse
-# Fed-LBAP solver against the dense oracle, the cohort samplers'
-# sortedness/bounds/determinism contract, and the fault plan's
-# spec-parse/draw invariants. Seeds live under testdata/fuzz; CI runs
+# Fed-LBAP solver against the dense oracle and the full-range reference's
+# event stream, the cohort samplers' sortedness/bounds/determinism
+# contract, the fault plan's spec-parse/draw invariants, and the trace
+# encoder against encoding/json. Seeds live under testdata/fuzz; CI runs
 # this in the lint lane. Each target is its own recipe so one failing
-# fuzzer no longer hides the others: the umbrella runs all three and
+# fuzzer no longer hides the others: the umbrella runs all four and
 # fails at the end with the full list of failed targets.
 FUZZTIME ?= 10s
 fuzz-smoke-sched:
@@ -62,9 +63,12 @@ fuzz-smoke-sample:
 fuzz-smoke-fault:
 	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzFaultPlan -fuzztime $(FUZZTIME)
 
+fuzz-smoke-trace:
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzEventJSON -fuzztime $(FUZZTIME)
+
 fuzz-smoke:
 	@failed=""; \
-	for t in fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault; do \
+	for t in fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace; do \
 		$(MAKE) $$t FUZZTIME=$(FUZZTIME) || failed="$$failed $$t"; \
 	done; \
 	if [ -n "$$failed" ]; then \
@@ -88,11 +92,13 @@ check-nolint: build vet test race-tensor
 
 # The engines, kernels and daemon, plus the cheap packages the round core
 # calls into from its worker pool (samplers, fault draws, schedulers, trace
-# rings, device and event-loop simulators — a few seconds all together).
+# rings, device and event-loop simulators, and the device profiles the
+# daemon's jobs share — a few seconds all together).
 race:
 	$(GO) test -race ./internal/fl/... ./internal/tensor/... ./internal/serve/... \
 		./internal/sample/... ./internal/fault/... ./internal/sched/... \
-		./internal/trace/... ./internal/device/... ./internal/sim/...
+		./internal/trace/... ./internal/device/... ./internal/sim/... \
+		./internal/profile/...
 
 # Fast race pass over just the GEMM core and lane semaphore — cheap
 # enough (~10s) to gate every `make check`.
@@ -162,6 +168,16 @@ bench-gemm-f32:
 bench-sched:
 	$(GO) test -run '^$$' -bench 'FedLBAPSparse|FedLBAPDense|BenchmarkRoundLoop' \
 		-benchtime=3x -benchmem .
+
+# Where a population round's time goes: CPU-profile the 10^6-client round
+# loop (the code path behind `fedsim -population`) and print the
+# cumulative top of the profile. The profile and test binary stay under
+# artifacts/ for `go tool pprof -list`.
+profile-pop:
+	mkdir -p artifacts
+	$(GO) test -run '^$$' -bench 'BenchmarkRoundLoop/n=1000000' -benchtime=5000x -benchmem \
+		-cpuprofile artifacts/pop.prof -o artifacts/pop.test .
+	$(GO) tool pprof -top -cum artifacts/pop.test artifacts/pop.prof | head -40
 
 # CI bench smoke: 5 repetitions of the gated benchmarks — the root
 # layer triples and engine runs, then the LeNet-S kernels and train step

@@ -307,10 +307,9 @@ func (tb *Testbed) Request(arch *nn.Arch, totalSamples int) (*sched.Request, err
 	comm := tb.Link.RoundTripTime(arch.SizeBytes())
 	users := make([]*sched.User, len(tb.Profiles))
 	for j, p := range tb.Profiles {
-		dp := tb.profiles[p.Model]
 		users[j] = &sched.User{
 			Name:        fmt.Sprintf("%s-%d", p.Model, j),
-			Cost:        func(n int) float64 { return dp.Predict(arch, n) },
+			Cost:        tb.profiles[p.Model].Line(arch).Predict,
 			CommSeconds: comm,
 			MeanFreqGHz: p.MeanFreqGHz(),
 		}

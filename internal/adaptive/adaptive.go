@@ -131,7 +131,7 @@ func Run(cfg Config, devs []*device.Device, links []network.Link, base []*profil
 				continue
 			}
 			predicted := online[j].Predict(cfg.Arch, samples[j]) + links[j].RoundTripTime(cfg.Arch.SizeBytes())
-			comp, _ := dev.TrainSamples(cfg.Arch, samples[j], cfg.BatchSize)
+			comp := dev.Train(cfg.Arch, samples[j], cfg.BatchSize)
 			obs := comp + links[j].RoundTripTime(cfg.Arch.SizeBytes())
 			times[j] = obs
 			online[j].Observe(cfg.Arch, samples[j], comp)

@@ -86,10 +86,11 @@ func (d *Device) utilization(trainFlops float64) float64 {
 	return d.UtilSmall + (d.UtilLarge-d.UtilSmall)*s
 }
 
-// currentThroughput applies governor frequency and thermal trips to the
-// base throughput.
-func (d *Device) currentThroughput(trainFlops float64) float64 {
-	t := d.baseThroughput(trainFlops) * d.FreqFactor
+// throughput applies governor frequency and thermal trips to a base
+// throughput (baseThroughput of the workload, which callers compute once:
+// it depends only on the profile and the per-sample cost).
+func (d *Device) throughput(base float64) float64 {
+	t := base * d.FreqFactor
 	if d.bigOffline {
 		t *= d.BigOffFactor
 	}
@@ -194,26 +195,42 @@ func (d *Device) effectiveFreqGHz() float64 {
 // mini-batches of batch size, advancing the device state. It returns the
 // elapsed simulated seconds and the per-batch trace.
 func (d *Device) TrainSamples(arch *nn.Arch, n, batch int) (float64, []BatchPoint) {
+	return d.train(arch, n, batch, true)
+}
+
+// Train is TrainSamples without the per-batch trace: the same simulation,
+// step for step, for callers that only want the elapsed seconds and the
+// device's end state (the round engines, the profiler).
+//
+// fedlint:hotpath
+func (d *Device) Train(arch *nn.Arch, n, batch int) float64 {
+	elapsed, _ := d.train(arch, n, batch, false)
+	return elapsed
+}
+
+// train is the training loop behind TrainSamples and Train: n samples in
+// mini-batches of batch, each integrated in thermal steps; record asks
+// for the per-batch trace.
+func (d *Device) train(arch *nn.Arch, n, batch int, record bool) (float64, []BatchPoint) {
 	if n <= 0 {
 		return 0, nil
 	}
 	if batch <= 0 {
 		batch = 20
 	}
+	var points []BatchPoint
+	if record {
+		points = make([]BatchPoint, (n+batch-1)/batch)
+	}
 	flops := arch.TrainFlopsPerSample()
 	util := d.utilization(flops)
+	base := d.baseThroughput(flops)
 	start := d.NowSeconds
-	batches := (n + batch - 1) / batch
-	trace := make([]BatchPoint, batches)
-	for b := 0; b < batches; b++ {
-		size := batch
-		if rem := n - b*batch; rem < size {
-			size = rem
-		}
-		work := float64(size) * flops
+	for b := 0; b*batch < n; b++ {
+		work := float64(min(batch, n-b*batch)) * flops
 		bStart := d.NowSeconds
 		for {
-			tput := d.currentThroughput(flops)
+			tput := d.throughput(base)
 			need := work / tput
 			if need <= thermalStep {
 				d.advance(need, util, true)
@@ -222,22 +239,23 @@ func (d *Device) TrainSamples(arch *nn.Arch, n, batch int) (float64, []BatchPoin
 			work -= tput * thermalStep
 			d.advance(thermalStep, util, true)
 		}
-		trace[b] = BatchPoint{
-			Batch:     b,
-			Seconds:   d.NowSeconds - bStart,
-			TempC:     d.TempC,
-			FreqGHz:   d.effectiveFreqGHz(),
-			BigOnline: !d.bigOffline,
+		if record {
+			points[b] = BatchPoint{
+				Batch:     b,
+				Seconds:   d.NowSeconds - bStart,
+				TempC:     d.TempC,
+				FreqGHz:   d.effectiveFreqGHz(),
+				BigOnline: !d.bigOffline,
+			}
 		}
 	}
-	return d.NowSeconds - start, trace
+	return d.NowSeconds - start, points
 }
 
 // EpochTime returns the simulated wall time for one full epoch over n
 // samples starting from the device's current thermal state.
 func (d *Device) EpochTime(arch *nn.Arch, n int) float64 {
-	elapsed, _ := d.TrainSamples(arch, n, 20)
-	return elapsed
+	return d.Train(arch, n, 20)
 }
 
 // Idle advances the device for dt seconds without load (cooling down).
@@ -328,10 +346,11 @@ func (d *Device) BatteryRemaining() float64 {
 // a first-order estimate (power × time) for capacity planning.
 func (d *Device) EnergyPerSample(arch *nn.Arch) float64 {
 	flops := arch.TrainFlopsPerSample()
-	tput := d.currentThroughput(flops)
+	base := d.baseThroughput(flops)
+	tput := d.throughput(base)
 	if d.FreqFactor < 1 {
 		// Planning assumes the governor ramps to full clock.
-		tput = d.baseThroughput(flops)
+		tput = base
 		if d.bigOffline {
 			tput *= d.BigOffFactor
 		}

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -368,5 +369,85 @@ func TestDrainBattery(t *testing.T) {
 	n.DrainBattery()
 	if n.EnergyJ != e {
 		t.Fatal("drain changed a device without a battery model")
+	}
+}
+
+// referenceTrainSamples is TrainSamples as it stood before the invariants
+// were hoisted: baseThroughput (three log10s and a clamp) re-derived on
+// every thermal step, every batch recorded. The hoisted loop must
+// reproduce it bit for bit.
+func referenceTrainSamples(d *Device, arch *nn.Arch, n, batch int) (float64, []BatchPoint) {
+	flops := arch.TrainFlopsPerSample()
+	util := d.utilization(flops)
+	start := d.NowSeconds
+	batches := (n + batch - 1) / batch
+	points := make([]BatchPoint, batches)
+	for b := 0; b < batches; b++ {
+		size := batch
+		if rem := n - b*batch; rem < size {
+			size = rem
+		}
+		work := float64(size) * flops
+		bStart := d.NowSeconds
+		for {
+			tput := d.baseThroughput(flops) * d.FreqFactor
+			if d.bigOffline {
+				tput *= d.BigOffFactor
+			}
+			need := work / tput
+			if need <= thermalStep {
+				d.advance(need, util, true)
+				break
+			}
+			work -= tput * thermalStep
+			d.advance(thermalStep, util, true)
+		}
+		points[b] = BatchPoint{
+			Batch:     b,
+			Seconds:   d.NowSeconds - bStart,
+			TempC:     d.TempC,
+			FreqGHz:   d.effectiveFreqGHz(),
+			BigOnline: !d.bigOffline,
+		}
+	}
+	return d.NowSeconds - start, points
+}
+
+func TestTrainMatchesUnhoistedReference(t *testing.T) {
+	// Two back-to-back epochs per case, the second from a hot, throttled
+	// state; sizes with a ragged last batch; VGG6 on the Nexus 6P walks
+	// through the big-cluster hard trip.
+	tripped := false
+	for _, p := range []Profile{Nexus6(), Nexus6P(), Mate10(), Pixel2()} {
+		for _, arch := range []*nn.Arch{lenet, vgg6} {
+			for _, c := range []struct{ n, batch int }{{3000, 20}, {1234, 32}, {7, 20}} {
+				ref, rec, plain := New(p), New(p), New(p)
+				for epoch := 0; epoch < 2; epoch++ {
+					wantS, wantPts := referenceTrainSamples(ref, arch, c.n, c.batch)
+					gotS, gotPts := rec.TrainSamples(arch, c.n, c.batch)
+					plainS := plain.Train(arch, c.n, c.batch)
+					name := fmt.Sprintf("%s/%s/n=%d/epoch=%d", p.Model, arch.Name, c.n, epoch)
+					if gotS != wantS || plainS != wantS {
+						t.Fatalf("%s: elapsed %v (recording) / %v (plain), reference %v", name, gotS, plainS, wantS)
+					}
+					if rec.Snapshot() != ref.Snapshot() || plain.Snapshot() != ref.Snapshot() {
+						t.Fatalf("%s: end state differs:\nrecording %+v\nplain     %+v\nreference %+v",
+							name, rec.Snapshot(), plain.Snapshot(), ref.Snapshot())
+					}
+					if len(gotPts) != len(wantPts) {
+						t.Fatalf("%s: %d batch points, reference %d", name, len(gotPts), len(wantPts))
+					}
+					for b := range wantPts {
+						if gotPts[b] != wantPts[b] {
+							t.Fatalf("%s: batch %d: %+v, reference %+v", name, b, gotPts[b], wantPts[b])
+						}
+						tripped = tripped || !wantPts[b].BigOnline
+					}
+				}
+			}
+		}
+	}
+	if !tripped {
+		t.Fatal("no case took the big-cluster-offline path; the Nexus 6P VGG6 epoch should")
 	}
 }

@@ -101,11 +101,10 @@ func (tb *testbedSetup) request(arch *nn.Arch, totalSamples, shardSize int) *sch
 	users := make([]*sched.User, len(tb.Profiles))
 	comm := tb.Link.RoundTripTime(arch.SizeBytes())
 	for j := range tb.Profiles {
-		p := tb.DevProfs[j]
 		prof := tb.Profiles[j]
 		users[j] = &sched.User{
 			Name:        fmt.Sprintf("%s-%d", prof.Model, j),
-			Cost:        func(n int) float64 { return p.Predict(arch, n) },
+			Cost:        tb.DevProfs[j].Line(arch).Predict,
 			CommSeconds: comm,
 			MeanFreqGHz: prof.MeanFreqGHz(),
 		}

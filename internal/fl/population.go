@@ -130,16 +130,15 @@ type PopulationHistory struct {
 // archetype's profiled T(D) line scaled by the client's speed factor
 // (device.Population applies the same factor to throughput, so predicted
 // and simulated time agree to first order). The slot's sched.User binds
-// its Cost to the predict method once; re-pointing the struct each round
+// its Cost to the predict method once; overwriting the struct each round
 // re-targets the existing closure with zero allocation.
 type popCost struct {
-	dp    *profile.DeviceProfile
-	arch  *nn.Arch
+	line  profile.Line
 	speed float64
 }
 
 func (c *popCost) predict(samples int) float64 {
-	return c.dp.Predict(c.arch, samples) / c.speed
+	return c.line.Predict(samples) / c.speed
 }
 
 // PopulationRunner executes population rounds with O(selected) live
@@ -152,9 +151,9 @@ func (c *popCost) predict(samples int) float64 {
 type PopulationRunner struct {
 	cfg PopulationConfig
 
-	// prof[a] is the offline profile of archetype a (shared across
-	// archetypes with the same device model).
-	prof []*profile.DeviceProfile
+	// lines[a] is archetype a's profiled cost line for cfg.Arch, resolved
+	// once so the solver's cost evaluations are two flops and a divide.
+	lines []profile.Line
 
 	rng *rand.Rand // for schedulers that draw (Random baseline)
 
@@ -216,25 +215,20 @@ func NewPopulationRunner(cfg PopulationConfig) (*PopulationRunner, error) {
 	// One offline profile per archetype, shared between archetypes with
 	// the same model string (BuildTestbed's dedup, without the map range).
 	suite := profile.Suite(cfg.Arch.InC, cfg.Arch.InH, cfg.Arch.InW, cfg.Arch.Classes)
-	r.prof = make([]*profile.DeviceProfile, len(cfg.Population.Profiles))
+	r.lines = make([]profile.Line, len(cfg.Population.Profiles))
+archetypes:
 	for a, p := range cfg.Population.Profiles {
 		for b := 0; b < a; b++ {
 			if cfg.Population.Profiles[b].Model == p.Model {
-				r.prof[a] = r.prof[b]
-				break
+				r.lines[a] = r.lines[b]
+				continue archetypes
 			}
-		}
-		if r.prof[a] != nil {
-			continue
 		}
 		dp, err := profile.BuildOffline(device.New(p), suite, profile.DefaultSizes)
 		if err != nil {
 			return nil, fmt.Errorf("fl: population: profiling %s: %w", p.Model, err)
 		}
-		// Prewarm the lazy step-2 fit so solver-path Predict calls never
-		// take the fit-and-cache slow path mid-round.
-		dp.Predict(cfg.Arch, cfg.ShardSize)
-		r.prof[a] = dp
+		r.lines[a] = dp.Line(cfg.Arch)
 	}
 
 	// Bind each slot's cost closure once; rounds only overwrite the
@@ -286,8 +280,7 @@ func (r *PopulationRunner) Round(round int) (PopulationRound, error) {
 		d := &r.devs[i]
 		cfg.Population.Materialize(id, d)
 		r.costs[i] = popCost{
-			dp:    r.prof[cfg.Population.ArchetypeOf(id)],
-			arch:  cfg.Arch,
+			line:  r.lines[cfg.Population.ArchetypeOf(id)],
 			speed: cfg.Population.SpeedOf(id),
 		}
 		u := &r.users[i]

@@ -190,7 +190,7 @@ func burn(cr *ClientRound, dev *device.Device, arch *nn.Arch, batch int, f fault
 	if f.Kind == fault.Crash || f.Kind == fault.Battery {
 		n = int(f.Point * float64(n))
 	}
-	cr.ComputeS, _ = dev.TrainSamples(arch, n, batch)
+	cr.ComputeS = dev.Train(arch, n, batch)
 	if f.Kind == fault.Battery {
 		dev.DrainBattery()
 	}

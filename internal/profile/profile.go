@@ -37,8 +37,33 @@ type DeviceProfile struct {
 	Device string     `json:"device"`
 	Step1  []Step1Fit `json:"step1"`
 
-	mu    sync.Mutex
-	step2 map[string][2]float64 // arch name → (intercept, slope)
+	// lines caches the step-2 fit per architecture name (string → Line).
+	// A hit is a lock-free load; racing first uses each fit the same line
+	// from the same Step1, so whichever is stored is the value all return.
+	lines sync.Map
+}
+
+// Line is one architecture's fitted step-2 cost curve on one device:
+// predicted training seconds as an affine function of the sample count.
+// It is an immutable value — callers that price many sizes of the same
+// (device, architecture) pair resolve it once with DeviceProfile.Line
+// and call Predict on the copy.
+type Line struct {
+	Intercept float64 // seconds at zero samples (may be negative)
+	Slope     float64 // seconds per sample, ≥ 0
+}
+
+// Predict returns the estimated training time (seconds) for n samples.
+// Predictions are clamped at ≥0 and are non-decreasing in n (Property 1).
+func (l Line) Predict(n int) float64 {
+	if n <= 0 {
+		return 0
+	}
+	t := l.Intercept + l.Slope*float64(n)
+	if t < 0 {
+		return 0
+	}
+	return t
 }
 
 // DefaultSizes is the calibration grid of data sizes.
@@ -68,7 +93,7 @@ func BuildOffline(dev *device.Device, arches []*nn.Arch, sizes []int) (*DevicePr
 	if len(arches) < 3 {
 		return nil, fmt.Errorf("profile: need ≥3 architectures for a 3-coefficient fit, got %d", len(arches))
 	}
-	p := &DeviceProfile{Device: dev.Model, step2: make(map[string][2]float64)}
+	p := &DeviceProfile{Device: dev.Model}
 	for _, d := range sizes {
 		x := make([][]float64, len(arches))
 		y := make([]float64, len(arches))
@@ -87,16 +112,11 @@ func BuildOffline(dev *device.Device, arches []*nn.Arch, sizes []int) (*DevicePr
 	return p, nil
 }
 
-// step2Line returns (intercept, slope) of the time-vs-data-size line for
-// the architecture, fitting it on first use.
-func (p *DeviceProfile) step2Line(a *nn.Arch) [2]float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.step2 == nil {
-		p.step2 = make(map[string][2]float64)
-	}
-	if line, ok := p.step2[a.Name]; ok {
-		return line
+// Line returns the time-vs-data-size line of the architecture on this
+// device, fitting it on first use.
+func (p *DeviceProfile) Line(a *nn.Arch) Line {
+	if l, ok := p.lines.Load(a.Name); ok {
+		return l.(Line)
 	}
 	conv, dense := a.ParamCounts()
 	xs := make([]float64, len(p.Step1))
@@ -105,38 +125,27 @@ func (p *DeviceProfile) step2Line(a *nn.Arch) [2]float64 {
 		xs[i] = float64(f.DataSize)
 		ys[i] = f.Predict(conv, dense)
 	}
-	m, err := regress.FitSimple(xs, ys)
-	if err != nil {
+	var line Line
+	if m, err := regress.FitSimple(xs, ys); err != nil {
 		// Degenerate grids cannot happen with DefaultSizes; fall back to a
 		// flat line through the mean rather than failing a scheduling run.
-		mean := regress.Mean(ys)
-		line := [2]float64{mean, 0}
-		p.step2[a.Name] = line
-		return line
+		line.Intercept = regress.Mean(ys)
+	} else {
+		line = Line{Intercept: m.Coef[0], Slope: m.Coef[1]}
+		if line.Slope < 0 {
+			// Property 1 requires a non-decreasing cost curve; negative
+			// slopes are measurement artifacts.
+			line.Slope = 0
+		}
 	}
-	line := [2]float64{m.Coef[0], m.Coef[1]}
-	if line[1] < 0 {
-		// Property 1 requires a non-decreasing cost curve; negative slopes
-		// are measurement artifacts.
-		line[1] = 0
-	}
-	p.step2[a.Name] = line
+	p.lines.Store(a.Name, line)
 	return line
 }
 
 // Predict returns the estimated training time (seconds) for n samples of
-// the architecture on this device. Predictions are clamped at ≥0 and are
-// non-decreasing in n (Property 1).
+// the architecture on this device: p.Line(a).Predict(n).
 func (p *DeviceProfile) Predict(a *nn.Arch, n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	line := p.step2Line(a)
-	t := line[0] + line[1]*float64(n)
-	if t < 0 {
-		return 0
-	}
-	return t
+	return p.Line(a).Predict(n)
 }
 
 // MarshalJSON implements json.Marshaler (profiles persist between runs).
@@ -158,7 +167,7 @@ func (p *DeviceProfile) UnmarshalJSON(b []byte) error {
 	}
 	p.Device = raw.Device
 	p.Step1 = raw.Step1
-	p.step2 = make(map[string][2]float64)
+	p.lines = sync.Map{} // fitted from the previous Step1
 	return nil
 }
 

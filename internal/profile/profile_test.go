@@ -3,10 +3,12 @@ package profile
 import (
 	"encoding/json"
 	"math"
+	"sync"
 	"testing"
 
 	"fedsched/internal/device"
 	"fedsched/internal/nn"
+	"fedsched/internal/regress"
 )
 
 func buildTestProfile(t *testing.T, p device.Profile) *DeviceProfile {
@@ -132,4 +134,88 @@ func TestProfileOrderingMatchesDeviceSpeed(t *testing.T) {
 	if fast.Predict(lenet, 3000) >= slow.Predict(lenet, 3000) {
 		t.Fatal("profile ordering contradicts device speeds")
 	}
+}
+
+// referencePredict is DeviceProfile.Predict as it stood before Line: the
+// step-2 fit and the a + b·n, clamp-at-0 evaluation inline, no cache.
+func referencePredict(p *DeviceProfile, a *nn.Arch, n int) float64 {
+	if n <= 0 {
+		return 0
+	}
+	conv, dense := a.ParamCounts()
+	xs := make([]float64, len(p.Step1))
+	ys := make([]float64, len(p.Step1))
+	for i, f := range p.Step1 {
+		xs[i] = float64(f.DataSize)
+		ys[i] = f.Predict(conv, dense)
+	}
+	line := [2]float64{regress.Mean(ys), 0}
+	if m, err := regress.FitSimple(xs, ys); err == nil {
+		line = [2]float64{m.Coef[0], m.Coef[1]}
+		if line[1] < 0 {
+			line[1] = 0
+		}
+	}
+	t := line[0] + line[1]*float64(n)
+	if t < 0 {
+		return 0
+	}
+	return t
+}
+
+func TestLinePredictMatchesReference(t *testing.T) {
+	// Every device model of every testbed × the profiling suite plus two
+	// architectures outside it × the calibration grid and its edges.
+	arches := append(Suite(1, 28, 28, 10), nn.LeNetVariant(1, 28, 28, 10, 1.5), nn.LeNetSmall(1, 16, 16, 10))
+	sizes := append([]int{-3, 0, 1, 100, 60000}, DefaultSizes...)
+	seen := map[string]bool{}
+	for id := 1; id <= 3; id++ {
+		for _, dp := range device.Testbed(id) {
+			if seen[dp.Model] {
+				continue
+			}
+			seen[dp.Model] = true
+			prof := buildTestProfile(t, dp)
+			for _, a := range arches {
+				line := prof.Line(a)
+				for _, n := range sizes {
+					want := referencePredict(prof, a, n)
+					if got := line.Predict(n); got != want {
+						t.Fatalf("%s/%s n=%d: Line.Predict %v, reference %v", dp.Model, a.Name, n, got, want)
+					}
+					if got := prof.Predict(a, n); got != want {
+						t.Fatalf("%s/%s n=%d: Predict %v, reference %v", dp.Model, a.Name, n, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestPredictConcurrent(t *testing.T) {
+	// 64 goroutines race the first use of every architecture's line on one
+	// shared profile (the serve daemon's jobs share testbed profiles);
+	// everyone must read the sequential answer. Run under `make race`.
+	arches := Suite(1, 28, 28, 10)
+	want := make([]float64, len(arches))
+	seq := buildTestProfile(t, device.Nexus6P())
+	for i, a := range arches {
+		want[i] = seq.Predict(a, 3000)
+	}
+	shared := buildTestProfile(t, device.Nexus6P())
+	var wg sync.WaitGroup
+	for g := 0; g < 64; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 200; k++ {
+				i := (g + k) % len(arches)
+				if got := shared.Predict(arches[i], 3000); got != want[i] {
+					t.Errorf("goroutine %d: %s predicted %v, want %v", g, arches[i].Name, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -61,7 +61,8 @@ func abs(v int) int {
 // FuzzSparseFedLBAP cross-checks the O(n + s·polylog) sparse solver
 // against the dense O(ns) solver on random monotone-cost problems: both
 // must produce a valid assignment, the same shard vector, and the same
-// predicted makespan.
+// predicted makespan. The bracketed threshold search must also replay the
+// full-range reference's probe and schedule events exactly.
 func FuzzSparseFedLBAP(f *testing.F) {
 	f.Add(uint64(1), 8, 40, 2)
 	f.Add(uint64(42), 1, 1, 1)
@@ -95,5 +96,6 @@ func FuzzSparseFedLBAP(f *testing.F) {
 		if dense.PredictedMakespan != sparse.PredictedMakespan { //fedlint:allow floateq — the sparse solver's contract is bit-identical output
 			t.Fatalf("makespans diverge: dense %v, sparse %v", dense.PredictedMakespan, sparse.PredictedMakespan)
 		}
+		assertSparseMatchesReference(t, req)
 	})
 }

@@ -14,9 +14,10 @@ import (
 //
 //	g(c) = Σ_j max{k ≤ cap_j : C[j][k] ≤ c}
 //
-// is a monotone step function of the threshold c, evaluable in
-// O(m log s) by per-user binary search over the *implicit* curve — no
-// row storage. The solve is then:
+// is a monotone step function of the threshold c, evaluable by per-user
+// binary search over the *implicit* curve — no row storage — and, by the
+// same monotonicity, each user's answer at one threshold bounds its
+// answer at every later one. The solve is then:
 //
 //  1. Bound: c_hi = the s-th smallest first-shard cost (n > s, found by
 //     deterministic quickselect) or the max full-capacity cost (n ≤ s);
@@ -30,7 +31,10 @@ import (
 //     c* > lov with g(c*) ≥ s. The walk restores exactness that plain
 //     bisection cannot give: c* is a value of the implicit matrix, the
 //     same one the dense solver's binary search over sorted values
-//     finds.
+//     finds. Every probe narrows a per-survivor bracket on the feasible
+//     maximum and the next one searches only inside it, so the ~60
+//     probes cost O(m log² s) evaluations between them on smooth curves
+//     instead of O(m log s) each.
 //  4. Assign: hand out per-user feasible maxima under c*, then trim the
 //     overshoot from the largest marginal costs via a replace-top
 //     max-heap (ties broken toward the smallest user index, matching
@@ -49,11 +53,17 @@ type SparseFedLBAP struct{}
 func (SparseFedLBAP) Name() string { return "Fed-LBAP-sparse" }
 
 // Schedule implements Scheduler. Runtime is O(n) to bound and prune plus
-// O(m log s) per threshold probe with m ≈ s survivors and ~60 probes;
-// sub-second at n=10^6, s=10^4 (see BenchmarkFedLBAP). Deterministic
-// (rng is unused). The O(n) float workspaces below are per-solve
-// scratch, freed on return — the population round loop passes
-// cohort-sized requests, so in steady state this stays O(selected).
+// the threshold search over m ≈ s survivors, amortised across its ~60
+// probes by the per-survivor brackets (invariant below): a bracket's
+// width follows kmax(hiv) − kmax(lov), which halving (lov, hiv] roughly
+// halves, so a survivor's searches cost about log s, log s − 1, …, 0
+// evaluations — O(m log² s) for the whole search on smooth curves, not
+// O(m log s) per probe (a cliff that no probe crosses still costs its
+// survivor log s every time). Sub-second at n=10^6, s=10^4 (see
+// BenchmarkFedLBAP). Deterministic (rng is unused). The O(n) workspaces
+// below are per-solve scratch, freed on return — the population round
+// loop passes cohort-sized requests, so in steady state this stays
+// O(selected).
 //
 // fedlint:hotpath
 // fedlint:deterministic
@@ -74,11 +84,10 @@ func (SparseFedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 		}
 		return c
 	}
+	capOf := func(j int) int { return req.Users[j].capacity(s) }
 
-	caps := make([]int, n)
 	first := make([]float64, n) //fedlint:allow hotalloc — per-solve O(n) scratch, not round-loop state
-	for j := range req.Users {
-		caps[j] = req.Users[j].capacity(s)
+	for j := range first {
 		first[j] = ec(j, 1)
 	}
 
@@ -92,8 +101,8 @@ func (SparseFedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 		chi = selectKth(scratch, s-1)
 	} else {
 		// Full capacities are feasible by req.check(): Σ cap_j ≥ s.
-		for j := range caps {
-			if c := ec(j, caps[j]); c > chi {
+		for j := range req.Users {
+			if c := ec(j, capOf(j)); c > chi {
 				chi = c
 			}
 		}
@@ -102,20 +111,39 @@ func (SparseFedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 	// Prune: a user with first-shard cost above c_hi (beyond float slack)
 	// holds zero shards at every threshold ≤ c_hi, in particular at c*,
 	// and none of its matrix values can be c* (they all exceed c_hi ≥ c*).
-	surv := make([]int, n)
 	m := 0
-	for j := range first {
-		if almostLE(first[j], chi) {
-			surv[m] = j
+	for _, c := range first {
+		if almostLE(c, chi) {
 			m++
 		}
 	}
-	surv = surv[:m]
+	// One survivor-sized workspace: the survivors' user indices, their
+	// brackets, and the feasible maxima of the probe in flight.
+	work := make([]int, 4*m)
+	surv, klo, khi, kcur := work[:m], work[m:2*m], work[2*m:3*m], work[3*m:]
+	fill := 0
+	for j, c := range first {
+		if almostLE(c, chi) {
+			surv[fill], khi[fill] = j, capOf(j)
+			fill++
+		}
+	}
 
-	// kmaxAt = max{k ≤ cap_j : C[j][k] ≤ c}, by binary search on the
-	// implicit nondecreasing curve. Never evaluates k = 0.
-	kmaxAt := func(j int, c float64) int {
-		lo, hi := 0, caps[j]
+	// With kmax_i(c) = max{k ≤ cap_i : C[i][k] ≤ c} — nondecreasing in c by
+	// Property 1 — the search keeps (lov, hiv] with g(lov) < s ≤ g(hiv) and,
+	// for every survivor i,
+	//
+	//	klo_i ≤ kmax_i(lov)   and   kmax_i(c) ≤ khi_i for every c ≤ hiv,
+	//
+	// so a probe at c in (lov, hiv] bisects only [klo_i, khi_i]. Thresholds
+	// above hiv (the exact walk can overshoot it by the float slack) fall
+	// back to the capacity.
+	lov, hiv := -1.0, chi
+	kmaxIn := func(i int, c float64) int {
+		j, lo, hi := surv[i], klo[i], khi[i]
+		if c > hiv {
+			hi = capOf(j)
+		}
 		for lo < hi {
 			mid := (lo + hi + 1) / 2
 			if almostLE(ec(j, mid), c) {
@@ -126,37 +154,41 @@ func (SparseFedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 		}
 		return lo
 	}
-	// feasibleAt = g(c) over the survivors, early-capped at s like the
-	// dense solver's feasibleShards.
-	feasibleAt := func(c float64) int {
-		total := 0
-		for _, j := range surv {
-			total += kmaxAt(j, c)
+	// probe = g(c) over the survivors, early-capped at s like the dense
+	// solver's feasibleShards; kcur[:p] holds the maxima it evaluated.
+	probe := func(c float64) (total, p int) {
+		for i := range surv {
+			kcur[i] = kmaxIn(i, c)
+			total += kcur[i]
 			if total >= s {
-				return total
+				return total, i + 1
 			}
 		}
-		return total
+		return total, m
 	}
 
 	// Real-valued bisection: shrink (lov, hiv] keeping g(lov) < s and
 	// g(hiv) ≥ s. Each probe emits the same KindSolver event the dense
 	// binary search does. ~60 iterations reach float resolution; the
-	// break fires when the midpoint stops making progress.
-	lov, hiv := -1.0, chi
+	// break fires when the midpoint stops making progress. The verdict
+	// folds what the probe evaluated into the brackets: an infeasible
+	// probe ran to the end and raises every klo; a feasible one lowers khi
+	// over the prefix it got through before the early exit.
 	iter := 0
 	for i := 0; i < 64; i++ {
 		mid := lov + (hiv-lov)/2
 		if mid <= lov || mid >= hiv {
 			break
 		}
-		feasible := feasibleAt(mid)
+		feasible, p := probe(mid)
 		flag := 0
 		if feasible >= s {
 			flag = 1
 			hiv = mid
+			copy(khi[:p], kcur[:p])
 		} else {
 			lov = mid
+			copy(klo, kcur)
 		}
 		req.Trace.Emit(trace.Event{
 			Kind: trace.KindSolver, Round: iter, Client: -1,
@@ -170,11 +202,23 @@ func (SparseFedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 	// the first candidate with g ≥ s is exactly the dense solver's c* =
 	// min{v in the matrix : g(v) ≥ s}. After the bisection above, this
 	// loop almost always terminates on its first candidate.
-	nextValue := func(j int, v float64) (float64, bool) {
-		if !(ec(j, caps[j]) > v) {
-			return 0, false
+	//
+	// nextValue is survivor i's smallest matrix value strictly above v =
+	// lov. It sits at k ≤ khi_i+1 (C[i][khi_i+1] exceeds hiv > lov), and
+	// above klo_i unless C[i][klo_i] is one of the values the slack of ≤
+	// admitted from just above lov — then it is at or below klo_i.
+	nextValue := func(i int, v float64) (float64, bool) {
+		j := surv[i]
+		lo, hi := klo[i]+1, khi[i]+1
+		if c := capOf(j); hi > c {
+			if !(ec(j, c) > v) {
+				return 0, false
+			}
+			hi = c
 		}
-		lo, hi := 1, caps[j]
+		if lo > 1 && ec(j, lo-1) > v {
+			lo, hi = 1, lo-1
+		}
 		for lo < hi {
 			mid := (lo + hi) / 2
 			if ec(j, mid) > v {
@@ -186,14 +230,15 @@ func (SparseFedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 		return ec(j, lo), true
 	}
 	var cstar float64
+	var done int // kcur[:done] holds the feasible maxima under c*
 	for {
 		cand := math.Inf(1)
-		for _, j := range surv {
-			if v, ok := nextValue(j, lov); ok && v < cand {
+		for i := range surv {
+			if v, ok := nextValue(i, lov); ok && v < cand {
 				cand = v
 			}
 		}
-		feasible := feasibleAt(cand)
+		feasible, p := probe(cand)
 		flag := 0
 		if feasible >= s {
 			flag = 1
@@ -204,18 +249,23 @@ func (SparseFedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 		})
 		iter++
 		if feasible >= s {
-			cstar = cand
+			cstar, done = cand, p
 			break
 		}
 		lov = cand
+		copy(klo, kcur)
 	}
 
-	// Hand out feasible maxima under c*; non-survivors stay at zero, as
-	// they do under the dense solver.
+	// Hand out feasible maxima under c* — the last probe's, completed past
+	// its early exit; non-survivors stay at zero, as they do under the
+	// dense solver.
 	shards := make([]int, n)
 	total := 0
-	for _, j := range surv {
-		k := kmaxAt(j, cstar)
+	for i, j := range surv {
+		k := kcur[i]
+		if i >= done {
+			k = kmaxIn(i, cstar)
+		}
 		shards[j] = k
 		total += k
 	}

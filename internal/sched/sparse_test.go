@@ -267,6 +267,131 @@ func TestSparseDeterministicProbes(t *testing.T) {
 	}
 }
 
+// solveTraced runs one solver on req with a fresh unbounded recorder and
+// returns the assignment with the KindSolver + KindSchedule stream.
+func solveTraced(t testing.TB, req *Request, solve func(*Request) (*Assignment, error)) (*Assignment, []trace.Event) {
+	t.Helper()
+	traced := *req
+	traced.Trace = trace.New(0)
+	asg, err := solve(&traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return asg, traced.Trace.Events()
+}
+
+// assertSparseMatchesReference requires the bracketed solver to be
+// indistinguishable from the full-range reference: the same probe
+// sequence with the same early-exited feasible counts, the same
+// schedule events and the same assignment.
+func assertSparseMatchesReference(t testing.TB, req *Request) {
+	t.Helper()
+	want, wantEv := solveTraced(t, req, referenceSparse)
+	got, gotEv := solveTraced(t, req, func(r *Request) (*Assignment, error) {
+		return SparseFedLBAP{}.Schedule(r, nil)
+	})
+	if len(gotEv) != len(wantEv) {
+		t.Fatalf("event counts differ: bracketed %d, reference %d", len(gotEv), len(wantEv))
+	}
+	for i := range wantEv {
+		if gotEv[i] != wantEv[i] {
+			t.Fatalf("event %d differs:\nbracketed %+v\nreference %+v", i, gotEv[i], wantEv[i])
+		}
+	}
+	for j := range want.Shards {
+		if got.Shards[j] != want.Shards[j] {
+			t.Fatalf("shards differ at user %d: bracketed %d, reference %d", j, got.Shards[j], want.Shards[j])
+		}
+	}
+	if got.PredictedMakespan != want.PredictedMakespan {
+		t.Fatalf("predicted makespan differs: bracketed %v, reference %v", got.PredictedMakespan, want.PredictedMakespan)
+	}
+}
+
+func TestSparseProbeStreamMatchesReference(t *testing.T) {
+	capped := jitterUsers(300)
+	for j := range capped {
+		capped[j].CapacityShards = []int{0, 1, -3, 1000, 2, 7}[j%6]
+	}
+	flat := make([]*User, 6)
+	for j := range flat {
+		flat[j] = &User{Cost: func(int) float64 { return 2.5 }}
+	}
+	exact := jitterUsers(3)
+	exact[0].CapacityShards, exact[1].CapacityShards, exact[2].CapacityShards = 4, 3, 3
+	// Values a hair apart: the exact walk meets matrix values inside the
+	// float slack of ≤, the case where a survivor's next value sits at or
+	// below its lower bracket.
+	hair := make([]*User, 5)
+	for j := range hair {
+		eps := float64(j) * 1e-12
+		hair[j] = &User{Cost: func(samples int) float64 { return 1 + eps + 1e-11*float64(samples/100) }}
+	}
+	// A cost cliff puts c_hi ~100 halvings above c*: the 64 bisection
+	// probes run out and the exact walk steps through infeasible matrix
+	// values one by one.
+	cliff := []*User{
+		{Cost: func(samples int) float64 { return float64(samples) / 100 }, CapacityShards: 5},
+		{Cost: func(samples int) float64 {
+			if samples > 500 {
+				return 1e30
+			}
+			return 0.5 + float64(samples)/100
+		}},
+	}
+	for _, c := range []struct {
+		name string
+		req  *Request
+	}{
+		{"cohort-96x600", &Request{TotalShards: 600, ShardSize: 100, Users: jitterUsers(96)}},
+		{"pruned-2000x200", &Request{TotalShards: 200, ShardSize: 100, Users: jitterUsers(2000)}},
+		{"capacity-edge", &Request{TotalShards: 400, ShardSize: 100, Users: capped}},
+		{"constant-cost", &Request{TotalShards: 10, ShardSize: 100, Users: flat}},
+		{"exact-fit", &Request{TotalShards: 10, ShardSize: 50, Users: exact}},
+		{"within-slack", &Request{TotalShards: 40, ShardSize: 100, Users: hair}},
+		{"long-walk", &Request{TotalShards: 10, ShardSize: 100, Users: cliff}},
+	} {
+		t.Run(c.name, func(t *testing.T) { assertSparseMatchesReference(t, c.req) })
+	}
+}
+
+// countCosts wraps every user's Cost so the returned counter reads the
+// solve's total cost evaluations.
+func countCosts(users []*User) *int {
+	n := new(int)
+	for _, u := range users {
+		cost := u.Cost
+		u.Cost = func(samples int) float64 { *n++; return cost(samples) }
+	}
+	return n
+}
+
+func TestSparseCostEvalBudget(t *testing.T) {
+	// The counts are deterministic, so the budgets gate exactly: the
+	// full-range reference spends 50,821 evaluations on the cohort-sized
+	// instance and 8,384,261 on the fleet-sized one.
+	for _, c := range []struct {
+		n, s, budget int
+		long         bool
+	}{
+		{96, 600, 6_500, false},
+		{1_000_000, 10_000, 3_200_000, true},
+	} {
+		if c.long && testing.Short() {
+			continue
+		}
+		req := &Request{TotalShards: c.s, ShardSize: 100, Users: jitterUsers(c.n)}
+		evals := countCosts(req.Users)
+		if _, err := (SparseFedLBAP{}).Schedule(req, nil); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("n=%d s=%d: %d cost evaluations", c.n, c.s, *evals)
+		if *evals > c.budget {
+			t.Errorf("n=%d s=%d: %d cost evaluations, budget %d", c.n, c.s, *evals, c.budget)
+		}
+	}
+}
+
 func TestDenseProbeDedupe(t *testing.T) {
 	// Duplicate cost values must not inflate the dense solver's probe
 	// count: with two identical users every threshold appears twice in

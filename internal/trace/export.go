@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 )
@@ -40,17 +41,83 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("trace: unknown event kind %q", s)
 }
 
+// appendEvent appends e as one JSON object, byte for byte what
+// encoding/json makes of Event's struct tags — kind, round and client
+// always, every other field in declaration order unless zero (omitempty;
+// −0 counts as zero) — without the reflection walk. Like encoding/json it
+// refuses non-finite floats.
+func appendEvent(b []byte, e *Event) ([]byte, error) {
+	b = append(b, `{"kind":"`...)
+	b = append(b, e.Kind.String()...)
+	b = append(b, `","round":`...)
+	b = strconv.AppendInt(b, int64(e.Round), 10)
+	b = append(b, `,"client":`...)
+	b = strconv.AppendInt(b, int64(e.Client), 10)
+	for _, f := range [...]struct {
+		key string
+		v   int
+	}{
+		{`,"samples":`, e.Samples}, {`,"throttles":`, e.Throttles},
+		{`,"straggler":`, e.Straggler}, {`,"staleness":`, e.Staleness},
+		{`,"flag":`, e.Flag},
+	} {
+		if f.v != 0 {
+			b = append(b, f.key...)
+			b = strconv.AppendInt(b, int64(f.v), 10)
+		}
+	}
+	for _, f := range [...]struct {
+		key string
+		v   float64
+	}{
+		{`,"at_s":`, e.AtS}, {`,"compute_s":`, e.ComputeS}, {`,"comm_s":`, e.CommS},
+		{`,"energy_j":`, e.EnergyJ}, {`,"battery":`, e.Battery}, {`,"temp_c":`, e.TempC},
+		{`,"freq_ghz":`, e.FreqGHz}, {`,"makespan_s":`, e.MakespanS}, {`,"loss":`, e.Loss},
+		{`,"accuracy":`, e.Accuracy},
+	} {
+		if f.v == 0 { //fedlint:allow floateq — omitempty's exact zero test (−0 included)
+			continue
+		}
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return b, fmt.Errorf("unsupported value %v for %s (emitters Sanitize)", f.v, f.key[2:len(f.key)-2])
+		}
+		b = append(b, f.key...)
+		b = appendFloat(b, f.v)
+	}
+	return append(b, '}'), nil
+}
+
+// appendFloat appends f the way encoding/json writes a float64 (the ES6
+// number-to-string rule): shortest round-trip digits, plain decimal
+// unless |f| < 1e-6 or |f| ≥ 1e21, then exponent form with a negative
+// two-digit exponent's leading zero dropped (e-09 → e-9).
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) { //fedlint:allow floateq — encoding/json's exact cutoffs
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
 // WriteJSONL writes one JSON object per event, one per line, in order.
 // Encoding is deterministic (fixed field order, shortest float
 // round-trip representation), so equal event sequences produce
 // byte-identical files.
 func WriteJSONL(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	var line []byte
 	for i := range events {
-		if err := enc.Encode(&events[i]); err != nil {
+		var err error
+		if line, err = appendEvent(line[:0], &events[i]); err != nil {
 			return fmt.Errorf("trace: event %d: %w", i, err)
 		}
+		line = append(line, '\n')
+		bw.Write(line) // a failed write sticks and surfaces in Flush
 	}
 	return bw.Flush()
 }

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -27,7 +25,7 @@ import (
 type Stream struct {
 	w      io.Writer
 	offset int64
-	buf    bytes.Buffer
+	buf    []byte
 }
 
 // NewStream returns a Stream appending to w. base is the byte offset
@@ -50,19 +48,20 @@ func (s *Stream) Flush(r *Recorder) error {
 	if d := r.Dropped(); d > 0 {
 		return fmt.Errorf("trace: stream flush lost %d events to ring overflow; raise the ring capacity or flush more often", d)
 	}
-	s.buf.Reset()
-	enc := json.NewEncoder(&s.buf)
+	s.buf = s.buf[:0]
 	for i := 0; i < r.n; i++ {
-		if err := enc.Encode(&r.buf[(r.start+i)%len(r.buf)]); err != nil {
+		var err error
+		if s.buf, err = appendEvent(s.buf, &r.buf[(r.start+i)%len(r.buf)]); err != nil {
 			return fmt.Errorf("trace: stream event %d: %w", i, err)
 		}
+		s.buf = append(s.buf, '\n')
 	}
-	n, err := s.w.Write(s.buf.Bytes())
+	n, err := s.w.Write(s.buf)
 	if err != nil {
 		// A torn write may leave the sink ahead of the accounting; the
 		// offset deliberately stays put — anything past it is a partial
 		// tail that a resume truncates away.
-		return fmt.Errorf("trace: stream write (%d of %d bytes): %w", n, s.buf.Len(), err)
+		return fmt.Errorf("trace: stream write (%d of %d bytes): %w", n, len(s.buf), err)
 	}
 	s.offset += int64(n)
 	r.Reset()

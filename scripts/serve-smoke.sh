@@ -33,16 +33,19 @@ $GO build -o "$BIN" ./cmd/fedserve ./cmd/fedload
 
 # The fixed-seed 3-job mix. The sync job is deliberately the long pole
 # (40 rounds, checkpointed every round) so the SIGKILL below is
-# guaranteed to land while it is mid-run.
+# guaranteed to land while it is mid-run. Each job pins "workers": 1 —
+# one lane apiece — so the three fit the daemon's -lane-budget 3 and
+# co-run at any core count; left unset, a job asks for GOMAXPROCS lanes
+# and on a ≥2-CPU host the budget admits them one at a time.
 JOBS=$RUN/jobs.json
 cat > "$JOBS" <<'EOF'
 [
   {"name": "smoke-sync",   "engine": "sync",   "clients": 3, "rounds": 40,
-   "samples": 300, "test_samples": 100, "seed": 11},
+   "samples": 300, "test_samples": 100, "seed": 11, "workers": 1},
   {"name": "smoke-async",  "engine": "async",  "clients": 3, "max_updates": 6,
-   "samples": 300, "test_samples": 100, "seed": 12},
+   "samples": 300, "test_samples": 100, "seed": 12, "workers": 1},
   {"name": "smoke-gossip", "engine": "gossip", "clients": 3, "rounds": 1,
-   "samples": 300, "test_samples": 100, "seed": 13}
+   "samples": 300, "test_samples": 100, "seed": 13, "workers": 1}
 ]
 EOF
 
