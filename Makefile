@@ -12,10 +12,10 @@ GO ?= go
 BENCH_MAX_SLOWDOWN ?= 1.15
 
 .PHONY: build test vet lint lint-ci lint-baseline \
-	fuzz-smoke fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace \
+	fuzz-smoke fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv \
 	fmt-check check check-nolint race race-tensor purego trace-golden loc \
 	bench bench-parallel bench-gemm bench-gemm-f32 bench-sched bench-ci \
-	bench-regression bench-regression-serve profile-pop \
+	bench-regression bench-regression-serve profile-pop profile-train \
 	population-smoke fault-smoke serve-smoke
 
 build:
@@ -48,11 +48,13 @@ lint-baseline:
 # Short native-fuzz pass over the property-based targets: the sparse
 # Fed-LBAP solver against the dense oracle and the full-range reference's
 # event stream, the cohort samplers' sortedness/bounds/determinism
-# contract, the fault plan's spec-parse/draw invariants, and the trace
-# encoder against encoding/json. Seeds live under testdata/fuzz; CI runs
-# this in the lint lane. Each target is its own recipe so one failing
-# fuzzer no longer hides the others: the umbrella runs all four and
-# fails at the end with the full list of failed targets.
+# contract, the fault plan's spec-parse/draw invariants, the trace
+# encoder against encoding/json, and the pack-free convolution kernels
+# against the im2col oracle over random geometries. Seeds live under
+# testdata/fuzz (or in the target); CI runs this in the lint lane. Each
+# target is its own recipe so one failing fuzzer no longer hides the
+# others: the umbrella runs all five and fails at the end with the full
+# list of failed targets.
 FUZZTIME ?= 10s
 fuzz-smoke-sched:
 	$(GO) test ./internal/sched -run '^$$' -fuzz FuzzSparseFedLBAP -fuzztime $(FUZZTIME)
@@ -66,9 +68,12 @@ fuzz-smoke-fault:
 fuzz-smoke-trace:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzEventJSON -fuzztime $(FUZZTIME)
 
+fuzz-smoke-conv:
+	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzConvGeom -fuzztime $(FUZZTIME)
+
 fuzz-smoke:
 	@failed=""; \
-	for t in fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace; do \
+	for t in fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv; do \
 		$(MAKE) $$t FUZZTIME=$(FUZZTIME) || failed="$$failed $$t"; \
 	done; \
 	if [ -n "$$failed" ]; then \
@@ -117,19 +122,19 @@ purego:
 
 # Size of the tree, for "same behaviour from less code" PRs: non-test Go
 # lines, raw and code-only (no blank or comment-only lines), for the FL
-# engines and for everything outside bench/ (testdata fixtures excluded),
-# plus the internal package count. Informational — CI prints it, nothing
+# engines, the tensor kernels and everything outside bench/ (testdata
+# fixtures excluded), plus the internal package count. Informational — CI prints it, nothing
 # gates on it.
 LOC_FILES = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' \
 	! -path '*/testdata/*' ! -path './.bench_build/*' -print0
 loc:
-	@printf '%-28s %8s %10s\n' scope raw code-only
-	@for scope in internal/fl .; do \
-		printf '%-28s %8d %10d\n' "$$scope (non-test .go)" \
+	@printf '%-32s %8s %10s\n' scope raw code-only
+	@for scope in internal/fl internal/tensor .; do \
+		printf '%-32s %8d %10d\n' "$$scope (non-test .go)" \
 			"$$($(call LOC_FILES,$$scope) | xargs -0 cat | wc -l)" \
 			"$$($(call LOC_FILES,$$scope) | xargs -0 cat | grep -vcE '^\s*(//.*)?$$')"; \
 	done
-	@printf '%-28s %8d\n' 'internal/ packages' \
+	@printf '%-32s %8d\n' 'internal/ packages' \
 		"$$(find internal -name '*.go' ! -path '*/testdata/*' -exec dirname {} \; | sort -u | wc -l)"
 
 # Regenerate the golden round traces under testdata/trace after an
@@ -178,6 +183,20 @@ profile-pop:
 	$(GO) test -run '^$$' -bench 'BenchmarkRoundLoop/n=1000000' -benchtime=5000x -benchmem \
 		-cpuprofile artifacts/pop.prof -o artifacts/pop.test .
 	$(GO) tool pprof -top -cum artifacts/pop.test artifacts/pop.prof | head -40
+
+# Where a train step's time goes — the train-step twin of profile-pop:
+# CPU-profile the serial FL run (LeNet-S clients, what the benchmark's
+# training workloads execute) and the bare LeNet-S train step, and print
+# the cumulative top of each. Profiles and test binaries stay under
+# artifacts/ for `go tool pprof -list`.
+profile-train:
+	mkdir -p artifacts
+	$(GO) test -run '^$$' -bench 'BenchmarkRunSerial$$' -benchtime=10x \
+		-cpuprofile artifacts/train_run.prof -o artifacts/train_run.test .
+	$(GO) tool pprof -top -cum artifacts/train_run.test artifacts/train_run.prof | head -50
+	$(GO) test -run '^$$' -bench 'BenchmarkLeNetSmallTrainBatch$$' -benchtime=2000x \
+		-cpuprofile artifacts/train_step.prof -o artifacts/train_step.test ./internal/nn/
+	$(GO) tool pprof -top -cum artifacts/train_step.test artifacts/train_step.prof | head -50
 
 # CI bench smoke: 5 repetitions of the gated benchmarks — the root
 # layer triples and engine runs, then the LeNet-S kernels and train step

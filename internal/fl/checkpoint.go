@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"fedsched/internal/device"
 	"fedsched/internal/fault"
@@ -70,29 +71,14 @@ const (
 	checkpointMaxCount = 1 << 31
 )
 
-type ckWriter struct {
-	w   io.Writer
-	err error
-}
+// ckWriter encodes into one growing byte slice; Save writes it out in a
+// single call.
+type ckWriter struct{ b []byte }
 
-func (c *ckWriter) u64(v uint64) {
-	if c.err != nil {
-		return
-	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	_, c.err = c.w.Write(b[:])
-}
-
+func (c *ckWriter) u64(v uint64)  { c.b = binary.LittleEndian.AppendUint64(c.b, v) }
 func (c *ckWriter) i64(v int64)   { c.u64(uint64(v)) }
 func (c *ckWriter) f64(v float64) { c.u64(math.Float64bits(v)) }
-
-func (c *ckWriter) u8(v uint8) {
-	if c.err != nil {
-		return
-	}
-	_, c.err = c.w.Write([]byte{v})
-}
+func (c *ckWriter) u8(v uint8)    { c.b = append(c.b, v) }
 
 func (c *ckWriter) boolv(v bool) {
 	if v {
@@ -101,6 +87,11 @@ func (c *ckWriter) boolv(v bool) {
 		c.u8(0)
 	}
 }
+
+// ckWriters recycles encode buffers: a run checkpoints every few rounds
+// and each snapshot is a little larger than the last, so steady-state
+// saves allocate nothing.
+var ckWriters = sync.Pool{New: func() any { return new(ckWriter) }}
 
 type ckReader struct {
 	r   io.Reader
@@ -149,7 +140,9 @@ func (c *ckReader) count(what string) int {
 // little-endian binary; float64 fields are written by bit pattern, so
 // NaNs (failed rounds) and exact float state survive the round trip.
 func (ck *Checkpoint) Save(w io.Writer) error {
-	cw := &ckWriter{w: w}
+	cw := ckWriters.Get().(*ckWriter)
+	defer ckWriters.Put(cw)
+	cw.b = cw.b[:0]
 	cw.u64(checkpointMagic)
 	cw.u64(uint64(checkpointVersion))
 	cw.i64(ck.Seed)
@@ -175,9 +168,7 @@ func (ck *Checkpoint) Save(w io.Writer) error {
 		cw.i64(int64(e.Until))
 	}
 	cw.i64(int64(len(ck.Model)))
-	if cw.err == nil && len(ck.Model) > 0 {
-		_, cw.err = w.Write(ck.Model)
-	}
+	cw.b = append(cw.b, ck.Model...)
 	cw.i64(int64(len(ck.HistoryRounds)))
 	for i := range ck.HistoryRounds {
 		rs := &ck.HistoryRounds[i]
@@ -204,7 +195,8 @@ func (ck *Checkpoint) Save(w io.Writer) error {
 		}
 	}
 	cw.f64(ck.TotalSeconds)
-	return cw.err
+	_, err := w.Write(cw.b)
+	return err
 }
 
 // LoadCheckpoint deserializes a checkpoint written by Save.

@@ -282,6 +282,52 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestEvaluateLanesSaturated: with every lane of a 4-lane pool held by
+// someone else (a daemon whose other jobs are training), forEachBatch
+// must take the sequential path without building a single clone —
+// observed as allocations, since a Clone is a whole BuildNetwork — hand
+// back nothing it did not take, and evaluate to the same result as the
+// fanned-out run. A blueprint-less network returns the lanes it was
+// granted.
+func TestEvaluateLanesSaturated(t *testing.T) {
+	_, test := data.TrainTest(data.SMNISTConfig(0, 64), 10, 230)
+	net := nn.LeNetSmall(1, 16, 16, 10).Build(rand.New(rand.NewSource(3)))
+	forceLanes(t, 4)
+	want := Evaluate(net, test, 64)
+
+	held := tensor.TryAcquireLanes(3)
+	if held != 3 {
+		t.Fatalf("acquired %d of 3 lanes", held)
+	}
+	var sawClone bool
+	fn := func(_ int, m *nn.Network) { sawClone = sawClone || m != net }
+	allocs := testing.AllocsPerRun(5, func() { forEachBatch(net, 4, 8, fn) })
+	if allocs > 0 || sawClone {
+		t.Errorf("saturated forEachBatch allocated %v times per call (clone used: %v), want the bare sequential loop", allocs, sawClone)
+	}
+	if got := Evaluate(net, test, 64); got != want {
+		t.Errorf("saturated Evaluate = %v, fanned-out %v", got, want)
+	}
+	tensor.ReleaseLanes(held)
+
+	bare := nn.NewNetwork("bare", net.Layers...)
+	calls := 0
+	forEachBatch(bare, 4, 8, func(_ int, m *nn.Network) {
+		if m != bare {
+			t.Error("blueprint-less network was cloned")
+		}
+		calls++
+	})
+	if calls != 8 {
+		t.Errorf("blueprint-less network ran %d of 8 batches", calls)
+	}
+	if free := tensor.TryAcquireLanes(3); free != 3 {
+		t.Errorf("%d of 3 lanes free after the nil-blueprint path", free)
+	} else {
+		tensor.ReleaseLanes(free)
+	}
+}
+
 // TestAsyncWorkersBitIdentical: the futures engine must keep every server
 // merge in exact virtual-time order, so the whole history matches the
 // sequential engine field by field.

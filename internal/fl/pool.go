@@ -83,9 +83,11 @@ func forEach(workers, n int, fn func(i int)) {
 // out across clones of net when parallelism is available. The original
 // net serves the calling goroutine; each extra worker gets its own clone
 // (fresh layer caches), because forward passes mutate per-layer state.
-// Networks without a Clone blueprint fall back to the sequential loop.
-// fn must write its result into task-indexed storage; any merge happens
-// after return, in batch order.
+// Lanes are taken before anything is cloned — a saturated pool must not
+// pay for networks it cannot run — and exactly one clone is built per
+// lane granted. Networks without a Clone blueprint hand the lanes back
+// and fall back to the sequential loop. fn must write its result into
+// task-indexed storage; any merge happens after return, in batch order.
 func forEachBatch(net *nn.Network, workers, n int, fn func(i int, m *nn.Network)) {
 	if n <= 0 {
 		return
@@ -94,11 +96,18 @@ func forEachBatch(net *nn.Network, workers, n int, fn func(i int, m *nn.Network)
 		workers = n
 	}
 	extra := 0
-	var firstClone *nn.Network
 	if workers > 1 {
-		if firstClone = net.Clone(); firstClone != nil {
-			extra = tensor.TryAcquireLanes(workers - 1)
+		extra = tensor.TryAcquireLanes(workers - 1)
+	}
+	clones := make([]*nn.Network, 0, extra)
+	for len(clones) < extra {
+		c := net.Clone()
+		if c == nil {
+			tensor.ReleaseLanes(extra)
+			extra = 0
+			break
 		}
+		clones = append(clones, c)
 	}
 	if extra == 0 {
 		for i := 0; i < n; i++ {
@@ -117,11 +126,7 @@ func forEachBatch(net *nn.Network, workers, n int, fn func(i int, m *nn.Network)
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < extra; w++ {
-		clone := firstClone
-		if w > 0 {
-			clone = net.Clone()
-		}
+	for _, clone := range clones {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

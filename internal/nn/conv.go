@@ -9,11 +9,12 @@ import (
 )
 
 // Conv2DOf is a 2-D convolution over (N, C, H, W) inputs, implemented as
-// implicit-GEMM: the blocked matrix kernels consume the input through
-// virtual im2col operands synthesized inside their packing stage (see
+// implicit GEMM: the blocked matrix kernels read the im2col operand in
+// place from the (zero-bordered) input through two offset tables (see
 // tensor.ConvForwardInto and friends), so the (N·OH·OW, InC·K·K) patch
 // matrix — historically the largest steady-state training buffer — is
-// never materialized. Weights have shape (OutC, InC·K·K).
+// never materialized, not even a panel at a time. Weights have shape
+// (OutC, InC·K·K).
 //
 // The layer keeps every per-batch buffer — the output activation and the
 // two gradients — alive across batches, so on steady-state batch sizes
@@ -169,7 +170,7 @@ func (c *Conv2DOf[T]) backwardParams(grad *tensor.TensorOf[T]) {
 			bg[f] = s
 		}
 	}
-	// dW = gradᵀ·im2col(x), with the patch matrix synthesized in-kernel.
+	// dW = gradᵀ·im2col(x), with the patch matrix read in place.
 	c.dw = tensor.EnsureShape(c.dw, c.OutC, c.InC*c.K*c.K)
 	tensor.ConvGradWeightsInto(c.dw, grad, c.x, c.K, c.K, c.Stride, c.Pad)
 	c.w.Grad.Add(c.dw)

@@ -67,6 +67,20 @@ func getStatus(t *testing.T, ts *httptest.Server, id string) JobStatus {
 	return st
 }
 
+func getRounds(t *testing.T, ts *httptest.Server, id string) []RoundInfo {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/jobs/" + id + "/rounds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var rounds []RoundInfo
+	if err := json.NewDecoder(resp.Body).Decode(&rounds); err != nil {
+		t.Fatal(err)
+	}
+	return rounds
+}
+
 func terminal(state string) bool {
 	return state == StateCompleted || state == StateFailed || state == StateCancelled
 }
@@ -247,10 +261,21 @@ func TestBackpressureAndCancel(t *testing.T) {
 // TestRestartResume is the serving layer's core guarantee: interrupt a
 // daemon mid-job, restart over the same state directory, and the
 // finished job's round history and trace are byte-identical to a never-
-// interrupted run of the same config.
+// interrupted run of the same config. Along the way every wait also
+// polls /rounds: whatever a client sees mid-run — fresh, or resumed and
+// growing from the restored history — must be a prefix of that final
+// history.
 func TestRestartResume(t *testing.T) {
 	cfg := `{"clients":3,"rounds":8,"samples":300,"test_samples":100,"seed":5}`
 	dir1 := t.TempDir()
+	var polled [][]RoundInfo
+	polling := func(ts *httptest.Server, id string, cond func(JobStatus) bool) func(JobStatus) bool {
+		return func(s JobStatus) bool {
+			polled = append(polled, getRounds(t, ts, id))
+			return cond(s)
+		}
+	}
+	isTerminal := func(s JobStatus) bool { return terminal(s.State) }
 
 	s1, err := New(Options{Dir: dir1})
 	if err != nil {
@@ -261,7 +286,7 @@ func TestRestartResume(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", resp.StatusCode)
 	}
-	waitFor(t, ts1, st.ID, "two completed rounds", func(s JobStatus) bool { return s.RoundsDone >= 2 })
+	waitFor(t, ts1, st.ID, "two completed rounds", polling(ts1, st.ID, func(s JobStatus) bool { return s.RoundsDone >= 2 }))
 	ts1.Close()
 	s1.Close() // interrupts at the next round boundary
 
@@ -286,7 +311,7 @@ func TestRestartResume(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(s2.Handler())
 	t.Cleanup(func() { ts2.Close(); s2.Close() })
-	final := waitFor(t, ts2, st.ID, StateCompleted, func(s JobStatus) bool { return terminal(s.State) })
+	final := waitFor(t, ts2, st.ID, StateCompleted, polling(ts2, st.ID, isTerminal))
 	if final.State != StateCompleted {
 		t.Fatalf("resumed job ended %s (%s)", final.State, final.Error)
 	}
@@ -304,9 +329,23 @@ func TestRestartResume(t *testing.T) {
 	refDir := t.TempDir()
 	_, ts3 := startServer(t, Options{Dir: refDir})
 	ref, _ := submit(t, ts3, cfg)
-	refFinal := waitFor(t, ts3, ref.ID, StateCompleted, func(s JobStatus) bool { return terminal(s.State) })
+	refFinal := waitFor(t, ts3, ref.ID, StateCompleted, polling(ts3, ref.ID, isTerminal))
 	if refFinal.State != StateCompleted {
 		t.Fatalf("reference job ended %s (%s)", refFinal.State, refFinal.Error)
+	}
+	history := getRounds(t, ts3, ref.ID)
+	if len(history) != 8 {
+		t.Fatalf("reference history has %d rounds, want 8", len(history))
+	}
+	for i, seen := range polled {
+		if len(seen) > len(history) {
+			t.Fatalf("poll %d saw %d rounds, more than the final history", i, len(seen))
+		}
+		for r := range seen {
+			if seen[r] != history[r] {
+				t.Fatalf("poll %d: round %d was %+v mid-run, %+v in the final history", i, r, seen[r], history[r])
+			}
+		}
 	}
 
 	for _, name := range []string{"trace.jsonl", "rounds.json"} {

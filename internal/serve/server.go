@@ -86,21 +86,25 @@ type RoundInfo struct {
 	Participants int     `json:"participants"`
 }
 
+func roundInfo(rs *fl.RoundStats) RoundInfo {
+	n := 0
+	for _, cr := range rs.Clients {
+		if cr.Fault == 0 && !cr.Diverged && !cr.Late && !cr.Dropped {
+			n++
+		}
+	}
+	return RoundInfo{
+		Round: rs.Round, MakespanS: rs.Makespan,
+		TrainLoss: trace.Sanitize(rs.TrainLoss),
+		Accuracy:  trace.Sanitize(rs.Accuracy),
+		Failed:    rs.Failed, Participants: n,
+	}
+}
+
 func roundInfos(rounds []fl.RoundStats) []RoundInfo {
 	out := make([]RoundInfo, len(rounds))
-	for i, rs := range rounds {
-		n := 0
-		for _, cr := range rs.Clients {
-			if cr.Fault == 0 && !cr.Diverged && !cr.Late && !cr.Dropped {
-				n++
-			}
-		}
-		out[i] = RoundInfo{
-			Round: rs.Round, MakespanS: rs.Makespan,
-			TrainLoss: trace.Sanitize(rs.TrainLoss),
-			Accuracy:  trace.Sanitize(rs.Accuracy),
-			Failed:    rs.Failed, Participants: n,
-		}
+	for i := range rounds {
+		out[i] = roundInfo(&rounds[i])
 	}
 	return out
 }
@@ -632,8 +636,12 @@ func (s *Server) runSync(j *job, b *built, stream *trace.Stream, rec *trace.Reco
 		if err := writeResume(j.dir, ck, stream.Offset()); err != nil {
 			return err
 		}
+		// Past rounds never change (restoreRounds published a resumed
+		// job's), so only the new tail is converted.
 		s.mu.Lock()
-		j.rounds = roundInfos(ck.HistoryRounds)
+		for i := len(j.rounds); i < len(ck.HistoryRounds); i++ {
+			j.rounds = append(j.rounds, roundInfo(&ck.HistoryRounds[i]))
+		}
 		j.done = len(ck.HistoryRounds)
 		s.mu.Unlock()
 		return nil

@@ -42,7 +42,7 @@ func oracleConv[T Float](x, w, bias, gm *TensorOf[T], k, stride, pad int) (ym, d
 	return ym, dw, dx
 }
 
-// implicitConv runs the three implicit-GEMM kernels on the same inputs.
+// implicitConv runs the three pack-free conv kernels on the same inputs.
 func implicitConv[T Float](x, w, bias, gm *TensorOf[T], k, stride, pad int) (ym, dw, dx *TensorOf[T]) {
 	oh := ConvOutSize(x.Dim(2), k, stride, pad)
 	ow := ConvOutSize(x.Dim(3), k, stride, pad)
@@ -66,15 +66,21 @@ func bitsEqual[T Float](a, b *TensorOf[T]) (int, bool) {
 	return 0, true
 }
 
-// testConvImplicitMatchesOracle pins the headline implicit-GEMM claim:
-// forward, weight-gradient and input-gradient match the materialized
-// im2col path bit-for-bit (not just within tolerance) on the whole
-// geometry grid — virtual packing synthesizes the same panels, the
-// blocked core and dispatch cutoffs are shared, and ±0 bookkeeping of
-// padded taps cannot leak into any sum.
+// testConvImplicitMatchesOracle pins the headline claim: forward,
+// weight-gradient and input-gradient match the materialized im2col path
+// bit-for-bit (not just within tolerance) on both geometry grids, serial
+// and fanned out — the indirect kernel reads the values the packers
+// would have copied, the blocked core and dispatch cutoffs are shared,
+// and ±0 bookkeeping of padded taps cannot leak into any sum.
 func testConvImplicitMatchesOracle[T Float](t *testing.T) {
+	for _, lanes := range []int{0, 3} {
+		withLanes(t, lanes, func() { testConvCasesMatchOracle[T](t) })
+	}
+}
+
+func testConvCasesMatchOracle[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, tc := range convCases {
+	for _, tc := range append(convCases, packCases...) {
 		x := randTensorOf[T](rng, tc.n, tc.c, tc.h, tc.w)
 		w := randTensorOf[T](rng, tc.f, tc.c*tc.k*tc.k)
 		bias := randTensorOf[T](rng, tc.f)
@@ -112,10 +118,17 @@ func TestConvImplicitBitIdenticalAcrossLanes(t *testing.T) {
 }
 
 func testConvLaneDeterminism[T Float](t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
 	// Batch 8, 20→40 channels at 12×12, k=5: the forward GEMM is
-	// 512×500×40 ≫ the parallel cutoff with multiple grid cells.
-	n, c, h, wdt, f, k, stride, pad := 8, 20, 12, 12, 40, 5, 1, 0
+	// 512×500×40 ≫ the parallel cutoff with multiple grid cells. The
+	// second geometry fans out through the zero-bordered copy: stride 2,
+	// pad 2, ragged m and n, two KC panels either way round.
+	testConvLaneDeterminismAt[T](t, convCase{8, 20, 12, 12, 40, 5, 1, 0})
+	testConvLaneDeterminismAt[T](t, packCases[len(packCases)-1])
+}
+
+func testConvLaneDeterminismAt[T Float](t *testing.T, tc convCase) {
+	rng := rand.New(rand.NewSource(23))
+	n, c, h, wdt, f, k, stride, pad := tc.n, tc.c, tc.h, tc.w, tc.f, tc.k, tc.stride, tc.pad
 	x := randTensorOf[T](rng, n, c, h, wdt)
 	w := randTensorOf[T](rng, f, c*k*k)
 	bias := randTensorOf[T](rng, f)
@@ -129,13 +142,13 @@ func testConvLaneDeterminism[T Float](t *testing.T) {
 		var gotY, gotDW, gotDX *TensorOf[T]
 		withLanes(t, lanes, func() { gotY, gotDW, gotDX = implicitConv(x, w, bias, gm, k, stride, pad) })
 		if i, ok := bitsEqual(refY, gotY); !ok {
-			t.Fatalf("lanes=%d: forward differs at %d", lanes, i)
+			t.Fatalf("%+v lanes=%d: forward differs at %d", tc, lanes, i)
 		}
 		if i, ok := bitsEqual(refDW, gotDW); !ok {
-			t.Fatalf("lanes=%d: dW differs at %d", lanes, i)
+			t.Fatalf("%+v lanes=%d: dW differs at %d", tc, lanes, i)
 		}
 		if i, ok := bitsEqual(refDX, gotDX); !ok {
-			t.Fatalf("lanes=%d: dX differs at %d", lanes, i)
+			t.Fatalf("%+v lanes=%d: dX differs at %d", tc, lanes, i)
 		}
 	}
 }
@@ -282,32 +295,32 @@ func BenchmarkConvLeNetS(b *testing.B) {
 	}
 }
 
-// packCases is the geometry grid for the packer and fused-layout
-// property tests: stride 1 and 2, pad 0/1/2, output rows narrower than a
-// micro-panel (ow = 4 < f32's mr = 8) and wider, ragged m and n tails
-// against both register tiles, patch lengths that split kernel rows
-// across B micro-panels, and k long enough for several KC panels in both
-// the forward (kdim > 256) and the weight-gradient (positions > 256)
-// GEMM.
+// packCases is the geometry grid for the offset-table, packer and
+// fused-layout property tests: stride 1 and 2, pad 0/1/2, output rows
+// narrower than a register tile (ow = 4 < f32's mr = 8) and wider, ragged
+// m and n tails against both register tiles in both the forward
+// (m = positions) and the weight-gradient (m = taps) GEMM, and k long
+// enough for several KC panels in both (kdim > 256, positions > 256).
 var packCases = []convCase{
-	{20, 1, 16, 16, 6, 5, 1, 2}, // LeNet-S conv1
-	{20, 6, 8, 8, 12, 5, 1, 0},  // LeNet-S conv2: ow = 4
-	{3, 2, 9, 7, 5, 3, 1, 1},    // ragged everything, ow = 7
-	{2, 3, 11, 11, 7, 3, 2, 1},  // stride 2
-	{2, 2, 10, 13, 3, 5, 2, 2},  // stride 2, pad 2, ow ≠ oh
-	{2, 11, 8, 8, 9, 5, 1, 2},   // kdim = 275: two KC panels forward
-	{5, 12, 6, 6, 10, 5, 1, 0},  // kdim = 300, ow = 2
-	{1, 4, 5, 5, 6, 1, 1, 0},    // 1×1 kernel: every lane run is one column
-	{2, 1, 6, 6, 4, 3, 1, 2},    // pad = k-1: whole kernel rows in the padding
+	{20, 1, 16, 16, 6, 5, 1, 2},  // LeNet-S conv1
+	{20, 6, 8, 8, 12, 5, 1, 0},   // LeNet-S conv2: ow = 4
+	{3, 2, 9, 7, 5, 3, 1, 1},     // ragged everything, ow = 7
+	{2, 3, 11, 11, 7, 3, 2, 1},   // stride 2
+	{2, 2, 10, 13, 3, 5, 2, 2},   // stride 2, pad 2, ow ≠ oh
+	{2, 11, 8, 8, 9, 5, 1, 2},    // kdim = 275: two KC panels forward
+	{5, 12, 6, 6, 10, 5, 1, 0},   // kdim = 300, ow = 2
+	{1, 4, 5, 5, 6, 1, 1, 0},     // 1×1 kernel: every lane run is one column
+	{2, 1, 6, 6, 4, 3, 1, 2},     // pad = k-1: whole kernel rows in the padding
+	{7, 11, 21, 19, 10, 5, 2, 2}, // all at once: 770 positions × 275 taps × 10, above the fan-out cutoff
 }
 
-// testConvPackersMatchIm2col pins the virtual packers at panel level:
-// for every block of the grid the blocked kernel would ask for (and a
-// few ragged ones it would not), packAConv and packBConv must fill their
-// panels with exactly what packA and packB produce from the materialized
-// im2col matrix — padding taps, ragged-tail lanes and all — and the
-// gradient-view packers exactly what packA produces from the re-laid-out
-// gradient.
+// testConvPackersMatchIm2col pins what the blocked kernel is handed in
+// place of packed im2col panels. The separable offset tables must
+// address exactly the materialized im2col matrix — element (i, l) is
+// x[pos[i]+tap[l]], padding taps reading the zero border of a pooled
+// buffer that was dirty beforehand, the tile slack aliasing the last
+// valid row — and the gradient-view packers must fill their panels with
+// exactly what packA and packB produce from the re-laid-out gradient.
 func testConvPackersMatchIm2col[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	mr, nr := microTile[T]()
@@ -316,6 +329,35 @@ func testConvPackersMatchIm2col[T Float](t *testing.T) {
 		cols := im2col(x, tc.k, tc.k, tc.stride, tc.pad)
 		g := makeConvGeom(x.shape, tc.k, tc.k, tc.stride, tc.pad)
 		rows, kdim := g.rows(), g.cols()
+		var s convScratch[T]
+		for i := range s.grow(2 * x.Len()) {
+			s.buf[i] = 7
+		}
+		xp, pos, tap := s.im2col(x.data, &g)
+		if (tc.pad == 0) != (&xp[0] == &x.data[0]) {
+			t.Fatalf("%+v: input copied iff padded violated", tc)
+		}
+		for i := 0; i < rows; i++ {
+			for l := 0; l < kdim; l++ {
+				if got, want := xp[pos[i]+tap[l]], cols.data[i*kdim+l]; math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+					t.Fatalf("%+v: element (%d,%d): %v, im2col has %v", tc, i, l, got, want)
+				}
+			}
+		}
+		if len(pos) != rows+gemmMaxMR-1 || len(tap) != kdim+gemmMaxMR-1 {
+			t.Fatalf("%+v: table lengths %d, %d", tc, len(pos), len(tap))
+		}
+		for i := range pos[rows:] {
+			if pos[rows+i] != pos[rows-1] {
+				t.Fatalf("%+v: position slack %d does not alias the last row", tc, i)
+			}
+		}
+		for i := range tap[kdim:] {
+			if tap[kdim+i] != tap[kdim-1] {
+				t.Fatalf("%+v: tap slack %d does not alias the last row", tc, i)
+			}
+		}
+
 		want := make([]T, gemmMC*gemmKC+gemmKC*gemmNC)
 		got := make([]T, len(want))
 		fill := func() {
@@ -332,33 +374,6 @@ func testConvPackersMatchIm2col[T Float](t *testing.T) {
 				}
 			}
 		}
-		// A blocks: the kernel's own grid, plus offsets that start mid
-		// output row / mid kernel row.
-		for _, i0 := range []int{0, gemmMC, 3, rows - 5} {
-			for _, p0 := range []int{0, gemmKC, 7} {
-				if i0 < 0 || i0 >= rows || p0 >= kdim {
-					continue
-				}
-				mc, kc := min(gemmMC, rows-i0), min(gemmKC, kdim-p0)
-				fill()
-				packA(want, cols.data, kdim, 1, i0, p0, mc, kc, mr)
-				packAConv(got, x.data, &g, i0, p0, mc, kc, mr)
-				check("A", i0, p0, mc, kc)
-			}
-		}
-		// B blocks (the weight-gradient operand: depth = positions).
-		for _, p0 := range []int{0, gemmKC, 5} {
-			for _, j0 := range []int{0, gemmNC, 2} {
-				if p0 >= rows || j0 >= kdim {
-					continue
-				}
-				kc, nc := min(gemmKC, rows-p0), min(gemmNC, kdim-j0)
-				fill()
-				packB(want, cols.data, kdim, 1, p0, j0, kc, nc, nr)
-				packBConv(got, x.data, &g, p0, j0, kc, nc, nr)
-				check("B", p0, j0, kc, nc)
-			}
-		}
 		// Gradient views against the matmul-layout matrix they replace.
 		grad := randTensorOf[T](rng, tc.n, tc.f, g.oh, g.ow)
 		gm := NewOf[T](rows, tc.f)
@@ -373,17 +388,19 @@ func testConvPackersMatchIm2col[T Float](t *testing.T) {
 			fill()
 			packA(want, gm.data, tc.f, 1, i0, 0, mc, kc, mr)
 			packAPosChan(got, &gv, i0, 0, mc, kc, mr)
-			check("posChan", i0, 0, mc, kc)
+			check("A posChan", i0, 0, mc, kc)
 		}
 		for _, p0 := range []int{0, gemmKC, 5} {
-			if p0 >= rows {
-				continue
+			for _, j0 := range []int{0, 2} {
+				if p0 >= rows {
+					continue
+				}
+				kc, nc := min(gemmKC, rows-p0), tc.f-j0
+				fill()
+				packB(want, gm.data, tc.f, 1, p0, j0, kc, nc, nr)
+				packBPosChan(got, &gv, p0, j0, kc, nc, nr)
+				check("B posChan", p0, j0, kc, nc)
 			}
-			mc, kc := tc.f, min(gemmKC, rows-p0)
-			fill()
-			packA(want, gm.data, 1, tc.f, 0, p0, mc, kc, mr)
-			packAChanPos(got, &gv, 0, p0, mc, kc, mr)
-			check("chanPos", 0, p0, mc, kc)
 		}
 	}
 }
@@ -401,6 +418,12 @@ func TestConvPackersMatchIm2col(t *testing.T) {
 // materialized matmul-layout pipeline followed by an explicit permute
 // and clamp.
 func testConvFusedLayoutsMatchOracle[T Float](t *testing.T) {
+	for _, lanes := range []int{0, 3} {
+		withLanes(t, lanes, func() { testConvFusedLayoutsAt[T](t) })
+	}
+}
+
+func testConvFusedLayoutsAt[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for _, tc := range append(packCases, convCases...) {
 		x := randTensorOf[T](rng, tc.n, tc.c, tc.h, tc.w)

@@ -2,27 +2,37 @@ package tensor
 
 import "sync"
 
-// Implicit-GEMM convolution. The im2col lowering turns a convolution
-// into three GEMMs, but materializing the (N·OH·OW)×(C·KH·KW) patch
-// matrix was the largest steady-state buffer in training (5 MB for
-// LeNet conv2 at batch 20 — bigger than the model). The kernels here
-// run the exact same blocked GEMMs against *virtual* im2col operands:
-// the packing stage (which already copies every operand into
-// micro-panels) synthesizes patch elements straight from the (N,C,H,W)
-// input, so the patch matrix never exists in memory. The other operand
-// and the output are matViews, so activations and gradients are read and
+// Pack-free convolution. The im2col lowering turns a convolution into
+// three GEMMs over the (N·OH·OW)×(C·KH·KW) patch matrix; nothing here
+// ever builds that matrix, or even a packed panel of it. Once the input
+// carries its zero border, patch element (position, tap) sits at
+//
+//	x[posOff(img, oy, ox) + tapOff(ch, ky, kx)]
+//
+// — a separable address — so the forward and weight-gradient GEMMs hand
+// the blocked core (gemm.go) two small offset tables and its indirect
+// micro-kernel reads the input in place: positions are the rows and taps
+// the depth for y = im2col·Wᵀ, taps the rows and positions the depth for
+// dWᵀ = im2colᵀ·g. Only the small operand (W, g) is packed. A padded
+// layer copies its input once per call into a pooled zero-bordered
+// buffer; an unpadded one is read where it lies. The other operand and
+// the output are matViews, so activations and gradients are read and
 // written in their own (N,C,H,W) layout with no permute pass either.
+// The input gradient scatters instead of gathering and keeps its chunked
+// gm·W GEMM + col2im-ordered scatter.
 //
 // Bit-compatibility with the materialized path is by construction, and
-// property tests in conv_test.go pin it: the virtual packers produce the
-// same panel contents as packA/packB over im2col output (padding reads
-// as zero either way), the blocked core is shared, and the small-shape
-// naive paths below replicate the exact loop order of the naive matmul
-// kernels the old path dispatched to at the same (unchanged) volume
-// cutoffs. Skipping an out-of-bounds term instead of adding a
-// materialized 0·w is bit-safe: a +0-initialized accumulator never
-// becomes -0 under round-to-nearest, so the ±0 contribution of a padded
-// product cannot change any sum.
+// property tests in conv_test.go pin it against the im2col oracle: the
+// indirect kernels run the packed kernels' instruction schedule on the
+// same values (a border element reads +0, exactly what im2col stores for
+// a padding tap; a·b and b·a round alike, which is all the operand swap
+// of dW changes), the KC panels and the merge are the shared core's, and
+// the small-shape naive paths below replicate the exact loop order of
+// the naive matmul kernels the old path dispatched to at the same
+// (unchanged) volume cutoffs. Skipping an out-of-bounds term there
+// instead of adding a materialized 0·w is bit-safe: a +0-initialized
+// accumulator never becomes -0 under round-to-nearest, so the ±0
+// contribution of a padded product cannot change any sum.
 
 // ConvOutSize returns the output spatial size for input size in, kernel k,
 // stride and padding.
@@ -55,163 +65,97 @@ func makeConvGeom(x []int, kh, kw, stride, pad int) convGeom {
 func (g *convGeom) rows() int { return g.n * g.oh * g.ow }
 func (g *convGeom) cols() int { return g.c * g.kh * g.kw }
 
-// The two virtual packers share one shape. A micro-panel is ld lanes
-// wide (mr rows of A, nr columns of B) and kc deep; along the lanes the
-// im2col matrix walks output x (A) or kernel x (B), along the depth the
-// other one. Lanes that share an input row — A rows of one output row, B
-// columns of one kernel row — form a lane run, depth steps that share it
-// — taps of one kernel row, positions of one output row — a depth run,
-// and the block (depth run × lane run) reads one sliding window of one
-// input row: element (u, v) is row[off + u·su + v·sv], or zero where that
-// index leaves the row. packWindow copies such a block with one bounds
-// decision per depth step instead of index arithmetic and a bounds test
-// per element; both packers are loops of run bookkeeping around it.
-//
-// What is written for padding is exactly what the materialized matrix
-// held: 0 for every tap outside the input, and 0 for the lanes past a
-// ragged m or n tail. (Products with those zeros are ±0 and cannot move
-// a sum that started at +0 — the same argument that lets the naive paths
-// skip the taps outright.)
-
-// packWindow fills dst[u·ld+v] for u < nu, v < nv from the sliding
-// window described above. A nil row (the whole input row is padding)
-// zero-fills the block. With adjacent lanes adjacent in the row (sv = 1:
-// every B panel, and A panels of stride-1 convolutions) a depth step
-// whose lane run lies inside the row is a straight copy, unrolled at the
-// register-tile widths; clipped steps, and strided lanes, test each
-// element.
-//
-// fedlint:hotpath
-func packWindow[T Float](dst []T, ld int, row []T, off, su, sv, nu, nv int) {
-	for u := 0; u < nu; u++ {
-		d := dst[u*ld:][:nv]
-		i0 := off + u*su
-		if sv == 1 && i0 >= 0 && i0+nv <= len(row) {
-			s := row[i0:][:nv]
-			switch nv {
-			case 4:
-				d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
-			case 8:
-				d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
-				d[4], d[5], d[6], d[7] = s[4], s[5], s[6], s[7]
-			default:
-				for v := range d {
-					d[v] = s[v]
-				}
-			}
-			continue
-		}
-		for v := range d {
-			var x T
-			if i := i0 + v*sv; uint(i) < uint(len(row)) {
-				x = row[i]
-			}
-			d[v] = x
-		}
-	}
+// convScratch is the pooled per-call workspace of the convolution
+// kernels, grown to the largest geometry seen and reused thereafter: the
+// zero-bordered input copy and offset tables of the forward and
+// weight-gradient passes, the chunk buffer of ConvGradInputInto.
+type convScratch[T Float] struct {
+	buf  []T
+	offs []int
 }
 
-// packAConv packs the mc×kc block at (i0, p0) of the virtual im2col
-// matrix as column-major micro-panels of mr rows — the implicit
-// counterpart of packA. Lanes are output positions (a lane run is the
-// part of one output row inside the micro-panel, advancing stride input
-// columns per lane), depth is the patch coordinate (ch, ky, kx) (a depth
-// run is the part of one kernel row inside the k-panel, advancing one
-// input column per tap).
-//
-// fedlint:hotpath
-func packAConv[T Float](ap, xd []T, g *convGeom, i0, p0, mc, kc, mr int) {
-	khw := g.kh * g.kw
-	ohw := g.oh * g.ow
-	hw := g.h * g.w
-	ch0 := p0 / khw
-	ky0 := (p0 - ch0*khw) / g.kw
-	kx0 := p0 - ch0*khw - ky0*g.kw
-	for ir := 0; ir < mc; ir += mr {
-		panel := ap[(ir/mr)*mr*kc:][:mr*kc]
-		rows := min(mr, mc-ir)
-		i := i0 + ir
-		img := i / ohw
-		oy := (i - img*ohw) / g.ow
-		ox := i - img*ohw - oy*g.ow
-		for r := 0; r < rows; {
-			n := min(rows-r, g.ow-ox)
-			iy0, ix0 := oy*g.stride-g.pad, ox*g.stride-g.pad
-			ch, ky, kx := ch0, ky0, kx0
-			for l := 0; l < kc; {
-				taps := min(g.kw-kx, kc-l)
-				var row []T
-				if iy := iy0 + ky; uint(iy) < uint(g.h) {
-					row = xd[(img*g.c+ch)*hw+iy*g.w:][:g.w]
-				}
-				packWindow(panel[l*mr+r:], mr, row, ix0+kx, 1, g.stride, taps, n)
-				l += taps
-				kx = 0
-				if ky++; ky == g.kh {
-					ky = 0
-					ch++
-				}
-			}
-			r += n
-			ox = 0
-			if oy++; oy == g.oh {
-				oy = 0
-				img++
-			}
-		}
-		zeroLanes(panel, mr, rows)
+var convPool64 = sync.Pool{New: func() any { return &convScratch[float64]{} }}
+var convPool32 = sync.Pool{New: func() any { return &convScratch[float32]{} }}
+
+func convScratchPool[T Float]() *sync.Pool {
+	if isF32[T]() {
+		return &convPool32
 	}
+	return &convPool64
 }
 
-// packBConv packs the kc×nc block at (p0, j0) of the virtual im2col
-// matrix viewed as the B operand (row = position, column = patch
-// coordinate) as row-major micro-panels of nr columns — the implicit
-// counterpart of packB, used by the weight-gradient GEMM. Lanes are
-// patch coordinates (a lane run is the part of one kernel row inside the
-// micro-panel, one input column per lane), depth is the position
-// (img, oy, ox) (a depth run is the part of one output row inside the
-// k-panel, stride input columns per position).
-//
-// fedlint:hotpath
-func packBConv[T Float](bp, xd []T, g *convGeom, p0, j0, kc, nc, nr int) {
-	khw := g.kh * g.kw
-	ohw := g.oh * g.ow
-	hw := g.h * g.w
-	img0 := p0 / ohw
-	oy0 := (p0 - img0*ohw) / g.ow
-	ox0 := p0 - img0*ohw - oy0*g.ow
-	for jr := 0; jr < nc; jr += nr {
-		panel := bp[(jr/nr)*nr*kc:][:nr*kc]
-		cols := min(nr, nc-jr)
-		j := j0 + jr
-		ch := j / khw
-		ky := (j - ch*khw) / g.kw
-		kx := j - ch*khw - ky*g.kw
-		for c := 0; c < cols; {
-			n := min(cols-c, g.kw-kx)
-			img, oy, ox := img0, oy0, ox0
-			for l := 0; l < kc; {
-				cnt := min(g.ow-ox, kc-l)
-				var row []T
-				if iy := oy*g.stride - g.pad + ky; uint(iy) < uint(g.h) {
-					row = xd[(img*g.c+ch)*hw+iy*g.w:][:g.w]
-				}
-				packWindow(panel[l*nr+c:], nr, row, ox*g.stride-g.pad+kx, g.stride, 1, cnt, n)
-				l += cnt
-				ox = 0
-				if oy++; oy == g.oh {
-					oy = 0
-					img++
-				}
-			}
-			c += n
-			kx = 0
-			if ky++; ky == g.kh {
-				ky = 0
-				ch++
+// grow returns s.buf resized to n elements, contents unspecified.
+func (s *convScratch[T]) grow(n int) []T {
+	if cap(s.buf) < n {
+		s.buf = make([]T, n) //fedlint:allow hotalloc — grows once per conv geometry, pooled and reused thereafter
+	}
+	return s.buf[:n]
+}
+
+// im2col returns the virtual im2col matrix of g over xd in separable
+// form: element (position i, tap l) is x[pos[i]+tap[l]], where x is xd
+// itself, or its zero-bordered copy when the geometry pads. Both tables
+// run gemmMaxMR-1 entries past their matrix dimension, repeating the
+// last offset, so either can serve as the row table of an indirect
+// operand (packSrc). Everything returned lives in s and is read-only
+// from here on — built before any lane fan-out, shared by all of them.
+func (s *convScratch[T]) im2col(xd []T, g *convGeom) (x []T, pos, tap []int) {
+	hp, wp := g.h+2*g.pad, g.w+2*g.pad
+	x = xd
+	if g.pad > 0 {
+		x = s.grow(g.n * g.c * hp * wp)
+		padPlanes(x, xd, g.n*g.c, g.h, g.w, g.pad)
+	}
+	const slack = gemmMaxMR - 1
+	rows, cols := g.rows(), g.cols()
+	if need := rows + cols + 2*slack; cap(s.offs) < need {
+		s.offs = make([]int, need) //fedlint:allow hotalloc — grows once per conv geometry, pooled and reused thereafter
+	}
+	pos = s.offs[:rows+slack]
+	tap = s.offs[rows+slack:][:cols+slack]
+	i := 0
+	for img := 0; img < g.n; img++ {
+		for oy := 0; oy < g.oh; oy++ {
+			base := (img*g.c*hp + oy*g.stride) * wp
+			for ox := 0; ox < g.ow; ox++ {
+				pos[i] = base + ox*g.stride
+				i++
 			}
 		}
-		zeroLanes(panel, nr, cols)
+	}
+	i = 0
+	for ch := 0; ch < g.c; ch++ {
+		for ky := 0; ky < g.kh; ky++ {
+			for kx := 0; kx < g.kw; kx++ {
+				tap[i] = (ch*hp+ky)*wp + kx
+				i++
+			}
+		}
+	}
+	for i := 0; i < slack; i++ {
+		pos[rows+i] = pos[rows-1]
+		tap[cols+i] = tap[cols-1]
+	}
+	return x, pos, tap
+}
+
+// padPlanes copies planes h×w images from src into dst with a zero
+// border pad wide on every side. dst is pooled and dirty, so the border
+// is written every time.
+//
+// fedlint:hotpath
+func padPlanes[T Float](dst, src []T, planes, h, w, pad int) {
+	hp, wp := h+2*pad, w+2*pad
+	for p := 0; p < planes; p++ {
+		d := dst[p*hp*wp:][:hp*wp]
+		clear(d[:pad*wp+pad])
+		for y := 0; y < h; y++ {
+			row := d[(pad+y)*wp+pad:]
+			copy(row[:w], src[(p*h+y)*w:][:w])
+			// The right border of this row and the left border of the next.
+			clear(row[w : w+2*pad])
+		}
+		clear(d[(pad+h)*wp+pad:])
 	}
 }
 
@@ -275,10 +219,14 @@ func convForward[T Float](y, x, w *TensorOf[T], e epi[T], kh, kw, stride, pad in
 		applyEpi(&c, m, nOut, &e)
 		return
 	}
+	pool := convScratchPool[T]()
+	s := pool.Get().(*convScratch[T])
+	xp, pos, tap := s.im2col(x.data, &g)
 	gemmBlockedOps(c,
-		packSrc[T]{d: x.data, kind: srcIm2col, geom: g},
+		packSrc[T]{d: xp, kind: srcIndirect, rowOff: pos, depthOff: tap},
 		packSrc[T]{d: w.data, rs: 1, cs: kdim},
 		m, nOut, kdim, e)
+	pool.Put(s)
 }
 
 // naiveConvForward replicates naiveMatMulTransBInto over the virtual
@@ -351,10 +299,17 @@ func ConvGradWeightsInto[T Float](dw, gm, x *TensorOf[T], kh, kw, stride, pad in
 		naiveConvDW(dw.data, &gv, x.data, &g, nOut)
 		return
 	}
-	gemmBlockedOps(matView[T]{d: dw.data, ld: kdim},
-		gv.asA(true, 0),
-		packSrc[T]{d: x.data, kind: srcIm2col, geom: g},
-		nOut, kdim, pos, epi[T]{})
+	// dWᵀ = im2colᵀ·g, so that the patch matrix is again the A operand:
+	// taps are the rows, and a kdim-position, one-image view of dw puts
+	// element (tap i, filter j) at dw[j·kdim+i].
+	pool := convScratchPool[T]()
+	s := pool.Get().(*convScratch[T])
+	xp, posOff, tapOff := s.im2col(x.data, &g)
+	gemmBlockedOps(matView[T]{d: dw.data, sp: kdim, ch: nOut},
+		packSrc[T]{d: xp, kind: srcIndirect, rowOff: tapOff, depthOff: posOff},
+		gv.operand(0),
+		kdim, nOut, pos, epi[T]{})
+	pool.Put(s)
 }
 
 // naiveConvDW replicates naiveMatMulTransAInto over the virtual im2col
@@ -415,20 +370,6 @@ func naiveConvDW[T Float](dwd []T, gv *matView[T], xd []T, g *convGeom, nOut int
 // scatter runs in the exact col2imInto order across chunks.
 const convChunkElems = 1 << 14
 
-// convScratch is the pooled chunk buffer for ConvGradInputInto, grown to
-// the largest chunk a geometry needs and reused thereafter.
-type convScratch[T Float] struct{ buf []T }
-
-var convPool64 = sync.Pool{New: func() any { return &convScratch[float64]{} }}
-var convPool32 = sync.Pool{New: func() any { return &convScratch[float32]{} }}
-
-func convScratchPool[T Float]() *sync.Pool {
-	if isF32[T]() {
-		return &convPool32
-	}
-	return &convPool64
-}
-
 // ConvGradInputInto computes the input gradient dx = col2im(gm·W)
 // without materializing the (N·OH·OW)×(C·KH·KW) patch-gradient matrix:
 // row chunks of gm·W are computed into a bounded pooled buffer and
@@ -452,11 +393,7 @@ func ConvGradInputInto[T Float](dx, gm, w *TensorOf[T], kh, kw, stride, pad int)
 	chunk := max(1, convChunkElems/kdim)
 	pool := convScratchPool[T]()
 	s := pool.Get().(*convScratch[T])
-	need := min(chunk, pos) * kdim
-	if cap(s.buf) < need {
-		s.buf = make([]T, need) //fedlint:allow hotalloc — grows once per conv geometry, pooled and reused thereafter
-	}
-	buf := s.buf[:need]
+	buf := s.grow(min(chunk, pos) * kdim)
 	wd, dxd := w.data, dx.data
 	for r0 := 0; r0 < pos; r0 += chunk {
 		rows := min(chunk, pos-r0)
@@ -465,7 +402,7 @@ func ConvGradInputInto[T Float](dx, gm, w *TensorOf[T], kh, kw, stride, pad int)
 			naiveGradRows(cbuf, &gv, wd, r0, rows, kdim, nOut)
 		} else {
 			gemmBlockedOps(matView[T]{d: cbuf, ld: kdim},
-				gv.asA(false, r0),
+				gv.operand(r0),
 				packSrc[T]{d: wd, rs: kdim, cs: 1},
 				rows, kdim, nOut, epi[T]{})
 		}

@@ -1,0 +1,46 @@
+package tensor
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// FuzzConvGeom searches the geometry space the case tables sample: for
+// any (n, c, h, w, f, k, stride, pad) the forward pass and the weight
+// gradient must equal the materialized im2col oracle bit for bit, in
+// both precisions — offset tables, zero border, tile slack, the dWᵀ
+// write-back and the naive/blocked dispatch included.
+func FuzzConvGeom(f *testing.F) {
+	for _, tc := range append(convCases, packCases...) {
+		f.Add(uint8(tc.n), uint8(tc.c), uint8(tc.h), uint8(tc.w), uint8(tc.f), uint8(tc.k), uint8(tc.stride), uint8(tc.pad), int64(1))
+	}
+	f.Fuzz(func(t *testing.T, n, c, h, w, nf, k, stride, pad uint8, seed int64) {
+		tc := convCase{
+			n: 1 + int(n)%4, c: 1 + int(c)%12, h: 1 + int(h)%14, w: 1 + int(w)%14,
+			f: 1 + int(nf)%10, k: 1 + int(k)%5, stride: 1 + int(stride)%3, pad: int(pad) % 4,
+		}
+		if tc.h+2*tc.pad < tc.k || tc.w+2*tc.pad < tc.k {
+			t.Skip("kernel larger than the padded input")
+		}
+		fuzzConvGeom[float64](t, tc, seed)
+		fuzzConvGeom[float32](t, tc, seed)
+	})
+}
+
+func fuzzConvGeom[T Float](t *testing.T, tc convCase, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	x := randTensorOf[T](rng, tc.n, tc.c, tc.h, tc.w)
+	w := randTensorOf[T](rng, tc.f, tc.c*tc.k*tc.k)
+	bias := randTensorOf[T](rng, tc.f)
+	oh := ConvOutSize(tc.h, tc.k, tc.stride, tc.pad)
+	ow := ConvOutSize(tc.w, tc.k, tc.stride, tc.pad)
+	gm := randTensorOf[T](rng, tc.n*oh*ow, tc.f)
+	wantY, wantDW, _ := oracleConv(x, w, bias, gm, tc.k, tc.stride, tc.pad)
+	gotY, gotDW, _ := implicitConv(x, w, bias, gm, tc.k, tc.stride, tc.pad)
+	if i, ok := bitsEqual(wantY, gotY); !ok {
+		t.Fatalf("%+v: forward differs at %d: %v vs %v", tc, i, wantY.Data()[i], gotY.Data()[i])
+	}
+	if i, ok := bitsEqual(wantDW, gotDW); !ok {
+		t.Fatalf("%+v: dW differs at %d: %v vs %v", tc, i, wantDW.Data()[i], gotDW.Data()[i])
+	}
+}

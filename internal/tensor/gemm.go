@@ -16,20 +16,25 @@ import "sync"
 //     register-tiled micro-kernel over the packed panels (4×4 packed
 //     doubles at float64, 8×4 packed singles at float32 — SSE2 assembly
 //     on amd64, order-identical scalar twins elsewhere; see microTile and
-//     gemm_amd64.s). The first k-panel stores into C (implicit beta=0 —
-//     callers never pre-zero), subsequent panels accumulate.
+//     gemm_amd64.s). An indirect A operand skips the packing: the same
+//     tiles, on the same schedule, read a[r][l] = x[rowOff[r]+depthOff[l]]
+//     in place (microKernelInd). The first k-panel stores into C
+//     (implicit beta=0 — callers never pre-zero), subsequent panels
+//     accumulate.
 //   - The merge of the last k-panel applies the fused epilogue (+bias,
 //     +bias→ReLU with optional mask capture) to the tile it is writing,
 //     so C is never re-read for it.
 //
-// Operands are described by packSrc: a real strided matrix, a virtual
-// im2col matrix whose panels are synthesized on the fly from the
-// convolution input (implicit GEMM, convgemm.go), or the
-// position-by-channel view of an (N,C,H,W) gradient. The output is a
+// Operands are described by packSrc: a real strided matrix, the
+// position-by-channel view of an (N,C,H,W) gradient, or — A only — a
+// matrix whose elements sit at separable offsets into a buffer, which is
+// what the im2col matrix of a convolution input is (convgemm.go) and
+// what the indirect micro-kernel reads without packing. The output is a
 // matView: row-major, or that same position-by-channel view of an
 // (N,C,H,W) activation tensor. The blocked core is identical for every
 // combination, so convolution inherits every determinism property below
-// without a materialized im2col buffer or a layout-permute pass.
+// without a materialized im2col buffer, packed or not, or a
+// layout-permute pass.
 //
 // Determinism: the cell grid and panel boundaries depend only on the
 // problem shape (compile-time constants), and each output element is
@@ -40,7 +45,8 @@ import "sync"
 // (internal/fl) inherits. The register tile shape does not participate
 // in that argument (each output element is a strictly-ascending-k sum
 // within each KC panel for every tile), so the SIMD tiles and their
-// scalar twins produce bit-identical results too.
+// scalar twins produce bit-identical results too — packed or indirect,
+// which differ only in where an A element is loaded from.
 
 // gemmSmallCutoff is the m·n·k volume below which the retained naive
 // kernels win (no packing or pool traffic). Depends only on the shape,
@@ -109,64 +115,54 @@ func (v *matView[T]) rowOffsets(offs []int, i0 int) (cs int) {
 	return v.sp
 }
 
-// srcKind selects how a packSrc synthesizes operand elements.
+// srcKind selects how a packSrc addresses operand elements.
 type srcKind uint8
 
 const (
-	srcStrided srcKind = iota // element (i,l) at d[i*rs+l*cs]
-	srcIm2col                 // virtual im2col matrix of geom over d (convgemm.go)
-	srcPosChan                // view: element (i,l) at view.off(i,l)
-	srcChanPos                // the transpose of view: element (i,l) at view.off(l,i)
+	srcStrided  srcKind = iota // element (i,l) at d[i*rs+l*cs]
+	srcIndirect                // A only, read in place: element (i,l) at d[rowOff[i]+depthOff[l]]
+	srcPosChan                 // element (i,l) at view.off(row0+i,l)
 )
 
-// packSrc describes one GEMM operand: a real strided matrix, a virtual
-// im2col view of a convolution input whose elements are synthesized from
-// geom during packing, or a position-by-channel matView (plain, from
-// logical row row0 on, or transposed). Held by value end-to-end so the
-// serial path allocates nothing.
+// packSrc describes one GEMM operand: a real strided matrix, a
+// separable-offset matrix (the im2col matrix of a convolution input,
+// convgemm.go) that the micro-kernel reads in place instead of from a
+// packed panel, or a position-by-channel matView from logical row row0
+// on. Held by value end-to-end so the serial path allocates nothing.
 type packSrc[T Float] struct {
 	d      []T
 	kind   srcKind
 	rs, cs int
-	geom   convGeom
-	view   matView[T]
-	row0   int
+	// rowOff holds one entry per row, padded to a whole register tile
+	// with copies of the last (the tile's surplus rows compute a valid
+	// row again and are dropped by mergeTile); depthOff one per k.
+	rowOff, depthOff []int
+	view             matView[T]
+	row0             int
 }
 
-// asA describes rows [row0, …) of the view — or its transpose — as a
-// GEMM operand. A row-major view is an ordinary strided matrix.
-func (v matView[T]) asA(trans bool, row0 int) packSrc[T] {
-	switch {
-	case v.sp == 0 && trans:
-		return packSrc[T]{d: v.d, rs: 1, cs: v.ld}
-	case v.sp == 0:
+// operand describes rows [row0, …) of the view as a GEMM operand. A
+// row-major view is an ordinary strided matrix.
+func (v matView[T]) operand(row0 int) packSrc[T] {
+	if v.sp == 0 {
 		return packSrc[T]{d: v.d[row0*v.ld:], rs: v.ld, cs: 1}
-	case trans:
-		return packSrc[T]{kind: srcChanPos, view: v}
 	}
 	return packSrc[T]{kind: srcPosChan, view: v, row0: row0}
 }
 
 // packIntoA packs the mc×kc block at (i0, p0) of the operand viewed as A.
 func (p *packSrc[T]) packIntoA(ap []T, i0, p0, mc, kc, mr int) {
-	switch p.kind {
-	case srcIm2col:
-		packAConv(ap, p.d, &p.geom, i0, p0, mc, kc, mr)
-	case srcPosChan:
+	if p.kind == srcPosChan {
 		packAPosChan(ap, &p.view, p.row0+i0, p0, mc, kc, mr)
-	case srcChanPos:
-		packAChanPos(ap, &p.view, i0, p0, mc, kc, mr)
-	default:
-		packA(ap, p.d, p.rs, p.cs, i0, p0, mc, kc, mr)
+		return
 	}
+	packA(ap, p.d, p.rs, p.cs, i0, p0, mc, kc, mr)
 }
 
 // packIntoB packs the kc×nc block at (p0, j0) of the operand viewed as B.
-// Views only ever appear as the A operand (the output gradient of a
-// convolution), so B is strided or im2col.
 func (p *packSrc[T]) packIntoB(bp []T, p0, j0, kc, nc, nr int) {
-	if p.kind == srcIm2col {
-		packBConv(bp, p.d, &p.geom, p0, j0, kc, nc, nr)
+	if p.kind == srcPosChan {
+		packBPosChan(bp, &p.view, p.row0+p0, j0, kc, nc, nr)
 		return
 	}
 	packB(bp, p.d, p.rs, p.cs, p0, j0, kc, nc, nr)
@@ -304,7 +300,8 @@ func gemmCellsParallel[T Float](c matView[T], a, b packSrc[T], m, n, k int, e ep
 }
 
 // gemmCell computes one output grid cell: pack a k-panel of each
-// operand, run the micro-kernel over every register tile, merge into C
+// operand (an indirect A is not packed — its kernel reads the panel in
+// place), run the micro-kernel over every register tile, merge into C
 // (store on the first panel, accumulate on the rest, epilogue with the
 // last). Top-level (not a closure) so the serial path stays
 // allocation-free.
@@ -318,9 +315,12 @@ func gemmCell[T Float](c matView[T], a, b packSrc[T], m, n, k int, e epi[T], cc,
 	mr, nr := microTile[T]()
 	var rowOffs [gemmMC]int
 	cs := c.rowOffsets(rowOffs[:mc], i0)
+	indirect := a.kind == srcIndirect
 	for p0 := 0; p0 < k; p0 += gemmKC {
 		kc := min(gemmKC, k-p0)
-		a.packIntoA(s.ap, i0, p0, mc, kc, mr)
+		if !indirect {
+			a.packIntoA(s.ap, i0, p0, mc, kc, mr)
+		}
 		b.packIntoB(s.bp, p0, j0, kc, nc, nr)
 		first := p0 == 0
 		var fin *epi[T]
@@ -331,8 +331,11 @@ func gemmCell[T Float](c matView[T], a, b packSrc[T], m, n, k int, e epi[T], cc,
 		for jr := 0; jr < nc; jr += nr {
 			bp := s.bp[(jr/nr)*nr*kc:]
 			for ir := 0; ir < mc; ir += mr {
-				ap := s.ap[(ir/mr)*mr*kc:]
-				microKernel(kc, ap, bp, &acc)
+				if indirect {
+					microKernelInd(kc, a.d, a.rowOff[i0+ir:][:mr], a.depthOff[p0:], bp, &acc)
+				} else {
+					microKernel(kc, s.ap[(ir/mr)*mr*kc:], bp, &acc)
+				}
 				mergeTile(c.d, rowOffs[ir:min(ir+mr, mc)], cs, j0+jr, min(nr, nc-jr), nr, &acc, first, fin)
 			}
 		}
@@ -387,6 +390,29 @@ func micro8x4[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
 		bp = bp[4:]
 	}
 	copy(acc[:32], c[:])
+}
+
+// microInd is the portable twin of both indirect amd64 kernels: the
+// len(rowOff)×4 tile (4 rows at float64, 8 at float32) on the schedule
+// of micro4x4 and micro8x4, with a[r][l] = x[rowOff[r]+depthOff[l]] read
+// in place of a packed A micro-panel.
+//
+// fedlint:hotpath
+func microInd[T Float](kc int, x []T, rowOff, depthOff []int, bp []T, acc *[gemmAccLen]T) {
+	var c [gemmAccLen]T
+	bp = bp[: 4*kc : 4*kc]
+	for _, d := range depthOff[:kc] {
+		b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
+		for r, ro := range rowOff {
+			a := x[ro+d]
+			c[4*r] += a * b0
+			c[4*r+1] += a * b1
+			c[4*r+2] += a * b2
+			c[4*r+3] += a * b3
+		}
+		bp = bp[4:]
+	}
+	*acc = c
 }
 
 // mergeTile writes the valid corner of a micro-tile into C: row r of the

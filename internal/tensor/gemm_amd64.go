@@ -27,6 +27,21 @@ func microKernel[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
 	microF64SIMD(kc, (*float64)(unsafe.Pointer(&ap[0])), (*float64)(unsafe.Pointer(&bp[0])), (*float64)(unsafe.Pointer(&acc[0])))
 }
 
+// microKernelInd is microKernel with the A micro-panel read in place:
+// a[r][l] = x[rowOff[r] + depthOff[l]] for the tile's mr rows (rowOff
+// must hold mr entries, depthOff kc) against the packed B micro-panel bp
+// — the SSE2 forms of microInd (gemm.go), on the schedule of the packed
+// kernels.
+//
+// fedlint:hotpath
+func microKernelInd[T Float](kc int, x []T, rowOff, depthOff []int, bp []T, acc *[gemmAccLen]T) {
+	if isF32[T]() {
+		microIndF32SIMD(kc, (*float32)(unsafe.Pointer(unsafe.SliceData(x))), unsafe.SliceData(rowOff), unsafe.SliceData(depthOff), (*float32)(unsafe.Pointer(unsafe.SliceData(bp))), (*float32)(unsafe.Pointer(&acc[0])))
+		return
+	}
+	microIndF64SIMD(kc, (*float64)(unsafe.Pointer(unsafe.SliceData(x))), unsafe.SliceData(rowOff), unsafe.SliceData(depthOff), (*float64)(unsafe.Pointer(unsafe.SliceData(bp))), (*float64)(unsafe.Pointer(&acc[0])))
+}
+
 // microF32SIMD multiplies one packed A micro-panel (8×kc, column-major)
 // by one packed B micro-panel (kc×4, row-major) into the 8×4 accumulator
 // tile at acc (row stride 4, fully overwritten). At four-byte elements an
@@ -48,3 +63,21 @@ func microF32SIMD(kc int, ap, bp, acc *float32)
 //
 //go:noescape
 func microF64SIMD(kc int, ap, bp, acc *float64)
+
+// microIndF32SIMD is microF32SIMD with a[r][l] = x[rowOff[r]+depthOff[l]]
+// (element offsets; 8 row offsets, kc depth offsets) in place of the
+// packed A micro-panel. Nothing is bounds-checked: the offset tables are
+// the caller's proof that every sum stays inside x.
+//
+// fedlint:hotpath
+//
+//go:noescape
+func microIndF32SIMD(kc int, x *float32, rowOff, depthOff *int, bp, acc *float32)
+
+// microIndF64SIMD is microF64SIMD with a[r][l] = x[rowOff[r]+depthOff[l]]
+// (4 row offsets, kc depth offsets) in place of the packed A micro-panel.
+//
+// fedlint:hotpath
+//
+//go:noescape
+func microIndF64SIMD(kc int, x *float64, rowOff, depthOff *int, bp, acc *float64)

@@ -16,3 +16,12 @@ func microKernel[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
 	}
 	micro4x4(kc, ap, bp, acc)
 }
+
+// microKernelInd is microKernel with the A micro-panel read in place,
+// a[r][l] = x[rowOff[r] + depthOff[l]] for the len(rowOff) = MR rows of
+// the tile, through the scalar twin of the indirect SSE2 kernels.
+//
+// fedlint:hotpath
+func microKernelInd[T Float](kc int, x []T, rowOff, depthOff []int, bp []T, acc *[gemmAccLen]T) {
+	microInd(kc, x, rowOff, depthOff, bp, acc)
+}

@@ -418,3 +418,48 @@ func testMicroKernelMatchesTwin[T Float](t *testing.T, mr int, twin func(int, []
 		}
 	}
 }
+
+// TestMicroKernelIndMatchesTwin runs the indirect micro-kernels against
+// their portable twin on random offset tables, and both against the
+// packed kernel fed the gathered panel a[r][l] = x[rowOff[r]+depthOff[l]]
+// — the pack-free path's whole bit-identity argument at kernel level. kc
+// straddles the KC panel depth; offsets repeat and run backwards, which
+// the convolution tables never do.
+func TestMicroKernelIndMatchesTwin(t *testing.T) {
+	t.Run("f64", testMicroKernelIndMatchesTwin[float64])
+	t.Run("f32", testMicroKernelIndMatchesTwin[float32])
+}
+
+func testMicroKernelIndMatchesTwin[T Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	mr, _ := microTile[T]()
+	x := randTensorOf[T](rng, 4096).data
+	for _, kc := range []int{0, 1, 255, 256, 257, 300} {
+		rowOff := make([]int, mr)
+		for r := range rowOff {
+			rowOff[r] = rng.Intn(len(x) / 2)
+		}
+		depthOff := make([]int, kc)
+		ap := make([]T, mr*(kc+1))
+		for l := range depthOff {
+			depthOff[l] = rng.Intn(len(x) / 2)
+			for r, ro := range rowOff {
+				ap[l*mr+r] = x[ro+depthOff[l]]
+			}
+		}
+		bp := randTensorOf[T](rng, 4*(kc+1)).data
+		var got, twin, packed [gemmAccLen]T
+		for i := range got {
+			got[i], twin[i], packed[i] = 9, 9, 9
+		}
+		microKernelInd(kc, x, rowOff, depthOff, bp, &got)
+		microInd(kc, x, rowOff, depthOff, bp, &twin)
+		microKernel(kc, ap, bp, &packed)
+		for i := range got[:mr*4] {
+			if math.Float64bits(float64(got[i])) != math.Float64bits(float64(twin[i])) ||
+				math.Float64bits(float64(got[i])) != math.Float64bits(float64(packed[i])) {
+				t.Fatalf("kc=%d: acc[%d] = %v, twin %v, packed kernel %v", kc, i, got[i], twin[i], packed[i])
+			}
+		}
+	}
+}

@@ -1,11 +1,10 @@
 package tensor
 
-// Materialized im2col lowering: the reference oracle for the
-// implicit-GEMM convolution kernels (convgemm.go). Nothing outside the
-// tests builds these matrices — the blocked GEMM packs the same patch
-// rows straight from the input tensor — and the property tests in
-// conv_test.go verify the implicit kernels bit-for-bit against this
-// lowering.
+// Materialized im2col lowering: the reference oracle for the pack-free
+// convolution kernels (convgemm.go). Nothing outside the tests builds
+// these matrices — the blocked GEMM reads the same patch elements in
+// place from the input tensor — and the property tests in conv_test.go
+// verify the kernels bit-for-bit against this lowering.
 
 // im2col lowers a batch of images (N, C, H, W) into a matrix of patch
 // columns so that a convolution with kernel (KH, KW), stride and padding

@@ -4,10 +4,10 @@ package tensor
 // repacked into contiguous, micro-kernel-shaped panels before the inner
 // loops run: packing absorbs the operand transposition (via row/column
 // strides) and zero-pads ragged tails, so the register-tiled micro-kernel
-// is branch-free and always streams unit-stride memory. Convolution
-// operands are packed by the virtual (implicit-GEMM) variants in
-// convgemm.go, which synthesize im2col panels on the fly instead of
-// reading a materialized buffer; the panel layout is identical.
+// is branch-free and always streams unit-stride memory. The one operand
+// that is never packed is the im2col side of a convolution: its elements
+// sit at separable offsets into the input, and the indirect micro-kernel
+// reads them in place (convgemm.go).
 //
 // Blocking parameters. These are fixed compile-time constants on purpose:
 // the panel grid they induce over the output matrix is identical for
@@ -133,32 +133,32 @@ func packAPosChan[T Float](ap []T, v *matView[T], i0, p0, mc, kc, mr int) {
 	}
 }
 
-// packAChanPos is packA over the transpose of a position-by-channel view
-// (rows are channels, depth is positions): each row of a micro-panel
-// reads its channel's planes front to back — contiguous runs, one per
-// image the k-panel touches — and writes them mr apart.
+// packBPosChan is packB over a position-by-channel view (depth is
+// positions, columns are channels): each column of a micro-panel reads
+// its channel's planes front to back — contiguous runs, one per image
+// the k-panel touches — and writes them nr apart.
 //
 // fedlint:hotpath
-func packAChanPos[T Float](ap []T, v *matView[T], i0, p0, mc, kc, mr int) {
+func packBPosChan[T Float](bp []T, v *matView[T], p0, j0, kc, nc, nr int) {
 	img0 := p0 / v.sp
 	pos0 := p0 - img0*v.sp
-	for ir := 0; ir < mc; ir += mr {
-		panel := ap[(ir/mr)*mr*kc:][:mr*kc]
-		rows := min(mr, mc-ir)
-		for r := 0; r < rows; r++ {
+	for jr := 0; jr < nc; jr += nr {
+		panel := bp[(jr/nr)*nr*kc:][:nr*kc]
+		cols := min(nr, nc-jr)
+		for c := 0; c < cols; c++ {
 			img, pos := img0, pos0
 			for l := 0; l < kc; {
 				n := min(v.sp-pos, kc-l)
-				src := v.d[(img*v.ch+i0+ir+r)*v.sp+pos:][:n]
-				dst := panel[l*mr+r:]
+				src := v.d[(img*v.ch+j0+jr+c)*v.sp+pos:][:n]
+				dst := panel[l*nr+c:]
 				for t, x := range src {
-					dst[t*mr] = x
+					dst[t*nr] = x
 				}
 				l += n
 				pos = 0
 				img++
 			}
 		}
-		zeroLanes(panel, mr, rows)
+		zeroLanes(panel, nr, cols)
 	}
 }
