@@ -12,10 +12,10 @@ GO ?= go
 BENCH_MAX_SLOWDOWN ?= 1.15
 
 .PHONY: build test vet lint lint-ci lint-baseline \
-	fuzz-smoke fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv \
+	fuzz-smoke fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-job \
 	fmt-check check check-nolint race race-tensor purego trace-golden loc \
 	bench bench-parallel bench-gemm bench-gemm-f32 bench-sched bench-ci \
-	bench-regression bench-regression-serve profile-pop profile-train \
+	bench-regression profile-pop profile-train \
 	population-smoke fault-smoke serve-smoke
 
 build:
@@ -49,12 +49,13 @@ lint-baseline:
 # Fed-LBAP solver against the dense oracle and the full-range reference's
 # event stream, the cohort samplers' sortedness/bounds/determinism
 # contract, the fault plan's spec-parse/draw invariants, the trace
-# encoder against encoding/json, and the pack-free convolution kernels
-# against the im2col oracle over random geometries. Seeds live under
-# testdata/fuzz (or in the target); CI runs this in the lint lane. Each
-# target is its own recipe so one failing fuzzer no longer hides the
-# others: the umbrella runs all five and fails at the end with the full
-# list of failed targets.
+# encoder against encoding/json, the pack-free convolution kernels
+# against the im2col oracle over random geometries, and the job schema's
+# admission path (decode, defaults, Validate, job.json round trip,
+# deterministic BuildJob). Seeds live under testdata/fuzz (or in the
+# target); CI runs this in the lint lane. Each target is its own recipe
+# so one failing fuzzer no longer hides the others: the umbrella runs all
+# six and fails at the end with the full list of failed targets.
 FUZZTIME ?= 10s
 fuzz-smoke-sched:
 	$(GO) test ./internal/sched -run '^$$' -fuzz FuzzSparseFedLBAP -fuzztime $(FUZZTIME)
@@ -71,9 +72,12 @@ fuzz-smoke-trace:
 fuzz-smoke-conv:
 	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzConvGeom -fuzztime $(FUZZTIME)
 
+fuzz-smoke-job:
+	$(GO) test . -run '^$$' -fuzz FuzzJobConfig -fuzztime $(FUZZTIME)
+
 fuzz-smoke:
 	@failed=""; \
-	for t in fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv; do \
+	for t in fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-job; do \
 		$(MAKE) $$t FUZZTIME=$(FUZZTIME) || failed="$$failed $$t"; \
 	done; \
 	if [ -n "$$failed" ]; then \
@@ -122,20 +126,21 @@ purego:
 
 # Size of the tree, for "same behaviour from less code" PRs: non-test Go
 # lines, raw and code-only (no blank or comment-only lines), for the FL
-# engines, the tensor kernels and everything outside bench/ (testdata
-# fixtures excluded), plus the internal package count. Informational — CI prints it, nothing
-# gates on it.
+# engines, the tensor kernels, the serving layer and everything outside
+# bench/ (testdata fixtures excluded), plus the internal package and
+# binary counts. Informational — CI prints it, nothing gates on it.
 LOC_FILES = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' \
 	! -path '*/testdata/*' ! -path './.bench_build/*' -print0
 loc:
 	@printf '%-32s %8s %10s\n' scope raw code-only
-	@for scope in internal/fl internal/tensor .; do \
+	@for scope in internal/fl internal/tensor internal/serve .; do \
 		printf '%-32s %8d %10d\n' "$$scope (non-test .go)" \
 			"$$($(call LOC_FILES,$$scope) | xargs -0 cat | wc -l)" \
 			"$$($(call LOC_FILES,$$scope) | xargs -0 cat | grep -vcE '^\s*(//.*)?$$')"; \
 	done
 	@printf '%-32s %8d\n' 'internal/ packages' \
 		"$$(find internal -name '*.go' ! -path '*/testdata/*' -exec dirname {} \; | sort -u | wc -l)"
+	@printf '%-32s %8d\n' 'binaries (cmd/*)' "$$(find cmd -mindepth 1 -maxdepth 1 -type d | wc -l)"
 
 # Regenerate the golden round traces under testdata/trace after an
 # intentional behaviour change, then review the diff before committing
@@ -212,26 +217,14 @@ bench-ci:
 
 # Compare the bench-ci output against the recorded baselines; benchdiff
 # takes the min ns/op over the 5 reps and fails on a >15% geomean
-# slowdown (override with BENCH_MAX_SLOWDOWN=1.30 etc.). Also gates the
-# serving numbers when a fresh artifacts/BENCH_serve.json is present
-# (produced by `make serve-smoke`).
-bench-regression: bench-regression-serve
+# slowdown (override with BENCH_MAX_SLOWDOWN=1.30 etc.). Serving latency
+# and throughput are gated by the benchmark's engine_mix and round_churn
+# workloads (`go run ./bench`), not here.
+bench-regression:
 	$(GO) run ./cmd/benchdiff -bench bench-results.txt \
 		-baseline BENCH_gemm.json -baseline BENCH_fl_parallel.json \
 		-baseline BENCH_sched.json \
 		-max-slowdown $(BENCH_MAX_SLOWDOWN)
-
-# Gate the serving latency/throughput numbers (p50/p99 job latency,
-# ns-per-job) against the recorded BENCH_serve.json, same geomean rule.
-# Skips quietly when serve-smoke has not produced a current measurement.
-bench-regression-serve:
-	@if [ -f artifacts/BENCH_serve.json ]; then \
-		$(GO) run ./cmd/benchdiff -bench-json artifacts/BENCH_serve.json \
-			-baseline BENCH_serve.json \
-			-max-slowdown $(BENCH_MAX_SLOWDOWN); \
-	else \
-		echo "bench-regression-serve: artifacts/BENCH_serve.json not found; run 'make serve-smoke' first (skipping)"; \
-	fi
 
 # 100K-client fixed-seed population smoke: build, solve and trace one
 # scheduling round over a fleet three orders of magnitude past the
@@ -256,11 +249,12 @@ fault-smoke:
 		-overselect 0.5 -min-participants 32 -cooldown 2 \
 		-trace artifacts/fault-smoke.jsonl
 
-# End-to-end serving smoke (scripts/serve-smoke.sh): boots fedserve on a
-# loopback ephemeral port, drives a fixed-seed 3-job mix through fedload
-# (writing artifacts/BENCH_serve.json), then repeats the mix with a hard
-# kill -9 mid-run and a daemon restart, asserting the resumed jobs'
-# traces and round histories are byte-identical to the uninterrupted
-# run. Deterministic end to end; CI runs it in the serve job.
+# End-to-end serving smoke: TestKillResume re-executes its own test
+# binary as the real fedserve, runs a fixed-seed sync/async/gossip mix
+# over loopback, then repeats it with a SIGKILL while the sync job is
+# mid-run and a restart over the same state directory, asserting the
+# resumed jobs' traces and round histories are byte-identical to the
+# uninterrupted run. A failed run keeps its state directories under
+# $$TMPDIR (the test logs the path). CI runs it in the serve job.
 serve-smoke:
-	./scripts/serve-smoke.sh
+	$(GO) test ./cmd/fedserve -run TestKillResume -count=1 -v

@@ -6,11 +6,6 @@
 //
 //	go test -run '^$' -bench . -count=5 . | tee bench.txt
 //	benchdiff -bench bench.txt -baseline BENCH_gemm.json -baseline BENCH_fl_parallel.json
-//	benchdiff -bench-json artifacts/BENCH_serve.json -baseline BENCH_serve.json
-//
-// -bench-json reads the current run from a BENCH_*.json document (the
-// shape fedload writes) instead of bench text, so serving latency and
-// throughput gate under the same geomean rule as the compute kernels.
 //
 // Baselines are discovered by a recursive walk of the JSON: any object
 // holding a numeric "ns_per_op" is attributed to the nearest enclosing
@@ -181,7 +176,6 @@ func (s *stringList) Set(v string) error { *s = append(*s, v); return nil }
 func main() {
 	var (
 		benchPath   = flag.String("bench", "-", "raw `go test -bench` output file ('-' = stdin)")
-		benchJSON   = flag.String("bench-json", "", "read the current run from a BENCH_*.json document instead of -bench text")
 		baselines   stringList
 		maxSlowdown = flag.Float64("max-slowdown", 1.15, "fail when the geomean current/baseline ratio exceeds this")
 	)
@@ -191,36 +185,21 @@ func main() {
 		fatalf("benchdiff: at least one -baseline file is required")
 	}
 
-	current := make(map[string]float64)
-	if *benchJSON != "" {
-		doc, err := os.ReadFile(*benchJSON)
+	in := io.Reader(os.Stdin)
+	if *benchPath != "-" {
+		f, err := os.Open(*benchPath)
 		if err != nil {
 			fatalf("benchdiff: %v", err)
 		}
-		if err := extractBaselines(doc, current); err != nil {
-			fatalf("benchdiff: %s: %v", *benchJSON, err)
-		}
-		if len(current) == 0 {
-			fatalf("benchdiff: no Benchmark* entries with ns_per_op in %s", *benchJSON)
-		}
-	} else {
-		in := io.Reader(os.Stdin)
-		if *benchPath != "-" {
-			f, err := os.Open(*benchPath)
-			if err != nil {
-				fatalf("benchdiff: %v", err)
-			}
-			defer f.Close()
-			in = f
-		}
-		var err error
-		current, err = parseBenchOutput(in)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if len(current) == 0 {
-			fatalf("benchdiff: no benchmark results in %s", *benchPath)
-		}
+		defer f.Close()
+		in = f
+	}
+	current, err := parseBenchOutput(in)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if len(current) == 0 {
+		fatalf("benchdiff: no benchmark results in %s", *benchPath)
 	}
 
 	baseline := make(map[string]float64)

@@ -92,40 +92,6 @@ func TestExtractBaselines(t *testing.T) {
 	}
 }
 
-// TestExtractBaselinesServeShape pins the fedload output contract: the
-// flat "results" map it writes must survive the same walk that reads
-// the hand-authored baselines, so `-bench-json artifacts/BENCH_serve.json`
-// and `-baseline BENCH_serve.json` see identical names.
-func TestExtractBaselinesServeShape(t *testing.T) {
-	doc := []byte(`{
-	  "generated_by": "fedload",
-	  "hardware": {"nproc": 1, "cpu_model": "x", "gomaxprocs": 1},
-	  "results": {
-	    "BenchmarkServeJobLatencyP50": {"ns_per_op": 480000000, "note": "median"},
-	    "BenchmarkServeJobLatencyP99": {"ns_per_op": 4200000000, "note": "tail"},
-	    "BenchmarkServeJobsPerSec": {"ns_per_op": 1400000000, "note": "0.714 jobs/s as ns per job"}
-	  },
-	  "reps": [{"jobs": [{"id": "job-1", "latency_s": 4.2}], "p50_s": 4.2}]
-	}`)
-	got := make(map[string]float64)
-	if err := extractBaselines(doc, got); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]float64{
-		"BenchmarkServeJobLatencyP50": 480000000,
-		"BenchmarkServeJobLatencyP99": 4200000000,
-		"BenchmarkServeJobsPerSec":    1400000000,
-	}
-	if len(got) != len(want) {
-		t.Fatalf("extracted %d baselines, want %d: %v", len(got), len(want), got)
-	}
-	for name, ns := range want {
-		if got[name] != ns {
-			t.Errorf("%s = %v, want %v", name, got[name], ns)
-		}
-	}
-}
-
 func TestExtractBaselinesAgainstRepoFiles(t *testing.T) {
 	got := make(map[string]float64)
 	for _, path := range []string{"../../BENCH_gemm.json", "../../BENCH_fl_parallel.json"} {
@@ -214,7 +180,7 @@ func TestHardwareWarning(t *testing.T) {
 // TestRepoBaselinesCarryHardware pins the satellite invariant: every
 // BENCH_*.json in the repo records the machine it was measured on.
 func TestRepoBaselinesCarryHardware(t *testing.T) {
-	for _, path := range []string{"../../BENCH_gemm.json", "../../BENCH_fl_parallel.json", "../../BENCH_sched.json", "../../BENCH_serve.json"} {
+	for _, path := range []string{"../../BENCH_gemm.json", "../../BENCH_fl_parallel.json", "../../BENCH_sched.json"} {
 		doc, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

@@ -77,7 +77,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "population: %v\n", err)
 			os.Exit(1)
 		}
-		if err := writeTrace(rec, *traceOut, *traceCSV, *traceSum); err != nil {
+		if err := trace.Export(rec, *traceOut, *traceCSV, *traceSum, os.Stderr); err != nil {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			os.Exit(1)
 		}
@@ -125,7 +125,7 @@ func main() {
 			fmt.Println(rep.String())
 		}
 	}
-	if err := writeTrace(opts.Trace, *traceOut, *traceCSV, *traceSum); err != nil {
+	if err := trace.Export(opts.Trace, *traceOut, *traceCSV, *traceSum, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 		os.Exit(1)
 	}
@@ -218,33 +218,4 @@ func runPopulation(o populationOpts) error {
 		fmt.Printf("total: %.2f virtual seconds, %.1f J across cohorts\n", hist.TotalSeconds, hist.TotalEnergyJ)
 	}
 	return err
-}
-
-// writeTrace flushes the collected trace to the requested outputs.
-func writeTrace(rec *trace.Recorder, jsonlPath, csvPath string, summary bool) error {
-	if rec == nil {
-		return nil
-	}
-	events := rec.Events()
-	if d := rec.Dropped(); d > 0 {
-		fmt.Fprintf(os.Stderr, "trace: ring overflowed, %d oldest events dropped (raise -trace-cap)\n", d)
-	}
-	if jsonlPath != "" {
-		if err := trace.WriteFileJSONL(jsonlPath, events); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "trace: %d events written to %s\n", len(events), jsonlPath)
-	}
-	if csvPath != "" {
-		if err := trace.WriteFileCSV(csvPath, events); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "trace: %d events written to %s\n", len(events), csvPath)
-	}
-	if summary {
-		if err := trace.WriteSummary(os.Stderr, events); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -196,6 +196,18 @@ func TestMalformedConfigsRejected(t *testing.T) {
 		`{"engine":"gossip","deadline_seconds":30}`,
 		`{"scheduler":"fedlbap"}`,
 		`{"samples":5}`,
+		`{"clients":3,"cohort_size":4}`,
+		`{"testbed":1,"cohort_size":4}`,
+		`{"engine":"async","max_updates":1000001}`,
+		`{"classes_per_user":3}`,
+		`{"testbed":2,"classes_per_user":11}`,
+		`{"testbed":2,"classes_per_user":-1}`,
+		`{"testbed":2,"scheduler":"fedminavg"}`,
+		`{"testbed":2,"alpha":500}`,
+		`{"testbed":2,"beta":3}`,
+		`{"engine":"async","secure_agg":true}`,
+		`{"engine":"gossip","secure_agg":true}`,
+		`{"secure_agg":true,"quorum":2}`,
 	}
 	for _, body := range bad {
 		_, resp := submit(t, ts, body)
@@ -206,6 +218,71 @@ func TestMalformedConfigsRejected(t *testing.T) {
 
 	if resp, err := http.Get(ts.URL + "/jobs/job-99"); err != nil || resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing job: %v %v", err, resp.StatusCode)
+	}
+}
+
+// TestDamagedStateDirSkipped hand-damages a state directory the way a
+// bad disk or an operator's editor would, and requires New to skip those
+// jobs with a log line instead of panicking in a handler or queueing a
+// job that can never settle.
+func TestDamagedStateDirSkipped(t *testing.T) {
+	dir := t.TempDir()
+	write := func(job, name, body string) {
+		t.Helper()
+		jd := filepath.Join(dir, "jobs", job)
+		if err := os.MkdirAll(jd, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(jd, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	good := JobConfig{Clients: 2, Rounds: 1, Samples: 40, TestSamples: 20}.WithDefaults()
+	cfg, err := json.Marshal(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := `{"state":"completed","rounds_done":1}`
+	// An id shorter than "job-" used to panic every GET /jobs.
+	write("short-id", "job.json", `{"id":"j","num":1,"config":`+string(cfg)+`}`)
+	write("short-id", "state.json", done)
+	write("ok", "job.json", `{"id":"job-2","num":2,"config":`+string(cfg)+`}`)
+	write("ok", "state.json", done)
+	// A state that is neither queued, resumable nor terminal would hang.
+	write("bad-state", "job.json", `{"id":"job-3","num":3,"config":`+string(cfg)+`}`)
+	write("bad-state", "state.json", `{"state":"paused","rounds_done":0}`)
+	// A config that no longer validates would fail only once dispatched.
+	write("bad-config", "job.json", `{"id":"job-4","num":4,"config":{"engine":"quantum"}}`)
+	write("bad-config", "state.json", `{"state":"queued","rounds_done":0}`)
+	write("no-id", "job.json", `{"num":5,"config":`+string(cfg)+`}`)
+	write("no-id", "state.json", done)
+	write("torn", "job.json", `{"id":"job-6","num":6,"conf`)
+
+	var mu sync.Mutex
+	skipped := map[string]bool{}
+	_, ts := startServer(t, Options{Dir: dir, Logf: func(format string, args ...any) {
+		if strings.HasPrefix(format, "serve: skipping") {
+			mu.Lock()
+			skipped[args[0].(string)] = true
+			mu.Unlock()
+		}
+	}})
+	for _, name := range []string{"bad-state", "bad-config", "no-id", "torn"} {
+		if !skipped[name] {
+			t.Errorf("New did not skip %s (skipped: %v)", name, skipped)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var all []JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&all); err != nil {
+		t.Fatalf("GET /jobs: HTTP %d, %v", resp.StatusCode, err)
+	}
+	if len(all) != 2 || all[0].ID != "j" || all[1].ID != "job-2" || all[1].State != StateCompleted {
+		t.Fatalf("unexpected listing %+v", all)
 	}
 }
 
@@ -291,7 +368,7 @@ func TestRestartResume(t *testing.T) {
 	s1.Close() // interrupts at the next round boundary
 
 	jobDir := filepath.Join(dir1, "jobs", st.ID)
-	var onDisk stateFile
+	var onDisk JobStatus
 	if err := readJSON(filepath.Join(jobDir, "state.json"), &onDisk); err != nil {
 		t.Fatal(err)
 	}
@@ -400,37 +477,55 @@ func TestConcurrentJobs(t *testing.T) {
 	}
 }
 
-// TestEngineCoverage runs one async and one gossip job end to end: both
-// are run-to-completion modes without round checkpoints, so only the
-// terminal path persists their trace.
+// TestEngineCoverage runs one job per engine end to end, twice: on the
+// default trace ring, and on one far smaller than any of the runs' event
+// counts. Only the sync engine has a per-round checkpoint sink to flush
+// from; async and gossip rely on the flush in the Cancel poll, without
+// which they overflow the small ring and fail after doing all their work.
+// Whatever the ring, the streamed trace must be the same bytes.
 func TestEngineCoverage(t *testing.T) {
-	_, ts := startServer(t, Options{MaxRunning: 2, LaneBudget: 4})
-
-	async, resp := submit(t, ts, `{"engine":"async","clients":2,"rounds":1,"samples":100,"test_samples":40,"max_updates":6,"seed":2}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("async submit: HTTP %d", resp.StatusCode)
+	jobs := []struct {
+		body string
+		done int
+	}{
+		{`{"engine":"sync","clients":2,"rounds":6,"samples":100,"test_samples":40,"seed":2}`, 6},
+		{`{"engine":"async","clients":2,"samples":100,"test_samples":40,"max_updates":20,"seed":2}`, 20},
+		{`{"engine":"gossip","clients":2,"rounds":6,"samples":100,"test_samples":40,"seed":2}`, 6},
 	}
-	gossip, resp := submit(t, ts, `{"engine":"gossip","clients":2,"rounds":2,"samples":100,"test_samples":40,"seed":2}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("gossip submit: HTTP %d", resp.StatusCode)
+	traces := func(opt Options) []string {
+		_, ts := startServer(t, opt)
+		out := make([]string, len(jobs))
+		for i, job := range jobs {
+			st, resp := submit(t, ts, job.body)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit %s: HTTP %d", job.body, resp.StatusCode)
+			}
+			final := waitFor(t, ts, st.ID, StateCompleted, func(s JobStatus) bool { return terminal(s.State) })
+			if final.State != StateCompleted || final.RoundsDone != job.done {
+				t.Fatalf("TraceCap %d, %s: %+v", opt.TraceCap, job.body, final)
+			}
+			tr, err := http.Get(ts.URL + "/jobs/" + st.ID + "/trace")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			buf.ReadFrom(tr.Body)
+			tr.Body.Close()
+			out[i] = buf.String()
+		}
+		return out
 	}
-
-	a := waitFor(t, ts, async.ID, StateCompleted, func(s JobStatus) bool { return terminal(s.State) })
-	if a.State != StateCompleted || a.RoundsDone != 6 {
-		t.Fatalf("async: %+v", a)
+	want := traces(Options{MaxRunning: 2, LaneBudget: 4})
+	got := traces(Options{MaxRunning: 2, LaneBudget: 4, TraceCap: 8})
+	for i, job := range jobs {
+		if strings.Count(want[i], "\n") <= 8 {
+			t.Errorf("%s: only %d trace events, the small ring proves nothing", job.body, strings.Count(want[i], "\n"))
+		}
+		if got[i] != want[i] {
+			t.Errorf("%s: trace differs between the default and the 8-event ring (%d vs %d bytes)", job.body, len(want[i]), len(got[i]))
+		}
 	}
-	g := waitFor(t, ts, gossip.ID, StateCompleted, func(s JobStatus) bool { return terminal(s.State) })
-	if g.State != StateCompleted || g.RoundsDone != 2 {
-		t.Fatalf("gossip: %+v", g)
-	}
-	tr, err := http.Get(ts.URL + "/jobs/" + gossip.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(tr.Body)
-	if !strings.Contains(buf.String(), `"kind":"round"`) {
-		t.Fatal("gossip trace is missing round summaries")
+	if !strings.Contains(want[2], `"kind":"round"`) {
+		t.Error("gossip trace is missing round summaries")
 	}
 }

@@ -1,3 +1,12 @@
+// Package serve is the multi-job serving layer: a long-running daemon
+// that multiplexes many concurrent federated-learning jobs over the
+// engines in internal/fl. Each job is an independent deterministic run —
+// its own clients, model, RNG streams and trace — described by a JSON
+// fedsched.JobConfig, materialized by fedsched.BuildJob and driven to
+// completion on its own goroutine. The Server adds admission control
+// over the shared tensor-lane budget, per-round checkpoint/trace
+// persistence, and bit-identical resume of in-flight synchronous jobs
+// across daemon restarts.
 package serve
 
 import (
@@ -18,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fedsched"
 	"fedsched/internal/fl"
 	"fedsched/internal/tensor"
 	"fedsched/internal/trace"
@@ -109,7 +119,11 @@ func roundInfos(rounds []fl.RoundStats) []RoundInfo {
 	return out
 }
 
-// JobStatus is a job's state on the wire.
+// JobConfig is the job description accepted by POST /jobs.
+type JobConfig = fedsched.JobConfig
+
+// JobStatus is a job's state: the wire form of the status endpoints, the
+// in-memory record, and what state.json reads back into.
 type JobStatus struct {
 	ID     string `json:"id"`
 	Name   string `json:"name,omitempty"`
@@ -128,24 +142,31 @@ type JobStatus struct {
 	Resumed bool `json:"resumed,omitempty"`
 }
 
-// job is the in-memory record. Mutable fields are guarded by Server.mu
-// except the cancel flag, which the engine polls from its own goroutine.
+// job is the in-memory record. The status and round history are guarded
+// by Server.mu; the cancel flag is polled by the engine from its own
+// goroutine.
 type job struct {
-	id  string
-	num int
-	cfg JobConfig
-	dir string
+	JobStatus
+	num    int
+	cfg    JobConfig
+	dir    string
+	rounds []RoundInfo
+	budget int
 
 	cancelled atomic.Bool
+}
 
-	state    string
-	err      string
-	rounds   []RoundInfo
-	done     int
-	finalAcc float64
-	totalS   float64
-	resumed  bool
-	budget   int
+// newJob fills in what a job's status takes from its (defaulted) config.
+func newJob(id string, num int, cfg JobConfig, dir string) *job {
+	// The async engine's unit of progress is the update, not the round.
+	total := cfg.Rounds
+	if cfg.Engine == "async" {
+		total = cfg.MaxUpdates
+	}
+	return &job{
+		JobStatus: JobStatus{ID: id, Name: cfg.Name, State: StateQueued, Engine: cfg.Engine, Rounds: total},
+		num:       num, cfg: cfg, dir: dir, budget: jobBudget(cfg.Workers),
+	}
 }
 
 // Server multiplexes federated jobs behind an HTTP API. Create with New,
@@ -164,20 +185,24 @@ type Server struct {
 	wg      sync.WaitGroup
 }
 
-// persisted wire formats. job.json is written once at submission;
-// state.json at every lifecycle transition (atomically, tmp+rename).
+// jobFile is job.json, written once at submission.
 type jobFile struct {
 	ID     string    `json:"id"`
 	Num    int       `json:"num"`
 	Config JobConfig `json:"config"`
 }
 
-type stateFile struct {
-	State         string  `json:"state"`
-	Error         string  `json:"error,omitempty"`
-	RoundsDone    int     `json:"rounds_done"`
-	FinalAccuracy float64 `json:"final_accuracy,omitempty"`
-	TotalSeconds  float64 `json:"total_seconds,omitempty"`
+// persistState writes state.json at a lifecycle transition (atomically):
+// the five fields of the status that the job's config does not determine,
+// in the layout every earlier daemon wrote.
+func persistState(dir string, st JobStatus) error {
+	return writeJSONAtomic(filepath.Join(dir, "state.json"), struct {
+		State         string  `json:"state"`
+		Error         string  `json:"error,omitempty"`
+		RoundsDone    int     `json:"rounds_done"`
+		FinalAccuracy float64 `json:"final_accuracy,omitempty"`
+		TotalSeconds  float64 `json:"total_seconds,omitempty"`
+	}{st.State, st.Error, st.RoundsDone, st.FinalAccuracy, st.TotalSeconds})
 }
 
 // New opens (or creates) the state directory, restores every persisted
@@ -208,13 +233,13 @@ func New(opt Options) (*Server, error) {
 			opt.Logf("serve: skipping %s: %v", e.Name(), err)
 			continue
 		}
-		s.jobs[j.id] = j
+		s.jobs[j.ID] = j
 		if j.num >= s.nextNum {
 			s.nextNum = j.num + 1
 		}
-		if j.state == StateQueued || j.state == StateRunning {
-			j.resumed = j.state == StateRunning
-			j.state = StateQueued
+		if j.State == StateQueued || j.State == StateRunning {
+			j.Resumed = j.State == StateRunning
+			j.State = StateQueued
 			s.queue = append(s.queue, j)
 		}
 	}
@@ -225,30 +250,35 @@ func New(opt Options) (*Server, error) {
 	return s, nil
 }
 
-// loadJob restores one job directory.
+// loadJob restores one job directory, trusting nothing in it: the config
+// must still validate and the state must be one this daemon writes, or
+// the job could neither be queued, resumed nor served as terminal.
 func loadJob(dir string) (*job, error) {
 	var jf jobFile
 	if err := readJSON(filepath.Join(dir, "job.json"), &jf); err != nil {
 		return nil, err
 	}
-	var st stateFile
+	if jf.ID == "" {
+		return nil, fmt.Errorf("job.json has no id")
+	}
+	if err := jf.Config.Validate(); err != nil {
+		return nil, fmt.Errorf("job.json config: %w", err)
+	}
+	var st JobStatus
 	if err := readJSON(filepath.Join(dir, "state.json"), &st); err != nil {
 		return nil, err
 	}
-	j := &job{
-		id: jf.ID, num: jf.Num, cfg: jf.Config, dir: dir,
-		state: st.State, err: st.Error, done: st.RoundsDone,
-		finalAcc: st.FinalAccuracy, totalS: st.TotalSeconds,
-		budget: jobBudget(jf.Config.Workers),
-	}
-	if j.id == "" || j.state == "" {
-		return nil, fmt.Errorf("missing id or state")
-	}
-	// Terminal jobs keep their round history queryable across restarts.
-	if j.state == StateCompleted || j.state == StateFailed || j.state == StateCancelled {
+	j := newJob(jf.ID, jf.Num, jf.Config, dir)
+	j.State, j.Error, j.RoundsDone, j.FinalAccuracy, j.TotalSeconds = st.State, st.Error, st.RoundsDone, st.FinalAccuracy, st.TotalSeconds
+	switch j.State {
+	case StateQueued, StateRunning:
+	case StateCompleted, StateFailed, StateCancelled:
+		// Terminal jobs keep their round history queryable across restarts.
 		if err := readJSON(filepath.Join(dir, "rounds.json"), &j.rounds); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return nil, err
 		}
+	default:
+		return nil, fmt.Errorf("state.json has unknown state %q", j.State)
 	}
 	return j, nil
 }
@@ -317,7 +347,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "invalid job config: %v", err)
 		return
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		httpError(w, http.StatusBadRequest, "invalid job config: %v", err)
 		return
@@ -339,24 +369,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	num := s.nextNum
 	s.nextNum++
-	j := &job{
-		id:  fmt.Sprintf("job-%d", num),
-		num: num, cfg: cfg,
-		dir:    filepath.Join(s.opt.Dir, "jobs", fmt.Sprintf("job-%d", num)),
-		state:  StateQueued,
-		budget: jobBudget(cfg.Workers),
-	}
+	id := fmt.Sprintf("job-%d", num)
+	j := newJob(id, num, cfg, filepath.Join(s.opt.Dir, "jobs", id))
 	if err := persistNewJob(j); err != nil {
 		s.mu.Unlock()
 		httpError(w, http.StatusInternalServerError, "persist job: %v", err)
 		return
 	}
-	s.jobs[j.id] = j
+	s.jobs[j.ID] = j
 	s.queue = append(s.queue, j)
 	s.dispatchLocked()
-	st := statusLocked(j)
+	st := j.JobStatus
 	s.mu.Unlock()
-	s.opt.Logf("serve: %s submitted (%s, %s)", j.id, j.cfg.Engine, j.cfg.Dataset)
+	s.opt.Logf("serve: %s submitted (%s, %s)", j.ID, j.cfg.Engine, j.cfg.Dataset)
 	writeJSON(w, http.StatusAccepted, st)
 }
 
@@ -364,27 +389,26 @@ func persistNewJob(j *job) error {
 	if err := os.MkdirAll(j.dir, 0o755); err != nil {
 		return err
 	}
-	if err := writeJSONAtomic(filepath.Join(j.dir, "job.json"), jobFile{ID: j.id, Num: j.num, Config: j.cfg}); err != nil {
+	if err := writeJSONAtomic(filepath.Join(j.dir, "job.json"), jobFile{ID: j.ID, Num: j.num, Config: j.cfg}); err != nil {
 		return err
 	}
-	return writeJSONAtomic(filepath.Join(j.dir, "state.json"), stateFile{State: StateQueued})
+	return persistState(j.dir, j.JobStatus)
 }
 
+// handleList reports every job in submission order.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	out := make([]JobStatus, 0, len(s.jobs))
+	all := make([]*job, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		out = append(out, statusLocked(j))
+		all = append(all, j)
+	}
+	sort.Slice(all, func(a, b int) bool { return all[a].num < all[b].num })
+	out := make([]JobStatus, len(all))
+	for i, j := range all {
+		out[i] = j.JobStatus
 	}
 	s.mu.Unlock()
-	sort.Slice(out, func(a, b int) bool { return jobNum(out[a].ID) < jobNum(out[b].ID) })
 	writeJSON(w, http.StatusOK, out)
-}
-
-// jobNum extracts the numeric suffix of "job-N" for stable listing order.
-func jobNum(id string) int {
-	n, _ := strconv.Atoi(id[len("job-"):])
-	return n
 }
 
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *job {
@@ -403,22 +427,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	st := statusLocked(j)
+	st := j.JobStatus
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, st)
-}
-
-func statusLocked(j *job) JobStatus {
-	// The async engine's unit of progress is the update, not the round.
-	total := j.cfg.Rounds
-	if j.cfg.Engine == "async" {
-		total = j.cfg.MaxUpdates
-	}
-	return JobStatus{
-		ID: j.id, Name: j.cfg.Name, State: j.state, Engine: j.cfg.Engine,
-		Rounds: total, RoundsDone: j.done, Error: j.err,
-		FinalAccuracy: j.finalAcc, TotalSeconds: j.totalS, Resumed: j.resumed,
-	}
 }
 
 func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request) {
@@ -443,7 +454,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	path := filepath.Join(j.dir, "trace.jsonl")
 	f, err := os.Open(path)
 	if err != nil {
-		httpError(w, http.StatusNotFound, "no trace yet for %s", j.id)
+		httpError(w, http.StatusNotFound, "no trace yet for %s", j.ID)
 		return
 	}
 	defer f.Close()
@@ -463,7 +474,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 		s.mu.Lock()
-		st := j.state
+		st := j.State
 		s.mu.Unlock()
 		n, err := io.Copy(w, f)
 		if err != nil {
@@ -486,7 +497,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	switch j.state {
+	st := j.JobStatus
+	switch st.State {
 	case StateQueued:
 		for i, q := range s.queue {
 			if q == j {
@@ -494,20 +506,20 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 				break
 			}
 		}
-		j.state = StateCancelled
-		writeJSONAtomic(filepath.Join(j.dir, "state.json"), stateFile{State: StateCancelled})
-		st := statusLocked(j)
+		j.State = StateCancelled
+		st = j.JobStatus
+		if err := persistState(j.dir, st); err != nil {
+			s.opt.Logf("serve: %s: persist state: %v", j.ID, err)
+		}
 		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, st)
 	case StateRunning:
 		j.cancelled.Store(true)
-		st := statusLocked(j)
 		s.mu.Unlock()
 		writeJSON(w, http.StatusAccepted, st)
 	default:
-		st := j.state
 		s.mu.Unlock()
-		httpError(w, http.StatusConflict, "job %s is already %s", j.id, st)
+		httpError(w, http.StatusConflict, "job %s is already %s", st.ID, st.State)
 	}
 }
 
@@ -526,7 +538,7 @@ func (s *Server) dispatchLocked() {
 			return
 		}
 		s.queue = s.queue[1:]
-		j.state = StateRunning
+		j.State = StateRunning
 		j.budget = budget
 		s.running++
 		s.inUse += budget
@@ -551,7 +563,7 @@ func (s *Server) release(j *job) {
 func (s *Server) runJob(j *job) {
 	defer s.release(j)
 
-	if err := writeJSONAtomic(filepath.Join(j.dir, "state.json"), stateFile{State: StateRunning}); err != nil {
+	if err := persistState(j.dir, JobStatus{State: StateRunning}); err != nil {
 		s.fail(j, fmt.Errorf("persist state: %w", err))
 		return
 	}
@@ -563,11 +575,11 @@ func (s *Server) runJob(j *job) {
 	// resumed engine re-emits it bit-identically.
 	var resume *fl.Checkpoint
 	var base int64
-	if j.resumed {
+	if j.Resumed {
 		var err error
 		resume, base, err = readResume(j.dir)
 		if err != nil {
-			s.opt.Logf("serve: %s: unusable resume snapshot (%v); restarting from scratch", j.id, err)
+			s.opt.Logf("serve: %s: unusable resume snapshot (%v); restarting from scratch", j.ID, err)
 			resume, base = nil, 0
 		}
 	}
@@ -590,7 +602,7 @@ func (s *Server) runJob(j *job) {
 	stream := trace.NewStream(tf, base)
 
 	rec := trace.New(s.opt.TraceCap)
-	b, err := build(j.cfg, rec)
+	run, err := fedsched.BuildJob(j.cfg, rec)
 	if err != nil {
 		s.fail(j, fmt.Errorf("build job: %w", err))
 		return
@@ -598,117 +610,73 @@ func (s *Server) runJob(j *job) {
 	if resume != nil {
 		// Rebuilding re-ran the scheduler, which re-emitted its schedule
 		// and solver events — but the original run's first flush already
-		// persisted those. Drop the duplicates.
+		// persisted those. Drop the duplicates, and republish the
+		// checkpointed history so status and rounds queries are correct
+		// from the moment the resumed job starts.
 		rec.Reset()
-		b.run.Resume = resume
-		s.restoreRounds(j, resume)
+		run.Resume = resume
+		s.publishRounds(j, resume.HistoryRounds)
 	}
-	b.run.Cancel = func() bool { return j.cancelled.Load() || s.closing.Load() }
 
-	s.opt.Logf("serve: %s running (%s, budget %d)", j.id, j.cfg.Engine, j.budget)
-	switch j.cfg.Engine {
-	case "sync":
-		s.runSync(j, b, stream, rec)
-	case "async":
-		s.runAsync(j, b, stream, rec)
-	case "gossip":
-		s.runGossip(j, b, stream, rec)
-	default:
-		// Configs validate at submission; this only fires on a
-		// hand-edited job.json.
-		s.fail(j, fmt.Errorf("unknown engine %q", j.cfg.Engine))
-	}
-}
-
-// runSync executes a synchronous job with per-round persistence: after
-// every round the engine's checkpoint sink (on the engine goroutine)
-// flushes the trace, then atomically replaces the resume snapshot with
-// the new (checkpoint, trace offset) pair. A crash between the two steps
-// leaves a stale snapshot plus a trace tail past its offset — which the
-// next resume truncates and regenerates, keeping the file byte-identical
-// to an uninterrupted run's.
-func (s *Server) runSync(j *job, b *built, stream *trace.Stream, rec *trace.Recorder) {
-	b.run.CheckpointEvery = 1
-	b.run.CheckpointSink = func(ck *fl.Checkpoint) error {
-		if err := stream.Flush(rec); err != nil {
-			return err
+	// The engines poll Cancel on their own goroutine between rounds (at
+	// every virtual event for async) — the same contract as the
+	// checkpoint sink, so it doubles as the flush point that keeps an
+	// engine without round checkpoints from overflowing the ring.
+	var flushErr error
+	run.Cancel = func() bool {
+		if flushErr == nil && rec.Len() > s.opt.TraceCap/2 {
+			flushErr = stream.Flush(rec)
 		}
-		if err := writeResume(j.dir, ck, stream.Offset()); err != nil {
-			return err
+		return flushErr != nil || j.cancelled.Load() || s.closing.Load()
+	}
+	if j.cfg.Engine == "sync" {
+		// Per-round persistence, the one thing only the synchronous engine
+		// supports: after every round the sink flushes the trace, then
+		// atomically replaces the resume snapshot with the new
+		// (checkpoint, trace offset) pair. A crash between the two steps
+		// leaves a stale snapshot plus a trace tail past its offset — which
+		// the next resume truncates and regenerates, keeping the file
+		// byte-identical to an uninterrupted run's.
+		run.CheckpointEvery = 1
+		run.CheckpointSink = func(ck *fl.Checkpoint) error {
+			if err := stream.Flush(rec); err != nil {
+				return err
+			}
+			if err := writeResume(j.dir, ck, stream.Offset()); err != nil {
+				return err
+			}
+			s.publishRounds(j, ck.HistoryRounds)
+			return nil
 		}
-		// Past rounds never change (restoreRounds published a resumed
-		// job's), so only the new tail is converted.
-		s.mu.Lock()
-		for i := len(j.rounds); i < len(ck.HistoryRounds); i++ {
-			j.rounds = append(j.rounds, roundInfo(&ck.HistoryRounds[i]))
-		}
-		j.done = len(ck.HistoryRounds)
-		s.mu.Unlock()
-		return nil
 	}
 
-	hist, err := fl.Run(b.run, b.clients, b.test)
-	var rounds []RoundInfo
-	var done int
-	var acc, total float64
-	if hist != nil {
-		rounds = roundInfos(hist.Rounds)
-		done = len(hist.Rounds)
-		acc = hist.FinalAccuracy
-		total = hist.TotalSeconds
+	s.opt.Logf("serve: %s running (%s, budget %d)", j.ID, j.cfg.Engine, j.budget)
+	out, runErr := run.Run()
+	if flushErr != nil {
+		runErr = flushErr
 	}
-	s.settle(j, stream, rec, err, rounds, done, acc, total)
-}
-
-// runAsync executes an asynchronous job. It has no synchronous round
-// boundary to checkpoint at, so the whole trace flushes at the end and a
-// daemon restart re-runs the job from scratch (deterministically).
-func (s *Server) runAsync(j *job, b *built, stream *trace.Stream, rec *trace.Recorder) {
-	cfg := fl.AsyncConfig{Config: b.run, MaxUpdates: b.maxUpdates}
-	hist, err := fl.RunAsync(cfg, b.clients, b.test)
-	var done int
-	var acc, total float64
-	if hist != nil {
-		done = hist.Updates
-		acc = hist.FinalAccuracy
-		total = hist.VirtualSeconds
-	}
-	s.settle(j, stream, rec, err, nil, done, acc, total)
-}
-
-// runGossip executes a decentralized job; like async it is
-// run-to-completion (restart re-runs from scratch).
-func (s *Server) runGossip(j *job, b *built, stream *trace.Stream, rec *trace.Recorder) {
-	cfg := fl.GossipConfig{Config: b.run, Topology: b.topology}
-	hist, err := fl.RunGossip(cfg, b.clients, b.test)
-	var done int
-	var acc, total float64
-	if hist != nil {
-		done = hist.Rounds
-		acc = hist.MeanAccuracy
-		total = hist.TotalSeconds
-	}
-	s.settle(j, stream, rec, err, nil, done, acc, total)
-}
-
-// settle maps a finished engine run onto the job's terminal state — or,
-// when the daemon interrupted it, leaves the on-disk state resumable and
-// the in-memory state running (the process is about to exit anyway).
-func (s *Server) settle(j *job, stream *trace.Stream, rec *trace.Recorder, runErr error, rounds []RoundInfo, done int, acc, total float64) {
-	interrupted := errors.Is(runErr, fl.ErrCancelled) && s.closing.Load() && !j.cancelled.Load()
-	if interrupted {
-		s.opt.Logf("serve: %s interrupted after %d rounds; resumable on restart", j.id, done)
+	if errors.Is(runErr, fl.ErrCancelled) && s.closing.Load() && !j.cancelled.Load() {
+		// The daemon interrupted the run: the on-disk state stays
+		// resumable and the in-memory state running (the process is about
+		// to exit anyway).
+		s.opt.Logf("serve: %s interrupted after %d rounds; resumable on restart", j.ID, out.Done)
 		return
 	}
 
-	// Flush whatever the last checkpoint (if any) did not cover: the
-	// engine-final events of a sync run, or the entire trace of an
-	// async/gossip run. Terminal states need no offset bookkeeping.
+	// Flush whatever the last checkpoint or poll did not cover. Terminal
+	// states need no offset bookkeeping.
 	if err := stream.Flush(rec); err != nil && runErr == nil {
 		runErr = err
 	}
+	s.settle(j, out, runErr)
+}
 
-	st := stateFile{State: StateCompleted, RoundsDone: done, FinalAccuracy: acc, TotalSeconds: total}
+// settle maps a finished engine run onto the job's terminal state.
+func (s *Server) settle(j *job, out fedsched.Outcome, runErr error) {
+	s.mu.Lock()
+	st := j.JobStatus
+	s.mu.Unlock()
+	st.State, st.RoundsDone, st.FinalAccuracy, st.TotalSeconds = StateCompleted, out.Done, out.Accuracy, out.Seconds
 	switch {
 	case runErr == nil:
 	case errors.Is(runErr, fl.ErrCancelled):
@@ -717,47 +685,57 @@ func (s *Server) settle(j *job, stream *trace.Stream, rec *trace.Recorder, runEr
 		st.State = StateFailed
 		st.Error = runErr.Error()
 	}
+	rounds := []RoundInfo{}
+	if out.Sync != nil {
+		rounds = roundInfos(out.Sync.Rounds)
+	}
 
-	if rounds == nil {
-		rounds = []RoundInfo{}
-	}
 	if err := writeJSONAtomic(filepath.Join(j.dir, "rounds.json"), rounds); err != nil {
-		s.opt.Logf("serve: %s: persist rounds: %v", j.id, err)
+		s.opt.Logf("serve: %s: persist rounds: %v", j.ID, err)
 	}
-	if err := writeJSONAtomic(filepath.Join(j.dir, "state.json"), st); err != nil {
-		s.opt.Logf("serve: %s: persist state: %v", j.id, err)
+	if err := persistState(j.dir, st); err != nil {
+		s.opt.Logf("serve: %s: persist state: %v", j.ID, err)
 	}
 	os.Remove(filepath.Join(j.dir, "resume.bin"))
 
 	s.mu.Lock()
-	j.state = st.State
-	j.err = st.Error
+	j.JobStatus = st
 	j.rounds = rounds
-	j.done = done
-	j.finalAcc = acc
-	j.totalS = total
 	s.mu.Unlock()
-	s.opt.Logf("serve: %s %s (%d rounds, accuracy %.4f)", j.id, st.State, done, acc)
+	s.opt.Logf("serve: %s %s (%d rounds, accuracy %.4f)", j.ID, st.State, out.Done, out.Accuracy)
 }
 
 // fail records a pre-run failure (build or I/O error).
 func (s *Server) fail(j *job, err error) {
-	st := stateFile{State: StateFailed, Error: err.Error()}
-	writeJSONAtomic(filepath.Join(j.dir, "state.json"), st)
+	st := JobStatus{State: StateFailed, Error: err.Error()}
+	if perr := persistState(j.dir, st); perr != nil {
+		s.opt.Logf("serve: %s: persist state: %v", j.ID, perr)
+	}
 	s.mu.Lock()
-	j.state = StateFailed
-	j.err = st.Error
+	j.State, j.Error = st.State, st.Error
 	s.mu.Unlock()
-	s.opt.Logf("serve: %s failed: %v", j.id, err)
+	s.opt.Logf("serve: %s failed: %v", j.ID, err)
 }
 
-// restoreRounds republishes the checkpointed history so status and
-// rounds queries are correct from the moment the resumed job starts.
-func (s *Server) restoreRounds(j *job, ck *fl.Checkpoint) {
+// publishRounds extends the job's queryable history to the engine's.
+// Past rounds never change, so only the new tail is converted.
+func (s *Server) publishRounds(j *job, hist []fl.RoundStats) {
 	s.mu.Lock()
-	j.rounds = roundInfos(ck.HistoryRounds)
-	j.done = len(ck.HistoryRounds)
+	for i := len(j.rounds); i < len(hist); i++ {
+		j.rounds = append(j.rounds, roundInfo(&hist[i]))
+	}
+	j.RoundsDone = len(hist)
 	s.mu.Unlock()
+}
+
+// writeAtomic replaces path with data by tmp-write + rename, so a crash
+// mid-write never damages the previous good file.
+func writeAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
 }
 
 // resume.bin is the atomically-replaced (trace offset, checkpoint) pair:
@@ -770,12 +748,7 @@ func writeResume(dir string, ck *fl.Checkpoint, offset int64) error {
 	if err := ck.Save(&buf); err != nil {
 		return err
 	}
-	path := filepath.Join(dir, "resume.bin")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return writeAtomic(filepath.Join(dir, "resume.bin"), buf.Bytes())
 }
 
 // readResume loads the snapshot; (nil, 0, nil) means a fresh start.
@@ -803,11 +776,7 @@ func writeJSONAtomic(path string, v any) error {
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return writeAtomic(path, append(data, '\n'))
 }
 
 func readJSON(path string, v any) error {

@@ -257,3 +257,33 @@ func ReadCSV(r io.Reader) ([]Event, error) {
 	}
 	return out, nil
 }
+
+// Export writes a finished run's trace wherever its command line asked:
+// a JSONL file, a CSV file (either path may be empty) and the per-round
+// summary table on stderr. Each file written is announced on notice; a
+// ring overflow is reported on stderr. A nil recorder is a no-op.
+func Export(rec *Recorder, jsonlPath, csvPath string, summary bool, notice io.Writer) error {
+	if rec == nil {
+		return nil
+	}
+	events := rec.Events()
+	if d := rec.Dropped(); d > 0 {
+		fmt.Fprintf(os.Stderr, "trace: ring overflowed, %d oldest events dropped (raise -trace-cap)\n", d)
+	}
+	if jsonlPath != "" {
+		if err := WriteFileJSONL(jsonlPath, events); err != nil {
+			return err
+		}
+		fmt.Fprintf(notice, "trace: %d events written to %s\n", len(events), jsonlPath)
+	}
+	if csvPath != "" {
+		if err := WriteFileCSV(csvPath, events); err != nil {
+			return err
+		}
+		fmt.Fprintf(notice, "trace: %d events written to %s\n", len(events), csvPath)
+	}
+	if summary {
+		return WriteSummary(os.Stderr, events)
+	}
+	return nil
+}
