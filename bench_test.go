@@ -145,9 +145,8 @@ func BenchmarkRunParallel(b *testing.B) { benchFederated(b, 0) }
 // GEMM benchmarks over the real layer shapes of the paper's two models at
 // batch 20, one triple per model covering the three kernels a training
 // step issues: forward A·Bᵀ (im2col rows × filters), input-gradient A·B
-// and weight-gradient Aᵀ·B. `make bench-gemm` runs these plus the
-// naive-vs-blocked kernel pair in internal/tensor; BENCH_gemm.json holds
-// recorded numbers.
+// and weight-gradient Aᵀ·B. The naive-vs-blocked kernel pairs on the
+// same shapes are in internal/tensor.
 func benchGEMMLayer[T tensor.Float](b *testing.B, m, k, n int) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
@@ -174,7 +173,7 @@ func BenchmarkGEMM_LeNet(b *testing.B) { benchGEMMLayer[float64](b, 1280, 500, 4
 func BenchmarkGEMM_VGG6(b *testing.B) { benchGEMMLayer[float64](b, 980, 720, 96) }
 
 // The same triples on the float32 kernels (SIMD micro-kernel on amd64,
-// half the memory traffic); BENCH_gemm.json records both widths.
+// half the memory traffic).
 func BenchmarkGEMMF32_LeNet(b *testing.B) { benchGEMMLayer[float32](b, 1280, 500, 40) }
 func BenchmarkGEMMF32_VGG6(b *testing.B)  { benchGEMMLayer[float32](b, 980, 720, 96) }
 
@@ -188,12 +187,12 @@ func BenchmarkExtGranularity(b *testing.B) { benchExperiment(b, "ext-granularity
 func BenchmarkExtDropout(b *testing.B)     { benchExperiment(b, "ext-dropout") }
 func BenchmarkExtAdaptive(b *testing.B)    { benchExperiment(b, "ext-adaptive") }
 
-// Population-scale scheduling benchmarks: the sparsified Fed-LBAP solver
-// and the O(selected) population round loop at fleet sizes from 10^3 to
-// 10^6 clients. BENCH_sched.json holds recorded numbers; the headline
-// target is a sub-second n=10^6, s=10^4 solve. Cost curves are
+// Population-scale scheduling benchmarks: the Fed-LBAP solver and the
+// O(selected) population round loop at fleet sizes from 10^3 to 10^6
+// clients; the headline target is a sub-second n=10^6, s=10^4 solve
+// (bench/'s pop_scale workload gates both end to end). Cost curves are
 // deterministic hashed-jitter lines (no math/rand in the hot loop), the
-// same instance family the sparse-vs-dense equivalence tests use.
+// same instance family the dense-oracle equivalence tests use.
 func populationRequest(n int) *fedsched.Request {
 	users := make([]*fedsched.User, n)
 	for j := range users {
@@ -213,24 +212,8 @@ func populationRequest(n int) *fedsched.Request {
 	return &fedsched.Request{TotalShards: s, ShardSize: 100, Users: users}
 }
 
-func BenchmarkFedLBAPSparse(b *testing.B) {
+func BenchmarkFedLBAPFleet(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000, 1_000_000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			req := populationRequest(n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := fedsched.FedLBAPSparse.Schedule(req, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// The dense solver on the same instance family, reference point for the
-// sparse speedup (only at sizes where the n×s matrix is tractable).
-func BenchmarkFedLBAPDense(b *testing.B) {
-	for _, n := range []int{1_000, 10_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			req := populationRequest(n)
 			b.ResetTimer()

@@ -231,7 +231,8 @@ var (
 
 // Schedulers.
 var (
-	// FedLBAP is Algorithm 1 (IID data, min-makespan).
+	// FedLBAP is Algorithm 1 (IID data, min-makespan), solved over the
+	// implicit cost matrix; it requires nondecreasing cost curves.
 	FedLBAP sched.Scheduler = sched.FedLBAP{}
 	// FedMinAvg is Algorithm 2 (non-IID data, min average cost).
 	FedMinAvg sched.Scheduler = sched.FedMinAvg{}
@@ -241,11 +242,8 @@ var (
 	RandomSched sched.Scheduler = sched.Random{}
 	// Equal assigns equal shares (the FedAvg default).
 	Equal sched.Scheduler = sched.Equal{}
-	// FedLBAPSparse is Algorithm 1 re-solved over the implicit cost
-	// matrix: bit-identical assignments to FedLBAP on monotone cost
-	// curves, but sub-second at a million users (the dense matrix would
-	// need 10^10 values). Use it whenever the user count is large.
-	FedLBAPSparse sched.Scheduler = sched.SparseFedLBAP{}
+	// FedLBAPSparse is FedLBAP; bench/ is the last user of the name.
+	FedLBAPSparse = FedLBAP
 )
 
 // ShardSize is the paper's data granularity: 100 samples per shard.

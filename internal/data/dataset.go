@@ -89,43 +89,11 @@ func (d *Dataset) ByClass() [][]int {
 	return out
 }
 
-// ClassSet returns the sorted list of classes present in the dataset.
-func (d *Dataset) ClassSet() []int {
-	seen := make([]bool, d.Classes)
-	for _, y := range d.Labels {
-		seen[y] = true
-	}
-	var out []int
-	for c, ok := range seen {
-		if ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // ClassCounts returns the per-class sample counts.
 func (d *Dataset) ClassCounts() []int {
 	out := make([]int, d.Classes)
 	for _, y := range d.Labels {
 		out[y]++
 	}
-	return out
-}
-
-// Concat appends other's samples to d, returning a new dataset.
-func Concat(a, b *Dataset) *Dataset {
-	if a.C != b.C || a.H != b.H || a.W != b.W {
-		panic("data: concat shape mismatch")
-	}
-	sz := a.SampleSize()
-	out := &Dataset{Name: a.Name, C: a.C, H: a.H, W: a.W, Classes: a.Classes,
-		X:      tensor.New(a.Len()+b.Len(), a.C, a.H, a.W),
-		Labels: make([]int, 0, a.Len()+b.Len()),
-	}
-	copy(out.X.Data(), a.X.Data())
-	copy(out.X.Data()[a.Len()*sz:], b.X.Data())
-	out.Labels = append(out.Labels, a.Labels...)
-	out.Labels = append(out.Labels, b.Labels...)
 	return out
 }

@@ -273,16 +273,11 @@ func (m OutlierMode) String() string {
 	return fmt.Sprintf("OutlierMode(%d)", int(m))
 }
 
-// OutlierScenario reproduces the paper's §III-C construction: 3 users with
-// 3 random classes each (disjoint, covering 9 classes) and the remaining
-// class treated per mode. Returns the class set of each user.
-func OutlierScenario(classes int, mode OutlierMode, rng *rand.Rand) [][]int {
-	sets, _ := OutlierScenarioWithClass(classes, mode, rng)
-	return sets
-}
-
-// OutlierScenarioWithClass is OutlierScenario plus the identity of the
-// outlier class, so experiments can track its per-class recall.
+// OutlierScenarioWithClass reproduces the paper's §III-C construction: 3
+// users with 3 random classes each (disjoint, covering 9 classes) and the
+// remaining class treated per mode. It returns the class set of each user
+// and the identity of the outlier class, so experiments can track its
+// per-class recall.
 func OutlierScenarioWithClass(classes int, mode OutlierMode, rng *rand.Rand) ([][]int, int) {
 	perm := rng.Perm(classes)
 	sets := [][]int{

@@ -102,10 +102,6 @@ func (p *Population) Materialize(id int, d *Device) {
 	d.EnergyJ = prof.BatteryJ * p.drainOf(id)
 }
 
-// MeanSpeed returns the expected throughput scale (1.0 by construction);
-// kept as a sanity anchor for tests.
-func (p *Population) MeanSpeed() float64 { return 1 }
-
 // Check validates the population parameters.
 func (p *Population) Check() error {
 	switch {

@@ -31,7 +31,7 @@ type PopulationConfig struct {
 	// Population.N.
 	Sampler sample.Sampler
 	// Scheduler partitions TotalShards across the cohort. Nil defaults to
-	// sched.SparseFedLBAP (the population-scale solver).
+	// sched.FedLBAP.
 	Scheduler sched.Scheduler
 	// Link is the uplink/downlink model shared by all clients (zero value
 	// defaults to WiFi).
@@ -74,7 +74,7 @@ type PopulationConfig struct {
 
 func (c PopulationConfig) withDefaults() PopulationConfig {
 	if c.Scheduler == nil {
-		c.Scheduler = sched.SparseFedLBAP{}
+		c.Scheduler = sched.FedLBAP{}
 	}
 	if c.Link.Name == "" && !(c.Link.UpMbps > 0) {
 		c.Link = network.WiFi()

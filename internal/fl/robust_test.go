@@ -58,7 +58,7 @@ func TestLRScheduleApplied(t *testing.T) {
 	}
 	// A zero-LR schedule must freeze learning at the initial (chance)
 	// accuracy, proving the schedule actually drives the optimizer.
-	frozen := run(nn.ConstantLR(0))
+	frozen := run(func(int) float64 { return 0 })
 	if frozen > 0.3 {
 		t.Fatalf("zero-LR run reached %.3f — schedule not applied", frozen)
 	}

@@ -8,8 +8,7 @@ import (
 
 // GradCheck compares the analytic gradient of the network's loss with a
 // central-difference numerical gradient over every parameter, and returns
-// the largest relative error encountered. Intended for tests on tiny
-// networks.
+// the largest relative error encountered, on tiny networks.
 //
 // The relative-error denominator is floored at GradCheckFloor for the
 // element type: 1e-8 suits float64, but float32 arithmetic leaves residual

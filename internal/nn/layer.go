@@ -50,10 +50,8 @@ type Layer = LayerOf[float64]
 type ParamClass int
 
 const (
-	// ClassNone marks layers without trainable parameters.
-	ClassNone ParamClass = iota
 	// ClassConv marks convolutional parameters.
-	ClassConv
+	ClassConv ParamClass = iota + 1
 	// ClassDense marks densely-connected parameters.
 	ClassDense
 )

@@ -65,34 +65,6 @@ func SoftmaxCrossEntropyInto[T tensor.Float](grad, logits *tensor.TensorOf[T], l
 	return loss * invN
 }
 
-// Softmax returns row-wise softmax probabilities of logits (N, K).
-func Softmax[T tensor.Float](logits *tensor.TensorOf[T]) *tensor.TensorOf[T] {
-	n, k := logits.Dim(0), logits.Dim(1)
-	out := tensor.NewOf[T](n, k)
-	ld, od := logits.Data(), out.Data()
-	for i := 0; i < n; i++ {
-		row := ld[i*k : (i+1)*k]
-		o := od[i*k : (i+1)*k]
-		maxv := row[0]
-		for _, v := range row[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		sum := 0.0
-		for j, v := range row {
-			e := math.Exp(float64(v) - float64(maxv))
-			o[j] = T(e)
-			sum += e
-		}
-		inv := 1 / sum
-		for j := range o {
-			o[j] = T(float64(o[j]) * inv)
-		}
-	}
-	return out
-}
-
 // Argmax returns the index of the largest value in each row of a 2-D tensor.
 func Argmax[T tensor.Float](x *tensor.TensorOf[T]) []int {
 	n, k := x.Dim(0), x.Dim(1)

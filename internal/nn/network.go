@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"fedsched/internal/tensor"
 )
@@ -252,16 +251,4 @@ func (n *NetworkOf[T]) ZeroGrads() {
 	for _, p := range n.Params() {
 		p.Grad.Zero()
 	}
-}
-
-// Summary renders a human-readable architecture description.
-func (n *NetworkOf[T]) Summary() string {
-	var b strings.Builder
-	conv, dense := n.ParamCounts()
-	fmt.Fprintf(&b, "%s: %d params (conv %d, dense %d), %.1f MFLOPs/sample\n",
-		n.Arch, n.ParamCount(), conv, dense, n.FlopsPerSample()/1e6)
-	for _, l := range n.Layers {
-		fmt.Fprintf(&b, "  %s\n", l.Name())
-	}
-	return b.String()
 }

@@ -57,21 +57,6 @@ func (r *Reporter) Randomize(classes []int, rng *rand.Rand) []bool {
 	return out
 }
 
-// EstimateCount returns the unbiased estimate of the true class count from
-// a randomized report: (observed − K(1−p)) / (2p−1), clamped to [1, K] so
-// the accuracy cost K/|U_j| stays finite.
-func (r *Reporter) EstimateCount(report []bool) float64 {
-	observed := 0.0
-	for _, b := range report {
-		if b {
-			observed++
-		}
-	}
-	p := r.keep
-	est := (observed - float64(r.Classes)*(1-p)) / (2*p - 1)
-	return math.Min(float64(r.Classes), math.Max(1, est))
-}
-
 // EstimateSet thresholds the randomized report into a plausible class set
 // (bits more likely true than false under the mechanism). With per-bit
 // randomized response that is simply the reported bits; the method exists

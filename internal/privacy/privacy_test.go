@@ -1,7 +1,6 @@
 package privacy
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -52,38 +51,6 @@ func TestFlipProbabilityMonotone(t *testing.T) {
 			t.Fatalf("flip probability out of (0, 0.5): %v", p)
 		}
 		prev = p
-	}
-}
-
-func TestEstimateCountUnbiased(t *testing.T) {
-	r, _ := NewReporter(1, 10)
-	rng := rand.New(rand.NewSource(2))
-	classes := []int{0, 1, 2, 3} // |U| = 4
-	sum := 0.0
-	const trials = 4000
-	for i := 0; i < trials; i++ {
-		sum += r.EstimateCount(r.Randomize(classes, rng))
-	}
-	mean := sum / trials
-	// Clamping biases the estimator slightly upward near the boundary;
-	// at |U|=4 of 10 the estimate should still center near 4.
-	if math.Abs(mean-4) > 0.5 {
-		t.Fatalf("mean estimate %.2f, want ≈4", mean)
-	}
-}
-
-func TestEstimateCountClamped(t *testing.T) {
-	r, _ := NewReporter(1, 10)
-	allFalse := make([]bool, 10)
-	if got := r.EstimateCount(allFalse); got < 1 {
-		t.Fatalf("estimate %v below clamp", got)
-	}
-	allTrue := make([]bool, 10)
-	for i := range allTrue {
-		allTrue[i] = true
-	}
-	if got := r.EstimateCount(allTrue); got > 10 {
-		t.Fatalf("estimate %v above clamp", got)
 	}
 }
 

@@ -52,14 +52,6 @@ func (o *OnlineProfile) Observe(arch *nn.Arch, n int, seconds float64) {
 	delete(o.fits, arch.Name) // invalidate the cached fit
 }
 
-// Observations returns the number of recorded measurements for the
-// architecture.
-func (o *OnlineProfile) Observations(arch *nn.Arch) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.obs[arch.Name])
-}
-
 // Predict estimates the epoch time for n samples: the online fit once
 // enough observations exist (and they span more than one data size),
 // otherwise the offline prior, otherwise a mean-rate extrapolation of

@@ -70,8 +70,9 @@ func TestOnlineIgnoresBadObservations(t *testing.T) {
 	lenet := nn.LeNet(1, 28, 28, 10)
 	on.Observe(lenet, -5, 10)
 	on.Observe(lenet, 100, -1)
-	if n := on.Observations(lenet); n != 0 {
-		t.Fatalf("%d bad observations recorded", n)
+	// With no prior, a single recorded point would already extrapolate.
+	if got := on.Predict(lenet, 1000); got != 0 {
+		t.Fatalf("bad observations were recorded: predicts %v", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -19,8 +18,8 @@ func fuzzMix(x uint64) uint64 {
 // fuzzRequest builds a well-formed scheduling problem from fuzzed
 // parameters. Cost curves are a·n + b·√n with a, b ≥ 0, so they are
 // nondecreasing in the sample count — Property 1 holds on the raw
-// curves, the regime where SparseFedLBAP is specified to be
-// bit-identical to the dense solver. User 0 is always uncapped so the
+// curves, FedLBAP's precondition and the regime where it is specified
+// to be bit-identical to the dense oracle. User 0 is always uncapped so the
 // request passes the total-capacity check for any fuzzed capacities.
 func fuzzRequest(seed uint64, nUsers, totalShards, shardSize int) *Request {
 	n := 1 + abs(nUsers)%48
@@ -58,44 +57,19 @@ func abs(v int) int {
 	return v
 }
 
-// FuzzSparseFedLBAP cross-checks the O(n + s·polylog) sparse solver
-// against the dense O(ns) solver on random monotone-cost problems: both
-// must produce a valid assignment, the same shard vector, and the same
-// predicted makespan. The bracketed threshold search must also replay the
-// full-range reference's probe and schedule events exactly.
-func FuzzSparseFedLBAP(f *testing.F) {
+// FuzzFedLBAP cross-checks the O(n + s·polylog) solver against the dense
+// O(ns) oracle on random monotone-cost problems: a valid assignment, the
+// same shard vector and the same predicted makespan. The bracketed
+// threshold search must also replay the full-range reference's probe and
+// schedule events exactly.
+func FuzzFedLBAP(f *testing.F) {
 	f.Add(uint64(1), 8, 40, 2)
 	f.Add(uint64(42), 1, 1, 1)
 	f.Add(uint64(7), 30, 5, 3)   // n > s: quickselect bound + pruning path
 	f.Add(uint64(99), 4, 199, 1) // deep curves: bisection + exact walk
 	f.Fuzz(func(t *testing.T, seed uint64, nUsers, totalShards, shardSize int) {
 		req := fuzzRequest(seed, nUsers, totalShards, shardSize)
-		rng := rand.New(rand.NewSource(1)) // unused by both solvers; passed for interface shape
-		dense, err := (FedLBAP{}).Schedule(req, rng)
-		if err != nil {
-			t.Fatalf("dense solver rejected a well-formed request: %v", err)
-		}
-		sparse, err := (SparseFedLBAP{}).Schedule(req, rng)
-		if err != nil {
-			t.Fatalf("sparse solver rejected a well-formed request: %v", err)
-		}
-		if err := Validate(req, dense); err != nil {
-			t.Fatalf("dense assignment invalid: %v", err)
-		}
-		if err := Validate(req, sparse); err != nil {
-			t.Fatalf("sparse assignment invalid: %v", err)
-		}
-		if len(dense.Shards) != len(sparse.Shards) {
-			t.Fatalf("shard vectors differ in length: dense %d, sparse %d", len(dense.Shards), len(sparse.Shards))
-		}
-		for j := range dense.Shards {
-			if dense.Shards[j] != sparse.Shards[j] {
-				t.Fatalf("shard vectors diverge at user %d: dense %v, sparse %v", j, dense.Shards, sparse.Shards)
-			}
-		}
-		if dense.PredictedMakespan != sparse.PredictedMakespan { //fedlint:allow floateq — the sparse solver's contract is bit-identical output
-			t.Fatalf("makespans diverge: dense %v, sparse %v", dense.PredictedMakespan, sparse.PredictedMakespan)
-		}
+		assertSparseMatchesDense(t, req)
 		assertSparseMatchesReference(t, req)
 	})
 }

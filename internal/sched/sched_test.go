@@ -1,10 +1,12 @@
 package sched
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // linUser builds a user with cost a + b·samples (a charged only via Cost
@@ -48,6 +50,8 @@ func TestFedLBAPBasic(t *testing.T) {
 }
 
 func TestFedLBAPMatchesBruteForce(t *testing.T) {
+	// Optimality, not just dense-equivalence: the makespan must match the
+	// brute-force DP oracle on small instances.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(4)
@@ -73,7 +77,7 @@ func TestFedLBAPMatchesBruteForce(t *testing.T) {
 		if Validate(req, got) != nil {
 			return false
 		}
-		want, err := BruteForce{}.Schedule(req, nil)
+		want, err := bruteForce(req)
 		if err != nil {
 			return false
 		}
@@ -114,26 +118,85 @@ func TestFedLBAPNeverWorseThanBaselines(t *testing.T) {
 	}
 }
 
+// tableUser's cost is looked up per shard count, so a test can hand the
+// solver any curve at all — Property 1 included or not.
+func tableUser(shardSize int, costs []float64) *User {
+	return &User{Name: "table", Cost: func(n int) float64 { return costs[n/shardSize-1] }}
+}
+
+// solveWithin runs FedLBAP under a deadline, so a solver that stops
+// making progress fails the test instead of hanging it.
+func solveWithin(t *testing.T, req *Request) (*Assignment, error) {
+	t.Helper()
+	const d = 10 * time.Second
+	type result struct {
+		asg *Assignment
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		asg, err := FedLBAP{}.Schedule(req, nil)
+		done <- result{asg, err}
+	}()
+	select {
+	case r := <-done:
+		return r.asg, r.err
+	case <-time.After(d):
+		t.Fatalf("FedLBAP did not return within %v (n=%d, s=%d)", d, len(req.Users), req.TotalShards)
+		return nil, nil
+	}
+}
+
 func TestFedLBAPNonMonotoneCostGuard(t *testing.T) {
-	// A noisy (locally decreasing) cost curve must not break the solver.
-	noisy := &User{
-		Name: "noisy",
-		Cost: func(n int) float64 {
-			base := 0.01 * float64(n)
-			if (n/100)%2 == 0 {
-				base -= 0.3
+	// A curve that really decreases: the first shard costs 5, every larger
+	// load 1. The bound (the full-capacity cost, 1) then prunes the only
+	// user, no threshold is feasible, and the walk — out of matrix values
+	// to advance to — must say so, not spin.
+	costs := []float64{5, 1, 1, 1, 1, 1, 1, 1}
+	req := &Request{TotalShards: len(costs), ShardSize: 100, Users: []*User{tableUser(100, costs)}}
+	if _, err := solveWithin(t, req); !errors.Is(err, ErrNotMonotone) {
+		t.Fatalf("err = %v, want ErrNotMonotone", err)
+	}
+}
+
+func TestFedLBAPNonMonotoneTerminates(t *testing.T) {
+	// Property 1 violated on purpose: every cost is an independent uniform
+	// draw. Optimality is off the table, but every solve must return, with
+	// a Validate-clean assignment or ErrNotMonotone.
+	rng := rand.New(rand.NewSource(18))
+	instances := 20000
+	if testing.Short() {
+		instances = 2000
+	}
+	named := 0
+	for it := 0; it < instances; it++ {
+		n, s := 1+rng.Intn(6), 1+rng.Intn(30)
+		users := make([]*User, n)
+		for j := range users {
+			costs := make([]float64, s)
+			for k := range costs {
+				costs[k] = rng.Float64() * 10
 			}
-			return base
-		},
+			users[j] = tableUser(50, costs)
+			users[j].CommSeconds = rng.Float64()
+			if j > 0 && rng.Float64() < 0.3 {
+				users[j].CapacityShards = 1 + rng.Intn(s)
+			}
+		}
+		req := &Request{TotalShards: s, ShardSize: 50, Users: users}
+		asg, err := solveWithin(t, req)
+		if errors.Is(err, ErrNotMonotone) {
+			named++
+			continue
+		}
+		if err != nil {
+			t.Fatalf("instance %d: %v", it, err)
+		}
+		if err := Validate(req, asg); err != nil {
+			t.Fatalf("instance %d: %v", it, err)
+		}
 	}
-	req := &Request{TotalShards: 10, ShardSize: 100, Users: []*User{noisy, linUser("b", 1, 0.02, 0)}}
-	asg, err := FedLBAP{}.Schedule(req, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Validate(req, asg); err != nil {
-		t.Fatal(err)
-	}
+	t.Logf("%d instances: %d ErrNotMonotone, %d valid assignments", instances, named, instances-named)
 }
 
 func TestFedLBAPSingleUser(t *testing.T) {

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,15 +8,16 @@ import (
 	"fedsched/internal/trace"
 )
 
-// assertSparseMatchesDense runs both solvers on (copies of) the request
-// and requires bit-identical shard vectors and predicted makespans.
-func assertSparseMatchesDense(t *testing.T, req *Request) {
+// assertSparseMatchesDense runs FedLBAP (the implicit-matrix solver) and
+// the dense oracle on the request and requires bit-identical shard
+// vectors and predicted makespans.
+func assertSparseMatchesDense(t testing.TB, req *Request) {
 	t.Helper()
-	dense, err := FedLBAP{}.Schedule(req, nil)
+	dense, err := denseFedLBAP(req)
 	if err != nil {
 		t.Fatalf("dense: %v", err)
 	}
-	sparse, err := SparseFedLBAP{}.Schedule(req, nil)
+	sparse, err := FedLBAP{}.Schedule(req, nil)
 	if err != nil {
 		t.Fatalf("sparse: %v", err)
 	}
@@ -48,29 +48,10 @@ func TestSparseMatchesDenseSingleUser(t *testing.T) {
 	})
 }
 
-func TestSparseMatchesDenseNoisyGuard(t *testing.T) {
-	// The noisy-guard instance from the dense tests: its raw costs are
-	// strictly increasing (1.0, 1.7, 3.0, 3.7, …), so the dense running
-	// max never engages and the sparse solver must agree exactly.
-	noisy := &User{
-		Name: "noisy",
-		Cost: func(n int) float64 {
-			base := 0.01 * float64(n)
-			if (n/100)%2 == 0 {
-				base -= 0.3
-			}
-			return base
-		},
-	}
-	assertSparseMatchesDense(t, &Request{
-		TotalShards: 10, ShardSize: 100, Users: []*User{noisy, linUser("b", 1, 0.02, 0)},
-	})
-}
-
 func TestSparseMatchesDenseConstantCosts(t *testing.T) {
 	// All-equal costs make every threshold and every trim step a tie —
 	// the worst case for tie-break equivalence between the dense
-	// first-max scan and the sparse trim heap.
+	// oracle's first-max scan and the solver's trim heap.
 	users := make([]*User, 6)
 	for j := range users {
 		users[j] = &User{Name: "flat", Cost: func(int) float64 { return 2.5 }}
@@ -142,58 +123,10 @@ func TestSparseMatchesDenseProperty(t *testing.T) {
 		if req.totalCapacity() < shards {
 			return true // infeasible instance; skip
 		}
-		dense, err := FedLBAP{}.Schedule(req, nil)
-		if err != nil {
-			return false
-		}
-		sparse, err := SparseFedLBAP{}.Schedule(req, nil)
-		if err != nil {
-			return false
-		}
-		for j := range dense.Shards {
-			if dense.Shards[j] != sparse.Shards[j] {
-				return false
-			}
-		}
-		return dense.PredictedMakespan == sparse.PredictedMakespan
+		assertSparseMatchesDense(t, req)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSparseMatchesBruteForce(t *testing.T) {
-	// Optimality, not just dense-equivalence: the sparse makespan must
-	// match the brute-force DP oracle on small instances.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(4)
-		users := make([]*User, n)
-		for j := range users {
-			users[j] = linUser("u", rng.Float64()*5, 0.005+rng.Float64()*0.1, rng.Float64()*3)
-			if rng.Float64() < 0.3 {
-				users[j].CapacityShards = 3 + rng.Intn(20)
-			}
-		}
-		shards := 5 + rng.Intn(25)
-		req := &Request{TotalShards: shards, ShardSize: 50, Users: users}
-		if req.totalCapacity() < shards {
-			return true
-		}
-		got, err := SparseFedLBAP{}.Schedule(req, nil)
-		if err != nil {
-			return false
-		}
-		if Validate(req, got) != nil {
-			return false
-		}
-		want, err := BruteForce{}.Schedule(req, nil)
-		if err != nil {
-			return false
-		}
-		return math.Abs(Makespan(req, got)-Makespan(req, want)) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -233,7 +166,7 @@ func TestSparseLargeScaleValid(t *testing.T) {
 		users[j].CapacityShards = 1 + j%7
 	}
 	req := &Request{TotalShards: 2000, ShardSize: 100, Users: users}
-	asg, err := SparseFedLBAP{}.Schedule(req, nil)
+	asg, err := FedLBAP{}.Schedule(req, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +181,7 @@ func TestSparseDeterministicProbes(t *testing.T) {
 	run := func() []trace.Event {
 		rec := trace.New(0)
 		req := &Request{TotalShards: 200, ShardSize: 100, Users: jitterUsers(1000), Trace: rec}
-		if _, err := (SparseFedLBAP{}).Schedule(req, nil); err != nil {
+		if _, err := (FedLBAP{}).Schedule(req, nil); err != nil {
 			t.Fatal(err)
 		}
 		return rec.Events()
@@ -280,7 +213,7 @@ func solveTraced(t testing.TB, req *Request, solve func(*Request) (*Assignment, 
 	return asg, traced.Trace.Events()
 }
 
-// assertSparseMatchesReference requires the bracketed solver to be
+// assertSparseMatchesReference requires FedLBAP's bracketed search to be
 // indistinguishable from the full-range reference: the same probe
 // sequence with the same early-exited feasible counts, the same
 // schedule events and the same assignment.
@@ -288,7 +221,7 @@ func assertSparseMatchesReference(t testing.TB, req *Request) {
 	t.Helper()
 	want, wantEv := solveTraced(t, req, referenceSparse)
 	got, gotEv := solveTraced(t, req, func(r *Request) (*Assignment, error) {
-		return SparseFedLBAP{}.Schedule(r, nil)
+		return FedLBAP{}.Schedule(r, nil)
 	})
 	if len(gotEv) != len(wantEv) {
 		t.Fatalf("event counts differ: bracketed %d, reference %d", len(gotEv), len(wantEv))
@@ -382,40 +315,13 @@ func TestSparseCostEvalBudget(t *testing.T) {
 		}
 		req := &Request{TotalShards: c.s, ShardSize: 100, Users: jitterUsers(c.n)}
 		evals := countCosts(req.Users)
-		if _, err := (SparseFedLBAP{}).Schedule(req, nil); err != nil {
+		if _, err := (FedLBAP{}).Schedule(req, nil); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("n=%d s=%d: %d cost evaluations", c.n, c.s, *evals)
 		if *evals > c.budget {
 			t.Errorf("n=%d s=%d: %d cost evaluations, budget %d", c.n, c.s, *evals, c.budget)
 		}
-	}
-}
-
-func TestDenseProbeDedupe(t *testing.T) {
-	// Duplicate cost values must not inflate the dense solver's probe
-	// count: with two identical users every threshold appears twice in
-	// the raw value list, and the deduped binary search must probe at
-	// most ⌈log2(distinct)⌉ times.
-	users := []*User{
-		linUser("a", 1, 0.01, 1),
-		linUser("a-twin", 1, 0.01, 1),
-	}
-	rec := trace.New(0)
-	req := &Request{TotalShards: 10, ShardSize: 100, Users: users, Trace: rec}
-	if _, err := (FedLBAP{}).Schedule(req, nil); err != nil {
-		t.Fatal(err)
-	}
-	probes := 0
-	for _, e := range rec.Events() {
-		if e.Kind == trace.KindSolver {
-			probes++
-		}
-	}
-	// 10 distinct thresholds (twins collapse) → at most 4 probes; the
-	// pre-dedupe solver needed 5 for the 20-value list.
-	if probes > 4 {
-		t.Fatalf("dense solver probed %d times over 10 distinct values; dedupe not effective", probes)
 	}
 }
 
@@ -438,7 +344,7 @@ func BenchmarkSparseFedLBAPMid(b *testing.B) {
 	req := &Request{TotalShards: 1000, ShardSize: 100, Users: jitterUsers(10000)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (SparseFedLBAP{}).Schedule(req, nil); err != nil {
+		if _, err := (FedLBAP{}).Schedule(req, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

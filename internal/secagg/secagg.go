@@ -132,18 +132,3 @@ func (g *Group) Aggregate(masked [][]uint64) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// SumPlain is the reference insecure aggregation, for tests and for
-// measuring the quantization error.
-func SumPlain(updates [][]float64) []float64 {
-	if len(updates) == 0 {
-		return nil
-	}
-	out := make([]float64, len(updates[0]))
-	for _, u := range updates {
-		for k, v := range u {
-			out[k] += v
-		}
-	}
-	return out
-}

@@ -30,7 +30,7 @@ func TestMaskedSumEqualsPlainSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := SumPlain(updates)
+	want := sumPlain(updates)
 	for k := range want {
 		if math.Abs(got[k]-want[k]) > float64(n)/DefaultScale {
 			t.Fatalf("coordinate %d: secure %v vs plain %v", k, got[k], want[k])
@@ -138,7 +138,7 @@ func TestCancellationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want := SumPlain(updates)
+		want := sumPlain(updates)
 		for k := range want {
 			if math.Abs(got[k]-want[k]) > float64(n)/DefaultScale*2 {
 				return false
@@ -163,4 +163,15 @@ func BenchmarkMaskLeNetSized(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// sumPlain is the reference insecure aggregation.
+func sumPlain(updates [][]float64) []float64 {
+	out := make([]float64, len(updates[0]))
+	for _, u := range updates {
+		for k, v := range u {
+			out[k] += v
+		}
+	}
+	return out
 }

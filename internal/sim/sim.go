@@ -45,9 +45,6 @@ type Engine struct {
 	now    float64
 	queue  eventHeap
 	nextID int64
-	// processed counts events run so far.
-	processed int
-
 	// Tracer, when non-nil, receives one KindSimStep event per processed
 	// event (virtual time in AtS, the engine sequence number in Round) —
 	// the event-loop timeline of an asynchronous run. The engine is
@@ -60,9 +57,6 @@ type Engine struct {
 	// steady-state event throughput allocates nothing.
 	free []*Event
 }
-
-// Processed returns the number of events run so far.
-func (e *Engine) Processed() int { return e.processed }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -104,7 +98,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := heap.Pop(&e.queue).(*Event)
 	e.now = ev.At
-	e.processed++
 	e.Tracer.Emit(trace.Event{Kind: trace.KindSimStep, Round: int(ev.seq), Client: -1, AtS: ev.At})
 	// Recycle before running the callback: ev is off the queue, and fn is
 	// saved locally, so fn itself may Schedule and immediately reuse the

@@ -118,10 +118,10 @@ func (v *matView[T]) rowOffsets(offs []int, i0 int) (cs int) {
 // srcKind selects how a packSrc addresses operand elements.
 type srcKind uint8
 
+// The zero kind is a strided matrix: element (i,l) at d[i*rs+l*cs].
 const (
-	srcStrided  srcKind = iota // element (i,l) at d[i*rs+l*cs]
-	srcIndirect                // A only, read in place: element (i,l) at d[rowOff[i]+depthOff[l]]
-	srcPosChan                 // element (i,l) at view.off(row0+i,l)
+	srcIndirect srcKind = iota + 1 // A only, read in place: element (i,l) at d[rowOff[i]+depthOff[l]]
+	srcPosChan                     // element (i,l) at view.off(row0+i,l)
 )
 
 // packSrc describes one GEMM operand: a real strided matrix, a

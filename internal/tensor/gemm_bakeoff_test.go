@@ -266,7 +266,6 @@ func TestBlockedTileEquivalence(t *testing.T) {
 
 // Register-tile bake-off on the LeNet conv2 shape, serial, per width:
 // the production tile (SSE2 on amd64) against the scalar candidates.
-// Results are recorded under "tile_bakeoff" in BENCH_gemm.json.
 func benchTile[T Float](b *testing.B, mr, nr int) {
 	m, k, n := 1280, 500, 40
 	rng := rand.New(rand.NewSource(1))

@@ -334,8 +334,8 @@ func TestEnsureShape(t *testing.T) {
 // Benchmark shapes are the dominant real GEMMs of the paper's two models
 // at batch 20 (im2col-lowered): VGG6's block-3 conv (m=N·7·7, k=720, n=96)
 // and LeNet's conv2 (m=N·8·8, k=500, n=40). Naive vs blocked on the same
-// shape measures the single-thread kernel speedup recorded in
-// BENCH_gemm.json; lanes are pinned to 0 so the comparison is serial.
+// shape measures the single-thread kernel speedup; lanes are pinned to 0
+// so the comparison is serial.
 func benchGEMMShapeOf[T Float](b *testing.B, m, k, n int, naive bool) {
 	rng := rand.New(rand.NewSource(1))
 	a := randTensorOf[T](rng, m, k)
@@ -376,8 +376,8 @@ func BenchmarkGEMMBlockedLeNetConv(b *testing.B) {
 func BenchmarkGEMMNaiveVGG6Dense(b *testing.B)   { benchGEMMShape(b, 20, 4704, 1120, true) }
 func BenchmarkGEMMBlockedVGG6Dense(b *testing.B) { benchGEMMShape(b, 20, 4704, 1120, false) }
 
-// float32 counterparts of the blocked benchmarks (the ≥1.5×-over-f64
-// numbers recorded in BENCH_gemm.json).
+// float32 counterparts of the blocked benchmarks (≥1.5× over f64 when
+// recorded, see EXPERIMENTS.md).
 func BenchmarkGEMMBlockedF32VGG6Conv(b *testing.B) {
 	benchGEMMShapeOf[float32](b, 980, 720, 96, false)
 }

@@ -7,21 +7,6 @@ package tensor
 // implementations — they serve as the small-shape fast path and as the
 // ground truth for the blocked kernel's property tests.
 
-// MatMul computes C = A·B for 2-D tensors A (m×k) and B (k×n) and returns
-// a new m×n tensor. It panics on shape mismatch.
-//
-// fedlint:deterministic
-func MatMul[T Float](a, b *TensorOf[T]) *TensorOf[T] {
-	m, k := a.Dim(0), a.Dim(1)
-	if b.Dim(0) != k {
-		panic("tensor: MatMul inner dimension mismatch")
-	}
-	n := b.Dim(1)
-	c := NewOf[T](m, n)
-	MatMulInto(c, a, b)
-	return c
-}
-
 // MatMulInto computes dst = A·B, overwriting dst. dst must be m×n.
 //
 // fedlint:hotpath
@@ -30,33 +15,12 @@ func MatMulInto[T Float](dst, a, b *TensorOf[T]) {
 	gemm(dst, a, b, false, false, epi[T]{})
 }
 
-// MatMulTransA computes C = Aᵀ·B where A is k×m and B is k×n, yielding m×n.
-func MatMulTransA[T Float](a, b *TensorOf[T]) *TensorOf[T] {
-	k, m := a.Dim(0), a.Dim(1)
-	if b.Dim(0) != k {
-		panic("tensor: MatMulTransA inner dimension mismatch")
-	}
-	n := b.Dim(1)
-	c := NewOf[T](m, n)
-	MatMulTransAInto(c, a, b)
-	return c
-}
-
 // MatMulTransAInto computes dst = Aᵀ·B, overwriting dst. dst must be m×n.
 //
 // fedlint:hotpath
 // fedlint:deterministic
 func MatMulTransAInto[T Float](dst, a, b *TensorOf[T]) {
 	gemm(dst, a, b, true, false, epi[T]{})
-}
-
-// MatMulTransB computes C = A·Bᵀ where A is m×k and B is n×k, yielding m×n.
-func MatMulTransB[T Float](a, b *TensorOf[T]) *TensorOf[T] {
-	m := a.Dim(0)
-	n := b.Dim(0)
-	c := NewOf[T](m, n)
-	MatMulTransBInto(c, a, b)
-	return c
 }
 
 // MatMulTransBInto computes dst = A·Bᵀ, overwriting dst. dst must be m×n.
@@ -163,16 +127,4 @@ func naiveMatMulTransBInto[T Float](dst, a, b *TensorOf[T]) {
 			ci[j] = s
 		}
 	}
-}
-
-// Transpose returns the transpose of a 2-D tensor.
-func Transpose[T Float](a *TensorOf[T]) *TensorOf[T] {
-	m, n := a.Dim(0), a.Dim(1)
-	t := NewOf[T](n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			t.data[j*m+i] = a.data[i*n+j]
-		}
-	}
-	return t
 }

@@ -215,15 +215,6 @@ func (t *TensorOf[T]) AddScaled(a float64, src *TensorOf[T]) {
 // Add adds src to t elementwise.
 func (t *TensorOf[T]) Add(src *TensorOf[T]) { t.AddScaled(1, src) }
 
-// Apply replaces every element x with f(x). The map runs through
-// float64, which is exact for f64 tensors and rounds once per element
-// for f32.
-func (t *TensorOf[T]) Apply(f func(float64) float64) {
-	for i, v := range t.data {
-		t.data[i] = T(f(float64(v)))
-	}
-}
-
 // Sum returns the sum of all elements, accumulated in float64.
 func (t *TensorOf[T]) Sum() float64 {
 	s := 0.0

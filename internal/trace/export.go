@@ -161,16 +161,6 @@ func WriteFileJSONL(path string, events []Event) error {
 	return f.Close()
 }
 
-// ReadFileJSONL reads a JSONL trace from path (see ReadJSONL).
-func ReadFileJSONL(path string) ([]Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadJSONL(f)
-}
-
 // WriteFileCSV writes the events to path as CSV (see WriteCSV) — the
 // `-trace-csv` flag of the binaries.
 func WriteFileCSV(path string, events []Event) error {
@@ -193,7 +183,7 @@ var csvHeader = []string{
 }
 
 // WriteCSV writes the events as CSV with a header row. Floats use the
-// shortest round-trip representation, so ReadCSV(WriteCSV(e)) == e.
+// shortest round-trip representation, so parsing the file back yields e.
 func WriteCSV(w io.Writer, events []Event) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(csvHeader); err != nil {
@@ -216,46 +206,6 @@ func WriteCSV(w io.Writer, events []Event) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses a CSV trace written by WriteCSV.
-func ReadCSV(r io.Reader) ([]Event, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(csvHeader)
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("trace: empty CSV (missing header)")
-	}
-	out := make([]Event, 0, len(recs)-1)
-	for i, rec := range recs[1:] {
-		var e Event
-		if e.Kind, err = ParseKind(rec[0]); err != nil {
-			return nil, fmt.Errorf("trace: row %d: %w", i+1, err)
-		}
-		ints := []*int{
-			&e.Round, &e.Client, &e.Samples, &e.Throttles,
-			&e.Straggler, &e.Staleness, &e.Flag,
-		}
-		for j, p := range ints {
-			if *p, err = strconv.Atoi(rec[1+j]); err != nil {
-				return nil, fmt.Errorf("trace: row %d col %s: %w", i+1, csvHeader[1+j], err)
-			}
-		}
-		floats := []*float64{
-			&e.AtS, &e.ComputeS, &e.CommS, &e.EnergyJ, &e.Battery,
-			&e.TempC, &e.FreqGHz, &e.MakespanS, &e.Loss, &e.Accuracy,
-		}
-		for j, p := range floats {
-			if *p, err = strconv.ParseFloat(rec[8+j], 64); err != nil {
-				return nil, fmt.Errorf("trace: row %d col %s: %w", i+1, csvHeader[8+j], err)
-			}
-		}
-		out = append(out, e)
-	}
-	return out, nil
 }
 
 // Export writes a finished run's trace wherever its command line asked:

@@ -2,6 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -75,13 +79,53 @@ func TestJSONLRejectsUnknownKind(t *testing.T) {
 	}
 }
 
+// readCSV parses a CSV trace written by WriteCSV.
+func readCSV(r io.Reader) ([]Event, error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = len(csvHeader)
+	recs, err := cr.ReadAll()
+	if err != nil {
+		return nil, err
+	}
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("trace: empty CSV (missing header)")
+	}
+	out := make([]Event, 0, len(recs)-1)
+	for i, rec := range recs[1:] {
+		var e Event
+		if e.Kind, err = ParseKind(rec[0]); err != nil {
+			return nil, fmt.Errorf("trace: row %d: %w", i+1, err)
+		}
+		ints := []*int{
+			&e.Round, &e.Client, &e.Samples, &e.Throttles,
+			&e.Straggler, &e.Staleness, &e.Flag,
+		}
+		for j, p := range ints {
+			if *p, err = strconv.Atoi(rec[1+j]); err != nil {
+				return nil, fmt.Errorf("trace: row %d col %s: %w", i+1, csvHeader[1+j], err)
+			}
+		}
+		floats := []*float64{
+			&e.AtS, &e.ComputeS, &e.CommS, &e.EnergyJ, &e.Battery,
+			&e.TempC, &e.FreqGHz, &e.MakespanS, &e.Loss, &e.Accuracy,
+		}
+		for j, p := range floats {
+			if *p, err = strconv.ParseFloat(rec[8+j], 64); err != nil {
+				return nil, fmt.Errorf("trace: row %d col %s: %w", i+1, csvHeader[8+j], err)
+			}
+		}
+		out = append(out, e)
+	}
+	return out, nil
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	events := sample()
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, events); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	got, err := readCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +143,7 @@ func TestCSVHeader(t *testing.T) {
 	if header != strings.Join(csvHeader, ",") {
 		t.Fatalf("header %q, want %q", header, strings.Join(csvHeader, ","))
 	}
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
+	if _, err := readCSV(strings.NewReader("")); err == nil {
 		t.Fatal("want error for empty CSV input")
 	}
 }

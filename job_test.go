@@ -117,6 +117,37 @@ func TestJobDirectEqualsServed(t *testing.T) {
 	}
 }
 
+// TestBuildJobFedLBAPStream pins, outside the golden file, what a
+// testbed-2 fedlbap job schedules and the KindSolver stream it emits: the
+// paper-scale request (60,000 samples, 600 shards) takes 58 threshold
+// probes.
+func TestBuildJobFedLBAPStream(t *testing.T) {
+	cfg, err := decodeJob([]byte(`{"testbed":2,"scheduler":"fedlbap","samples":240,"test_samples":60,"seed":9}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.New(0)
+	job, err := fedsched.BuildJob(cfg, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{138, 139, 33, 33, 97, 160}; !reflect.DeepEqual(job.Assignment.Shards, want) {
+		t.Errorf("shards %v, want %v", job.Assignment.Shards, want)
+	}
+	if job.Assignment.Algorithm != "Fed-LBAP" {
+		t.Errorf("algorithm %q, want Fed-LBAP", job.Assignment.Algorithm)
+	}
+	probes := 0
+	for _, e := range rec.Events() {
+		if e.Kind == trace.KindSolver {
+			probes++
+		}
+	}
+	if probes != 58 {
+		t.Errorf("%d KindSolver events, want 58", probes)
+	}
+}
+
 // FuzzJobConfig feeds the admission path arbitrary bytes. Whatever they
 // are, decode → defaults → Validate must not panic; a config it accepts
 // must survive job.json (marshal → strict decode gives the same config,

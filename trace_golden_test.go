@@ -131,7 +131,7 @@ func baselineGoldenTrace(t *testing.T) []trace.Event {
 }
 
 // populationGoldenTrace: two population-scale rounds over a 1M-client
-// fleet — uniform 16-client cohorts, the sparse Fed-LBAP solver, lazy
+// fleet — uniform 16-client cohorts, Fed-LBAP, lazy
 // device materialization. Pins the whole O(selected) pipeline: solver
 // probes over the implicit cost matrix, the cohort's schedule, per-client
 // rounds and round summaries. Recorded with Workers: -1 (sequential);
@@ -230,9 +230,14 @@ func TestGoldenTrace(t *testing.T) {
 				t.Logf("wrote %d events to %s", len(got), path)
 				return
 			}
-			golden, err := trace.ReadFileJSONL(path)
+			f, err := os.Open(path)
 			if err != nil {
 				t.Fatalf("%v (regenerate with `make trace-golden`)", err)
+			}
+			defer f.Close()
+			golden, err := trace.ReadJSONL(f)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if err := CompareTraces(golden, got, trace.DefaultTolerances); err != nil {
 				t.Errorf("trace diverged from golden: %v\n"+
