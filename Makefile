@@ -7,8 +7,9 @@ GO ?= go
 
 .PHONY: build test vet lint lint-ci lint-baseline \
 	fuzz-smoke fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-job \
+	fuzz-smoke-ckpt \
 	fmt-check check check-nolint race race-tensor purego trace-golden loc \
-	bench profile-pop profile-train \
+	bench profile-pop profile-train profile-churn \
 	population-smoke fault-smoke serve-smoke
 
 build:
@@ -43,12 +44,14 @@ lint-baseline:
 # stream, the cohort samplers' sortedness/bounds/determinism
 # contract, the fault plan's spec-parse/draw invariants, the trace
 # encoder against encoding/json, the pack-free convolution kernels
-# against the im2col oracle over random geometries, and the job schema's
+# against the im2col oracle over random geometries, the job schema's
 # admission path (decode, defaults, Validate, job.json round trip,
-# deterministic BuildJob). Seeds live under testdata/fuzz (or in the
+# deterministic BuildJob), and the run-checkpoint loaders (never a panic,
+# never an allocation beyond a small multiple of the input, Save → Load →
+# Save stable). Seeds live under testdata/fuzz (or in the
 # target); CI runs this in the lint lane. Each target is its own recipe
 # so one failing fuzzer no longer hides the others: the umbrella runs all
-# six and fails at the end with the full list of failed targets.
+# seven and fails at the end with the full list of failed targets.
 FUZZTIME ?= 10s
 fuzz-smoke-sched:
 	$(GO) test ./internal/sched -run '^$$' -fuzz FuzzFedLBAP -fuzztime $(FUZZTIME)
@@ -68,9 +71,12 @@ fuzz-smoke-conv:
 fuzz-smoke-job:
 	$(GO) test . -run '^$$' -fuzz FuzzJobConfig -fuzztime $(FUZZTIME)
 
+fuzz-smoke-ckpt:
+	$(GO) test ./internal/fl -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime $(FUZZTIME)
+
 fuzz-smoke:
 	@failed=""; \
-	for t in fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-job; do \
+	for t in fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-job fuzz-smoke-ckpt; do \
 		$(MAKE) $$t FUZZTIME=$(FUZZTIME) || failed="$$failed $$t"; \
 	done; \
 	if [ -n "$$failed" ]; then \
@@ -170,6 +176,18 @@ profile-train:
 	$(GO) test -run '^$$' -bench 'BenchmarkLeNetSmallTrainBatch$$' -benchtime=2000x \
 		-cpuprofile artifacts/train_step.prof -o artifacts/train_step.test ./internal/nn/
 	$(GO) tool pprof -top -cum artifacts/train_step.test artifacts/train_step.prof | head -50
+
+# Where a short round's fixed cost goes — the per-round twin of the two
+# above: CPU-profile two concurrent round_churn jobs (400 rounds of one
+# 5-sample batch per client) through an in-process serve.Server, polled
+# like the benchmark polls, and print the cumulative top. Read the
+# persistence share off the fl.Run row against the serve.(*Server).runJob
+# sink closure and fl.buildCheckpoint rows.
+profile-churn:
+	mkdir -p artifacts
+	$(GO) test -run '^$$' -bench 'BenchmarkServeChurn$$' -benchtime=10x \
+		-cpuprofile artifacts/churn.prof -o artifacts/churn.test ./internal/serve/
+	$(GO) tool pprof -top -cum artifacts/churn.test artifacts/churn.prof | head -60
 
 # 100K-client fixed-seed population smoke: build, solve and trace one
 # scheduling round over a fleet three orders of magnitude past the

@@ -9,8 +9,9 @@
 //
 // SIGINT/SIGTERM stop accepting jobs, interrupt running ones at their
 // next round boundary (leaving them resumable) and exit; a later
-// fedserve over the same -dir finishes them. A hard kill loses nothing
-// either — resume state is written atomically every round.
+// fedserve over the same -dir finishes them. A hard kill loses at most
+// the round in flight, which the restart replays — resume state is
+// written every round, checksummed, never over the last good copy.
 package main
 
 import (

@@ -161,7 +161,7 @@ func TestKillResume(t *testing.T) {
 	syncDir := filepath.Join(intDir, "jobs", "job-1")
 	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
 		st := first.jobs(t)[0]
-		if _, err := os.Stat(filepath.Join(syncDir, "resume.bin")); err == nil && st.RoundsDone >= 3 {
+		if _, err := os.Stat(filepath.Join(syncDir, "resume.slots")); err == nil && st.RoundsDone >= 3 {
 			break
 		}
 		if st.State != serve.StateQueued && st.State != serve.StateRunning {
@@ -175,7 +175,7 @@ func TestKillResume(t *testing.T) {
 
 	// The sync job must actually have been interrupted, or the
 	// byte-compare below would prove nothing.
-	if _, err := os.Stat(filepath.Join(syncDir, "resume.bin")); err != nil {
+	if _, err := os.Stat(filepath.Join(syncDir, "resume.slots")); err != nil {
 		t.Fatalf("job-1 has no resume snapshot at the kill — it finished first; raise its rounds: %v", err)
 	}
 	state, err := os.ReadFile(filepath.Join(syncDir, "state.json"))

@@ -66,13 +66,11 @@ type ClientCheckpoint struct {
 const (
 	checkpointMagic   uint64 = 0x46444c434b505431 // "FDLCKPT1"
 	checkpointVersion uint32 = 1
-	// checkpointMaxCount bounds every length field read from the wire so
-	// a corrupted header cannot drive huge allocations.
-	checkpointMaxCount = 1 << 31
 )
 
-// ckWriter encodes into one growing byte slice; Save writes it out in a
-// single call.
+// ckWriter encodes into one growing byte slice. Its methods are the only
+// field writers: Save, AppendState and AppendRounds are three orderings
+// of the same pieces, so there is one wire format, not two.
 type ckWriter struct{ b []byte }
 
 func (c *ckWriter) u64(v uint64)  { c.b = binary.LittleEndian.AppendUint64(c.b, v) }
@@ -88,52 +86,210 @@ func (c *ckWriter) boolv(v bool) {
 	}
 }
 
+// head writes everything in front of the history: magic, version, the
+// echoed config, client and sampler state, and the model.
+func (c *ckWriter) head(ck *Checkpoint) {
+	c.u64(checkpointMagic)
+	c.u64(uint64(checkpointVersion))
+	c.i64(ck.Seed)
+	c.i64(int64(ck.Rounds))
+	c.i64(int64(ck.NextRound))
+	c.i64(int64(len(ck.Clients)))
+	for _, cs := range ck.Clients {
+		c.i64(int64(cs.ID))
+		c.i64(int64(cs.Round))
+		c.boolv(cs.HasDevice)
+		c.f64(cs.Device.TempC)
+		c.f64(cs.Device.FreqFactor)
+		c.boolv(cs.Device.BigOffline)
+		c.f64(cs.Device.NowSeconds)
+		c.f64(cs.Device.EnergyJ)
+		c.i64(int64(cs.Device.Throttles))
+		c.boolv(cs.Device.Throttled)
+	}
+	c.i64(int64(len(ck.Cooldown)))
+	for _, e := range ck.Cooldown {
+		c.i64(int64(e.Client))
+		c.i64(int64(e.Strikes))
+		c.i64(int64(e.Until))
+	}
+	c.i64(int64(len(ck.Model)))
+	c.b = append(c.b, ck.Model...)
+}
+
+// rounds writes history records back to back, without a count.
+func (c *ckWriter) rounds(rounds []RoundStats) {
+	for i := range rounds {
+		rs := &rounds[i]
+		c.i64(int64(rs.Round))
+		c.f64(rs.Makespan)
+		c.f64(rs.TrainLoss)
+		c.f64(rs.Accuracy)
+		c.boolv(rs.Failed)
+		c.i64(int64(len(rs.Clients)))
+		for _, cr := range rs.Clients {
+			c.i64(int64(cr.ClientID))
+			c.i64(int64(cr.Samples))
+			c.f64(cr.ComputeS)
+			c.f64(cr.CommS)
+			c.f64(cr.TrainLoss)
+			c.f64(cr.EnergyJ)
+			c.f64(cr.Temperature)
+			c.i64(int64(cr.Throttles))
+			c.f64(cr.BatteryFrac)
+			c.boolv(cr.Dropped)
+			c.boolv(cr.Diverged)
+			c.u8(uint8(cr.Fault))
+			c.boolv(cr.Late)
+		}
+	}
+}
+
 // ckWriters recycles encode buffers: a run checkpoints every few rounds
 // and each snapshot is a little larger than the last, so steady-state
 // saves allocate nothing.
 var ckWriters = sync.Pool{New: func() any { return new(ckWriter) }}
 
+// Wire sizes of the fixed-width records, which bound every count a
+// reader accepts by what the remaining input can hold.
+const (
+	clientStateBytes = 5*8 + 3 + 2*8
+	cooldownBytes    = 3 * 8
+	roundBytes       = 4*8 + 1 + 8
+	clientRoundBytes = 9*8 + 4
+)
+
+// ckReader decodes from a byte slice; the first short read sticks in err.
 type ckReader struct {
-	r   io.Reader
+	b   []byte
 	err error
 }
 
+func (c *ckReader) take(n int) []byte {
+	if c.err != nil || n > len(c.b) {
+		if c.err == nil {
+			c.err = io.ErrUnexpectedEOF
+		}
+		return nil
+	}
+	b := c.b[:n]
+	c.b = c.b[n:]
+	return b
+}
+
 func (c *ckReader) u64() uint64 {
-	if c.err != nil {
-		return 0
+	if b := c.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	var b [8]byte
-	if _, err := io.ReadFull(c.r, b[:]); err != nil {
-		c.err = err
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b[:])
+	return 0
 }
 
 func (c *ckReader) i64() int64   { return int64(c.u64()) }
 func (c *ckReader) f64() float64 { return math.Float64frombits(c.u64()) }
 
 func (c *ckReader) u8() uint8 {
-	if c.err != nil {
-		return 0
+	if b := c.take(1); b != nil {
+		return b[0]
 	}
-	var b [1]byte
-	if _, err := io.ReadFull(c.r, b[:]); err != nil {
-		c.err = err
-		return 0
-	}
-	return b[0]
+	return 0
 }
 
 func (c *ckReader) boolv() bool { return c.u8() != 0 }
 
-// count reads a length field and bounds it.
-func (c *ckReader) count(what string) int {
+// count reads a length field for records of at least size bytes each and
+// rejects one the remaining input cannot hold, so a corrupt length never
+// drives an allocation larger than a small multiple of the input.
+func (c *ckReader) count(what string, size int) int {
 	n := c.i64()
-	if c.err == nil && (n < 0 || n > checkpointMaxCount) {
-		c.err = fmt.Errorf("fl: checkpoint %s count %d out of range", what, n)
+	if c.err == nil && (n < 0 || n > int64(len(c.b)/size)) {
+		c.err = fmt.Errorf("%s count %d exceeds the %d bytes that remain", what, n, len(c.b))
+	}
+	if c.err != nil {
+		return 0
 	}
 	return int(n)
+}
+
+func (c *ckReader) head(ck *Checkpoint) {
+	if m := c.u64(); c.err == nil && m != checkpointMagic {
+		c.err = fmt.Errorf("not a run checkpoint (magic %#x)", m)
+	}
+	if v := c.u64(); c.err == nil && v != uint64(checkpointVersion) {
+		c.err = fmt.Errorf("unsupported version %d", v)
+	}
+	ck.Seed = c.i64()
+	ck.Rounds = int(c.i64())
+	ck.NextRound = int(c.i64())
+	ck.Clients = make([]ClientCheckpoint, c.count("client", clientStateBytes))
+	for i := range ck.Clients {
+		cs := &ck.Clients[i]
+		cs.ID = int(c.i64())
+		cs.Round = int(c.i64())
+		cs.HasDevice = c.boolv()
+		cs.Device.TempC = c.f64()
+		cs.Device.FreqFactor = c.f64()
+		cs.Device.BigOffline = c.boolv()
+		cs.Device.NowSeconds = c.f64()
+		cs.Device.EnergyJ = c.f64()
+		cs.Device.Throttles = int(c.i64())
+		cs.Device.Throttled = c.boolv()
+	}
+	if n := c.count("cooldown", cooldownBytes); n > 0 {
+		ck.Cooldown = make([]sample.CooldownEntry, n)
+	}
+	for i := range ck.Cooldown {
+		ck.Cooldown[i].Client = int(c.i64())
+		ck.Cooldown[i].Strikes = int(c.i64())
+		ck.Cooldown[i].Until = int(c.i64())
+	}
+	ck.Model = append([]byte{}, c.take(c.count("model-byte", 1))...)
+}
+
+// rounds reads n history records.
+func (c *ckReader) rounds(n int) []RoundStats {
+	if n == 0 || c.err != nil {
+		return nil
+	}
+	rounds := make([]RoundStats, n)
+	for i := range rounds {
+		rs := &rounds[i]
+		rs.Round = int(c.i64())
+		rs.Makespan = c.f64()
+		rs.TrainLoss = c.f64()
+		rs.Accuracy = c.f64()
+		rs.Failed = c.boolv()
+		if n := c.count("client-round", clientRoundBytes); n > 0 {
+			rs.Clients = make([]ClientRound, n)
+		}
+		for j := range rs.Clients {
+			cr := &rs.Clients[j]
+			cr.ClientID = int(c.i64())
+			cr.Samples = int(c.i64())
+			cr.ComputeS = c.f64()
+			cr.CommS = c.f64()
+			cr.TrainLoss = c.f64()
+			cr.EnergyJ = c.f64()
+			cr.Temperature = c.f64()
+			cr.Throttles = int(c.i64())
+			cr.BatteryFrac = c.f64()
+			cr.Dropped = c.boolv()
+			cr.Diverged = c.boolv()
+			cr.Fault = fault.Kind(c.u8())
+			cr.Late = c.boolv()
+		}
+	}
+	return rounds
+}
+
+// done closes a decode: trailing bytes are as corrupt as missing ones.
+func (c *ckReader) done(ck *Checkpoint) (*Checkpoint, error) {
+	if c.err == nil && len(c.b) > 0 {
+		c.err = fmt.Errorf("%d trailing bytes", len(c.b))
+	}
+	if c.err != nil {
+		return nil, fmt.Errorf("fl: truncated or corrupt checkpoint: %w", c.err)
+	}
+	return ck, nil
 }
 
 // Save serializes the checkpoint. The format is fixed-width
@@ -143,173 +299,87 @@ func (ck *Checkpoint) Save(w io.Writer) error {
 	cw := ckWriters.Get().(*ckWriter)
 	defer ckWriters.Put(cw)
 	cw.b = cw.b[:0]
-	cw.u64(checkpointMagic)
-	cw.u64(uint64(checkpointVersion))
-	cw.i64(ck.Seed)
-	cw.i64(int64(ck.Rounds))
-	cw.i64(int64(ck.NextRound))
-	cw.i64(int64(len(ck.Clients)))
-	for _, cs := range ck.Clients {
-		cw.i64(int64(cs.ID))
-		cw.i64(int64(cs.Round))
-		cw.boolv(cs.HasDevice)
-		cw.f64(cs.Device.TempC)
-		cw.f64(cs.Device.FreqFactor)
-		cw.boolv(cs.Device.BigOffline)
-		cw.f64(cs.Device.NowSeconds)
-		cw.f64(cs.Device.EnergyJ)
-		cw.i64(int64(cs.Device.Throttles))
-		cw.boolv(cs.Device.Throttled)
-	}
-	cw.i64(int64(len(ck.Cooldown)))
-	for _, e := range ck.Cooldown {
-		cw.i64(int64(e.Client))
-		cw.i64(int64(e.Strikes))
-		cw.i64(int64(e.Until))
-	}
-	cw.i64(int64(len(ck.Model)))
-	cw.b = append(cw.b, ck.Model...)
+	cw.head(ck)
 	cw.i64(int64(len(ck.HistoryRounds)))
-	for i := range ck.HistoryRounds {
-		rs := &ck.HistoryRounds[i]
-		cw.i64(int64(rs.Round))
-		cw.f64(rs.Makespan)
-		cw.f64(rs.TrainLoss)
-		cw.f64(rs.Accuracy)
-		cw.boolv(rs.Failed)
-		cw.i64(int64(len(rs.Clients)))
-		for _, cr := range rs.Clients {
-			cw.i64(int64(cr.ClientID))
-			cw.i64(int64(cr.Samples))
-			cw.f64(cr.ComputeS)
-			cw.f64(cr.CommS)
-			cw.f64(cr.TrainLoss)
-			cw.f64(cr.EnergyJ)
-			cw.f64(cr.Temperature)
-			cw.i64(int64(cr.Throttles))
-			cw.f64(cr.BatteryFrac)
-			cw.boolv(cr.Dropped)
-			cw.boolv(cr.Diverged)
-			cw.u8(uint8(cr.Fault))
-			cw.boolv(cr.Late)
-		}
-	}
+	cw.rounds(ck.HistoryRounds)
 	cw.f64(ck.TotalSeconds)
 	_, err := w.Write(cw.b)
 	return err
 }
 
-// LoadCheckpoint deserializes a checkpoint written by Save.
+// LoadCheckpoint deserializes a checkpoint written by Save; r must hold
+// exactly one. It reads r to the end before decoding (into one buffer of
+// the right size when r knows its length, as in-memory readers do), so
+// that every count on the wire can be checked against the bytes left.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	cr := &ckReader{r: r}
-	if m := cr.u64(); cr.err == nil && m != checkpointMagic {
-		return nil, fmt.Errorf("fl: not a run checkpoint (magic %#x)", m)
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
 	}
-	if v := cr.u64(); cr.err == nil && v != uint64(checkpointVersion) {
-		return nil, fmt.Errorf("fl: unsupported checkpoint version %d", v)
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("fl: read checkpoint: %w", err)
 	}
-	ck := &Checkpoint{}
-	ck.Seed = cr.i64()
-	ck.Rounds = int(cr.i64())
-	ck.NextRound = int(cr.i64())
-	nc := cr.count("client")
-	if cr.err != nil {
-		return nil, cr.err
-	}
-	ck.Clients = make([]ClientCheckpoint, nc)
-	for i := range ck.Clients {
-		cs := &ck.Clients[i]
-		cs.ID = int(cr.i64())
-		cs.Round = int(cr.i64())
-		cs.HasDevice = cr.boolv()
-		cs.Device.TempC = cr.f64()
-		cs.Device.FreqFactor = cr.f64()
-		cs.Device.BigOffline = cr.boolv()
-		cs.Device.NowSeconds = cr.f64()
-		cs.Device.EnergyJ = cr.f64()
-		cs.Device.Throttles = int(cr.i64())
-		cs.Device.Throttled = cr.boolv()
-	}
-	ncd := cr.count("cooldown")
-	if cr.err != nil {
-		return nil, cr.err
-	}
-	if ncd > 0 {
-		ck.Cooldown = make([]sample.CooldownEntry, ncd)
-		for i := range ck.Cooldown {
-			ck.Cooldown[i].Client = int(cr.i64())
-			ck.Cooldown[i].Strikes = int(cr.i64())
-			ck.Cooldown[i].Until = int(cr.i64())
-		}
-	}
-	nm := cr.count("model-byte")
-	if cr.err != nil {
-		return nil, cr.err
-	}
-	ck.Model = make([]byte, nm)
-	if cr.err == nil {
-		_, cr.err = io.ReadFull(cr.r, ck.Model)
-	}
-	nr := cr.count("history-round")
-	if cr.err != nil {
-		return nil, cr.err
-	}
-	if nr > 0 {
-		ck.HistoryRounds = make([]RoundStats, nr)
-	}
-	for i := range ck.HistoryRounds {
-		rs := &ck.HistoryRounds[i]
-		rs.Round = int(cr.i64())
-		rs.Makespan = cr.f64()
-		rs.TrainLoss = cr.f64()
-		rs.Accuracy = cr.f64()
-		rs.Failed = cr.boolv()
-		ncr := cr.count("client-round")
-		if cr.err != nil {
-			return nil, cr.err
-		}
-		if ncr > 0 {
-			rs.Clients = make([]ClientRound, ncr)
-		}
-		for j := range rs.Clients {
-			c := &rs.Clients[j]
-			c.ClientID = int(cr.i64())
-			c.Samples = int(cr.i64())
-			c.ComputeS = cr.f64()
-			c.CommS = cr.f64()
-			c.TrainLoss = cr.f64()
-			c.EnergyJ = cr.f64()
-			c.Temperature = cr.f64()
-			c.Throttles = int(cr.i64())
-			c.BatteryFrac = cr.f64()
-			c.Dropped = cr.boolv()
-			c.Diverged = cr.boolv()
-			c.Fault = fault.Kind(cr.u8())
-			c.Late = cr.boolv()
-		}
-	}
+	cr, ck := &ckReader{b: buf.Bytes()}, &Checkpoint{}
+	cr.head(ck)
+	ck.HistoryRounds = cr.rounds(cr.count("history-round", roundBytes))
 	ck.TotalSeconds = cr.f64()
-	if cr.err != nil {
-		return nil, fmt.Errorf("fl: truncated or corrupt checkpoint: %w", cr.err)
-	}
-	return ck, nil
+	return cr.done(ck)
 }
 
-// buildCheckpoint snapshots the run after `next-1` rounds completed.
-func buildCheckpoint(cfg Config, active []*Client, global *nn.Network, globalW []*tensor.Tensor, hist *History, next int) (*Checkpoint, error) {
-	global.SetWeights(globalW)
-	var buf bytes.Buffer
-	if err := global.SaveWeights(&buf); err != nil {
-		return nil, fmt.Errorf("serialize model: %w", err)
+// AppendState appends the snapshot without its history — Save's bytes
+// with the round records cut out — and returns the extended slice. Its
+// size does not grow with the rounds completed, which is what lets a
+// caller persist every round at O(model): the state goes wherever the
+// latest snapshot lives, the new rounds (AppendRounds) onto an
+// append-only log, and LoadCheckpointParts joins the two again.
+func (ck *Checkpoint) AppendState(b []byte) []byte {
+	cw := ckWriter{b}
+	cw.head(ck)
+	cw.f64(ck.TotalSeconds)
+	return cw.b
+}
+
+// AppendRounds appends the records of HistoryRounds[from:] in Save's
+// layout, back to back with no count. Past rounds never change, so the
+// concatenation of every round's AppendRounds(b, rounds already written)
+// is the record section of a full Save.
+func (ck *Checkpoint) AppendRounds(b []byte, from int) []byte {
+	cw := ckWriter{b}
+	cw.rounds(ck.HistoryRounds[from:])
+	return cw.b
+}
+
+// LoadCheckpointParts rebuilds a checkpoint from an AppendState record
+// and the AppendRounds log of its NextRound completed rounds; both must
+// be consumed exactly.
+func LoadCheckpointParts(state, rounds []byte) (*Checkpoint, error) {
+	cr, ck := &ckReader{b: state}, &Checkpoint{}
+	cr.head(ck)
+	ck.TotalSeconds = cr.f64()
+	if _, err := cr.done(ck); err != nil {
+		return nil, err
 	}
+	cr = &ckReader{b: rounds}
+	if ck.NextRound < 0 || ck.NextRound > len(rounds)/roundBytes {
+		cr.err = fmt.Errorf("history of %d rounds exceeds the %d-byte log", ck.NextRound, len(rounds))
+	}
+	ck.HistoryRounds = cr.rounds(ck.NextRound)
+	return cr.done(ck)
+}
+
+// buildCheckpoint snapshots the run after `next-1` rounds completed. Its
+// cost is O(model), whatever the round: the history is shared, not copied.
+func buildCheckpoint(cfg Config, active []*Client, global *nn.Network, globalW []*tensor.Tensor, hist *History, next int) *Checkpoint {
+	global.SetWeights(globalW)
 	ck := &Checkpoint{
 		Seed:      cfg.Seed,
 		Rounds:    cfg.Rounds,
 		NextRound: next,
-		Model:     buf.Bytes(),
-		// Past RoundStats are append-only; copying the slice header
-		// detaches the checkpoint from future appends.
-		HistoryRounds: append([]RoundStats(nil), hist.Rounds...),
+		Model:     global.AppendWeights(nil),
+		// Past RoundStats are append-only, and the capped slice makes the
+		// run's next append reallocate or write past the cap, never into
+		// the snapshot.
+		HistoryRounds: hist.Rounds[:len(hist.Rounds):len(hist.Rounds)],
 		TotalSeconds:  hist.TotalSeconds,
 	}
 	ck.Clients = make([]ClientCheckpoint, len(active))
@@ -323,7 +393,7 @@ func buildCheckpoint(cfg Config, active []*Client, global *nn.Network, globalW [
 	if cd, ok := cfg.Sampler.(*sample.Cooldown); ok {
 		ck.Cooldown = cd.Snapshot()
 	}
-	return ck, nil
+	return ck
 }
 
 // resumeRun restores a checkpointed run onto freshly-initialized clients

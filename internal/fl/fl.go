@@ -152,7 +152,9 @@ type Config struct {
 	// trace — at any Workers value.
 	CheckpointEvery int
 	// CheckpointSink receives each snapshot; typically it serializes via
-	// Checkpoint.Save. A sink error aborts the run (returning the
+	// Checkpoint.Save (or, round by round, AppendState + AppendRounds).
+	// The snapshot's HistoryRounds shares the run's completed rounds —
+	// read, never written. A sink error aborts the run (returning the
 	// partial History).
 	CheckpointSink func(*Checkpoint) error
 	// Resume, when non-nil, restores a checkpointed run: the
@@ -372,11 +374,7 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 		// Snapshot once the round has fully completed (history appended,
 		// devices idled), when the cadence says so.
 		if cfg.CheckpointEvery > 0 && cfg.CheckpointSink != nil && (round+1)%cfg.CheckpointEvery == 0 {
-			ck, err := buildCheckpoint(cfg, active, global, globalW, hist, round+1)
-			if err == nil {
-				err = cfg.CheckpointSink(ck)
-			}
-			if err != nil {
+			if err := cfg.CheckpointSink(buildCheckpoint(cfg, active, global, globalW, hist, round+1)); err != nil {
 				return finish(), fmt.Errorf("fl: checkpoint after round %d: %w", round, err)
 			}
 		}

@@ -380,7 +380,12 @@ func TestCheckpointResumeEveryRound(t *testing.T) {
 			cfg.Trace = trace.New(0)
 			return cfg
 		}
-		var snaps [][]byte
+		// Each snapshot is kept twice: as Save wrote it, and in parts — its
+		// state record plus the length of a history log that grows by the
+		// one new round, the way the serve daemon persists it.
+		var snaps, states [][]byte
+		var log []byte
+		var logLens []int
 		ref := mkCfg()
 		ref.CheckpointEvery = 1
 		ref.CheckpointSink = func(ck *Checkpoint) error {
@@ -389,6 +394,9 @@ func TestCheckpointResumeEveryRound(t *testing.T) {
 				return err
 			}
 			snaps = append(snaps, buf.Bytes())
+			states = append(states, ck.AppendState(nil))
+			log = ck.AppendRounds(log, len(logLens))
+			logLens = append(logLens, len(log))
 			return nil
 		}
 		want, err := Run(ref, parallelClients(t, train, 5, true), test)
@@ -406,6 +414,17 @@ func TestCheckpointResumeEveryRound(t *testing.T) {
 			}
 			if ck.NextRound != next {
 				t.Fatalf("snapshot %d resumes at round %d", i, ck.NextRound)
+			}
+			if i%2 == 1 {
+				// Odd snapshots resume from the parts instead, which must
+				// reassemble into the very bytes Save wrote.
+				if ck, err = LoadCheckpointParts(states[i], log[:logLens[i]]); err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := ck.Save(&buf); err != nil || !bytes.Equal(buf.Bytes(), snap) {
+					t.Fatalf("snapshot %d: state + log reassemble into different bytes than Save wrote (%v)", i, err)
+				}
 			}
 			cfg := mkCfg()
 			cfg.Resume = ck

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"fedsched/internal/tensor"
 )
@@ -36,42 +37,51 @@ func checkpointDtype[T tensor.Float]() uint32 {
 	return checkpointF64
 }
 
-// SaveWeights writes the network's parameters to w at the network's native
-// element width.
-func (n *NetworkOf[T]) SaveWeights(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	writeU32 := func(v uint32) error { return binary.Write(bw, binary.LittleEndian, v) }
-	if err := writeU32(checkpointMagic); err != nil {
-		return fmt.Errorf("nn: save header: %w", err)
-	}
-	if err := writeU32(checkpointVersion); err != nil {
-		return err
-	}
-	if err := writeU32(checkpointDtype[T]()); err != nil {
-		return err
-	}
-	name := []byte(n.Arch)
-	if err := writeU32(uint32(len(name))); err != nil {
-		return err
-	}
-	if _, err := bw.Write(name); err != nil {
-		return err
+// AppendWeights appends the network's parameters to b in the checkpoint
+// format, at the network's native element width, and returns the extended
+// slice. b grows at most once, to the exact encoded size.
+func (n *NetworkOf[T]) AppendWeights(b []byte) []byte {
+	le := binary.LittleEndian
+	dtype := checkpointDtype[T]()
+	width := 8
+	if dtype == checkpointF32 {
+		width = 4
 	}
 	params := n.Params()
-	if err := writeU32(uint32(len(params))); err != nil {
-		return err
-	}
+	size := 5*4 + len(n.Arch)
 	for _, p := range params {
-		if err := writeU32(uint32(p.W.Len())); err != nil {
-			return err
-		}
-		for _, v := range p.W.Data() {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return fmt.Errorf("nn: save %s: %w", p.Name, err)
+		size += 4 + p.W.Len()*width
+	}
+	b = slices.Grow(b, size)
+	b = le.AppendUint32(b, checkpointMagic)
+	b = le.AppendUint32(b, checkpointVersion)
+	b = le.AppendUint32(b, dtype)
+	b = le.AppendUint32(b, uint32(len(n.Arch)))
+	b = append(b, n.Arch...)
+	b = le.AppendUint32(b, uint32(len(params)))
+	for _, p := range params {
+		b = le.AppendUint32(b, uint32(p.W.Len()))
+		switch d := any(p.W.Data()).(type) {
+		case []float64:
+			for _, v := range d {
+				b = le.AppendUint64(b, math.Float64bits(v))
+			}
+		case []float32:
+			for _, v := range d {
+				b = le.AppendUint32(b, math.Float32bits(v))
 			}
 		}
 	}
-	return bw.Flush()
+	return b
+}
+
+// SaveWeights writes the network's parameters to w at the network's native
+// element width.
+func (n *NetworkOf[T]) SaveWeights(w io.Writer) error {
+	if _, err := w.Write(n.AppendWeights(nil)); err != nil {
+		return fmt.Errorf("nn: save weights: %w", err)
+	}
+	return nil
 }
 
 // LoadWeights restores parameters saved by SaveWeights. The checkpoint

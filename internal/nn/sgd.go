@@ -52,7 +52,11 @@ func (s *SGDOf[T]) Step(params []*ParamOf[T]) {
 }
 
 // Reset discards momentum state (used when a client receives fresh global
-// weights at the start of a federated round).
+// weights at the start of a federated round). The velocity tensors are
+// zeroed in place, not dropped: a zeroed and a fresh velocity are both +0,
+// and a client would otherwise re-allocate a model's worth every round.
 func (s *SGDOf[T]) Reset() {
-	s.velocity = make(map[*ParamOf[T]]*tensor.TensorOf[T])
+	for _, v := range s.velocity {
+		v.Zero()
+	}
 }

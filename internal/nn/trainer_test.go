@@ -231,3 +231,43 @@ func TestCheckpointCrossPrecision(t *testing.T) {
 		t.Fatal("overflowing narrow load not rejected")
 	}
 }
+
+// TestResetOptReusesVelocity is a federated client's round boundary:
+// ResetOpt, then train. Zeroing the velocity tensors in place
+// must (a) allocate nothing over two consecutive rounds once the first
+// has sized everything, and (b) train exactly as a never-used optimizer
+// does — a zeroed velocity and a fresh one are the same +0.
+func TestResetOptReusesVelocity(t *testing.T) {
+	old := tensor.MaxLanes()
+	tensor.SetMaxLanes(0)
+	defer tensor.SetMaxLanes(old)
+	for _, prec := range []Precision{F64, F32} {
+		arch := LeNetSmall(1, 16, 16, 10)
+		used := NewTrainer(prec, arch, rand.New(rand.NewSource(21)), 0.01, 0.9)
+		fresh := NewTrainer(prec, arch, rand.New(rand.NewSource(21)), 0.01, 0.9)
+		w0 := fresh.GetWeights()
+		rng := rand.New(rand.NewSource(22))
+		x := tensor.Randn(rng, 1, 5, 1, 16, 16)
+		labels := []int{0, 3, 5, 7, 9}
+		round := func(tr Trainer) {
+			tr.ResetOpt()
+			for i := 0; i < 2; i++ {
+				tr.TrainBatch(x, labels)
+				tr.Step()
+			}
+		}
+		round(used) // sizes workspaces and velocities, leaves momentum behind
+		if avg := testing.AllocsPerRun(5, func() { round(used); round(used) }); avg > 0.5 {
+			t.Errorf("%s: two consecutive rounds allocate %.1f objects, want 0", prec, avg)
+		}
+		used.SetWeights(w0)
+		round(used)
+		round(fresh)
+		a, b := used.GetWeights(), fresh.GetWeights()
+		for i := range a {
+			if !tensor.Equal(a[i], b[i], 0) {
+				t.Fatalf("%s: param %d differs between a reset and a fresh optimizer", prec, i)
+			}
+		}
+	}
+}

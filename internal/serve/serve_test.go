@@ -17,7 +17,7 @@ import (
 // startServer boots a Server over a fresh state dir plus an httptest
 // front end. The cleanup closes the HTTP layer first, then interrupts
 // the daemon.
-func startServer(t *testing.T, opt Options) (*Server, *httptest.Server) {
+func startServer(t testing.TB, opt Options) (*Server, *httptest.Server) {
 	t.Helper()
 	if opt.Dir == "" {
 		opt.Dir = t.TempDir()
@@ -34,7 +34,7 @@ func startServer(t *testing.T, opt Options) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func submit(t *testing.T, ts *httptest.Server, body string) (JobStatus, *http.Response) {
+func submit(t testing.TB, ts *httptest.Server, body string) (JobStatus, *http.Response) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -50,7 +50,7 @@ func submit(t *testing.T, ts *httptest.Server, body string) (JobStatus, *http.Re
 	return st, resp
 }
 
-func getStatus(t *testing.T, ts *httptest.Server, id string) JobStatus {
+func getStatus(t testing.TB, ts *httptest.Server, id string) JobStatus {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/jobs/" + id)
 	if err != nil {
@@ -373,7 +373,7 @@ func TestRestartResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if onDisk.State == StateRunning {
-		if _, err := os.Stat(filepath.Join(jobDir, "resume.bin")); err != nil {
+		if _, err := os.Stat(filepath.Join(jobDir, slotsFile)); err != nil {
 			t.Fatalf("interrupted job has no resume snapshot: %v", err)
 		}
 	} else {
@@ -398,8 +398,10 @@ func TestRestartResume(t *testing.T) {
 	if final.RoundsDone != 8 {
 		t.Fatalf("resumed job completed %d rounds, want 8", final.RoundsDone)
 	}
-	if _, err := os.Stat(filepath.Join(jobDir, "resume.bin")); !os.IsNotExist(err) {
-		t.Fatalf("terminal job should have no resume snapshot (err %v)", err)
+	for _, name := range resumeFiles {
+		if _, err := os.Stat(filepath.Join(jobDir, name)); !os.IsNotExist(err) {
+			t.Fatalf("terminal job should have no %s (err %v)", name, err)
+		}
 	}
 
 	// Uninterrupted reference run of the identical config.
@@ -528,4 +530,39 @@ func TestEngineCoverage(t *testing.T) {
 	if !strings.Contains(want[2], `"kind":"round"`) {
 		t.Error("gossip trace is missing round summaries")
 	}
+}
+
+// BenchmarkServeChurn is the benchmark's round_churn workload in process,
+// for profiling the per-round fixed cost (`make profile-churn`): two
+// 400-round jobs of one 5-sample batch per client run side by side
+// through a Server over a temp directory, each polled every 5 ms the way
+// bench/client.go polls. One iteration is one such pair.
+func BenchmarkServeChurn(b *testing.B) {
+	_, ts := startServer(b, Options{})
+	const rounds = 400
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var ids [2]string
+		for sub := range ids {
+			st, resp := submit(b, ts, fmt.Sprintf(
+				`{"name":"churn","clients":4,"samples":20,"batch_size":5,"test_samples":20,"rounds":%d,"workers":1,"seed":%d}`,
+				rounds, 1+2*i+sub))
+			if resp.StatusCode != http.StatusAccepted {
+				b.Fatalf("submit: HTTP %d", resp.StatusCode)
+			}
+			ids[sub] = st.ID
+		}
+		for running := len(ids); running > 0; time.Sleep(5 * time.Millisecond) {
+			running = 0
+			for _, id := range ids {
+				switch st := getStatus(b, ts, id); {
+				case !terminal(st.State):
+					running++
+				case st.State != StateCompleted || st.RoundsDone != rounds:
+					b.Fatalf("job ended %+v", st)
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(2*rounds*b.N)/b.Elapsed().Seconds(), "rounds/s")
 }

@@ -10,8 +10,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -559,7 +557,7 @@ func (s *Server) release(j *job) {
 
 // runJob drives one job to a terminal state (or to an interrupted,
 // resumable stop when the daemon is closing). It owns the job's trace
-// file and resume snapshot for the duration.
+// file and resume store for the duration.
 func (s *Server) runJob(j *job) {
 	defer s.release(j)
 
@@ -568,29 +566,39 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 
-	// A resumed job restores the (checkpoint, trace offset) pair written
-	// atomically by its last round; a fresh or never-checkpointed job
-	// starts from zero. Anything in the trace file past the recorded
-	// offset is an unacknowledged tail from the interrupted run — the
-	// resumed engine re-emits it bit-identically.
-	var resume *fl.Checkpoint
-	var base int64
-	if j.Resumed {
-		var err error
-		resume, base, err = readResume(j.dir)
-		if err != nil {
-			s.opt.Logf("serve: %s: unusable resume snapshot (%v); restarting from scratch", j.ID, err)
-			resume, base = nil, 0
-		}
-	}
-
-	tracePath := filepath.Join(j.dir, "trace.jsonl")
-	tf, err := os.OpenFile(tracePath, os.O_CREATE|os.O_WRONLY, 0o644)
+	tf, err := os.OpenFile(filepath.Join(j.dir, "trace.jsonl"), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		s.fail(j, fmt.Errorf("open trace: %w", err))
 		return
 	}
 	defer tf.Close()
+
+	// A resumed job restores the newest (checkpoint, trace offset) pair its
+	// resume store holds intact; a fresh or never-checkpointed job starts
+	// from zero. Anything in the trace file past the recorded offset is an
+	// unacknowledged tail from the interrupted run — the resumed engine
+	// re-emits it bit-identically. Only the synchronous engine checkpoints.
+	var store *resumeStore
+	var resume *fl.Checkpoint
+	var base int64
+	if j.cfg.Engine == "sync" {
+		if store, err = openResumeStore(j.dir); err != nil {
+			s.fail(j, fmt.Errorf("open resume store: %w", err))
+			return
+		}
+		defer store.close()
+		if j.Resumed {
+			if resume, base, err = store.load(tf); err != nil {
+				s.opt.Logf("serve: %s: unusable resume snapshot (%v); restarting from scratch", j.ID, err)
+			}
+		}
+		if resume == nil {
+			if err := store.reset(); err != nil {
+				s.fail(j, fmt.Errorf("reset resume store: %w", err))
+				return
+			}
+		}
+	}
 	if err := tf.Truncate(base); err != nil {
 		s.fail(j, fmt.Errorf("truncate trace: %w", err))
 		return
@@ -631,18 +639,18 @@ func (s *Server) runJob(j *job) {
 	}
 	if j.cfg.Engine == "sync" {
 		// Per-round persistence, the one thing only the synchronous engine
-		// supports: after every round the sink flushes the trace, then
-		// atomically replaces the resume snapshot with the new
-		// (checkpoint, trace offset) pair. A crash between the two steps
-		// leaves a stale snapshot plus a trace tail past its offset — which
-		// the next resume truncates and regenerates, keeping the file
+		// supports: after every round the sink flushes the trace, then has
+		// the store record the (checkpoint, trace offset) pair — see
+		// resume.go. A crash between the steps leaves the previous round's
+		// slot as the newest intact one plus a trace tail past its offset —
+		// which the next resume truncates and regenerates, keeping the file
 		// byte-identical to an uninterrupted run's.
 		run.CheckpointEvery = 1
 		run.CheckpointSink = func(ck *fl.Checkpoint) error {
 			if err := stream.Flush(rec); err != nil {
 				return err
 			}
-			if err := writeResume(j.dir, ck, stream.Offset()); err != nil {
+			if err := store.write(ck, stream.Offset()); err != nil {
 				return err
 			}
 			s.publishRounds(j, ck.HistoryRounds)
@@ -696,7 +704,9 @@ func (s *Server) settle(j *job, out fedsched.Outcome, runErr error) {
 	if err := persistState(j.dir, st); err != nil {
 		s.opt.Logf("serve: %s: persist state: %v", j.ID, err)
 	}
-	os.Remove(filepath.Join(j.dir, "resume.bin"))
+	for _, name := range resumeFiles {
+		os.Remove(filepath.Join(j.dir, name))
+	}
 
 	s.mu.Lock()
 	j.JobStatus = st
@@ -736,39 +746,6 @@ func writeAtomic(path string, data []byte) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// resume.bin is the atomically-replaced (trace offset, checkpoint) pair:
-// 8 bytes little-endian offset, then the fl.Checkpoint wire format.
-func writeResume(dir string, ck *fl.Checkpoint, offset int64) error {
-	var buf bytes.Buffer
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(offset))
-	buf.Write(hdr[:])
-	if err := ck.Save(&buf); err != nil {
-		return err
-	}
-	return writeAtomic(filepath.Join(dir, "resume.bin"), buf.Bytes())
-}
-
-// readResume loads the snapshot; (nil, 0, nil) means a fresh start.
-func readResume(dir string) (*fl.Checkpoint, int64, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, "resume.bin"))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(raw) < 8 {
-		return nil, 0, fmt.Errorf("resume snapshot truncated (%d bytes)", len(raw))
-	}
-	offset := int64(binary.LittleEndian.Uint64(raw[:8]))
-	ck, err := fl.LoadCheckpoint(bytes.NewReader(raw[8:]))
-	if err != nil {
-		return nil, 0, err
-	}
-	return ck, offset, nil
 }
 
 func writeJSONAtomic(path string, v any) error {
