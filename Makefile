@@ -8,7 +8,7 @@ GO ?= go
 .PHONY: build test vet lint lint-ci lint-baseline \
 	fuzz-smoke fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-job \
 	fuzz-smoke-ckpt \
-	fmt-check check check-nolint race race-tensor purego trace-golden loc \
+	fmt-check check check-nolint race race-tensor purego nofma trace-golden loc \
 	bench profile-pop profile-train profile-churn \
 	population-smoke fault-smoke serve-smoke
 
@@ -109,19 +109,36 @@ race:
 		./internal/profile/...
 
 # Fast race pass over just the GEMM core and lane semaphore — cheap
-# enough (~10s) to gate every `make check`.
+# enough (~40s: the suites run once per kernel dispatch state) to gate
+# every `make check`.
 race-tensor:
 	$(GO) test -race ./internal/tensor/...
 
-# Asm/twin parity by construction: the purego tag swaps the SSE2
-# micro-kernels for their scalar twins (internal/tensor/gemm_noasm.go),
-# so the kernel and layer suites and the golden traces run against the
-# code every non-amd64 target runs; the arm64 vet catches anything that
-# only compiles on amd64.
-purego:
+# Asm/twin parity by construction: the purego tag swaps the assembly
+# micro-kernels (SSE2 and AVX) for their scalar twins
+# (internal/tensor/gemm_noasm.go), so the kernel and layer suites and the
+# golden traces run against the code every non-amd64 target runs; the
+# arm64 vet catches anything that only compiles on amd64, and nofma
+# checks the twins stay twins where the compiler may fuse.
+purego: nofma
 	$(GO) test -tags purego ./internal/tensor ./internal/nn
 	$(GO) test -tags purego -run 'TestGoldenTrace' .
 	GOARCH=arm64 $(GO) vet ./...
+
+# The no-FMA contract, for the Go code. The Go spec lets arm64, ppc64le,
+# s390x and riscv64 fuse x*y + z into one rounding unless the product is
+# explicitly converted (c += T(a*b)); the kernels' bit-identity with the
+# assembly, and of one platform with another, needs two. Cross-compile
+# the kernel and layer packages for arm64, read the compiler's own
+# listing, and fail on any fused multiply-add attributed to their files.
+nofma:
+	@sites="$$(GOARCH=arm64 $(GO) build -gcflags='fedsched/...=-S' ./internal/tensor/... ./internal/nn/... 2>&1 \
+		| grep -E '\bF(NM|M)(ADD|SUB)[SD]\b' \
+		| grep -oE 'internal/(tensor|nn)/[a-z_0-9]+\.go:[0-9]+' | sort -u)"; \
+	if [ -n "$$sites" ]; then \
+		echo "nofma: the arm64 compiler fuses a multiply-add here (write c += T(a*b)):"; \
+		echo "$$sites"; exit 1; \
+	fi
 
 # Size of the tree, for "same behaviour from less code" PRs: non-test Go
 # lines, raw and code-only (no blank or comment-only lines), for the FL

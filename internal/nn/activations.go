@@ -190,42 +190,94 @@ func (p *MaxPool2DOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.Tens
 	ow := (w-p.Size)/p.Stride + 1
 	p.y = tensor.EnsureShape(p.y, n, c, oh, ow)
 	y := p.y
+	var argmax []int // stays nil at inference: nothing is recorded
 	if train {
 		p.inShape = x.Shape()
 		if cap(p.argmax) < y.Len() {
 			p.argmax = make([]int, y.Len())
 		}
 		p.argmax = p.argmax[:y.Len()]
+		argmax = p.argmax
 	}
-	xd, yd := x.Data(), y.Data()
-	for img := 0; img < n; img++ {
-		for ch := 0; ch < c; ch++ {
-			base := (img*c + ch) * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					// First maximum wins (strict >); selects, not branches.
-					bestIdx := base + (oy*p.Stride)*w + ox*p.Stride
-					best := xd[bestIdx]
-					for ky := 0; ky < p.Size; ky++ {
-						row := base + (oy*p.Stride+ky)*w + ox*p.Stride
-						for kx, v := range xd[row : row+p.Size] {
-							gt := v > best
-							best = tensor.Select(gt, v, best)
-							if gt {
-								bestIdx = row + kx
-							}
+	if p.Size == 2 && p.Stride == 2 {
+		maxPool2x2(y.Data(), argmax, x.Data(), n*c, h, w, oh, ow)
+	} else {
+		maxPoolWindow(y.Data(), argmax, x.Data(), n*c, h, w, oh, ow, p.Size, p.Stride)
+	}
+	return y
+}
+
+// maxPoolWindow pools planes h×w images with any window and stride: the
+// window is scanned row by row, left to right, and the first maximum
+// wins (strict >); selects, not branches. A nil argmax records nothing.
+//
+// fedlint:hotpath
+func maxPoolWindow[T tensor.Float](yd []T, argmax []int, xd []T, planes, h, w, oh, ow, size, stride int) {
+	for pl := 0; pl < planes; pl++ {
+		base := pl * h * w
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				bestIdx := base + (oy*stride)*w + ox*stride
+				best := xd[bestIdx]
+				for ky := 0; ky < size; ky++ {
+					row := base + (oy*stride+ky)*w + ox*stride
+					for kx, v := range xd[row : row+size] {
+						gt := v > best
+						best = tensor.Select(gt, v, best)
+						if gt {
+							bestIdx = row + kx
 						}
 					}
-					out := ((img*c+ch)*oh+oy)*ow + ox
-					yd[out] = best
-					if train {
-						p.argmax[out] = bestIdx
-					}
+				}
+				out := (pl*oh+oy)*ow + ox
+				yd[out] = best
+				if argmax != nil {
+					argmax[out] = bestIdx
 				}
 			}
 		}
 	}
-	return y
+}
+
+// maxPool2x2 is maxPoolWindow at size 2, stride 2 — every pool in the
+// paper's models: two input rows streamed per output row, the four
+// candidates compared in maxPoolWindow's order — (0,0), (0,1), (1,0),
+// (1,1), first maximum wins on strict > — so value, argmax and NaN
+// behaviour are its own.
+//
+// fedlint:hotpath
+func maxPool2x2[T tensor.Float](yd []T, argmax []int, xd []T, planes, h, w, oh, ow int) {
+	for pl := 0; pl < planes; pl++ {
+		for oy := 0; oy < oh; oy++ {
+			i0 := (pl*h + 2*oy) * w
+			r0 := xd[i0:][:2*ow]
+			r1 := xd[i0+w:][:2*ow]
+			out := (pl*oh + oy) * ow
+			yrow := yd[out:][:ow]
+			for ox := range yrow {
+				best, idx := r0[2*ox], 0
+				gt := r0[2*ox+1] > best
+				best = tensor.Select(gt, r0[2*ox+1], best)
+				if gt {
+					idx = 1
+				}
+				gt = r1[2*ox] > best
+				best = tensor.Select(gt, r1[2*ox], best)
+				if gt {
+					idx = w
+				}
+				gt = r1[2*ox+1] > best
+				best = tensor.Select(gt, r1[2*ox+1], best)
+				if gt {
+					idx = w + 1
+				}
+				yrow[ox] = best
+				if argmax != nil {
+					argmax[out+ox] = i0 + 2*ox + idx
+				}
+			}
+		}
+	}
 }
 
 // Backward implements LayerOf.

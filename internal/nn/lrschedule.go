@@ -21,6 +21,6 @@ func CosineLR(lr, floor float64, total int) LRSchedule {
 		if total <= 0 || step >= total {
 			return floor
 		}
-		return floor + (lr-floor)*0.5*(1+math.Cos(math.Pi*float64(step)/float64(total)))
+		return floor + float64((lr-floor)*0.5*(1+math.Cos(math.Pi*float64(step)/float64(total))))
 	}
 }

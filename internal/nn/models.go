@@ -85,7 +85,7 @@ func VGG6Small(inC, inH, inW, classes int) *Arch {
 // profiler measures several variants to regress time against parameters.
 func LeNetVariant(inC, inH, inW, classes int, scale float64) *Arch {
 	f := func(base int) int {
-		v := int(float64(base)*scale + 0.5)
+		v := int(float64(float64(base)*scale) + 0.5)
 		if v < 2 {
 			v = 2
 		}
@@ -101,7 +101,7 @@ func LeNetVariant(inC, inH, inW, classes int, scale float64) *Arch {
 // VGG6Variant scales the VGG6 channel/width counts by scale.
 func VGG6Variant(inC, inH, inW, classes int, scale float64) *Arch {
 	f := func(base int) int {
-		v := int(float64(base)*scale + 0.5)
+		v := int(float64(float64(base)*scale) + 0.5)
 		if v < 2 {
 			v = 2
 		}
@@ -197,9 +197,9 @@ func (a *Arch) FlopsPerSample() float64 {
 		case "conv":
 			oh := tensor.ConvOutSize(h, s.k, s.stride, s.pad)
 			ow := tensor.ConvOutSize(w, s.k, s.stride, s.pad)
-			total += 2 * float64(s.outC) * float64(oh) * float64(ow) * float64(c) * float64(s.k) * float64(s.k)
+			total += float64(2 * float64(s.outC) * float64(oh) * float64(ow) * float64(c) * float64(s.k) * float64(s.k))
 		case "dense":
-			total += 2 * float64(flat) * float64(s.outC)
+			total += float64(2 * float64(flat) * float64(s.outC))
 		}
 	})
 	return total

@@ -53,6 +53,7 @@ func implicitConv[T Float](x, w, bias, gm *TensorOf[T], k, stride, pad int) (ym,
 	ConvGradWeightsInto(dw, gm, x, k, k, stride, pad)
 	dx = NewOf[T](x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3))
 	ConvGradInputInto(dx, gm, w, k, k, stride, pad)
+	logOutput(ym, dw, dx)
 	return ym, dw, dx
 }
 
@@ -175,6 +176,7 @@ func TestConvGradInputChunkBoundaries(t *testing.T) {
 
 		got := NewOf[float64](tc.n, tc.c, tc.h, tc.w)
 		ConvGradInputInto(got, gm, w, tc.k, tc.k, tc.stride, tc.pad)
+		logOutput(got)
 		if i, ok := bitsEqual(want, got); !ok {
 			t.Fatalf("case %+v: dX differs at %d: %g vs %g", tc, i, want.Data()[i], got.Data()[i])
 		}
@@ -466,6 +468,8 @@ func testConvFusedLayoutsAt[T Float](t *testing.T) {
 		dx := NewOf[T](tc.n, tc.c, tc.h, tc.w)
 		ConvGradWeightsInto(dw, grad, x, tc.k, tc.k, tc.stride, tc.pad)
 		ConvGradInputInto(dx, grad, w, tc.k, tc.k, tc.stride, tc.pad)
+		logOutput(y, yr, dw, dx)
+		logMask(mask)
 		if i, ok := bitsEqual(wantDW, dw); !ok {
 			t.Fatalf("%+v: dW differs at %d: %v vs %v", tc, i, dw.data[i], wantDW.data[i])
 		}

@@ -261,7 +261,7 @@ func naiveConvForward[T Float](c *matView[T], xd, wd []T, g *convGeom, nOut int)
 									idx++
 									continue
 								}
-								s += xd[srcRow+ix] * wj[idx]
+								s += T(xd[srcRow+ix] * wj[idx])
 								idx++
 							}
 						}
@@ -350,7 +350,7 @@ func naiveConvDW[T Float](dwd []T, gv *matView[T], xd []T, g *convGeom, nOut int
 									idx++
 									continue
 								}
-								ci[idx] += av * xd[srcRow+ix]
+								ci[idx] += T(av * xd[srcRow+ix])
 								idx++
 							}
 						}
@@ -426,7 +426,7 @@ func naiveGradRows[T Float](cd []T, gv *matView[T], bd []T, r0, m, n, k int) {
 			}
 			bi := bd[l*n : (l+1)*n]
 			for j, bv := range bi {
-				ci[j] += av * bv
+				ci[j] += T(av * bv)
 			}
 		}
 	}

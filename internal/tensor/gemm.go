@@ -13,14 +13,14 @@ import "sync"
 //   - Each cell is computed start-to-finish by exactly one goroutine: it
 //     walks the k dimension in gemmKC panels (in ascending order), packs
 //     the A and B panels into per-goroutine scratch (pack.go), and runs a
-//     register-tiled micro-kernel over the packed panels (4×4 packed
-//     doubles at float64, 8×4 packed singles at float32 — SSE2 assembly
-//     on amd64, order-identical scalar twins elsewhere; see microTile and
-//     gemm_amd64.s). An indirect A operand skips the packing: the same
-//     tiles, on the same schedule, read a[r][l] = x[rowOff[r]+depthOff[l]]
-//     in place (microKernelInd). The first k-panel stores into C
-//     (implicit beta=0 — callers never pre-zero), subsequent panels
-//     accumulate.
+//     register-tiled micro-kernel over the packed panels (4×4 at
+//     float64; 8×4 at float32, 8×8 where the 256-bit kernels run —
+//     SSE2 or AVX assembly on amd64, order-identical scalar twins
+//     elsewhere; see microTile and gemm_amd64.s). An indirect A operand
+//     skips the packing: the same tiles, on the same schedule, read
+//     a[r][l] = x[rowOff[r]+depthOff[l]] in place (microKernelInd). The
+//     first k-panel stores into C (implicit beta=0 — callers never
+//     pre-zero), subsequent panels accumulate.
 //   - The merge of the last k-panel applies the fused epilogue (+bias,
 //     +bias→ReLU with optional mask capture) to the tile it is writing,
 //     so C is never re-read for it.
@@ -44,9 +44,16 @@ import "sync"
 // count, which the federated engines' bit-identical-history guarantee
 // (internal/fl) inherits. The register tile shape does not participate
 // in that argument (each output element is a strictly-ascending-k sum
-// within each KC panel for every tile), so the SIMD tiles and their
-// scalar twins produce bit-identical results too — packed or indirect,
-// which differ only in where an A element is loaded from.
+// within each KC panel for every tile), so the SSE2 tiles, the AVX tiles
+// and their scalar twins produce bit-identical results too — packed or
+// indirect, which differ only in where an A element is loaded from.
+//
+// One rounding per multiply and one per add is part of that sequence.
+// The assembly never uses FMA, and neither may the Go code: the language
+// lets a compiler fuse x*y + z (arm64, ppc64le, s390x and riscv64 do)
+// unless the product is explicitly converted, so every multiply-add in
+// this package and in internal/nn is written c += T(a*b). `make nofma`
+// holds the line.
 
 // gemmSmallCutoff is the m·n·k volume below which the retained naive
 // kernels win (no packing or pool traffic). Depends only on the shape,
@@ -342,12 +349,12 @@ func gemmCell[T Float](c matView[T], a, b packSrc[T], m, n, k int, e epi[T], cc,
 	}
 }
 
-// micro4x4 is the portable twin of the amd64 float64 kernel: one packed
+// micro4x4 is the portable twin of the amd64 float64 kernels: one packed
 // A micro-panel (4×kc, column-major) times one packed B micro-panel
 // (kc×4, row-major) into the 4×4 accumulator tile (row stride 4, fully
 // overwritten). One rounding per multiply and per add, k strictly
 // ascending per output element — the exact operation sequence of
-// microF64SIMD, per lane.
+// microF64SIMD and microF64AVX, per lane.
 //
 // fedlint:hotpath
 func micro4x4[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
@@ -358,10 +365,10 @@ func micro4x4[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
 		b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
 		for r := 0; r < 4; r++ {
 			a := ap[r]
-			c[4*r] += a * b0
-			c[4*r+1] += a * b1
-			c[4*r+2] += a * b2
-			c[4*r+3] += a * b3
+			c[4*r] += T(a * b0)
+			c[4*r+1] += T(a * b1)
+			c[4*r+2] += T(a * b2)
+			c[4*r+3] += T(a * b3)
 		}
 		ap = ap[4:]
 		bp = bp[4:]
@@ -369,8 +376,10 @@ func micro4x4[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
 	copy(acc[:16], c[:])
 }
 
-// micro8x4 is the portable twin of the amd64 float32 kernel: the 8×4
-// tile (A micro-panel 8×kc) on the same schedule as micro4x4.
+// micro8x4 is the portable twin of the amd64 float32 kernels: the 8×4
+// tile (A micro-panel 8×kc) on the same schedule as micro4x4. (The AVX
+// kernel's 8×8 tile is two of these side by side; it has no twin of its
+// own because no target without the assembly runs that shape.)
 //
 // fedlint:hotpath
 func micro8x4[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
@@ -381,10 +390,10 @@ func micro8x4[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
 		b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
 		for r := 0; r < 8; r++ {
 			a := ap[r]
-			c[4*r] += a * b0
-			c[4*r+1] += a * b1
-			c[4*r+2] += a * b2
-			c[4*r+3] += a * b3
+			c[4*r] += T(a * b0)
+			c[4*r+1] += T(a * b1)
+			c[4*r+2] += T(a * b2)
+			c[4*r+3] += T(a * b3)
 		}
 		ap = ap[8:]
 		bp = bp[4:]
@@ -399,20 +408,20 @@ func micro8x4[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
 //
 // fedlint:hotpath
 func microInd[T Float](kc int, x []T, rowOff, depthOff []int, bp []T, acc *[gemmAccLen]T) {
-	var c [gemmAccLen]T
+	var c [gemmMaxMR * 4]T
 	bp = bp[: 4*kc : 4*kc]
 	for _, d := range depthOff[:kc] {
 		b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
 		for r, ro := range rowOff {
 			a := x[ro+d]
-			c[4*r] += a * b0
-			c[4*r+1] += a * b1
-			c[4*r+2] += a * b2
-			c[4*r+3] += a * b3
+			c[4*r] += T(a * b0)
+			c[4*r+1] += T(a * b1)
+			c[4*r+2] += T(a * b2)
+			c[4*r+3] += T(a * b3)
 		}
 		bp = bp[4:]
 	}
-	*acc = c
+	copy(acc[:len(c)], c[:])
 }
 
 // mergeTile writes the valid corner of a micro-tile into C: row r of the

@@ -4,16 +4,28 @@ package tensor
 
 import "unsafe"
 
-// The production register tiles in SSE2 (gemm_amd64.s). SSE2 is the
-// amd64 baseline, so neither kernel needs CPUID gating; the purego build
-// tag swaps in gemm_noasm.go, which is how the bit-identity of assembly
-// and scalar twins is tested end to end on an amd64 host.
+// The production register tiles in assembly (gemm_amd64.s), at two
+// widths. SSE2 is the amd64 baseline and needs no gating; the 256-bit AVX
+// kernels run where useAVX is set. The purego build tag swaps in
+// gemm_noasm.go, which is how the bit-identity of assembly and scalar
+// twins is tested end to end on an amd64 host.
+
+// useAVX routes microKernel and microKernelInd to the 256-bit kernels and
+// widens the float32 register tile to 8×8 (microTile). Decided once, when
+// the package initialises, from what the CPU and the OS report; no flag,
+// environment variable or build tag overrides it. Only tests write it
+// afterwards, to run both kernel sets against each other on one host.
+var useAVX = cpuHasAVX()
+
+// cpuHasAVX reports whether the CPU has AVX and the OS saves the YMM
+// state (CPUID.1:ECX OSXSAVE and AVX, XCR0 bits 1 and 2).
+func cpuHasAVX() bool
 
 // microKernel runs the production register tile for T over one packed
-// micro-panel pair: 4×4 at float64, 8×4 at float32. Both kernels sum
-// each output element in strictly ascending k order with one rounding
-// per multiply and per add, exactly like their twins micro4x4 and
-// micro8x4 (gemm.go).
+// micro-panel pair: 4×4 at float64; 8×4 at float32, 8×8 with AVX. Every
+// kernel sums each output element in strictly ascending k order with one
+// rounding per multiply and per add, exactly like the twins micro4x4 and
+// micro8x4 (gemm.go), so which one runs never shows in a result.
 //
 // fedlint:hotpath
 func microKernel[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
@@ -21,25 +33,46 @@ func microKernel[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
 	// Pointers (rather than slices) keep the call free of
 	// interface-boxing allocations on the hot path.
 	if isF32[T]() {
-		microF32SIMD(kc, (*float32)(unsafe.Pointer(&ap[0])), (*float32)(unsafe.Pointer(&bp[0])), (*float32)(unsafe.Pointer(&acc[0])))
+		a, b, c := (*float32)(unsafe.Pointer(&ap[0])), (*float32)(unsafe.Pointer(&bp[0])), (*float32)(unsafe.Pointer(&acc[0]))
+		if useAVX {
+			microF32AVX(kc, a, b, c)
+		} else {
+			microF32SIMD(kc, a, b, c)
+		}
 		return
 	}
-	microF64SIMD(kc, (*float64)(unsafe.Pointer(&ap[0])), (*float64)(unsafe.Pointer(&bp[0])), (*float64)(unsafe.Pointer(&acc[0])))
+	a, b, c := (*float64)(unsafe.Pointer(&ap[0])), (*float64)(unsafe.Pointer(&bp[0])), (*float64)(unsafe.Pointer(&acc[0]))
+	if useAVX {
+		microF64AVX(kc, a, b, c)
+	} else {
+		microF64SIMD(kc, a, b, c)
+	}
 }
 
 // microKernelInd is microKernel with the A micro-panel read in place:
 // a[r][l] = x[rowOff[r] + depthOff[l]] for the tile's mr rows (rowOff
 // must hold mr entries, depthOff kc) against the packed B micro-panel bp
-// — the SSE2 forms of microInd (gemm.go), on the schedule of the packed
-// kernels.
+// — the assembly forms of microInd (gemm.go), on the schedule of the
+// packed kernels.
 //
 // fedlint:hotpath
 func microKernelInd[T Float](kc int, x []T, rowOff, depthOff []int, bp []T, acc *[gemmAccLen]T) {
+	ro, do := unsafe.SliceData(rowOff), unsafe.SliceData(depthOff)
 	if isF32[T]() {
-		microIndF32SIMD(kc, (*float32)(unsafe.Pointer(unsafe.SliceData(x))), unsafe.SliceData(rowOff), unsafe.SliceData(depthOff), (*float32)(unsafe.Pointer(unsafe.SliceData(bp))), (*float32)(unsafe.Pointer(&acc[0])))
+		xp, b, c := (*float32)(unsafe.Pointer(unsafe.SliceData(x))), (*float32)(unsafe.Pointer(unsafe.SliceData(bp))), (*float32)(unsafe.Pointer(&acc[0]))
+		if useAVX {
+			microIndF32AVX(kc, xp, ro, do, b, c)
+		} else {
+			microIndF32SIMD(kc, xp, ro, do, b, c)
+		}
 		return
 	}
-	microIndF64SIMD(kc, (*float64)(unsafe.Pointer(unsafe.SliceData(x))), unsafe.SliceData(rowOff), unsafe.SliceData(depthOff), (*float64)(unsafe.Pointer(unsafe.SliceData(bp))), (*float64)(unsafe.Pointer(&acc[0])))
+	xp, b, c := (*float64)(unsafe.Pointer(unsafe.SliceData(x))), (*float64)(unsafe.Pointer(unsafe.SliceData(bp))), (*float64)(unsafe.Pointer(&acc[0]))
+	if useAVX {
+		microIndF64AVX(kc, xp, ro, do, b, c)
+	} else {
+		microIndF64SIMD(kc, xp, ro, do, b, c)
+	}
 }
 
 // microF32SIMD multiplies one packed A micro-panel (8×kc, column-major)
@@ -81,3 +114,37 @@ func microIndF32SIMD(kc int, x *float32, rowOff, depthOff *int, bp, acc *float32
 //
 //go:noescape
 func microIndF64SIMD(kc int, x *float64, rowOff, depthOff *int, bp, acc *float64)
+
+// microF32AVX is microF32SIMD at 256 bits: B micro-panel kc×8, 8×8
+// accumulator tile (row stride 8), one YMM register per C row
+// (VBROADCASTSS + VMULPS + VADDPS, no FMA).
+//
+// fedlint:hotpath
+//
+//go:noescape
+func microF32AVX(kc int, ap, bp, acc *float32)
+
+// microF64AVX is microF64SIMD at 256 bits: the same 4×4 tile and panel
+// layouts, one YMM register per C row (VBROADCASTSD + VMULPD + VADDPD, no
+// FMA).
+//
+// fedlint:hotpath
+//
+//go:noescape
+func microF64AVX(kc int, ap, bp, acc *float64)
+
+// microIndF32AVX is microF32AVX with a[r][l] = x[rowOff[r]+depthOff[l]]
+// (8 row offsets, kc depth offsets) in place of the packed A micro-panel.
+//
+// fedlint:hotpath
+//
+//go:noescape
+func microIndF32AVX(kc int, x *float32, rowOff, depthOff *int, bp, acc *float32)
+
+// microIndF64AVX is microF64AVX with a[r][l] = x[rowOff[r]+depthOff[l]]
+// (4 row offsets, kc depth offsets) in place of the packed A micro-panel.
+//
+// fedlint:hotpath
+//
+//go:noescape
+func microIndF64AVX(kc int, x *float64, rowOff, depthOff *int, bp, acc *float64)

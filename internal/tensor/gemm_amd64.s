@@ -1,7 +1,8 @@
 //go:build !purego
 
-// GEMM micro-kernels, SSE2 baseline (no CPUID dispatch: SSE2 is
-// architecturally guaranteed on amd64).
+// GEMM micro-kernels: the SSE2 tiles every amd64 host can run, then their
+// 256-bit AVX forms (bottom of the file), which gemm_amd64.go dispatches
+// to when cpuHasAVX says so. Neither set uses FMA.
 //
 // float32 8×4. Register plan:
 //
@@ -363,4 +364,321 @@ storeind64:
 	MOVUPD X5, 80(DX)
 	MOVUPD X6, 96(DX)
 	MOVUPD X7, 112(DX)
+	RET
+
+// 256-bit (AVX) variants, selected at run time by useAVX (gemm_amd64.go)
+// on hosts where cpuHasAVX reports the instruction set and the OS saving
+// YMM state. One YMM register holds a whole C-tile row: four doubles, so
+// float64 keeps its 4×4 tile in 4 accumulators, and eight singles, so
+// float32 widens to 8×8 in 8. Per k step and per row: broadcast-load
+// a[r][l], VMULP* by the B row, VADDP* into the row's accumulator — the
+// SSE2 kernels' two roundings in the SSE2 kernels' operand order (product
+// = a·b with a the first source, sum = acc + product with acc the first
+// source, so NaN payloads propagate alike), k strictly ascending, no FMA.
+// Each output element therefore sees the instruction sequence it sees in
+// the 128-bit kernels and in the Go twins; only how many elements share
+// an instruction differs. VZEROUPPER before RET keeps the SSE code that
+// follows off the AVX→SSE transition penalty.
+
+// func cpuHasAVX() bool
+//
+// CPUID.1:ECX must report OSXSAVE (bit 27) and AVX (bit 28), and XCR0 must
+// have the SSE and AVX state bits (1 and 2) set: the OS saves YMM.
+TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  noavx
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  noavx
+	MOVB $1, ret+0(FP)
+	RET
+
+noavx:
+	MOVB $0, ret+0(FP)
+	RET
+
+// float32 8×8: Y0–Y7 one 8-lane C row each, Y8 the current B row
+// b[l][0..7], Y9–Y15 the broadcast A scalars and their products. Per k
+// step 1 B load + per row (VBROADCASTSS, VMULPS, VADDPS) = 128 f32 FLOPs
+// on 8 independent accumulator chains.
+
+// func microF32AVX(kc int, ap, bp, acc *float32)
+TEXT ·microF32AVX(SB), NOSPLIT, $0-32
+	MOVQ kc+0(FP), CX
+	MOVQ ap+8(FP), SI
+	MOVQ bp+16(FP), DI
+	MOVQ acc+24(FP), DX
+
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+	TESTQ CX, CX
+	JZ    storef32avx
+
+loopf32avx:
+	VMOVUPS (DI), Y8
+
+	VBROADCASTSS (SI), Y9
+	VMULPS       Y8, Y9, Y9
+	VADDPS       Y9, Y0, Y0
+
+	VBROADCASTSS 4(SI), Y10
+	VMULPS       Y8, Y10, Y10
+	VADDPS       Y10, Y1, Y1
+
+	VBROADCASTSS 8(SI), Y11
+	VMULPS       Y8, Y11, Y11
+	VADDPS       Y11, Y2, Y2
+
+	VBROADCASTSS 12(SI), Y12
+	VMULPS       Y8, Y12, Y12
+	VADDPS       Y12, Y3, Y3
+
+	VBROADCASTSS 16(SI), Y13
+	VMULPS       Y8, Y13, Y13
+	VADDPS       Y13, Y4, Y4
+
+	VBROADCASTSS 20(SI), Y14
+	VMULPS       Y8, Y14, Y14
+	VADDPS       Y14, Y5, Y5
+
+	VBROADCASTSS 24(SI), Y15
+	VMULPS       Y8, Y15, Y15
+	VADDPS       Y15, Y6, Y6
+
+	VBROADCASTSS 28(SI), Y9
+	VMULPS       Y8, Y9, Y9
+	VADDPS       Y9, Y7, Y7
+
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  loopf32avx
+
+storef32avx:
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y1, 32(DX)
+	VMOVUPS Y2, 64(DX)
+	VMOVUPS Y3, 96(DX)
+	VMOVUPS Y4, 128(DX)
+	VMOVUPS Y5, 160(DX)
+	VMOVUPS Y6, 192(DX)
+	VMOVUPS Y7, 224(DX)
+	VZEROUPPER
+	RET
+
+// float64 4×4: Y0–Y3 one 4-lane C row each, Y4 the current B row
+// b[l][0..3], Y5–Y7 the broadcast A scalars and their products. Per k
+// step 1 B load + per row (VBROADCASTSD, VMULPD, VADDPD) = 32 f64 FLOPs in
+// half the instructions of the 128-bit tile.
+
+// func microF64AVX(kc int, ap, bp, acc *float64)
+TEXT ·microF64AVX(SB), NOSPLIT, $0-32
+	MOVQ kc+0(FP), CX
+	MOVQ ap+8(FP), SI
+	MOVQ bp+16(FP), DI
+	MOVQ acc+24(FP), DX
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+	TESTQ CX, CX
+	JZ    storef64avx
+
+loopf64avx:
+	VMOVUPD (DI), Y4
+
+	VBROADCASTSD (SI), Y5
+	VMULPD       Y4, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+
+	VBROADCASTSD 8(SI), Y6
+	VMULPD       Y4, Y6, Y6
+	VADDPD       Y6, Y1, Y1
+
+	VBROADCASTSD 16(SI), Y7
+	VMULPD       Y4, Y7, Y7
+	VADDPD       Y7, Y2, Y2
+
+	VBROADCASTSD 24(SI), Y5
+	VMULPD       Y4, Y5, Y5
+	VADDPD       Y5, Y3, Y3
+
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  loopf64avx
+
+storef64avx:
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	VZEROUPPER
+	RET
+
+// Indirect 256-bit variants: row bases in general registers and one depth
+// offset per k step, exactly as in the 128-bit indirect kernels; the
+// scalar load is folded into the broadcast.
+
+// func microIndF32AVX(kc int, x *float32, rowOff, depthOff *int, bp, acc *float32)
+TEXT ·microIndF32AVX(SB), NOSPLIT, $0-48
+	MOVQ x+8(FP), CX
+	MOVQ rowOff+16(FP), AX
+	MOVQ (AX), R8
+	LEAQ (CX)(R8*4), R8
+	MOVQ 8(AX), R9
+	LEAQ (CX)(R9*4), R9
+	MOVQ 16(AX), R10
+	LEAQ (CX)(R10*4), R10
+	MOVQ 24(AX), R11
+	LEAQ (CX)(R11*4), R11
+	MOVQ 32(AX), R12
+	LEAQ (CX)(R12*4), R12
+	MOVQ 40(AX), R13
+	LEAQ (CX)(R13*4), R13
+	MOVQ 48(AX), SI
+	LEAQ (CX)(SI*4), SI
+	MOVQ 56(AX), BX
+	LEAQ (CX)(BX*4), BX
+	MOVQ kc+0(FP), CX
+	MOVQ depthOff+24(FP), DX
+	MOVQ bp+32(FP), DI
+
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+	TESTQ CX, CX
+	JZ    storeindf32avx
+
+loopindf32avx:
+	MOVQ    (DX), AX
+	VMOVUPS (DI), Y8
+
+	VBROADCASTSS (R8)(AX*4), Y9
+	VMULPS       Y8, Y9, Y9
+	VADDPS       Y9, Y0, Y0
+
+	VBROADCASTSS (R9)(AX*4), Y10
+	VMULPS       Y8, Y10, Y10
+	VADDPS       Y10, Y1, Y1
+
+	VBROADCASTSS (R10)(AX*4), Y11
+	VMULPS       Y8, Y11, Y11
+	VADDPS       Y11, Y2, Y2
+
+	VBROADCASTSS (R11)(AX*4), Y12
+	VMULPS       Y8, Y12, Y12
+	VADDPS       Y12, Y3, Y3
+
+	VBROADCASTSS (R12)(AX*4), Y13
+	VMULPS       Y8, Y13, Y13
+	VADDPS       Y13, Y4, Y4
+
+	VBROADCASTSS (R13)(AX*4), Y14
+	VMULPS       Y8, Y14, Y14
+	VADDPS       Y14, Y5, Y5
+
+	VBROADCASTSS (SI)(AX*4), Y15
+	VMULPS       Y8, Y15, Y15
+	VADDPS       Y15, Y6, Y6
+
+	VBROADCASTSS (BX)(AX*4), Y9
+	VMULPS       Y8, Y9, Y9
+	VADDPS       Y9, Y7, Y7
+
+	ADDQ $8, DX
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  loopindf32avx
+
+storeindf32avx:
+	MOVQ    acc+40(FP), DX
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y1, 32(DX)
+	VMOVUPS Y2, 64(DX)
+	VMOVUPS Y3, 96(DX)
+	VMOVUPS Y4, 128(DX)
+	VMOVUPS Y5, 160(DX)
+	VMOVUPS Y6, 192(DX)
+	VMOVUPS Y7, 224(DX)
+	VZEROUPPER
+	RET
+
+// func microIndF64AVX(kc int, x *float64, rowOff, depthOff *int, bp, acc *float64)
+TEXT ·microIndF64AVX(SB), NOSPLIT, $0-48
+	MOVQ x+8(FP), CX
+	MOVQ rowOff+16(FP), AX
+	MOVQ (AX), R8
+	LEAQ (CX)(R8*8), R8
+	MOVQ 8(AX), R9
+	LEAQ (CX)(R9*8), R9
+	MOVQ 16(AX), R10
+	LEAQ (CX)(R10*8), R10
+	MOVQ 24(AX), R11
+	LEAQ (CX)(R11*8), R11
+	MOVQ kc+0(FP), CX
+	MOVQ depthOff+24(FP), DX
+	MOVQ bp+32(FP), DI
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+	TESTQ CX, CX
+	JZ    storeindf64avx
+
+loopindf64avx:
+	MOVQ    (DX), AX
+	VMOVUPD (DI), Y4
+
+	VBROADCASTSD (R8)(AX*8), Y5
+	VMULPD       Y4, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+
+	VBROADCASTSD (R9)(AX*8), Y6
+	VMULPD       Y4, Y6, Y6
+	VADDPD       Y6, Y1, Y1
+
+	VBROADCASTSD (R10)(AX*8), Y7
+	VMULPD       Y4, Y7, Y7
+	VADDPD       Y7, Y2, Y2
+
+	VBROADCASTSD (R11)(AX*8), Y5
+	VMULPD       Y4, Y5, Y5
+	VADDPD       Y5, Y3, Y3
+
+	ADDQ $8, DX
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  loopindf64avx
+
+storeindf64avx:
+	MOVQ    acc+40(FP), DX
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	VZEROUPPER
 	RET

@@ -2,8 +2,13 @@
 
 package tensor
 
+// useAVX is the run-time kernel dispatch of the assembly build
+// (gemm_amd64.go). Nothing sets it here: there is one kernel set, and
+// float32 keeps its 8×4 tile.
+var useAVX bool
+
 // microKernel runs the production register tile for T — 4×4 at float64,
-// 8×4 at float32 — through the scalar twins of the SSE2 kernels in
+// 8×4 at float32 — through the scalar twins of the assembly kernels in
 // gemm_amd64.s. Built on every non-amd64 target, and on amd64 under the
 // purego tag so the whole suite, goldens included, can be run against the
 // twins on the host where the assembly normally runs.
@@ -19,7 +24,7 @@ func microKernel[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
 
 // microKernelInd is microKernel with the A micro-panel read in place,
 // a[r][l] = x[rowOff[r] + depthOff[l]] for the len(rowOff) = MR rows of
-// the tile, through the scalar twin of the indirect SSE2 kernels.
+// the tile, through the scalar twin of the indirect assembly kernels.
 //
 // fedlint:hotpath
 func microKernelInd[T Float](kc int, x []T, rowOff, depthOff []int, bp []T, acc *[gemmAccLen]T) {

@@ -24,6 +24,7 @@ func randTensorOf[T Float](rng *rand.Rand, shape ...int) *TensorOf[T] {
 func blockedInto[T Float](dst, a, b *TensorOf[T], transA, transB bool, e epi[T]) {
 	m, n, k, pa, pb := stridedOperands(a, b, transA, transB)
 	gemmBlockedOps(matView[T]{d: dst.data, ld: n}, pa, pb, m, n, k, e)
+	logOutput(dst)
 }
 
 // stridedOperands is gemm's operand setup: the logical m, n, k and the
@@ -118,18 +119,21 @@ func testBlockedMultiPanel[T Float](t *testing.T) {
 	want, got := NewOf[T](m, n), NewOf[T](m, n)
 	naiveMatMulInto(want, a, b)
 	MatMulInto(got, a, b)
+	logOutput(got)
 	if d := maxAbsDiff(want, got); d > eps {
 		t.Fatalf("multi-panel A·B: max diff %g", d)
 	}
 	at := randTensorOf[T](rng, k, m)
 	naiveMatMulTransAInto(want, at, b)
 	MatMulTransAInto(got, at, b)
+	logOutput(got)
 	if d := maxAbsDiff(want, got); d > eps {
 		t.Fatalf("multi-panel Aᵀ·B: max diff %g", d)
 	}
 	bt := randTensorOf[T](rng, n, k)
 	naiveMatMulTransBInto(want, a, bt)
 	MatMulTransBInto(got, a, bt)
+	logOutput(got)
 	if d := maxAbsDiff(want, got); d > eps {
 		t.Fatalf("multi-panel A·Bᵀ: max diff %g", d)
 	}
@@ -158,6 +162,7 @@ func TestGEMMEpilogueBias(t *testing.T) {
 		}
 		got := New(m, n)
 		MatMulTransBBiasInto(got, a, bt, bias)
+		logOutput(got)
 		if d := maxAbsDiff(want, got); d > 1e-10 {
 			t.Fatalf("bias epilogue m=%d k=%d n=%d: max diff %g", m, k, n, d)
 		}
@@ -178,6 +183,8 @@ func TestGEMMEpilogueBiasReLU(t *testing.T) {
 		got := New(m, n)
 		mask := make([]bool, m*n)
 		MatMulTransBBiasReLUInto(got, a, bt, bias, mask)
+		logOutput(got)
+		logMask(mask)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
 				v := pre.Data()[i*n+j] + bias.Data()[j]
@@ -235,6 +242,7 @@ func TestGEMMBitIdenticalAcrossLanes(t *testing.T) {
 	for _, o := range ops {
 		ref := New(m, n)
 		withLanes(t, 0, func() { o.run(ref) })
+		logOutput(ref)
 		for _, lanes := range []int{1, 2, 3, 8} {
 			got := New(m, n)
 			withLanes(t, lanes, func() { o.run(got) })
@@ -274,6 +282,7 @@ func TestGEMMBitIdenticalAcrossLanesF32(t *testing.T) {
 	for _, o := range ops {
 		ref := NewOf[float32](m, n)
 		withLanes(t, 0, func() { o.run(ref) })
+		logOutput(ref)
 		for _, lanes := range []int{1, 2, 3, 8} {
 			got := NewOf[float32](m, n)
 			withLanes(t, lanes, func() { o.run(got) })
@@ -388,78 +397,221 @@ func BenchmarkGEMMBlockedF32VGG6Dense(b *testing.B) {
 	benchGEMMShapeOf[float32](b, 20, 4704, 1120, false)
 }
 
-// TestMicroKernelMatchesTwin runs the production micro-kernels against
-// their portable twins on the same random packed panels, directly —
-// below any packing or merging. On amd64 that is SSE2 assembly against
-// scalar Go; under the purego tag (and on other architectures) both sides
-// are the twin, and the test only pins the fully-overwritten accumulator
-// contract.
-func TestMicroKernelMatchesTwin(t *testing.T) {
-	t.Run("f64", func(t *testing.T) { testMicroKernelMatchesTwin(t, 4, micro4x4[float64]) })
-	t.Run("f32", func(t *testing.T) { testMicroKernelMatchesTwin(t, 8, micro8x4[float32]) })
+// The kernel parity matrix: every micro-kernel this host and build can
+// run — both dispatch states of the production kernels (dispatch_test.go)
+// and the portable twins — × {packed, indirect} × {f32, f64}, against
+// refTile, over depths that straddle nothing, one step, odd counts and
+// the KC panel edge, on operands that start at odd element offsets and
+// carry NaNs with distinct payloads, ±Inf, −0 and subnormals beside the
+// ordinary values.
+
+// refTile is the reference every kernel must reproduce: an mr×ldb tile
+// whose element (r, j) is the sum over strictly ascending l of a(r,l) ·
+// b[l·ldb+j], one rounding per multiply and one per add, from +0.
+func refTile[T Float](mr, ldb, kc int, a func(r, l int) T, b []T) []T {
+	c := make([]T, mr*ldb)
+	for l := 0; l < kc; l++ {
+		for r := 0; r < mr; r++ {
+			for j := 0; j < ldb; j++ {
+				c[r*ldb+j] += T(a(r, l) * b[l*ldb+j])
+			}
+		}
+	}
+	return c
 }
 
-func testMicroKernelMatchesTwin[T Float](t *testing.T, mr int, twin func(int, []T, []T, *[gemmAccLen]T)) {
+// bits64 is v's bit pattern widened to 64 bits (float32 widens exactly,
+// NaN payloads included), so one comparison serves both element types.
+func bits64[T Float](v T) uint64 { return math.Float64bits(float64(v)) }
+
+// sameValue reports bit equality, except that any NaN matches any NaN:
+// which payload survives a NaN·NaN or NaN+NaN is the instruction
+// encoding's choice, and compiled Go code does not pin its operand order.
+func sameValue[T Float](a, b T) bool {
+	return bits64(a) == bits64(b) || (math.IsNaN(float64(a)) && math.IsNaN(float64(b)))
+}
+
+// specials returns the values the parity matrix salts its operands with.
+func specials[T Float]() []T {
+	nan := func(payload uint32) T {
+		if isF32[T]() {
+			return T(math.Float32frombits(0x7fc00000 | payload))
+		}
+		return T(math.Float64frombits(0x7ff8000000000000 | uint64(payload)))
+	}
+	tiny := T(math.SmallestNonzeroFloat64) // subnormal at float64
+	if isF32[T]() {
+		tiny = T(math.SmallestNonzeroFloat32)
+	}
+	negZero := T(math.Copysign(0, -1))
+	return []T{nan(1), nan(2), nan(0x155), T(math.Inf(1)), T(math.Inf(-1)), negZero, tiny, -tiny * 3, 0}
+}
+
+// salted returns n normal draws with roughly one element in nine
+// replaced by a special value, every special used at least once when n
+// allows.
+func salted[T Float](rng *rand.Rand, n int) []T {
+	d := randTensorOf[T](rng, n).data
+	sp := specials[T]()
+	for i := range sp {
+		if n > 0 {
+			d[rng.Intn(n)] = sp[i]
+		}
+	}
+	for i := range d {
+		if rng.Intn(9) == 0 {
+			d[i] = sp[rng.Intn(len(sp))]
+		}
+	}
+	return d
+}
+
+// microImpl is one row of the parity matrix: a packed and an indirect
+// kernel for an mr×nr tile, and the dispatch state they run under.
+type microImpl[T Float] struct {
+	name   string
+	avx    bool
+	mr, nr int
+	asm    bool // NaN payloads must agree with every other asm row
+	packed func(kc int, ap, bp []T, acc *[gemmAccLen]T)
+	ind    func(kc int, x []T, rowOff, depthOff []int, bp []T, acc *[gemmAccLen]T)
+}
+
+// microImpls lists the production kernels under each dispatch state the
+// host has, then the portable twins.
+func microImpls[T Float]() []microImpl[T] {
+	var impls []microImpl[T]
+	states := kernelStates()
+	for _, avx := range states {
+		withKernels(avx, func() {
+			mr, nr := microTile[T]()
+			name := "production"
+			if len(states) > 1 {
+				name = kernelSetName(avx)
+			}
+			impls = append(impls, microImpl[T]{name, avx, mr, nr, len(states) > 1, microKernel[T], microKernelInd[T]})
+		})
+	}
+	twin := micro4x4[T]
+	mr := gemmMR
+	if isF32[T]() {
+		twin, mr = micro8x4[T], f32MR
+	}
+	return append(impls, microImpl[T]{"twin", useAVX, mr, 4, false, twin, microInd[T]})
+}
+
+// kernelParityDepths are the kc values of the matrix.
+var kernelParityDepths = []int{0, 1, 2, 3, 7, 25, 256, 257}
+
+// testKernelParity runs one column of the matrix (packed or indirect)
+// at element type T. Every kernel computes the same logical mr×8 tile —
+// a 4-wide kernel in two column halves — so results compare element for
+// element across tile shapes: against refTile up to NaN payload, and
+// bit for bit, payloads included, between the assembly kernels (packed
+// against indirect too).
+func testKernelParity[T Float](t *testing.T, indirect bool) {
+	const ldb = gemmMaxNR
 	rng := rand.New(rand.NewSource(71))
-	for _, kc := range []int{0, 1, 7, 25, 150, 256} {
-		// One spare step keeps &ap[0] valid at kc = 0.
-		ap := randTensorOf[T](rng, mr*(kc+1)).data
-		bp := randTensorOf[T](rng, 4*(kc+1)).data
-		var got, want [gemmAccLen]T
-		for i := range got {
-			got[i], want[i] = 9, 9
-		}
-		microKernel(kc, ap, bp, &got)
-		twin(kc, ap, bp, &want)
-		for i := range want[:mr*4] {
-			if math.Float64bits(float64(got[i])) != math.Float64bits(float64(want[i])) {
-				t.Fatalf("kc=%d: acc[%d] = %v, twin %v", kc, i, got[i], want[i])
+	impls := microImpls[T]()
+	mr := impls[0].mr
+	for _, kc := range kernelParityDepths {
+		for _, skew := range []int{0, 1, 3} {
+			// One spare step keeps &ap[0] valid at kc = 0.
+			x := salted[T](rng, 4096)[skew:]
+			b := salted[T](rng, ldb*(kc+1)+skew)[skew:]
+			rowOff := make([]int, mr)
+			for r := range rowOff {
+				rowOff[r] = rng.Intn(len(x) / 2)
+			}
+			depthOff := make([]int, kc)
+			for l := range depthOff {
+				depthOff[l] = rng.Intn(len(x) / 2)
+			}
+			a := func(r, l int) T { return x[rowOff[r]+depthOff[l]] }
+			want := refTile(mr, ldb, kc, a, b)
+			var asmName string
+			var asmGot []T
+			for _, im := range impls {
+				if im.mr != mr {
+					t.Fatalf("%s: mr = %d, others %d", im.name, im.mr, mr)
+				}
+				run := func(ind bool) []T {
+					got := make([]T, mr*ldb)
+					withKernels(im.avx, func() {
+						for j0 := 0; j0 < ldb; j0 += im.nr {
+							bp := make([]T, im.nr*(kc+1)+skew)[skew:]
+							for l := 0; l < kc; l++ {
+								copy(bp[l*im.nr:][:im.nr], b[l*ldb+j0:])
+							}
+							var acc [gemmAccLen]T
+							for i := range acc {
+								acc[i] = 9 // the tile must be overwritten, not accumulated into
+							}
+							if ind {
+								im.ind(kc, x, rowOff, depthOff, bp, &acc)
+							} else {
+								ap := make([]T, mr*(kc+1)+skew)[skew:]
+								for l := 0; l < kc; l++ {
+									for r := 0; r < mr; r++ {
+										ap[l*mr+r] = a(r, l)
+									}
+								}
+								im.packed(kc, ap, bp, &acc)
+							}
+							for r := 0; r < mr; r++ {
+								copy(got[r*ldb+j0:][:im.nr], acc[r*im.nr:])
+							}
+						}
+					})
+					return got
+				}
+				got := run(indirect)
+				for i := range want {
+					if !sameValue(got[i], want[i]) {
+						t.Fatalf("%s kc=%d skew=%d: c[%d] = %v (%#x), reference %v (%#x)",
+							im.name, kc, skew, i, got[i], bits64(got[i]), want[i], bits64(want[i]))
+					}
+				}
+				if !im.asm {
+					continue
+				}
+				if indirect {
+					// The pack-free path's bit-identity argument at kernel
+					// level: same values, same instructions, same bits.
+					for i, p := range run(false) {
+						if bits64(got[i]) != bits64(p) {
+							t.Fatalf("%s kc=%d skew=%d: c[%d] indirect %#x, packed %#x", im.name, kc, skew, i, bits64(got[i]), bits64(p))
+						}
+					}
+				}
+				if asmGot == nil {
+					asmName, asmGot = im.name, got
+					continue
+				}
+				for i := range got {
+					if bits64(got[i]) != bits64(asmGot[i]) {
+						t.Fatalf("kc=%d skew=%d: c[%d] %s %#x, %s %#x", kc, skew, i, im.name, bits64(got[i]), asmName, bits64(asmGot[i]))
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestMicroKernelIndMatchesTwin runs the indirect micro-kernels against
-// their portable twin on random offset tables, and both against the
-// packed kernel fed the gathered panel a[r][l] = x[rowOff[r]+depthOff[l]]
-// — the pack-free path's whole bit-identity argument at kernel level. kc
-// straddles the KC panel depth; offsets repeat and run backwards, which
-// the convolution tables never do.
+// TestMicroKernelMatchesTwin is the packed column of the parity matrix.
+// On an AVX host that is the 256-bit and the SSE2 assembly and the scalar
+// Go twins against one reference; under the purego tag (and on other
+// architectures) the production kernels are the twins.
+func TestMicroKernelMatchesTwin(t *testing.T) {
+	t.Run("f64", func(t *testing.T) { testKernelParity[float64](t, false) })
+	t.Run("f32", func(t *testing.T) { testKernelParity[float32](t, false) })
+}
+
+// TestMicroKernelIndMatchesTwin is the indirect column: the same kernels
+// reading a[r][l] = x[rowOff[r]+depthOff[l]] in place — offsets repeat
+// and run backwards, which the convolution tables never do — against
+// the reference and against the packed kernel fed the gathered panel.
 func TestMicroKernelIndMatchesTwin(t *testing.T) {
-	t.Run("f64", testMicroKernelIndMatchesTwin[float64])
-	t.Run("f32", testMicroKernelIndMatchesTwin[float32])
-}
-
-func testMicroKernelIndMatchesTwin[T Float](t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	mr, _ := microTile[T]()
-	x := randTensorOf[T](rng, 4096).data
-	for _, kc := range []int{0, 1, 255, 256, 257, 300} {
-		rowOff := make([]int, mr)
-		for r := range rowOff {
-			rowOff[r] = rng.Intn(len(x) / 2)
-		}
-		depthOff := make([]int, kc)
-		ap := make([]T, mr*(kc+1))
-		for l := range depthOff {
-			depthOff[l] = rng.Intn(len(x) / 2)
-			for r, ro := range rowOff {
-				ap[l*mr+r] = x[ro+depthOff[l]]
-			}
-		}
-		bp := randTensorOf[T](rng, 4*(kc+1)).data
-		var got, twin, packed [gemmAccLen]T
-		for i := range got {
-			got[i], twin[i], packed[i] = 9, 9, 9
-		}
-		microKernelInd(kc, x, rowOff, depthOff, bp, &got)
-		microInd(kc, x, rowOff, depthOff, bp, &twin)
-		microKernel(kc, ap, bp, &packed)
-		for i := range got[:mr*4] {
-			if math.Float64bits(float64(got[i])) != math.Float64bits(float64(twin[i])) ||
-				math.Float64bits(float64(got[i])) != math.Float64bits(float64(packed[i])) {
-				t.Fatalf("kc=%d: acc[%d] = %v, twin %v, packed kernel %v", kc, i, got[i], twin[i], packed[i])
-			}
-		}
-	}
+	t.Run("f64", func(t *testing.T) { testKernelParity[float64](t, true) })
+	t.Run("f32", func(t *testing.T) { testKernelParity[float32](t, true) })
 }

@@ -73,7 +73,7 @@ func naiveMatMulInto[T Float](dst, a, b *TensorOf[T]) {
 			}
 			bi := bd[l*n : (l+1)*n]
 			for j, bv := range bi {
-				ci[j] += av * bv
+				ci[j] += T(av * bv)
 			}
 		}
 	}
@@ -100,7 +100,7 @@ func naiveMatMulTransAInto[T Float](dst, a, b *TensorOf[T]) {
 			}
 			ci := cd[i*n : (i+1)*n]
 			for j, bv := range brow {
-				ci[j] += av * bv
+				ci[j] += T(av * bv)
 			}
 		}
 	}
@@ -122,7 +122,7 @@ func naiveMatMulTransBInto[T Float](dst, a, b *TensorOf[T]) {
 			bj := bd[j*k : (j+1)*k]
 			var s T
 			for l, av := range ai {
-				s += av * bj[l]
+				s += T(av * bj[l])
 			}
 			ci[j] = s
 		}

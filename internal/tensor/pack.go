@@ -16,19 +16,23 @@ package tensor
 // exactly one goroutine; see gemm.go). gemmKC additionally fixes the
 // k-summation association (one partial sum per KC panel), so it must
 // never differ between two code paths that are expected to produce
-// bit-identical results.
+// bit-identical results. The register tile is the one blocking parameter
+// that is not a constant — float32's width follows the kernel dispatch
+// (microTile) — and the one that may vary: it moves no cell or panel
+// boundary and no summation order.
 const (
-	// gemmMR × gemmNR is the float64 register tile: a 4×4 block of C held
-	// as packed doubles in 8 XMM accumulators (two per row), with two
-	// registers for the current B row and the rest for broadcast A values
-	// — see gemm_amd64.s. float32 uses the wider f32MR×f32NR tile: at
-	// half the element width one 128-bit register holds a 4-lane row, so
-	// the f32 kernel keeps an 8×4 C block in the same 8 accumulators.
+	// gemmMR × gemmNR is the float64 register tile, on every target: a
+	// 4×4 block of C, one row per YMM accumulator in the AVX kernels, two
+	// XMM accumulators per row in the SSE2 ones (gemm_amd64.s).
 	gemmMR = 4
 	gemmNR = 4
-	// f32MR × f32NR is the float32 register tile.
-	f32MR = 8
-	f32NR = 4
+	// f32MR × f32NR is the float32 register tile where a vector register
+	// is 128 bits (SSE2, and the scalar twins): one register holds a
+	// 4-lane row, so 8 accumulators hold an 8×4 block. f32NRAVX is its
+	// width where the 256-bit kernels run: an 8-lane row, 8×8.
+	f32MR    = 8
+	f32NR    = 4
+	f32NRAVX = 8
 	// gemmMC rows of A are packed per panel. Must be a multiple of both
 	// MRs.
 	gemmMC = 128
@@ -39,15 +43,22 @@ const (
 	// gemmNC columns of B are packed per panel. Must be a multiple of
 	// both NRs.
 	gemmNC = 240
-	// gemmMaxMR/gemmMaxNR bound the register tile across element types;
-	// they size the shared accumulator (gemmAccLen in gemm.go).
+	// gemmMaxMR/gemmMaxNR bound the register tile across element types
+	// and kernel sets; they size the shared accumulator (gemmAccLen in
+	// gemm.go).
 	gemmMaxMR = 8
-	gemmMaxNR = 4
+	gemmMaxNR = 8
 )
 
-// microTile returns the (MR, NR) register tile for element type T.
+// microTile returns the (MR, NR) register tile for element type T. The
+// float32 answer is a run-time one — it follows the kernel dispatch — but
+// fixed for the life of the process, and the tile shape never shows in a
+// result (see the determinism note in gemm.go).
 func microTile[T Float]() (int, int) {
 	if isF32[T]() {
+		if useAVX {
+			return f32MR, f32NRAVX
+		}
 		return f32MR, f32NR
 	}
 	return gemmMR, gemmNR

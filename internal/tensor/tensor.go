@@ -208,7 +208,7 @@ func (t *TensorOf[T]) AddScaled(a float64, src *TensorOf[T]) {
 	}
 	av := T(a)
 	for i, v := range src.data {
-		t.data[i] += av * v
+		t.data[i] += T(av * v)
 	}
 }
 
