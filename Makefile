@@ -125,12 +125,17 @@ purego: nofma
 	$(GO) test -tags purego -run 'TestGoldenTrace' .
 	GOARCH=arm64 $(GO) vet ./...
 
-# The no-FMA contract, for the Go code. The Go spec lets arm64, ppc64le,
+# The no-FMA contract. For the Go code: the Go spec lets arm64, ppc64le,
 # s390x and riscv64 fuse x*y + z into one rounding unless the product is
 # explicitly converted (c += T(a*b)); the kernels' bit-identity with the
 # assembly, and of one platform with another, needs two. Cross-compile
 # the kernel and layer packages for arm64, read the compiler's own
 # listing, and fail on any fused multiply-add attributed to their files.
+# For the assembly, the same way: the amd64 assembler's own listing of
+# the kernel package (`go tool objdump` cannot decode VEX instructions, so
+# a disassembly of the binary would show nothing) must carry no
+# VFMADD/VFMSUB/VFNMADD/VFNMSUB — and must carry the kernels' VMULP*, or
+# it checked nothing.
 nofma:
 	@sites="$$(GOARCH=arm64 $(GO) build -gcflags='fedsched/...=-S' ./internal/tensor/... ./internal/nn/... 2>&1 \
 		| grep -E '\bF(NM|M)(ADD|SUB)[SD]\b' \
@@ -138,6 +143,15 @@ nofma:
 	if [ -n "$$sites" ]; then \
 		echo "nofma: the arm64 compiler fuses a multiply-add here (write c += T(a*b)):"; \
 		echo "$$sites"; exit 1; \
+	fi
+	@listing="$$(GOARCH=amd64 $(GO) build -gcflags='fedsched/...=-S' -asmflags='fedsched/...=-S' ./internal/tensor/... 2>&1)"; \
+	if ! echo "$$listing" | grep -qE 'gemm_amd64\.s:[0-9]+\)\s+VMULP[SD]\b'; then \
+		echo "nofma: no amd64 micro-kernel in the assembler listing of internal/tensor"; exit 1; \
+	fi; \
+	fused="$$(echo "$$listing" | grep -E '\bVFN?M(ADD|SUB)')"; \
+	if [ -n "$$fused" ]; then \
+		echo "nofma: fused multiply-add in the amd64 kernels:"; \
+		echo "$$fused"; exit 1; \
 	fi
 
 # Size of the tree, for "same behaviour from less code" PRs: non-test Go

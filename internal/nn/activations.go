@@ -17,15 +17,18 @@ func sameStorage[T tensor.Float](a, b *tensor.TensorOf[T]) bool {
 // ReLUOf applies max(0, x) elementwise.
 //
 // When a ReLU directly follows a Dense or Conv2D layer, NetworkOf.Forward
-// fuses the activation into the producer's kernel: the producer calls
-// ensureMask to hand the clamp decision back to this layer, and this
-// layer's Forward is skipped for that pass. Backward is identical either
-// way — it only consumes the mask, which only a training forward
-// (train = true) records.
+// fuses the activation into the producer's kernel: the producer leaves
+// its clamped output in act, and this layer's Forward is skipped for
+// that pass. Backward is identical either way — an activation is
+// positive exactly where its pre-activation was (NaN and ±0 included:
+// both clamp to +0), so the gradient mask is the sign of the stored
+// output and nothing else is kept. act is the live output tensor, not a
+// copy: a later forward of the same shape overwrites it in place, which
+// is why NetworkOf.Backward refuses to follow one (see Forward there).
 type ReLUOf[T tensor.Float] struct {
-	mask []bool
-	y    *tensor.TensorOf[T] // forward output (unfused path)
-	dx   *tensor.TensorOf[T] // input gradient
+	act *tensor.TensorOf[T] // output of the last training forward: y, or the fused producer's
+	y   *tensor.TensorOf[T] // forward output (unfused path)
+	dx  *tensor.TensorOf[T] // input gradient
 }
 
 // ReLU is the float64 ReLU layer.
@@ -43,32 +46,17 @@ func (r *ReLUOf[T]) Name() string { return "ReLU" }
 // Params implements LayerOf.
 func (r *ReLUOf[T]) Params() []*ParamOf[T] { return nil }
 
-// ensureMask returns the layer's mask buffer resized to n entries. Fused
-// producers fill it with (pre-clamp value > 0) per output element.
-func (r *ReLUOf[T]) ensureMask(n int) []bool {
-	if cap(r.mask) < n {
-		r.mask = make([]bool, n)
-	}
-	r.mask = r.mask[:n]
-	return r.mask
-}
-
 // Forward implements LayerOf.
 //
 // fedlint:hotpath
 func (r *ReLUOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
 	r.y = tensor.EnsureShape(r.y, x.Shape()...)
 	xd, yd := x.Data(), r.y.Data()
-	if !train {
-		for i, v := range xd {
-			yd[i] = tensor.Select(v > 0, v, 0)
-		}
-		return r.y
-	}
-	mask := r.ensureMask(x.Len())
 	for i, v := range xd {
-		mask[i] = v > 0
-		yd[i] = tensor.Select(mask[i], v, 0)
+		yd[i] = tensor.Select(v > 0, v, 0)
+	}
+	if train {
+		r.act = r.y
 	}
 	return r.y
 }
@@ -77,10 +65,13 @@ func (r *ReLUOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[
 //
 // fedlint:hotpath
 func (r *ReLUOf[T]) Backward(grad *tensor.TensorOf[T]) *tensor.TensorOf[T] {
+	if r.act == nil || r.act.Len() != grad.Len() {
+		panic("nn: ReLU.Backward without a matching training Forward")
+	}
 	r.dx = tensor.EnsureShape(r.dx, grad.Shape()...)
-	gd, dd, mask := grad.Data(), r.dx.Data(), r.mask[:grad.Len()]
-	for i, keep := range mask {
-		dd[i] = tensor.Select(keep, gd[i], 0)
+	gd, dd := grad.Data(), r.dx.Data()
+	for i, a := range r.act.Data() {
+		dd[i] = tensor.Select(a > 0, gd[i], 0)
 	}
 	return r.dx
 }

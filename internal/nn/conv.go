@@ -110,17 +110,16 @@ func (c *Conv2DOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorO
 	return c.y
 }
 
-// forwardFusedReLU implements reluFused: the activation clamp and (when
-// training) its backward mask ride along in the kernel epilogue.
+// forwardFusedReLU implements reluFused: the activation clamp rides
+// along in the kernel epilogue, and r differentiates through c.y.
 //
 // fedlint:hotpath
 func (c *Conv2DOf[T]) forwardFusedReLU(x *tensor.TensorOf[T], train bool, r *ReLUOf[T]) *tensor.TensorOf[T] {
 	c.prepare(x, train)
-	var mask []bool
+	tensor.ConvForwardReLUInto(c.y, x, c.w.W, c.b.W, c.K, c.K, c.Stride, c.Pad)
 	if train {
-		mask = r.ensureMask(c.y.Len())
+		r.act = c.y
 	}
-	tensor.ConvForwardReLUInto(c.y, x, c.w.W, c.b.W, mask, c.K, c.K, c.Stride, c.Pad)
 	return c.y
 }
 

@@ -14,7 +14,7 @@ import (
 // across batches (y, dw, dx below), so a steady-state training step
 // allocates nothing. The bias add is fused into the matmul epilogue, and
 // when a ReLU immediately follows (see NetworkOf.Forward), the activation
-// and its backward mask are fused in as well.
+// is fused in as well.
 type DenseOf[T tensor.Float] struct {
 	In, Out int
 	w, b    *ParamOf[T]
@@ -75,17 +75,15 @@ func (d *DenseOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf
 }
 
 // forwardFusedReLU implements reluFused: it additionally rectifies the
-// output in the kernel epilogue, recording (when training) the mask the
-// downstream ReLU layer will use in its Backward.
+// output in the kernel epilogue, and r differentiates through d.y.
 //
 // fedlint:hotpath
 func (d *DenseOf[T]) forwardFusedReLU(x *tensor.TensorOf[T], train bool, r *ReLUOf[T]) *tensor.TensorOf[T] {
 	d.prepare(x, train)
-	var mask []bool
+	tensor.MatMulTransBBiasReLUInto(d.y, x, d.w.W, d.b.W)
 	if train {
-		mask = r.ensureMask(d.y.Len())
+		r.act = d.y
 	}
-	tensor.MatMulTransBBiasReLUInto(d.y, x, d.w.W, d.b.W, mask)
 	return d.y
 }
 

@@ -31,6 +31,10 @@ type NetworkOf[T tensor.Float] struct {
 	// lossGrad is the persistent workspace for the logits gradient, so a
 	// steady-state TrainBatch allocates nothing.
 	lossGrad *tensor.TensorOf[T]
+
+	// fwdBatch is the batch size of the last training Forward while what
+	// it left behind for Backward is intact, 0 otherwise: see Forward.
+	fwdBatch int
 }
 
 // Network is the float64 network used throughout the federated engine.
@@ -38,10 +42,10 @@ type Network = NetworkOf[float64]
 
 // reluFused is implemented by layers (Dense, Conv2D) whose forward pass
 // can absorb a directly following ReLU: the producer applies the clamp in
-// its own kernel and records the backward mask into r via r.ensureMask.
-// Forward uses it as a peephole — the ReLU layer's own Forward is skipped,
-// while its Backward (which only reads the mask) runs unchanged, so
-// fusion never alters results, only removes a full pass over the
+// its own kernel and, when training, leaves its output in r.act. Forward
+// uses it as a peephole — the ReLU layer's own Forward is skipped, while
+// its Backward (which only reads the sign of that output) runs unchanged,
+// so fusion never alters results, only removes a full pass over the
 // activation tensor.
 type reluFused[T tensor.Float] interface {
 	forwardFusedReLU(x *tensor.TensorOf[T], train bool, r *ReLUOf[T]) *tensor.TensorOf[T]
@@ -73,11 +77,20 @@ func NewNetworkOf[T tensor.Float](arch string, layers ...LayerOf[T]) *NetworkOf[
 // Forward runs all layers and returns the logits. Dense/Conv2D layers
 // directly followed by a ReLU run as one fused kernel (see reluFused).
 // Only a training forward (train = true) leaves behind what Backward
-// needs — cached inputs, ReLU masks, pooling argmax — so inference
-// between two training steps disturbs nothing.
+// needs — cached inputs, ReLU activations, pooling argmax — so inference
+// between two training steps disturbs nothing. Between a training
+// forward and its Backward, inference is safe at another batch size
+// only: the cached inputs and activations are the layers' own output
+// tensors, which a pass of the same shape overwrites in place, and
+// Backward refuses to run on them.
 //
 // fedlint:hotpath
 func (n *NetworkOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
+	if train {
+		n.fwdBatch = x.Dim(0)
+	} else if x.Dim(0) == n.fwdBatch {
+		n.fwdBatch = 0
+	}
 	for i := 0; i < len(n.Layers); i++ {
 		l := n.Layers[i]
 		if f, ok := l.(reluFused[T]); ok && i+1 < len(n.Layers) {
@@ -101,6 +114,9 @@ func (n *NetworkOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.Tensor
 //
 // fedlint:hotpath
 func (n *NetworkOf[T]) Backward(grad *tensor.TensorOf[T]) {
+	if grad.Dim(0) != n.fwdBatch {
+		panic("nn: Backward without a matching training Forward")
+	}
 	for i := len(n.Layers) - 1; i > n.firstParam; i-- {
 		grad = n.Layers[i].Backward(grad)
 	}

@@ -381,6 +381,124 @@ func TestFusedReLUMatchesUnfused(t *testing.T) {
 	}
 }
 
+// testReLUBackwardFromActivation pins the rule that replaced the ReLU
+// mask: the gradient passes exactly where the pre-activation was > 0,
+// read off the sign of the stored activation — for NaN, ±0, subnormal
+// and ±Inf pre-activations too, on the layer's own forward and on the
+// Dense and Conv2D kernels that clamp for it.
+func testReLUBackwardFromActivation[T tensor.Float](t *testing.T) {
+	tiny := T(math.SmallestNonzeroFloat64)
+	if _, ok := any(tiny).(float32); ok {
+		tiny = T(math.SmallestNonzeroFloat32)
+	}
+	specials := []T{T(math.NaN()), 0, T(math.Copysign(0, -1)), tiny, -tiny, T(math.Inf(1)), T(math.Inf(-1)), 1.5, -1.5}
+	rng := rand.New(rand.NewSource(61))
+	negZero := T(math.Copysign(0, -1))
+	check := func(name string, pre []T, act, grad, dx *tensor.TensorOf[T]) {
+		t.Helper()
+		for i, p := range pre {
+			wantY, wantDX := T(0), T(0)
+			if p > 0 {
+				wantY, wantDX = p, grad.Data()[i]
+			}
+			if y := act.Data()[i]; math.Float64bits(float64(y)) != math.Float64bits(float64(wantY)) {
+				t.Fatalf("%s: activation %d = %v for pre-activation %v", name, i, y, p)
+			}
+			if d := dx.Data()[i]; math.Float64bits(float64(d)) != math.Float64bits(float64(wantDX)) {
+				t.Fatalf("%s: gradient %d = %v for pre-activation %v, want %v", name, i, d, p, wantDX)
+			}
+		}
+	}
+
+	// Unfused: the pre-activations are the layer's input.
+	pre := make([]T, 64)
+	for i := range pre {
+		pre[i] = specials[i%len(specials)]
+	}
+	r := NewReLUOf[T]()
+	grad := tensor.RandnOf[T](rng, 1, 4, 16)
+	y := r.Forward(tensor.From(pre, 4, 16), true)
+	check("unfused", pre, y, grad, r.Backward(grad))
+
+	// Fused into Dense: one input feature of weight 1 and bias −0 makes
+	// pre-activation (i, j) the input x[i] itself (+0 for a −0 input: a
+	// sum starts at +0), on a shape large enough for the blocked kernel
+	// and its ragged last tiles.
+	const rows, out = 131, 37
+	x := tensor.NewOf[T](rows, 1)
+	pre = make([]T, rows*out)
+	for i := 0; i < rows; i++ {
+		v := specials[rng.Intn(len(specials))]
+		x.Data()[i] = v
+		for j := 0; j < out; j++ {
+			pre[i*out+j] = v + 0
+		}
+	}
+	d, r := NewDenseOf[T](rng, 1, out), NewReLUOf[T]()
+	for j := 0; j < out; j++ {
+		d.w.W.Data()[j], d.b.W.Data()[j] = 1, negZero
+	}
+	net := NewNetworkOf[T]("dense-relu", d, r)
+	grad = tensor.RandnOf[T](rng, 1, rows, out)
+	y = net.Forward(x, true)
+	net.Backward(grad)
+	check("fused dense", pre, y, grad, r.dx)
+
+	// Fused into Conv2D: a 1×1 kernel does the same per position, into
+	// the (N,C,H,W) layout.
+	const imgs, hw, ch = 3, 15, 10
+	xc := tensor.NewOf[T](imgs, 1, hw, hw)
+	pre = make([]T, imgs*ch*hw*hw)
+	for img := 0; img < imgs; img++ {
+		for p := 0; p < hw*hw; p++ {
+			v := specials[rng.Intn(len(specials))]
+			xc.Data()[img*hw*hw+p] = v
+			for f := 0; f < ch; f++ {
+				pre[(img*ch+f)*hw*hw+p] = v + 0
+			}
+		}
+	}
+	c, r := NewConv2DOf[T](rng, 1, ch, 1, 1, 0), NewReLUOf[T]()
+	for f := 0; f < ch; f++ {
+		c.w.W.Data()[f], c.b.W.Data()[f] = 1, negZero
+	}
+	net = NewNetworkOf[T]("conv-relu", c, r)
+	grad = tensor.RandnOf[T](rng, 1, imgs, ch, hw, hw)
+	y = net.Forward(xc, true)
+	net.Backward(grad)
+	check("fused conv", pre, y, grad, r.dx)
+}
+
+func TestReLUBackwardFromActivation(t *testing.T) {
+	t.Run("f64", testReLUBackwardFromActivation[float64])
+	t.Run("f32", testReLUBackwardFromActivation[float32])
+}
+
+// TestReLUBackwardNeedsMatchingForward pins that Backward trusts no stale
+// state: with no training forward behind it, or one of another size (an
+// inference pass in between leaves nothing to differentiate), it panics
+// instead of masking the gradient with whatever it remembered.
+func TestReLUBackwardNeedsMatchingForward(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if msg, _ := recover().(string); msg != "nn: ReLU.Backward without a matching training Forward" {
+				t.Fatalf("%s: recovered %q", name, msg)
+			}
+		}()
+		f()
+	}
+	rng := rand.New(rand.NewSource(62))
+	r := NewReLU()
+	mustPanic("no forward", func() { r.Backward(tensor.Randn(rng, 1, 2, 3)) })
+	r.Forward(tensor.Randn(rng, 1, 2, 3), false)
+	mustPanic("inference forward only", func() { r.Backward(tensor.Randn(rng, 1, 2, 3)) })
+	r.Forward(tensor.Randn(rng, 1, 20, 3), true)
+	r.Backward(tensor.Randn(rng, 1, 20, 3))
+	r.Forward(tensor.Randn(rng, 1, 5, 3), false)
+	mustPanic("smaller inference forward since", func() { r.Backward(tensor.Randn(rng, 1, 5, 3)) })
+}
+
 // TestTrainBatchSteadyStateAllocs pins the allocation-free hot path: after
 // the first batch has sized every layer workspace, repeated TrainBatch
 // calls on the same geometry must not allocate at all. Lanes are pinned
@@ -447,9 +565,12 @@ func sameBits[T tensor.Float](a, b []T) (int, bool) {
 }
 
 // testPredictInterleaved pins train=false: inference records nothing
-// the backward pass reads, so Predict calls — on another batch size,
-// between steps and even between a step's forward and backward — leave
-// the loss and weight sequence of training bit-identical.
+// the backward pass reads, so Predict calls — between steps at any batch
+// size, between a step's forward and backward at another one — leave
+// the loss and weight sequence of training bit-identical. A Predict of
+// the training batch's shape between forward and backward overwrites
+// the activations Backward differentiates through, and Backward panics
+// rather than use them.
 func testPredictInterleaved[T tensor.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	plain := BuildNetwork[T](LeNetSmall(1, 16, 16, 10), rng)
@@ -467,9 +588,9 @@ func testPredictInterleaved[T tensor.Float](t *testing.T) {
 		grad := tensor.NewOf[T](logits.Shape()...)
 		lossM := SoftmaxCrossEntropyInto(grad, logits, labels)
 		mixed.Predict(other)
-		mixed.Predict(x)
 		mixed.Backward(grad)
 		optM.Step(mixed.Params())
+		mixed.Predict(x)
 
 		if math.Float64bits(lossP) != math.Float64bits(lossM) {
 			t.Fatalf("step %d: loss %v with interleaved Predict, %v without", step, lossM, lossP)
@@ -481,6 +602,15 @@ func testPredictInterleaved[T tensor.Float](t *testing.T) {
 			}
 		}
 	}
+
+	mixed.Forward(x, true)
+	mixed.Predict(tensor.RandnOf[T](rng, 1, 8, 1, 16, 16))
+	defer func() {
+		if msg, _ := recover().(string); msg != "nn: Backward without a matching training Forward" {
+			t.Fatalf("Backward after a same-shape Predict: recovered %q", msg)
+		}
+	}()
+	mixed.Backward(tensor.NewOf[T](8, 10))
 }
 
 func TestPredictInterleavedBitIdentical(t *testing.T) {

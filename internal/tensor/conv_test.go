@@ -248,21 +248,21 @@ func BenchmarkConvImplicitF32VGG6Block3(b *testing.B) {
 }
 
 // The shapes the benchmark jobs actually train: LeNet-S on 16×16 inputs
-// at batch 20. conv1 is (20,1,16,16) → 6 filters 5×5 pad 2 (GEMM
+// at batch 20, and at float64 also at batch 5 (-n5), the one batch per
+// client of round_churn. conv1 is (20,1,16,16) → 6 filters 5×5 pad 2 (GEMM
 // 5120×25×6), conv2 is (20,6,8,8) → 12 filters 5×5 (GEMM 320×150×12).
 // Forward (with the fused ReLU the network runs), weight gradient and
 // input gradient are timed separately, through the (N,C,H,W) entry
 // points nn uses, single-lane.
-func benchLeNetSConv[T Float](b *testing.B, pass string, c, hw, f, pad int) {
+func benchLeNetSConv[T Float](b *testing.B, pass string, n, c, hw, f, pad int) {
 	rng := rand.New(rand.NewSource(1))
-	const n, k = 20, 5
+	const k = 5
 	x := randTensorOf[T](rng, n, c, hw, hw)
 	w := randTensorOf[T](rng, f, c*k*k)
 	bias := randTensorOf[T](rng, f)
 	o := ConvOutSize(hw, k, 1, pad)
 	g := randTensorOf[T](rng, n, f, o, o)
 	y := NewOf[T](n, f, o, o)
-	mask := make([]bool, y.Len())
 	dw := NewOf[T](f, c*k*k)
 	dx := NewOf[T](n, c, hw, hw)
 	old := MaxLanes()
@@ -272,7 +272,7 @@ func benchLeNetSConv[T Float](b *testing.B, pass string, c, hw, f, pad int) {
 	for i := 0; i < b.N; i++ {
 		switch pass {
 		case "fwd":
-			ConvForwardReLUInto(y, x, w, bias, mask, k, k, 1, pad)
+			ConvForwardReLUInto(y, x, w, bias, k, k, 1, pad)
 		case "dW":
 			ConvGradWeightsInto(dw, g, x, k, k, 1, pad)
 		case "dX":
@@ -289,8 +289,10 @@ func BenchmarkConvLeNetS(b *testing.B) {
 		b.Run(l.name, func(b *testing.B) {
 			for _, pass := range []string{"fwd", "dW", "dX"} {
 				b.Run(pass, func(b *testing.B) {
-					b.Run("f64", func(b *testing.B) { benchLeNetSConv[float64](b, pass, l.c, l.hw, l.f, l.pad) })
-					b.Run("f32", func(b *testing.B) { benchLeNetSConv[float32](b, pass, l.c, l.hw, l.f, l.pad) })
+					b.Run("f64", func(b *testing.B) { benchLeNetSConv[float64](b, pass, 20, l.c, l.hw, l.f, l.pad) })
+					b.Run("f32", func(b *testing.B) { benchLeNetSConv[float32](b, pass, 20, l.c, l.hw, l.f, l.pad) })
+					// The round_churn geometry: one 5-sample batch per client.
+					b.Run("f64-n5", func(b *testing.B) { benchLeNetSConv[float64](b, pass, 5, l.c, l.hw, l.f, l.pad) })
 				})
 			}
 		})
@@ -414,7 +416,7 @@ func TestConvPackersMatchIm2col(t *testing.T) {
 
 // testConvFusedLayoutsMatchOracle pins the (N,C,H,W) entry points — the
 // ones nn calls — against the im2col oracle over the same grid: output
-// written straight into the activation layout with bias, ReLU and mask
+// written straight into the activation layout with bias and ReLU
 // applied in the epilogue, and both gradients read straight from the
 // activation-layout output gradient, must equal, bit for bit, the
 // materialized matmul-layout pipeline followed by an explicit permute
@@ -444,9 +446,8 @@ func testConvFusedLayoutsAt[T Float](t *testing.T) {
 
 		y := NewOf[T](tc.n, tc.f, g.oh, g.ow)
 		yr := NewOf[T](tc.n, tc.f, g.oh, g.ow)
-		mask := make([]bool, yr.Len())
 		ConvForwardInto(y, x, w, bias, tc.k, tc.k, tc.stride, tc.pad)
-		ConvForwardReLUInto(yr, x, w, bias, mask, tc.k, tc.k, tc.stride, tc.pad)
+		ConvForwardReLUInto(yr, x, w, bias, tc.k, tc.k, tc.stride, tc.pad)
 		yv := convView(y, &g, tc.f, "test")
 		for i := 0; i < g.rows(); i++ {
 			for j := 0; j < tc.f; j++ {
@@ -459,8 +460,8 @@ func testConvFusedLayoutsAt[T Float](t *testing.T) {
 				if !(pre > 0) {
 					clamped = 0
 				}
-				if math.Float64bits(float64(clamped)) != math.Float64bits(float64(yr.data[o])) || mask[o] != (pre > 0) {
-					t.Fatalf("%+v: fused ReLU (%d,%d): %v mask %v, pre-activation %v", tc, i, j, yr.data[o], mask[o], pre)
+				if math.Float64bits(float64(clamped)) != math.Float64bits(float64(yr.data[o])) {
+					t.Fatalf("%+v: fused ReLU (%d,%d): %v, pre-activation %v", tc, i, j, yr.data[o], pre)
 				}
 			}
 		}
@@ -469,7 +470,6 @@ func testConvFusedLayoutsAt[T Float](t *testing.T) {
 		ConvGradWeightsInto(dw, grad, x, tc.k, tc.k, tc.stride, tc.pad)
 		ConvGradInputInto(dx, grad, w, tc.k, tc.k, tc.stride, tc.pad)
 		logOutput(y, yr, dw, dx)
-		logMask(mask)
 		if i, ok := bitsEqual(wantDW, dw); !ok {
 			t.Fatalf("%+v: dW differs at %d: %v vs %v", tc, i, dw.data[i], wantDW.data[i])
 		}

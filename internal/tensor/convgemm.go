@@ -188,16 +188,11 @@ func ConvForwardInto[T Float](y, x, w, bias *TensorOf[T], kh, kw, stride, pad in
 }
 
 // ConvForwardReLUInto is ConvForwardInto followed by ReLU, fused into the
-// same kernel epilogue. A non-nil mask (at least y.Len() entries)
-// receives, at each output element's own offset, whether it stayed
-// positive.
+// same kernel epilogue.
 //
 // fedlint:hotpath
-func ConvForwardReLUInto[T Float](y, x, w, bias *TensorOf[T], mask []bool, kh, kw, stride, pad int) {
-	if mask != nil && len(mask) < y.Len() {
-		panic("tensor: ConvForwardReLUInto mask too short")
-	}
-	convForward(y, x, w, epi[T]{bias: bias.data, relu: true, mask: mask}, kh, kw, stride, pad)
+func ConvForwardReLUInto[T Float](y, x, w, bias *TensorOf[T], kh, kw, stride, pad int) {
+	convForward(y, x, w, epi[T]{bias: bias.data, relu: true}, kh, kw, stride, pad)
 }
 
 func convForward[T Float](y, x, w *TensorOf[T], e epi[T], kh, kw, stride, pad int) {

@@ -58,20 +58,6 @@ func logOutput[T Float](ts ...*TensorOf[T]) {
 	}
 }
 
-// logMask appends a ReLU mask to outputLog.
-func logMask(mask []bool) {
-	if outputLog == nil {
-		return
-	}
-	buf := make([]byte, len(mask))
-	for i, m := range mask {
-		if m {
-			buf[i] = 1
-		}
-	}
-	outputLog.Write(buf)
-}
-
 // testConvGeomSeeds runs FuzzConvGeom's seed corpus as a plain test.
 func testConvGeomSeeds(t *testing.T) {
 	for _, args := range convGeomSeeds() {

@@ -1,6 +1,9 @@
 package tensor
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Blocked, packed GEMM core with fused epilogues, generic over the
 // element type.
@@ -9,7 +12,9 @@ import "sync"
 // gemm, which dispatches between a naive single-threaded kernel for tiny
 // problems and a BLIS/GotoBLAS-style blocked kernel for everything else:
 //
-//   - The output matrix is cut into a fixed grid of gemmMC×gemmNC cells.
+//   - The output matrix is cut into a fixed grid of gemmMC×gemmNC cells,
+//     numbered down the columns so that consecutive cells share their
+//     B panel.
 //   - Each cell is computed start-to-finish by exactly one goroutine: it
 //     walks the k dimension in gemmKC panels (in ascending order), packs
 //     the A and B panels into per-goroutine scratch (pack.go), and runs a
@@ -21,9 +26,19 @@ import "sync"
 //     a[r][l] = x[rowOff[r]+depthOff[l]] in place (microKernelInd). The
 //     first k-panel stores into C (implicit beta=0 — callers never
 //     pre-zero), subsequent panels accumulate.
-//   - The merge of the last k-panel applies the fused epilogue (+bias,
-//     +bias→ReLU with optional mask capture) to the tile it is writing,
-//     so C is never re-read for it.
+//   - The last k-panel's write applies the fused epilogue (+bias,
+//     +bias→ReLU) to the tile on its way out, so C is never re-read for
+//     it. Who writes: the 256-bit kernels store through — a first-panel
+//     tile (every tile, where k fits one panel) whose mr rows all exist,
+//     one stride apart, is written into C by the kernel itself, epilogue
+//     included (tileDst; rows as vectors for a row-major C, columns
+//     after an in-register transpose for a position-by-channel one).
+//     Every other tile — a later k-panel's, a ragged last row tile, one
+//     that straddles two images, and all of them on the SSE2 kernels and
+//     the scalar twins — comes back in an accumulator and goes through
+//     mergeTile, the one Go definition of a finished tile, element by
+//     element. Same operations in the same order either way, so the
+//     same bits (NaN payloads of sum + bias excepted: see mergeTile).
 //
 // Operands are described by packSrc: a real strided matrix, the
 // position-by-channel view of an (N,C,H,W) gradient, or — A only — a
@@ -69,11 +84,12 @@ const gemmParallelCutoff = 1 << 18
 const gemmAccLen = gemmMaxMR * gemmMaxNR
 
 // epi is the fused epilogue applied to each output element after the full
-// k reduction: dst = f(sum + bias), where f is ReLU when relu is set.
+// k reduction: dst = f(sum + bias), where f is ReLU when relu is set. No
+// mask of the clamp is kept: y > 0 exactly where the pre-activation was,
+// so ReLU's backward pass reads it off the output.
 type epi[T Float] struct {
 	bias []T // length n, broadcast across rows; nil = none
 	relu bool
-	mask []bool // optional ReLU mask, indexed like the output: mask[off] = (pre-clamp value > 0)
 }
 
 func (e *epi[T]) active() bool { return e.bias != nil || e.relu }
@@ -181,7 +197,23 @@ func (p *packSrc[T]) packIntoB(bp []T, p0, j0, kc, nc, nr int) {
 type gemmScratch[T Float] struct {
 	ap []T // packed A block, gemmMC×gemmKC
 	bp []T // packed B block, gemmKC×gemmNC
+	// bp holds the B panel at (bP0, bJ0) of the current gemmBlockedOps
+	// call, bP0 < 0 for none: a panel depends on nothing else, so the
+	// cells of one column block share it instead of re-packing per cell.
+	bP0, bJ0 int
 }
+
+// getGemmScratch takes a scratch from pool for one gemmBlockedOps call
+// (one lane of it), holding no panel of an earlier call's B.
+func getGemmScratch[T Float](pool *sync.Pool) *gemmScratch[T] {
+	s := pool.Get().(*gemmScratch[T])
+	s.bP0 = -1
+	return s
+}
+
+// gemmCount, nil outside tests, counts the B panels packed and the tiles
+// stored through.
+var gemmCount *struct{ packB, direct atomic.Int64 }
 
 var gemmPool64 = sync.Pool{New: func() any {
 	return &gemmScratch[float64]{
@@ -237,9 +269,6 @@ func gemm[T Float](dst, a, b *TensorOf[T], transA, transB bool, e epi[T]) {
 	if e.bias != nil && len(e.bias) != n {
 		panic("tensor: gemm bias length mismatch")
 	}
-	if e.mask != nil && len(e.mask) < m*n {
-		panic("tensor: gemm mask too short")
-	}
 	if m == 0 || n == 0 {
 		return
 	}
@@ -280,13 +309,13 @@ func gemmBlockedOps[T Float](c matView[T], a, b packSrc[T], m, n, k int, e epi[T
 	// results are bit-identical on either path, so it cannot affect
 	// outputs.
 	if cells > 1 && m*n*k >= gemmParallelCutoff && MaxLanes() > 0 {
-		gemmCellsParallel(c, a, b, m, n, k, e, cc, cells)
+		gemmCellsParallel(c, a, b, m, n, k, e, rc, cells)
 		return
 	}
 	pool := gemmScratchPool[T]()
-	s := pool.Get().(*gemmScratch[T])
+	s := getGemmScratch[T](pool)
 	for cell := 0; cell < cells; cell++ {
-		gemmCell(c, a, b, m, n, k, e, cc, cell, s)
+		gemmCell(c, a, b, m, n, k, e, rc, cell, s)
 	}
 	pool.Put(s)
 }
@@ -295,57 +324,120 @@ func gemmBlockedOps[T Float](c matView[T], a, b packSrc[T], m, n, k int, e epi[T
 // function so that the closure — and the operands it captures, which
 // move to the heap with it — exist only when cells are actually handed
 // to other lanes: the serial path above stays allocation-free.
-func gemmCellsParallel[T Float](c matView[T], a, b packSrc[T], m, n, k int, e epi[T], cc, cells int) {
+func gemmCellsParallel[T Float](c matView[T], a, b packSrc[T], m, n, k int, e epi[T], rc, cells int) {
 	parallelChunks(cells, func(c0, c1 int) {
 		pool := gemmScratchPool[T]()
-		s := pool.Get().(*gemmScratch[T])
+		s := getGemmScratch[T](pool)
 		for cell := c0; cell < c1; cell++ {
-			gemmCell(c, a, b, m, n, k, e, cc, cell, s)
+			gemmCell(c, a, b, m, n, k, e, rc, cell, s)
 		}
 		pool.Put(s)
 	})
 }
 
+// Flag bits of tileDst, shared with the store-through tails in
+// gemm_amd64.s (const_tile* there).
+const (
+	tileReLU  = 1 << iota // clamp the finished sum at +0
+	tileTrans             // position-by-channel C: the tile's columns are the contiguous runs
+)
+
+// tileDst is where and how a store-through micro-kernel writes its
+// first-panel tile: element (r, j) of the tile goes to c[r·ld + j] —
+// c[r + j·ld] under tileTrans — for all mr rows and j < nrv, through
+// mergeTile's +bias (bias[j], nil for none) and ReLU steps as the flags
+// say. C is never read.
+type tileDst[T Float] struct {
+	c       *T
+	ld, nrv int
+	bias    *T
+	flags   int
+}
+
 // gemmCell computes one output grid cell: pack a k-panel of each
 // operand (an indirect A is not packed — its kernel reads the panel in
-// place), run the micro-kernel over every register tile, merge into C
-// (store on the first panel, accumulate on the rest, epilogue with the
-// last). Top-level (not a closure) so the serial path stays
-// allocation-free.
+// place; a B panel the last cell left in the scratch is not packed
+// again), run the micro-kernel over every register tile and write the
+// tiles into C (store on the first panel, accumulate on the rest,
+// epilogue with the last) — a first-panel tile by the kernel itself
+// where it stores through and the tile allows, every other from the
+// accumulator by mergeTile. Top-level (not a closure) so the serial path
+// stays allocation-free.
 //
 // fedlint:hotpath
-func gemmCell[T Float](c matView[T], a, b packSrc[T], m, n, k int, e epi[T], cc, cell int, s *gemmScratch[T]) {
-	i0 := (cell / cc) * gemmMC
-	j0 := (cell % cc) * gemmNC
+func gemmCell[T Float](c matView[T], a, b packSrc[T], m, n, k int, e epi[T], rc, cell int, s *gemmScratch[T]) {
+	i0 := (cell % rc) * gemmMC
+	j0 := (cell / rc) * gemmNC
 	mc := min(gemmMC, m-i0)
 	nc := min(gemmNC, n-j0)
 	mr, nr := microTile[T]()
 	var rowOffs [gemmMC]int
 	cs := c.rowOffsets(rowOffs[:mc], i0)
 	indirect := a.kind == srcIndirect
+	// Only the 256-bit kernels store through, only on the first k-panel
+	// (the store never reads C), and only tiles whose mr rows are all
+	// there, one stride apart: any full tile of a row-major C, one that
+	// stays inside an image of a position-by-channel C.
+	to := tileDst[T]{ld: c.ld}
+	if c.sp != 0 {
+		to.ld, to.flags = cs, tileTrans
+	}
+	direct := 0
 	for p0 := 0; p0 < k; p0 += gemmKC {
 		kc := min(gemmKC, k-p0)
 		if !indirect {
 			a.packIntoA(s.ap, i0, p0, mc, kc, mr)
 		}
-		b.packIntoB(s.bp, p0, j0, kc, nc, nr)
+		if s.bP0 != p0 || s.bJ0 != j0 {
+			b.packIntoB(s.bp, p0, j0, kc, nc, nr)
+			s.bP0, s.bJ0 = p0, j0
+			if gemmCount != nil {
+				gemmCount.packB.Add(1)
+			}
+		}
 		first := p0 == 0
 		var fin *epi[T]
 		if p0+kc == k && e.active() {
 			fin = &e
 		}
+		if first && fin != nil && fin.relu {
+			to.flags |= tileReLU
+		}
 		var acc [gemmAccLen]T
 		for jr := 0; jr < nc; jr += nr {
 			bp := s.bp[(jr/nr)*nr*kc:]
+			j := j0 + jr
+			to.nrv = min(nr, nc-jr)
+			to.bias = nil
+			if fin != nil && fin.bias != nil {
+				to.bias = &fin.bias[j]
+			}
 			for ir := 0; ir < mc; ir += mr {
+				rows := rowOffs[ir:min(ir+mr, mc)]
+				if first && useAVX && len(rows) == mr && (c.sp == 0 || rows[mr-1]-rows[0] == mr-1) {
+					// The kernel checks no bounds: the tile's first and
+					// last element do it here.
+					_ = c.d[rows[mr-1]+(j+to.nrv-1)*cs]
+					to.c = &c.d[rows[0]+j*cs]
+					if indirect {
+						microKernelIndTo(kc, a.d, a.rowOff[i0+ir:][:mr], a.depthOff[p0:], bp, &to)
+					} else {
+						microKernelTo(kc, s.ap[(ir/mr)*mr*kc:], bp, &to)
+					}
+					direct++
+					continue
+				}
 				if indirect {
 					microKernelInd(kc, a.d, a.rowOff[i0+ir:][:mr], a.depthOff[p0:], bp, &acc)
 				} else {
 					microKernel(kc, s.ap[(ir/mr)*mr*kc:], bp, &acc)
 				}
-				mergeTile(c.d, rowOffs[ir:min(ir+mr, mc)], cs, j0+jr, min(nr, nc-jr), nr, &acc, first, fin)
+				mergeTile(c.d, rows, cs, j, to.nrv, nr, &acc, first, fin)
 			}
 		}
+	}
+	if gemmCount != nil {
+		gemmCount.direct.Add(int64(direct))
 	}
 }
 
@@ -429,7 +521,15 @@ func microInd[T Float](kc int, x []T, rowOff, depthOff []int, bp []T, acc *[gemm
 // the first k-panel (beta=0), accumulate after. accStride is the full
 // tile NR (the accumulator row stride), which may exceed nrv at the right
 // edge of the output. A non-nil e marks the last k-panel: the fused
-// epilogue is applied to the finished sums on their way out.
+// epilogue is applied to the finished sums on their way out. This is the
+// definition of a finished tile; the store-through tails of gemm_amd64.s
+// are the vector form of its first-panel case and are tested against it.
+// Accumulation (C + tile) runs only here, so every kernel set does it
+// with the same compiled add. One thing the definition leaves open: which
+// payload survives when sum and bias are both NaN — the compiler picks
+// the operand order of that add (it changes under -race), the tails pin
+// sum first — so kernel sets agree on such an element being NaN, not on
+// its payload.
 //
 // fedlint:hotpath
 func mergeTile[T Float](cd []T, rowOffs []int, cs, j, nrv, accStride int, acc *[gemmAccLen]T, first bool, e *epi[T]) {
@@ -453,23 +553,18 @@ func mergeTile[T Float](cd []T, rowOffs []int, cs, j, nrv, accStride int, acc *[
 			if !first {
 				v = cd[o] + v
 			}
-			cd[o] = e.apply(v, j+c, o)
+			cd[o] = e.apply(v, j+c)
 		}
 	}
 }
 
-// apply finishes one output element: v is the full k sum of column j,
-// stored at offset o.
-func (e *epi[T]) apply(v T, j, o int) T {
+// apply finishes one output element: v is the full k sum of column j.
+func (e *epi[T]) apply(v T, j int) T {
 	if e.bias != nil {
 		v += e.bias[j]
 	}
 	if e.relu {
-		pos := v > 0
-		v = Select(pos, v, 0)
-		if e.mask != nil {
-			e.mask[o] = pos
-		}
+		v = Select(v > 0, v, 0)
 	}
 	return v
 }
@@ -484,7 +579,7 @@ func applyEpi[T Float](c *matView[T], m, n int, e *epi[T]) {
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			o := c.off(i, j)
-			c.d[o] = e.apply(c.d[o], j, o)
+			c.d[o] = e.apply(c.d[o], j)
 		}
 	}
 }

@@ -3,8 +3,9 @@
 package tensor
 
 // useAVX is the run-time kernel dispatch of the assembly build
-// (gemm_amd64.go). Nothing sets it here: there is one kernel set, and
-// float32 keeps its 8×4 tile.
+// (gemm_amd64.go). Nothing sets it here: there is one kernel set, float32
+// keeps its 8×4 tile, and every tile goes through the accumulator and
+// mergeTile.
 var useAVX bool
 
 // microKernel runs the production register tile for T — 4×4 at float64,
@@ -29,4 +30,15 @@ func microKernel[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
 // fedlint:hotpath
 func microKernelInd[T Float](kc int, x []T, rowOff, depthOff []int, bp []T, acc *[gemmAccLen]T) {
 	microInd(kc, x, rowOff, depthOff, bp, acc)
+}
+
+// microKernelTo and microKernelIndTo are the store-through forms of the
+// 256-bit assembly kernels. gemmCell reaches them only where useAVX is
+// set, which is never on this build.
+func microKernelTo[T Float](kc int, ap, bp []T, to *tileDst[T]) {
+	panic("tensor: no store-through kernel on this build")
+}
+
+func microKernelIndTo[T Float](kc int, x []T, rowOff, depthOff []int, bp []T, to *tileDst[T]) {
+	panic("tensor: no store-through kernel on this build")
 }

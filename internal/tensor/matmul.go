@@ -42,14 +42,14 @@ func MatMulTransBBiasInto[T Float](dst, a, b, bias *TensorOf[T]) {
 	gemm(dst, a, b, false, true, epi[T]{bias: bias.data})
 }
 
-// MatMulTransBBiasReLUInto computes dst = max(0, A·Bᵀ + bias), recording
-// mask[i*n+j] = (pre-clamp value > 0) when mask is non-nil — the fused
-// dense+bias+ReLU forward. mask must have at least m·n entries.
+// MatMulTransBBiasReLUInto computes dst = max(0, A·Bᵀ + bias) — the fused
+// dense+bias+ReLU forward. An element of dst is positive exactly where
+// its pre-activation was, which is all ReLU's backward pass needs.
 //
 // fedlint:hotpath
 // fedlint:deterministic
-func MatMulTransBBiasReLUInto[T Float](dst, a, b, bias *TensorOf[T], mask []bool) {
-	gemm(dst, a, b, false, true, epi[T]{bias: bias.data, relu: true, mask: mask})
+func MatMulTransBBiasReLUInto[T Float](dst, a, b, bias *TensorOf[T]) {
+	gemm(dst, a, b, false, true, epi[T]{bias: bias.data, relu: true})
 }
 
 // naiveMatMulInto is the PR-1 i-k-j kernel (single-threaded), kept as the
