@@ -87,7 +87,7 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Deliberately omits the full `race` target (only the ~10s race-tensor
+# Deliberately omits the full `race` target (only the ~35s race-tensor
 # pass): the fl race suite retrains real models for minutes, far too
 # slow to gate every local pre-push run. CI covers the gap — its `race`
 # job runs `make race` on every push in parallel with this gate.
@@ -109,17 +109,18 @@ race:
 		./internal/profile/...
 
 # Fast race pass over just the GEMM core and lane semaphore — cheap
-# enough (~40s: the suites run once per kernel dispatch state) to gate
-# every `make check`.
+# enough (~35s on 2 cores: the suites run once per kernel dispatch state,
+# the second time on race-instrumented Go twins) to gate every
+# `make check`.
 race-tensor:
 	$(GO) test -race ./internal/tensor/...
 
-# Asm/twin parity by construction: the purego tag swaps the assembly
-# micro-kernels (SSE2 and AVX) for their scalar twins
-# (internal/tensor/gemm_noasm.go), so the kernel and layer suites and the
-# golden traces run against the code every non-amd64 target runs; the
-# arm64 vet catches anything that only compiles on amd64, and nofma
-# checks the twins stay twins where the compiler may fuse.
+# Asm/twin parity by construction: the purego tag builds without the AVX
+# assembly micro-kernels (internal/tensor/gemm_noasm.go), so the kernel
+# and layer suites and the golden traces run on the Go twins — the code
+# every non-amd64 target and every amd64 host without AVX runs; the arm64
+# vet catches anything that only compiles on amd64, and nofma checks the
+# twins stay twins where the compiler may fuse.
 purego: nofma
 	$(GO) test -tags purego ./internal/tensor ./internal/nn
 	$(GO) test -tags purego -run 'TestGoldenTrace' .
@@ -128,20 +129,21 @@ purego: nofma
 # The no-FMA contract. For the Go code: the Go spec lets arm64, ppc64le,
 # s390x and riscv64 fuse x*y + z into one rounding unless the product is
 # explicitly converted (c += T(a*b)); the kernels' bit-identity with the
-# assembly, and of one platform with another, needs two. Cross-compile
-# the kernel and layer packages for arm64, read the compiler's own
-# listing, and fail on any fused multiply-add attributed to their files.
-# For the assembly, the same way: the amd64 assembler's own listing of
-# the kernel package (`go tool objdump` cannot decode VEX instructions, so
-# a disassembly of the binary would show nothing) must carry no
-# VFMADD/VFMSUB/VFNMADD/VFNMSUB — and must carry the kernels' VMULP*, or
-# it checked nothing.
+# assembly, and of one platform's weights, virtual seconds and joules
+# with another's, needs two. Cross-compile everything that feeds a result
+# — the root package, internal/ and cmd/; bench/ only does timing
+# arithmetic — for arm64, read the compiler's own listing, and fail on
+# any fused multiply-add in it. For the assembly, the same way: the amd64
+# assembler's own listing of the kernel package (`go tool objdump` cannot
+# decode VEX instructions, so a disassembly of the binary would show
+# nothing) must carry no VFMADD/VFMSUB/VFNMADD/VFNMSUB — and must carry
+# the kernels' VMULP*, or it checked nothing.
 nofma:
-	@sites="$$(GOARCH=arm64 $(GO) build -gcflags='fedsched/...=-S' ./internal/tensor/... ./internal/nn/... 2>&1 \
+	@sites="$$(GOARCH=arm64 $(GO) build -gcflags='fedsched/...=-S' . ./internal/... ./cmd/... 2>&1 \
 		| grep -E '\bF(NM|M)(ADD|SUB)[SD]\b' \
-		| grep -oE 'internal/(tensor|nn)/[a-z_0-9]+\.go:[0-9]+' | sort -u)"; \
+		| grep -oE '[^ (]+\.go:[0-9]+' | sed 's#^$(CURDIR)/##' | sort -u)"; \
 	if [ -n "$$sites" ]; then \
-		echo "nofma: the arm64 compiler fuses a multiply-add here (write c += T(a*b)):"; \
+		echo "nofma: the arm64 compiler fuses a multiply-add here (write z + float64(x*y)):"; \
 		echo "$$sites"; exit 1; \
 	fi
 	@listing="$$(GOARCH=amd64 $(GO) build -gcflags='fedsched/...=-S' -asmflags='fedsched/...=-S' ./internal/tensor/... 2>&1)"; \

@@ -142,7 +142,7 @@ func GaussianSizes(rng *rand.Rand, nUsers, total int, ratio float64) []int {
 	raw := make([]float64, nUsers)
 	sum := 0.0
 	for i := range raw {
-		v := mean + rng.NormFloat64()*ratio*mean
+		v := mean + float64(rng.NormFloat64()*ratio*mean)
 		if v < 1 {
 			v = 1
 		}
@@ -201,7 +201,7 @@ func NClass(ds *Dataset, cfg NClassConfig, rng *rand.Rand) Partition {
 	sizes := make([]int, cfg.Users)
 	base := ds.Len() / cfg.Users
 	for u := range sizes {
-		v := float64(base) * (1 + cfg.SizeStd*rng.NormFloat64())
+		v := float64(base) * (1 + float64(cfg.SizeStd*rng.NormFloat64()))
 		if v < 1 {
 			v = 1
 		}

@@ -76,7 +76,7 @@ func prototypes(cfg GenConfig) [][]float64 {
 		p := make([]float64, sz)
 		fillBlobs(rng, p, cfg.C, cfg.H, cfg.W, cfg.Blobs, cfg.ProtoAmp)
 		for i := range p {
-			p[i] = cfg.Shared*shared[i] + (1-cfg.Shared)*p[i]*2
+			p[i] = float64(cfg.Shared*shared[i]) + float64(float64((1-cfg.Shared)*p[i])*2)
 		}
 		protos[k] = p
 	}
@@ -84,13 +84,15 @@ func prototypes(cfg GenConfig) [][]float64 {
 }
 
 // fillBlobs adds a few randomly-placed 2-D Gaussian bumps per channel.
+// Every product is converted before it meets an add or subtract — Float64
+// itself ends in a multiply — so no compiler fuses the pair (`make nofma`).
 func fillBlobs(rng *rand.Rand, dst []float64, c, h, w, blobs int, amp float64) {
 	for ch := 0; ch < c; ch++ {
 		for b := 0; b < blobs; b++ {
-			cy := rng.Float64() * float64(h)
-			cx := rng.Float64() * float64(w)
-			sigma := 1.5 + rng.Float64()*2.5
-			a := amp * (0.5 + rng.Float64())
+			cy := float64(rng.Float64() * float64(h))
+			cx := float64(rng.Float64() * float64(w))
+			sigma := 1.5 + float64(rng.Float64()*2.5)
+			a := amp * (0.5 + float64(rng.Float64()))
 			if rng.Intn(2) == 0 {
 				a = -a
 			}
@@ -98,7 +100,7 @@ func fillBlobs(rng *rand.Rand, dst []float64, c, h, w, blobs int, amp float64) {
 			for y := 0; y < h; y++ {
 				for x := 0; x < w; x++ {
 					dy, dx := float64(y)-cy, float64(x)-cx
-					dst[(ch*h+y)*w+x] += a * math.Exp(-(dy*dy+dx*dx)*inv)
+					dst[(ch*h+y)*w+x] += float64(a * math.Exp(-(float64(dy*dy)+float64(dx*dx))*inv))
 				}
 			}
 		}
@@ -129,7 +131,7 @@ func Generate(cfg GenConfig) *Dataset {
 			dy = rng.Intn(2*cfg.Jitter+1) - cfg.Jitter
 			dx = rng.Intn(2*cfg.Jitter+1) - cfg.Jitter
 		}
-		gain := 1 + 0.1*rng.NormFloat64()
+		gain := 1 + float64(0.1*rng.NormFloat64())
 		proto := protos[k]
 		for ch := 0; ch < cfg.C; ch++ {
 			for y := 0; y < cfg.H; y++ {
@@ -140,7 +142,7 @@ func Generate(cfg GenConfig) *Dataset {
 					if sy >= 0 && sy < cfg.H && sx >= 0 && sx < cfg.W {
 						v = proto[(ch*cfg.H+sy)*cfg.W+sx]
 					}
-					out[(ch*cfg.H+y)*cfg.W+x] = gain*v + cfg.Noise*rng.NormFloat64()
+					out[(ch*cfg.H+y)*cfg.W+x] = float64(gain*v) + float64(cfg.Noise*rng.NormFloat64())
 				}
 			}
 		}

@@ -68,8 +68,10 @@ func (d *Device) intensityBlend(trainFlops float64) float64 {
 	if trainFlops <= 0 {
 		return 0
 	}
-	lo, hi := math.Log10(d.AnchorSmall), math.Log10(d.AnchorLarge)
-	s := (math.Log10(trainFlops) - lo) / (hi - lo)
+	// Log10 ends in a multiply (Log2 · Ln2/Ln10): converted so that no
+	// subtraction fuses with it (`make nofma`).
+	lo, hi := float64(math.Log10(d.AnchorSmall)), float64(math.Log10(d.AnchorLarge))
+	s := (float64(math.Log10(trainFlops)) - lo) / (hi - lo)
 	return math.Min(1, math.Max(0, s))
 }
 
@@ -77,13 +79,13 @@ func (d *Device) intensityBlend(trainFlops float64) float64 {
 // (FLOP/s) for the given per-sample training cost.
 func (d *Device) baseThroughput(trainFlops float64) float64 {
 	s := d.intensityBlend(trainFlops)
-	return (d.TputSmall + (d.TputLarge-d.TputSmall)*s) * 1e9
+	return (d.TputSmall + float64((d.TputLarge-d.TputSmall)*s)) * 1e9
 }
 
 // utilization returns the fraction of peak power the workload draws.
 func (d *Device) utilization(trainFlops float64) float64 {
 	s := d.intensityBlend(trainFlops)
-	return d.UtilSmall + (d.UtilLarge-d.UtilSmall)*s
+	return d.UtilSmall + float64((d.UtilLarge-d.UtilSmall)*s)
 }
 
 // throughput applies governor frequency and thermal trips to a base
@@ -127,7 +129,7 @@ func (d *Device) advance(dt float64, util float64, loaded bool) {
 		})
 	}
 	alpha := 1 - math.Exp(-dt/math.Max(d.RampSeconds, 1e-3))
-	d.FreqFactor += (target - d.FreqFactor) * alpha
+	d.FreqFactor += float64((target - d.FreqFactor) * alpha)
 
 	// Power: dynamic power ≈ peak · util · f³ plus a small static floor.
 	power := 0.15
@@ -135,14 +137,14 @@ func (d *Device) advance(dt float64, util float64, loaded bool) {
 		f := d.FreqFactor
 		if d.bigOffline {
 			// Little cluster only: much lower power draw.
-			power += d.PeakWatts * util * f * f * f * 0.3
+			power += float64(d.PeakWatts * util * f * f * f * 0.3)
 		} else {
-			power += d.PeakWatts * util * f * f * f
+			power += float64(d.PeakWatts * util * f * f * f)
 		}
 	}
 	// RC thermal update.
-	dT := (power - d.CoolingWPerC*(d.TempC-d.AmbientC)) / d.ThermalMassJPerC
-	d.TempC += dT * dt
+	dT := (power - float64(d.CoolingWPerC*(d.TempC-d.AmbientC))) / d.ThermalMassJPerC
+	d.TempC += float64(dT * dt)
 	// Hard trip with hysteresis.
 	if d.HardTripC > 0 {
 		if !d.bigOffline && d.TempC >= d.HardTripC {
@@ -161,7 +163,7 @@ func (d *Device) advance(dt float64, util float64, loaded bool) {
 			})
 		}
 	}
-	d.EnergyJ += power * dt
+	d.EnergyJ += float64(power * dt)
 	d.NowSeconds += dt
 }
 
@@ -183,7 +185,7 @@ func (d *Device) effectiveFreqGHz() float64 {
 			continue
 		}
 		cores += c.Cores
-		sum += float64(c.Cores) * c.MaxFreqGHz * d.FreqFactor
+		sum += float64(float64(c.Cores) * c.MaxFreqGHz * d.FreqFactor)
 	}
 	if cores == 0 {
 		return 0
@@ -236,7 +238,7 @@ func (d *Device) train(arch *nn.Arch, n, batch int, record bool) (float64, []Bat
 				d.advance(need, util, true)
 				break
 			}
-			work -= tput * thermalStep
+			work -= float64(tput * thermalStep)
 			d.advance(thermalStep, util, true)
 		}
 		if record {
@@ -356,7 +358,7 @@ func (d *Device) EnergyPerSample(arch *nn.Arch) float64 {
 		}
 	}
 	seconds := flops / tput
-	power := 0.15 + d.PeakWatts*d.utilization(flops)
+	power := 0.15 + float64(d.PeakWatts*d.utilization(flops))
 	return power * seconds
 }
 

@@ -53,8 +53,10 @@ func popMix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// unit maps a hash to a uniform float in [0, 1).
-func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
+// unit maps a hash to a uniform float in [0, 1). The division compiles to
+// a multiply by 2⁻⁵³; the conversion keeps a caller's add from fusing with
+// it (`make nofma`).
+func unit(h uint64) float64 { return float64(float64(h>>11) / (1 << 53)) }
 
 // draw returns the id-specific hash for one attribute lane.
 func (p *Population) draw(id int, lane uint64) uint64 {
@@ -69,13 +71,13 @@ func (p *Population) ArchetypeOf(id int) int {
 // SpeedOf returns client id's throughput scale in [1−SpeedJitter, 1+SpeedJitter].
 func (p *Population) SpeedOf(id int) float64 {
 	j := p.SpeedJitter
-	return 1 - j + 2*j*unit(p.draw(id, 2))
+	return 1 - j + float64(2*j*unit(p.draw(id, 2)))
 }
 
 // ambientOf returns client id's ambient temperature.
 func (p *Population) ambientOf(id int) float64 {
 	base := p.Profiles[p.ArchetypeOf(id)].AmbientC
-	return base + p.TempJitterC*(2*unit(p.draw(id, 3))-1)
+	return base + float64(p.TempJitterC*(float64(2*unit(p.draw(id, 3)))-1))
 }
 
 // drainOf returns client id's initial battery-drain fraction in [0, DrainMax].

@@ -76,7 +76,7 @@ func (p Profile) MeanFreqGHz() float64 {
 	cores, sum := 0, 0.0
 	for _, c := range p.Clusters {
 		cores += c.Cores
-		sum += float64(c.Cores) * c.MaxFreqGHz
+		sum += float64(float64(c.Cores) * c.MaxFreqGHz)
 	}
 	if cores == 0 {
 		return 0

@@ -29,20 +29,21 @@ func workerCount(requested, tasks int) int {
 	return w
 }
 
-// forEach runs fn(i) for every i in [0, n) on at most `workers`
-// goroutines (the caller included). workers ≤ 1 — and the 1-task case —
+// fanOut runs fn(i, s) for every i in [0, n) on at most `workers`
+// goroutines (the caller included), each pulling the next index off a
+// shared counter and each with its own state s: own for the caller,
+// fork(own) for every extra worker. workers ≤ 1 — and the 1-task case —
 // degrade to the plain sequential loop with no goroutine spawned and no
 // synchronization. Each extra worker holds one tensor parallelism lane,
 // so client-level fan-out and the matmul-level fan-out inside each
 // client share a single ≈GOMAXPROCS budget: when this pool takes the
 // lanes, the matmuls it encloses run single-threaded, and vice versa.
-//
-// fn(i) must only touch state owned by task i; result ordering is the
-// caller's job (merge after forEach returns, in index order).
-func forEach(workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
+// Lanes are taken before anything is forked — a saturated pool must not
+// pay for state it cannot use — exactly one fork is made per lane
+// granted, and a fork that reports failure hands the lanes back and
+// leaves the sequential loop. It is the one fan-out loop under forEach
+// and forEachBatch.
+func fanOut[S any](workers, n int, own S, fork func(S) (S, bool), fn func(i int, s S)) {
 	if workers > n {
 		workers = n
 	}
@@ -50,90 +51,65 @@ func forEach(workers, n int, fn func(i int)) {
 	if workers > 1 {
 		extra = tensor.TryAcquireLanes(workers - 1)
 	}
+	states := make([]S, extra)
+	for w := range states {
+		s, ok := fork(own)
+		if !ok {
+			tensor.ReleaseLanes(extra)
+			extra = 0
+			break
+		}
+		states[w] = s
+	}
 	if extra == 0 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(i, own)
 		}
 		return
 	}
-	var next int64
-	work := func() {
+	var next atomic.Int64
+	work := func(s S) {
 		for {
-			i := int(atomic.AddInt64(&next, 1)) - 1
+			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
 			}
-			fn(i)
+			fn(i, s)
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < extra; w++ {
+	for _, s := range states {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			work(s)
 		}()
 	}
-	work() // the calling goroutine is a worker too
+	work(own) // the calling goroutine is a worker too
 	wg.Wait()
 	tensor.ReleaseLanes(extra)
+}
+
+// forEach runs fn(i) for every i in [0, n) on at most `workers`
+// goroutines (see fanOut; the workers' state is fn itself, shared).
+//
+// fn(i) must only touch state owned by task i; result ordering is the
+// caller's job (merge after forEach returns, in index order).
+func forEach(workers, n int, fn func(i int)) {
+	fanOut(workers, n, fn,
+		func(fn func(int)) (func(int), bool) { return fn, true },
+		func(i int, fn func(int)) { fn(i) })
 }
 
 // forEachBatch runs fn(i, net) for every batch index in [0, n), fanning
 // out across clones of net when parallelism is available. The original
 // net serves the calling goroutine; each extra worker gets its own clone
 // (fresh layer caches), because forward passes mutate per-layer state.
-// Lanes are taken before anything is cloned — a saturated pool must not
-// pay for networks it cannot run — and exactly one clone is built per
-// lane granted. Networks without a Clone blueprint hand the lanes back
-// and fall back to the sequential loop. fn must write its result into
-// task-indexed storage; any merge happens after return, in batch order.
+// Networks without a Clone blueprint fall back to the sequential loop.
+// fn must write its result into task-indexed storage; any merge happens
+// after return, in batch order.
 func forEachBatch(net *nn.Network, workers, n int, fn func(i int, m *nn.Network)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	extra := 0
-	if workers > 1 {
-		extra = tensor.TryAcquireLanes(workers - 1)
-	}
-	clones := make([]*nn.Network, 0, extra)
-	for len(clones) < extra {
-		c := net.Clone()
-		if c == nil {
-			tensor.ReleaseLanes(extra)
-			extra = 0
-			break
-		}
-		clones = append(clones, c)
-	}
-	if extra == 0 {
-		for i := 0; i < n; i++ {
-			fn(i, net)
-		}
-		return
-	}
-	var next int64
-	work := func(m *nn.Network) {
-		for {
-			i := int(atomic.AddInt64(&next, 1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i, m)
-		}
-	}
-	var wg sync.WaitGroup
-	for _, clone := range clones {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(clone)
-		}()
-	}
-	work(net)
-	wg.Wait()
-	tensor.ReleaseLanes(extra)
+	fanOut(workers, n, net,
+		func(net *nn.Network) (*nn.Network, bool) { c := net.Clone(); return c, c != nil },
+		fn)
 }

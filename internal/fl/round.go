@@ -443,7 +443,7 @@ func (rc *roundCore) close(round int, sel []int) roundClose {
 			rc.order[out.survivors] = s
 			out.survivors++
 			out.samples += cr.Samples
-			out.lossSum += cr.TrainLoss * float64(cr.Samples)
+			out.lossSum += float64(cr.TrainLoss * float64(cr.Samples))
 			if rc.spans[s] > out.makespan {
 				out.makespan = rc.spans[s]
 				out.straggler = cr.ClientID

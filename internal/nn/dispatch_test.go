@@ -42,7 +42,8 @@ func trainLeNetSmall[T tensor.Float]() (losses []float64, weights [][]T) {
 
 // testKernelSetsTrainAlike pins the dispatch contract where it matters:
 // a training run is the same run, bit for bit, on the 256-bit kernels
-// (8×8 float32 tile) and on the SSE2 ones.
+// (8×8 float32 tile, tiles stored through) and on the Go twins every
+// other host and build runs.
 func testKernelSetsTrainAlike[T tensor.Float](t *testing.T) {
 	if !tensorUseAVX {
 		t.Skip("one kernel set on this host and build: nothing to compare")
@@ -50,15 +51,15 @@ func testKernelSetsTrainAlike[T tensor.Float](t *testing.T) {
 	lossAVX, wAVX := trainLeNetSmall[T]()
 	tensorUseAVX = false
 	defer func() { tensorUseAVX = true }()
-	lossSSE, wSSE := trainLeNetSmall[T]()
+	lossTwin, wTwin := trainLeNetSmall[T]()
 	for i := range lossAVX {
-		if math.Float64bits(lossAVX[i]) != math.Float64bits(lossSSE[i]) {
-			t.Fatalf("step %d: loss %v on AVX, %v on SSE2", i, lossAVX[i], lossSSE[i])
+		if math.Float64bits(lossAVX[i]) != math.Float64bits(lossTwin[i]) {
+			t.Fatalf("step %d: loss %v on AVX, %v on the twins", i, lossAVX[i], lossTwin[i])
 		}
 	}
 	for i := range wAVX {
-		if at, ok := sameBits(wAVX[i], wSSE[i]); !ok {
-			t.Fatalf("parameter %d differs at %d: %v on AVX, %v on SSE2", i, at, wAVX[i][at], wSSE[i][at])
+		if at, ok := sameBits(wAVX[i], wTwin[i]); !ok {
+			t.Fatalf("parameter %d differs at %d: %v on AVX, %v on the twins", i, at, wAVX[i][at], wTwin[i][at])
 		}
 	}
 }

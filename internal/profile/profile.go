@@ -28,7 +28,7 @@ type Step1Fit struct {
 
 // Predict evaluates the step-1 model for an architecture's parameter split.
 func (f Step1Fit) Predict(convParams, denseParams int) float64 {
-	return f.Coef[0] + f.Coef[1]*float64(convParams) + f.Coef[2]*float64(denseParams)
+	return f.Coef[0] + float64(f.Coef[1]*float64(convParams)) + float64(f.Coef[2]*float64(denseParams))
 }
 
 // DeviceProfile holds the fitted step-1 models of one device and lazily
@@ -59,7 +59,7 @@ func (l Line) Predict(n int) float64 {
 	if n <= 0 {
 		return 0
 	}
-	t := l.Intercept + l.Slope*float64(n)
+	t := l.Intercept + float64(l.Slope*float64(n))
 	if t < 0 {
 		return 0
 	}

@@ -59,9 +59,9 @@ func Fit(x [][]float64, y []float64) (*Model, error) {
 	for i := 0; i < n; i++ {
 		for a := 0; a < p; a++ {
 			fa := feat(x[i], a)
-			xty[a] += fa * y[i]
+			xty[a] += float64(fa * y[i])
 			for b := a; b < p; b++ {
-				xtx[a][b] += fa * feat(x[i], b)
+				xtx[a][b] += float64(fa * feat(x[i], b))
 			}
 		}
 	}
@@ -86,9 +86,9 @@ func Fit(x [][]float64, y []float64) (*Model, error) {
 	for i := 0; i < n; i++ {
 		pred := m.Predict(x[i])
 		m.Residuals[i] = y[i] - pred
-		ssRes += m.Residuals[i] * m.Residuals[i]
+		ssRes += float64(m.Residuals[i] * m.Residuals[i])
 		d := y[i] - meanY
-		ssTot += d * d
+		ssTot += float64(d * d)
 	}
 	if ssTot > 0 {
 		m.R2 = 1 - ssRes/ssTot
@@ -105,7 +105,7 @@ func (m *Model) Predict(x []float64) float64 {
 	}
 	y := m.Coef[0]
 	for j, v := range x {
-		y += m.Coef[j+1] * v
+		y += float64(m.Coef[j+1] * v)
 	}
 	return y
 }
@@ -150,15 +150,15 @@ func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
 				continue
 			}
 			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
+				a[r][c] -= float64(f * a[col][c])
 			}
-			x[r] -= f * x[col]
+			x[r] -= float64(f * x[col])
 		}
 	}
 	for col := n - 1; col >= 0; col-- {
 		s := x[col]
 		for c := col + 1; c < n; c++ {
-			s -= a[col][c] * x[c]
+			s -= float64(a[col][c] * x[c])
 		}
 		x[col] = s / a[col][col]
 	}
@@ -186,7 +186,7 @@ func StdDev(xs []float64) float64 {
 	s := 0.0
 	for _, v := range xs {
 		d := v - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(xs)))
 }

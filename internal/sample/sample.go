@@ -196,8 +196,8 @@ func (a *Availability) clockHours(round int) float64 {
 	if rh <= 0 {
 		rh = 1
 	}
-	t := float64(round) * rh
-	t -= 24 * float64(int(t/24))
+	t := float64(float64(round) * rh)
+	t -= float64(24 * float64(int(t/24)))
 	return t
 }
 

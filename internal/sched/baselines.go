@@ -50,7 +50,9 @@ func (Random) Schedule(req *Request, rng *rand.Rand) (*Assignment, error) {
 	weights := make([]float64, len(req.Users))
 	sum := 0.0
 	for j := range weights {
-		weights[j] = rng.Float64()
+		// Float64 ends in a multiply (by 2⁻⁵³): converted so the sum
+		// cannot fuse with it (`make nofma`).
+		weights[j] = float64(rng.Float64())
 		sum += weights[j]
 	}
 	return weightedSplit(req, weights, sum, "Random")
@@ -83,7 +85,7 @@ func weightedSplit(req *Request, weights []float64, sum float64, algo string) (*
 	frac := make([]float64, n)
 	assigned := 0
 	for j := range shards {
-		exact := weights[j] / sum * float64(s)
+		exact := float64(weights[j] / sum * float64(s))
 		shards[j] = int(exact)
 		frac[j] = exact - float64(shards[j])
 		if cap := req.Users[j].capacity(s); shards[j] > cap {

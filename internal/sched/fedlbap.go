@@ -180,7 +180,9 @@ func (FedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 	// early exit.
 	iter := 0
 	for i := 0; i < 64; i++ {
-		mid := lov + (hiv-lov)/2
+		// The halving is a multiply to the compiler: converted so the add
+		// cannot fuse with it (`make nofma`).
+		mid := lov + float64((hiv-lov)/2)
 		if mid <= lov || mid >= hiv {
 			break
 		}

@@ -69,7 +69,7 @@ func (FedMinAvg) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 				break
 			}
 		}
-		cost := req.Alpha * f
+		cost := float64(req.Alpha * f)
 		if holdsUnseen {
 			// D_u is measured in samples: with the paper's (α, β) ranges
 			// (α·K/|U_j| up to 50 000 for a single-class user at α=5000)
@@ -77,7 +77,7 @@ func (FedMinAvg) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 			// an exclusion, yet Table IV's p3/p4 columns show β=2 moving
 			// tens of thousands of samples. A per-sample D_u reproduces
 			// those crossovers.
-			cost -= req.Beta * float64(assigned*req.ShardSize)
+			cost -= float64(req.Beta * float64(assigned*req.ShardSize))
 		}
 		return cost
 	}

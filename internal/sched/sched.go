@@ -193,7 +193,7 @@ func Validate(r *Request, a *Assignment) error {
 }
 
 // almostLE reports a ≤ b up to floating-point slack.
-func almostLE(a, b float64) bool { return a <= b+1e-9*math.Max(1, math.Abs(b)) }
+func almostLE(a, b float64) bool { return a <= b+float64(1e-9*math.Max(1, math.Abs(b))) }
 
 // emitSchedule records a computed assignment into the request's trace:
 // one KindSchedule event per user with the assigned samples and

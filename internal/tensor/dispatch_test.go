@@ -12,9 +12,9 @@ import (
 // they only ever move it between states the host can run.
 
 // kernelStates lists the dispatch states of this host and build: the one
-// the package initialised to and, where that is the 256-bit set, the
-// SSE2 set it falls back to. One state under purego, on other
-// architectures and on an amd64 host without AVX.
+// the package initialised to and, where that is the 256-bit assembly, the
+// Go twins a host without AVX runs. One state — the twins — under purego,
+// on other architectures and on an amd64 host without AVX.
 func kernelStates() []bool {
 	if useAVX {
 		return []bool{true, false}
@@ -27,7 +27,7 @@ func kernelSetName(avx bool) string {
 	if avx {
 		return "AVX"
 	}
-	return "SSE2"
+	return "twin"
 }
 
 // withKernels runs f with the dispatch set to avx and restores it. No
@@ -73,9 +73,10 @@ func testConvGeomSeeds(t *testing.T) {
 // TestKernelSetsByteIdentical replays the GEMM and convolution suites
 // under each dispatch state and compares, per test, a digest of every
 // output the test produced: the 256-bit kernels (and the 8×8 float32
-// tile that comes with them) must not change one bit of any result the
-// SSE2 kernels give. The replays are also how those suites run with the
-// dispatch forced off at all — the top-level runs see the host's default.
+// tile and the store-through that come with them) must not change one
+// bit of any result the Go twins give. The replays are also how those
+// suites run with the dispatch forced off at all — the top-level runs see
+// the host's default.
 func TestKernelSetsByteIdentical(t *testing.T) {
 	states := kernelStates()
 	if len(states) < 2 {
@@ -102,15 +103,18 @@ func TestKernelSetsByteIdentical(t *testing.T) {
 		{"FuzzConvGeomSeeds", testConvGeomSeeds},
 	}
 	defer func() { outputLog = nil }()
+	// The replays keep the subtest names test histories know them by:
+	// "SSE2" is the state of an amd64 host without AVX, whatever runs there.
+	label := map[bool]string{true: "AVX", false: "SSE2"}
 	for _, tc := range suite {
 		var sums [][]byte
 		for _, avx := range states {
 			outputLog = sha256.New()
-			withKernels(avx, func() { t.Run(tc.name+"/"+kernelSetName(avx), tc.run) })
+			withKernels(avx, func() { t.Run(tc.name+"/"+label[avx], tc.run) })
 			sums = append(sums, outputLog.Sum(nil))
 		}
 		if string(sums[0]) != string(sums[1]) {
-			t.Errorf("%s: outputs under the AVX and SSE2 kernels differ (digests %x, %x)", tc.name, sums[0][:8], sums[1][:8])
+			t.Errorf("%s: outputs under the AVX kernels and the Go twins differ (digests %x, %x)", tc.name, sums[0][:8], sums[1][:8])
 		}
 	}
 }

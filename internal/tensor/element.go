@@ -3,7 +3,7 @@ package tensor
 // Float is the set of element types every kernel in this package is
 // generic over. float64 is the reference precision (the federated
 // engines aggregate in it unconditionally); float32 halves memory
-// traffic and unlocks 4-wide SIMD in the micro-kernel, matching what
+// traffic and doubles the lanes of a vector register, matching what
 // real on-device training stacks (DL4J/OpenBLAS and successors) run.
 type Float interface {
 	~float32 | ~float64

@@ -19,13 +19,14 @@ import (
 //     walks the k dimension in gemmKC panels (in ascending order), packs
 //     the A and B panels into per-goroutine scratch (pack.go), and runs a
 //     register-tiled micro-kernel over the packed panels (4×4 at
-//     float64; 8×4 at float32, 8×8 where the 256-bit kernels run —
-//     SSE2 or AVX assembly on amd64, order-identical scalar twins
-//     elsewhere; see microTile and gemm_amd64.s). An indirect A operand
-//     skips the packing: the same tiles, on the same schedule, read
-//     a[r][l] = x[rowOff[r]+depthOff[l]] in place (microKernelInd). The
-//     first k-panel stores into C (implicit beta=0 — callers never
-//     pre-zero), subsequent panels accumulate.
+//     float64; 8×4 at float32, 8×8 where the 256-bit kernels run — AVX
+//     assembly on an amd64 host that has it, the order-identical Go
+//     twins below everywhere else; see microKernel, microTile and
+//     gemm_amd64.s). An indirect A operand skips the packing: the same
+//     tiles, on the same schedule, read a[r][l] =
+//     x[rowOff[r]+depthOff[l]] in place (microKernelInd). The first
+//     k-panel stores into C (implicit beta=0 — callers never pre-zero),
+//     subsequent panels accumulate.
 //   - The last k-panel's write applies the fused epilogue (+bias,
 //     +bias→ReLU) to the tile on its way out, so C is never re-read for
 //     it. Who writes: the 256-bit kernels store through — a first-panel
@@ -34,11 +35,11 @@ import (
 //     included (tileDst; rows as vectors for a row-major C, columns
 //     after an in-register transpose for a position-by-channel one).
 //     Every other tile — a later k-panel's, a ragged last row tile, one
-//     that straddles two images, and all of them on the SSE2 kernels and
-//     the scalar twins — comes back in an accumulator and goes through
-//     mergeTile, the one Go definition of a finished tile, element by
-//     element. Same operations in the same order either way, so the
-//     same bits (NaN payloads of sum + bias excepted: see mergeTile).
+//     that straddles two images, and all of them on the twins — comes
+//     back in an accumulator and goes through mergeTile, the one Go
+//     definition of a finished tile, element by element. Same
+//     operations in the same order either way, so the same bits (NaN
+//     payloads excepted: see mergeTile).
 //
 // Operands are described by packSrc: a real strided matrix, the
 // position-by-channel view of an (N,C,H,W) gradient, or — A only — a
@@ -59,16 +60,16 @@ import (
 // count, which the federated engines' bit-identical-history guarantee
 // (internal/fl) inherits. The register tile shape does not participate
 // in that argument (each output element is a strictly-ascending-k sum
-// within each KC panel for every tile), so the SSE2 tiles, the AVX tiles
-// and their scalar twins produce bit-identical results too — packed or
-// indirect, which differ only in where an A element is loaded from.
+// within each KC panel for every tile), so the AVX tiles and the Go twins
+// produce bit-identical results too — packed or indirect, which differ
+// only in where an A element is loaded from.
 //
 // One rounding per multiply and one per add is part of that sequence.
 // The assembly never uses FMA, and neither may the Go code: the language
 // lets a compiler fuse x*y + z (arm64, ppc64le, s390x and riscv64 do)
 // unless the product is explicitly converted, so every multiply-add in
-// this package and in internal/nn is written c += T(a*b). `make nofma`
-// holds the line.
+// this package and in internal/nn is written c += T(a*b) — as is every
+// one outside them that feeds a result. `make nofma` holds the line.
 
 // gemmSmallCutoff is the m·n·k volume below which the retained naive
 // kernels win (no packing or pool traffic). Depends only on the shape,
@@ -374,7 +375,7 @@ func gemmCell[T Float](c matView[T], a, b packSrc[T], m, n, k int, e epi[T], rc,
 	var rowOffs [gemmMC]int
 	cs := c.rowOffsets(rowOffs[:mc], i0)
 	indirect := a.kind == srcIndirect
-	// Only the 256-bit kernels store through, only on the first k-panel
+	// Only the assembly kernels store through, only on the first k-panel
 	// (the store never reads C), and only tiles whose mr rows are all
 	// there, one stride apart: any full tile of a row-major C, one that
 	// stays inside an image of a position-by-channel C.
@@ -441,12 +442,49 @@ func gemmCell[T Float](c matView[T], a, b packSrc[T], m, n, k int, e epi[T], rc,
 	}
 }
 
-// micro4x4 is the portable twin of the amd64 float64 kernels: one packed
-// A micro-panel (4×kc, column-major) times one packed B micro-panel
-// (kc×4, row-major) into the 4×4 accumulator tile (row stride 4, fully
+// microKernel runs the register tile for T over one packed micro-panel
+// pair into the accumulator (fully overwritten, row stride NR): the
+// 256-bit assembly kernel where useAVX is set — to it the accumulator is
+// a row-major C one tile wide on its first k-panel — and the Go twin
+// everywhere else: other architectures, the purego build, an amd64 host
+// without AVX. Either sums each output element in strictly ascending k
+// order with one rounding per multiply and per add, so which one runs
+// never shows in a result.
+//
+// fedlint:hotpath
+func microKernel[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
+	if useAVX {
+		_, nr := microTile[T]()
+		microKernelTo(kc, ap, bp, &tileDst[T]{c: &acc[0], ld: nr, nrv: nr})
+		return
+	}
+	if isF32[T]() {
+		micro8x4(kc, ap, bp, acc)
+		return
+	}
+	micro4x4(kc, ap, bp, acc)
+}
+
+// microKernelInd is microKernel with the A micro-panel read in place:
+// a[r][l] = x[rowOff[r] + depthOff[l]] for the tile's mr rows (rowOff
+// must hold mr entries, depthOff kc) against the packed B micro-panel bp.
+//
+// fedlint:hotpath
+func microKernelInd[T Float](kc int, x []T, rowOff, depthOff []int, bp []T, acc *[gemmAccLen]T) {
+	if useAVX {
+		_, nr := microTile[T]()
+		microKernelIndTo(kc, x, rowOff, depthOff, bp, &tileDst[T]{c: &acc[0], ld: nr, nrv: nr})
+		return
+	}
+	microInd(kc, x, rowOff, depthOff, bp, acc)
+}
+
+// micro4x4 is the Go twin of the float64 assembly kernel: one packed A
+// micro-panel (4×kc, column-major) times one packed B micro-panel (kc×4,
+// row-major) into the 4×4 accumulator tile (row stride 4, fully
 // overwritten). One rounding per multiply and per add, k strictly
 // ascending per output element — the exact operation sequence of
-// microF64SIMD and microF64AVX, per lane.
+// microF64AVX, per lane.
 //
 // fedlint:hotpath
 func micro4x4[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
@@ -468,10 +506,10 @@ func micro4x4[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
 	copy(acc[:16], c[:])
 }
 
-// micro8x4 is the portable twin of the amd64 float32 kernels: the 8×4
-// tile (A micro-panel 8×kc) on the same schedule as micro4x4. (The AVX
-// kernel's 8×8 tile is two of these side by side; it has no twin of its
-// own because no target without the assembly runs that shape.)
+// micro8x4 is the Go twin of the float32 assembly kernel: the 8×4 tile (A
+// micro-panel 8×kc) on the same schedule as micro4x4. (microF32AVX's 8×8
+// tile is two of these side by side; it has no twin of its own because
+// no target without the assembly runs that shape.)
 //
 // fedlint:hotpath
 func micro8x4[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
@@ -493,7 +531,7 @@ func micro8x4[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
 	copy(acc[:32], c[:])
 }
 
-// microInd is the portable twin of both indirect amd64 kernels: the
+// microInd is the Go twin of both indirect assembly kernels: the
 // len(rowOff)×4 tile (4 rows at float64, 8 at float32) on the schedule
 // of micro4x4 and micro8x4, with a[r][l] = x[rowOff[r]+depthOff[l]] read
 // in place of a packed A micro-panel.
@@ -524,12 +562,13 @@ func microInd[T Float](kc int, x []T, rowOff, depthOff []int, bp []T, acc *[gemm
 // epilogue is applied to the finished sums on their way out. This is the
 // definition of a finished tile; the store-through tails of gemm_amd64.s
 // are the vector form of its first-panel case and are tested against it.
-// Accumulation (C + tile) runs only here, so every kernel set does it
-// with the same compiled add. One thing the definition leaves open: which
-// payload survives when sum and bias are both NaN — the compiler picks
-// the operand order of that add (it changes under -race), the tails pin
-// sum first — so kernel sets agree on such an element being NaN, not on
-// its payload.
+// Accumulation (C + tile) runs only here, so both kernel sets do it with
+// the same compiled add. One thing compiled Go leaves open is which
+// payload survives an operation on two NaNs — the compiler picks the
+// operand order of the twins' multiplies and adds and of the sum + bias
+// here (it changes under -race), the assembly pins the first source — so
+// the kernel sets agree on such an element being NaN, not on its payload
+// (there is no second assembly set to hold the payloads to).
 //
 // fedlint:hotpath
 func mergeTile[T Float](cd []T, rowOffs []int, cs, j, nrv, accStride int, acc *[gemmAccLen]T, first bool, e *epi[T]) {

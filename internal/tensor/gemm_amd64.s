@@ -1,392 +1,30 @@
 //go:build !purego
 
-// GEMM micro-kernels: the SSE2 tiles every amd64 host can run, then their
-// 256-bit AVX forms, which gemm_amd64.go dispatches to when cpuHasAVX
-// says so, then the store-through tails (bottom of the file) through
-// which an AVX kernel writes a first-panel tile into C itself, epilogue
-// included. The SSE2 kernels fill an accumulator and leave C to mergeTile
-// (gemm.go). No FMA anywhere (`make nofma` reads the assembler's listing of this file).
-//
-// float32 8×4. Register plan:
-//
-//	X0–X7  one 4-lane C row each (c[r][0..3])
-//	X8     the current 4-wide B row b[l][0..3]
-//	X9–X15 broadcast A scalars a[r][l], one MULPS temporary per row
-//
-// Per k step: 1 MOVUPS B load + per row (MOVSS load, SHUFPS broadcast,
-// MULPS, ADDPS) = 32 f32 FLOPs on 8 independent accumulator chains.
-// Accumulation is MULPS-then-ADDPS (two roundings, no FMA) in strictly
-// ascending k order — bitwise the same schedule as the scalar fallback,
-// which keeps cross-platform goldens byte-identical.
+// GEMM micro-kernels for amd64 hosts with AVX: gemm_amd64.go routes the
+// register tiles here where cpuHasAVX says so, and gemm.go runs the Go
+// twins (micro4x4, micro8x4, microInd) everywhere else. Four kernels —
+// {packed, indirect A} × {float32 8×8, float64 4×4} — then the
+// store-through tails (bottom of the file) through which each of them
+// writes its tile: into C itself on a first k-panel, epilogue included,
+// or into the accumulator mergeTile (gemm.go) finishes. No FMA anywhere
+// (`make nofma` reads the assembler's listing of this file).
 
 #include "go_asm.h"
 #include "textflag.h"
 
-// func microF32SIMD(kc int, ap, bp, acc *float32)
-TEXT ·microF32SIMD(SB), NOSPLIT, $0-32
-	MOVQ kc+0(FP), CX
-	MOVQ ap+8(FP), SI
-	MOVQ bp+16(FP), DI
-	MOVQ acc+24(FP), DX
-
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
-
-	TESTQ CX, CX
-	JZ    store
-
-loop:
-	MOVUPS (DI), X8
-
-	MOVSS  (SI), X9
-	SHUFPS $0x00, X9, X9
-	MULPS  X8, X9
-	ADDPS  X9, X0
-
-	MOVSS  4(SI), X10
-	SHUFPS $0x00, X10, X10
-	MULPS  X8, X10
-	ADDPS  X10, X1
-
-	MOVSS  8(SI), X11
-	SHUFPS $0x00, X11, X11
-	MULPS  X8, X11
-	ADDPS  X11, X2
-
-	MOVSS  12(SI), X12
-	SHUFPS $0x00, X12, X12
-	MULPS  X8, X12
-	ADDPS  X12, X3
-
-	MOVSS  16(SI), X13
-	SHUFPS $0x00, X13, X13
-	MULPS  X8, X13
-	ADDPS  X13, X4
-
-	MOVSS  20(SI), X14
-	SHUFPS $0x00, X14, X14
-	MULPS  X8, X14
-	ADDPS  X14, X5
-
-	MOVSS  24(SI), X15
-	SHUFPS $0x00, X15, X15
-	MULPS  X8, X15
-	ADDPS  X15, X6
-
-	MOVSS  28(SI), X9
-	SHUFPS $0x00, X9, X9
-	MULPS  X8, X9
-	ADDPS  X9, X7
-
-	ADDQ $32, SI
-	ADDQ $16, DI
-	DECQ CX
-	JNZ  loop
-
-store:
-	MOVUPS X0, (DX)
-	MOVUPS X1, 16(DX)
-	MOVUPS X2, 32(DX)
-	MOVUPS X3, 48(DX)
-	MOVUPS X4, 64(DX)
-	MOVUPS X5, 80(DX)
-	MOVUPS X6, 96(DX)
-	MOVUPS X7, 112(DX)
-	RET
-
-// float64 4×4. A row of the C tile is four doubles = two XMM registers,
-// so the tile again fills 8 accumulators. Register plan:
-//
-//	X0–X7   C rows: X(2r) = c[r][0..1], X(2r+1) = c[r][2..3]
-//	X8, X9  the current B row b[l][0..1], b[l][2..3]
-//	X10–X15 broadcast A scalars a[r][l] and their MULPD temporaries
-//
-// Per k step: 2 MOVUPD B loads + per row (MOVSD load, UNPCKLPD
-// broadcast, register copy, 2 MULPD, 2 ADDPD) = 32 f64 FLOPs on 8
-// independent accumulator chains — MULPD-then-ADDPD, no FMA, strictly
-// ascending k: bitwise the schedule of micro4x4.
-
-// func microF64SIMD(kc int, ap, bp, acc *float64)
-TEXT ·microF64SIMD(SB), NOSPLIT, $0-32
-	MOVQ kc+0(FP), CX
-	MOVQ ap+8(FP), SI
-	MOVQ bp+16(FP), DI
-	MOVQ acc+24(FP), DX
-
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
-
-	TESTQ CX, CX
-	JZ    store64
-
-loop64:
-	MOVUPD (DI), X8
-	MOVUPD 16(DI), X9
-
-	MOVSD    (SI), X10
-	UNPCKLPD X10, X10
-	MOVAPD   X10, X11
-	MULPD    X8, X10
-	MULPD    X9, X11
-	ADDPD    X10, X0
-	ADDPD    X11, X1
-
-	MOVSD    8(SI), X12
-	UNPCKLPD X12, X12
-	MOVAPD   X12, X13
-	MULPD    X8, X12
-	MULPD    X9, X13
-	ADDPD    X12, X2
-	ADDPD    X13, X3
-
-	MOVSD    16(SI), X14
-	UNPCKLPD X14, X14
-	MOVAPD   X14, X15
-	MULPD    X8, X14
-	MULPD    X9, X15
-	ADDPD    X14, X4
-	ADDPD    X15, X5
-
-	MOVSD    24(SI), X10
-	UNPCKLPD X10, X10
-	MOVAPD   X10, X11
-	MULPD    X8, X10
-	MULPD    X9, X11
-	ADDPD    X10, X6
-	ADDPD    X11, X7
-
-	ADDQ $32, SI
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  loop64
-
-store64:
-	MOVUPD X0, (DX)
-	MOVUPD X1, 16(DX)
-	MOVUPD X2, 32(DX)
-	MOVUPD X3, 48(DX)
-	MOVUPD X4, 64(DX)
-	MOVUPD X5, 80(DX)
-	MOVUPD X6, 96(DX)
-	MOVUPD X7, 112(DX)
-	RET
-
-// Indirect (pack-free) variants: the same two tiles on the same schedule,
-// with the A micro-panel read in place instead of from a packed buffer —
-// a[r][l] = x[rowOff[r] + depthOff[l]] (element offsets). The row bases
-// x + rowOff[r] live in general registers for the whole k loop, a k step
-// loads one depth offset and uses it as the index of every row's scalar
-// load; B, the accumulators and every arithmetic instruction are exactly
-// those of the packed kernels above, so the bits are too.
-
-// func microIndF32SIMD(kc int, x *float32, rowOff, depthOff *int, bp, acc *float32)
-TEXT ·microIndF32SIMD(SB), NOSPLIT, $0-48
-	MOVQ x+8(FP), CX
-	MOVQ rowOff+16(FP), AX
-	MOVQ (AX), R8
-	LEAQ (CX)(R8*4), R8
-	MOVQ 8(AX), R9
-	LEAQ (CX)(R9*4), R9
-	MOVQ 16(AX), R10
-	LEAQ (CX)(R10*4), R10
-	MOVQ 24(AX), R11
-	LEAQ (CX)(R11*4), R11
-	MOVQ 32(AX), R12
-	LEAQ (CX)(R12*4), R12
-	MOVQ 40(AX), R13
-	LEAQ (CX)(R13*4), R13
-	MOVQ 48(AX), SI
-	LEAQ (CX)(SI*4), SI
-	MOVQ 56(AX), BX
-	LEAQ (CX)(BX*4), BX
-	MOVQ kc+0(FP), CX
-	MOVQ depthOff+24(FP), DX
-	MOVQ bp+32(FP), DI
-
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
-
-	TESTQ CX, CX
-	JZ    storeind
-
-loopind:
-	MOVQ   (DX), AX
-	MOVUPS (DI), X8
-
-	MOVSS  (R8)(AX*4), X9
-	SHUFPS $0x00, X9, X9
-	MULPS  X8, X9
-	ADDPS  X9, X0
-
-	MOVSS  (R9)(AX*4), X10
-	SHUFPS $0x00, X10, X10
-	MULPS  X8, X10
-	ADDPS  X10, X1
-
-	MOVSS  (R10)(AX*4), X11
-	SHUFPS $0x00, X11, X11
-	MULPS  X8, X11
-	ADDPS  X11, X2
-
-	MOVSS  (R11)(AX*4), X12
-	SHUFPS $0x00, X12, X12
-	MULPS  X8, X12
-	ADDPS  X12, X3
-
-	MOVSS  (R12)(AX*4), X13
-	SHUFPS $0x00, X13, X13
-	MULPS  X8, X13
-	ADDPS  X13, X4
-
-	MOVSS  (R13)(AX*4), X14
-	SHUFPS $0x00, X14, X14
-	MULPS  X8, X14
-	ADDPS  X14, X5
-
-	MOVSS  (SI)(AX*4), X15
-	SHUFPS $0x00, X15, X15
-	MULPS  X8, X15
-	ADDPS  X15, X6
-
-	MOVSS  (BX)(AX*4), X9
-	SHUFPS $0x00, X9, X9
-	MULPS  X8, X9
-	ADDPS  X9, X7
-
-	ADDQ $8, DX
-	ADDQ $16, DI
-	DECQ CX
-	JNZ  loopind
-
-storeind:
-	MOVQ   acc+40(FP), DX
-	MOVUPS X0, (DX)
-	MOVUPS X1, 16(DX)
-	MOVUPS X2, 32(DX)
-	MOVUPS X3, 48(DX)
-	MOVUPS X4, 64(DX)
-	MOVUPS X5, 80(DX)
-	MOVUPS X6, 96(DX)
-	MOVUPS X7, 112(DX)
-	RET
-
-// func microIndF64SIMD(kc int, x *float64, rowOff, depthOff *int, bp, acc *float64)
-TEXT ·microIndF64SIMD(SB), NOSPLIT, $0-48
-	MOVQ x+8(FP), CX
-	MOVQ rowOff+16(FP), AX
-	MOVQ (AX), R8
-	LEAQ (CX)(R8*8), R8
-	MOVQ 8(AX), R9
-	LEAQ (CX)(R9*8), R9
-	MOVQ 16(AX), R10
-	LEAQ (CX)(R10*8), R10
-	MOVQ 24(AX), R11
-	LEAQ (CX)(R11*8), R11
-	MOVQ kc+0(FP), CX
-	MOVQ depthOff+24(FP), DX
-	MOVQ bp+32(FP), DI
-
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
-
-	TESTQ CX, CX
-	JZ    storeind64
-
-loopind64:
-	MOVQ   (DX), AX
-	MOVUPD (DI), X8
-	MOVUPD 16(DI), X9
-
-	MOVSD    (R8)(AX*8), X10
-	UNPCKLPD X10, X10
-	MOVAPD   X10, X11
-	MULPD    X8, X10
-	MULPD    X9, X11
-	ADDPD    X10, X0
-	ADDPD    X11, X1
-
-	MOVSD    (R9)(AX*8), X12
-	UNPCKLPD X12, X12
-	MOVAPD   X12, X13
-	MULPD    X8, X12
-	MULPD    X9, X13
-	ADDPD    X12, X2
-	ADDPD    X13, X3
-
-	MOVSD    (R10)(AX*8), X14
-	UNPCKLPD X14, X14
-	MOVAPD   X14, X15
-	MULPD    X8, X14
-	MULPD    X9, X15
-	ADDPD    X14, X4
-	ADDPD    X15, X5
-
-	MOVSD    (R11)(AX*8), X10
-	UNPCKLPD X10, X10
-	MOVAPD   X10, X11
-	MULPD    X8, X10
-	MULPD    X9, X11
-	ADDPD    X10, X6
-	ADDPD    X11, X7
-
-	ADDQ $8, DX
-	ADDQ $32, DI
-	DECQ CX
-	JNZ  loopind64
-
-storeind64:
-	MOVQ   acc+40(FP), DX
-	MOVUPD X0, (DX)
-	MOVUPD X1, 16(DX)
-	MOVUPD X2, 32(DX)
-	MOVUPD X3, 48(DX)
-	MOVUPD X4, 64(DX)
-	MOVUPD X5, 80(DX)
-	MOVUPD X6, 96(DX)
-	MOVUPD X7, 112(DX)
-	RET
-
-// 256-bit (AVX) variants, selected at run time by useAVX (gemm_amd64.go)
-// on hosts where cpuHasAVX reports the instruction set and the OS saving
-// YMM state. One YMM register holds a whole C-tile row: four doubles, so
-// float64 keeps its 4×4 tile in 4 accumulators, and eight singles, so
-// float32 widens to 8×8 in 8. Per k step and per row: broadcast-load
-// a[r][l], VMULP* by the B row, VADDP* into the row's accumulator — the
-// SSE2 kernels' two roundings in the SSE2 kernels' operand order (product
-// = a·b with a the first source, sum = acc + product with acc the first
-// source, so NaN payloads propagate alike), k strictly ascending, no FMA.
-// Each output element therefore sees the instruction sequence it sees in
-// the 128-bit kernels and in the Go twins; only how many elements share
-// an instruction differs. Where the SSE2 kernels end by storing an
-// accumulator, these load their destination arguments (c, ld, nrv, bias,
-// flags) into DX, AX, CX, BX, SI and jump to the store-through tail of
-// their width, which returns to the caller for them. VZEROUPPER before
-// that RET keeps the SSE code that follows off the AVX→SSE transition
-// penalty.
+// One YMM register holds a whole C-tile row: four doubles, so float64's
+// 4×4 tile lives in 4 accumulators, and eight singles, so float32's is
+// 8×8 in 8. Per k step and per row: broadcast-load a[r][l], VMULP* by the
+// B row, VADDP* into the row's accumulator — two roundings (product = a·b
+// with a the first source, sum = acc + product with acc the first source,
+// which pins how NaN payloads propagate), k strictly ascending, no FMA.
+// Each output element therefore sees the operation sequence it sees in
+// the Go twins; only how many elements share an instruction differs. Its
+// k loop done, a kernel loads its destination arguments (c, ld, nrv,
+// bias, flags) into DX, AX, CX, BX, SI and jumps to the store-through
+// tail of its width, which returns to the caller for it. VZEROUPPER
+// before that RET keeps the compiler's scalar SSE code that follows off
+// the AVX→SSE transition penalty.
 
 // func cpuHasAVX() bool
 //
@@ -484,8 +122,8 @@ storef32avx:
 
 // float64 4×4: Y0–Y3 one 4-lane C row each, Y4 the current B row
 // b[l][0..3], Y5–Y7 the broadcast A scalars and their products. Per k
-// step 1 B load + per row (VBROADCASTSD, VMULPD, VADDPD) = 32 f64 FLOPs in
-// half the instructions of the 128-bit tile.
+// step 1 B load + per row (VBROADCASTSD, VMULPD, VADDPD) = 32 f64 FLOPs
+// on 4 independent accumulator chains.
 
 // func microF64AVX(kc int, ap, bp, c *float64, ld, nrv int, bias *float64, flags int)
 TEXT ·microF64AVX(SB), NOSPLIT, $0-64
@@ -533,9 +171,13 @@ storef64avx:
 	MOVQ flags+56(FP), SI
 	JMP  ·microStoreF64AVX(SB)
 
-// Indirect 256-bit variants: row bases in general registers and one depth
-// offset per k step, exactly as in the 128-bit indirect kernels; the
-// scalar load is folded into the broadcast.
+// Indirect (pack-free) variants: the same two tiles on the same schedule,
+// with the A micro-panel read in place instead of from a packed buffer —
+// a[r][l] = x[rowOff[r] + depthOff[l]] (element offsets). The row bases
+// x + rowOff[r] live in general registers for the whole k loop; a k step
+// loads one depth offset and uses it as the index of every row's
+// broadcast load. B, the accumulators and every arithmetic instruction
+// are exactly those of the packed kernels above, so the bits are too.
 
 // func microIndF32AVX(kc int, x *float32, rowOff, depthOff *int, bp, c *float32, ld, nrv int, bias *float32, flags int)
 TEXT ·microIndF32AVX(SB), NOSPLIT, $0-80

@@ -7,15 +7,16 @@ import (
 )
 
 // Register-tile bake-off: the scalar candidate tiles that lost to the
-// assembly production tiles, a driver that runs the blocked algorithm
+// production tiles, a driver that runs the blocked algorithm
 // with any of them, the cross-tile bit-equivalence test and the
 // benchmarks. None of this is reachable from production code: gemmCell
 // only ever runs microTile[T]().
 
 // tileKernel returns the micro-kernel for an (mr, nr) register tile at
-// element type T: the production kernel where (mr, nr) is T's production
-// tile under the current dispatch, a scalar candidate otherwise, nil
-// where there is neither (8×8 without the 256-bit kernels).
+// element type T: the production kernel — assembly or, with the dispatch
+// cleared, the twin — where (mr, nr) is T's production tile under the
+// current dispatch, a scalar candidate otherwise, nil where there is
+// neither (8×8 without the 256-bit kernels).
 func tileKernel[T Float](mr, nr int) func(kc int, ap, bp []T, acc *[gemmAccLen]T) {
 	if pm, pn := microTile[T](); mr == pm && nr == pn {
 		return microKernel[T]
@@ -71,8 +72,8 @@ func blockedTileInto[T Float](dst, a, b *TensorOf[T], transA, transB bool, mr, n
 // chosen for the scalar register budget: 8 accumulators + 4 A values +
 // 2 B values = 14 live values, which fits amd64's 16 XMM registers — a
 // scalar 4×4 tile needs 24 and spills every iteration. It was the
-// float64 production tile until the packed-double 4×4 kernel
-// (gemm_amd64.s) replaced it. The k loop is
+// float64 production tile until the 4×4 assembly kernel (gemm_amd64.s)
+// replaced it. The k loop is
 // unrolled 8× (with a single-step remainder loop) to amortize branch
 // overhead over the 16 independent multiply-add chains per step.
 //
@@ -227,8 +228,9 @@ func micro8x2[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
 // TestBlockedTileEquivalence pins the tile-shape independence claim the
 // bake-off and the kernel dispatch rely on: within one KC panel every
 // register tile sums each output element in the same ascending-k order,
-// so all tiles (the assembly 4×4, 8×4 and — where the 256-bit kernels
-// run — 8×8 included) produce bit-identical results.
+// so all tiles (the production 4×4 and 8×4 or — where the 256-bit
+// kernels run — 8×8, assembly or twin, included) produce bit-identical
+// results.
 func TestBlockedTileEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	m, k, n := 65, 130, 37 // ragged against every tile, single k-panel and multi-cell-free
@@ -277,7 +279,8 @@ func TestBlockedTileEquivalence(t *testing.T) {
 }
 
 // Register-tile bake-off on the LeNet conv2 shape, serial, per width:
-// the production tile (assembly on amd64) against the scalar candidates.
+// the production tile (assembly on an AVX host) against the scalar
+// candidates.
 func benchTile[T Float](b *testing.B, mr, nr int) {
 	if tileKernel[T](mr, nr) == nil {
 		b.Skip("no kernel for this tile under the current dispatch")

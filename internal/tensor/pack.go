@@ -21,15 +21,14 @@ package tensor
 // (microTile) — and the one that may vary: it moves no cell or panel
 // boundary and no summation order.
 const (
-	// gemmMR × gemmNR is the float64 register tile, on every target: a
-	// 4×4 block of C, one row per YMM accumulator in the AVX kernels, two
-	// XMM accumulators per row in the SSE2 ones (gemm_amd64.s).
+	// gemmMR × gemmNR is the float64 register tile, in both kernel sets:
+	// a 4×4 block of C, one row per YMM accumulator in the AVX kernels
+	// (gemm_amd64.s).
 	gemmMR = 4
 	gemmNR = 4
-	// f32MR × f32NR is the float32 register tile where a vector register
-	// is 128 bits (SSE2, and the scalar twins): one register holds a
-	// 4-lane row, so 8 accumulators hold an 8×4 block. f32NRAVX is its
-	// width where the 256-bit kernels run: an 8-lane row, 8×8.
+	// f32MR × f32NR is the float32 register tile of the Go twins, an 8×4
+	// block. f32NRAVX is its width where the 256-bit kernels run: a YMM
+	// register holds an 8-lane row, so 8 accumulators hold 8×8.
 	f32MR    = 8
 	f32NR    = 4
 	f32NRAVX = 8

@@ -28,7 +28,7 @@ var DefaultTolerances = Tolerances{Rel: 1e-9, Abs: 1e-12}
 
 // within reports |got−golden| ≤ Abs + Rel·|golden|.
 func (t Tolerances) within(golden, got float64) bool {
-	return math.Abs(got-golden) <= t.Abs+t.Rel*math.Abs(golden)
+	return math.Abs(got-golden) <= t.Abs+float64(t.Rel*math.Abs(golden))
 }
 
 // intField / floatField pair a field name with its accessor, so Compare
