@@ -7,7 +7,7 @@ GO ?= go
 
 .PHONY: build test vet lint lint-ci lint-baseline \
 	fuzz-smoke fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-job \
-	fuzz-smoke-ckpt \
+	fuzz-smoke-ckpt fuzz-smoke-convblock \
 	fmt-check check check-nolint race race-tensor purego nofma trace-golden loc \
 	bench profile-pop profile-train profile-churn \
 	population-smoke fault-smoke serve-smoke
@@ -44,14 +44,16 @@ lint-baseline:
 # stream, the cohort samplers' sortedness/bounds/determinism
 # contract, the fault plan's spec-parse/draw invariants, the trace
 # encoder against encoding/json, the pack-free convolution kernels
-# against the im2col oracle over random geometries, the job schema's
-# admission path (decode, defaults, Validate, job.json round trip,
-# deterministic BuildJob), and the run-checkpoint loaders (never a panic,
-# never an allocation beyond a small multiple of the input, Save → Load →
-# Save stable). Seeds live under testdata/fuzz (or in the
-# target); CI runs this in the lint lane. Each target is its own recipe
-# so one failing fuzzer no longer hides the others: the umbrella runs all
-# seven and fails at the end with the full list of failed targets.
+# against the im2col oracle over random geometries, the fused backward
+# pass of a Conv2D → ReLU → MaxPool2D block against the same layers
+# driven one by one, the job schema's admission path (decode, defaults,
+# Validate, job.json round trip, deterministic BuildJob), and the
+# run-checkpoint loaders (never a panic, never an allocation beyond a
+# small multiple of the input, Save → Load → Save stable). Seeds live
+# under testdata/fuzz (or in the target); CI runs this in the lint lane.
+# Each target is its own recipe so one failing fuzzer no longer hides the
+# others: the umbrella runs all eight and fails at the end with the full
+# list of failed targets.
 FUZZTIME ?= 10s
 fuzz-smoke-sched:
 	$(GO) test ./internal/sched -run '^$$' -fuzz FuzzFedLBAP -fuzztime $(FUZZTIME)
@@ -68,6 +70,9 @@ fuzz-smoke-trace:
 fuzz-smoke-conv:
 	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzConvGeom -fuzztime $(FUZZTIME)
 
+fuzz-smoke-convblock:
+	$(GO) test ./internal/nn -run '^$$' -fuzz FuzzConvBlockBackward -fuzztime $(FUZZTIME)
+
 fuzz-smoke-job:
 	$(GO) test . -run '^$$' -fuzz FuzzJobConfig -fuzztime $(FUZZTIME)
 
@@ -76,7 +81,7 @@ fuzz-smoke-ckpt:
 
 fuzz-smoke:
 	@failed=""; \
-	for t in fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-job fuzz-smoke-ckpt; do \
+	for t in fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-convblock fuzz-smoke-job fuzz-smoke-ckpt; do \
 		$(MAKE) $$t FUZZTIME=$(FUZZTIME) || failed="$$failed $$t"; \
 	done; \
 	if [ -n "$$failed" ]; then \
@@ -198,8 +203,9 @@ profile-pop:
 
 # Where a train step's time goes — the train-step twin of profile-pop:
 # CPU-profile the serial FL run (LeNet-S clients, what the benchmark's
-# training workloads execute) and the bare LeNet-S train step, and print
-# the cumulative top of each. Profiles and test binaries stay under
+# training workloads execute) and the bare LeNet-S train step at batch 20
+# (train_heavy's shape) and batch 5 (round_churn's), and print the
+# cumulative top of each. Profiles and test binaries stay under
 # artifacts/ for `go tool pprof -list`.
 profile-train:
 	mkdir -p artifacts
@@ -209,6 +215,9 @@ profile-train:
 	$(GO) test -run '^$$' -bench 'BenchmarkLeNetSmallTrainBatch$$' -benchtime=2000x \
 		-cpuprofile artifacts/train_step.prof -o artifacts/train_step.test ./internal/nn/
 	$(GO) tool pprof -top -cum artifacts/train_step.test artifacts/train_step.prof | head -50
+	$(GO) test -run '^$$' -bench 'BenchmarkLeNetSmallTrainBatch5$$' -benchtime=8000x \
+		-cpuprofile artifacts/train_step5.prof -o artifacts/train_step.test ./internal/nn/
+	$(GO) tool pprof -top -cum artifacts/train_step.test artifacts/train_step5.prof | head -50
 
 # Where a short round's fixed cost goes — the per-round twin of the two
 # above: CPU-profile two concurrent round_churn jobs (400 rounds of one

@@ -140,9 +140,9 @@ func shapeEq(a, b []int) bool {
 	return true
 }
 
-// MaxPool2DOf is a non-overlapping 2-D max pooling layer over (N, C, H, W).
-// The argmax index its Backward scatters through is recorded by training
-// forwards only.
+// MaxPool2DOf is a 2-D max pooling layer over (N, C, H, W). The argmax
+// index its Backward scatters through is recorded by training forwards
+// only, and Backward refuses a gradient that does not match it.
 type MaxPool2DOf[T tensor.Float] struct {
 	Size, Stride int
 	argmax       []int
@@ -275,6 +275,9 @@ func maxPool2x2[T tensor.Float](yd []T, argmax []int, xd []T, planes, h, w, oh, 
 //
 // fedlint:hotpath
 func (p *MaxPool2DOf[T]) Backward(grad *tensor.TensorOf[T]) *tensor.TensorOf[T] {
+	if len(p.argmax) != grad.Len() {
+		panic("nn: MaxPool2D.Backward without a matching training Forward")
+	}
 	p.dx = tensor.EnsureShape(p.dx, p.inShape...)
 	p.dx.Zero() // scatter-add below touches only argmax positions
 	dd, gd := p.dx.Data(), grad.Data()

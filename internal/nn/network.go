@@ -110,24 +110,56 @@ func (n *NetworkOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.Tensor
 // dead gradient: the gradient with respect to the network input feeds no
 // parameter and no caller reads it, so the walk stops at the first layer
 // that has parameters, asks that layer for its parameter gradients only,
-// and never runs the parameter-free layers in front of it.
+// and never runs the parameter-free layers in front of it. And it builds
+// no gradient that is mostly structural zeros: a Conv2D → ReLU →
+// MaxPool2D block is differentiated in one step from the pooled gradient
+// (see backwardConvBlock).
 //
 // fedlint:hotpath
 func (n *NetworkOf[T]) Backward(grad *tensor.TensorOf[T]) {
 	if grad.Dim(0) != n.fwdBatch {
 		panic("nn: Backward without a matching training Forward")
 	}
-	for i := len(n.Layers) - 1; i > n.firstParam; i-- {
-		grad = n.Layers[i].Backward(grad)
+	for i := len(n.Layers) - 1; i >= n.firstParam; i-- {
+		if dx, ok := n.backwardConvBlock(i, grad); ok {
+			grad, i = dx, i-2
+			continue
+		}
+		l := n.Layers[i]
+		if pb, ok := l.(paramsBackward[T]); ok && i == n.firstParam {
+			pb.backwardParams(grad)
+		} else {
+			grad = l.Backward(grad)
+		}
 	}
-	if n.firstParam == len(n.Layers) {
-		return
+}
+
+// backwardConvBlock is Backward's mirror of Forward's reluFused peephole.
+// When layer i is a MaxPool2D whose stride is its window, behind a ReLU
+// that was fused into the Conv2D before it, the gradient that
+// convolution receives is the unpooling of grad under the ReLU mask —
+// three quarters or more of it structural zeros. It is handed over as
+// that description (tensor.PooledGrad: grad, the pool's argmax, and the
+// pool's output, which is positive exactly where the activation it was
+// read from is) and the pool's and the ReLU's Backward never run. The
+// result is the convolution's input gradient, nil when it is the
+// network's first parameterized layer. Any other pattern — an unfused
+// ReLU, an overlapping pool, stale layer state, a shape below the blocked
+// kernels' cutoff — reports false, and the layers run one by one: that
+// path is the definition, and this one equals it bit for bit.
+func (n *NetworkOf[T]) backwardConvBlock(i int, grad *tensor.TensorOf[T]) (*tensor.TensorOf[T], bool) {
+	if i-2 < n.firstParam {
+		return nil, false
 	}
-	if l, ok := n.Layers[n.firstParam].(paramsBackward[T]); ok {
-		l.backwardParams(grad)
-	} else {
-		n.Layers[n.firstParam].Backward(grad)
+	p, isPool := n.Layers[i].(*MaxPool2DOf[T])
+	r, isReLU := n.Layers[i-1].(*ReLUOf[T])
+	c, isConv := n.Layers[i-2].(*Conv2DOf[T])
+	if !isPool || !isReLU || !isConv || r.act == nil || r.act != c.y || p.Stride != p.Size ||
+		len(p.argmax) != grad.Len() || p.y == nil || p.y.Len() != grad.Len() {
+		return nil, false
 	}
+	pg := tensor.PooledGrad[T]{G: grad, Y: p.y, Argmax: p.argmax, Size: p.Size}
+	return c.backwardPooled(pg, i-2 > n.firstParam)
 }
 
 // TrainBatch runs a forward/backward pass on one mini-batch and returns the

@@ -126,6 +126,32 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 	}
 }
 
+// TestMaxPoolBackwardNeedsMatchingForward pins the pool's half of the
+// stale-state rule (see TestReLUBackwardNeedsMatchingForward): Backward
+// scatters through the argmax of the last training forward, so a gradient
+// of any other length — none recorded yet, a shorter one, a longer one
+// whose tail would be dropped in silence — is refused.
+func TestMaxPoolBackwardNeedsMatchingForward(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if msg, _ := recover().(string); msg != "nn: MaxPool2D.Backward without a matching training Forward" {
+				t.Fatalf("%s: recovered %q", name, msg)
+			}
+		}()
+		f()
+	}
+	rng := rand.New(rand.NewSource(63))
+	p := NewMaxPool2D(2, 2)
+	mustPanic("no forward", func() { p.Backward(tensor.Randn(rng, 1, 2, 3, 2, 2)) })
+	p.Forward(tensor.Randn(rng, 1, 2, 3, 4, 4), false)
+	mustPanic("inference forward only", func() { p.Backward(tensor.Randn(rng, 1, 2, 3, 2, 2)) })
+	p.Forward(tensor.Randn(rng, 1, 2, 3, 4, 4), true)
+	p.Backward(tensor.Randn(rng, 1, 2, 3, 2, 2))
+	mustPanic("shorter gradient", func() { p.Backward(tensor.Randn(rng, 1, 1, 3, 2, 2)) })
+	mustPanic("longer gradient", func() { p.Backward(tensor.Randn(rng, 1, 3, 3, 2, 2)) })
+}
+
 func TestDropoutTrainVsEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	d := NewDropout(rng, 0.5)
@@ -182,6 +208,51 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	if math.Abs(p.W.Data()[0]+3.9) > 1e-12 {
 		t.Fatalf("after reset expected plain step: %v", p.W.Data()[0])
 	}
+}
+
+// testSGDStepMatchesSweeps holds the one-pass momentum step to the four
+// tensor sweeps it replaced — v.Scale(m), v.AddScaled(1, g),
+// W.AddScaled(−lr, v), g.Zero() — bit for bit over several steps, with
+// weight decay on and off and with gradients that hold −0, ±Inf and NaN.
+func testSGDStepMatchesSweeps[T tensor.Float](t *testing.T) {
+	for _, decay := range []float64{0, 1e-3} {
+		rng := rand.New(rand.NewSource(64))
+		p, q := newParamOf[T]("p", 7, 9), newParamOf[T]("q", 7, 9)
+		copy(p.W.Data(), tensor.RandnOf[T](rng, 1, 63).Data())
+		copy(q.W.Data(), p.W.Data())
+		opt := NewSGDOf[T](0.05, 0.9, decay)
+		v := tensor.NewOf[T](7, 9)
+		for step := 0; step < 4; step++ {
+			g := tensor.RandnOf[T](rng, 1, 63)
+			if step == 2 {
+				saltGrad(rng, g.Data())
+			}
+			copy(p.Grad.Data(), g.Data())
+			copy(q.Grad.Data(), g.Data())
+			opt.Step([]*ParamOf[T]{p})
+			if decay > 0 {
+				q.Grad.AddScaled(decay, q.W)
+			}
+			v.Scale(0.9)
+			v.AddScaled(1, q.Grad)
+			q.W.AddScaled(-0.05, v)
+			q.Grad.Zero()
+			if at, ok := sameGrad(p.W.Data(), q.W.Data()); !ok {
+				t.Fatalf("decay %v, step %d: weight %d is %v, the four sweeps give %v", decay, step, at, p.W.Data()[at], q.W.Data()[at])
+			}
+			if at, ok := sameGrad(opt.velocity[p].Data(), v.Data()); !ok {
+				t.Fatalf("decay %v, step %d: velocity differs at %d", decay, step, at)
+			}
+			if p.Grad.MaxAbs() != 0 {
+				t.Fatalf("decay %v, step %d: gradient not cleared", decay, step)
+			}
+		}
+	}
+}
+
+func TestSGDStepMatchesSweeps(t *testing.T) {
+	t.Run("f64", testSGDStepMatchesSweeps[float64])
+	t.Run("f32", testSGDStepMatchesSweeps[float32])
 }
 
 func TestSGDWeightDecay(t *testing.T) {
@@ -528,30 +599,45 @@ func TestTrainBatchSteadyStateAllocs(t *testing.T) {
 
 // benchLeNetSmallTrainBatch times the full local-training step (forward,
 // loss, backward, SGD) on the network every benchmark job trains —
-// LeNet-S on 16×16 inputs at batch 20 — single-lane, so ns/op tracks the
-// kernels rather than the lane scheduler.
-func benchLeNetSmallTrainBatch[T tensor.Float](b *testing.B) {
+// LeNet-S on 16×16 inputs, at batch 20 (train_heavy's shape) or 5
+// (round_churn's) — single-lane, so ns/op tracks the kernels rather than
+// the lane scheduler. It trains one fixed batch, so left alone the loss
+// and the velocity underflow after a few thousand steps and the
+// optimizer runs on denormals: ns/op would depend on -benchtime. Every
+// restoreEvery steps, off the clock, the weights and the velocity go
+// back to where they started, which makes the timed program stationary.
+func benchLeNetSmallTrainBatch[T tensor.Float](b *testing.B, batch int) {
 	old := tensor.MaxLanes()
 	tensor.SetMaxLanes(0)
 	defer tensor.SetMaxLanes(old)
 	rng := rand.New(rand.NewSource(1))
 	net := BuildNetwork[T](LeNetSmall(1, 16, 16, 10), rng)
-	x := tensor.RandnOf[T](rng, 1, 20, 1, 16, 16)
-	labels := make([]int, 20)
+	x := tensor.RandnOf[T](rng, 1, batch, 1, 16, 16)
+	labels := make([]int, batch)
 	for i := range labels {
 		labels[i] = i % 10
 	}
 	opt := NewSGDOf[T](0.01, 0.9, 0)
 	params := net.Params()
+	start := net.GetWeights()
+	const restoreEvery = 200
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i%restoreEvery == 0 && i > 0 {
+			b.StopTimer()
+			net.SetWeights(start)
+			opt.Reset()
+			b.StartTimer()
+		}
 		net.TrainBatch(x, labels)
 		opt.Step(params)
 	}
 }
 
-func BenchmarkLeNetSmallTrainBatch(b *testing.B)    { benchLeNetSmallTrainBatch[float64](b) }
-func BenchmarkLeNetSmallTrainBatchF32(b *testing.B) { benchLeNetSmallTrainBatch[float32](b) }
+func BenchmarkLeNetSmallTrainBatch(b *testing.B)     { benchLeNetSmallTrainBatch[float64](b, 20) }
+func BenchmarkLeNetSmallTrainBatchF32(b *testing.B)  { benchLeNetSmallTrainBatch[float32](b, 20) }
+func BenchmarkLeNetSmallTrainBatch5(b *testing.B)    { benchLeNetSmallTrainBatch[float64](b, 5) }
+func BenchmarkLeNetSmallTrainBatch5F32(b *testing.B) { benchLeNetSmallTrainBatch[float32](b, 5) }
 
 // sameBits reports the first index at which two equally long slices
 // differ in bits (widened to float64, which is exact for float32).

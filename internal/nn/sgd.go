@@ -41,13 +41,21 @@ func (s *SGDOf[T]) Step(params []*ParamOf[T]) {
 				v = tensor.NewOf[T](p.W.Shape()...)
 				s.velocity[p] = v
 			}
-			v.Scale(s.Momentum)
-			v.AddScaled(1, g)
-			p.W.AddScaled(-s.LR, v)
+			// v = m·v + g, W −= lr·v, g = 0 in one sweep: the roundings, in
+			// the order, of v.Scale(m), v.AddScaled(1, g), W.AddScaled(−lr, v)
+			// and g.Zero().
+			m, nlr := T(s.Momentum), T(-s.LR)
+			vd, wd, gd := v.Data(), p.W.Data(), g.Data()
+			for i, x := range vd {
+				x = T(x*m) + gd[i]
+				vd[i] = x
+				wd[i] += T(nlr * x)
+				gd[i] = 0
+			}
 		} else {
 			p.W.AddScaled(-s.LR, g)
+			g.Zero()
 		}
-		g.Zero()
 	}
 }
 

@@ -414,6 +414,107 @@ func TestConvPackersMatchIm2col(t *testing.T) {
 	t.Run("f32", testConvPackersMatchIm2col[float32])
 }
 
+// testPackPooledMatchesPosChan pins the packers of a gradient that exists
+// only as its pooled form (PooledGrad) against the packers of the dense
+// tensor it stands for: pool random activations (first maximum wins),
+// unpool a salted gradient through the argmax, mask it where the
+// activation is not positive, and every A and B block — ragged lanes,
+// blocks that start or end inside a plane, inside a pooled row's band,
+// across images — must hold the same bits either way; so must the
+// column sums read off a packed B block against a pass down the dense
+// columns.
+func testPackPooledMatchesPosChan[T Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for _, tc := range []struct{ n, ch, oh, ow, size int }{
+		{20, 6, 16, 16, 2}, {20, 12, 4, 4, 2}, {5, 5, 14, 14, 2}, {3, 7, 18, 18, 2},
+		{3, 4, 15, 13, 2}, {4, 6, 12, 12, 3}, {2, 3, 9, 9, 1}, {7, 9, 7, 5, 2},
+	} {
+		sp, ph, pw := tc.oh*tc.ow, tc.oh/tc.size, tc.ow/tc.size
+		act := randTensorOf[T](rng, tc.n, tc.ch, tc.oh, tc.ow)
+		g := From(salted[T](rng, tc.n*tc.ch*ph*pw), tc.n, tc.ch, ph, pw)
+		y := NewOf[T](tc.n, tc.ch, ph, pw)
+		argmax := make([]int, y.Len())
+		dense := NewOf[T](tc.n, tc.ch, tc.oh, tc.ow)
+		for q := range argmax {
+			pl, oy, ox := q/(ph*pw), q/pw%ph, q%pw
+			best := pl*sp + oy*tc.size*tc.ow + ox*tc.size
+			for ky := 0; ky < tc.size; ky++ {
+				for kx := 0; kx < tc.size; kx++ {
+					if at := pl*sp + (oy*tc.size+ky)*tc.ow + ox*tc.size + kx; act.data[at] > act.data[best] {
+						best = at
+					}
+				}
+			}
+			argmax[q], y.data[q] = best, act.data[best]
+			if act.data[best] > 0 {
+				dense.data[best] += g.data[q]
+			}
+		}
+		gv := matView[T]{d: dense.data, sp: sp, ch: tc.ch}
+		ps := packSrc[T]{d: g.data, kind: srcPooled, view: matView[T]{sp: sp, ch: tc.ch},
+			y: y.data, argmax: argmax, psp: ph * pw, pw: pw, band: tc.size * tc.ow}
+		rows := tc.n * sp
+		want := make([]T, gemmMC*gemmKC+gemmKC*gemmNC)
+		got := make([]T, len(want))
+		check := func(what string, i0, p0, a, b, w int) {
+			t.Helper()
+			for i := range want {
+				if bits64(want[i]) != bits64(got[i]) {
+					t.Fatalf("%+v: %s block (%d,%d) %dx%d, %d lanes: panel differs at %d: %v vs %v",
+						tc, what, i0, p0, a, b, w, i, got[i], want[i])
+				}
+			}
+		}
+		for _, w := range []int{4, 8} {
+			for _, i0 := range []int{0, 3, sp - 1, sp + tc.ow + 1, max(0, rows-gemmMC), rows - 5} {
+				for _, p0 := range []int{0, 1} {
+					mc, kc := min(gemmMC, rows-i0), tc.ch-p0
+					for i := range want {
+						want[i], got[i] = 7, 7
+					}
+					packAPosChan(want, &gv, i0, p0, mc, kc, w)
+					src := ps.fromRow(i0)
+					src.packIntoA(got, 0, p0, mc, kc, w)
+					check("A", i0, p0, mc, kc, w)
+				}
+			}
+			for _, p0 := range []int{0, gemmKC, 5, sp + 3, max(0, rows-gemmKC+1)} {
+				for _, j0 := range []int{0, 2} {
+					if p0 >= rows || j0 >= tc.ch {
+						continue
+					}
+					kc, nc := min(gemmKC, rows-p0), tc.ch-j0
+					for i := range want {
+						want[i], got[i] = 7, 7
+					}
+					packBPosChan(want, &gv, p0, j0, kc, nc, w)
+					ps.packIntoB(got, p0, j0, kc, nc, w)
+					check("B", p0, j0, kc, nc, w)
+
+					sums, ref := salted[T](rng, nc), make([]T, nc)
+					copy(ref, sums)
+					for j := range ref {
+						for l := 0; l < kc; l++ {
+							ref[j] += dense.data[gv.off(p0+l, j0+j)]
+						}
+					}
+					addColumnSums(sums, got, kc, nc, w)
+					for j := range ref {
+						if !sameValue(sums[j], ref[j]) {
+							t.Fatalf("%+v: column %d of B block (%d,%d): sum %v, want %v", tc, j, p0, j0, sums[j], ref[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestPackPooledMatchesPosChan(t *testing.T) {
+	t.Run("f64", testPackPooledMatchesPosChan[float64])
+	t.Run("f32", testPackPooledMatchesPosChan[float32])
+}
+
 // testConvFusedLayoutsMatchOracle pins the (N,C,H,W) entry points — the
 // ones nn calls — against the im2col oracle over the same grid: output
 // written straight into the activation layout with bias and ReLU

@@ -277,12 +277,17 @@ func naiveConvForward[T Float](c *matView[T], xd, wd []T, g *convGeom, nOut int)
 // fedlint:hotpath
 func ConvGradWeightsInto[T Float](dw, gm, x *TensorOf[T], kh, kw, stride, pad int) {
 	g := makeConvGeom(x.shape, kh, kw, stride, pad)
-	pos, kdim := g.rows(), g.cols()
-	nOut := dw.Dim(0)
-	if dw.Dim(1) != kdim {
+	if dw.Dim(1) != g.cols() {
 		panic("tensor: ConvGradWeightsInto output shape mismatch")
 	}
-	gv := convView(gm, &g, nOut, "ConvGradWeightsInto gradient")
+	gv := convView(gm, &g, dw.Dim(0), "ConvGradWeightsInto gradient")
+	convGradWeights(dw, gv.operand(), x, &g)
+}
+
+// convGradWeights is ConvGradWeightsInto for the gradient operand gs.
+func convGradWeights[T Float](dw *TensorOf[T], gs packSrc[T], x *TensorOf[T], g *convGeom) {
+	pos, kdim := g.rows(), g.cols()
+	nOut := dw.Dim(0)
 	if nOut == 0 || kdim == 0 {
 		return
 	}
@@ -291,7 +296,7 @@ func ConvGradWeightsInto[T Float](dw, gm, x *TensorOf[T], kh, kw, stride, pad in
 		return
 	}
 	if nOut*kdim*pos <= gemmSmallCutoff {
-		naiveConvDW(dw.data, &gv, x.data, &g, nOut)
+		naiveConvDW(dw.data, &gs.view, x.data, g, nOut)
 		return
 	}
 	// dWᵀ = im2colᵀ·g, so that the patch matrix is again the A operand:
@@ -299,10 +304,10 @@ func ConvGradWeightsInto[T Float](dw, gm, x *TensorOf[T], kh, kw, stride, pad in
 	// element (tap i, filter j) at dw[j·kdim+i].
 	pool := convScratchPool[T]()
 	s := pool.Get().(*convScratch[T])
-	xp, posOff, tapOff := s.im2col(x.data, &g)
+	xp, posOff, tapOff := s.im2col(x.data, g)
 	gemmBlockedOps(matView[T]{d: dw.data, sp: kdim, ch: nOut},
 		packSrc[T]{d: xp, kind: srcIndirect, rowOff: tapOff, depthOff: posOff},
-		gv.operand(0),
+		gs,
 		kdim, nOut, pos, epi[T]{})
 	pool.Put(s)
 }
@@ -375,12 +380,17 @@ const convChunkElems = 1 << 14
 // fedlint:hotpath
 func ConvGradInputInto[T Float](dx, gm, w *TensorOf[T], kh, kw, stride, pad int) {
 	g := makeConvGeom(dx.shape, kh, kw, stride, pad)
-	pos, kdim := g.rows(), g.cols()
-	nOut := w.Dim(0)
-	if w.Dim(1) != kdim {
+	if w.Dim(1) != g.cols() {
 		panic("tensor: ConvGradInputInto weight shape mismatch")
 	}
-	gv := convView(gm, &g, nOut, "ConvGradInputInto gradient")
+	gv := convView(gm, &g, w.Dim(0), "ConvGradInputInto gradient")
+	convGradInput(dx, gv.operand(), w, &g)
+}
+
+// convGradInput is ConvGradInputInto for the gradient operand gs.
+func convGradInput[T Float](dx *TensorOf[T], gs packSrc[T], w *TensorOf[T], g *convGeom) {
+	pos, kdim := g.rows(), g.cols()
+	nOut := w.Dim(0)
 	dx.Zero()
 	if pos == 0 || kdim == 0 || nOut == 0 {
 		return
@@ -394,14 +404,14 @@ func ConvGradInputInto[T Float](dx, gm, w *TensorOf[T], kh, kw, stride, pad int)
 		rows := min(chunk, pos-r0)
 		cbuf := buf[:rows*kdim]
 		if rows*kdim*nOut <= gemmSmallCutoff {
-			naiveGradRows(cbuf, &gv, wd, r0, rows, kdim, nOut)
+			naiveGradRows(cbuf, &gs.view, wd, r0, rows, kdim, nOut)
 		} else {
 			gemmBlockedOps(matView[T]{d: cbuf, ld: kdim},
-				gv.operand(r0),
+				gs.fromRow(r0),
 				packSrc[T]{d: wd, rs: kdim, cs: 1},
 				rows, kdim, nOut, epi[T]{})
 		}
-		convScatterChunk(dxd, cbuf, &g, r0, rows)
+		convScatterChunk(dxd, cbuf, g, r0, rows)
 	}
 	pool.Put(s)
 }
@@ -467,4 +477,63 @@ func convScatterChunk[T Float](dxd, buf []T, g *convGeom, r0, rows int) {
 			}
 		}
 	}
+}
+
+// PooledGrad describes, without building it, the gradient a convolution
+// receives through a ReLU fused into its kernel and a max-pool whose
+// stride is its window: the (N, OutC, OH, OW) tensor that is zero except
+// where a pooled element was read from, and there holds that element's
+// gradient if the activation was positive. G is the gradient of the
+// pool's output Y — both (N, OutC, PH, PW) — and Argmax[q] the flat
+// index in (N, OutC, OH, OW) that Y[q] was read from, so Y[q] > 0 is the
+// ReLU mask at Argmax[q], read contiguously.
+type PooledGrad[T Float] struct {
+	G, Y   *TensorOf[T]
+	Argmax []int
+	Size   int
+}
+
+// ConvBackwardPooled computes, for the gradient pg describes, what the
+// layer-by-layer path computes from its dense form: db += its sum over
+// images and positions, dw as ConvGradWeightsInto and — when dx is not
+// nil — dx as ConvGradInputInto; x is the convolution's input and w its
+// weights. The dense gradient is never written: the GEMMs pack their
+// panels straight from pg (packPooled) — the same panels, zeros included,
+// so no product is skipped — and the bias sum is read off the weight
+// gradient's panels as they are packed (addColumnSums), every position
+// ascending, as the pass over the dense tensor adds them. It reports
+// false, having written nothing, when one of those GEMMs would run as a
+// naive small-shape kernel, which reads its gradient element by element:
+// the caller then builds the dense form.
+//
+// fedlint:hotpath
+func ConvBackwardPooled[T Float](dw, db, dx *TensorOf[T], pg PooledGrad[T], x, w *TensorOf[T], kh, kw, stride, pad int) bool {
+	g := makeConvGeom(x.shape, kh, kw, stride, pad)
+	pos, kdim, nOut := g.rows(), g.cols(), w.Dim(0)
+	gd := pg.G
+	if w.Dim(1) != kdim || dw.Dim(0) != nOut || dw.Dim(1) != kdim || db.Len() != nOut || dx != nil && dx.Len() != x.Len() ||
+		gd.Rank() != 4 || gd.Dim(0) != g.n || gd.Dim(1) != nOut || pg.Size < 1 || gd.Dim(2)*pg.Size > g.oh || gd.Dim(3)*pg.Size > g.ow ||
+		pg.Y.Len() != gd.Len() || len(pg.Argmax) != gd.Len() {
+		panic("tensor: ConvBackwardPooled shape mismatch")
+	}
+	ph, pw := gd.Dim(2), gd.Dim(3)
+	if gd.Len() == 0 || nOut*kdim*pos <= gemmSmallCutoff {
+		return false
+	}
+	if dx != nil {
+		// The last row chunk of the input gradient is its smallest GEMM.
+		chunk := max(1, convChunkElems/kdim)
+		if (pos-(pos-1)/chunk*chunk)*kdim*nOut <= gemmSmallCutoff {
+			return false
+		}
+	}
+	gs := packSrc[T]{d: gd.data, kind: srcPooled, view: matView[T]{sp: g.oh * g.ow, ch: nOut},
+		y: pg.Y.data, argmax: pg.Argmax, psp: ph * pw, pw: pw, band: pg.Size * g.ow}
+	gw := gs
+	gw.colSum = db.data
+	convGradWeights(dw, gw, x, &g)
+	if dx != nil {
+		convGradInput(dx, gs, w, &g)
+	}
+	return true
 }

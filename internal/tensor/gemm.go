@@ -42,10 +42,11 @@ import (
 //     payloads excepted: see mergeTile).
 //
 // Operands are described by packSrc: a real strided matrix, the
-// position-by-channel view of an (N,C,H,W) gradient, or — A only — a
-// matrix whose elements sit at separable offsets into a buffer, which is
-// what the im2col matrix of a convolution input is (convgemm.go) and
-// what the indirect micro-kernel reads without packing. The output is a
+// position-by-channel view of an (N,C,H,W) gradient — dense, or held
+// only as the max-pooled tensor it is the unpooling of (PooledGrad) —
+// or, A only, a matrix whose elements sit at separable offsets into a
+// buffer, which is what the im2col matrix of a convolution input is
+// (convgemm.go) and what the indirect micro-kernel reads without packing. The output is a
 // matView: row-major, or that same position-by-channel view of an
 // (N,C,H,W) activation tensor. The blocked core is identical for every
 // combination, so convolution inherits every determinism property below
@@ -146,13 +147,16 @@ type srcKind uint8
 const (
 	srcIndirect srcKind = iota + 1 // A only, read in place: element (i,l) at d[rowOff[i]+depthOff[l]]
 	srcPosChan                     // element (i,l) at view.off(row0+i,l)
+	srcPooled                      // the unpooling of d through argmax, masked by y: see PooledGrad
 )
 
 // packSrc describes one GEMM operand: a real strided matrix, a
 // separable-offset matrix (the im2col matrix of a convolution input,
 // convgemm.go) that the micro-kernel reads in place instead of from a
-// packed panel, or a position-by-channel matView from logical row row0
-// on. Held by value end-to-end so the serial path allocates nothing.
+// packed panel, a position-by-channel matView from logical row row0 on,
+// or such a view of a gradient that exists only as its max-pooled form
+// (PooledGrad, convgemm.go). Held by value end-to-end so the serial path
+// allocates nothing.
 type packSrc[T Float] struct {
 	d      []T
 	kind   srcKind
@@ -161,35 +165,63 @@ type packSrc[T Float] struct {
 	// with copies of the last (the tile's surplus rows compute a valid
 	// row again and are dropped by mergeTile); depthOff one per k.
 	rowOff, depthOff []int
-	view             matView[T]
-	row0             int
+	// view is the matrix itself for a dense gradient (the naive kernels
+	// read it), its geometry alone — sp and ch — for a pooled one.
+	view matView[T]
+	row0 int
+	// srcPooled: d is the pooled gradient, y the pool's output and argmax
+	// its index into the view's tensor, all in planes of psp elements in
+	// rows of pw; a pooled row's windows span band consecutive positions.
+	y             []T
+	argmax        []int
+	psp, pw, band int
+	// colSum, B only and nil for none: colSum[j] += Σ B[l][j], l ascending
+	// — a running sum per column, read off the packed panels as the first
+	// row of cells walks them (addColumnSums).
+	colSum []T
 }
 
-// operand describes rows [row0, …) of the view as a GEMM operand. A
-// row-major view is an ordinary strided matrix.
-func (v matView[T]) operand(row0 int) packSrc[T] {
+// operand describes the view as a GEMM operand. A row-major view is an
+// ordinary strided matrix.
+func (v matView[T]) operand() packSrc[T] {
 	if v.sp == 0 {
-		return packSrc[T]{d: v.d[row0*v.ld:], rs: v.ld, cs: 1}
+		return packSrc[T]{d: v.d, rs: v.ld, cs: 1, view: v}
 	}
-	return packSrc[T]{kind: srcPosChan, view: v, row0: row0}
+	return packSrc[T]{kind: srcPosChan, view: v}
+}
+
+// fromRow returns the operand from its logical row r0 on.
+func (p packSrc[T]) fromRow(r0 int) packSrc[T] {
+	if p.kind == 0 {
+		p.d = p.d[r0*p.rs:]
+	} else {
+		p.row0 += r0
+	}
+	return p
 }
 
 // packIntoA packs the mc×kc block at (i0, p0) of the operand viewed as A.
 func (p *packSrc[T]) packIntoA(ap []T, i0, p0, mc, kc, mr int) {
-	if p.kind == srcPosChan {
+	switch p.kind {
+	case srcPosChan:
 		packAPosChan(ap, &p.view, p.row0+i0, p0, mc, kc, mr)
-		return
+	case srcPooled:
+		p.packPooled(ap, p.row0+i0, mc, p0, kc, kc, mr, true)
+	default:
+		packA(ap, p.d, p.rs, p.cs, i0, p0, mc, kc, mr)
 	}
-	packA(ap, p.d, p.rs, p.cs, i0, p0, mc, kc, mr)
 }
 
 // packIntoB packs the kc×nc block at (p0, j0) of the operand viewed as B.
 func (p *packSrc[T]) packIntoB(bp []T, p0, j0, kc, nc, nr int) {
-	if p.kind == srcPosChan {
+	switch p.kind {
+	case srcPosChan:
 		packBPosChan(bp, &p.view, p.row0+p0, j0, kc, nc, nr)
-		return
+	case srcPooled:
+		p.packPooled(bp, p.row0+p0, kc, j0, nc, kc, nr, false)
+	default:
+		packB(bp, p.d, p.rs, p.cs, p0, j0, kc, nc, nr)
 	}
-	packB(bp, p.d, p.rs, p.cs, p0, j0, kc, nc, nr)
 }
 
 // gemmScratch is one goroutine's packing workspace. Pooled per element
@@ -362,8 +394,9 @@ type tileDst[T Float] struct {
 // tiles into C (store on the first panel, accumulate on the rest,
 // epilogue with the last) — a first-panel tile by the kernel itself
 // where it stores through and the tile allows, every other from the
-// accumulator by mergeTile. Top-level (not a closure) so the serial path
-// stays allocation-free.
+// accumulator by mergeTile. A B operand that carries colSum has its
+// panels' column sums added there as the cells of the first row go by.
+// Top-level (not a closure) so the serial path stays allocation-free.
 //
 // fedlint:hotpath
 func gemmCell[T Float](c matView[T], a, b packSrc[T], m, n, k int, e epi[T], rc, cell int, s *gemmScratch[T]) {
@@ -395,6 +428,9 @@ func gemmCell[T Float](c matView[T], a, b packSrc[T], m, n, k int, e epi[T], rc,
 			if gemmCount != nil {
 				gemmCount.packB.Add(1)
 			}
+		}
+		if i0 == 0 && b.colSum != nil {
+			addColumnSums(b.colSum[j0:], s.bp, kc, nc, nr)
 		}
 		first := p0 == 0
 		var fin *epi[T]

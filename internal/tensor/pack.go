@@ -172,3 +172,73 @@ func packBPosChan[T Float](bp []T, v *matView[T], p0, j0, kc, nc, nr int) {
 		zeroLanes(panel, nr, cols)
 	}
 }
+
+// packPooled packs rows [r0, r0+rows) × channels [c0, c0+chans) of a
+// pooled gradient's position-by-channel view into micro-panels w lanes
+// wide and kc deep — positions along the lanes for an A operand
+// (posLanes), along the depth for B — without the view ever existing.
+// The panels are cleared once, which is also their ragged-lane zero
+// fill; then each pooled element whose argmax falls in the block is
+// added at that position, behind the ReLU mask its own pool output
+// carries (y[q] is the activation at argmax[q]). An element is thus
+// 0 + Σ g in window order where the activation was positive and +0
+// elsewhere: bit for bit what the pool's backward scatter and the ReLU
+// mask pass write, and what packAPosChan / packBPosChan would copy.
+//
+// fedlint:hotpath
+func (p *packSrc[T]) packPooled(dst []T, r0, rows, c0, chans, kc, w int, posLanes bool) {
+	// Lane x, depth l of a panel set sits at (x/w)·w·kc + l·w + x%w; w is
+	// a power of two. slot[i] is the share of block row i in that: a lane
+	// for A, the depth (pm keeps i whole) for B.
+	lanes, pm, ps := chans, -1, w
+	if posLanes {
+		lanes, pm, ps = rows, w-1, 1
+	}
+	var slot [max(gemmMC, gemmKC)]int
+	for i := range slot[:rows] {
+		slot[i] = (i&^pm)*kc + (i&pm)*ps
+	}
+	clear(dst[:(lanes+w-1)/w*w*kc])
+	sp, ch, psp, pw := p.view.sp, p.view.ch, p.psp, p.pw
+	for img := r0 / sp; img*sp < r0+rows; img++ {
+		// Only the pooled rows whose bands meet the block can land in it.
+		lo, hi := max(r0-img*sp, 0), min(r0+rows-img*sp, sp)
+		qa, qb := min(lo/p.band, psp/pw)*pw, min((hi-1)/p.band+1, psp/pw)*pw
+		for c := 0; c < chans; c++ {
+			off := (c&^(w-1))*kc + c&(w-1)
+			if posLanes {
+				off = c * w
+			}
+			pl := img*ch + c0 + c
+			base := (pl-img)*sp + r0 // argmax − base is the row within the block
+			col, g, y := dst[off:], p.d[pl*psp+qa:pl*psp+qb], p.y[pl*psp+qa:pl*psp+qb]
+			for t, at := range p.argmax[pl*psp+qa : pl*psp+qb] {
+				if i := at - base; uint(i) < uint(rows) {
+					col[slot[i]] += Select(y[t] > 0, g[t], 0)
+				}
+			}
+		}
+	}
+}
+
+// addColumnSums adds to s[j] the sum of column j of the packed kc×nc B
+// block bp, depth ascending: the sum a pass down that column of the
+// operand itself would keep, zeros included, but four columns at a
+// time, so one running sum's adds overlap the others'. Lanes past nc are
+// the panel's zero fill, and their sums are dropped.
+//
+// fedlint:hotpath
+func addColumnSums[T Float](s, bp []T, kc, nc, nr int) {
+	for j := 0; j < nc; j += 4 {
+		var t [4]T
+		n := copy(t[:], s[j:nc])
+		s0, s1, s2, s3 := t[0], t[1], t[2], t[3]
+		i := (j/nr)*nr*kc + j%nr
+		for end := i + nr*kc; i < end; i += nr {
+			v := bp[i : i+4 : i+4]
+			s0, s1, s2, s3 = s0+v[0], s1+v[1], s2+v[2], s3+v[3]
+		}
+		t = [4]T{s0, s1, s2, s3}
+		copy(s[j:nc], t[:n])
+	}
+}
