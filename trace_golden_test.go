@@ -195,9 +195,44 @@ func faultsGoldenTrace(t *testing.T) []trace.Event {
 	return rec.Events()
 }
 
+// asyncGoldenTrace: a four-client staleness-weighted asynchronous run
+// under a fixed-seed fault plan that reaches every branch of a client
+// cycle — aborted (crash, battery, link flap), rejected (corrupt) and
+// merged — pinning the event loop's sim_step timeline, its fault and merge
+// events and their staleness. Recorded with Workers: -1 (sequential); the
+// engine contract makes any other worker count produce identical bytes.
+func asyncGoldenTrace(t *testing.T) []trace.Event {
+	t.Helper()
+	rec := NewTraceRecorder(0)
+	train := SMNIST(240, 3)
+	part := PartitionIID(train, 4, 5)
+	devs, links := testbedDevices(NewTestbed(2))
+	devs, links = devs[2:], links[2:] // Nexus6P ×2, Mate10, Pixel2
+	clients, err := fl.BuildClients(devs, links, part.Materialize(train))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := ParseFaultSpec("crash=0.15,battery=0.1,flap=0.15,corrupt=0.15,degrade=0.3,slow=3", 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fl.AsyncConfig{
+		Config: fl.Config{
+			Arch: LeNetSmall(1, 16, 16, 10), BatchSize: 20,
+			LR: 0.02, Momentum: 0.9, Seed: 1, Workers: -1,
+			Faults: plan, Trace: rec,
+		},
+		MaxUpdates: 16, MixRate: 0.4, StalenessPower: 0.5,
+	}
+	if _, err := fl.RunAsync(cfg, clients, nil); err != nil {
+		t.Fatal(err)
+	}
+	return rec.Events()
+}
+
 // TestGoldenTrace pins the full observability pipeline: fixed-seed runs
-// of the Fed-LBAP, Fed-MinAvg, Equal-baseline, 1M-client population and
-// fault-injection scenarios must keep producing the traces recorded
+// of the Fed-LBAP, Fed-MinAvg, Equal-baseline, 1M-client population,
+// fault-injection and asynchronous scenarios must keep producing the traces recorded
 // under testdata/trace. Comparison is field-by-field under DefaultTolerances
 // (not byte equality), so the goldens survive libm-level float drift
 // across toolchains while still catching any schema, ordering, count or
@@ -212,6 +247,7 @@ func TestGoldenTrace(t *testing.T) {
 		{"baseline", baselineGoldenTrace},
 		{"population", populationGoldenTrace},
 		{"faults", faultsGoldenTrace},
+		{"async", asyncGoldenTrace},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
