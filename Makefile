@@ -105,13 +105,13 @@ check-nolint: build vet test race-tensor
 
 # The engines, kernels and daemon, plus the cheap packages the round core
 # calls into from its worker pool (samplers, fault draws, schedulers, trace
-# rings, device and event-loop simulators, and the device profiles the
-# daemon's jobs share — a few seconds all together).
+# rings, device simulators, and the device profiles the daemon's jobs
+# share — a few seconds all together). The async engine's event loop is
+# part of internal/fl.
 race:
 	$(GO) test -race ./internal/fl/... ./internal/tensor/... ./internal/serve/... \
 		./internal/sample/... ./internal/fault/... ./internal/sched/... \
-		./internal/trace/... ./internal/device/... ./internal/sim/... \
-		./internal/profile/...
+		./internal/trace/... ./internal/device/... ./internal/profile/...
 
 # Fast race pass over just the GEMM core and lane semaphore — cheap
 # enough (~35s on 2 cores: the suites run once per kernel dispatch state,

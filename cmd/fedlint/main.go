@@ -12,12 +12,12 @@
 //	fedlint -write-baseline       # accept all current findings
 //
 // The nondet pass runs only over the determinism-critical packages
-// (internal/fl, internal/sched, internal/sim, internal/tensor,
-// internal/nn); every other pass runs everywhere. The interprocedural
-// passes (detflow, goroutinebound, floatorder, tracecomplete, hotalloc)
-// see one call graph spanning all loaded packages, including external
-// test packages, so a hot-path or determinism violation hiding behind a
-// cross-package call is still found.
+// (internal/fl — the engines, the async event loop included —
+// internal/sched, internal/tensor, internal/nn); every other pass runs
+// everywhere. The interprocedural passes (detflow, goroutinebound,
+// floatorder, tracecomplete, hotalloc) see one call graph spanning all
+// loaded packages, including external test packages, so a hot-path or
+// determinism violation hiding behind a cross-package call is still found.
 //
 // Findings are gated by the accepted-findings ledger at
 // .fedlint-baseline.json (module root, override with -baseline): fedlint

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"fedsched/internal/adaptive"
 	"fedsched/internal/data"
 	"fedsched/internal/device"
 	"fedsched/internal/fl"
@@ -472,13 +471,13 @@ func ExtAdaptive(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := func(threshold float64) (*adaptive.Result, error) {
+	run := func(threshold float64) (*adaptiveResult, error) {
 		devs := tb.devices()
 		links := tb.links()
-		cfg := adaptive.Config{
+		cfg := adaptiveConfig{
 			Arch: arch, TotalSamples: 12000, Rounds: 2, DriftThreshold: threshold,
 		}
-		res1, err := adaptive.Run(cfg, devs, links, tb.DevProfs)
+		res1, err := runAdaptive(cfg, devs, links, tb.DevProfs)
 		if err != nil {
 			return nil, err
 		}
@@ -489,7 +488,7 @@ func ExtAdaptive(o Options) (*Report, error) {
 		devs[2].SoftTripC = devs[2].AmbientC + 2
 		devs[2].ThrottleFactor = 0.25
 		cfg.Rounds = 6
-		res2, err := adaptive.Run(cfg, devs, links, tb.DevProfs)
+		res2, err := runAdaptive(cfg, devs, links, tb.DevProfs)
 		if err != nil {
 			return nil, err
 		}

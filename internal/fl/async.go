@@ -7,7 +7,6 @@ import (
 
 	"fedsched/internal/data"
 	"fedsched/internal/fault"
-	"fedsched/internal/sim"
 	"fedsched/internal/tensor"
 	"fedsched/internal/trace"
 )
@@ -56,20 +55,80 @@ type AsyncHistory struct {
 	TotalEnergyJ     float64
 }
 
+// cycle is one active client's current iteration — download → local
+// epoch → upload — and the one event it has pending: its download landing
+// or, once uploaded is set, its upload landing. RunAsync's event queue is
+// one cycle per client, and an iteration's state is data in its record,
+// not captures in a chain of callbacks.
+type cycle struct {
+	at       float64 // virtual time the pending event lands
+	seq      int     // scheduling order: equal times run first-scheduled first
+	uploaded bool    // the pending event is the upload landing, not the download
+
+	c                *Client
+	n                int         // iterations before this one: the fault-draw round
+	f                fault.Fault // this iteration's injected fault
+	commDown, commUp float64
+	version          int              // global model version at the pull
+	pulled           []*tensor.Tensor // the pulled weights; nil when the iteration aborts
+	trained          chan struct{}    // closed when a background local epoch ends; nil if inline
+	cr               ClientRound      // the download's compute burn, reported at the upload
+}
+
+// eventQueue is RunAsync's virtual clock and its pending events, one per
+// cycle.
+type eventQueue struct {
+	now    float64
+	seq    int
+	cycles []cycle
+}
+
+// after schedules cy's next event delay virtual seconds from now (never in
+// the past).
+//
+// fedlint:hotpath
+func (q *eventQueue) after(cy *cycle, delay float64) {
+	q.seq++
+	cy.at, cy.seq = q.now+max(delay, 0), q.seq
+}
+
+// next advances the clock to the earliest pending event — equal times in
+// scheduling order — and returns its cycle, or nil when that event lies
+// past deadline. A linear scan: one record per client costs nothing next
+// to a local epoch.
+//
+// fedlint:hotpath
+func (q *eventQueue) next(deadline float64) *cycle {
+	first := &q.cycles[0]
+	for i := range q.cycles {
+		if cy := &q.cycles[i]; cy.at < first.at || cy.at == first.at && cy.seq < first.seq { //fedlint:allow floateq — exact-equality tie-break; equal times fall through to the seq ordering
+			first = cy
+		}
+	}
+	if first.at > deadline {
+		return nil
+	}
+	q.now = first.at
+	return first
+}
+
 // RunAsync executes staleness-weighted asynchronous federated learning on
 // the simulated testbed. Every client loops download → local epoch →
 // upload; the server merges each upload immediately, so fast devices never
 // wait for stragglers — at the price of stale gradients. There are no
-// rounds to close, so the engine keeps its own virtual-time event loop,
-// but a client cycle is built from the round core's primitives (round.go):
-// the same fault strike, compute burn, device meter and local epoch.
+// rounds to close, so the engine keeps its own virtual-time event loop —
+// one pending event per client, the earliest dispatched next — but a
+// client cycle is built from the round core's primitives (round.go): the
+// same fault strike, compute burn, device meter and local epoch. The run
+// stops at the first event past Duration, or when MaxUpdates merges or
+// Config.Cancel (both checked at every event) end it.
 //
 // Real wall-clock parallelism: a client's local epoch is a pure function
 // of the weights it pulled and its own RNG/optimizer state, both fixed
 // the moment its cycle starts, so with Workers > 1 the gradient descent
 // runs ahead on a bounded pool of background futures while the virtual
-// event loop advances other clients. The loop joins each future at the
-// client's merge event, which keeps every server merge in exact virtual
+// event loop advances other clients. The loop joins each future when the
+// client's download lands, which keeps every server merge in exact virtual
 // time order — results are bit-identical to the sequential engine.
 //
 // Injected faults (Config.Faults) are drawn per (client cycle, client
@@ -81,7 +140,7 @@ type AsyncHistory struct {
 // only the merge is lost). Each costs one KindFault event.
 //
 // fedlint:deterministic
-// fedlint:trace KindMerge,KindFault
+// fedlint:trace KindSimStep,KindMerge,KindFault
 func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHistory, error) {
 	cfg = cfg.withDefaults()
 	active, global, err := setup(&cfg.Config, asyncEngine, clients)
@@ -98,19 +157,13 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 	if deadline <= 0 {
 		deadline = math.Inf(1)
 	}
-
-	var engine sim.Engine
-	engine.Tracer = cfg.Trace
 	// cancelled latches the first true poll of Config.Cancel so every
-	// later done() check agrees — in-flight event callbacks all no-op
-	// from that moment and the run winds down at the current virtual
+	// later done() check agrees; the run stops at the current virtual
 	// time, like hitting MaxUpdates.
 	cancelled := false
 	done := func() bool {
-		if !cancelled && cfg.Cancel != nil && cfg.Cancel() {
-			cancelled = true
-		}
-		return cancelled || (cfg.MaxUpdates > 0 && hist.Updates >= cfg.MaxUpdates) || engine.Now() > deadline
+		cancelled = cancelled || cfg.Cancel != nil && cfg.Cancel()
+		return cancelled || cfg.MaxUpdates > 0 && hist.Updates >= cfg.MaxUpdates
 	}
 
 	workers := workerCount(cfg.Workers, len(active))
@@ -120,47 +173,31 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 	outstanding := 0
 	var inflight sync.WaitGroup
 
-	// cycles counts each client's started iterations — the "round" key for
-	// its fault draws. Touched only on the event-loop goroutine.
-	cycles := make([]int, len(active))
-
-	// cycle runs one client iteration: the closure chain mirrors the
-	// download → train → upload pipeline in virtual time.
-	var cycle func(ci int)
-	cycle = func(ci int) {
-		if done() {
-			return
-		}
-		c := active[ci]
-		fcycle := cycles[ci]
-		cycles[ci]++
-		f := cfg.Faults.Fault(fcycle, c.ID)
-		aborted := f.Kind.Aborts()
+	// begin starts cy's next iteration now: draw its fault, pull the
+	// model, and schedule the download landing. The local epoch starts
+	// speculatively on a background future when the pool has room and the
+	// lane budget allows it — its inputs are frozen (pulled is a snapshot;
+	// c's state is untouched until the join), so it computes exactly what
+	// the inline path would. An aborted iteration never trains.
+	q := eventQueue{cycles: make([]cycle, len(active))}
+	begin := func(cy *cycle) {
+		c := cy.c
+		f := cfg.Faults.Fault(cy.n, c.ID)
 		link := c.Link.Degraded(f.Slow)
-		commDown := link.DownloadTime(modelBytes)
-		commUp := link.UploadTime(modelBytes)
+		cy.f, cy.uploaded, cy.pulled, cy.trained = f, false, nil, nil
+		cy.commDown, cy.commUp = link.DownloadTime(modelBytes), link.UploadTime(modelBytes)
 		switch f.Kind {
 		case fault.Crash, fault.Battery:
-			commUp = 0 // died mid-shard: nothing is uploaded
+			cy.commUp = 0 // died mid-shard: nothing is uploaded
 		case fault.LinkFlap:
-			commUp *= f.Point // the link dies Point of the way through the upload
+			cy.commUp *= f.Point // the link dies Point of the way through the upload
 		}
-
-		// Speculatively start the local epoch on a background future when
-		// the pool has room and the lane budget allows it. The inputs are
-		// frozen (pulled is a snapshot; c's state is untouched until the
-		// join below), so the future computes exactly what the inline
-		// path would. An aborted cycle never trains.
-		var (
-			versionAtPull int
-			pulled        []*tensor.Tensor
-			trained       chan struct{}
-		)
-		if !aborted {
-			versionAtPull, pulled = version, cloneWeights(globalW)
+		if !f.Kind.Aborts() {
+			cy.version, cy.pulled = version, cloneWeights(globalW)
 			if workers > 1 && outstanding < workers && tensor.TryAcquireLanes(1) == 1 {
 				outstanding++
-				trained = make(chan struct{})
+				pulled, trained := cy.pulled, make(chan struct{})
+				cy.trained = trained
 				inflight.Add(1)
 				go func() {
 					defer inflight.Done()
@@ -170,72 +207,72 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 				}()
 			}
 		}
-		engine.After(commDown, func() {
-			if trained != nil {
-				<-trained // join before anything can observe c's state
-				outstanding--
-			}
-			if done() {
-				return
-			}
-			if !aborted && trained == nil {
-				// Sequential path: real gradient descent inline.
-				c.train(&cfg.Config, pulled)
-			}
-			cr := ClientRound{Samples: c.Local.Len(), BatteryFrac: 1}
-			if c.Device != nil {
-				m := meterOn(c.Device)
-				burn(&cr, c.Device, cfg.Arch, cfg.BatchSize, f)
-				if !aborted {
-					c.Device.Idle(commUp)
-				}
-				m.read(&cr)
-			}
-			engine.After(cr.ComputeS+commUp, func() {
-				if done() {
-					return
-				}
-				ev := trace.Event{
-					Kind: trace.KindFault, Round: fcycle, Client: c.ID,
-					Samples: cr.Samples, Flag: int(f.Kind), AtS: engine.Now(),
-					ComputeS: cr.ComputeS, CommS: commDown + commUp,
-					EnergyJ: cr.EnergyJ, Battery: cr.BatteryFrac,
-				}
-				if f.Kind == fault.None {
-					// Server merge with staleness damping.
-					staleness := float64(version - versionAtPull)
-					eta := cfg.MixRate / math.Pow(1+staleness, cfg.StalenessPower)
-					scaleWeights(globalW, 1-eta)
-					accumulateWeighted(globalW, c.net.Weights(), eta)
-					version++
-					hist.Updates++
-					hist.UpdatesPerClient[c.at]++
-					stalenessSum += staleness
-					ev.Kind, ev.Round, ev.Flag, ev.Staleness = trace.KindMerge, hist.Updates-1, 0, int(staleness)
-				}
-				cfg.Trace.Emit(ev)
-				cycle(ci) // immediately start the next iteration
-			})
-		})
+		q.after(cy, cy.commDown)
+	}
+	for i, c := range active {
+		q.cycles[i].c = c
+		begin(&q.cycles[i])
 	}
 
-	for ci := range active {
-		cycle(ci)
-	}
-	if math.IsInf(deadline, 1) {
-		// Unbounded duration: run events until MaxUpdates hits; remaining
-		// callbacks see done() and no-op.
-		for engine.Pending() > 0 && !done() {
-			engine.Step()
+	for !done() {
+		cy := q.next(deadline)
+		if cy == nil {
+			break
 		}
-	} else {
-		engine.RunUntil(deadline)
+		cfg.Trace.Emit(trace.Event{Kind: trace.KindSimStep, Round: cy.seq, Client: -1, AtS: q.now})
+		c, f := cy.c, cy.f
+		if !cy.uploaded {
+			// The download landed: finish the local epoch (join the future,
+			// or train inline now), burn its compute, schedule the upload.
+			if cy.trained != nil {
+				<-cy.trained // join before anything can observe c's state
+				outstanding--
+			} else if !f.Kind.Aborts() {
+				c.train(&cfg.Config, cy.pulled)
+			}
+			cy.cr = ClientRound{Samples: c.Local.Len(), BatteryFrac: 1}
+			if c.Device != nil {
+				m := meterOn(c.Device)
+				burn(&cy.cr, c.Device, cfg.Arch, cfg.BatchSize, f)
+				if !f.Kind.Aborts() {
+					c.Device.Idle(cy.commUp)
+				}
+				m.read(&cy.cr)
+			}
+			cy.uploaded = true
+			q.after(cy, cy.cr.ComputeS+cy.commUp)
+			continue
+		}
+		// The upload landed: merge it with staleness damping, or report the
+		// fault that lost it.
+		ev := trace.Event{
+			Kind: trace.KindFault, Round: cy.n, Client: c.ID,
+			Samples: cy.cr.Samples, Flag: int(f.Kind), AtS: q.now,
+			ComputeS: cy.cr.ComputeS, CommS: cy.commDown + cy.commUp,
+			EnergyJ: cy.cr.EnergyJ, Battery: cy.cr.BatteryFrac,
+		}
+		if f.Kind == fault.None {
+			staleness := float64(version - cy.version)
+			eta := cfg.MixRate / math.Pow(1+staleness, cfg.StalenessPower)
+			scaleWeights(globalW, 1-eta)
+			accumulateWeighted(globalW, c.net.Weights(), eta)
+			version++
+			hist.Updates++
+			hist.UpdatesPerClient[c.at]++
+			stalenessSum += staleness
+			ev.Kind, ev.Round, ev.Flag, ev.Staleness = trace.KindMerge, hist.Updates-1, 0, int(staleness)
+		}
+		cfg.Trace.Emit(ev)
+		if !done() { // a finished run begins no new iteration
+			cy.n++
+			begin(cy)
+		}
 	}
-	// Join any futures whose merge events never fired (run ended first):
+	// Join any futures whose download never landed (the run ended first):
 	// nothing may mutate client state after we return.
 	inflight.Wait()
 
-	hist.VirtualSeconds = engine.Now()
+	hist.VirtualSeconds = q.now
 	if hist.Updates > 0 {
 		hist.MeanStaleness = stalenessSum / float64(hist.Updates)
 	}

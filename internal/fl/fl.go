@@ -23,7 +23,6 @@ import (
 	"fedsched/internal/data"
 	"fedsched/internal/device"
 	"fedsched/internal/fault"
-	"fedsched/internal/metrics"
 	"fedsched/internal/network"
 	"fedsched/internal/nn"
 	"fedsched/internal/sample"
@@ -233,7 +232,7 @@ type History struct {
 	FinalAccuracy float64
 	// Confusion is the final model's confusion matrix on the test set
 	// (nil when no test set was given).
-	Confusion *metrics.Confusion
+	Confusion *Confusion
 	// Model is the final global model (checkpoint it with
 	// Model.SaveWeights).
 	Model        *nn.Network
@@ -395,11 +394,11 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 // Test batches fan out across network clones on the worker pool; the
 // counts merge in batch order, so the matrix matches the sequential loop
 // exactly.
-func EvaluateConfusion(net *nn.Network, test *data.Dataset, batch int) *metrics.Confusion {
+func EvaluateConfusion(net *nn.Network, test *data.Dataset, batch int) *Confusion {
 	if batch <= 0 {
 		batch = 256
 	}
-	c := metrics.NewConfusion(test.Classes)
+	c := newConfusion(test.Classes)
 	n := test.Len()
 	if n == 0 {
 		return c

@@ -95,7 +95,6 @@ func ByName(name string) *Analyzer {
 var NonDetPackages = map[string]bool{
 	"internal/fl":     true,
 	"internal/sched":  true,
-	"internal/sim":    true,
 	"internal/tensor": true,
 	"internal/nn":     true,
 }

@@ -46,8 +46,9 @@
 //	KindMerge       one asynchronous server merge: Round is the update
 //	                index, AtS the virtual merge time, Staleness the
 //	                version lag, plus the client's compute/comm/energy.
-//	KindSimStep     one processed discrete-event-engine event: AtS is the
-//	                virtual time, Round the engine sequence number.
+//	KindSimStep     one dispatched event of the asynchronous engine's
+//	                loop: AtS is the virtual time, Round the event's
+//	                scheduling sequence number.
 //	KindFault       one injected client fault (internal/fault): Client is
 //	                the victim, Flag the fault kind (1 crash, 2 battery,
 //	                3 link flap, 4 corrupt), Samples the assigned work,
