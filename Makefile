@@ -107,11 +107,13 @@ check-nolint: build vet test race-tensor
 # calls into from its worker pool (samplers, fault draws, schedulers, trace
 # rings, device simulators, and the device profiles the daemon's jobs
 # share — a few seconds all together). The async engine's event loop is
-# part of internal/fl.
+# part of internal/fl. The root package's BuildJob tests cover the offline
+# profile memo that concurrent daemon jobs share.
 race:
 	$(GO) test -race ./internal/fl/... ./internal/tensor/... ./internal/serve/... \
 		./internal/sample/... ./internal/fault/... ./internal/sched/... \
 		./internal/trace/... ./internal/device/... ./internal/profile/...
+	$(GO) test -race -run 'BuildJob' .
 
 # Fast race pass over just the GEMM core and lane semaphore — cheap
 # enough (~35s on 2 cores: the suites run once per kernel dispatch state,

@@ -116,7 +116,9 @@ func BenchmarkSimulatedEpochTestbed3(b *testing.B) {
 // bit-identical by construction (see internal/fl/parallel_test.go); this
 // pair measures only the wall-clock difference. The pool sizes itself
 // from GOMAXPROCS, so the speedup tracks the core count of the machine
-// running the benchmark.
+// running the benchmark. The partition is the one BuildJob makes for a
+// 1,200-sample testbed-2 job (train_heavy's): Fed-LBAP's deliberately
+// unequal shards, so the pool's load balance shows.
 func benchFederated(b *testing.B, workers int) {
 	b.Helper()
 	prevLanes := tensor.MaxLanes()
@@ -126,7 +128,11 @@ func benchFederated(b *testing.B, workers int) {
 	tb := fedsched.NewTestbed(2)
 	train := fedsched.SMNIST(1200, 1)
 	test := fedsched.SMNIST(200, 2)
-	part := data.IIDEqual(train, len(tb.Profiles), rand.New(rand.NewSource(1)))
+	job, err := fedsched.BuildJob(fedsched.JobConfig{Testbed: 2, Samples: train.Len()}.WithDefaults(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	part := data.IIDSizes(train, job.Sizes, rand.New(rand.NewSource(1)))
 	cfg := fedsched.RunConfig{
 		Arch: fedsched.LeNetSmall(1, 16, 16, 10), Rounds: 2, BatchSize: 20,
 		LR: 0.02, Momentum: 0.9, Seed: 1, Workers: workers,

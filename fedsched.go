@@ -251,7 +251,9 @@ const ShardSize = 100
 
 // Testbed is a profiled collection of simulated phones ready for
 // scheduling and federated simulation — the facade over the device,
-// profile, network, sched and fl packages.
+// profile, network, sched and fl packages. It is not safe for concurrent
+// use: the first Request profiles every device model, and later ones read
+// those profiles without a lock.
 type Testbed struct {
 	Profiles []device.Profile
 	Link     network.Link

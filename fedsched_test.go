@@ -1,8 +1,14 @@
 package fedsched
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"fedsched/internal/sched"
+	"fedsched/internal/trace"
 )
 
 func TestTestbedScheduleIID(t *testing.T) {
@@ -249,4 +255,75 @@ func TestFacadeTuneAlpha(t *testing.T) {
 	if best == nil || len(sweep) != len(DefaultAlphaGrid()) {
 		t.Fatalf("best=%v sweep=%d", best, len(sweep))
 	}
+}
+
+// TestBuildJobConcurrent builds jobs on eight goroutines at once, over
+// testbeds 1–3 × f64/f32 × IID/non-IID, starting from a cold profile
+// memo: every build must schedule, partition and trace exactly what a
+// sequential build with a cold memo of its own does.
+func TestBuildJobConcurrent(t *testing.T) {
+	var cfgs []JobConfig
+	for tb := 1; tb <= 3; tb++ {
+		for _, prec := range []string{"f64", "f32"} {
+			for _, classes := range []int{0, 3} {
+				cfg := JobConfig{Testbed: tb, Precision: prec, ClassesPerUser: classes,
+					Samples: 200, TestSamples: 20, Seed: int64(10*tb + classes)}
+				if classes > 0 {
+					cfg.Scheduler = "fedminavg"
+				}
+				cfgs = append(cfgs, cfg.WithDefaults())
+			}
+		}
+	}
+	type built struct {
+		sizes []int
+		asg   *sched.Assignment
+		trace []byte
+	}
+	build := func(cfg JobConfig) (built, error) {
+		rec := trace.New(0)
+		j, err := BuildJob(cfg, rec)
+		if err != nil {
+			return built{}, err
+		}
+		var buf bytes.Buffer
+		err = trace.WriteJSONL(&buf, rec.Events())
+		return built{j.Sizes, j.Assignment, buf.Bytes()}, err
+	}
+	coldMemo := func() {
+		jobProfiles.Lock()
+		clear(jobProfiles.byKey)
+		jobProfiles.Unlock()
+	}
+
+	want := make([]built, len(cfgs))
+	for i, cfg := range cfgs {
+		coldMemo()
+		var err error
+		if want[i], err = build(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	coldMemo()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range cfgs {
+				i := (g + k) % len(cfgs) // every goroutine starts elsewhere
+				got, err := build(cfgs[i])
+				switch {
+				case err != nil:
+					t.Error(err)
+				case !reflect.DeepEqual(got.sizes, want[i].sizes) || !reflect.DeepEqual(got.asg, want[i].asg):
+					t.Errorf("%+v: concurrent build scheduled %v / %+v, sequential %v / %+v",
+						cfgs[i], got.sizes, got.asg, want[i].sizes, want[i].asg)
+				case !bytes.Equal(got.trace, want[i].trace):
+					t.Errorf("%+v: schedule/solver trace differs from the sequential build's", cfgs[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -278,7 +278,7 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 	}
 	global.SetWeights(globalW)
 	if test != nil {
-		hist.FinalAccuracy = Evaluate(global, test, 256)
+		hist.FinalAccuracy = evaluate(global, test, 256, cfg.Workers, nil).Accuracy()
 	}
 	for _, c := range active {
 		if c.Device != nil {

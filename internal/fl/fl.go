@@ -270,8 +270,10 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 	hist := &History{}
 	globalW := global.GetWeights()
 	// sumW is the plaintext aggregation scratch, allocated once and
-	// reused (zeroed) every round instead of cloning per participant.
+	// reused (zeroed) every round instead of cloning per participant;
+	// evalNets are the evaluation pool's spare networks, likewise.
 	var sumW []*tensor.Tensor
+	var evalNets []*nn.Network
 
 	// finish stamps the run-final fields; it is shared by the success
 	// path and the partial-History error paths so callers can always
@@ -309,7 +311,10 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 			// owns its network, optimizer, RNG, local shard and simulated
 			// device, so workers never share mutable state; everything
 			// order-sensitive happens after the join, in cohort order.
-			forEach(workerCount(cfg.Workers, len(sel)), len(sel), func(si int) {
+			workers := workerCount(cfg.Workers, len(sel))
+			order := rc.longestFirst(workers, sel, active)
+			forEach(workers, len(sel), func(i int) {
+				si := order[i]
 				c := active[sel[si]]
 				rc.stepClient(si, round, c, &cfg, globalW)
 				// The server rejects non-finite updates. (A fault victim
@@ -363,7 +368,7 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 			rc.idle(len(sel), cl.makespan)
 			if test != nil && (round == cfg.Rounds-1 || (cfg.EvalEvery > 0 && (round+1)%cfg.EvalEvery == 0)) {
 				global.SetWeights(globalW)
-				stats.Accuracy = Evaluate(global, test, 256)
+				stats.Accuracy = evaluate(global, test, 256, cfg.Workers, &evalNets).Accuracy()
 			}
 		}
 		rc.emit(round, len(sel), &cl, stats.TrainLoss, stats.Accuracy)
@@ -383,18 +388,35 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 	if test != nil {
 		// Evaluate the final model directly: the last round may not have
 		// evaluated (all-dropped deadline rounds report -1).
-		hist.Confusion = EvaluateConfusion(global, test, 256)
+		hist.Confusion = evaluate(global, test, 256, cfg.Workers, &evalNets)
 		hist.FinalAccuracy = hist.Confusion.Accuracy()
 	}
 	return hist, nil
 }
 
-// EvaluateConfusion runs the model over the test set and returns the full
-// confusion matrix (per-class recall/precision for the outlier analyses).
-// Test batches fan out across network clones on the worker pool; the
-// counts merge in batch order, so the matrix matches the sequential loop
-// exactly.
+// EvaluateConfusion runs the model over the test set in batches of at most
+// batch samples and returns the full confusion matrix (per-class
+// recall/precision for the outlier analyses). Batches fan out across
+// network clones on a pool of up to GOMAXPROCS workers; see evaluate.
 func EvaluateConfusion(net *nn.Network, test *data.Dataset, batch int) *Confusion {
+	return evaluate(net, test, batch, 0, nil)
+}
+
+// Evaluate computes test accuracy in batches of at most batch samples,
+// fanned out like EvaluateConfusion.
+func Evaluate(net *nn.Network, test *data.Dataset, batch int) float64 {
+	return evaluate(net, test, batch, 0, nil).Accuracy()
+}
+
+// evaluate is the one batched evaluator; the engines call it with their
+// Config.Workers, so a job evaluates inside the lane budget it trains in,
+// and with the run's spare networks (see forEachBatch). The test set
+// splits into batches of at most batch samples and into at least one
+// batch per worker, so no worker idles on a test set smaller than
+// workers × batch. Predictions are per sample and the counts are integers
+// merged in batch order, so neither the split nor the worker count
+// changes the matrix.
+func evaluate(net *nn.Network, test *data.Dataset, batch, workers int, spares *[]*nn.Network) *Confusion {
 	if batch <= 0 {
 		batch = 256
 	}
@@ -403,52 +425,16 @@ func EvaluateConfusion(net *nn.Network, test *data.Dataset, batch int) *Confusio
 	if n == 0 {
 		return c
 	}
+	workers = workerCount(workers, n)
+	batch = min(batch, (n+workers-1)/workers)
 	nb := (n + batch - 1) / batch
 	preds := make([][]int, nb)
-	labels := make([][]int, nb)
-	forEachBatch(net, workerCount(0, nb), nb, func(bi int, m *nn.Network) {
-		i := bi * batch
-		end := min(i+batch, n)
-		x, y := test.Batch(i, end)
+	forEachBatch(net, spares, workers, nb, func(bi int, m *nn.Network) {
+		x, _ := test.Batch(bi*batch, min((bi+1)*batch, n))
 		preds[bi] = m.Predict(x)
-		labels[bi] = y
 	})
-	for bi := range preds {
-		c.Add(labels[bi], preds[bi])
+	for bi, p := range preds {
+		c.Add(test.Labels[bi*batch:bi*batch+len(p)], p)
 	}
 	return c
-}
-
-// Evaluate computes test accuracy in batches of at most batch samples.
-// Batches fan out across network clones on the worker pool; per-batch
-// correct counts merge in batch order (integer sums, so the result is
-// identical to the sequential loop for any worker count).
-func Evaluate(net *nn.Network, test *data.Dataset, batch int) float64 {
-	if test.Len() == 0 {
-		return 0
-	}
-	if batch <= 0 {
-		batch = 256
-	}
-	n := test.Len()
-	nb := (n + batch - 1) / batch
-	correct := make([]int, nb)
-	forEachBatch(net, workerCount(0, nb), nb, func(bi int, m *nn.Network) {
-		i := bi * batch
-		end := min(i+batch, n)
-		x, y := test.Batch(i, end)
-		pred := m.Predict(x)
-		hits := 0
-		for k, p := range pred {
-			if p == y[k] {
-				hits++
-			}
-		}
-		correct[bi] = hits
-	})
-	total := 0
-	for _, h := range correct {
-		total += h
-	}
-	return float64(total) / float64(n)
 }

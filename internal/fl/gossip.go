@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"fedsched/internal/data"
+	"fedsched/internal/nn"
 )
 
 // Topology selects the gossip communication pattern.
@@ -95,8 +96,10 @@ func RunGossip(cfg GossipConfig, clients []*Client, test *data.Dataset) (*Gossip
 		// so they fan out across the worker pool; everything that couples
 		// clients — makespan, idling, pairwise averaging — runs after the
 		// join in deterministic order.
-		forEach(workerCount(cfg.Workers, len(sel)), len(sel), func(si int) {
-			rc.stepClient(si, round, active[sel[si]], &cfg.Config, nil)
+		workers := workerCount(cfg.Workers, len(sel))
+		order := rc.longestFirst(workers, sel, active)
+		forEach(workers, len(sel), func(i int) {
+			rc.stepClient(order[i], round, active[sel[order[i]]], &cfg.Config, nil)
 		})
 		cl := rc.close(round, sel)
 		rc.idle(len(sel), cl.makespan)
@@ -127,8 +130,9 @@ func RunGossip(cfg GossipConfig, clients []*Client, test *data.Dataset) (*Gossip
 	hist.Disagreement = weightDisagreement(active)
 	if test != nil {
 		hist.PerClient = make([]float64, len(active))
+		var evalNets []*nn.Network
 		for i, c := range active {
-			acc := Evaluate(c.net.EvalNetwork(), test, 256)
+			acc := evaluate(c.net.EvalNetwork(), test, 256, cfg.Workers, &evalNets).Accuracy()
 			hist.PerClient[i] = acc
 			hist.MeanAccuracy += acc
 			if acc > hist.BestAccuracy {

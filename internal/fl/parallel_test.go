@@ -3,13 +3,17 @@ package fl
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"fedsched/internal/data"
 	"fedsched/internal/device"
+	"fedsched/internal/fault"
 	"fedsched/internal/network"
 	"fedsched/internal/nn"
+	"fedsched/internal/sample"
 	"fedsched/internal/tensor"
 )
 
@@ -86,8 +90,38 @@ func requireSameWeights(t *testing.T, wa, wb []*tensor.Tensor) {
 // for both runs under comparison.
 func parallelClients(t *testing.T, train *data.Dataset, users int, withDevices bool) []*Client {
 	t.Helper()
-	part := data.IIDEqual(train, users, rand.New(rand.NewSource(5)))
+	return partitionClients(t, train, data.IIDEqual(train, users, rand.New(rand.NewSource(5))), withDevices)
+}
+
+// lbapSizes is Fed-LBAP's partition of train_heavy's 1,200 samples over
+// testbed II. Its shards are unequal, so the pool's longest-first order
+// (slots 5 1 0 4 2 3) is not the cohort order — with equal shards the two
+// coincide and a worker-count comparison says nothing about dispatch.
+var lbapSizes = []int{276, 278, 66, 66, 194, 320}
+
+// lbapClients builds six device-backed clients on lbapSizes shards.
+func lbapClients(t *testing.T, train *data.Dataset) []*Client {
+	t.Helper()
+	return partitionClients(t, train, data.IIDSizes(train, lbapSizes, rand.New(rand.NewSource(5))), true)
+}
+
+// lbapConfig puts a fault plan and a 5-of-6 cohort sampler on top of the
+// unequal shards, so a round's cohort and its survivors vary too.
+func lbapConfig(t *testing.T, rounds, workers int) Config {
+	t.Helper()
+	cfg := smallConfig(rounds)
+	cfg.Workers = workers
+	cfg.Faults = mustPlan(t, "crash=0.15,flap=0.1,degrade=0.3,slow=3", 19)
+	cfg.Sampler = sample.NewUniform(len(lbapSizes), 5, 23)
+	return cfg
+}
+
+// partitionClients builds one client per partition entry, on a device
+// (cycling through four phone models) when withDevices is set.
+func partitionClients(t *testing.T, train *data.Dataset, part data.Partition, withDevices bool) []*Client {
+	t.Helper()
 	locals := part.Materialize(train)
+	users := len(locals)
 	devs := make([]*device.Device, users)
 	if withDevices {
 		profiles := []device.Profile{device.Pixel2(), device.Nexus6(), device.Nexus6P(), device.Mate10()}
@@ -140,6 +174,32 @@ func TestRunWorkersBitIdentical(t *testing.T) {
 			requireSameHistory(t, run(1), run(4))
 		})
 	}
+
+	t.Run("unequal-shards", func(t *testing.T) {
+		train, test := data.TrainTest(data.SMNISTConfig(0, 61), 1200, 200)
+		run := func(workers int) *History {
+			hist, err := Run(lbapConfig(t, 3, workers), lbapClients(t, train), test)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return hist
+		}
+		want := run(-1)
+		faulted := 0
+		for _, r := range want.Rounds {
+			for _, cr := range r.Clients {
+				if cr.Fault != fault.None {
+					faulted++
+				}
+			}
+		}
+		if faulted == 0 {
+			t.Fatal("the fault plan struck nobody")
+		}
+		for _, workers := range []int{2, 4} {
+			requireSameHistory(t, want, run(workers))
+		}
+	})
 }
 
 // TestRunGEMMLanesBitIdentical extends the workers guarantee one layer
@@ -301,7 +361,7 @@ func TestEvaluateLanesSaturated(t *testing.T) {
 	}
 	var sawClone bool
 	fn := func(_ int, m *nn.Network) { sawClone = sawClone || m != net }
-	allocs := testing.AllocsPerRun(5, func() { forEachBatch(net, 4, 8, fn) })
+	allocs := testing.AllocsPerRun(5, func() { forEachBatch(net, nil, 4, 8, fn) })
 	if allocs > 0 || sawClone {
 		t.Errorf("saturated forEachBatch allocated %v times per call (clone used: %v), want the bare sequential loop", allocs, sawClone)
 	}
@@ -312,7 +372,7 @@ func TestEvaluateLanesSaturated(t *testing.T) {
 
 	bare := nn.NewNetwork("bare", net.Layers...)
 	calls := 0
-	forEachBatch(bare, 4, 8, func(_ int, m *nn.Network) {
+	forEachBatch(bare, nil, 4, 8, func(_ int, m *nn.Network) {
 		if m != bare {
 			t.Error("blueprint-less network was cloned")
 		}
@@ -325,6 +385,119 @@ func TestEvaluateLanesSaturated(t *testing.T) {
 		t.Errorf("%d of 3 lanes free after the nil-blueprint path", free)
 	} else {
 		tensor.ReleaseLanes(free)
+	}
+}
+
+// TestEvaluateSplitInvariant: how the test set splits into batches and
+// how many workers run them changes no prediction and no count. At batch
+// 1 the dense layers' GEMMs fall under gemmSmallCutoff and run the naive
+// kernels; larger batches run the blocked ones. Covered on an f64
+// trainer's live network and on an f32 trainer's float64 evaluation twin.
+func TestEvaluateSplitInvariant(t *testing.T) {
+	forceLanes(t, 4)
+	train, test := data.TrainTest(data.SMNISTConfig(0, 74), 200, 230)
+	n := test.Len()
+	for _, prec := range []nn.Precision{nn.F64, nn.F32} {
+		t.Run(string(prec), func(t *testing.T) {
+			// One epoch in, so the predictions spread over the classes.
+			tr := nn.NewTrainer(prec, smallConfig(1).Arch, rand.New(rand.NewSource(3)), 0.05, 0.9)
+			localEpoch(tr, train, rand.New(rand.NewSource(4)), 20)
+			net := tr.EvalNetwork()
+			// One spare list across every call: copies warmed at one batch
+			// shape serve the next.
+			var spares []*nn.Network
+			// The reference: every sample predicted on its own.
+			want := newConfusion(test.Classes)
+			perSample := make([]int, n)
+			for i := range perSample {
+				x, y := test.Batch(i, i+1)
+				perSample[i] = net.Predict(x)[0]
+				want.Add(y, perSample[i:i+1])
+			}
+			for _, batch := range []int{1, 5, 13, 100, 256, n} {
+				var preds []int
+				for i := 0; i < n; i += batch {
+					x, _ := test.Batch(i, min(i+batch, n))
+					preds = append(preds, net.Predict(x)...)
+				}
+				if !slices.Equal(preds, perSample) {
+					t.Fatalf("batch %d: Predict differs from the per-sample predictions", batch)
+				}
+				for _, workers := range []int{-1, 1, 2, 4} {
+					if got := evaluate(net, test, batch, workers, &spares); !reflect.DeepEqual(got, want) {
+						t.Fatalf("batch %d, workers %d: confusion %v, want %v", batch, workers, got.Counts, want.Counts)
+					}
+				}
+				if got := Evaluate(net, test, batch); got != want.Accuracy() {
+					t.Fatalf("batch %d: Evaluate %v, want %v", batch, got, want.Accuracy())
+				}
+				if got := EvaluateConfusion(net, test, batch); !reflect.DeepEqual(got, want) {
+					t.Fatalf("batch %d: EvaluateConfusion %v, want %v", batch, got.Counts, want.Counts)
+				}
+			}
+		})
+	}
+}
+
+// TestRunEvaluationClones: a run evaluates inside its Workers budget and
+// keeps its evaluation clones. With 4 lanes free and a test set several
+// batches long, Workers 1 builds no clone at all, and Workers 2 and 4
+// build one per extra worker for the whole run, every round and the final
+// confusion matrix included.
+func TestRunEvaluationClones(t *testing.T) {
+	forceLanes(t, 5)
+	train, test := data.TrainTest(data.SMNISTConfig(0, 75), 200, 600)
+	clones := 0
+	prev := cloneNet
+	cloneNet = func(net *nn.Network) *nn.Network { clones++; return prev(net) }
+	t.Cleanup(func() { cloneNet = prev })
+
+	var model *nn.Network
+	for _, c := range []struct{ workers, want int }{{1, 0}, {2, 1}, {4, 3}} {
+		clones = 0
+		cfg := smallConfig(3)
+		cfg.Workers = c.workers
+		cfg.EvalEvery = 1
+		hist, err := Run(cfg, parallelClients(t, train, 2, false), test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if clones != c.want {
+			t.Errorf("a Workers-%d run built %d evaluation clones, want %d", c.workers, clones, c.want)
+		}
+		model = hist.Model
+	}
+	// The exported evaluator sizes its pool from GOMAXPROCS and keeps no
+	// clone between calls.
+	clones = 0
+	EvaluateConfusion(model, test, 256)
+	EvaluateConfusion(model, test, 256)
+	if clones != 8 {
+		t.Errorf("two EvaluateConfusion calls with 4 lanes free built %d clones, want 8", clones)
+	}
+}
+
+// TestLongestFirst pins the pool's dispatch order: local shard size
+// descending, ties by slot, the identity for a sequential pool — all
+// without allocating.
+func TestLongestFirst(t *testing.T) {
+	train, _ := data.TrainTest(data.SMNISTConfig(0, 76), 1200, 10)
+	members := partitionClients(t, train, data.IIDSizes(train, lbapSizes, rand.New(rand.NewSource(5))), false)
+	rc := newRoundCore(smallConfig(1).Arch, 20, len(members), nil, nil, nil)
+	sel := rc.draw(0)
+	if got, want := rc.longestFirst(2, sel, members), []int{5, 1, 0, 4, 2, 3}; !slices.Equal(got, want) {
+		t.Errorf("longest first over %v: slots %v, want %v", lbapSizes, got, want)
+	}
+	if got, want := rc.longestFirst(1, sel, members), []int{0, 1, 2, 3, 4, 5}; !slices.Equal(got, want) {
+		t.Errorf("sequential pool: slots %v, want cohort order %v", got, want)
+	}
+	// A sampled cohort orders its slots, not the members' indices: members
+	// 3, 2, 5 hold 66, 66 and 320 samples.
+	if got, want := rc.longestFirst(4, []int{3, 2, 5}, members), []int{2, 0, 1}; !slices.Equal(got, want) {
+		t.Errorf("cohort [3 2 5]: slots %v, want %v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { rc.longestFirst(4, sel, members) }); allocs != 0 {
+		t.Errorf("longestFirst allocated %v times per call", allocs)
 	}
 }
 

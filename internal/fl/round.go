@@ -245,6 +245,7 @@ type roundCore struct {
 	devs   []*device.Device
 	order  []int // close: candidates for the cut, then the surviving slots
 	sorter spanOrder
+	lpt    shardOrder // longestFirst's scratch
 }
 
 // newRoundCore sizes the scratch for cohorts of up to n members — the
@@ -261,6 +262,7 @@ func newRoundCore(arch *nn.Arch, batch, n int, s sample.Sampler, faults *fault.P
 	}
 	rc.rep, _ = s.(sample.FailureReporter)
 	rc.sorter.spans, rc.sorter.crs = rc.spans, rc.crs
+	rc.lpt.idx, rc.lpt.samples = make([]int, n), make([]int, n)
 	for i := range rc.sel {
 		rc.sel[i] = i
 	}
@@ -342,6 +344,44 @@ func (rc *roundCore) stepClient(s, round int, c *Client, cfg *Config, from []*te
 	if !f.Kind.Aborts() {
 		rc.crs[s].TrainLoss = c.train(cfg, from)
 	}
+}
+
+// longestFirst returns the order in which a pool of `workers` takes cohort
+// sel's slots (slot s trains members[sel[s]]): longest local shard first,
+// ties by slot. Fed-LBAP gives heterogeneous phones deliberately unequal
+// shards, and in cohort order the pool can start a long shard last and
+// wait on it alone; longest-first (Graham's LPT rule) bounds that tail by
+// the shortest shard. A sequential pool takes the cohort order. Slots own
+// their cells and everything order-sensitive happens after the join, so
+// no output depends on the order. The slice is reused next round.
+//
+// fedlint:hotpath
+func (rc *roundCore) longestFirst(workers int, sel []int, members []*Client) []int {
+	o := &rc.lpt
+	o.idx = o.idx[:len(sel)]
+	for s, m := range sel {
+		o.idx[s], o.samples[s] = s, members[m].Local.Len()
+	}
+	if workers > 1 {
+		sort.Sort(o)
+	}
+	return o.idx
+}
+
+// shardOrder sorts slot indices by (local shard size desc, slot asc) via a
+// pointer receiver and pre-bound slices, like spanOrder.
+type shardOrder struct {
+	idx, samples []int
+}
+
+func (o *shardOrder) Len() int      { return len(o.idx) }
+func (o *shardOrder) Swap(a, b int) { o.idx[a], o.idx[b] = o.idx[b], o.idx[a] }
+func (o *shardOrder) Less(a, b int) bool {
+	x, y := o.idx[a], o.idx[b]
+	if o.samples[x] != o.samples[y] {
+		return o.samples[x] > o.samples[y]
+	}
+	return x < y
 }
 
 // spanOrder sorts slot indices by (realized span asc, client id asc) — a

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"fedsched/internal/data"
@@ -62,6 +63,28 @@ func TestRunTraceWorkersByteIdentical(t *testing.T) {
 			t.Fatalf("trace bytes differ between Workers=1 and Workers=%d", workers)
 		}
 	}
+
+	// Unequal shards under faults and a sampler: the pool dispatches
+	// longest shard first, the trace still merges in cohort order.
+	big, bigTest := data.TrainTest(data.SMNISTConfig(0, 68), 1200, 150)
+	unequal := func(workers int) ([]byte, *History) {
+		rec := trace.New(0)
+		cfg := lbapConfig(t, 3, workers)
+		cfg.Trace = rec
+		hist, err := Run(cfg, lbapClients(t, big), bigTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return traceJSONL(t, rec), hist
+	}
+	wantTrace, wantHist := unequal(-1)
+	for _, workers := range []int{2, 4} {
+		got, hist := unequal(workers)
+		if !bytes.Equal(wantTrace, got) {
+			t.Fatalf("unequal shards: trace bytes differ between Workers=-1 and Workers=%d", workers)
+		}
+		requireSameHistory(t, wantHist, hist)
+	}
 }
 
 // TestAsyncTraceWorkersByteIdentical: the futures engine's merge events
@@ -117,6 +140,29 @@ func TestGossipTraceWorkersByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(traceJSONL(t, base), traceJSONL(t, run(4))) {
 		t.Fatal("gossip trace bytes differ between Workers=1 and Workers=4")
+	}
+
+	// Unequal shards under faults and a sampler (see lbapConfig).
+	big, bigTest := data.TrainTest(data.SMNISTConfig(0, 70), 1200, 100)
+	unequal := func(workers int) ([]byte, *GossipHistory) {
+		rec := trace.New(0)
+		cfg := GossipConfig{Config: lbapConfig(t, 3, workers), Topology: RandomPairs}
+		cfg.Trace = rec
+		hist, err := RunGossip(cfg, lbapClients(t, big), bigTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return traceJSONL(t, rec), hist
+	}
+	wantTrace, wantHist := unequal(-1)
+	for _, workers := range []int{2, 4} {
+		got, hist := unequal(workers)
+		if !bytes.Equal(wantTrace, got) {
+			t.Fatalf("unequal shards: gossip trace bytes differ between Workers=-1 and Workers=%d", workers)
+		}
+		if !reflect.DeepEqual(wantHist, hist) {
+			t.Fatalf("unequal shards: gossip histories differ between Workers=-1 and Workers=%d:\n%+v\n%+v", workers, wantHist, hist)
+		}
 	}
 }
 
