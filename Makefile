@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint lint-ci lint-baseline \
+.PHONY: build test vet lint lint-ci \
 	fuzz-smoke fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-job \
 	fuzz-smoke-ckpt fuzz-smoke-convblock \
 	fmt-check check check-nolint race race-tensor purego nofma trace-golden loc \
@@ -22,9 +22,9 @@ vet:
 	$(GO) vet ./...
 
 # fedlint enforces the determinism and allocation-free invariants
-# (see DESIGN.md "Determinism & hot-path invariants"): the per-package
-# passes plus the interprocedural ones over the repo-wide call graph.
-# Non-zero exit on any finding not accepted by .fedlint-baseline.json.
+# (see DESIGN.md "Determinism & hot-path invariants"): every pass over
+# one repo-wide call graph. Non-zero exit on any finding; a deliberate
+# exception carries a justified //fedlint:allow at its line.
 lint:
 	$(GO) run ./cmd/fedlint ./...
 
@@ -32,12 +32,6 @@ lint:
 # ::error annotations so they land on the diff view.
 lint-ci:
 	$(GO) run ./cmd/fedlint -github ./...
-
-# Accept every current finding into the baseline ledger. The diff to
-# .fedlint-baseline.json is reviewed like code — prefer fixing or a
-# justified fedlint:allow.
-lint-baseline:
-	$(GO) run ./cmd/fedlint -write-baseline ./...
 
 # Short native-fuzz pass over the property-based targets: the Fed-LBAP
 # solver against the dense oracle and the full-range reference's event
@@ -165,21 +159,22 @@ nofma:
 
 # Size of the tree, for "same behaviour from less code" PRs: non-test Go
 # lines, raw and code-only (no blank or comment-only lines), for the FL
-# engines, the tensor kernels, the serving layer and everything outside
-# bench/ (testdata fixtures excluded), plus the internal package and
-# binary counts. Informational — CI prints it, nothing gates on it.
+# engines, the tensor kernels, the serving layer, fedlint (its passes
+# and its command together) and everything outside bench/ (testdata
+# fixtures excluded), plus the internal package and binary counts.
+# Informational — CI prints it, nothing gates on it.
 LOC_FILES = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' \
 	! -path '*/testdata/*' ! -path './.bench_build/*' -print0
 loc:
-	@printf '%-32s %8s %10s\n' scope raw code-only
-	@for scope in internal/fl internal/tensor internal/serve .; do \
-		printf '%-32s %8d %10d\n' "$$scope (non-test .go)" \
+	@printf '%-42s %8s %10s\n' scope raw code-only
+	@for scope in internal/fl internal/tensor internal/serve 'internal/lint cmd/fedlint' .; do \
+		printf '%-42s %8d %10d\n' "$$scope (non-test .go)" \
 			"$$($(call LOC_FILES,$$scope) | xargs -0 cat | wc -l)" \
 			"$$($(call LOC_FILES,$$scope) | xargs -0 cat | grep -vcE '^\s*(//.*)?$$')"; \
 	done
-	@printf '%-32s %8d\n' 'internal/ packages' \
+	@printf '%-42s %8d\n' 'internal/ packages' \
 		"$$(find internal -name '*.go' ! -path '*/testdata/*' -exec dirname {} \; | sort -u | wc -l)"
-	@printf '%-32s %8d\n' 'binaries (cmd/*)' "$$(find cmd -mindepth 1 -maxdepth 1 -type d | wc -l)"
+	@printf '%-42s %8d\n' 'binaries (cmd/*)' "$$(find cmd -mindepth 1 -maxdepth 1 -type d | wc -l)"
 
 # Regenerate the golden round traces under testdata/trace after an
 # intentional behaviour change, then review the diff before committing

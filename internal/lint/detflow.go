@@ -15,7 +15,8 @@ import (
 // lives, with the call path back to the root that reached it:
 //
 //   - calls to the global math/rand convenience functions,
-//   - time.Now outside benchmark functions,
+//   - wall-clock reads (time.Now, time.Since, time.Until) outside
+//     benchmark functions,
 //   - order-sensitive folds over map iteration (the nondet pass's rules,
 //     applied wherever a deterministic root can reach),
 //   - goroutines spawned inside a function with no visible join (no
@@ -27,14 +28,14 @@ import (
 // boundary — the walk does not enter it — and a call site carrying
 // //fedlint:allow detflow does not propagate taint. A source line can
 // also be suppressed directly where it occurs.
-var DetFlow = &ProgramAnalyzer{
+var DetFlow = &Analyzer{
 	Name: "detflow",
 	Doc:  "nondeterminism sources reachable from // fedlint:deterministic roots across the whole program",
 	Run:  runDetFlow,
 }
 
 func runDetFlow(pr *Program) []Diagnostic {
-	r := &progReporter{pr: pr, check: "detflow"}
+	r := &reporter{check: "detflow"}
 	roots := pr.rootsWith(detMarker)
 	reached := pr.flood(roots, "detflow", func(pf *ProgFunc) bool {
 		return declMarker(pf.Decl, detSafeMarker)
@@ -47,7 +48,7 @@ func runDetFlow(pr *Program) []Diagnostic {
 				src.what, pr.pathFrom(rootNode(node)), pr.pathFrom(node), src.fix)
 		}
 	}
-	return r.done()
+	return r.diags
 }
 
 // rootNode walks a reach chain back to its root.

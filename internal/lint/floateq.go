@@ -18,24 +18,26 @@ var FloatEq = &Analyzer{
 	Run:  runFloatEq,
 }
 
-func runFloatEq(p *Package) []Diagnostic {
-	r := &reporter{p: p, check: "floateq"}
-	for _, f := range p.Files {
-		if p.isTestFile(f.Pos()) {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			be, ok := n.(*ast.BinaryExpr)
-			if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
+func runFloatEq(pr *Program) []Diagnostic {
+	r := &reporter{check: "floateq"}
+	for _, p := range pr.Packages {
+		for _, f := range p.Files {
+			if p.isTestFile(f.Pos()) {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				be, ok := n.(*ast.BinaryExpr)
+				if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
+					return true
+				}
+				if p.isFloatOperand(be.X) || p.isFloatOperand(be.Y) {
+					r.reportf(p, be.OpPos, "%s compares floating-point values exactly; use a tolerance (math.Abs(a-b) <= eps) or restructure the test", be.Op)
+				}
 				return true
-			}
-			if p.isFloatOperand(be.X) || p.isFloatOperand(be.Y) {
-				r.reportf(be.OpPos, "%s compares floating-point values exactly; use a tolerance (math.Abs(a-b) <= eps) or restructure the test", be.Op)
-			}
-			return true
-		})
+			})
+		}
 	}
-	return r.done()
+	return r.diags
 }
 
 // isFloatOperand reports whether the expression has floating-point or

@@ -23,14 +23,14 @@ import (
 // `// fedlint:detreduce`; the walk neither enters nor reports them.
 // Unlike nondet's map-range rule this pass is float-specific and runs
 // wherever the roots reach, not just the determinism-critical packages.
-var FloatOrder = &ProgramAnalyzer{
+var FloatOrder = &Analyzer{
 	Name: "floatorder",
 	Doc:  "order-sensitive float accumulation (map-range or goroutine completion order) reachable from hotpath/deterministic roots",
 	Run:  runFloatOrder,
 }
 
 func runFloatOrder(pr *Program) []Diagnostic {
-	r := &progReporter{pr: pr, check: "floatorder"}
+	r := &reporter{check: "floatorder"}
 	roots := pr.rootsWith(detMarker, hotpathMarker)
 	reached := pr.flood(roots, "floatorder", func(pf *ProgFunc) bool {
 		return declMarker(pf.Decl, detReduceMarker)
@@ -64,7 +64,7 @@ func runFloatOrder(pr *Program) []Diagnostic {
 			return true
 		})
 	}
-	return r.done()
+	return r.diags
 }
 
 // floatAccum is one order-sensitive accumulation site.

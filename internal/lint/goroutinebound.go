@@ -21,7 +21,7 @@ import (
 // earlier in the same enclosing function declaration than the go
 // statement — exact dominance needs a CFG, and the audited idioms all
 // acquire directly above their spawn loops.
-var GoroutineBound = &ProgramAnalyzer{
+var GoroutineBound = &Analyzer{
 	Name: "goroutinebound",
 	Doc:  "go statements reachable from hotpath/deterministic roots must sit under a bounded-pool or semaphore acquire",
 	Run:  runGoroutineBound,
@@ -37,7 +37,7 @@ var acquireNames = map[string]bool{
 }
 
 func runGoroutineBound(pr *Program) []Diagnostic {
-	r := &progReporter{pr: pr, check: "goroutinebound"}
+	r := &reporter{check: "goroutinebound"}
 	roots := pr.rootsWith(detMarker, hotpathMarker)
 	reached := pr.flood(roots, "goroutinebound", nil)
 	for _, key := range sortedReach(reached) {
@@ -48,7 +48,7 @@ func runGoroutineBound(pr *Program) []Diagnostic {
 				pr.Funcs[rootNode(node).key].String(), pr.pathFrom(node))
 		}
 	}
-	return r.done()
+	return r.diags
 }
 
 // unboundedSpawns returns the positions of go statements in fd that have

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -11,7 +10,7 @@ import (
 // path. Functions carrying a `// fedlint:hotpath` line in their doc
 // comment — TrainBatch, the layer Forward/Backward implementations, the
 // GEMM core, the FedAvg reduction — and every function they statically
-// reach within the same package must not:
+// reach, in any loaded package, must not:
 //
 //   - call a tensor.New* constructor (fresh tensor storage),
 //   - make a float32/float64 slice,
@@ -23,145 +22,35 @@ import (
 // slow-path allocations (workspace (re)sizing on a geometry change, the
 // parallel fan-out that the serial steady state never takes) carry
 // //fedlint:allow hotalloc directives at the call site, so every
-// exception is visible and justified in-line.
-//
-// Reachability is intra-package and static only: calls through interface
-// values (Layer.Forward) or function values are not followed, which is
-// why each concrete hot implementation carries its own annotation.
+// exception is visible and justified in-line; a suppressed call site
+// also keeps its callee out of the hot set.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "allocations (tensor.New*, make of float slices, append) reachable from // fedlint:hotpath functions",
+	Doc:  "allocations (tensor.New*, make of float slices, append) reachable from // fedlint:hotpath roots",
 	Run:  runHotAlloc,
 }
 
-// hotpathMarker is the annotation, matched anywhere in a function's doc
-// comment (conventionally on its own line: `// fedlint:hotpath`).
-const hotpathMarker = "fedlint:hotpath"
-
-// isHotpath scans the raw doc-comment lines so both the spaced form
-// (`// fedlint:hotpath`) and the directive form (`//fedlint:hotpath`)
-// mark a root — ast.CommentGroup.Text() silently drops directives.
-func isHotpath(fd *ast.FuncDecl) bool {
-	return declMarker(fd, hotpathMarker)
-}
-
-// HotAllocProg is the whole-program extension of HotAlloc: the same
-// three allocation shapes, but flooded over the cross-package call
-// graph, so a hotpath root in internal/fl taints the data and tensor
-// helpers it statically calls. It reuses the per-package body checker
-// and the same check name, so existing //fedlint:allow hotalloc
-// directives keep working. In whole-program mode this subsumes (and
-// replaces) the per-package pass.
-var HotAllocProg = &ProgramAnalyzer{
-	Name: "hotalloc",
-	Doc:  "interprocedural hotalloc: allocations reachable from // fedlint:hotpath roots across package boundaries",
-	Run:  runHotAllocProg,
-}
-
-func runHotAllocProg(pr *Program) []Diagnostic {
+func runHotAlloc(pr *Program) []Diagnostic {
+	r := &reporter{check: "hotalloc"}
 	roots := pr.rootsWith(hotpathMarker)
 	reached := pr.flood(roots, "hotalloc", func(pf *ProgFunc) bool {
 		// The New* constructors are the allocation primitives the pass
 		// reports at call sites; they are never entered.
 		return isTensorNew(pf.Fn)
 	})
-	var diags []Diagnostic
 	for _, key := range sortedReach(reached) {
 		node := reached[key]
 		pf := pr.Funcs[key]
-		root := pf.Decl.Name.Name
+		via := ""
 		if node.parent != nil {
-			root = pr.Funcs[rootNode(node).key].String()
+			via = " (hot via " + pr.Funcs[rootNode(node).key].String() + ")"
 		}
-		r := &reporter{p: pf.Pkg, check: "hotalloc"}
-		pf.Pkg.checkHotBody(r, pf.Decl, root)
-		diags = append(diags, r.done()...)
+		pf.Pkg.checkHotBody(r, pf.Decl, via)
 	}
-	sortDiagnostics(diags)
-	return diags
+	return r.diags
 }
 
-func runHotAlloc(p *Package) []Diagnostic {
-	r := &reporter{p: p, check: "hotalloc"}
-
-	// Index every function declaration in the package by its object.
-	decls := make(map[*types.Func]*ast.FuncDecl)
-	var roots []*ast.FuncDecl
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-				decls[fn] = fd
-			}
-			if isHotpath(fd) {
-				roots = append(roots, fd)
-			}
-		}
-	}
-
-	// Flood the intra-package call graph from the annotated roots,
-	// remembering which root first reached each function for blame.
-	rootOf := make(map[*ast.FuncDecl]string)
-	var queue []*ast.FuncDecl
-	for _, fd := range roots {
-		if _, seen := rootOf[fd]; !seen {
-			rootOf[fd] = fd.Name.Name
-			queue = append(queue, fd)
-		}
-	}
-	for len(queue) > 0 {
-		fd := queue[0]
-		queue = queue[1:]
-		root := rootOf[fd]
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := p.calleeFunc(call)
-			if fn == nil || fn.Pkg() != p.Types {
-				return true
-			}
-			// A call site carrying //fedlint:allow hotalloc is a
-			// sanctioned slow path; its callee does not inherit hotness.
-			// The New* constructors are never followed either — they are
-			// the allocation primitives the pass reports at call sites.
-			if isTensorNew(fn) || p.suppressed("hotalloc", p.Fset.Position(call.Pos())) {
-				return true
-			}
-			callee, ok := decls[fn]
-			if !ok {
-				return true
-			}
-			if _, seen := rootOf[callee]; !seen {
-				rootOf[callee] = root
-				queue = append(queue, callee)
-			}
-			return true
-		})
-	}
-
-	// Order the hot set by position for stable output, then scan each
-	// body for the three allocation shapes.
-	hot := make([]*ast.FuncDecl, 0, len(rootOf))
-	for fd := range rootOf {
-		hot = append(hot, fd)
-	}
-	sort.Slice(hot, func(i, j int) bool { return hot[i].Pos() < hot[j].Pos() })
-	for _, fd := range hot {
-		p.checkHotBody(r, fd, rootOf[fd])
-	}
-	return r.done()
-}
-
-func (p *Package) checkHotBody(r *reporter, fd *ast.FuncDecl, root string) {
-	via := ""
-	if root != fd.Name.Name {
-		via = " (hot via " + root + ")"
-	}
+func (p *Package) checkHotBody(r *reporter, fd *ast.FuncDecl, via string) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -169,14 +58,14 @@ func (p *Package) checkHotBody(r *reporter, fd *ast.FuncDecl, root string) {
 		}
 		switch {
 		case p.isBuiltin(call, "append"):
-			r.reportf(call.Pos(), "append in hot-path function %s%s may grow its backing array; write into a pre-sized workspace", fd.Name.Name, via)
+			r.reportf(p, call.Pos(), "append in hot-path function %s%s may grow its backing array; write into a pre-sized workspace", fd.Name.Name, via)
 		case p.isBuiltin(call, "make"):
 			if len(call.Args) > 0 && p.isFloatSlice(call.Args[0]) {
-				r.reportf(call.Pos(), "make of %s in hot-path function %s%s allocates; reuse a workspace (tensor.EnsureShape)", exprString(call.Args[0]), fd.Name.Name, via)
+				r.reportf(p, call.Pos(), "make of %s in hot-path function %s%s allocates; reuse a workspace (tensor.EnsureShape)", exprString(call.Args[0]), fd.Name.Name, via)
 			}
 		default:
 			if fn := p.calleeFunc(call); fn != nil && isTensorNew(fn) {
-				r.reportf(call.Pos(), "%s.%s in hot-path function %s%s allocates fresh tensor storage; reuse a workspace (tensor.EnsureShape)", fn.Pkg().Name(), fn.Name(), fd.Name.Name, via)
+				r.reportf(p, call.Pos(), "%s.%s in hot-path function %s%s allocates fresh tensor storage; reuse a workspace (tensor.EnsureShape)", fn.Pkg().Name(), fn.Name(), fd.Name.Name, via)
 			}
 		}
 		return true

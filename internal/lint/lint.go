@@ -5,17 +5,22 @@
 //     at a fixed seed (the parallel FL engines and the blocked GEMM core
 //     both stake their correctness argument on it). The nondet pass keeps
 //     hidden ambient state (global math/rand, wall clocks, unsorted map
-//     iteration) out of the determinism-critical packages.
+//     iteration) out of the determinism-critical packages, and detflow
+//     follows the same sources through the call graph from every
+//     `// fedlint:deterministic` root.
 //  2. Allocation-free steady state — the training hot path (TrainBatch →
 //     Forward/Backward → GEMM) allocates nothing once workspaces are
 //     sized. The hotalloc pass turns that AllocsPerRun==0 property into a
-//     per-line static guarantee over functions annotated
-//     `// fedlint:hotpath` and their intra-package callees.
+//     per-line static guarantee over everything reachable from functions
+//     annotated `// fedlint:hotpath`.
 //
-// Two supporting passes catch the classic ways either invariant rots:
-// floateq (exact ==/!= on floating-point operands outside tests) and
+// Supporting passes catch the classic ways either invariant rots:
+// floateq (exact ==/!= on floating-point operands outside tests),
 // syncmisuse (wg.Add inside the spawned goroutine, by-value copies of
-// lock-holding structs).
+// lock-holding structs), goroutinebound, floatorder and tracecomplete.
+//
+// Every pass is one Analyzer over one Program: all loaded packages plus
+// the static call graph joining them (program.go). Run is the driver.
 //
 // Everything here is stdlib-only: go/parser + go/types with a module-aware
 // importer (load.go) that falls back to compiling the standard library
@@ -26,7 +31,8 @@
 //	//fedlint:allow floateq — exact zero is the sparsity sentinel
 //
 // The comment names one or more checks (comma-separated) and silences
-// them on its own line and the line directly below it.
+// them on its own line and the line directly below it. It is the only
+// way to suppress a finding.
 package lint
 
 import (
@@ -34,6 +40,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -50,9 +57,8 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Check, d.Message)
 }
 
-// Package is one loaded, type-checked package — the unit every analyzer
-// operates on. Files may include in-package _test.go files when the
-// loader was asked for them (the nondet benchmark carve-out needs to see
+// Package is one loaded, type-checked package. Files include the
+// in-package _test.go files (the nondet benchmark carve-out needs to see
 // test files to matter).
 type Package struct {
 	Path  string
@@ -64,16 +70,18 @@ type Package struct {
 	allow map[string]map[int]map[string]bool // filename → line → suppressed checks
 }
 
-// Analyzer is one named pass over a package.
+// Analyzer is one named pass over a Program. Passes that check one
+// package at a time walk pr.Packages; the reachability passes flood the
+// call graph.
 type Analyzer struct {
 	Name string
 	Doc  string
-	Run  func(p *Package) []Diagnostic
+	Run  func(pr *Program) []Diagnostic
 }
 
-// All returns the four fedlint analyzers in their canonical order.
+// All returns every fedlint analyzer in its canonical order.
 func All() []*Analyzer {
-	return []*Analyzer{NonDet, HotAlloc, FloatEq, SyncMisuse}
+	return []*Analyzer{NonDet, FloatEq, SyncMisuse, HotAlloc, DetFlow, GoroutineBound, FloatOrder, TraceComplete}
 }
 
 // ByName returns the analyzer with the given name, or nil.
@@ -86,26 +94,54 @@ func ByName(name string) *Analyzer {
 	return nil
 }
 
-// NonDetPackages are the module-relative package paths whose results
-// must be bit-identical across runs, workers and lanes — the scope of
-// the nondet pass. Everything the FL engines touch numerically is here;
-// the experiment drivers deliberately are not (they time wall clocks for
-// their report tables). Shared by the fedlint driver and the repo-gate
-// test.
-var NonDetPackages = map[string]bool{
-	"internal/fl":     true,
-	"internal/sched":  true,
-	"internal/tensor": true,
-	"internal/nn":     true,
-}
-
-// NonDetScope reports whether the package at import path — possibly an
-// external test package carrying the loader's "_test" path suffix —
-// falls inside the nondet scope.
-func NonDetScope(path, modPath string) bool {
-	rel := strings.TrimPrefix(strings.TrimPrefix(path, modPath), "/")
-	rel = strings.TrimSuffix(rel, "_test")
-	return NonDetPackages[rel]
+// Run is the fedlint driver. It loads every target path with its
+// in-package tests and its external test package through l, so all of
+// them share one FileSet, builds one Program over them, runs the
+// analyzers and returns their findings in file/line/column order, with
+// file names relative to l.ModDir.
+func Run(l *Loader, paths []string, analyzers []*Analyzer) ([]Diagnostic, error) {
+	var pkgs []*Package
+	for _, path := range paths {
+		pkg, err := l.Load(path)
+		if err != nil {
+			return nil, err
+		}
+		ext, err := l.LoadExternalTests(path)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
+		if ext != nil {
+			pkgs = append(pkgs, ext)
+		}
+	}
+	pr := BuildProgram(pkgs)
+	var diags []Diagnostic
+	for _, a := range analyzers {
+		diags = append(diags, a.Run(pr)...)
+	}
+	for i := range diags {
+		if rel, err := filepath.Rel(l.ModDir, diags[i].Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+			diags[i].Pos.Filename = filepath.ToSlash(rel)
+		}
+	}
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i], diags[j]
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
+		}
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
+		}
+		if a.Pos.Column != b.Pos.Column {
+			return a.Pos.Column < b.Pos.Column
+		}
+		if a.Check != b.Check {
+			return a.Check < b.Check
+		}
+		return a.Message < b.Message
+	})
+	return diags, nil
 }
 
 // allowRe matches a suppression comment. The leading "//" is already
@@ -163,34 +199,26 @@ func (p *Package) suppressed(check string, pos token.Position) bool {
 	return byLine[pos.Line][check]
 }
 
-// reporter accumulates diagnostics for one pass, applying suppression.
+// reporter accumulates one pass's findings.
 type reporter struct {
-	p     *Package
 	check string
 	diags []Diagnostic
+	seen  map[token.Pos]bool
 }
 
-func (r *reporter) reportf(pos token.Pos, format string, args ...any) {
-	position := r.p.Fset.Position(pos)
-	if r.p.suppressed(r.check, position) {
+// reportf reports at pos unless an //fedlint:allow directive in p covers
+// it; each position reports at most once (several roots may reach the
+// same source — the first, in deterministic root order, wins).
+func (r *reporter) reportf(p *Package, pos token.Pos, format string, args ...any) {
+	position := p.Fset.Position(pos)
+	if r.seen[pos] || p.suppressed(r.check, position) {
 		return
 	}
+	if r.seen == nil {
+		r.seen = make(map[token.Pos]bool)
+	}
+	r.seen[pos] = true
 	r.diags = append(r.diags, Diagnostic{Pos: position, Check: r.check, Message: fmt.Sprintf(format, args...)})
-}
-
-// done returns the pass's findings in file/line order.
-func (r *reporter) done() []Diagnostic {
-	sort.Slice(r.diags, func(i, j int) bool {
-		a, b := r.diags[i].Pos, r.diags[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Column < b.Column
-	})
-	return r.diags
 }
 
 // isTestFile reports whether the file enclosing pos is a _test.go file.

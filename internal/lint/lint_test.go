@@ -11,28 +11,32 @@ import (
 	"testing"
 )
 
-// fixturePasses maps each fixture package under testdata/src to the
-// per-package analyzer it exercises.
-var fixturePasses = map[string]*Analyzer{
-	"nondet":     NonDet,
-	"hotalloc":   HotAlloc,
-	"floateq":    FloatEq,
-	"syncmisuse": SyncMisuse,
+// fixture names the analyzer a fixture package under testdata/src
+// exercises and the packages loaded for it; // want expectations are parsed from every listed package
+// directory, so cross-package findings (detflowdep, hotallocdep) anchor
+// in the file where they are reported.
+type fixture struct {
+	analyzer *Analyzer
+	pkgs     []string
 }
 
-// fixtureProgramPasses maps each whole-program fixture to its analyzer
-// and the packages built into its Program; // want expectations are
-// parsed from every listed package directory, so cross-package findings
-// (detflowdep, hotallocdep) anchor in the file where they are reported.
-var fixtureProgramPasses = map[string]struct {
-	analyzer *ProgramAnalyzer
-	pkgs     []string
-}{
+// fixturePasses are the fixtures of the passes that check one package
+// at a time, plus hotalloc's single-package fixture.
+var fixturePasses = map[string]fixture{
+	"nondet":     {NonDet, []string{"nondet"}},
+	"hotalloc":   {HotAlloc, []string{"hotalloc"}},
+	"floateq":    {FloatEq, []string{"floateq"}},
+	"syncmisuse": {SyncMisuse, []string{"syncmisuse"}},
+}
+
+// fixtureProgramPasses are the fixtures whose findings depend on edges
+// between several loaded packages or between functions.
+var fixtureProgramPasses = map[string]fixture{
 	"detflow":        {DetFlow, []string{"detflow", "detflowdep"}},
 	"goroutinebound": {GoroutineBound, []string{"goroutinebound", "tensor"}},
 	"floatorder":     {FloatOrder, []string{"floatorder"}},
 	"tracecomplete":  {TraceComplete, []string{"tracecomplete", "trace"}},
-	"hotallocx":      {HotAllocProg, []string{"hotallocx", "hotallocdep"}},
+	"hotallocx":      {HotAlloc, []string{"hotallocx", "hotallocdep"}},
 }
 
 // fixtureLoader builds a loader whose Aux table maps every directory
@@ -49,7 +53,6 @@ func fixtureLoader(t *testing.T) *Loader {
 		t.Fatal(err)
 	}
 	l := NewLoader("", base)
-	l.IncludeTests = true
 	l.Aux = make(map[string]string)
 	for _, e := range entries {
 		if e.IsDir() {
@@ -146,58 +149,39 @@ func matchWants(t *testing.T, got []Diagnostic, wants map[wantKey][]*regexp.Rege
 	}
 }
 
-// TestFixtures runs each analyzer over its seeded fixture package and
-// checks the diagnostics against the // want annotations exactly: every
-// want must be matched by a diagnostic on its line, and every diagnostic
-// must be claimed by a want.
-func TestFixtures(t *testing.T) {
-	l := fixtureLoader(t)
-	names := make([]string, 0, len(fixturePasses))
-	for name := range fixturePasses {
+// runFixtures runs each fixture's analyzer through the driver over a
+// fresh fixture loader and checks the diagnostics against the // want
+// annotations exactly: every want must be matched by a diagnostic on its
+// line, and every diagnostic must be claimed by a want.
+func runFixtures(t *testing.T, fixtures map[string]fixture) {
+	names := make([]string, 0, len(fixtures))
+	for name := range fixtures {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		a := fixturePasses[name]
+		fx := fixtures[name]
 		t.Run(name, func(t *testing.T) {
-			pkg, err := l.Load(name)
+			l := fixtureLoader(t)
+			var dirs []string
+			for _, pn := range fx.pkgs {
+				dirs = append(dirs, l.Aux[pn])
+			}
+			got, err := Run(l, fx.pkgs, []*Analyzer{fx.analyzer})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := a.Run(pkg)
-			matchWants(t, got, parseWants(t, l.Aux[name]))
-		})
-	}
-}
-
-// TestProgramFixtures runs each whole-program analyzer over its fixture
-// Program (target packages built into one call graph) and checks the
-// findings against the // want annotations across all involved packages.
-func TestProgramFixtures(t *testing.T) {
-	names := make([]string, 0, len(fixtureProgramPasses))
-	for name := range fixtureProgramPasses {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		cfg := fixtureProgramPasses[name]
-		t.Run(name, func(t *testing.T) {
-			l := fixtureLoader(t)
-			var pkgs []*Package
-			var dirs []string
-			for _, pn := range cfg.pkgs {
-				pkg, err := l.Load(pn)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pkgs = append(pkgs, pkg)
-				dirs = append(dirs, l.Aux[pn])
-			}
-			got := cfg.analyzer.Run(BuildProgram(pkgs))
 			matchWants(t, got, parseWants(t, dirs...))
 		})
 	}
 }
+
+// TestFixtures runs the single-package fixtures.
+func TestFixtures(t *testing.T) { runFixtures(t, fixturePasses) }
+
+// TestProgramFixtures runs the fixtures built from several packages or
+// reached through the call graph.
+func TestProgramFixtures(t *testing.T) { runFixtures(t, fixtureProgramPasses) }
 
 // TestSuppressionIsPerCheck verifies an //fedlint:allow directive only
 // silences the checks it names: the floateq fixture's allow lines do
@@ -261,13 +245,9 @@ func TestPackageDirs(t *testing.T) {
 	}
 }
 
-// TestRepoTreeClean locks the acceptance criterion in place: the
-// per-package passes and the whole-program passes report nothing on the
-// module that is not recorded in .fedlint-baseline.json. It mirrors the
-// fedlint driver: every package (including external test packages like
-// the root bench_test.go) loads into one Program; nondet applies only to
-// the determinism-critical scope; program-mode hotalloc subsumes the
-// per-package flood.
+// TestRepoTreeClean locks the acceptance criterion in place: the fedlint
+// driver, every pass over every package (external test packages like
+// the root bench_test.go included), reports nothing on the module.
 func TestRepoTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source")
@@ -280,45 +260,12 @@ func TestRepoTreeClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := NewLoader(modPath, modDir)
-	l.IncludeTests = true
-	var pkgs []*Package
-	for _, path := range paths {
-		pkg, err := l.Load(path)
-		if err != nil {
-			t.Fatalf("loading %s: %v", path, err)
-		}
-		pkgs = append(pkgs, pkg)
-		ext, err := l.LoadExternalTests(path)
-		if err != nil {
-			t.Fatalf("loading external tests of %s: %v", path, err)
-		}
-		if ext != nil {
-			pkgs = append(pkgs, ext)
-		}
-	}
-	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		for _, a := range All() {
-			if a.Name == "hotalloc" {
-				continue // the program flood below subsumes it
-			}
-			if a.Name == "nondet" && !NonDetScope(pkg.Path, modPath) {
-				continue
-			}
-			diags = append(diags, a.Run(pkg)...)
-		}
-	}
-	for _, a := range AllProgram() {
-		diags = append(diags, a.Run(BuildProgram(pkgs))...)
-	}
-	baseline, err := LoadBaseline(filepath.Join(modDir, ".fedlint-baseline.json"))
+	diags, err := Run(NewLoader(modPath, modDir), paths, All())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, _ := baseline.Filter(diags, modDir)
-	for _, d := range fresh {
-		t.Errorf("non-baselined finding: %s: %s: %s:%d: %s", d.Check, RelFile(d.Pos.Filename, modDir), filepath.Base(d.Pos.Filename), d.Pos.Line, d.Message)
+	for _, d := range diags {
+		t.Errorf("finding: %s", d)
 	}
 }
 
@@ -354,48 +301,5 @@ func TestLoadExternalTests(t *testing.T) {
 	}
 	if none != nil {
 		t.Errorf("internal/lint has no external test package, got %v", none.Path)
-	}
-}
-
-// TestBaselineRoundTrip covers the accepted-findings ledger: marshalled
-// findings load back, match on check/file/message (not line), and a
-// missing file behaves as an empty baseline.
-func TestBaselineRoundTrip(t *testing.T) {
-	diags := []Diagnostic{
-		{Pos: token.Position{Filename: "/mod/internal/fl/fl.go", Line: 30}, Check: "detflow", Message: "src reachable"},
-		{Pos: token.Position{Filename: "/mod/internal/fl/fl.go", Line: 30}, Check: "detflow", Message: "src reachable"}, // dup collapses
-		{Pos: token.Position{Filename: "/mod/cmd/x/main.go", Line: 9}, Check: "hotalloc", Message: "append grows"},
-	}
-	data, err := MarshalBaseline(diags, "/mod")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Findings) != 2 {
-		t.Fatalf("baseline has %d findings, want 2 (dup collapsed)", len(b.Findings))
-	}
-	if !b.Has("detflow", "internal/fl/fl.go", "src reachable") {
-		t.Error("baseline misses a marshalled finding")
-	}
-	if b.Has("detflow", "internal/fl/fl.go", "different message") {
-		t.Error("baseline matched a different message")
-	}
-	fresh, accepted := b.Filter(diags, "/mod")
-	if len(fresh) != 0 || len(accepted) != 3 {
-		t.Errorf("Filter = %d fresh, %d accepted; want 0, 3", len(fresh), len(accepted))
-	}
-	empty, err := LoadBaseline(filepath.Join(t.TempDir(), "absent.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.Has("detflow", "internal/fl/fl.go", "src reachable") {
-		t.Error("missing baseline file must behave as empty")
 	}
 }

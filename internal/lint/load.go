@@ -27,11 +27,6 @@ type Loader struct {
 	ModPath string            // module path, e.g. "fedsched"; "" disables module resolution
 	ModDir  string            // absolute directory of the module root
 	Aux     map[string]string // extra import path → directory overrides
-	// IncludeTests adds in-package _test.go files to loaded targets.
-	// External test packages (package foo_test) cannot join the primary
-	// package's type-check; LoadExternalTests loads them as their own
-	// analysis unit in a second pass.
-	IncludeTests bool
 
 	std  types.ImporterFrom
 	deps map[string]*types.Package
@@ -223,18 +218,16 @@ func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.I
 	return tpkg, info, nil
 }
 
-// Load parses and type-checks the package with the given import path for
-// analysis, honouring IncludeTests.
+// Load parses and type-checks the package with the given import path,
+// in-package _test.go files included, for analysis. External test
+// packages (package foo_test) cannot join that type-check;
+// LoadExternalTests loads them as their own analysis unit.
 func (l *Loader) Load(path string) (*Package, error) {
 	dir := l.dirFor(path)
 	if dir == "" {
 		return nil, fmt.Errorf("lint: %s is not a module-local package", path)
 	}
-	mode := parseNoTests
-	if l.IncludeTests {
-		mode = parseWithTests
-	}
-	files, err := l.parse(dir, mode)
+	files, err := l.parse(dir, parseWithTests)
 	if err != nil {
 		return nil, err
 	}

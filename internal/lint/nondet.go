@@ -13,9 +13,10 @@ import (
 //   - calls to the top-level math/rand convenience functions (rand.Intn,
 //     rand.Float64, …), which draw from the shared global source instead
 //     of a *rand.Rand threaded from Config.Seed;
-//   - calls to time.Now outside benchmark functions — wall clocks feed
-//     timestamps into results that then differ run to run (simulated
-//     time comes from the device/network models instead);
+//   - wall-clock reads (time.Now, time.Since, time.Until) outside
+//     benchmark functions — they feed timestamps into results that then
+//     differ run to run (simulated time comes from the device/network
+//     models instead);
 //   - range statements over maps whose body is order-sensitive (appends,
 //     floating-point or string accumulation, channel sends) without the
 //     sorted-keys idiom: map iteration order is deliberately randomized
@@ -24,12 +25,19 @@ import (
 //
 // The sole-statement key-collection loop (`for k := range m { keys =
 // append(keys, k) }`) is recognized as the first half of the sorted-keys
-// idiom and never flagged.
+// idiom and never flagged. Unlike detflow, nondet covers every function
+// of its packages, tests included, reachable from a root or not.
 var NonDet = &Analyzer{
 	Name: "nondet",
-	Doc:  "global math/rand, time.Now, and order-sensitive map iteration in determinism-critical packages",
+	Doc:  "global math/rand, wall clocks, and order-sensitive map iteration in packages fl, sched, tensor and nn",
 	Run:  runNonDet,
 }
+
+// nonDetScope names the determinism-critical packages by package name,
+// so their external test packages (name_test) count too: everything the
+// FL engines touch numerically. The experiment drivers deliberately are
+// not here: they time wall clocks for their report tables.
+var nonDetScope = map[string]bool{"fl": true, "sched": true, "tensor": true, "nn": true}
 
 // globalRandFuncs are the math/rand (and math/rand/v2) top-level
 // functions that consult process-global state. Constructors (New,
@@ -47,41 +55,42 @@ var globalRandFuncs = map[string]bool{
 	"UintN": true, "Uint": true,
 }
 
-func runNonDet(p *Package) []Diagnostic {
-	r := &reporter{p: p, check: "nondet"}
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, isFunc := decl.(*ast.FuncDecl)
-			inBenchmark := isFunc && strings.HasPrefix(fd.Name.Name, "Benchmark") && p.isTestFile(fd.Pos())
-			ast.Inspect(decl, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CallExpr:
-					p.checkNonDetCall(r, n, inBenchmark)
-				case *ast.RangeStmt:
-					p.checkMapRange(r, n)
-				}
-				return true
-			})
+func runNonDet(pr *Program) []Diagnostic {
+	r := &reporter{check: "nondet"}
+	for _, p := range pr.Packages {
+		if !nonDetScope[strings.TrimSuffix(p.Types.Name(), "_test")] {
+			continue
+		}
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				fd, isFunc := decl.(*ast.FuncDecl)
+				inBenchmark := isFunc && strings.HasPrefix(fd.Name.Name, "Benchmark") && p.isTestFile(fd.Pos())
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CallExpr:
+						p.checkNonDetCall(r, n, inBenchmark)
+					case *ast.RangeStmt:
+						p.checkMapRange(r, n)
+					}
+					return true
+				})
+			}
 		}
 	}
-	return r.done()
+	return r.diags
 }
 
 func (p *Package) checkNonDetCall(r *reporter, call *ast.CallExpr, inBenchmark bool) {
-	switch kind, _ := p.nonDetCallSource(call, inBenchmark); kind {
+	switch kind, what := p.nonDetCallSource(call, inBenchmark); kind {
 	case "rand":
-		sel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		pn := p.pkgNameOf(sel.X.(*ast.Ident))
-		r.reportf(call.Pos(), "call to global %s.%s draws from the shared process-wide source; thread a seeded *rand.Rand (from Config.Seed) instead",
-			pn.Imported().Name(), sel.Sel.Name)
+		r.reportf(p, call.Pos(), "call to %s draws from the shared process-wide source; thread a seeded *rand.Rand (from Config.Seed) instead", what)
 	case "time":
-		r.reportf(call.Pos(), "time.Now in a determinism-critical package; simulated time must come from the device/network models, wall clocks only belong in benchmarks")
+		r.reportf(p, call.Pos(), "%s in a determinism-critical package; simulated time must come from the device/network models, wall clocks only belong in benchmarks", what)
 	}
 }
 
 // nonDetCallSource classifies a call as an ambient-nondeterminism source
-// — shared by the per-package nondet pass and the interprocedural
-// detflow taint walk. kind is "rand" or "time" ("" when the call is
+// — shared by the nondet pass and the detflow taint walk. kind is "rand" or "time" ("" when the call is
 // clean); what is a short human description of the source.
 func (p *Package) nonDetCallSource(call *ast.CallExpr, inBenchmark bool) (kind, what string) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -102,8 +111,11 @@ func (p *Package) nonDetCallSource(call *ast.CallExpr, inBenchmark bool) (kind, 
 			return "rand", "global " + pn.Imported().Name() + "." + sel.Sel.Name
 		}
 	case "time":
-		if sel.Sel.Name == "Now" && !inBenchmark {
-			return "time", "time.Now"
+		switch sel.Sel.Name {
+		case "Now", "Since", "Until":
+			if !inBenchmark {
+				return "time", "time." + sel.Sel.Name
+			}
 		}
 	}
 	return "", ""
@@ -112,7 +124,7 @@ func (p *Package) nonDetCallSource(call *ast.CallExpr, inBenchmark bool) (kind, 
 // checkMapRange flags order-sensitive folds over map iteration.
 func (p *Package) checkMapRange(r *reporter, rng *ast.RangeStmt) {
 	if what := p.mapRangeSource(rng); what != "" {
-		r.reportf(rng.Pos(), "range over map %s has an order-sensitive body (%s); collect and sort the keys, then iterate the sorted slice",
+		r.reportf(p, rng.Pos(), "range over map %s has an order-sensitive body (%s); collect and sort the keys, then iterate the sorted slice",
 			exprString(rng.X), what)
 	}
 }

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -10,22 +9,21 @@ import (
 	"strings"
 )
 
-// Program is the whole-module view the interprocedural passes (detflow,
-// goroutinebound, floatorder, tracecomplete, and the program extension
-// of hotalloc) operate on: every loaded package plus a static call graph
-// connecting their function declarations across package boundaries.
+// Program is the whole-module view every pass operates on: every loaded
+// package plus a static call graph connecting their function
+// declarations across package boundaries, which the reachability passes
+// (hotalloc, detflow, goroutinebound, floatorder, tracecomplete) flood.
 //
 // Cross-package function identity is by key, not by *types.Func: a
 // package type-checked as an analysis target (with its test files) and
 // the same package type-checked as a dependency of another target are
 // distinct *types.Package instances, so the graph is joined on the
 // stable string key "path|receiver|name" instead (funcKey). Generic
-// instantiations are folded to their origin declaration, matching the
-// per-package calleeFunc behaviour.
+// instantiations are folded to their origin declaration, as calleeFunc
+// folds them.
 //
-// Calls through interface values and function values are not followed —
-// the same static-only contract the per-package hotalloc pass documents.
-// Concrete implementations therefore carry their own root annotations.
+// Calls through interface values and function values are not followed,
+// so concrete implementations carry their own root annotations.
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
@@ -57,30 +55,6 @@ func (pf *ProgFunc) String() string {
 		name = r + "." + name
 	}
 	return pf.Pkg.Types.Name() + "." + name
-}
-
-// ProgramAnalyzer is one named whole-program pass.
-type ProgramAnalyzer struct {
-	Name string
-	Doc  string
-	Run  func(pr *Program) []Diagnostic
-}
-
-// AllProgram returns the interprocedural analyzers in canonical order.
-// HotAllocProg shares the per-package pass's name and suppression
-// directive: in whole-program mode it subsumes the intra-package flood.
-func AllProgram() []*ProgramAnalyzer {
-	return []*ProgramAnalyzer{DetFlow, GoroutineBound, FloatOrder, TraceComplete, HotAllocProg}
-}
-
-// ProgramByName returns the program analyzer with the given name, or nil.
-func ProgramByName(name string) *ProgramAnalyzer {
-	for _, a := range AllProgram() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // BuildProgram indexes packages (which must share one FileSet — load
@@ -162,57 +136,63 @@ func recvTypeName(fn *types.Func) string {
 	return ""
 }
 
-// Root annotations of the interprocedural passes. Like fedlint:hotpath
-// they are matched against the raw doc-comment lines, so both the spaced
-// and the directive comment forms work.
+// Root and boundary annotations. A marker counts only where it starts a
+// doc-comment line, after the "//" and optional spaces, so both the
+// spaced and the directive comment forms work and prose that mentions a
+// marker does not.
 const (
+	hotpathMarker   = "fedlint:hotpath"       // root: nothing reachable may allocate
 	detMarker       = "fedlint:deterministic" // root: all reachable code must be bit-reproducible
 	detSafeMarker   = "fedlint:detsafe"       // sanitizer: audited boundary, taint does not cross
 	detReduceMarker = "fedlint:detreduce"     // audited deterministic float reduction helper
 	traceMarker     = "fedlint:trace"         // required trace kinds, e.g. fedlint:trace KindSchedule,KindSolver
 )
 
-// declMarker reports whether a function's doc comment carries the given
-// fedlint marker on any line.
-func declMarker(fd *ast.FuncDecl, marker string) bool {
+// markerLine returns the rest of the first doc-comment line of fd that
+// starts with marker, and whether there is one.
+func markerLine(fd *ast.FuncDecl, marker string) (string, bool) {
 	if fd.Doc == nil {
-		return false
+		return "", false
 	}
 	for _, c := range fd.Doc.List {
-		if strings.Contains(c.Text, marker) {
-			return true
+		text := strings.TrimLeft(strings.TrimPrefix(c.Text, "//"), " \t")
+		if rest, ok := strings.CutPrefix(text, marker); ok {
+			return rest, true
 		}
 	}
-	return false
+	return "", false
 }
 
-// traceMarkerRe captures the comma-separated kind list of a
-// fedlint:trace annotation. The Kind prefix is required of every name,
-// so prose that merely mentions the directive does not parse as an
-// annotation.
-var traceMarkerRe = regexp.MustCompile(`fedlint:trace\s+(Kind\w+(?:\s*,\s*Kind\w+)*)`)
+// declMarker reports whether a function's doc comment carries the given
+// fedlint marker.
+func declMarker(fd *ast.FuncDecl, marker string) bool {
+	_, ok := markerLine(fd, marker)
+	return ok
+}
+
+// traceKindsRe captures the comma-separated kind list after the
+// fedlint:trace marker. The Kind prefix is required of every name.
+var traceKindsRe = regexp.MustCompile(`^\s+(Kind\w+(?:\s*,\s*Kind\w+)*)`)
 
 // traceKindsAnnotation parses a fedlint:trace annotation off a doc
 // comment, returning the required kind names and whether the annotation
 // is present.
 func traceKindsAnnotation(fd *ast.FuncDecl) ([]string, bool) {
-	if fd.Doc == nil {
+	rest, ok := markerLine(fd, traceMarker)
+	if !ok {
 		return nil, false
 	}
-	for _, c := range fd.Doc.List {
-		m := traceMarkerRe.FindStringSubmatch(c.Text)
-		if m == nil {
-			continue
-		}
-		var kinds []string
-		for _, k := range strings.Split(m[1], ",") {
-			if k = strings.TrimSpace(k); k != "" {
-				kinds = append(kinds, k)
-			}
-		}
-		return kinds, true
+	m := traceKindsRe.FindStringSubmatch(rest)
+	if m == nil {
+		return nil, false
 	}
-	return nil, false
+	var kinds []string
+	for _, k := range strings.Split(m[1], ",") {
+		if k = strings.TrimSpace(k); k != "" {
+			kinds = append(kinds, k)
+		}
+	}
+	return kinds, true
 }
 
 // rootsWith returns the keys of every function carrying any of the
@@ -303,50 +283,4 @@ func sortedReach(reached map[string]*reachNode) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// progReporter accumulates diagnostics for a whole-program pass,
-// applying the owning package's suppression table at each position.
-type progReporter struct {
-	pr    *Program
-	check string
-	diags []Diagnostic
-	seen  map[token.Pos]bool
-}
-
-// reportf reports at pos unless an //fedlint:allow directive in p covers
-// it; each position reports at most once (several roots may reach the
-// same source — the first, in deterministic root order, wins).
-func (r *progReporter) reportf(p *Package, pos token.Pos, format string, args ...any) {
-	if r.seen == nil {
-		r.seen = make(map[token.Pos]bool)
-	}
-	if r.seen[pos] {
-		return
-	}
-	position := r.pr.Fset.Position(pos)
-	if p.suppressed(r.check, position) {
-		return
-	}
-	r.seen[pos] = true
-	r.diags = append(r.diags, Diagnostic{Pos: position, Check: r.check, Message: fmt.Sprintf(format, args...)})
-}
-
-func (r *progReporter) done() []Diagnostic {
-	sortDiagnostics(r.diags)
-	return r.diags
-}
-
-// sortDiagnostics orders findings by file, line, column.
-func sortDiagnostics(diags []Diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i].Pos, diags[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Column < b.Column
-	})
 }

@@ -26,31 +26,33 @@ var SyncMisuse = &Analyzer{
 	Run:  runSyncMisuse,
 }
 
-func runSyncMisuse(p *Package) []Diagnostic {
-	r := &reporter{p: p, check: "syncmisuse"}
-	lc := newLockCache()
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				p.checkGoAdd(r, n)
-			case *ast.FuncDecl:
-				p.checkFuncCopies(r, lc, n.Recv, n.Type)
-			case *ast.FuncLit:
-				p.checkFuncCopies(r, lc, nil, n.Type)
-			case *ast.AssignStmt:
-				p.checkAssignCopies(r, lc, n)
-			case *ast.ValueSpec:
-				for _, v := range n.Values {
-					p.checkCopyExpr(r, lc, v, "assignment")
+func runSyncMisuse(pr *Program) []Diagnostic {
+	r := &reporter{check: "syncmisuse"}
+	for _, p := range pr.Packages {
+		lc := newLockCache()
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					p.checkGoAdd(r, n)
+				case *ast.FuncDecl:
+					p.checkFuncCopies(r, lc, n.Recv, n.Type)
+				case *ast.FuncLit:
+					p.checkFuncCopies(r, lc, nil, n.Type)
+				case *ast.AssignStmt:
+					p.checkAssignCopies(r, lc, n)
+				case *ast.ValueSpec:
+					for _, v := range n.Values {
+						p.checkCopyExpr(r, lc, v, "assignment")
+					}
+				case *ast.RangeStmt:
+					p.checkRangeCopies(r, lc, n)
 				}
-			case *ast.RangeStmt:
-				p.checkRangeCopies(r, lc, n)
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
-	return r.done()
+	return r.diags
 }
 
 // checkGoAdd walks a go statement's function literal for Add calls on a
@@ -83,7 +85,7 @@ func (p *Package) checkGoAdd(r *reporter, g *ast.GoStmt) {
 				return true
 			}
 		}
-		r.reportf(call.Pos(), "%s.Add inside the spawned goroutine races the spawner's Wait; call Add before the go statement", exprString(sel.X))
+		r.reportf(p, call.Pos(), "%s.Add inside the spawned goroutine races the spawner's Wait; call Add before the go statement", exprString(sel.X))
 		return true
 	})
 }
@@ -113,7 +115,7 @@ func (p *Package) checkFuncCopies(r *reporter, lc *lockCache, recv *ast.FieldLis
 		for _, field := range fl.List {
 			t := p.Info.TypeOf(field.Type)
 			if holder := lc.holds(t); holder != "" {
-				r.reportf(field.Type.Pos(), "%s %s is passed by value but contains %s; use a pointer", kind, exprString(field.Type), holder)
+				r.reportf(p, field.Type.Pos(), "%s %s is passed by value but contains %s; use a pointer", kind, exprString(field.Type), holder)
 			}
 		}
 	}
@@ -150,7 +152,7 @@ func (p *Package) checkCopyExpr(r *reporter, lc *lockCache, e ast.Expr, kind str
 	}
 	t := p.Info.TypeOf(e)
 	if holder := lc.holds(t); holder != "" {
-		r.reportf(e.Pos(), "%s copies %s by value but it contains %s; use a pointer", kind, exprString(e), holder)
+		r.reportf(p, e.Pos(), "%s copies %s by value but it contains %s; use a pointer", kind, exprString(e), holder)
 	}
 }
 
@@ -162,7 +164,7 @@ func (p *Package) checkRangeCopies(r *reporter, lc *lockCache, rng *ast.RangeStm
 	}
 	t := p.Info.TypeOf(rng.Value)
 	if holder := lc.holds(t); holder != "" {
-		r.reportf(rng.Value.Pos(), "range value %s copies an element that contains %s; range over indices or pointers", exprString(rng.Value), holder)
+		r.reportf(p, rng.Value.Pos(), "range value %s copies an element that contains %s; range over indices or pointers", exprString(rng.Value), holder)
 	}
 }
 

@@ -20,6 +20,7 @@ func Engine(seed int64, out []float64) float64 {
 	x := helper(r)
 	x += detflowdep.Dep()
 	x += audited()
+	x += wall()
 	fork(out)
 	return x
 }
@@ -36,6 +37,14 @@ func helper(r *rand.Rand) float64 {
 // fedlint:detsafe
 func audited() float64 {
 	return float64(time.Now().UnixNano())
+}
+
+// wall reads the wall clock through Since and Until: both are sources
+// like time.Now.
+func wall() float64 {
+	var t0 time.Time
+	d := time.Since(t0)                   // want `time\.Since is reachable from deterministic root detflow\.Engine`
+	return (d + time.Until(t0)).Seconds() // want `time\.Until is reachable from deterministic root detflow\.Engine`
 }
 
 // fork spawns with no visible join anywhere in the declaration: whatever

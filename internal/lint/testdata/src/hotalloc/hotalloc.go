@@ -22,14 +22,21 @@ func Hot(dst *tensor.Tensor, xs []float64) []float64 {
 }
 
 // helper carries no annotation; it inherits hotness from Hot through
-// the intra-package call graph.
+// the call graph.
 func helper(xs []float64) []float64 {
-	return append(xs, 2) // want `append in hot-path function helper \(hot via Hot\) may grow`
+	return append(xs, 2) // want `append in hot-path function helper \(hot via hotalloc\.Hot\) may grow`
 }
 
 // Cold is never reached from an annotated root and may allocate freely.
 func Cold() []float64 {
 	return make([]float64, 128)
+}
+
+// Prose names the fedlint:hotpath marker in a sentence, which does not
+// make it a root: a marker counts only where it starts a doc-comment
+// line.
+func Prose(xs []float64) []float64 {
+	return append(xs, 3)
 }
 
 // Allowed shows the sanctioned-slow-path escape hatch; the directive
@@ -123,13 +130,13 @@ func GenericHot(ws *tensor.TensorOf[float32]) {
 // (*ast.IndexExpr at the call site in GenericHot).
 func genericHelper[T tensor.Float](xs []T) []T {
 	var zero T
-	return append(xs, zero) // want `append in hot-path function genericHelper \(hot via GenericHot\) may grow`
+	return append(xs, zero) // want `append in hot-path function genericHelper \(hot via hotalloc\.GenericHot\) may grow`
 }
 
 // widen inherits hotness through a two-type-arg instantiation
 // (*ast.IndexListExpr at the call site in GenericHot).
 func widen[Dst, Src tensor.Float](dst []Dst, x Src) []Dst {
-	return append(dst, Dst(x)) // want `append in hot-path function widen \(hot via GenericHot\) may grow`
+	return append(dst, Dst(x)) // want `append in hot-path function widen \(hot via hotalloc\.GenericHot\) may grow`
 }
 
 // InferredHot checks the no-explicit-instantiation path stays covered:

@@ -1,7 +1,6 @@
 // Package hotallocx seeds the cross-package hotalloc fixture: the hot
 // root lives here, one allocation it reaches lives in the hotallocdep
-// stub (a package named tensor), which the per-package pass could never
-// see.
+// stub (a package named tensor).
 package hotallocx
 
 import tensor "hotallocdep"

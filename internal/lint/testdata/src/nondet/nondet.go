@@ -1,8 +1,9 @@
-// Package nondet seeds every shape the nondet pass must flag — global
-// math/rand, wall clocks, order-sensitive map folds — next to the legal
-// forms (threaded generators, the sorted-keys idiom, order-insensitive
-// integer folds) it must leave alone.
-package nondet
+// Package fl (the nondet fixture) seeds every shape the nondet pass must
+// flag — global math/rand, wall clocks, order-sensitive map folds — next
+// to the legal forms (threaded generators, the sorted-keys idiom,
+// order-insensitive integer folds) it must leave alone. It is named after
+// the FL engine package because nondet scopes itself by package name.
+package fl
 
 import (
 	"math/rand"
@@ -31,6 +32,14 @@ func construct(seed int64) *rand.Rand {
 
 func wallClock() time.Time {
 	return time.Now() // want `time\.Now in a determinism-critical package`
+}
+
+func elapsed(start time.Time) time.Duration {
+	return time.Since(start) // want `time\.Since in a determinism-critical package`
+}
+
+func remaining(deadline time.Time) time.Duration {
+	return time.Until(deadline) // want `time\.Until in a determinism-critical package`
 }
 
 func mapAccumulate(m map[string]float64) float64 {

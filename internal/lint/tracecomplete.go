@@ -27,14 +27,14 @@ import (
 // anything it statically calls. Kind constants are recognized by type:
 // a constant whose named type is Kind declared in a package named
 // trace (the real trace package, or the fixture stub).
-var TraceComplete = &ProgramAnalyzer{
+var TraceComplete = &Analyzer{
 	Name: "tracecomplete",
 	Doc:  "fedlint:trace annotations and Scheduler implementations must statically emit their required trace kinds",
 	Run:  runTraceComplete,
 }
 
 func runTraceComplete(pr *Program) []Diagnostic {
-	r := &progReporter{pr: pr, check: "tracecomplete"}
+	r := &reporter{check: "tracecomplete"}
 
 	// Kind-constant names each function mentions directly.
 	own := make(map[string]map[string]bool)
@@ -141,7 +141,7 @@ func runTraceComplete(pr *Program) []Diagnostic {
 			}
 		}
 	}
-	return r.done()
+	return r.diags
 }
 
 // kindsMentioned collects the trace.Kind constant names a function body
