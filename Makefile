@@ -101,13 +101,14 @@ check-nolint: build vet test race-tensor
 # calls into from its worker pool (samplers, fault draws, schedulers, trace
 # rings, device simulators, and the device profiles the daemon's jobs
 # share — a few seconds all together). The async engine's event loop is
-# part of internal/fl. The root package's BuildJob tests cover the offline
-# profile memo that concurrent daemon jobs share.
+# part of internal/fl. The root package's BuildJob and ProfileMemo tests
+# race the offline-profile memo that concurrent jobs, testbeds and
+# population runners share.
 race:
 	$(GO) test -race ./internal/fl/... ./internal/tensor/... ./internal/serve/... \
 		./internal/sample/... ./internal/fault/... ./internal/sched/... \
 		./internal/trace/... ./internal/device/... ./internal/profile/...
-	$(GO) test -race -run 'BuildJob' .
+	$(GO) test -race -run 'BuildJob|ProfileMemo' .
 
 # Fast race pass over just the GEMM core and lane semaphore — cheap
 # enough (~35s on 2 cores: the suites run once per kernel dispatch state,
@@ -159,15 +160,16 @@ nofma:
 
 # Size of the tree, for "same behaviour from less code" PRs: non-test Go
 # lines, raw and code-only (no blank or comment-only lines), for the FL
-# engines, the tensor kernels, the serving layer, fedlint (its passes
-# and its command together) and everything outside bench/ (testdata
-# fixtures excluded), plus the internal package and binary counts.
+# engines, the tensor kernels, the serving layer, the experiment drivers,
+# fedlint (its passes and its command together) and everything outside
+# bench/ (testdata fixtures excluded), plus the internal package and
+# binary counts.
 # Informational — CI prints it, nothing gates on it.
 LOC_FILES = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' \
 	! -path '*/testdata/*' ! -path './.bench_build/*' -print0
 loc:
 	@printf '%-42s %8s %10s\n' scope raw code-only
-	@for scope in internal/fl internal/tensor internal/serve 'internal/lint cmd/fedlint' .; do \
+	@for scope in internal/fl internal/tensor internal/serve internal/experiments 'internal/lint cmd/fedlint' .; do \
 		printf '%-42s %8d %10d\n' "$$scope (non-test .go)" \
 			"$$($(call LOC_FILES,$$scope) | xargs -0 cat | wc -l)" \
 			"$$($(call LOC_FILES,$$scope) | xargs -0 cat | grep -vcE '^\s*(//.*)?$$')"; \

@@ -34,7 +34,6 @@ import (
 
 	"fedsched/internal/data"
 	"fedsched/internal/device"
-	"fedsched/internal/experiments"
 	"fedsched/internal/fault"
 	"fedsched/internal/fl"
 	"fedsched/internal/network"
@@ -249,11 +248,12 @@ var (
 // ShardSize is the paper's data granularity: 100 samples per shard.
 const ShardSize = 100
 
-// Testbed is a profiled collection of simulated phones ready for
-// scheduling and federated simulation — the facade over the device,
-// profile, network, sched and fl packages. It is not safe for concurrent
-// use: the first Request profiles every device model, and later ones read
-// those profiles without a lock.
+// Testbed is a collection of simulated phones ready for scheduling and
+// federated simulation — the facade over the device, profile, network,
+// sched and fl packages. It holds no profiling state: every Request prices
+// its architecture with offline profiles for that architecture's input
+// geometry, from profile.BuildTestbed's process-wide memo. Goroutines may
+// share a Testbed as long as none modifies its fields.
 type Testbed struct {
 	Profiles []device.Profile
 	Link     network.Link
@@ -262,12 +262,9 @@ type Testbed struct {
 	// per round — the paper's capacity constraint C_j "quantified by the
 	// storage or battery energy" (§VI-A).
 	BatteryBudget float64
-
-	profiles map[string]*profile.DeviceProfile
 }
 
 // NewTestbed returns one of the paper's testbeds (1, 2 or 3) on WiFi.
-// Profiling happens lazily on first schedule.
 func NewTestbed(id int) *Testbed {
 	return &Testbed{Profiles: device.Testbed(id), Link: network.WiFi()}
 }
@@ -277,39 +274,20 @@ func NewCustomTestbed(profiles []device.Profile, link network.Link) *Testbed {
 	return &Testbed{Profiles: profiles, Link: link}
 }
 
-// ensureProfiles runs offline profiling (once per device model) for the
-// architecture's input geometry.
-func (tb *Testbed) ensureProfiles(arch *nn.Arch) error {
-	if tb.profiles != nil {
-		return nil
-	}
-	suite := profile.Suite(arch.InC, arch.InH, arch.InW, arch.Classes)
-	tb.profiles = make(map[string]*profile.DeviceProfile, len(tb.Profiles))
-	for _, p := range tb.Profiles {
-		if _, ok := tb.profiles[p.Model]; ok {
-			continue
-		}
-		dp, err := profile.BuildOffline(device.New(p), suite, profile.DefaultSizes)
-		if err != nil {
-			return fmt.Errorf("fedsched: profiling %s: %w", p.Model, err)
-		}
-		tb.profiles[p.Model] = dp
-	}
-	return nil
-}
-
 // Request builds a scheduling request for totalSamples of the given
-// architecture, with per-user costs from the offline profiles.
+// architecture in ShardSize shards, with per-user costs from the offline
+// profiles.
 func (tb *Testbed) Request(arch *nn.Arch, totalSamples int) (*sched.Request, error) {
-	if err := tb.ensureProfiles(arch); err != nil {
-		return nil, err
+	profs, err := profile.BuildTestbed(tb.Profiles, arch.InC, arch.InH, arch.InW, arch.Classes)
+	if err != nil {
+		return nil, fmt.Errorf("fedsched: %w", err)
 	}
 	comm := tb.Link.RoundTripTime(arch.SizeBytes())
 	users := make([]*sched.User, len(tb.Profiles))
 	for j, p := range tb.Profiles {
 		users[j] = &sched.User{
 			Name:        fmt.Sprintf("%s-%d", p.Model, j),
-			Cost:        tb.profiles[p.Model].Line(arch).Predict,
+			Cost:        profs[j].Line(arch).Predict,
 			CommSeconds: comm,
 			MeanFreqGHz: p.MeanFreqGHz(),
 		}
@@ -351,8 +329,8 @@ func (tb *Testbed) ScheduleNonIID(arch *nn.Arch, totalSamples int, classSets [][
 	return sched.FedMinAvg{}.Schedule(req, nil)
 }
 
-// devices builds one fresh simulated phone and link per testbed profile.
-func (tb *Testbed) devices() ([]*device.Device, []network.Link) {
+// Devices builds one fresh simulated phone and link per testbed profile.
+func (tb *Testbed) Devices() ([]*device.Device, []network.Link) {
 	devs := make([]*device.Device, len(tb.Profiles))
 	links := make([]network.Link, len(tb.Profiles))
 	for i, p := range tb.Profiles {
@@ -365,7 +343,7 @@ func (tb *Testbed) devices() ([]*device.Device, []network.Link) {
 // SimulateRounds runs `rounds` synchronous rounds of the assignment on
 // fresh devices and returns each round's makespan in simulated seconds.
 func (tb *Testbed) SimulateRounds(arch *nn.Arch, asg *sched.Assignment, rounds int) ([]float64, error) {
-	devs, links := tb.devices()
+	devs, links := tb.Devices()
 	return fl.SimulateRounds(arch, devs, links, asg.Samples(ShardSize), 20, rounds)
 }
 
@@ -386,7 +364,7 @@ func (tb *Testbed) Clients(train *data.Dataset, part data.Partition) ([]*fl.Clie
 	if len(part) != len(tb.Profiles) {
 		return nil, fmt.Errorf("fedsched: partition for %d users, testbed has %d devices", len(part), len(tb.Profiles))
 	}
-	devs, links := tb.devices()
+	devs, links := tb.Devices()
 	return fl.BuildClients(devs, links, part.Materialize(train))
 }
 
@@ -410,20 +388,3 @@ func PartitionIIDSizes(ds *data.Dataset, sizes []int, seed int64) data.Partition
 func PartitionByClasses(ds *data.Dataset, classSets [][]int, sizes []int, seed int64) data.Partition {
 	return data.ByClassSets(ds, classSets, sizes, rand.New(rand.NewSource(seed)))
 }
-
-// Experiment regenerates one of the paper's tables or figures by id
-// (fig1..fig7, tab2..tab5); quick reduces training workloads.
-func Experiment(id string, quick bool, seed int64) (string, error) {
-	d, ok := experiments.Lookup(id)
-	if !ok {
-		return "", fmt.Errorf("fedsched: unknown experiment %q (have %v)", id, experiments.IDs())
-	}
-	rep, err := d(experiments.Options{Quick: quick, Seed: seed})
-	if err != nil {
-		return "", err
-	}
-	return rep.String(), nil
-}
-
-// ExperimentIDs lists the available experiment ids.
-func ExperimentIDs() []string { return experiments.IDs() }

@@ -3,10 +3,12 @@ package fedsched
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
+	_ "unsafe" // go:linkname
 
+	"fedsched/internal/device"
+	"fedsched/internal/profile"
 	"fedsched/internal/sched"
 	"fedsched/internal/trace"
 )
@@ -92,22 +94,6 @@ func TestPartitionHelpers(t *testing.T) {
 		if ds.Labels[i] > 1 {
 			t.Fatal("class restriction violated")
 		}
-	}
-}
-
-func TestExperimentFacade(t *testing.T) {
-	out, err := Experiment("tab4", true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "S(III)") {
-		t.Fatalf("unexpected output:\n%s", out)
-	}
-	if _, err := Experiment("bogus", true, 1); err == nil {
-		t.Fatal("expected unknown-experiment error")
-	}
-	if len(ExperimentIDs()) < 12 {
-		t.Fatalf("expected ≥12 experiments, got %v", ExperimentIDs())
 	}
 }
 
@@ -257,6 +243,64 @@ func TestFacadeTuneAlpha(t *testing.T) {
 	}
 }
 
+// TestTestbedGeometry prices MNIST LeNet and then CIFAR LeNet on one
+// Testbed: each request must be priced by profiles measured for its own
+// input geometry, exactly as a fresh measurement prices it.
+func TestTestbedGeometry(t *testing.T) {
+	tb := NewTestbed(2)
+	for _, arch := range []*Arch{LeNet(1, 28, 28, 10), LeNet(3, 32, 32, 10)} {
+		req, err := tb.Request(arch, 60000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		suite := profile.Suite(arch.InC, arch.InH, arch.InW, arch.Classes)
+		for j, p := range tb.Profiles {
+			fresh, err := profile.BuildOffline(device.New(p), suite, profile.DefaultSizes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range []int{100, 1000, 60000} {
+				if got, want := req.Users[j].Cost(n), fresh.Predict(arch, n); got != want {
+					t.Fatalf("%dx%dx%d %s: cost(%d) = %v, a fresh profile gives %v",
+						arch.InC, arch.InH, arch.InW, req.Users[j].Name, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+// profileMemo is profile.BuildTestbed's process-wide memo, reached so the
+// concurrency tests below can start from a cold one.
+//
+//go:linkname profileMemo fedsched/internal/profile.offline
+var profileMemo sync.Map
+
+func coldProfileMemo() {
+	profileMemo.Range(func(k, _ any) bool {
+		profileMemo.Delete(k)
+		return true
+	})
+}
+
+// jobBuild is what BuildJob decides: the partition, the schedule and the
+// schedule/solver trace.
+type jobBuild struct {
+	sizes []int
+	asg   *sched.Assignment
+	trace []byte
+}
+
+func buildJob(cfg JobConfig) (jobBuild, error) {
+	rec := trace.New(0)
+	j, err := BuildJob(cfg, rec)
+	if err != nil {
+		return jobBuild{}, err
+	}
+	var buf bytes.Buffer
+	err = trace.WriteJSONL(&buf, rec.Events())
+	return jobBuild{j.Sizes, j.Assignment, buf.Bytes()}, err
+}
+
 // TestBuildJobConcurrent builds jobs on eight goroutines at once, over
 // testbeds 1–3 × f64/f32 × IID/non-IID, starting from a cold profile
 // memo: every build must schedule, partition and trace exactly what a
@@ -275,36 +319,15 @@ func TestBuildJobConcurrent(t *testing.T) {
 			}
 		}
 	}
-	type built struct {
-		sizes []int
-		asg   *sched.Assignment
-		trace []byte
-	}
-	build := func(cfg JobConfig) (built, error) {
-		rec := trace.New(0)
-		j, err := BuildJob(cfg, rec)
-		if err != nil {
-			return built{}, err
-		}
-		var buf bytes.Buffer
-		err = trace.WriteJSONL(&buf, rec.Events())
-		return built{j.Sizes, j.Assignment, buf.Bytes()}, err
-	}
-	coldMemo := func() {
-		jobProfiles.Lock()
-		clear(jobProfiles.byKey)
-		jobProfiles.Unlock()
-	}
-
-	want := make([]built, len(cfgs))
+	want := make([]jobBuild, len(cfgs))
 	for i, cfg := range cfgs {
-		coldMemo()
+		coldProfileMemo()
 		var err error
-		if want[i], err = build(cfg); err != nil {
+		if want[i], err = buildJob(cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	coldMemo()
+	coldProfileMemo()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -312,7 +335,7 @@ func TestBuildJobConcurrent(t *testing.T) {
 			defer wg.Done()
 			for k := range cfgs {
 				i := (g + k) % len(cfgs) // every goroutine starts elsewhere
-				got, err := build(cfgs[i])
+				got, err := buildJob(cfgs[i])
 				switch {
 				case err != nil:
 					t.Error(err)
@@ -321,6 +344,72 @@ func TestBuildJobConcurrent(t *testing.T) {
 						cfgs[i], got.sizes, got.asg, want[i].sizes, want[i].asg)
 				case !bytes.Equal(got.trace, want[i].trace):
 					t.Errorf("%+v: schedule/solver trace differs from the sequential build's", cfgs[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestProfileMemoConcurrent races the memo's three kinds of user from a
+// cold start — Request on one shared Testbed at two input geometries,
+// BuildJob, and NewPopulationRunner — on eight goroutines; each must get
+// what it gets alone on a cold memo of its own.
+func TestProfileMemoConcurrent(t *testing.T) {
+	shared := NewTestbed(3)
+	price := func(arch *Arch) func() (any, error) {
+		return func() (any, error) {
+			req, err := shared.Request(arch, 60000)
+			if err != nil {
+				return nil, err
+			}
+			var costs []float64
+			for _, u := range req.Users {
+				costs = append(costs, u.Cost(100), u.Cost(6000), u.Cost(60000))
+			}
+			return costs, nil
+		}
+	}
+	job := func(cfg JobConfig) func() (any, error) {
+		return func() (any, error) { return buildJob(cfg.WithDefaults()) }
+	}
+	tasks := []func() (any, error){
+		price(LeNet(1, 28, 28, 10)),
+		price(LeNet(3, 32, 32, 10)),
+		job(JobConfig{Testbed: 2, Samples: 200, TestSamples: 20, Seed: 4}),
+		job(JobConfig{Testbed: 1, Dataset: "scifar", ClassesPerUser: 3, Scheduler: "fedminavg",
+			Samples: 200, TestSamples: 20, Seed: 9}),
+		func() (any, error) {
+			r, err := NewPopulationRunner(PopulationConfig{
+				Arch: LeNetSmall(1, 16, 16, 10), Population: NewDevicePopulation(1000, 7),
+				Sampler: NewUniformSampler(1000, 16, 7), TotalShards: 64,
+			})
+			if err != nil {
+				return nil, err
+			}
+			return r.Round(0)
+		},
+	}
+	want := make([]any, len(tasks))
+	for i, task := range tasks {
+		coldProfileMemo()
+		var err error
+		if want[i], err = task(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	coldProfileMemo()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range tasks {
+				i := (g + k) % len(tasks)
+				if got, err := tasks[i](); err != nil {
+					t.Error(err)
+				} else if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("task %d: concurrent result %+v, sequential %+v", i, got, want[i])
 				}
 			}
 		}()

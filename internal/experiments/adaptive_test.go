@@ -17,15 +17,13 @@ func adaptiveRig(t *testing.T) ([]*device.Device, []network.Link, []*profile.Dev
 	profiles := []device.Profile{device.Pixel2(), device.Nexus6(), device.Mate10()}
 	devs := make([]*device.Device, len(profiles))
 	links := make([]network.Link, len(profiles))
-	base := make([]*profile.DeviceProfile, len(profiles))
 	for i, p := range profiles {
 		devs[i] = device.New(p)
 		links[i] = network.WiFi()
-		dp, err := profile.BuildOffline(device.New(p), profile.Suite(1, 28, 28, 10), profile.DefaultSizes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base[i] = dp
+	}
+	base, err := profile.BuildTestbed(profiles, 1, 28, 28, 10)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return devs, links, base
 }

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 
+	"fedsched"
 	"fedsched/internal/data"
 	"fedsched/internal/device"
+	"fedsched/internal/fl"
 	"fedsched/internal/network"
 	"fedsched/internal/nn"
-	"fedsched/internal/profile"
 	"fedsched/internal/sched"
+	"fedsched/internal/trace"
 )
 
 // benchDataset couples a dataset stand-in with its paper counterpart.
@@ -67,86 +69,20 @@ func smallArch(model string, channels int) *nn.Arch {
 	panic(fmt.Sprintf("experiments: unknown model %q", model))
 }
 
-// testbedSetup bundles everything needed to schedule and simulate on one
-// of the paper's three testbeds.
-type testbedSetup struct {
-	ID       int
-	Profiles []device.Profile
-	DevProfs []*profile.DeviceProfile
-	Link     network.Link
-}
-
-// profileCache memoizes offline profiling per (testbed, geometry) — the
-// expensive step the paper also performs once offline.
-var profileCache = map[string][]*profile.DeviceProfile{}
-
-func newTestbed(id int, ds benchDataset) (*testbedSetup, error) {
-	profs := device.Testbed(id)
-	key := fmt.Sprintf("%d/%dx%dx%d", id, ds.C, ds.H, ds.W)
-	dp, ok := profileCache[key]
-	if !ok {
-		var err error
-		dp, err = profile.BuildTestbed(profs, ds.C, ds.H, ds.W, 10)
-		if err != nil {
-			return nil, err
-		}
-		profileCache[key] = dp
-	}
-	return &testbedSetup{ID: id, Profiles: profs, DevProfs: dp, Link: network.WiFi()}, nil
-}
-
-// request builds a scheduling request for the testbed: costs from the
-// offline profiles, communication from the link, total workload in shards.
-func (tb *testbedSetup) request(arch *nn.Arch, totalSamples, shardSize int) *sched.Request {
-	users := make([]*sched.User, len(tb.Profiles))
-	comm := tb.Link.RoundTripTime(arch.SizeBytes())
-	for j := range tb.Profiles {
-		prof := tb.Profiles[j]
-		users[j] = &sched.User{
-			Name:        fmt.Sprintf("%s-%d", prof.Model, j),
-			Cost:        tb.DevProfs[j].Line(arch).Predict,
-			CommSeconds: comm,
-			MeanFreqGHz: prof.MeanFreqGHz(),
-		}
-	}
-	return &sched.Request{
-		TotalShards: totalSamples / shardSize,
-		ShardSize:   shardSize,
-		Users:       users,
-	}
-}
-
-// devices instantiates fresh (cold) simulated devices for the testbed.
-func (tb *testbedSetup) devices() []*device.Device {
-	out := make([]*device.Device, len(tb.Profiles))
-	for i, p := range tb.Profiles {
-		out[i] = device.New(p)
-	}
-	return out
-}
-
-// links returns one link per device.
-func (tb *testbedSetup) links() []network.Link {
-	out := make([]network.Link, len(tb.Profiles))
-	for i := range out {
-		out[i] = tb.Link
-	}
-	return out
-}
-
 // schedulers returns the benchmark set in paper column order.
 func schedulers() []sched.Scheduler {
 	return []sched.Scheduler{sched.Proportional{}, sched.Random{}, sched.Equal{}, sched.FedLBAP{}}
 }
 
-// meanRoundTime schedules with s, simulates `rounds` synchronous rounds on
-// fresh devices, and returns the mean makespan.
-func meanRoundTime(tb *testbedSetup, arch *nn.Arch, s sched.Scheduler, req *sched.Request, rounds int, rng *rand.Rand, flCompute func(samples []int) ([]float64, error)) (float64, error) {
+// meanRoundTime schedules with s, simulates `rounds` synchronous rounds of
+// the assignment on fresh devices of tb, and returns the mean makespan.
+func meanRoundTime(tb *fedsched.Testbed, arch *nn.Arch, s sched.Scheduler, req *sched.Request, rounds int, rng *rand.Rand, rec *trace.Recorder) (float64, error) {
 	asg, err := s.Schedule(req, rng)
 	if err != nil {
 		return 0, err
 	}
-	spans, err := flCompute(asg.Samples(req.ShardSize))
+	devs, links := tb.Devices()
+	spans, err := fl.SimulateRoundsTraced(arch, devs, links, asg.Samples(req.ShardSize), 20, rounds, rec)
 	if err != nil {
 		return 0, err
 	}

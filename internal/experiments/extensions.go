@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"time"
 
+	"fedsched"
 	"fedsched/internal/data"
 	"fedsched/internal/device"
 	"fedsched/internal/fl"
 	"fedsched/internal/privacy"
+	"fedsched/internal/profile"
 	"fedsched/internal/sched"
 )
 
@@ -36,11 +38,11 @@ func ExtEnergy(o Options) (*Report, error) {
 	rep := &Report{ID: "ext-energy", Title: "Energy per round and battery drain by scheduler (extension)"}
 	ds := mnistBench()
 	arch := paperArch("LeNet", ds)
-	tb, err := newTestbed(2, ds)
+	tb := fedsched.NewTestbed(2)
+	req, err := tb.Request(arch, ds.TotalSamples)
 	if err != nil {
 		return nil, err
 	}
-	req := tb.request(arch, ds.TotalSamples, ShardSize)
 	req.Trace = o.Trace
 	tbl := &Table{
 		Title:   "Testbed II, MNIST+LeNet, 3 rounds of 60K samples",
@@ -52,8 +54,8 @@ func ExtEnergy(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		devs := tb.devices()
-		spans, err := fl.SimulateRoundsTraced(arch, devs, tb.links(), asg.Samples(ShardSize), 20, 3, o.Trace)
+		devs, links := tb.Devices()
+		spans, err := fl.SimulateRoundsTraced(arch, devs, links, asg.Samples(fedsched.ShardSize), 20, 3, o.Trace)
 		if err != nil {
 			return nil, err
 		}
@@ -225,19 +227,19 @@ func ExtDP(o Options) (*Report, error) {
 	rep := &Report{ID: "ext-dp", Title: "Fed-MinAvg under differentially-private class reporting (extension)"}
 	ds := cifarBench()
 	arch := paperArch("LeNet", ds)
-	tb, err := newTestbed(2, ds)
-	if err != nil {
-		return nil, err
-	}
+	tb := fedsched.NewTestbed(2)
 	sc := paperScenarios()[1] // S(II)
 	tbl := &Table{
 		Title:   "S(II), α=500, β=2; schedules from privatized class reports (10 trials/ε)",
 		Columns: []string{"epsilon", "flip prob", "mean makespan [s]", "mean participants", "coverage (of 10)"},
 	}
-	trueReq := func() *sched.Request {
-		req := tb.request(arch, ds.TotalSamples, ShardSize)
+	trueReq := func() (*sched.Request, error) {
+		req, err := tb.Request(arch, ds.TotalSamples)
+		if err != nil {
+			return nil, err
+		}
 		req.K, req.Alpha, req.Beta = 10, 500, 2
-		return req
+		return req, nil
 	}
 	for _, eps := range []float64{0.5, 1, 2, 4, 8} {
 		rep2, err := privacy.NewReporter(eps, 10)
@@ -248,7 +250,10 @@ func ExtDP(o Options) (*Report, error) {
 		const trials = 10
 		makespan, participants, coverage := 0.0, 0.0, 0.0
 		for trial := 0; trial < trials; trial++ {
-			req := trueReq()
+			req, err := trueReq()
+			if err != nil {
+				return nil, err
+			}
 			for j, u := range req.Users {
 				u.Classes = rep2.EstimateSet(rep2.Randomize(sc.ClassSets[j], rng))
 			}
@@ -259,7 +264,10 @@ func ExtDP(o Options) (*Report, error) {
 				continue
 			}
 			// Evaluate the schedule under the TRUE cost model.
-			evalReq := trueReq()
+			evalReq, err := trueReq()
+			if err != nil {
+				return nil, err
+			}
 			for j, u := range evalReq.Users {
 				u.Classes = sc.ClassSets[j]
 			}
@@ -278,7 +286,10 @@ func ExtDP(o Options) (*Report, error) {
 		tbl.AddRow(eps, rep2.FlipProbability(), makespan/trials, participants/trials, coverage/trials)
 	}
 	// Truthful baseline.
-	req := trueReq()
+	req, err := trueReq()
+	if err != nil {
+		return nil, err
+	}
 	for j, u := range req.Users {
 		u.Classes = sc.ClassSets[j]
 	}
@@ -308,23 +319,25 @@ func ExtGranularity(o Options) (*Report, error) {
 	rep := &Report{ID: "ext-granularity", Title: "Shard-size ablation for Fed-LBAP (extension; paper §IV-A fixes 100)"}
 	ds := mnistBench()
 	arch := paperArch("LeNet", ds)
-	tb, err := newTestbed(2, ds)
-	if err != nil {
-		return nil, err
-	}
+	tb := fedsched.NewTestbed(2)
 	tbl := &Table{
 		Title:   "Testbed II, MNIST+LeNet, 60K samples",
 		Columns: []string{"shard size", "shards", "predicted makespan [s]", "simulated round [s]", "schedule time [ms]"},
 	}
 	for _, shard := range []int{25, 50, 100, 200, 500, 1000} {
-		req := tb.request(arch, ds.TotalSamples, shard)
+		req, err := tb.Request(arch, ds.TotalSamples)
+		if err != nil {
+			return nil, err
+		}
+		req.ShardSize, req.TotalShards = shard, ds.TotalSamples/shard
 		start := time.Now()
 		asg, err := sched.FedLBAP{}.Schedule(req, nil)
 		if err != nil {
 			return nil, err
 		}
 		schedMS := float64(time.Since(start).Microseconds()) / 1000
-		spans, err := fl.SimulateRounds(arch, tb.devices(), tb.links(), asg.Samples(shard), 20, 1)
+		devs, links := tb.Devices()
+		spans, err := fl.SimulateRounds(arch, devs, links, asg.Samples(shard), 20, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -348,16 +361,16 @@ func ExtDropout(o Options) (*Report, error) {
 	trainN, testN, rounds, _ := accuracyScale(o)
 	ds := cifarBench()
 	train, test := data.TrainTest(ds.Cfg(0, o.Seed+95), trainN, testN)
-	tb, err := newTestbed(2, ds)
-	if err != nil {
-		return nil, err
-	}
+	tb := fedsched.NewTestbed(2)
 	arch := paperArch("LeNet", ds)
 	users := len(tb.Profiles)
 	rng := rand.New(rand.NewSource(o.Seed))
 
 	// Paper-scale time for the three strategies.
-	req := tb.request(arch, ds.TotalSamples, ShardSize)
+	req, err := tb.Request(arch, ds.TotalSamples)
+	if err != nil {
+		return nil, err
+	}
 	equalAsg, err := sched.Equal{}.Schedule(req, nil)
 	if err != nil {
 		return nil, err
@@ -367,8 +380,7 @@ func ExtDropout(o Options) (*Report, error) {
 		return nil, err
 	}
 	meanSpan := func(samples []int, skipModel string) (float64, error) {
-		devs := tb.devices()
-		links := tb.links()
+		devs, links := tb.Devices()
 		// For the deadline strategy the round ends when the last NON-
 		// straggler finishes; emulate by zeroing the stragglers' samples
 		// in the time simulation (their updates are discarded anyway).
@@ -390,15 +402,15 @@ func ExtDropout(o Options) (*Report, error) {
 		}
 		return sum / float64(len(spans)), nil
 	}
-	waitSpan, err := meanSpan(equalAsg.Samples(ShardSize), "")
+	waitSpan, err := meanSpan(equalAsg.Samples(fedsched.ShardSize), "")
 	if err != nil {
 		return nil, err
 	}
-	dropSpan, err := meanSpan(equalAsg.Samples(ShardSize), "Nexus6P")
+	dropSpan, err := meanSpan(equalAsg.Samples(fedsched.ShardSize), "Nexus6P")
 	if err != nil {
 		return nil, err
 	}
-	lbapSpan, err := meanSpan(lbapAsg.Samples(ShardSize), "")
+	lbapSpan, err := meanSpan(lbapAsg.Samples(fedsched.ShardSize), "")
 	if err != nil {
 		return nil, err
 	}
@@ -441,7 +453,7 @@ func ExtDropout(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	lbapAcc, err := accuracyOf(lbapAsg.Samples(ShardSize), "")
+	lbapAcc, err := accuracyOf(lbapAsg.Samples(fedsched.ShardSize), "")
 	if err != nil {
 		return nil, err
 	}
@@ -467,17 +479,17 @@ func ExtAdaptive(o Options) (*Report, error) {
 	rep := &Report{ID: "ext-adaptive", Title: "Adaptive rescheduling under mid-run device degradation (extension)"}
 	ds := mnistBench()
 	arch := paperArch("LeNet", ds)
-	tb, err := newTestbed(1, ds)
+	tb := fedsched.NewTestbed(1)
+	base, err := profile.BuildTestbed(tb.Profiles, ds.C, ds.H, ds.W, 10)
 	if err != nil {
 		return nil, err
 	}
 	run := func(threshold float64) (*adaptiveResult, error) {
-		devs := tb.devices()
-		links := tb.links()
+		devs, links := tb.Devices()
 		cfg := adaptiveConfig{
 			Arch: arch, TotalSamples: 12000, Rounds: 2, DriftThreshold: threshold,
 		}
-		res1, err := runAdaptive(cfg, devs, links, tb.DevProfs)
+		res1, err := runAdaptive(cfg, devs, links, base)
 		if err != nil {
 			return nil, err
 		}
@@ -488,7 +500,7 @@ func ExtAdaptive(o Options) (*Report, error) {
 		devs[2].SoftTripC = devs[2].AmbientC + 2
 		devs[2].ThrottleFactor = 0.25
 		cfg.Rounds = 6
-		res2, err := runAdaptive(cfg, devs, links, tb.DevProfs)
+		res2, err := runAdaptive(cfg, devs, links, base)
 		if err != nil {
 			return nil, err
 		}

@@ -4,18 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 
+	"fedsched"
 	"fedsched/internal/data"
-	"fedsched/internal/fl"
 )
 
 func init() {
 	register("fig5", Fig5)
 	register("tab3", Tab3)
 }
-
-// ShardSize is the paper's minimum data granularity (§IV-A: e.g. 100
-// samples per shard).
-const ShardSize = 100
 
 // Fig5 reproduces Fig 5: per-round computation time with IID data across
 // the three testbeds, both datasets and both models, for Proportional /
@@ -34,11 +30,11 @@ func Fig5(o Options) (*Report, error) {
 				Columns: []string{"testbed", "Prop.", "Random", "Equal", "Fed-LBAP", "speedup vs Equal", "speedup vs best baseline"},
 			}
 			for tbID := 1; tbID <= 3; tbID++ {
-				tb, err := newTestbed(tbID, ds)
+				tb := fedsched.NewTestbed(tbID)
+				req, err := tb.Request(arch, ds.TotalSamples)
 				if err != nil {
 					return nil, err
 				}
-				req := tb.request(arch, ds.TotalSamples, ShardSize)
 				req.Trace = o.Trace
 				times := make(map[string]float64)
 				for _, s := range schedulers() {
@@ -49,10 +45,7 @@ func Fig5(o Options) (*Report, error) {
 					total := 0.0
 					for run := 0; run < runs; run++ {
 						rng := rand.New(rand.NewSource(o.Seed + int64(100*tbID+run)))
-						mean, err := meanRoundTime(tb, arch, s, req, rounds, rng,
-							func(samples []int) ([]float64, error) {
-								return fl.SimulateRoundsTraced(arch, tb.devices(), tb.links(), samples, 20, rounds, o.Trace)
-							})
+						mean, err := meanRoundTime(tb, arch, s, req, rounds, rng, o.Trace)
 						if err != nil {
 							return nil, err
 						}
@@ -102,11 +95,10 @@ func Tab3(o Options) (*Report, error) {
 				Columns: []string{"testbed", "Prop.", "Random", "Equal", "Fed-LBAP"},
 			}
 			for _, tbID := range testbeds {
-				tb, err := newTestbed(tbID, ds)
+				req, err := fedsched.NewTestbed(tbID).Request(arch, ds.TotalSamples)
 				if err != nil {
 					return nil, err
 				}
-				req := tb.request(arch, ds.TotalSamples, ShardSize)
 				row := []interface{}{fmt.Sprintf("(%d)", tbID)}
 				for _, s := range schedulers() {
 					rng := rand.New(rand.NewSource(o.Seed + int64(tbID)))

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"fedsched"
 	"fedsched/internal/data"
 	"fedsched/internal/fl"
 	"fedsched/internal/nn"
@@ -81,17 +82,17 @@ func Fig6(o Options) (*Report, error) {
 	}
 	train, test := data.TrainTest(ds.Cfg(0, o.Seed+51), trainN, testN)
 	for _, sc := range scens {
-		tb, err := newTestbed(sc.TestbedID, ds)
-		if err != nil {
-			return nil, err
-		}
+		tb := fedsched.NewTestbed(sc.TestbedID)
 		tbl := &Table{
 			Title:   fmt.Sprintf("%s: Fed-MinAvg over α (CIFAR10+LeNet, %d samples scheduled)", sc.Name, ds.TotalSamples),
 			Columns: []string{"alpha", "beta", "round time [s]", "accuracy", "participants"},
 		}
 		for _, beta := range []float64{0, 2} {
 			for _, alpha := range alphas {
-				req := tb.request(arch, ds.TotalSamples, ShardSize)
+				req, err := tb.Request(arch, ds.TotalSamples)
+				if err != nil {
+					return nil, err
+				}
 				for j, u := range req.Users {
 					u.Classes = sc.ClassSets[j]
 				}
@@ -100,13 +101,13 @@ func Fig6(o Options) (*Report, error) {
 				if err != nil {
 					return nil, err
 				}
-				spans, err := fl.SimulateRounds(arch, tb.devices(), tb.links(), asg.Samples(ShardSize), 20, 2)
+				spans, err := tb.SimulateRounds(arch, asg, 2)
 				if err != nil {
 					return nil, err
 				}
 				meanSpan := (spans[0] + spans[1]) / 2
 				rng := rand.New(rand.NewSource(o.Seed + int64(alpha) + int64(beta*13)))
-				sizes := scaleSizes(asg.Samples(ShardSize), train.Len())
+				sizes := scaleSizes(asg.Samples(fedsched.ShardSize), train.Len())
 				part := data.ByClassSets(train, sc.ClassSets, sizes, rng)
 				acc, err := runFL(o, train, test, part, rounds)
 				if err != nil {
@@ -136,17 +137,17 @@ func Tab4(o Options) (*Report, error) {
 		{"p1", 100, 0}, {"p2", 5000, 0}, {"p3", 100, 2}, {"p4", 5000, 2},
 	}
 	for _, sc := range paperScenarios() {
-		tb, err := newTestbed(sc.TestbedID, ds)
-		if err != nil {
-			return nil, err
-		}
+		tb := fedsched.NewTestbed(sc.TestbedID)
 		tbl := &Table{
 			Title:   fmt.Sprintf("%s (classes per device in brackets)", sc.Name),
 			Columns: []string{"device", "classes", "p1(100,0)", "p2(5000,0)", "p3(100,2)", "p4(5000,2)"},
 		}
 		cols := make([][]float64, len(params))
 		for pi, pr := range params {
-			req := tb.request(arch, ds.TotalSamples, ShardSize)
+			req, err := tb.Request(arch, ds.TotalSamples)
+			if err != nil {
+				return nil, err
+			}
 			for j, u := range req.Users {
 				u.Classes = sc.ClassSets[j]
 			}
@@ -156,7 +157,7 @@ func Tab4(o Options) (*Report, error) {
 				return nil, err
 			}
 			col := make([]float64, len(req.Users))
-			for j, s := range asg.Samples(ShardSize) {
+			for j, s := range asg.Samples(fedsched.ShardSize) {
 				col[j] = float64(s) / 1000
 			}
 			cols[pi] = col
@@ -187,8 +188,11 @@ func randomClassSets(users int, rng *rand.Rand) [][]int {
 
 // bestAlpha picks the α in [100, 5000] minimizing the predicted makespan
 // with β=0 (the paper's Fig 7 procedure), via the library's TuneAlpha.
-func bestAlpha(tb *testbedSetup, arch *nn.Arch, classSets [][]int, totalSamples int) (float64, *sched.Assignment, error) {
-	req := tb.request(arch, totalSamples, ShardSize)
+func bestAlpha(tb *fedsched.Testbed, arch *nn.Arch, classSets [][]int, totalSamples int) (float64, *sched.Assignment, error) {
+	req, err := tb.Request(arch, totalSamples)
+	if err != nil {
+		return 0, nil, err
+	}
 	for j, u := range req.Users {
 		u.Classes = classSets[j]
 	}
@@ -216,20 +220,17 @@ func Fig7(o Options) (*Report, error) {
 				Columns: []string{"testbed", "Prop.", "Random", "Equal", "Fed-MinAvg", "best α", "speedup vs Equal"},
 			}
 			for tbID := 1; tbID <= 3; tbID++ {
-				tb, err := newTestbed(tbID, ds)
-				if err != nil {
-					return nil, err
-				}
+				tb := fedsched.NewTestbed(tbID)
 				rng := rand.New(rand.NewSource(o.Seed + int64(1000*tbID)))
 				classSets := randomClassSets(len(tb.Profiles), rng)
 				times := make(map[string]float64)
 				for _, s := range []sched.Scheduler{sched.Proportional{}, sched.Random{}, sched.Equal{}} {
-					req := tb.request(arch, ds.TotalSamples, ShardSize)
+					req, err := tb.Request(arch, ds.TotalSamples)
+					if err != nil {
+						return nil, err
+					}
 					req.Trace = o.Trace
-					mean, err := meanRoundTime(tb, arch, s, req, rounds, rng,
-						func(samples []int) ([]float64, error) {
-							return fl.SimulateRoundsTraced(arch, tb.devices(), tb.links(), samples, 20, rounds, o.Trace)
-						})
+					mean, err := meanRoundTime(tb, arch, s, req, rounds, rng, o.Trace)
 					if err != nil {
 						return nil, err
 					}
@@ -239,7 +240,8 @@ func Fig7(o Options) (*Report, error) {
 				if err != nil {
 					return nil, err
 				}
-				spans, err := fl.SimulateRoundsTraced(arch, tb.devices(), tb.links(), asg.Samples(ShardSize), 20, rounds, o.Trace)
+				devs, links := tb.Devices()
+				spans, err := fl.SimulateRoundsTraced(arch, devs, links, asg.Samples(fedsched.ShardSize), 20, rounds, o.Trace)
 				if err != nil {
 					return nil, err
 				}
@@ -282,10 +284,7 @@ func Tab5(o Options) (*Report, error) {
 				Columns: []string{"testbed", "Prop.", "Random", "Equal", "Fed-MinAvg"},
 			}
 			for _, tbID := range testbeds {
-				tb, err := newTestbed(tbID, ds)
-				if err != nil {
-					return nil, err
-				}
+				tb := fedsched.NewTestbed(tbID)
 				rng := rand.New(rand.NewSource(o.Seed + int64(17*tbID)))
 				classSets := randomClassSets(len(tb.Profiles), rng)
 				row := []interface{}{fmt.Sprintf("(%d)", tbID)}
@@ -300,12 +299,15 @@ func Tab5(o Options) (*Report, error) {
 					return nil
 				}
 				for _, s := range []sched.Scheduler{sched.Proportional{}, sched.Random{}, sched.Equal{}} {
-					req := tb.request(arch, ds.TotalSamples, ShardSize)
+					req, err := tb.Request(arch, ds.TotalSamples)
+					if err != nil {
+						return nil, err
+					}
 					asg, err := s.Schedule(req, rng)
 					if err != nil {
 						return nil, err
 					}
-					if err := addRun(asg.Samples(ShardSize)); err != nil {
+					if err := addRun(asg.Samples(fedsched.ShardSize)); err != nil {
 						return nil, err
 					}
 				}
@@ -313,7 +315,7 @@ func Tab5(o Options) (*Report, error) {
 				if err != nil {
 					return nil, err
 				}
-				if err := addRun(asg.Samples(ShardSize)); err != nil {
+				if err := addRun(asg.Samples(fedsched.ShardSize)); err != nil {
 					return nil, err
 				}
 				tbl.AddRow(row...)

@@ -172,8 +172,9 @@ type PopulationRunner struct {
 	rings []*trace.Recorder // per-slot event rings (tracing only)
 }
 
-// NewPopulationRunner validates the config, profiles the archetypes
-// (once, the expensive part) and allocates the cohort-sized scratch.
+// NewPopulationRunner validates the config, resolves each archetype's cost
+// line from its offline profile (profile.BuildTestbed: measured once per
+// process, the expensive part) and allocates the cohort-sized scratch.
 func NewPopulationRunner(cfg PopulationConfig) (*PopulationRunner, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Arch == nil {
@@ -212,22 +213,12 @@ func NewPopulationRunner(cfg PopulationConfig) (*PopulationRunner, error) {
 	r.rc.quorum, r.rc.floor = cfg.Quorum, cfg.MinParticipants
 	r.comm = cfg.Link.RoundTripTime(r.rc.modelBytes)
 
-	// One offline profile per archetype, shared between archetypes with
-	// the same model string (BuildTestbed's dedup, without the map range).
-	suite := profile.Suite(cfg.Arch.InC, cfg.Arch.InH, cfg.Arch.InW, cfg.Arch.Classes)
-	r.lines = make([]profile.Line, len(cfg.Population.Profiles))
-archetypes:
-	for a, p := range cfg.Population.Profiles {
-		for b := 0; b < a; b++ {
-			if cfg.Population.Profiles[b].Model == p.Model {
-				r.lines[a] = r.lines[b]
-				continue archetypes
-			}
-		}
-		dp, err := profile.BuildOffline(device.New(p), suite, profile.DefaultSizes)
-		if err != nil {
-			return nil, fmt.Errorf("fl: population: profiling %s: %w", p.Model, err)
-		}
+	profs, err := profile.BuildTestbed(cfg.Population.Profiles, cfg.Arch.InC, cfg.Arch.InH, cfg.Arch.InW, cfg.Arch.Classes)
+	if err != nil {
+		return nil, fmt.Errorf("fl: population: %w", err)
+	}
+	r.lines = make([]profile.Line, len(profs))
+	for a, dp := range profs {
 		r.lines[a] = dp.Line(cfg.Arch)
 	}
 

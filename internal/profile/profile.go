@@ -37,8 +37,9 @@ type DeviceProfile struct {
 	Device string     `json:"device"`
 	Step1  []Step1Fit `json:"step1"`
 
-	// lines caches the step-2 fit per architecture name (string → Line).
-	// A hit is a lock-free load; racing first uses each fit the same line
+	// lines caches the step-2 fit per (conv, dense) parameter split
+	// ([2]int → Line), the only part of an architecture step 2 reads. A
+	// hit is a lock-free load; racing first uses each fit the same line
 	// from the same Step1, so whichever is stored is the value all return.
 	lines sync.Map
 }
@@ -115,10 +116,11 @@ func BuildOffline(dev *device.Device, arches []*nn.Arch, sizes []int) (*DevicePr
 // Line returns the time-vs-data-size line of the architecture on this
 // device, fitting it on first use.
 func (p *DeviceProfile) Line(a *nn.Arch) Line {
-	if l, ok := p.lines.Load(a.Name); ok {
+	conv, dense := a.ParamCounts()
+	key := [2]int{conv, dense}
+	if l, ok := p.lines.Load(key); ok {
 		return l.(Line)
 	}
-	conv, dense := a.ParamCounts()
 	xs := make([]float64, len(p.Step1))
 	ys := make([]float64, len(p.Step1))
 	for i, f := range p.Step1 {
@@ -138,7 +140,7 @@ func (p *DeviceProfile) Line(a *nn.Arch) Line {
 			line.Slope = 0
 		}
 	}
-	p.lines.Store(a.Name, line)
+	p.lines.Store(key, line)
 	return line
 }
 
@@ -171,25 +173,47 @@ func (p *DeviceProfile) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// BuildTestbed profiles every device of a testbed with the default suite
-// and sizes. The input geometry describes the dataset the devices will
-// train (e.g. 1×28×28 for MNIST-class data).
+// BuildTestbed returns the offline profile of every device, measured with
+// the default suite and sizes for the input geometry of the dataset the
+// devices will train (e.g. 1×28×28, 10 classes for MNIST-class data).
+//
+// Profiling is a pure function of the device profile and the geometry,
+// so it runs once per process: every caller, in one call or across calls
+// and goroutines, gets the same *DeviceProfile for an identical (profile,
+// geometry) pair, and two profiles that differ in any field — a custom
+// profile reusing a catalog Model name included — never share one. The
+// result is shared: read it (Line and Predict are safe for concurrent
+// use), never modify it.
 func BuildTestbed(profiles []device.Profile, inC, inH, inW, classes int) ([]*DeviceProfile, error) {
-	suite := Suite(inC, inH, inW, classes)
 	out := make([]*DeviceProfile, len(profiles))
-	// Device models with identical hardware share one measurement pass.
-	cache := make(map[string]*DeviceProfile)
 	for i, dp := range profiles {
-		if got, ok := cache[dp.Model]; ok {
-			out[i] = got
-			continue
+		v, _ := offline.LoadOrStore(offlineKey{fmt.Sprintf("%#v", dp), inC, inH, inW, classes}, new(offlineEntry))
+		e := v.(*offlineEntry)
+		e.once.Do(func() {
+			e.p, e.err = BuildOffline(device.New(dp), Suite(inC, inH, inW, classes), DefaultSizes)
+		})
+		if e.err != nil {
+			return nil, fmt.Errorf("profiling %s: %w", dp.Model, e.err)
 		}
-		p, err := BuildOffline(device.New(dp), suite, DefaultSizes)
-		if err != nil {
-			return nil, err
-		}
-		cache[dp.Model] = p
-		out[i] = p
+		out[i] = e.p
 	}
 	return out, nil
+}
+
+// offline is BuildTestbed's memo (offlineKey → *offlineEntry). An entry's
+// Once holds racing first users of one key until its build is done;
+// different keys build in parallel.
+var offline sync.Map
+
+// offlineKey identifies one measurement: the device profile, every field
+// spelled out by %#v, and the input geometry.
+type offlineKey struct {
+	device                 string
+	inC, inH, inW, classes int
+}
+
+type offlineEntry struct {
+	once sync.Once
+	p    *DeviceProfile
+	err  error
 }

@@ -126,6 +126,49 @@ func TestBuildTestbedSharesMeasurements(t *testing.T) {
 	}
 }
 
+func TestBuildTestbedMemoKeyedByProfile(t *testing.T) {
+	custom := device.Nexus6() // the catalog Model name on other hardware
+	custom.TputSmall *= 2
+	first, err := BuildTestbed([]device.Profile{device.Nexus6(), custom}, 1, 28, 28, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := BuildTestbed([]device.Profile{device.Nexus6()}, 1, 28, 28, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cifar, err := BuildTestbed([]device.Profile{device.Nexus6()}, 3, 32, 32, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again[0] != first[0] {
+		t.Fatal("identical profiles must share one *DeviceProfile across calls")
+	}
+	if first[1] == first[0] {
+		t.Fatal("a custom profile reusing a catalog Model name must get its own measurement")
+	}
+	lenet := nn.LeNet(1, 28, 28, 10)
+	if first[1].Predict(lenet, 3000) == first[0].Predict(lenet, 3000) {
+		t.Fatal("doubling TputSmall left the predicted cost unchanged")
+	}
+	if cifar[0] == first[0] {
+		t.Fatal("two input geometries must not share a measurement")
+	}
+}
+
+func TestLineKeyedByParamSplit(t *testing.T) {
+	// LeNet at MNIST and at CIFAR geometry share a name, not a parameter
+	// split: one profile must fit each its own line, whichever comes first.
+	prof := buildTestProfile(t, device.Nexus6())
+	for _, a := range []*nn.Arch{nn.LeNet(1, 28, 28, 10), nn.LeNet(3, 32, 32, 10)} {
+		for _, n := range []int{1000, 6000} {
+			if got, want := prof.Predict(a, n), referencePredict(prof, a, n); got != want {
+				t.Fatalf("%s %dx%dx%d n=%d: predicted %v, uncached fit %v", a.Name, a.InC, a.InH, a.InW, n, got, want)
+			}
+		}
+	}
+}
+
 func TestProfileOrderingMatchesDeviceSpeed(t *testing.T) {
 	// Faster devices must profile faster: Pixel2 < Nexus6 on LeNet.
 	lenet := nn.LeNet(1, 28, 28, 10)

@@ -3,7 +3,6 @@ package fedsched
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"fedsched/internal/data"
 	"fedsched/internal/device"
@@ -11,7 +10,6 @@ import (
 	"fedsched/internal/fl"
 	"fedsched/internal/network"
 	"fedsched/internal/nn"
-	"fedsched/internal/profile"
 	"fedsched/internal/sample"
 	"fedsched/internal/sched"
 	"fedsched/internal/trace"
@@ -327,10 +325,7 @@ func BuildJob(cfg JobConfig, rec *trace.Recorder) (*Job, error) {
 		// Paper-scale scheduling decides the partition shape; the shard
 		// counts are then rescaled onto the reduced training set.
 		arch := nn.LeNet(train.C, 28, 28, jobClasses)
-		var tb *Testbed
-		if tb, err = jobTestbed(cfg.Testbed, arch); err != nil {
-			return nil, err
-		}
+		tb := NewTestbed(cfg.Testbed)
 		var req *sched.Request
 		if req, err = tb.Request(arch, 60000); err != nil {
 			return nil, err
@@ -377,35 +372,6 @@ func BuildJob(cfg JobConfig, rec *trace.Recorder) (*Job, error) {
 		j.Sampler = sample.NewUniform(active, cfg.CohortSize, cfg.Seed+31)
 	}
 	return j, nil
-}
-
-// jobProfiles memoizes the offline device profiles of the paper testbeds
-// per (testbed, input geometry): profiling is a pure function of the two,
-// so every job a process builds shares one build of it. Only jobTestbed
-// serves it, to BuildJob, whose Testbed never escapes — no caller can
-// mutate the Profiles a memoized map describes, and NewTestbed and
-// NewCustomTestbed users still profile their own. The lock is held
-// through a build, so no job sees a half-built map.
-var jobProfiles = struct {
-	sync.Mutex
-	byKey map[[5]int]map[string]*profile.DeviceProfile
-}{byKey: make(map[[5]int]map[string]*profile.DeviceProfile)}
-
-// jobTestbed returns paper testbed id, profiled for arch's input geometry.
-func jobTestbed(id int, arch *nn.Arch) (*Testbed, error) {
-	tb := NewTestbed(id)
-	key := [5]int{id, arch.InC, arch.InH, arch.InW, arch.Classes}
-	jobProfiles.Lock()
-	defer jobProfiles.Unlock()
-	if p, ok := jobProfiles.byKey[key]; ok {
-		tb.profiles = p
-		return tb, nil
-	}
-	if err := tb.ensureProfiles(arch); err != nil {
-		return nil, err
-	}
-	jobProfiles.byKey[key] = tb.profiles
-	return tb, nil
 }
 
 // Outcome is what a finished (or interrupted) job reports, in one shape

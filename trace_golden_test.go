@@ -23,18 +23,6 @@ import (
 // a golden change is a behaviour change.
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden trace files under testdata/trace")
 
-// testbedDevices instantiates fresh devices and links for a testbed, the
-// same way Testbed.SimulateRounds does internally.
-func testbedDevices(tb *Testbed) ([]*device.Device, []network.Link) {
-	devs := make([]*device.Device, len(tb.Profiles))
-	links := make([]network.Link, len(tb.Profiles))
-	for i, p := range tb.Profiles {
-		devs[i] = device.New(p)
-		links[i] = tb.Link
-	}
-	return devs, links
-}
-
 // lbapGoldenTrace: Fed-LBAP on the paper's 6-device testbed — solver
 // probes, the schedule, then three simulated rounds.
 func lbapGoldenTrace(t *testing.T) []trace.Event {
@@ -51,7 +39,7 @@ func lbapGoldenTrace(t *testing.T) []trace.Event {
 	if err != nil {
 		t.Fatal(err)
 	}
-	devs, links := testbedDevices(tb)
+	devs, links := tb.Devices()
 	if _, err := fl.SimulateRoundsTraced(arch, devs, links, asg.Samples(ShardSize), 20, 3, rec); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +66,7 @@ func minavgGoldenTrace(t *testing.T) []trace.Event {
 	if err != nil {
 		t.Fatal(err)
 	}
-	devs, links := testbedDevices(tb)
+	devs, links := tb.Devices()
 	if _, err := fl.SimulateRoundsTraced(arch, devs, links, asg.Samples(ShardSize), 20, 2, rec); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +194,7 @@ func asyncGoldenTrace(t *testing.T) []trace.Event {
 	rec := NewTraceRecorder(0)
 	train := SMNIST(240, 3)
 	part := PartitionIID(train, 4, 5)
-	devs, links := testbedDevices(NewTestbed(2))
+	devs, links := NewTestbed(2).Devices()
 	devs, links = devs[2:], links[2:] // Nexus6P ×2, Mate10, Pixel2
 	clients, err := fl.BuildClients(devs, links, part.Materialize(train))
 	if err != nil {
