@@ -9,7 +9,7 @@ GO ?= go
 	fuzz-smoke fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-job \
 	fuzz-smoke-ckpt fuzz-smoke-convblock \
 	fmt-check check check-nolint race race-tensor purego nofma trace-golden loc \
-	bench profile-pop profile-train profile-churn \
+	bench profile-pop profile-sched profile-train profile-churn \
 	population-smoke fault-smoke serve-smoke
 
 build:
@@ -199,6 +199,18 @@ profile-pop:
 	$(GO) test -run '^$$' -bench 'BenchmarkRoundLoop/n=1000000' -benchtime=5000x -benchmem \
 		-cpuprofile artifacts/pop.prof -o artifacts/pop.test .
 	$(GO) tool pprof -top -cum artifacts/pop.test artifacts/pop.prof | head -40
+
+# Where a fleet-scale Fed-LBAP solve's time goes — the solver's twin of
+# profile-pop: CPU-profile 20 sparse solves over 10^6 users × 10^4 shards
+# (BenchmarkFedLBAPFleet, the instance pop_scale times) and print the
+# cumulative top. Read the probe rows (survivor.kmax, survivor.at) and
+# the O(n) pass rows (sched.FedLBAP.Schedule flat, selectKth) off it. The
+# profile and test binary stay under artifacts/ for `go tool pprof -list`.
+profile-sched:
+	mkdir -p artifacts
+	$(GO) test -run '^$$' -bench 'BenchmarkFedLBAPFleet/n=1000000' -benchtime=20x -benchmem \
+		-cpuprofile artifacts/sched.prof -o artifacts/sched.test .
+	$(GO) tool pprof -top -cum artifacts/sched.test artifacts/sched.prof | head -40
 
 # Where a train step's time goes — the train-step twin of profile-pop:
 # CPU-profile the serial FL run (LeNet-S clients, what the benchmark's

@@ -58,77 +58,78 @@ type FedLBAP struct{}
 // Name implements Scheduler.
 func (FedLBAP) Name() string { return "Fed-LBAP" }
 
-// Schedule implements Scheduler. Runtime is O(n) to bound and prune plus
-// the threshold search over m ≈ s survivors, amortised across its ~60
-// probes by the per-survivor brackets (invariant below): a bracket's
-// width follows kmax(hiv) − kmax(lov), which halving (lov, hiv] roughly
-// halves, so a survivor's searches cost about log s, log s − 1, …, 0
-// evaluations (a cliff that no probe crosses still costs its survivor
-// log s every time). Sub-second at n=10^6, s=10^4 (see
-// BenchmarkFedLBAPFleet). Deterministic (rng is unused). The O(n)
-// workspaces below are per-solve scratch, freed on return — the
-// population round loop passes cohort-sized requests, so in steady state
-// this stays O(selected).
+// Schedule implements Scheduler. Runtime is one pass over the n users to
+// validate, bound and prune, plus the threshold search over m ≈ s
+// survivors, amortised across its ~60 probes by the per-survivor brackets
+// (invariant below): a bracket's width follows kmax(hiv) − kmax(lov),
+// which halving (lov, hiv] roughly halves, so a survivor's searches cost
+// about log s, log s − 1, …, 0 evaluations (a cliff that no probe crosses
+// still costs its survivor log s every time). From the prune on, the
+// solve reads only its survivor records, never the request's users:
+// ~60 ms at n=10^6, s=10^4 on a 2-vCPU Xeon (see BenchmarkFedLBAPFleet),
+// 2,623,060 cost evaluations of which 10^6 are the first-shard pass.
+// Deterministic (rng is unused). The O(n) workspaces below are per-solve
+// scratch, freed on return — the population round loop passes
+// cohort-sized requests, so in steady state this stays O(selected).
 //
 // fedlint:hotpath
 // fedlint:deterministic
 // fedlint:trace KindSchedule,KindSolver
 func (FedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
-	if err := req.check(); err != nil {
-		return nil, err
+	n, s, sz := len(req.Users), req.TotalShards, req.ShardSize
+	if s <= 0 || sz <= 0 || n == 0 {
+		return nil, req.check()
 	}
-	n, s := len(req.Users), req.TotalShards
 
-	// ec is the matrix value C[j][k], floored at 0 (a shard never costs
-	// less than holding none).
-	ec := func(j, k int) float64 {
-		c := userCost(req, j, k)
-		if c < 0 {
-			c = 0
-		}
-		return c
-	}
-	capOf := func(j int) int { return req.Users[j].capacity(s) }
-
+	// The one pass over the users: req.check()'s nil-Cost and capacity
+	// tests (a failure re-runs it for its error message), the first-shard
+	// costs and, for n ≤ s, the feasible upper bound c_hi on the optimal
+	// threshold — full capacities are feasible once Σ cap_j ≥ s.
 	first := make([]float64, n) //fedlint:allow hotalloc — per-solve O(n) scratch, not round-loop state
-	for j := range first {
-		first[j] = ec(j, 1)
-	}
-
-	// Feasible upper bound c_hi on the optimal threshold.
 	var chi float64
+	capSum := 0
+	for j, u := range req.Users {
+		if u.Cost == nil {
+			return nil, req.check()
+		}
+		c := u.capacity(s)
+		capSum += c
+		first[j] = floorCost(u.Cost(sz) + u.CommSeconds)
+		if n <= s {
+			if v := floorCost(u.Cost(c*sz) + u.CommSeconds); v > chi {
+				chi = v
+			}
+		}
+	}
+	if capSum < s {
+		return nil, req.check()
+	}
 	if n > s {
 		// s users can each take one shard at the s-th smallest first-shard
 		// cost, so g(c_hi) ≥ s. Quickselect permutes, so work on a copy.
 		scratch := make([]float64, n) //fedlint:allow hotalloc — per-solve O(n) scratch, not round-loop state
 		copy(scratch, first)
 		chi = selectKth(scratch, s-1)
-	} else {
-		// Full capacities are feasible by req.check(): Σ cap_j ≥ s.
-		for j := range req.Users {
-			if c := ec(j, capOf(j)); c > chi {
-				chi = c
-			}
-		}
 	}
 
 	// Prune: a user with first-shard cost above c_hi (beyond float slack)
 	// holds zero shards at every threshold ≤ c_hi, in particular at c*,
 	// and none of its matrix values can be c* (they all exceed c_hi ≥ c*).
+	// Each survivor gets one record, in user order.
+	lim := slackAbove(chi)
 	m := 0
 	for _, c := range first {
-		if almostLE(c, chi) {
+		if c <= lim {
 			m++
 		}
 	}
-	// One survivor-sized workspace: the survivors' user indices, their
-	// brackets, and the feasible maxima of the probe in flight.
-	work := make([]int, 4*m)
-	surv, klo, khi, kcur := work[:m], work[m:2*m], work[2*m:3*m], work[3*m:]
+	recs := make([]survivor, m)
 	fill := 0
 	for j, c := range first {
-		if almostLE(c, chi) {
-			surv[fill], khi[fill] = j, capOf(j)
+		if c <= lim {
+			u := req.Users[j]
+			cp := u.capacity(s)
+			recs[fill] = survivor{cost: u.Cost, comm: u.CommSeconds, user: j, capacity: cp, khi: cp}
 			fill++
 		}
 	}
@@ -143,32 +144,24 @@ func (FedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 	// above hiv (the exact walk can overshoot it by the float slack) fall
 	// back to the capacity.
 	lov, hiv := -1.0, chi
-	kmaxIn := func(i int, c float64) int {
-		j, lo, hi := surv[i], klo[i], khi[i]
-		if c > hiv {
-			hi = capOf(j)
-		}
-		for lo < hi {
-			mid := (lo + hi + 1) / 2
-			if almostLE(ec(j, mid), c) {
-				lo = mid
-			} else {
-				hi = mid - 1
-			}
-		}
-		return lo
-	}
-	// probe = g(c) over the survivors, early-capped at s; kcur[:p] holds
-	// the maxima it evaluated.
+	// probe = g(c) over the survivors, early-capped at s; the kcur of the
+	// first p records holds the maxima it evaluated.
 	probe := func(c float64) (total, p int) {
-		for i := range surv {
-			kcur[i] = kmaxIn(i, c)
-			total += kcur[i]
+		lim := slackAbove(c)
+		for i := range recs {
+			r := &recs[i]
+			r.kcur = r.kmax(c, lim, hiv, sz)
+			total += r.kcur
 			if total >= s {
 				return total, i + 1
 			}
 		}
 		return total, m
+	}
+	raiseLo := func() {
+		for i := range recs {
+			recs[i].klo = recs[i].kcur
+		}
 	}
 
 	// Real-valued bisection: shrink (lov, hiv] keeping g(lov) < s and
@@ -191,10 +184,12 @@ func (FedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 		if feasible >= s {
 			flag = 1
 			hiv = mid
-			copy(khi[:p], kcur[:p])
+			for i := range recs[:p] {
+				recs[i].khi = recs[i].kcur
+			}
 		} else {
 			lov = mid
-			copy(klo, kcur)
+			raiseLo()
 		}
 		req.Trace.Emit(trace.Event{
 			Kind: trace.KindSolver, Round: iter, Client: -1,
@@ -210,39 +205,12 @@ func (FedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 	// terminates on its first candidate. Each step must move lov strictly
 	// up; a candidate that does not means some curve decreases, and the
 	// walk stops with ErrNotMonotone instead of spinning.
-	//
-	// nextValue is survivor i's smallest matrix value strictly above v =
-	// lov. It sits at k ≤ khi_i+1 (C[i][khi_i+1] exceeds hiv > lov), and
-	// above klo_i unless C[i][klo_i] is one of the values the slack of ≤
-	// admitted from just above lov — then it is at or below klo_i.
-	nextValue := func(i int, v float64) (float64, bool) {
-		j := surv[i]
-		lo, hi := klo[i]+1, khi[i]+1
-		if c := capOf(j); hi > c {
-			if !(ec(j, c) > v) {
-				return 0, false
-			}
-			hi = c
-		}
-		if lo > 1 && ec(j, lo-1) > v {
-			lo, hi = 1, lo-1
-		}
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if ec(j, mid) > v {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		return ec(j, lo), true
-	}
 	var cstar float64
-	var done int // kcur[:done] holds the feasible maxima under c*
+	var done int // the kcur of recs[:done] holds the feasible maxima under c*
 	for {
 		cand := math.Inf(1)
-		for i := range surv {
-			if v, ok := nextValue(i, lov); ok && v < cand {
+		for i := range recs {
+			if v, ok := recs[i].next(lov, sz); ok && v < cand {
 				cand = v
 			}
 		}
@@ -264,33 +232,33 @@ func (FedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 			break
 		}
 		lov = cand
-		copy(klo, kcur)
+		raiseLo()
 	}
 
 	// Hand out feasible maxima under c* — the last probe's, completed past
 	// its early exit; non-survivors stay at zero.
-	shards := make([]int, n)
 	total := 0
-	for i, j := range surv {
-		k := kcur[i]
+	lim = slackAbove(cstar)
+	for i := range recs {
+		r := &recs[i]
 		if i >= done {
-			k = kmaxIn(i, cstar)
+			r.kcur = r.kmax(cstar, lim, hiv, sz)
 		}
-		shards[j] = k
-		total += k
+		total += r.kcur
 	}
 
 	// Trim the overshoot: repeatedly decrement the user whose current
 	// marginal cost C[j][k_j] is largest, smallest j on ties — a first-max
 	// scan over the users, as a replace-top max-heap so each step is
-	// O(log m) instead of O(n). One entry per user with k_j > 0;
-	// replace-top (never pop-then-push) keeps entries fresh.
+	// O(log m) instead of O(n). One entry per survivor with k > 0, keyed
+	// by record index (user order); replace-top (never pop-then-push)
+	// keeps entries fresh.
 	if total > s {
 		heapBuf := make([]trimEntry, m)
 		hn := 0
-		for _, j := range surv {
-			if shards[j] > 0 {
-				heapBuf[hn] = trimEntry{c: ec(j, shards[j]), j: int32(j)}
+		for i := range recs {
+			if k := recs[i].kcur; k > 0 {
+				heapBuf[hn] = trimEntry{c: recs[i].at(k, sz), j: int32(i)}
 				hn++
 			}
 		}
@@ -298,11 +266,11 @@ func (FedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 			siftDown(heapBuf, i, hn)
 		}
 		for total > s {
-			j := int(heapBuf[0].j)
-			shards[j]--
+			r := &recs[heapBuf[0].j]
+			r.kcur--
 			total--
-			if shards[j] > 0 {
-				heapBuf[0] = trimEntry{c: ec(j, shards[j]), j: int32(j)}
+			if r.kcur > 0 {
+				heapBuf[0].c = r.at(r.kcur, sz)
 			} else {
 				hn--
 				heapBuf[0] = heapBuf[hn]
@@ -311,14 +279,100 @@ func (FedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 		}
 	}
 
-	asg := &Assignment{Shards: shards, Algorithm: "Fed-LBAP"}
-	asg.PredictedMakespan = Makespan(req, asg)
+	// Non-survivors hold no shards and cost nothing, so the max over the
+	// survivors is Makespan(req, asg) to the bit.
+	shards := make([]int, n)
+	makespan := 0.0
+	for i := range recs {
+		r := &recs[i]
+		shards[r.user] = r.kcur
+		if r.kcur > 0 {
+			if c := r.at(r.kcur, sz); c > makespan {
+				makespan = c
+			}
+		}
+	}
+	asg := &Assignment{Shards: shards, PredictedMakespan: makespan, Algorithm: "Fed-LBAP"}
 	emitSchedule(req, asg)
 	return asg, nil
 }
 
-// trimEntry is one heap node of the overshoot trim: user j's current
-// marginal cost.
+// survivor is one pruned-in user's share of a FedLBAP solve: its cost
+// curve, capacity and bracket side by side, so a probe's evaluation is
+// one indirect call instead of a walk from the request through the user
+// object first.
+type survivor struct {
+	cost           func(samples int) float64
+	comm           float64
+	user, capacity int
+	klo, khi, kcur int
+}
+
+// floorCost floors a matrix value at 0: a shard never costs less than
+// holding none.
+func floorCost(c float64) float64 {
+	if c < 0 {
+		return 0
+	}
+	return c
+}
+
+// at is the matrix value C[j][k] of the survivor's user j, k ≥ 1:
+// userCost's expression, floored at 0.
+func (r *survivor) at(k, shardSize int) float64 {
+	return floorCost(r.cost(k*shardSize) + r.comm)
+}
+
+// kmax is kmax_i(c), lim = slackAbove(c): bisection inside the bracket
+// [klo, khi], or up to the capacity for a c above hiv.
+//
+// fedlint:hotpath
+func (r *survivor) kmax(c, lim, hiv float64, shardSize int) int {
+	lo, hi := r.klo, r.khi
+	if c > hiv {
+		hi = r.capacity
+	}
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if r.at(mid, shardSize) <= lim {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
+}
+
+// next is the survivor's smallest matrix value strictly above v = lov,
+// false if it has none. It sits at k ≤ khi+1 (C[i][khi+1] exceeds hiv >
+// lov), and above klo unless C[i][klo] is one of the values the slack of
+// ≤ admitted from just above lov — then it is at or below klo.
+//
+// fedlint:hotpath
+func (r *survivor) next(v float64, shardSize int) (float64, bool) {
+	lo, hi := r.klo+1, r.khi+1
+	if hi > r.capacity {
+		if !(r.at(r.capacity, shardSize) > v) {
+			return 0, false
+		}
+		hi = r.capacity
+	}
+	if lo > 1 && r.at(lo-1, shardSize) > v {
+		lo, hi = 1, lo-1
+	}
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if r.at(mid, shardSize) > v {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return r.at(lo, shardSize), true
+}
+
+// trimEntry is one heap node of the overshoot trim: the current marginal
+// cost of the user at j, an index in user order.
 type trimEntry struct {
 	c float64
 	j int32

@@ -61,7 +61,9 @@ func abs(v int) int {
 // O(ns) oracle on random monotone-cost problems: a valid assignment, the
 // same shard vector and the same predicted makespan. The bracketed
 // threshold search must also replay the full-range reference's probe and
-// schedule events exactly.
+// schedule events exactly; its PredictedMakespan, a max over the
+// survivors only, must be Makespan's to the bit; and a trace must not
+// change the assignment.
 func FuzzFedLBAP(f *testing.F) {
 	f.Add(uint64(1), 8, 40, 2)
 	f.Add(uint64(42), 1, 1, 1)
@@ -71,5 +73,28 @@ func FuzzFedLBAP(f *testing.F) {
 		req := fuzzRequest(seed, nUsers, totalShards, shardSize)
 		assertSparseMatchesDense(t, req)
 		assertSparseMatchesReference(t, req)
+		assertTraceFree(t, req)
 	})
+}
+
+// assertTraceFree solves req untraced and traced and requires the same
+// assignment, with PredictedMakespan bit-equal to Makespan's.
+func assertTraceFree(t *testing.T, req *Request) {
+	t.Helper()
+	plain, err := FedLBAP{}.Schedule(req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := plain.PredictedMakespan, Makespan(req, plain); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("PredictedMakespan %v (%#x), Makespan %v (%#x)", got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	traced, _ := solveTraced(t, req, func(r *Request) (*Assignment, error) { return FedLBAP{}.Schedule(r, nil) })
+	for j := range plain.Shards {
+		if plain.Shards[j] != traced.Shards[j] {
+			t.Fatalf("user %d: %d shards untraced, %d traced", j, plain.Shards[j], traced.Shards[j])
+		}
+	}
+	if math.Float64bits(plain.PredictedMakespan) != math.Float64bits(traced.PredictedMakespan) {
+		t.Fatalf("makespan %v untraced, %v traced", plain.PredictedMakespan, traced.PredictedMakespan)
+	}
 }

@@ -1,15 +1,16 @@
 package sched
 
 import (
+	"container/heap"
 	"math"
 	"sort"
 
 	"fedsched/internal/trace"
 )
 
-// Three oracles for FedLBAP, from most to least like it: referenceSparse
+// Four oracles for FedLBAP, from most to least like it: referenceSparse
 // pins the event stream, denseFedLBAP the assignment bits, bruteForce the
-// optimality claim.
+// optimality claim on tiny instances and olar at fleet scale.
 
 // referenceSparse is the implicit-matrix solver without the per-survivor
 // brackets: every threshold probe re-runs a full-range binary search per
@@ -313,4 +314,59 @@ func bruteForce(req *Request) (*Assignment, error) {
 		r -= shards[j]
 	}
 	return &Assignment{Shards: shards, Algorithm: "brute-force", PredictedMakespan: best[0][s]}, nil
+}
+
+// olar is OLAR (Pilla 2020, arXiv 2010.00239): the optimal makespan under
+// nondecreasing costs by a heap-driven greedy instead of a threshold
+// search. Every user starts empty; each of the s shards goes to a user
+// whose next shard would cost the least, C[j][k_j+1], until that user is
+// at capacity. O(n + s log n). It prices the same floored matrix values
+// as FedLBAP and compares only them, so its makespan is exactly optimal.
+func olar(req *Request) *Assignment {
+	s := req.TotalShards
+	next := func(j, k int) olarEntry { return olarEntry{c: floorCost(userCost(req, j, k+1)), j: j} }
+	h := make(olarHeap, len(req.Users))
+	for j := range req.Users {
+		h[j] = next(j, 0)
+	}
+	heap.Init(&h)
+	shards := make([]int, len(req.Users))
+	for range s {
+		j := h[0].j
+		shards[j]++
+		if shards[j] < req.Users[j].capacity(s) {
+			h[0] = next(j, shards[j])
+			heap.Fix(&h, 0)
+		} else {
+			heap.Pop(&h)
+		}
+	}
+	asg := &Assignment{Shards: shards, Algorithm: "OLAR"}
+	asg.PredictedMakespan = Makespan(req, asg)
+	return asg
+}
+
+// olarEntry is user j's next-shard cost c.
+type olarEntry struct {
+	c float64
+	j int
+}
+
+// olarHeap is a min-heap on the next-shard cost, lower user index on ties.
+type olarHeap []olarEntry
+
+func (h olarHeap) Len() int { return len(h) }
+func (h olarHeap) Less(a, b int) bool {
+	if h[a].c != h[b].c { //fedlint:allow floateq — exact tie-break on matrix values
+		return h[a].c < h[b].c
+	}
+	return h[a].j < h[b].j
+}
+func (h olarHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
+func (h *olarHeap) Push(x any)   { *h = append(*h, x.(olarEntry)) }
+func (h *olarHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
 }

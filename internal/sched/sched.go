@@ -116,7 +116,9 @@ func (a *Assignment) Samples(shardSize int) []int {
 // scale — onto a reduced dataset of n samples: each user keeps its share,
 // rounded down, and the remainder is dealt one sample at a time in user
 // order. With assignedOnly the remainder only goes to users that already
-// hold data, so a Fed-MinAvg schedule's excluded users stay excluded.
+// hold data, so a Fed-MinAvg schedule's excluded users stay excluded;
+// when no share survives the rounding, it goes to the users holding
+// shards (everyone, if nobody does).
 func (a *Assignment) Rescale(totalShards, n int, assignedOnly bool) []int {
 	sizes := make([]int, len(a.Shards))
 	assigned := 0
@@ -124,8 +126,13 @@ func (a *Assignment) Rescale(totalShards, n int, assignedOnly bool) []int {
 		sizes[j] = sh * n / totalShards
 		assigned += sizes[j]
 	}
+	takes := func(j int) bool { return sizes[j] > 0 || !assignedOnly }
+	if assignedOnly && assigned == 0 {
+		holders := a.Participants() > 0
+		takes = func(j int) bool { return a.Shards[j] > 0 || !holders }
+	}
 	for j := 0; assigned < n; j = (j + 1) % len(sizes) {
-		if sizes[j] > 0 || !assignedOnly {
+		if takes(j) {
 			sizes[j]++
 			assigned++
 		}
@@ -193,14 +200,21 @@ func Validate(r *Request, a *Assignment) error {
 }
 
 // almostLE reports a ≤ b up to floating-point slack.
-func almostLE(a, b float64) bool { return a <= b+float64(1e-9*math.Max(1, math.Abs(b))) }
+func almostLE(a, b float64) bool { return a <= slackAbove(b) }
+
+// slackAbove is the largest a that almostLE(a, b) admits, for loops that
+// compare many values against one b.
+func slackAbove(b float64) float64 { return b + float64(1e-9*math.Max(1, math.Abs(b))) }
 
 // emitSchedule records a computed assignment into the request's trace:
 // one KindSchedule event per user with the assigned samples and
 // predicted per-user cost, each carrying the assignment-level predicted
 // makespan and (Fed-MinAvg only) objective value. Every Scheduler calls
-// it on its way out.
+// it on its way out; untraced, it prices nothing.
 func emitSchedule(req *Request, asg *Assignment) {
+	if req.Trace == nil {
+		return
+	}
 	for j, k := range asg.Shards {
 		req.Trace.Emit(trace.Event{
 			Kind: trace.KindSchedule, Round: -1, Client: j,

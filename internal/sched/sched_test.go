@@ -433,6 +433,61 @@ func TestFedMinAvgZeroAlphaMinimizesTime(t *testing.T) {
 	}
 }
 
+func TestFedLBAPErrorsAreCheckErrors(t *testing.T) {
+	// The solve validates in its own pass over the users but reports
+	// through req.check(), so every message is the one check() writes.
+	tight := testRequest(30)
+	for _, u := range tight.Users {
+		u.CapacityShards = 5
+	}
+	for _, req := range []*Request{
+		{TotalShards: 0, ShardSize: 1, Users: []*User{linUser("u", 0, 1, 0)}},
+		{TotalShards: 1, ShardSize: 0, Users: []*User{linUser("u", 0, 1, 0)}},
+		{TotalShards: 1, ShardSize: 1},
+		{TotalShards: 10, ShardSize: 1, Users: []*User{linUser("u", 0, 1, 0), {Name: "nocost"}}},
+		tight,
+	} {
+		_, err := FedLBAP{}.Schedule(req, nil)
+		want := req.check()
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("Schedule error %v, check() %v", err, want)
+		}
+	}
+}
+
+func TestRescaleNoPositiveShare(t *testing.T) {
+	// assignedOnly with every floor share 0 used to deal forever: the
+	// remainder now goes to the users holding shards, or to everyone if
+	// nobody does. Cases with a positive share keep their old result.
+	for _, c := range []struct {
+		shards       []int
+		total, n     int
+		assignedOnly bool
+		want         []int
+	}{
+		{[]int{100, 100, 100, 100, 100, 100}, 600, 5, true, []int{1, 1, 1, 1, 1, 0}},
+		{[]int{0, 300, 0, 300}, 600, 1, true, []int{0, 1, 0, 0}},
+		{[]int{0, 300, 0, 300}, 600, 3, true, []int{0, 2, 0, 1}},
+		{[]int{0, 0, 0}, 600, 2, true, []int{1, 1, 0}},
+		{[]int{3, 0, 2}, 5, 7, true, []int{5, 0, 2}},
+		{[]int{3, 0, 2}, 5, 8, false, []int{5, 0, 3}},
+		{[]int{100, 100, 100}, 600, 2, false, []int{1, 1, 0}},
+	} {
+		done := make(chan []int, 1)
+		go func() { done <- (&Assignment{Shards: c.shards}).Rescale(c.total, c.n, c.assignedOnly) }()
+		select {
+		case got := <-done:
+			for j := range c.want {
+				if got[j] != c.want[j] {
+					t.Fatalf("Rescale(%d, %d, %v) of %v = %v, want %v", c.total, c.n, c.assignedOnly, c.shards, got, c.want)
+				}
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Rescale(%d, %d, %v) of %v did not return", c.total, c.n, c.assignedOnly, c.shards)
+		}
+	}
+}
+
 func TestAssignmentHelpers(t *testing.T) {
 	a := &Assignment{Shards: []int{3, 0, 2}}
 	s := a.Samples(100)

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -300,28 +302,135 @@ func countCosts(users []*User) *int {
 }
 
 func TestSparseCostEvalBudget(t *testing.T) {
-	// The counts are deterministic, so the budgets gate exactly: the
-	// full-range reference spends 50,821 evaluations on the cohort-sized
-	// instance and 8,384,261 on the fleet-sized one.
+	// The counts are deterministic, so they gate exactly. The full-range
+	// reference spends 50,821 evaluations on the cohort-sized instance and
+	// 8,384,261 on the fleet-sized one. A traced solve adds one more
+	// pricing per shard holder, for its KindSchedule events; an untraced
+	// one prices nothing after the makespan.
 	for _, c := range []struct {
-		n, s, budget int
-		long         bool
+		n, s, want int
+		long       bool
 	}{
-		{96, 600, 6_500, false},
-		{1_000_000, 10_000, 3_200_000, true},
+		{96, 600, 3_816, false},
+		{1_000_000, 10_000, 2_623_060, true},
 	} {
 		if c.long && testing.Short() {
 			continue
 		}
 		req := &Request{TotalShards: c.s, ShardSize: 100, Users: jitterUsers(c.n)}
 		evals := countCosts(req.Users)
-		if _, err := (FedLBAP{}).Schedule(req, nil); err != nil {
+		asg, err := (FedLBAP{}).Schedule(req, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("n=%d s=%d: %d cost evaluations", c.n, c.s, *evals)
-		if *evals > c.budget {
-			t.Errorf("n=%d s=%d: %d cost evaluations, budget %d", c.n, c.s, *evals, c.budget)
+		if *evals != c.want {
+			t.Errorf("n=%d s=%d: %d cost evaluations, want %d", c.n, c.s, *evals, c.want)
 		}
+		*evals = 0
+		req.Trace = trace.New(0)
+		if _, err := (FedLBAP{}).Schedule(req, nil); err != nil {
+			t.Fatal(err)
+		}
+		if want := c.want + asg.Participants(); *evals != want {
+			t.Errorf("n=%d s=%d traced: %d cost evaluations, want %d", c.n, c.s, *evals, want)
+		}
+	}
+}
+
+func TestSparsePrunedUsersPricedOnce(t *testing.T) {
+	// The layout by construction: a pruned user's first-shard cost is the
+	// only time the solve calls its Cost, traced or not. Everything after
+	// the prune reads the survivor records.
+	const n, s = 20_000, 200
+	for _, traced := range []bool{false, true} {
+		users := jitterUsers(n)
+		req := &Request{TotalShards: s, ShardSize: 100, Users: users}
+		first := make([]float64, n)
+		for j := range users {
+			first[j] = floorCost(userCost(req, j, 1))
+		}
+		sorted := append([]float64(nil), first...)
+		sort.Float64s(sorted)
+		lim := slackAbove(sorted[s-1])
+		calls := make([]int, n)
+		for j, u := range users {
+			cost, j := u.Cost, j
+			u.Cost = func(samples int) float64 { calls[j]++; return cost(samples) }
+		}
+		if traced {
+			req.Trace = trace.New(0)
+		}
+		if _, err := (FedLBAP{}).Schedule(req, nil); err != nil {
+			t.Fatal(err)
+		}
+		pruned := 0
+		for j := range users {
+			if first[j] > lim {
+				pruned++
+				if calls[j] != 1 {
+					t.Fatalf("traced=%v: pruned user %d priced %d times, want 1", traced, j, calls[j])
+				}
+			}
+		}
+		if pruned < n-2*s {
+			t.Fatalf("traced=%v: only %d of %d users pruned", traced, pruned, n)
+		}
+	}
+}
+
+// olarUsers is a fleet of n users whose curves mix a linear term with a
+// concave √ term (nondecreasing, like fuzzRequest's), every third user
+// capacity-bound.
+func olarUsers(n, s int) []*User {
+	users := make([]*User, n)
+	for j := range users {
+		h := fuzzMix(uint64(j) * 0x100000001b3)
+		rate := float64(h%1000+1) / 1e5
+		root := float64((h>>10)%100) / 100
+		users[j] = &User{
+			Cost:        func(samples int) float64 { return rate*float64(samples) + root*math.Sqrt(float64(samples)) },
+			CommSeconds: float64((h>>20)%500) / 100,
+		}
+		if j%3 == 1 {
+			users[j].CapacityShards = 1 + int((h>>32)%uint64(2*s/n+1))
+		}
+	}
+	return users
+}
+
+func TestFedLBAPMatchesOLAR(t *testing.T) {
+	// Pilla 2020's greedy reaches the optimal makespan by a route that
+	// shares nothing with the threshold search; FedLBAP must land on it up
+	// to the slack of its ≤ (its c* is the smallest matrix value that is
+	// feasible within the slack, so it can sit at most that far above).
+	for _, c := range []struct {
+		name string
+		req  *Request
+	}{
+		{"jitter-1000x10000", &Request{TotalShards: 10_000, ShardSize: 100, Users: jitterUsers(1_000)}},
+		{"jitter-10000x100000", &Request{TotalShards: 100_000, ShardSize: 100, Users: jitterUsers(10_000)}},
+		{"capped-1000x100000", &Request{TotalShards: 100_000, ShardSize: 10, Users: olarUsers(1_000, 100_000)}},
+		{"capped-10000x10000", &Request{TotalShards: 10_000, ShardSize: 10, Users: olarUsers(10_000, 10_000)}},
+		{"pruned-10000x1000", &Request{TotalShards: 1_000, ShardSize: 100, Users: jitterUsers(10_000)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			asg, err := FedLBAP{}.Schedule(c.req, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Validate(c.req, asg); err != nil {
+				t.Fatal(err)
+			}
+			want := olar(c.req)
+			if err := Validate(c.req, want); err != nil {
+				t.Fatalf("OLAR: %v", err)
+			}
+			got, opt := asg.PredictedMakespan, want.PredictedMakespan
+			if !(opt <= got && almostLE(got, opt)) {
+				t.Fatalf("makespan %v, OLAR optimum %v (relative gap %.3g)", got, opt, (got-opt)/opt)
+			}
+		})
 	}
 }
 

@@ -211,12 +211,14 @@ func WriteCSV(w io.Writer, events []Event) error {
 // Export writes a finished run's trace wherever its command line asked:
 // a JSONL file, a CSV file (either path may be empty) and the per-round
 // summary table on stderr. Each file written is announced on notice; a
-// ring overflow is reported on stderr. A nil recorder is a no-op.
+// ring overflow is reported on stderr. A nil recorder is a no-op. The
+// events are written straight from the ring, which Export rotates into
+// order instead of copying.
 func Export(rec *Recorder, jsonlPath, csvPath string, summary bool, notice io.Writer) error {
 	if rec == nil {
 		return nil
 	}
-	events := rec.Events()
+	events := rec.inOrder()
 	if d := rec.Dropped(); d > 0 {
 		fmt.Fprintf(os.Stderr, "trace: ring overflowed, %d oldest events dropped (raise -trace-cap)\n", d)
 	}

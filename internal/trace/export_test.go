@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -188,5 +189,47 @@ func TestWriteSummaryEmpty(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "no round events") {
 		t.Fatalf("empty summary should say so, got:\n%s", buf.String())
+	}
+}
+
+func TestExportLeavesEventsUnchanged(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		cap, emits int
+	}{
+		{"unwrapped", 8, 5},
+		{"full", 7, 7},
+		{"wrapped", 5, 12},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rec := New(c.cap)
+			for i := 0; i < c.emits; i++ {
+				rec.Emit(Event{Kind: KindSimStep, Round: i, AtS: float64(i) / 4})
+			}
+			before := rec.Events()
+			var want bytes.Buffer
+			if err := WriteJSONL(&want, before); err != nil {
+				t.Fatal(err)
+			}
+			path := t.TempDir() + "/trace.jsonl"
+			if err := Export(rec, path, "", false, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			if err := Compare(before, rec.Events(), Exact); err != nil {
+				t.Fatalf("Events() changed across Export: %v", err)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("exported %q (err %v), want %q", got, err, want.Bytes())
+			}
+			// The ring keeps recording as if it had never been exported.
+			rec.Emit(Event{Kind: KindSimStep, Round: c.emits})
+			after := append(before, Event{Kind: KindSimStep, Round: c.emits})
+			if len(after) > c.cap {
+				after = after[len(after)-c.cap:]
+			}
+			if err := Compare(after, rec.Events(), Exact); err != nil {
+				t.Fatalf("Emit after Export: %v", err)
+			}
+		})
 	}
 }

@@ -63,7 +63,10 @@
 // (Sanitize) so every event is JSON-encodable.
 package trace
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Kind discriminates trace event types.
 type Kind uint8
@@ -251,6 +254,23 @@ func (r *Recorder) Events() []Event {
 		out[i] = r.buf[(r.start+i)%len(r.buf)]
 	}
 	return out
+}
+
+// inOrder rotates the ring so its oldest live event sits at index 0 and
+// returns the live events in its own storage, oldest first: Events
+// without the copy. The slice aliases the ring, so the next Emit may
+// overwrite it; the recorder's contents are unchanged.
+func (r *Recorder) inOrder() []Event {
+	if r == nil || r.n == 0 {
+		return nil
+	}
+	if r.start != 0 {
+		slices.Reverse(r.buf[:r.start])
+		slices.Reverse(r.buf[r.start:])
+		slices.Reverse(r.buf)
+		r.start = 0
+	}
+	return r.buf[:r.n]
 }
 
 // Reset empties the ring without releasing its storage.
