@@ -7,7 +7,7 @@ GO ?= go
 
 .PHONY: build test vet lint lint-ci \
 	fuzz-smoke fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-job \
-	fuzz-smoke-ckpt fuzz-smoke-convblock \
+	fuzz-smoke-ckpt fuzz-smoke-convblock fuzz-smoke-device \
 	fmt-check check check-nolint race race-tensor purego nofma trace-golden loc \
 	bench profile-pop profile-sched profile-train profile-churn \
 	population-smoke fault-smoke serve-smoke
@@ -41,13 +41,15 @@ lint-ci:
 # against the im2col oracle over random geometries, the fused backward
 # pass of a Conv2D → ReLU → MaxPool2D block against the same layers
 # driven one by one, the job schema's admission path (decode, defaults,
-# Validate, job.json round trip, deterministic BuildJob), and the
+# Validate, job.json round trip, deterministic BuildJob), the
 # run-checkpoint loaders (never a panic, never an allocation beyond a
-# small multiple of the input, Save → Load → Save stable). Seeds live
-# under testdata/fuzz (or in the target); CI runs this in the lint lane.
-# Each target is its own recipe so one failing fuzzer no longer hides the
-# others: the umbrella runs all eight and fails at the end with the full
-# list of failed targets.
+# small multiple of the input, Save → Load → Save stable), and the
+# device simulator's two-phone lockstep against the one-loop reference
+# (every phone's seconds, state and throttle events, bit for bit). Seeds
+# live under testdata/fuzz (or in the target); CI runs this in the lint
+# lane. Each target is its own recipe so one failing fuzzer no longer
+# hides the others: the umbrella runs all nine and fails at the end with
+# the full list of failed targets.
 FUZZTIME ?= 10s
 fuzz-smoke-sched:
 	$(GO) test ./internal/sched -run '^$$' -fuzz FuzzFedLBAP -fuzztime $(FUZZTIME)
@@ -73,9 +75,12 @@ fuzz-smoke-job:
 fuzz-smoke-ckpt:
 	$(GO) test ./internal/fl -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime $(FUZZTIME)
 
+fuzz-smoke-device:
+	$(GO) test ./internal/device -run '^$$' -fuzz FuzzTrainLockstep -fuzztime $(FUZZTIME)
+
 fuzz-smoke:
 	@failed=""; \
-	for t in fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-convblock fuzz-smoke-job fuzz-smoke-ckpt; do \
+	for t in fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-convblock fuzz-smoke-job fuzz-smoke-ckpt fuzz-smoke-device; do \
 		$(MAKE) $$t FUZZTIME=$(FUZZTIME) || failed="$$failed $$t"; \
 	done; \
 	if [ -n "$$failed" ]; then \
@@ -190,13 +195,18 @@ trace-golden:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem . ./internal/...
 
-# Where a population round's time goes: CPU-profile the 10^6-client round
-# loop (the code path behind `fedsim -population`) and print the
-# cumulative top of the profile. The profile and test binary stay under
-# artifacts/ for `go tool pprof -list`.
+# Where pop_scale's time goes: CPU-profile BenchmarkPopulationRun — one
+# fedsim run at the benchmark's settings (10^6 clients, faults,
+# over-selection, quorum, cooldown, 1,000 rounds, traced, JSONL export)
+# through SimulatePopulationRounds — and print the cumulative top of the
+# profile. Pipelined, the planner's rows (the sampler draw,
+# sched.FedLBAP.Schedule) sit under fl.(*PopulationRunner).pipeline and
+# the player's (device.TrainLockstep, Device.advance) under its
+# goroutine, fl.(*PopulationRunner).pipeline.func1. The profile and test
+# binary stay under artifacts/ for `go tool pprof -list`.
 profile-pop:
 	mkdir -p artifacts
-	$(GO) test -run '^$$' -bench 'BenchmarkRoundLoop/n=1000000' -benchtime=5000x -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkPopulationRun$$' -benchtime=5x -benchmem \
 		-cpuprofile artifacts/pop.prof -o artifacts/pop.test .
 	$(GO) tool pprof -top -cum artifacts/pop.test artifacts/pop.prof | head -40
 

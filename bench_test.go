@@ -11,7 +11,9 @@ package fedsched_test
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -20,6 +22,7 @@ import (
 	"fedsched/internal/data"
 	"fedsched/internal/experiments"
 	"fedsched/internal/tensor"
+	"fedsched/internal/trace"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -229,6 +232,44 @@ func BenchmarkFedLBAPFleet(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// What pop_scale times, in process: one fedsim population run at the
+// benchmark's settings — 10^6 clients, a cohort of 64 over-selected by
+// half under the benchmark's fault plan, quorum 64, participation floor
+// 32, cooldown 2 — for 1,000 rounds through SimulatePopulationRounds at
+// the default Workers (so pipelined wherever a second lane is free),
+// traced, with the trace exported as JSONL into a temp dir. Runner
+// construction (archetype profiling) is inside the timer, as it is in
+// fedsim; the process-wide profile memo makes it cheap after the first
+// iteration. `make profile-pop` profiles this.
+func BenchmarkPopulationRun(b *testing.B) {
+	const n, cohort = 1_000_000, 64
+	dir := b.TempDir()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan, err := fedsched.ParseFaultSpec("crash=0.2,battery=0.05,flap=0.1,corrupt=0.05,degrade=0.3,slow=4", 12)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := trace.New(0)
+		_, err = fedsched.SimulatePopulation(fedsched.PopulationConfig{
+			Arch:            fedsched.LeNetSmall(1, 16, 16, 10),
+			Population:      fedsched.NewDevicePopulation(n, 5),
+			Sampler:         fedsched.NewCooldownSampler(fedsched.NewUniformSampler(n, cohort*3/2, 5), 2),
+			Rounds:          1000,
+			Faults:          plan,
+			Quorum:          cohort,
+			MinParticipants: cohort / 2,
+			Trace:           rec,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := trace.Export(rec, filepath.Join(dir, "trace.jsonl"), "", false, io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

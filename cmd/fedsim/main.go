@@ -38,7 +38,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		list      = flag.Bool("list", false, "list experiment ids")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		workers   = flag.Int("workers", 0, "concurrent client training per round (0 = GOMAXPROCS, <0 = sequential); results are seed-identical for any value")
+		workers   = flag.Int("workers", 0, "concurrent client training per round; in population mode, ≥2 plans rounds on one goroutine while another plays them (0 = GOMAXPROCS, <0 = sequential); results are seed-identical for any value")
 		precision = flag.String("precision", "f64", "client training precision for accuracy experiments: f32 | f64")
 		traceOut  = flag.String("trace", "", "write the run's round trace to this JSONL file")
 		traceCSV  = flag.String("trace-csv", "", "write the run's round trace to this CSV file")

@@ -75,22 +75,17 @@ func (d *Device) intensityBlend(trainFlops float64) float64 {
 	return math.Min(1, math.Max(0, s))
 }
 
-// baseThroughput returns the cold full-frequency training throughput
-// (FLOP/s) for the given per-sample training cost.
-func (d *Device) baseThroughput(trainFlops float64) float64 {
+// workload returns the fraction of peak power a workload of trainFlops
+// per sample draws and its cold full-frequency training throughput
+// (FLOP/s), both from one intensity blend.
+func (d *Device) workload(trainFlops float64) (util, base float64) {
 	s := d.intensityBlend(trainFlops)
-	return (d.TputSmall + float64((d.TputLarge-d.TputSmall)*s)) * 1e9
-}
-
-// utilization returns the fraction of peak power the workload draws.
-func (d *Device) utilization(trainFlops float64) float64 {
-	s := d.intensityBlend(trainFlops)
-	return d.UtilSmall + float64((d.UtilLarge-d.UtilSmall)*s)
+	return d.UtilSmall + float64((d.UtilLarge-d.UtilSmall)*s), (d.TputSmall + float64((d.TputLarge-d.TputSmall)*s)) * 1e9
 }
 
 // throughput applies governor frequency and thermal trips to a base
-// throughput (baseThroughput of the workload, which callers compute once:
-// it depends only on the profile and the per-sample cost).
+// throughput (the workload's, which callers compute once: it depends only
+// on the profile and the per-sample cost).
 func (d *Device) throughput(base float64) float64 {
 	t := base * d.FreqFactor
 	if d.bigOffline {
@@ -99,13 +94,17 @@ func (d *Device) throughput(base float64) float64 {
 	return t
 }
 
+// rampSeconds is the governor's frequency ramp time constant, clamped away
+// from zero; callers resolve it once per run of advance calls.
+func (d *Device) rampSeconds() float64 { return math.Max(d.RampSeconds, 1e-3) }
+
 // advance integrates the governor and thermal model for dt seconds under
-// the given utilization, accumulating energy. It is the device
-// simulator's innermost loop (one call per thermalStep of simulated
-// time), so the trace emission below must stay allocation-free.
+// the given utilization, accumulating energy; ramp is rampSeconds(). It
+// is the device simulator's innermost loop (one call per thermalStep of
+// simulated time), so the trace emission below must stay allocation-free.
 //
 // fedlint:hotpath
-func (d *Device) advance(dt float64, util float64, loaded bool) {
+func (d *Device) advance(dt, ramp, util float64, loaded bool) {
 	// Governor: exponential approach to target frequency.
 	target := idleFreqFactor
 	throttled := false
@@ -128,7 +127,7 @@ func (d *Device) advance(dt float64, util float64, loaded bool) {
 			AtS: d.NowSeconds, TempC: d.TempC, FreqGHz: d.effectiveFreqGHz(),
 		})
 	}
-	alpha := 1 - math.Exp(-dt/math.Max(d.RampSeconds, 1e-3))
+	alpha := 1 - math.Exp(-dt/ramp)
 	d.FreqFactor += float64((target - d.FreqFactor) * alpha)
 
 	// Power: dynamic power ≈ peak · util · f³ plus a small static floor.
@@ -197,7 +196,15 @@ func (d *Device) effectiveFreqGHz() float64 {
 // mini-batches of batch size, advancing the device state. It returns the
 // elapsed simulated seconds and the per-batch trace.
 func (d *Device) TrainSamples(arch *nn.Arch, n, batch int) (float64, []BatchPoint) {
-	return d.train(arch, n, batch, true)
+	if n <= 0 {
+		return 0, nil
+	}
+	var l lane
+	l.begin(d, arch.TrainFlopsPerSample(), n, batch)
+	l.points = make([]BatchPoint, (n+l.batch-1)/l.batch)
+	for !l.step() {
+	}
+	return l.elapsed(), l.points
 }
 
 // Train is TrainSamples without the per-batch trace: the same simulation,
@@ -206,53 +213,150 @@ func (d *Device) TrainSamples(arch *nn.Arch, n, batch int) (float64, []BatchPoin
 //
 // fedlint:hotpath
 func (d *Device) Train(arch *nn.Arch, n, batch int) float64 {
-	elapsed, _ := d.train(arch, n, batch, false)
-	return elapsed
+	if n <= 0 {
+		return 0
+	}
+	var l lane
+	l.begin(d, arch.TrainFlopsPerSample(), n, batch)
+	for !l.step() {
+	}
+	return l.elapsed()
 }
 
-// train is the training loop behind TrainSamples and Train: n samples in
-// mini-batches of batch, each integrated in thermal steps; record asks
-// for the per-batch trace.
-func (d *Device) train(arch *nn.Arch, n, batch int, record bool) (float64, []BatchPoint) {
-	if n <= 0 {
-		return 0, nil
+// TrainLockstep is Train for a cohort: devs[i] trains samples[i] samples
+// and seconds[i] receives its elapsed simulated seconds — 0 when
+// samples[i] ≤ 0, which leaves devs[i] untouched (it may then be nil).
+// The phones run two at a time, one thermal step each in turn, and a lane
+// whose phone finishes takes the next phone in slice order: each step is
+// a serial divide → exp → cube → divide chain, and two independent chains
+// overlap in the CPU where one cannot. Every phone executes exactly the
+// steps, expressions and trace emissions of its own Train call, so the
+// results are bit-identical to calling Train phone by phone. Devices must
+// not share a Tracer: their events would interleave.
+//
+// fedlint:hotpath
+func TrainLockstep(arch *nn.Arch, batch int, devs []*Device, samples []int, seconds []float64) {
+	c := cohortRun{devs: devs, samples: samples, seconds: seconds, flops: arch.TrainFlopsPerSample(), batch: batch}
+	var a, b lane
+	okA, okB := c.fill(&a), c.fill(&b)
+	for okA && okB {
+		if a.step() {
+			okA = c.finish(&a)
+		}
+		if b.step() {
+			okB = c.finish(&b)
+		}
 	}
+	for okA {
+		if a.step() {
+			okA = c.finish(&a)
+		}
+	}
+	for okB {
+		if b.step() {
+			okB = c.finish(&b)
+		}
+	}
+}
+
+// cohortRun deals a TrainLockstep cohort out to its lanes in slice order.
+type cohortRun struct {
+	devs    []*Device
+	samples []int
+	seconds []float64
+	next    int
+	flops   float64
+	batch   int
+}
+
+// fill starts l on the next phone with work, zeroing the seconds of the
+// idle ones it passes; false when the cohort is used up.
+func (c *cohortRun) fill(l *lane) bool {
+	for c.next < len(c.devs) {
+		i := c.next
+		c.next++
+		c.seconds[i] = 0
+		if c.samples[i] > 0 {
+			l.begin(c.devs[i], c.flops, c.samples[i], c.batch)
+			l.slot = i
+			return true
+		}
+	}
+	return false
+}
+
+// finish records l's finished phone and refills l.
+func (c *cohortRun) finish(l *lane) bool {
+	c.seconds[l.slot] = l.elapsed()
+	return c.fill(l)
+}
+
+// lane is one phone's Train in progress, resumable one thermal step at a
+// time: the loop state (batch index, work left in the batch) lives here
+// rather than on the stack, so TrainLockstep can interleave two phones.
+// The per-run invariants — the workload's FLOPs per sample, utilization
+// and base throughput, and the governor's clamped ramp — are resolved once
+// in begin.
+type lane struct {
+	d                       *Device
+	n, batch, b             int
+	work                    float64 // FLOPs left in batch b
+	flops, util, base, ramp float64
+	start, bStart           float64
+	points                  []BatchPoint // per-batch trace (TrainSamples), or nil
+	slot                    int          // TrainLockstep: the phone's index
+}
+
+// begin starts a run of n > 0 samples in mini-batches of batch (≤ 0: 20)
+// on d, for a workload of flops per sample.
+func (l *lane) begin(d *Device, flops float64, n, batch int) {
 	if batch <= 0 {
 		batch = 20
 	}
-	var points []BatchPoint
-	if record {
-		points = make([]BatchPoint, (n+batch-1)/batch)
+	util, base := d.workload(flops)
+	*l = lane{
+		d: d, n: n, batch: batch,
+		work:  float64(min(batch, n)) * flops,
+		flops: flops, util: util, base: base, ramp: d.rampSeconds(),
+		start: d.NowSeconds, bStart: d.NowSeconds,
 	}
-	flops := arch.TrainFlopsPerSample()
-	util := d.utilization(flops)
-	base := d.baseThroughput(flops)
-	start := d.NowSeconds
-	for b := 0; b*batch < n; b++ {
-		work := float64(min(batch, n-b*batch)) * flops
-		bStart := d.NowSeconds
-		for {
-			tput := d.throughput(base)
-			need := work / tput
-			if need <= thermalStep {
-				d.advance(need, util, true)
-				break
-			}
-			work -= float64(tput * thermalStep)
-			d.advance(thermalStep, util, true)
-		}
-		if record {
-			points[b] = BatchPoint{
-				Batch:     b,
-				Seconds:   d.NowSeconds - bStart,
-				TempC:     d.TempC,
-				FreqGHz:   d.effectiveFreqGHz(),
-				BigOnline: !d.bigOffline,
-			}
-		}
-	}
-	return d.NowSeconds - start, points
 }
+
+// step integrates one thermal step — the rest of the current batch when
+// it fits in one, else a full thermalStep of it — and reports whether the
+// run is over.
+//
+// fedlint:hotpath
+func (l *lane) step() bool {
+	d := l.d
+	tput := d.throughput(l.base)
+	need := l.work / tput
+	if need > thermalStep {
+		l.work -= float64(tput * thermalStep)
+		d.advance(thermalStep, l.ramp, l.util, true)
+		return false
+	}
+	d.advance(need, l.ramp, l.util, true)
+	if l.points != nil {
+		l.points[l.b] = BatchPoint{
+			Batch:     l.b,
+			Seconds:   d.NowSeconds - l.bStart,
+			TempC:     d.TempC,
+			FreqGHz:   d.effectiveFreqGHz(),
+			BigOnline: !d.bigOffline,
+		}
+	}
+	l.b++
+	if l.b*l.batch >= l.n {
+		return true
+	}
+	l.work = float64(min(l.batch, l.n-l.b*l.batch)) * l.flops
+	l.bStart = d.NowSeconds
+	return false
+}
+
+// elapsed is the simulated time the run has taken so far.
+func (l *lane) elapsed() float64 { return l.d.NowSeconds - l.start }
 
 // EpochTime returns the simulated wall time for one full epoch over n
 // samples starting from the device's current thermal state.
@@ -262,9 +366,10 @@ func (d *Device) EpochTime(arch *nn.Arch, n int) float64 {
 
 // Idle advances the device for dt seconds without load (cooling down).
 func (d *Device) Idle(dt float64) {
+	ramp := d.rampSeconds()
 	for dt > 0 {
 		step := math.Min(thermalStep, dt)
-		d.advance(step, 0, false)
+		d.advance(step, ramp, 0, false)
 		dt -= step
 	}
 }
@@ -348,7 +453,7 @@ func (d *Device) BatteryRemaining() float64 {
 // a first-order estimate (power × time) for capacity planning.
 func (d *Device) EnergyPerSample(arch *nn.Arch) float64 {
 	flops := arch.TrainFlopsPerSample()
-	base := d.baseThroughput(flops)
+	util, base := d.workload(flops)
 	tput := d.throughput(base)
 	if d.FreqFactor < 1 {
 		// Planning assumes the governor ramps to full clock.
@@ -358,7 +463,7 @@ func (d *Device) EnergyPerSample(arch *nn.Arch) float64 {
 		}
 	}
 	seconds := flops / tput
-	power := 0.15 + float64(d.PeakWatts*d.utilization(flops))
+	power := 0.15 + float64(d.PeakWatts*util)
 	return power * seconds
 }
 

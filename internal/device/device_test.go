@@ -2,11 +2,13 @@ package device
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"fedsched/internal/nn"
+	"fedsched/internal/trace"
 )
 
 var (
@@ -373,12 +375,20 @@ func TestDrainBattery(t *testing.T) {
 }
 
 // referenceTrainSamples is TrainSamples as it stood before the invariants
-// were hoisted: baseThroughput (three log10s and a clamp) re-derived on
-// every thermal step, every batch recorded. The hoisted loop must
+// were hoisted: the base throughput and utilization (three log10s and a
+// clamp each) and the ramp clamp re-derived on every thermal step, every
+// batch recorded, the whole run one loop on the stack. The lane must
 // reproduce it bit for bit.
 func referenceTrainSamples(d *Device, arch *nn.Arch, n, batch int) (float64, []BatchPoint) {
 	flops := arch.TrainFlopsPerSample()
-	util := d.utilization(flops)
+	utilization := func() float64 {
+		s := d.intensityBlend(flops)
+		return d.UtilSmall + float64((d.UtilLarge-d.UtilSmall)*s)
+	}
+	baseThroughput := func() float64 {
+		s := d.intensityBlend(flops)
+		return (d.TputSmall + float64((d.TputLarge-d.TputSmall)*s)) * 1e9
+	}
 	start := d.NowSeconds
 	batches := (n + batch - 1) / batch
 	points := make([]BatchPoint, batches)
@@ -390,17 +400,17 @@ func referenceTrainSamples(d *Device, arch *nn.Arch, n, batch int) (float64, []B
 		work := float64(size) * flops
 		bStart := d.NowSeconds
 		for {
-			tput := d.baseThroughput(flops) * d.FreqFactor
+			tput := baseThroughput() * d.FreqFactor
 			if d.bigOffline {
 				tput *= d.BigOffFactor
 			}
 			need := work / tput
 			if need <= thermalStep {
-				d.advance(need, util, true)
+				d.advance(need, math.Max(d.RampSeconds, 1e-3), utilization(), true)
 				break
 			}
 			work -= tput * thermalStep
-			d.advance(thermalStep, util, true)
+			d.advance(thermalStep, math.Max(d.RampSeconds, 1e-3), utilization(), true)
 		}
 		points[b] = BatchPoint{
 			Batch:     b,
@@ -421,18 +431,22 @@ func TestTrainMatchesUnhoistedReference(t *testing.T) {
 	for _, p := range []Profile{Nexus6(), Nexus6P(), Mate10(), Pixel2()} {
 		for _, arch := range []*nn.Arch{lenet, vgg6} {
 			for _, c := range []struct{ n, batch int }{{3000, 20}, {1234, 32}, {7, 20}} {
-				ref, rec, plain := New(p), New(p), New(p)
+				// lock trains in TrainLockstep's second lane, beside a
+				// companion whose phone finishes first and an idle slot.
+				ref, rec, plain, lock := New(p), New(p), New(p), New(p)
 				for epoch := 0; epoch < 2; epoch++ {
 					wantS, wantPts := referenceTrainSamples(ref, arch, c.n, c.batch)
 					gotS, gotPts := rec.TrainSamples(arch, c.n, c.batch)
 					plainS := plain.Train(arch, c.n, c.batch)
+					seconds := make([]float64, 3)
+					TrainLockstep(arch, c.batch, []*Device{New(Pixel2()), nil, lock}, []int{5, 0, c.n}, seconds)
 					name := fmt.Sprintf("%s/%s/n=%d/epoch=%d", p.Model, arch.Name, c.n, epoch)
-					if gotS != wantS || plainS != wantS {
-						t.Fatalf("%s: elapsed %v (recording) / %v (plain), reference %v", name, gotS, plainS, wantS)
+					if gotS != wantS || plainS != wantS || seconds[2] != wantS {
+						t.Fatalf("%s: elapsed %v (recording) / %v (plain) / %v (lockstep), reference %v", name, gotS, plainS, seconds[2], wantS)
 					}
-					if rec.Snapshot() != ref.Snapshot() || plain.Snapshot() != ref.Snapshot() {
-						t.Fatalf("%s: end state differs:\nrecording %+v\nplain     %+v\nreference %+v",
-							name, rec.Snapshot(), plain.Snapshot(), ref.Snapshot())
+					if rec.Snapshot() != ref.Snapshot() || plain.Snapshot() != ref.Snapshot() || lock.Snapshot() != ref.Snapshot() {
+						t.Fatalf("%s: end state differs:\nrecording %+v\nplain     %+v\nlockstep  %+v\nreference %+v",
+							name, rec.Snapshot(), plain.Snapshot(), lock.Snapshot(), ref.Snapshot())
 					}
 					if len(gotPts) != len(wantPts) {
 						t.Fatalf("%s: %d batch points, reference %d", name, len(gotPts), len(wantPts))
@@ -450,4 +464,67 @@ func TestTrainMatchesUnhoistedReference(t *testing.T) {
 	if !tripped {
 		t.Fatal("no case took the big-cluster-offline path; the Nexus 6P VGG6 epoch should")
 	}
+}
+
+// FuzzTrainLockstep holds the cohort entry point to the reference, phone
+// by phone: a cohort of jittered phones — archetype, speed, ambient
+// temperature and initial drain per phone, sample counts from 0 through
+// crash-truncated fractions of a shard to whole epochs, any batch size —
+// trained by TrainLockstep must leave every phone exactly where
+// referenceTrainSamples leaves its twin: elapsed seconds, the full State
+// and the throttle events in its ring, bit for bit. Each phone takes six
+// bytes of spec.
+func FuzzTrainLockstep(f *testing.F) {
+	f.Add(uint8(20), []byte{0, 128, 128, 0, 30, 0, 1, 255, 255, 255, 255, 0})
+	f.Add(uint8(7), []byte{1, 0, 255, 40, 250, 1, 2, 100, 0, 200, 3, 7, 3, 64, 64, 64, 0, 0})
+	f.Add(uint8(1), []byte{1, 200, 255, 0, 90, 1, 1, 255, 255, 0, 90, 2, 0, 0, 0, 0, 0, 0, 3, 50, 50, 50, 1, 1})
+	f.Add(uint8(63), []byte{2, 10, 20, 30, 40, 50, 3, 60, 70, 80, 90, 100, 0, 110, 120, 130, 140, 150, 1, 160, 170, 180, 190, 200, 2, 210, 220, 230, 240, 250})
+	archs := []*nn.Arch{nn.LeNetSmall(1, 16, 16, 10), lenet, vgg6}
+	catalog := []Profile{Nexus6(), Nexus6P(), Mate10(), Pixel2()}
+	f.Fuzz(func(t *testing.T, batch uint8, spec []byte) {
+		k := min(len(spec)/6, 12)
+		arch := archs[int(batch)%len(archs)]
+		refs, devs := make([]*Device, k), make([]*Device, k)
+		samples, seconds := make([]int, k), make([]float64, k)
+		for i := range devs {
+			b := spec[6*i : 6*i+6]
+			p := catalog[int(b[0])%len(catalog)]
+			speed := 0.5 + float64(b[1])/256 // [0.5, 1.5)
+			p.TputSmall *= speed
+			p.TputLarge *= speed
+			p.AmbientC += float64(b[2])/8 - 8 // [−8, +24) °C
+			ref, dev := New(p), New(p)
+			ref.EnergyJ = p.BatteryJ * float64(b[3]) / 256
+			dev.EnergyJ = ref.EnergyJ
+			ref.Tracer, dev.Tracer = trace.New(4096), trace.New(4096)
+			ref.TraceID, dev.TraceID = i, i
+			n := int(b[4]) * 25 // up to 6375 samples
+			if b[5]%3 == 1 {
+				n = int(float64(b[5]) / 256 * float64(n)) // a crash's fraction of the shard
+			} else if b[5]%3 == 2 {
+				n = 0
+			}
+			refs[i], devs[i], samples[i] = ref, dev, n
+		}
+		TrainLockstep(arch, int(batch), devs, samples, seconds)
+		for i, ref := range refs {
+			want := 0.0
+			if samples[i] > 0 {
+				bs := int(batch)
+				if bs <= 0 {
+					bs = 20
+				}
+				want, _ = referenceTrainSamples(ref, arch, samples[i], bs)
+			}
+			if seconds[i] != want {
+				t.Fatalf("phone %d (n=%d): %v s in lockstep, reference %v", i, samples[i], seconds[i], want)
+			}
+			if got, want := devs[i].Snapshot(), ref.Snapshot(); got != want {
+				t.Fatalf("phone %d (n=%d): state %+v in lockstep, reference %+v", i, samples[i], got, want)
+			}
+			if err := trace.Compare(ref.Tracer.Events(), devs[i].Tracer.Events(), trace.Exact); err != nil {
+				t.Fatalf("phone %d (n=%d): throttle events differ: %v", i, samples[i], err)
+			}
+		}
+	})
 }

@@ -11,6 +11,7 @@ import (
 	"fedsched/internal/profile"
 	"fedsched/internal/sample"
 	"fedsched/internal/sched"
+	"fedsched/internal/tensor"
 	"fedsched/internal/trace"
 )
 
@@ -44,8 +45,11 @@ type PopulationConfig struct {
 	ShardSize   int
 	// BatchSize for the device compute simulation (default 20).
 	BatchSize int
-	// Workers bounds intra-round parallelism, with the same contract as
-	// Config.Workers: results and traces are bit-identical for any value.
+	// Workers, resolved like Config.Workers (0: GOMAXPROCS, < 0: 1),
+	// pipelines SimulatePopulationRounds: at ≥ 2 the calling goroutine
+	// plans round r+1 while a second one, holding one lane of the process
+	// budget, plays round r; at 1 (or with no lane free) both run inline.
+	// Results and traces are bit-identical for any value.
 	Workers int
 	// BatteryBudget, when positive, caps each cohort member's shards at
 	// what that fraction of its remaining battery affords per round
@@ -159,17 +163,46 @@ type PopulationRunner struct {
 
 	comm float64 // per-round communication seconds (uniform link)
 
-	// rc is the shared round core (round.go): cohort draw, fault strike,
-	// device burn and meter, quorum cut, reduction, sampler reports and
-	// trace emission, over its own cohort-sized scratch.
-	rc *roundCore
+	// rc is the shared round core (round.go): fault strike, device burn
+	// and meter, quorum cut, reduction and trace emission over its own
+	// cohort-sized scratch — the play half of a round. Its reporter is
+	// unset: population rounds report to the sampler at plan time (rep).
+	rc  *roundCore
+	rep sample.FailureReporter
 
-	// Cohort-sized scratch, reused every round.
-	devs  []device.Device
-	costs []popCost
-	users []sched.User
-	uptrs []*sched.User
-	rings []*trace.Recorder // per-slot event rings (tracing only)
+	// plans[0] serves Round; a pipelined run alternates two batches of
+	// pipelineBatch plans.
+	plans []*popPlan
+	// burns and secs are play's per-slot scratch for the lockstep burn:
+	// the samples strike hands it and the compute seconds it returns.
+	burns []int
+	secs  []float64
+	// rings are the per-slot device event rings (tracing only), shared by
+	// every plan: each play drains its cohort's rings in emit, so the
+	// rings are empty whenever the next play starts.
+	rings []*trace.Recorder
+}
+
+// popPlan is one planned population round: everything plan decides —
+// cohort, devices, assignment, fault draws — in cohort-sized buffers of
+// its own, so round r+1 can be planned into one while round r plays from
+// the other.
+type popPlan struct {
+	round     int
+	cohort    []int // the sampler's pick, in sel's storage
+	sel       []int
+	shards    []int // the assignment, per cohort slot
+	predicted float64
+	faults    []fault.Fault
+	devs      []device.Device
+	costs     []popCost
+	users     []sched.User
+	uptrs     []*sched.User
+	// log stages the solver's KindSolver/KindSchedule events until play
+	// drains them into the run trace ahead of the round's own — where the
+	// solver used to emit them directly. A log never drops, so the run
+	// ring keeps and drops exactly what it did (nil when untraced).
+	log *trace.Recorder
 }
 
 // NewPopulationRunner validates the config, resolves each archetype's cost
@@ -205,11 +238,10 @@ func NewPopulationRunner(cfg PopulationConfig) (*PopulationRunner, error) {
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Population.Seed*0x5deece66d + 11)),
 		rc:    newRoundCore(cfg.Arch, cfg.BatchSize, k, cfg.Sampler, cfg.Faults, cfg.Trace),
-		devs:  make([]device.Device, k),
-		costs: make([]popCost, k),
-		users: make([]sched.User, k),
-		uptrs: make([]*sched.User, k),
+		burns: make([]int, k),
+		secs:  make([]float64, k),
 	}
+	r.rep, r.rc.rep = r.rc.rep, nil
 	r.rc.quorum, r.rc.floor = cfg.Quorum, cfg.MinParticipants
 	r.comm = cfg.Link.RoundTripTime(r.rc.modelBytes)
 
@@ -221,60 +253,94 @@ func NewPopulationRunner(cfg PopulationConfig) (*PopulationRunner, error) {
 	for a, dp := range profs {
 		r.lines[a] = dp.Line(cfg.Arch)
 	}
-
-	// Bind each slot's cost closure once; rounds only overwrite the
-	// popCost fields the closure reads through the pointer.
-	for i := range r.users {
-		r.users[i].Cost = r.costs[i].predict
-		r.uptrs[i] = &r.users[i]
-	}
 	if cfg.Trace != nil {
 		r.rings = make([]*trace.Recorder, k)
 		for i := range r.rings {
 			r.rings[i] = trace.New(clientRingCapacity)
 		}
 	}
+	r.plans = []*popPlan{r.newPlan(k)}
 	return r, nil
 }
 
-// Round simulates one population round: sample the cohort, materialize
-// its devices, schedule the shards, fan the device simulation out over
-// the worker pool, and close the round in one streaming pass post-join.
-// It is the population policy over the round core (round.go): the cohort
-// is drawn from the whole fleet and re-materialized every round, each
-// member's work is what the scheduler assigned it, a model exchange is
-// one round trip, and nothing merges — no model is trained. Steady-state
-// heap growth is O(selected) per round — nothing here scales with
-// Population.N — and the emitted trace is bit-identical for any Workers
-// value (per-slot rings drained in slot order after the join).
+// newPlan allocates one plan's cohort-sized buffers.
+func (r *PopulationRunner) newPlan(k int) *popPlan {
+	p := &popPlan{
+		sel:    make([]int, k),
+		faults: make([]fault.Fault, k),
+		devs:   make([]device.Device, k),
+		costs:  make([]popCost, k),
+		users:  make([]sched.User, k),
+		uptrs:  make([]*sched.User, k),
+	}
+	// Bind each slot's cost closure once; rounds only overwrite the
+	// popCost fields the closure reads through the pointer.
+	for i := range p.users {
+		p.users[i].Cost = p.costs[i].predict
+		p.uptrs[i] = &p.users[i]
+	}
+	if r.cfg.Trace != nil {
+		p.log = trace.NewLog(2*k + 64)
+	}
+	return p
+}
+
+// Round simulates one population round — plan, then play, on one buffer:
+// sample the cohort, materialize its devices, schedule the shards, strike
+// the faults and report the outcomes to the sampler; then burn the
+// cohort's compute two phones at a time and close the round in one
+// streaming pass. It is the population policy over the round core
+// (round.go): the cohort is drawn from the whole fleet and
+// re-materialized every round, each member's work is what the scheduler
+// assigned it, a model exchange is one round trip, and nothing merges —
+// no model is trained. Steady-state heap growth is O(selected) per round
+// — nothing here scales with Population.N.
 //
 // fedlint:hotpath
 // fedlint:deterministic
 // fedlint:trace KindClientRound,KindRoundSummary,KindFault
 func (r *PopulationRunner) Round(round int) (PopulationRound, error) {
-	cfg, rc := r.cfg, r.rc
-	pr := PopulationRound{Round: round, Straggler: -1}
+	p := r.plans[0]
+	if err := r.plan(round, p); err != nil {
+		r.rc.trace.Drain(p.log)
+		return PopulationRound{Round: round, Selected: len(p.cohort), Straggler: -1}, err
+	}
+	return r.play(p), nil
+}
 
-	cohort := rc.draw(round)
-	k := len(cohort)
-	pr.Selected = k
+// plan decides round `round` into p: draw the cohort, materialize it,
+// schedule the shards, strike the faults and report each scheduled
+// slot's outcome to a failure-aware sampler, in slot order. A population
+// slot fails exactly when it holds shards and a fault strikes it — no
+// deadline, divergence or anything play computes enters the outcome — so
+// reporting here feeds the sampler the calls close would make, in the
+// same order, before the next round's draw: plan(r+1) depends on nothing
+// play(r) does.
+//
+// fedlint:hotpath
+// fedlint:deterministic
+func (r *PopulationRunner) plan(round int, p *popPlan) error {
+	cfg := r.cfg
+	p.round, p.shards, p.predicted = round, nil, 0
+	p.log.Reset()
+	p.cohort = cfg.Sampler.Cohort(round, p.sel)
+	k := len(p.cohort)
 	if k == 0 {
 		// Nobody available (availability sampling at a dead hour): an
 		// empty round, recorded as such.
-		rc.emit(round, 0, &roundClose{straggler: -1}, -1, -1)
-		return pr, nil
+		return nil
 	}
 
-	// Materialize the cohort into the reusable slots (sequential: the
-	// population hash chains and profile lookups are cheap).
-	for i, id := range cohort {
-		d := &r.devs[i]
+	// Materialize the cohort into the reusable slots (the population hash
+	// chains and profile lookups are cheap).
+	for i, id := range p.cohort {
+		d := &p.devs[i]
 		cfg.Population.Materialize(id, d)
-		r.costs[i] = popCost{
+		p.costs[i] = popCost{
 			line:  r.lines[cfg.Population.ArchetypeOf(id)],
 			speed: cfg.Population.SpeedOf(id),
 		}
-		u := &r.users[i]
+		u := &p.users[i]
 		u.CommSeconds = r.comm
 		u.MeanFreqGHz = d.MeanFreqGHz()
 		u.CapacityShards = 0
@@ -284,7 +350,6 @@ func (r *PopulationRunner) Round(round int) (PopulationRound, error) {
 			u.CapacityShards = max(1, d.CapacityShards(cfg.Arch, cfg.ShardSize, cfg.BatteryBudget))
 		}
 		if r.rings != nil {
-			r.rings[i].Reset()
 			d.Tracer = r.rings[i]
 			d.TraceID = id
 		}
@@ -293,52 +358,171 @@ func (r *PopulationRunner) Round(round int) (PopulationRound, error) {
 	req := &sched.Request{
 		TotalShards: cfg.TotalShards,
 		ShardSize:   cfg.ShardSize,
-		Users:       r.uptrs[:k],
-		Trace:       cfg.Trace,
+		Users:       p.uptrs[:k],
+		Trace:       p.log,
 	}
 	asg, err := cfg.Scheduler.Schedule(req, r.rng)
 	if err != nil {
-		return pr, fmt.Errorf("fl: population round %d: %w", round, err)
+		return fmt.Errorf("fl: population round %d: %w", round, err)
 	}
-	pr.PredictedS = asg.PredictedMakespan
+	p.shards, p.predicted = asg.Shards, asg.PredictedMakespan
 
-	// Device simulation fans out across the worker pool; each slot owns
-	// its device, ring and result cells, so workers share nothing.
-	// Unscheduled slots (no shards) sit the round out.
-	forEach(workerCount(cfg.Workers, k), k, func(i int) {
-		rc.step(i, round, cohort[i], asg.Shards[i]*cfg.ShardSize, &r.devs[i], cfg.Link)
-	})
+	for i, id := range p.cohort {
+		p.faults[i] = fault.Fault{}
+		if p.shards[i] > 0 {
+			p.faults[i] = cfg.Faults.Fault(round, id)
+			if r.rep != nil {
+				if p.faults[i].Kind != fault.None {
+					r.rep.ReportFailure(id, round)
+				} else {
+					r.rep.ReportSuccess(id)
+				}
+			}
+		}
+	}
+	return nil
+}
 
-	// Faulted and late slots never participate and do not extend the
-	// makespan (the round closes without them); their wasted energy and
-	// throttles still count.
-	cl := rc.close(round, cohort)
+// play runs planned round p to its close: strike every slot, burn the
+// cohort's compute in device lockstep, settle every slot, close the round
+// and emit it — the plan's solver events first, as if the solver had
+// emitted them into the run trace itself. Faulted and late slots never
+// participate and do not extend the makespan (the round closes without
+// them); their wasted energy and throttles still count.
+//
+// fedlint:hotpath
+// fedlint:deterministic
+func (r *PopulationRunner) play(p *popPlan) PopulationRound {
+	cfg, rc := r.cfg, r.rc
+	k := len(p.cohort)
+	pr := PopulationRound{Round: p.round, Selected: k, PredictedS: p.predicted, Straggler: -1}
+	rc.trace.Drain(p.log)
+	if k == 0 {
+		rc.emit(p.round, 0, &roundClose{straggler: -1}, -1, -1)
+		return pr
+	}
+	for s, id := range p.cohort {
+		r.burns[s] = rc.strike(s, id, p.shards[s]*cfg.ShardSize, &p.devs[s], p.faults[s])
+	}
+	device.TrainLockstep(cfg.Arch, cfg.BatchSize, rc.devs[:k], r.burns[:k], r.secs[:k])
+	for s := 0; s < k; s++ {
+		if r.burns[s] >= 0 {
+			rc.settle(s, r.secs[s], p.faults[s], cfg.Link)
+		}
+	}
+	cl := rc.close(p.round, p.cohort)
 	pr.Participants, pr.Samples = cl.survivors, cl.samples
 	pr.MakespanS, pr.Straggler = cl.makespan, cl.straggler
 	pr.EnergyJ, pr.Throttles = cl.energyJ, cl.throttles
 	pr.Faulted, pr.Late, pr.Failed = cl.faulted, cl.late, cl.failed
-	rc.emit(round, k, &cl, -1, -1)
-	return pr, nil
+	rc.emit(p.round, k, &cl, -1, -1)
+	return pr
 }
 
 // SimulatePopulationRounds builds a runner and simulates cfg.Rounds
-// rounds. Same-seed runs are bit-identical (history and trace) for any
-// Workers value. A mid-run scheduler error returns the completed rounds
-// as a partial history alongside the error.
+// rounds, pipelined when Workers allows (see PopulationConfig.Workers).
+// Same-seed runs are bit-identical (history and trace) for any Workers
+// value. A mid-run scheduler error returns the completed rounds as a
+// partial history alongside the error.
 func SimulatePopulationRounds(cfg PopulationConfig) (*PopulationHistory, error) {
 	r, err := NewPopulationRunner(cfg)
 	if err != nil {
 		return nil, err
 	}
 	hist := &PopulationHistory{Rounds: make([]PopulationRound, 0, r.cfg.Rounds)}
+	if workerCount(r.cfg.Workers, r.cfg.Rounds) > 1 {
+		return hist, r.pipeline(hist)
+	}
+	return hist, r.inline(hist)
+}
+
+// inline simulates the rounds one Round at a time.
+func (r *PopulationRunner) inline(hist *PopulationHistory) error {
 	for round := 0; round < r.cfg.Rounds; round++ {
 		pr, err := r.Round(round)
 		if err != nil {
-			return hist, err
+			return err
 		}
-		hist.Rounds = append(hist.Rounds, pr)
-		hist.TotalSeconds += pr.MakespanS
-		hist.TotalEnergyJ += pr.EnergyJ
+		hist.add(pr)
 	}
-	return hist, nil
+	return nil
+}
+
+// pipelineBatch is how many rounds a pipelined run hands from planner to
+// player at a time. The two goroutines meet once per batch, not twice
+// per round: a round takes a few hundred microseconds, and waking a
+// parked goroutine for each one ate the overlap (on a host whose second
+// vCPU was contended, a per-round handoff ran 12 % slower than inline).
+// Two batches of plans stay resident (a plan is ~75 KB at cohort 96);
+// batches of 8 were 3 % faster for twice the memory.
+const pipelineBatch = 4
+
+// pipeline simulates the rounds on two goroutines: this one plans the
+// next batch of rounds while a player, holding one borrowed lane, plays
+// the batch before it. Plans run in round order here and plays in round
+// order on the player, and no plan depends on a play (see plan), so
+// history and trace are inline's to the byte. A failed plan still lets
+// every round before it finish, then drains its partial solver events
+// after theirs. With no lane free it is inline.
+func (r *PopulationRunner) pipeline(hist *PopulationHistory) error {
+	if tensor.TryAcquireLanes(1) == 0 {
+		return r.inline(hist)
+	}
+	defer tensor.ReleaseLanes(1)
+	for len(r.plans) < 2*pipelineBatch {
+		r.plans = append(r.plans, r.newPlan(len(r.plans[0].sel)))
+	}
+	// The player owns hist until it exits; done hands it back.
+	plays := make(chan []*popPlan)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for batch := range plays {
+			for _, p := range batch {
+				hist.add(r.play(p))
+			}
+			done <- struct{}{}
+		}
+	}()
+
+	var failed *popPlan
+	var err error
+	planBatch := func(from int, batch []*popPlan) []*popPlan {
+		for i, p := range batch {
+			if from+i == r.cfg.Rounds {
+				return batch[:i]
+			}
+			if err = r.plan(from+i, p); err != nil {
+				failed = p
+				return batch[:i]
+			}
+		}
+		return batch
+	}
+	side := func(b int) []*popPlan { return r.plans[b*pipelineBatch : (b+1)*pipelineBatch] }
+	b, next := 0, 0
+	batch := planBatch(next, side(b))
+	for len(batch) > 0 {
+		next += len(batch)
+		plays <- batch
+		b = 1 - b
+		batch = nil
+		if err == nil {
+			batch = planBatch(next, side(b))
+		}
+		<-done
+	}
+	close(plays)
+	<-done // the player has exited
+	if err != nil {
+		r.rc.trace.Drain(failed.log)
+	}
+	return err
+}
+
+// add appends one simulated round to the history.
+func (h *PopulationHistory) add(pr PopulationRound) {
+	h.Rounds = append(h.Rounds, pr)
+	h.TotalSeconds += pr.MakespanS
+	h.TotalEnergyJ += pr.EnergyJ
 }

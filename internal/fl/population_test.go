@@ -2,12 +2,18 @@ package fl
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"fedsched/internal/device"
+	"fedsched/internal/fault"
 	"fedsched/internal/nn"
 	"fedsched/internal/sample"
+	"fedsched/internal/sched"
 	"fedsched/internal/trace"
 )
 
@@ -201,6 +207,108 @@ func TestPopulationConfigValidation(t *testing.T) {
 			tc.mutate(&cfg)
 			if _, err := NewPopulationRunner(cfg); err == nil {
 				t.Fatal("invalid config accepted")
+			}
+		})
+	}
+}
+
+// failingScheduler is Fed-LBAP until the call numbered failAt (from 0),
+// which runs the solve — its solver and schedule events land in the
+// trace — and then fails.
+type failingScheduler struct {
+	failAt, calls int
+}
+
+func (s *failingScheduler) Name() string { return "failing" }
+
+func (s *failingScheduler) Schedule(req *sched.Request, rng *rand.Rand) (*sched.Assignment, error) {
+	asg, err := sched.FedLBAP{}.Schedule(req, rng)
+	s.calls++
+	if s.calls-1 == s.failAt {
+		return nil, errors.New("solver gave up")
+	}
+	return asg, err
+}
+
+// TestPopulationPipelineByteIdentical: a pipelined run (Workers ≥ 2,
+// lanes free) plans rounds ahead of their play; histories, trace bytes
+// and the ring's drop count must equal the inline loop's across hundreds
+// of rounds under every knob that feeds back into the next draw or the
+// trace — cooldown reports, faults, quorum, the participation floor,
+// battery budgets, availability windows and a trace cap the run
+// overflows — and a scheduler failing mid-batch, at a batch boundary or
+// on the first round must leave the same partial history, error and
+// trace.
+func TestPopulationPipelineByteIdentical(t *testing.T) {
+	forceLanes(t, 4)
+	plan, err := fault.ParseSpec("crash=0.2,battery=0.05,flap=0.1,corrupt=0.05,degrade=0.3,slow=4", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		hist    *PopulationHistory
+		err     error
+		trace   []byte
+		dropped uint64
+	}
+	run := func(workers int, mutate func(*PopulationConfig)) result {
+		cfg := popConfig(20_000, 24, 210)
+		cfg.Workers = workers
+		cfg.Faults = plan
+		mutate(&cfg)
+		hist, err := SimulatePopulationRounds(cfg)
+		var buf bytes.Buffer
+		if err := trace.WriteJSONL(&buf, cfg.Trace.Events()); err != nil {
+			t.Fatal(err)
+		}
+		return result{hist, err, buf.Bytes(), cfg.Trace.Dropped()}
+	}
+	cases := []struct {
+		name   string
+		mutate func(*PopulationConfig)
+	}{
+		{"cooldown-quorum-floor-budget-cap", func(c *PopulationConfig) {
+			c.Sampler = sample.NewCooldown(sample.NewUniform(20_000, 24, 42), 2)
+			c.Quorum, c.MinParticipants, c.BatteryBudget = 16, 12, 0.05
+			c.Trace = trace.New(3000)
+		}},
+		{"window-cooldown", func(c *PopulationConfig) {
+			a := sample.NewAvailability(20_000, 24, 42)
+			a.WindowHours = 3
+			c.Sampler = sample.NewCooldown(a, 1)
+			c.Trace = trace.New(0)
+		}},
+	}
+	for _, failAt := range []int{0, 2 * pipelineBatch, 151} {
+		failAt := failAt
+		cases = append(cases, struct {
+			name   string
+			mutate func(*PopulationConfig)
+		}{fmt.Sprintf("scheduler-fails-at-%d", failAt), func(c *PopulationConfig) {
+			c.Sampler = sample.NewCooldown(sample.NewUniform(20_000, 24, 42), 2)
+			c.Scheduler = &failingScheduler{failAt: failAt}
+			c.Quorum = 16
+			c.Trace = trace.New(0)
+		}})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want := run(-1, c.mutate)
+			if len(want.trace) == 0 || (want.err == nil && len(want.hist.Rounds) != 210) {
+				t.Fatalf("inline run: %d rounds, %d trace bytes, err %v", len(want.hist.Rounds), len(want.trace), want.err)
+			}
+			for _, w := range []int{1, 2, 8} {
+				got := run(w, c.mutate)
+				if fmt.Sprint(got.err) != fmt.Sprint(want.err) {
+					t.Fatalf("Workers=%d: error %v, inline %v", w, got.err, want.err)
+				}
+				if !reflect.DeepEqual(got.hist, want.hist) {
+					t.Fatalf("Workers=%d: history differs from the inline run's (%d vs %d rounds)", w, len(got.hist.Rounds), len(want.hist.Rounds))
+				}
+				if !bytes.Equal(got.trace, want.trace) || got.dropped != want.dropped {
+					t.Fatalf("Workers=%d: trace differs from the inline run's (%d vs %d bytes, dropped %d vs %d)",
+						w, len(got.trace), len(want.trace), got.dropped, want.dropped)
+				}
 			}
 		})
 	}

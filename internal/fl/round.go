@@ -180,17 +180,22 @@ func (c *Client) train(cfg *Config, from []*tensor.Tensor) float64 {
 	return localEpoch(c.net, c.Local, c.rng, cfg.BatchSize)
 }
 
-// burn spends a member's compute on its device: the whole assignment, or
-// — when a crash or battery death strikes — the fraction Point of it,
+// burnt returns how many of a member's n assigned samples its device gets
+// through: all of them, or — when a crash or battery death strikes — the
+// fraction Point of them.
+func burnt(n int, f fault.Fault) int {
+	if f.Kind == fault.Crash || f.Kind == fault.Battery {
+		n = int(f.Point * float64(n))
+	}
+	return n
+}
+
+// burn spends a member's compute on its device (burnt of its samples),
 // after which a dead battery also empties its account.
 //
 // fedlint:hotpath
 func burn(cr *ClientRound, dev *device.Device, arch *nn.Arch, batch int, f fault.Fault) {
-	n := cr.Samples
-	if f.Kind == fault.Crash || f.Kind == fault.Battery {
-		n = int(f.Point * float64(n))
-	}
-	cr.ComputeS = dev.Train(arch, n, batch)
+	cr.ComputeS = dev.Train(arch, burnt(cr.Samples, f), batch)
 	if f.Kind == fault.Battery {
 		dev.DrainBattery()
 	}
@@ -243,6 +248,7 @@ type roundCore struct {
 	crs    []ClientRound
 	spans  []float64
 	devs   []*device.Device
+	meters []meter
 	order  []int // close: candidates for the cut, then the surviving slots
 	sorter spanOrder
 	lpt    shardOrder // longestFirst's scratch
@@ -258,7 +264,7 @@ func newRoundCore(arch *nn.Arch, batch, n int, s sample.Sampler, faults *fault.P
 		arch: arch, batch: batch, modelBytes: arch.SizeBytes(),
 		faults: faults, trace: rec, sampler: s,
 		sel: make([]int, n), crs: make([]ClientRound, n), spans: make([]float64, n),
-		devs: make([]*device.Device, n), order: make([]int, n),
+		devs: make([]*device.Device, n), order: make([]int, n), meters: make([]meter, n),
 	}
 	rc.rep, _ = s.(sample.FailureReporter)
 	rc.sorter.spans, rc.sorter.crs = rc.spans, rc.crs
@@ -281,14 +287,31 @@ func (rc *roundCore) draw(round int) []int {
 }
 
 // step plays slot s's round for one member on its device and link:
-// strike the fault plan, burn the compute it gets through, charge the
-// model exchange and meter the device. A member with no samples sits the
-// round out (its device is reported at rest); one with no device costs
-// nothing. Slots own their cells and fault draws are pure hashes of
-// (round, id), so steps run concurrently.
+// strike the fault plan, burn the compute it gets through and settle. A
+// member with no samples sits the round out (its device is reported at
+// rest); one with no device costs nothing. Slots own their cells and
+// fault draws are pure hashes of (round, id), so steps run concurrently.
 //
 // fedlint:hotpath
 func (rc *roundCore) step(s, round, id, samples int, dev *device.Device, link network.Link) fault.Fault {
+	var f fault.Fault
+	if samples > 0 {
+		f = rc.faults.Fault(round, id)
+	}
+	if n := rc.strike(s, id, samples, dev, f); n >= 0 {
+		rc.settle(s, dev.Train(rc.arch, n, rc.batch), f, link)
+	}
+	return f
+}
+
+// strike opens slot s for member id holding samples, struck by fault f
+// (the caller's draw; the zero Fault when samples ≤ 0). It returns how many
+// samples the member's device must burn before settle — −1 when the slot
+// sits the round out: no samples (its device is reported at rest) or no
+// device (nothing to burn or settle).
+//
+// fedlint:hotpath
+func (rc *roundCore) strike(s, id, samples int, dev *device.Device, f fault.Fault) int {
 	cr := &rc.crs[s]
 	*cr = ClientRound{ClientID: id, Samples: samples}
 	rc.spans[s], rc.devs[s] = 0, dev
@@ -296,15 +319,27 @@ func (rc *roundCore) step(s, round, id, samples int, dev *device.Device, link ne
 		if dev != nil {
 			cr.BatteryFrac, cr.Temperature = dev.BatteryRemaining(), dev.TempC
 		}
-		return fault.Fault{}
+		return -1
 	}
-	f := rc.faults.Fault(round, id)
 	cr.Fault = f.Kind
 	if dev == nil {
-		return f
+		return -1
 	}
-	m := meterOn(dev)
-	burn(cr, dev, rc.arch, rc.batch, f)
+	rc.meters[s] = meterOn(dev)
+	return burnt(samples, f)
+}
+
+// settle closes slot s once its device has burned computeS seconds: a
+// battery death empties the account, the model exchange is charged on the
+// (possibly degraded) link and the device is metered.
+//
+// fedlint:hotpath
+func (rc *roundCore) settle(s int, computeS float64, f fault.Fault, link network.Link) {
+	cr := &rc.crs[s]
+	cr.ComputeS = computeS
+	if f.Kind == fault.Battery {
+		rc.devs[s].DrainBattery()
+	}
 	link = link.Degraded(f.Slow)
 	switch {
 	case f.Kind == fault.Crash || f.Kind == fault.Battery:
@@ -326,8 +361,7 @@ func (rc *roundCore) step(s, round, id, samples int, dev *device.Device, link ne
 		rc.spans[s] = cr.ComputeS + link.UploadTime(rc.modelBytes) + link.DownloadTime(rc.modelBytes)
 		cr.CommS = rc.spans[s] - cr.ComputeS
 	}
-	m.read(cr)
-	return f
+	rc.meters[s].read(cr)
 }
 
 // stepClient is step for a member that also trains for real. A fault that
@@ -437,7 +471,8 @@ type roundClose struct {
 //	           extend the makespan — the server stops waiting the moment
 //	           it learns an update is lost — but everyone's energy counts;
 //	report   — outcomes feed a failure-aware sampler (late survivors did
-//	           finish, so they count as successes).
+//	           finish, so they count as successes). Population rounds
+//	           report when they plan instead, and leave rep unset.
 //
 // fedlint:hotpath
 func (rc *roundCore) close(round int, sel []int) roundClose {

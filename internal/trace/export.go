@@ -9,6 +9,8 @@ import (
 	"math"
 	"os"
 	"strconv"
+
+	"fedsched/internal/tensor"
 )
 
 // MarshalJSON encodes the kind as its stable string name, keeping JSONL
@@ -107,19 +109,104 @@ func appendFloat(b []byte, f float64) []byte {
 // WriteJSONL writes one JSON object per event, one per line, in order.
 // Encoding is deterministic (fixed field order, shortest float
 // round-trip representation), so equal event sequences produce
-// byte-identical files.
+// byte-identical files. A trace longer than one block is formatted in
+// blocks of exportBlock events on two goroutines — the caller and one
+// lane borrowed from the process budget (internal/tensor), taking turns —
+// and written in order; without a free lane it is formatted serially.
+// Either way the bytes and the error (the first non-finite event, by
+// index) are the same.
 func WriteJSONL(w io.Writer, events []Event) error {
+	if len(events) <= exportBlock || tensor.TryAcquireLanes(1) == 0 {
+		return writeSerial(w, events)
+	}
+	defer tensor.ReleaseLanes(1)
+	return writeBlocks(w, events)
+}
+
+// writeSerial formats and writes the events one line at a time.
+func writeSerial(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	var line []byte
 	for i := range events {
 		var err error
-		if line, err = appendEvent(line[:0], &events[i]); err != nil {
-			return fmt.Errorf("trace: event %d: %w", i, err)
+		if line, err = appendEvents(line[:0], events[i:i+1], i); err != nil {
+			return err
 		}
-		line = append(line, '\n')
 		bw.Write(line) // a failed write sticks and surfaces in Flush
 	}
 	return bw.Flush()
+}
+
+// exportBlock is the events per formatted block of a two-lane export:
+// large enough that handing blocks between goroutines is cheap, small
+// enough that the two blocks in flight (about 40 KB each) add nothing to
+// a run's peak memory.
+const exportBlock = 256
+
+// writeBlocks formats events in pairs of blocks — the even one here, the
+// odd one on a helper goroutine, whose lane the caller holds — and writes
+// each pair in order.
+func writeBlocks(w io.Writer, events []Event) error {
+	type job struct {
+		buf []byte
+		err error
+		at  int
+	}
+	jobs, done := make(chan *job), make(chan *job)
+	go func() {
+		defer close(done)
+		for j := range jobs {
+			end := min(j.at+exportBlock, len(events))
+			j.buf, j.err = appendEvents(j.buf[:0], events[j.at:end], j.at)
+			done <- j
+		}
+	}()
+	defer func() {
+		close(jobs)
+		<-done // the helper has exited
+	}()
+	var mine []byte
+	odd := &job{}
+	for at := 0; at < len(events); at += 2 * exportBlock {
+		helped := at+exportBlock < len(events)
+		if helped {
+			odd.at = at + exportBlock
+			jobs <- odd
+		}
+		var err error
+		mine, err = appendEvents(mine[:0], events[at:min(at+exportBlock, len(events))], at)
+		if helped {
+			<-done
+		}
+		if err != nil {
+			return err
+		}
+		if _, err := w.Write(mine); err != nil {
+			return err
+		}
+		if helped {
+			if odd.err != nil {
+				return odd.err
+			}
+			if _, err := w.Write(odd.buf); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// appendEvents appends events as JSONL lines to b; the first event is
+// event number first of the trace, for the error.
+func appendEvents(b []byte, events []Event, first int) ([]byte, error) {
+	for i := range events {
+		var err error
+		if b, err = appendEvent(b, &events[i]); err != nil {
+			return b, fmt.Errorf("trace: event %d: %w", first+i, err)
+		}
+		b = append(b, '\n')
+	}
+	return b, nil
 }
 
 // ReadJSONL parses a JSONL trace written by WriteJSONL. Blank lines are

@@ -5,10 +5,13 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 	"testing"
+
+	"fedsched/internal/tensor"
 )
 
 // sample covers every kind and exercises negative, zero and fractional
@@ -231,5 +234,47 @@ func TestExportLeavesEventsUnchanged(t *testing.T) {
 				t.Fatalf("Emit after Export: %v", err)
 			}
 		})
+	}
+}
+
+// TestWriteJSONLBlocksMatchSerial holds the two-lane export to the serial
+// writer: the same bytes at every length around the block boundaries,
+// and for a non-finite event in the first block, in a helper's block and
+// at the last event, the same error naming the same event index.
+func TestWriteJSONLBlocksMatchSerial(t *testing.T) {
+	prev := tensor.MaxLanes()
+	tensor.SetMaxLanes(1) // WriteJSONL takes the block path on any host
+	t.Cleanup(func() { tensor.SetMaxLanes(prev) })
+	base := sample()
+	events := make([]Event, 5*exportBlock+3)
+	for i := range events {
+		events[i] = base[i%len(base)]
+		events[i].Round = i
+	}
+	for _, n := range []int{0, 1, exportBlock - 1, exportBlock, exportBlock + 1,
+		2*exportBlock - 1, 2 * exportBlock, 2*exportBlock + 1, 3*exportBlock + 7, len(events)} {
+		var want, got bytes.Buffer
+		if err := writeSerial(&want, events[:n]); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteJSONL(&got, events[:n]); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("n=%d: the block writer's %d bytes differ from the serial writer's %d", n, got.Len(), want.Len())
+		}
+	}
+	for _, bad := range []int{3, exportBlock + 5, 2*exportBlock + 1, len(events) - 1} {
+		broken := append([]Event(nil), events...)
+		broken[bad].Loss = math.NaN()
+		broken[len(broken)-1].TempC = math.Inf(1) // a later failure must not win
+		wantErr := writeSerial(io.Discard, broken)
+		gotErr := WriteJSONL(io.Discard, broken)
+		if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Fatalf("bad event %d: block writer error %v, serial %v", bad, gotErr, wantErr)
+		}
+		if !strings.Contains(gotErr.Error(), fmt.Sprintf("event %d:", bad)) {
+			t.Fatalf("bad event %d: error %q names another event", bad, gotErr)
+		}
 	}
 }

@@ -152,7 +152,8 @@ const DefaultCapacity = 1 << 16
 
 // Recorder is a bounded ring of events. The zero ring is sized lazily by
 // New; when full, the oldest events are overwritten (and counted in
-// Dropped) so a long run records a bounded, most-recent window. A nil
+// Dropped) so a long run records a bounded, most-recent window — unless
+// it is a log (NewLog), which grows instead. A nil
 // *Recorder is a valid sink that discards everything — call sites need no
 // enable branch. A Recorder is NOT safe for concurrent use: each engine
 // (or each client inside a parallel round) owns its own.
@@ -161,6 +162,7 @@ type Recorder struct {
 	start   int // index of the oldest event
 	n       int // live events in buf
 	dropped uint64
+	grow    bool // a log (NewLog): grow when full, never overwrite
 }
 
 // New returns a Recorder holding at most capacity events
@@ -170,6 +172,17 @@ func New(capacity int) *Recorder {
 		capacity = DefaultCapacity
 	}
 	return &Recorder{buf: make([]Event, capacity)}
+}
+
+// NewLog returns a Recorder that never drops: when full it grows instead
+// of overwriting, and Reset keeps the grown storage, so a log reused every
+// round stops allocating once it has held the largest round. Events staged
+// in a log and Drained into a ring later are kept or dropped by that ring
+// exactly as if they had been emitted into it directly.
+func NewLog(capacity int) *Recorder {
+	r := New(capacity)
+	r.grow = true
+	return r
 }
 
 // Emit appends e to the ring, overwriting the oldest event when full.
@@ -183,6 +196,13 @@ func (r *Recorder) Emit(e Event) {
 	}
 	if r.n < len(r.buf) {
 		r.buf[(r.start+r.n)%len(r.buf)] = e
+		r.n++
+		return
+	}
+	if r.grow {
+		// A log never wraps, so its events sit in buf[:n] in order.
+		r.buf = append(r.buf, e) //fedlint:allow hotalloc — a log grows to its largest round once, then Reset reuses the storage
+		r.buf = r.buf[:cap(r.buf)]
 		r.n++
 		return
 	}

@@ -154,3 +154,33 @@ func TestSanitize(t *testing.T) {
 		}
 	}
 }
+
+// TestLogIsLossless: a log grows instead of dropping, and a ring fed
+// through a log keeps and drops exactly what direct emission would have —
+// Dropped count included — with the log's grown storage reused after
+// Reset.
+func TestLogIsLossless(t *testing.T) {
+	direct, staged, log := New(10), New(10), NewLog(2)
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 3+round*2; i++ {
+			direct.Emit(ev(round, i))
+			log.Emit(ev(round, i))
+		}
+		if log.Len() != 3+round*2 || log.Dropped() != 0 {
+			t.Fatalf("round %d: log holds %d events, dropped %d; want %d, 0", round, log.Len(), log.Dropped(), 3+round*2)
+		}
+		staged.Drain(log)
+	}
+	if err := Compare(direct.Events(), staged.Events(), Exact); err != nil || direct.Dropped() != staged.Dropped() {
+		t.Fatalf("staged ring differs from direct emission (dropped %d vs %d): %v", staged.Dropped(), direct.Dropped(), err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		log.Reset()
+		for i := 0; i < 9; i++ {
+			log.Emit(ev(9, i))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm log allocated %.1f times per round, want 0", allocs)
+	}
+}
