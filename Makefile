@@ -10,7 +10,7 @@ GO ?= go
 	fuzz-smoke-ckpt fuzz-smoke-convblock fuzz-smoke-device \
 	fmt-check check check-nolint race race-tensor purego nofma trace-golden loc \
 	bench profile-pop profile-sched profile-train profile-churn \
-	population-smoke fault-smoke serve-smoke
+	population-smoke fault-smoke serve-smoke exp-snapshot
 
 build:
 	$(GO) build ./...
@@ -182,6 +182,23 @@ loc:
 	@printf '%-42s %8d\n' 'internal/ packages' \
 		"$$(find internal -name '*.go' ! -path '*/testdata/*' -exec dirname {} \; | sort -u | wc -l)"
 	@printf '%-42s %8d\n' 'binaries (cmd/*)' "$$(find cmd -mindepth 1 -maxdepth 1 -type d | wc -l)"
+
+# Every experiment's quick report and round trace, for proving that a
+# driver change moves nothing: for each id in `fedsim -list`, OUT/<id>.txt
+# is the stdout of `-exp <id> -quick` and OUT/<id>.jsonl its `-trace`.
+# Take one snapshot per tree and `diff -r` them. The only columns that may
+# differ are wall clocks: ext-precision `f64 [ms]`, `f32 [ms]` and
+# `speedup`, ext-secagg `wall time [ms]`, ext-granularity `schedule time
+# [ms]`. About a minute on 2 cores.
+exp-snapshot:
+	@test -n "$(OUT)" || { echo "usage: make exp-snapshot OUT=<dir>"; exit 2; }
+	mkdir -p $(OUT)
+	bin="$$(mktemp -d)"; trap 'rm -rf "$$bin"' EXIT; \
+	$(GO) build -o "$$bin/fedsim" ./cmd/fedsim && \
+	for id in $$("$$bin/fedsim" -list | tail -n +2); do \
+		"$$bin/fedsim" -exp $$id -quick -trace $(OUT)/$$id.jsonl -trace-cap 4000000 \
+			> $(OUT)/$$id.txt || exit 1; \
+	done
 
 # Regenerate the golden round traces under testdata/trace after an
 # intentional behaviour change, then review the diff before committing

@@ -269,11 +269,6 @@ func NewTestbed(id int) *Testbed {
 	return &Testbed{Profiles: device.Testbed(id), Link: network.WiFi()}
 }
 
-// NewCustomTestbed builds a testbed from explicit device profiles.
-func NewCustomTestbed(profiles []device.Profile, link network.Link) *Testbed {
-	return &Testbed{Profiles: profiles, Link: link}
-}
-
 // Request builds a scheduling request for totalSamples of the given
 // architecture in ShardSize shards, with per-user costs from the offline
 // profiles.
@@ -344,7 +339,7 @@ func (tb *Testbed) Devices() ([]*device.Device, []network.Link) {
 // fresh devices and returns each round's makespan in simulated seconds.
 func (tb *Testbed) SimulateRounds(arch *nn.Arch, asg *sched.Assignment, rounds int) ([]float64, error) {
 	devs, links := tb.Devices()
-	return fl.SimulateRounds(arch, devs, links, asg.Samples(ShardSize), 20, rounds)
+	return fl.SimulateRounds(arch, devs, links, asg.Samples(ShardSize), 20, rounds, nil)
 }
 
 // RunFederated trains a real model with FedAvg over the partitioned

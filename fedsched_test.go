@@ -98,7 +98,7 @@ func TestPartitionHelpers(t *testing.T) {
 }
 
 func TestCustomTestbedAndMakespan(t *testing.T) {
-	tb := NewCustomTestbed(NewTestbed(1).Profiles[:2], LTE())
+	tb := &Testbed{Profiles: NewTestbed(1).Profiles[:2], Link: LTE()}
 	arch := LeNet(1, 28, 28, 10)
 	req, err := tb.Request(arch, 3000)
 	if err != nil {

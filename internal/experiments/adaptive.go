@@ -20,36 +20,29 @@ import (
 // this is the natural "future work" controller its Section VIII gestures
 // at.
 
-// adaptiveConfig drives the adaptive loop.
+// adaptiveConfig drives the adaptive loop: Fed-LBAP over 100-sample
+// shards, batches of 20.
 type adaptiveConfig struct {
 	Arch         *nn.Arch
 	TotalSamples int
-	ShardSize    int
 	Rounds       int
-	BatchSize    int
 	// DriftThreshold is the relative per-device misprediction that
 	// triggers a reschedule before the next round (e.g. 0.25 = 25%).
 	// +Inf disables rescheduling (static baseline).
 	DriftThreshold float64
-	// Scheduler defaults to Fed-LBAP.
-	Scheduler sched.Scheduler
 }
 
+const (
+	adaptiveShard = 100
+	adaptiveBatch = 20
+)
+
 func (c adaptiveConfig) withDefaults() adaptiveConfig {
-	if c.ShardSize <= 0 {
-		c.ShardSize = 100
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 20
-	}
 	if c.Rounds <= 0 {
 		c.Rounds = 1
 	}
 	if c.DriftThreshold <= 0 {
 		c.DriftThreshold = 0.25
-	}
-	if c.Scheduler == nil {
-		c.Scheduler = sched.FedLBAP{}
 	}
 	return c
 }
@@ -101,13 +94,13 @@ func runAdaptive(cfg adaptiveConfig, devs []*device.Device, links []network.Link
 			}
 		}
 		return &sched.Request{
-			TotalShards: cfg.TotalSamples / cfg.ShardSize,
-			ShardSize:   cfg.ShardSize,
+			TotalShards: cfg.TotalSamples / adaptiveShard,
+			ShardSize:   adaptiveShard,
 			Users:       users,
 		}
 	}
 
-	asg, err := cfg.Scheduler.Schedule(buildRequest(), nil)
+	asg, err := sched.FedLBAP{}.Schedule(buildRequest(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +110,7 @@ func runAdaptive(cfg adaptiveConfig, devs []*device.Device, links []network.Link
 	for round := 0; round < cfg.Rounds; round++ {
 		rec := adaptiveRound{Round: round}
 		if needReschedule {
-			newAsg, err := cfg.Scheduler.Schedule(buildRequest(), nil)
+			newAsg, err := sched.FedLBAP{}.Schedule(buildRequest(), nil)
 			if err == nil {
 				asg = newAsg
 				res.Assignment = newAsg
@@ -126,14 +119,14 @@ func runAdaptive(cfg adaptiveConfig, devs []*device.Device, links []network.Link
 			}
 			needReschedule = false
 		}
-		samples := asg.Samples(cfg.ShardSize)
+		samples := asg.Samples(adaptiveShard)
 		times := make([]float64, n)
 		for j, dev := range devs {
 			if samples[j] <= 0 {
 				continue
 			}
 			predicted := online[j].Predict(cfg.Arch, samples[j]) + links[j].RoundTripTime(cfg.Arch.SizeBytes())
-			comp := dev.Train(cfg.Arch, samples[j], cfg.BatchSize)
+			comp := dev.Train(cfg.Arch, samples[j], adaptiveBatch)
 			obs := comp + links[j].RoundTripTime(cfg.Arch.SizeBytes())
 			times[j] = obs
 			online[j].Observe(cfg.Arch, samples[j], comp)

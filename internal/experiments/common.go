@@ -21,28 +21,21 @@ type benchDataset struct {
 	C, H, W int
 	// TotalSamples is the paper's training-set size.
 	TotalSamples int
-	// Gen generates the reduced-scale stand-in for accuracy runs.
-	Gen func(n int, seed int64) *data.Dataset
+	// Cfg configures the reduced-scale stand-in for accuracy runs.
 	Cfg func(n int, seed int64) data.GenConfig
-	// Rounds is the paper's global epoch count for this dataset.
-	Rounds int
 }
 
 func mnistBench() benchDataset {
 	return benchDataset{
 		PaperName: "MNIST", C: 1, H: 28, W: 28, TotalSamples: 60000,
-		Gen:    data.SMNIST,
-		Cfg:    func(n int, seed int64) data.GenConfig { return data.SMNISTConfig(n, seed) },
-		Rounds: 20,
+		Cfg: func(n int, seed int64) data.GenConfig { return data.SMNISTConfig(n, seed) },
 	}
 }
 
 func cifarBench() benchDataset {
 	return benchDataset{
 		PaperName: "CIFAR10", C: 3, H: 32, W: 32, TotalSamples: 50000,
-		Gen:    data.SCIFAR,
-		Cfg:    func(n int, seed int64) data.GenConfig { return data.SCIFARConfig(n, seed) },
-		Rounds: 50,
+		Cfg: func(n int, seed int64) data.GenConfig { return data.SCIFARConfig(n, seed) },
 	}
 }
 
@@ -74,36 +67,75 @@ func schedulers() []sched.Scheduler {
 	return []sched.Scheduler{sched.Proportional{}, sched.Random{}, sched.Equal{}, sched.FedLBAP{}}
 }
 
-// meanRoundTime schedules with s, simulates `rounds` synchronous rounds of
-// the assignment on fresh devices of tb, and returns the mean makespan.
+// meanRoundTime schedules with s and returns meanSpan of the assignment.
 func meanRoundTime(tb *fedsched.Testbed, arch *nn.Arch, s sched.Scheduler, req *sched.Request, rounds int, rng *rand.Rand, rec *trace.Recorder) (float64, error) {
 	asg, err := s.Schedule(req, rng)
 	if err != nil {
 		return 0, err
 	}
+	mean, _, err := meanSpan(tb, arch, asg.Samples(req.ShardSize), rounds, rec)
+	return mean, err
+}
+
+// meanSpan simulates `rounds` synchronous rounds of the per-device sample
+// counts on fresh devices of tb and returns the mean makespan and the
+// devices as the rounds left them.
+func meanSpan(tb *fedsched.Testbed, arch *nn.Arch, samples []int, rounds int, rec *trace.Recorder) (float64, []*device.Device, error) {
 	devs, links := tb.Devices()
-	spans, err := fl.SimulateRoundsTraced(arch, devs, links, asg.Samples(req.ShardSize), 20, rounds, rec)
+	spans, err := fl.SimulateRounds(arch, devs, links, samples, 20, rounds, rec)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	sum := 0.0
 	for _, v := range spans {
 		sum += v
 	}
-	return sum / float64(len(spans)), nil
+	return sum / float64(len(spans)), devs, nil
 }
 
-// nilDevices returns n nil devices (accuracy-only runs skip time
-// simulation).
-func nilDevices(n int) []*device.Device { return make([]*device.Device, n) }
-
-// wifiLinks returns n WiFi links.
-func wifiLinks(n int) []network.Link {
-	out := make([]network.Link, n)
-	for i := range out {
-		out[i] = network.WiFi()
+// flConfig is the training recipe every driver shares: batch 20, LR 0.02,
+// momentum 0.9, and o's precision, worker bound and trace.
+func flConfig(o Options, arch *nn.Arch, rounds int, seed int64) fl.Config {
+	return fl.Config{
+		Arch: arch, Rounds: rounds, BatchSize: 20, LR: 0.02, Momentum: 0.9,
+		Seed: seed, Precision: o.Precision, Workers: o.Workers, Trace: o.Trace,
 	}
-	return out
+}
+
+// clientsOn builds one WiFi client per partition slot. devs may be nil:
+// accuracy-only runs skip time simulation.
+func clientsOn(devs []*device.Device, train *data.Dataset, part data.Partition) ([]*fl.Client, error) {
+	if devs == nil {
+		devs = make([]*device.Device, len(part))
+	}
+	links := make([]network.Link, len(part))
+	for i := range links {
+		links[i] = network.WiFi()
+	}
+	return fl.BuildClients(devs, links, part.Materialize(train))
+}
+
+// fedAvg trains FedAvg over a partition of the training set without time
+// simulation and returns the history.
+func fedAvg(o Options, arch *nn.Arch, train, test *data.Dataset, part data.Partition, rounds int) (*fl.History, error) {
+	clients, err := clientsOn(nil, train, part)
+	if err != nil {
+		return nil, err
+	}
+	return fl.Run(flConfig(o, arch, rounds, o.Seed+1), clients, test)
+}
+
+// covered counts the classes held by the users an assignment gives data.
+func covered(asg *sched.Assignment, classSets [][]int) int {
+	cover := map[int]bool{}
+	for j, k := range asg.Shards {
+		if k > 0 {
+			for _, c := range classSets[j] {
+				cover[c] = true
+			}
+		}
+	}
+	return len(cover)
 }
 
 // scaleSizes proportionally rescales per-user sample counts so they sum to
@@ -129,7 +161,6 @@ func scaleSizes(sizes []int, newTotal int) []int {
 			if s > sizes[best] {
 				best = i
 			}
-			_ = s
 		}
 		out[best]++
 		assigned++

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -433,5 +434,38 @@ func TestExtAdaptiveShape(t *testing.T) {
 	}
 	if cellF(t, tbl, 0, "reschedules") != 0 {
 		t.Error("static baseline rescheduled")
+	}
+}
+
+func TestExtPrecisionParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("gradient-descent extension")
+	}
+	rep, err := ExtPrecision(quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := rep.Tables[0]
+	if len(tbl.Rows) != 4 {
+		t.Fatalf("%d rows, want one per dataset × model (4)", len(tbl.Rows))
+	}
+	worst := 0.0
+	for r := range tbl.Rows {
+		acc64, acc32 := cellF(t, tbl, r, "f64 acc"), cellF(t, tbl, r, "f32 acc")
+		gap := cellF(t, tbl, r, "|Δ| [pp]")
+		if acc64 < 0 || acc64 > 1 || acc32 < 0 || acc32 > 1 {
+			t.Errorf("row %d: accuracies %v / %v outside [0, 1]", r, acc64, acc32)
+		}
+		if math.Abs(gap-100*math.Abs(acc64-acc32)) > 0.01 {
+			t.Errorf("row %d: gap %v pp, accuracies %v / %v", r, gap, acc64, acc32)
+		}
+		worst = math.Max(worst, gap)
+	}
+	warned := false
+	for _, n := range rep.Notes {
+		warned = warned || strings.HasPrefix(n, "WARNING")
+	}
+	if warned != (worst > 0.5) {
+		t.Errorf("worst gap %v pp against the 0.5 pp target, WARNING note %v", worst, warned)
 	}
 }

@@ -54,16 +54,11 @@ func ExtEnergy(o Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		devs, links := tb.Devices()
-		spans, err := fl.SimulateRoundsTraced(arch, devs, links, asg.Samples(fedsched.ShardSize), 20, 3, o.Trace)
+		mean, devs, err := meanSpan(tb, arch, asg.Samples(fedsched.ShardSize), 3, o.Trace)
 		if err != nil {
 			return nil, err
 		}
-		mean, totalE, worstDrain, stragglerE := 0.0, 0.0, 0.0, 0.0
-		for _, v := range spans {
-			mean += v
-		}
-		mean /= float64(len(spans))
+		totalE, worstDrain, stragglerE := 0.0, 0.0, 0.0
 		for _, d := range devs {
 			totalE += d.EnergyJ
 			if drain := 1 - d.BatteryRemaining(); drain > worstDrain {
@@ -96,13 +91,9 @@ func ExtAsync(o Options) (*Report, error) {
 		for i := range devs {
 			devs[i] = device.New(profiles[i%len(profiles)])
 		}
-		return fl.BuildClients(devs, wifiLinks(users), part.Materialize(train))
+		return clientsOn(devs, train, part)
 	}
-	cfg := fl.Config{
-		Arch: smallArch("LeNet", train.C), Rounds: rounds, BatchSize: 20,
-		LR: 0.02, Momentum: 0.9, Seed: o.Seed, Precision: o.Precision,
-		Workers: o.Workers, Trace: o.Trace,
-	}
+	cfg := flConfig(o, smallArch("LeNet", train.C), rounds, o.Seed)
 	syncClients, err := mkClients()
 	if err != nil {
 		return nil, err
@@ -148,15 +139,12 @@ func ExtSecAgg(o Options) (*Report, error) {
 	}
 	for _, secure := range []bool{false, true} {
 		part := data.IIDEqual(train, 5, rand.New(rand.NewSource(o.Seed)))
-		clients, err := fl.BuildClients(nilDevices(5), wifiLinks(5), part.Materialize(train))
+		clients, err := clientsOn(nil, train, part)
 		if err != nil {
 			return nil, err
 		}
-		cfg := fl.Config{
-			Arch: smallArch("LeNet", train.C), Rounds: rounds, BatchSize: 20,
-			LR: 0.02, Momentum: 0.9, Seed: o.Seed, SecureAgg: secure,
-			Precision: o.Precision, Workers: o.Workers, Trace: o.Trace,
-		}
+		cfg := flConfig(o, smallArch("LeNet", train.C), rounds, o.Seed)
+		cfg.SecureAgg = secure
 		start := time.Now()
 		hist, err := fl.Run(cfg, clients, test)
 		if err != nil {
@@ -182,14 +170,9 @@ func ExtGossip(o Options) (*Report, error) {
 	trainN, testN, rounds, _ := accuracyScale(o)
 	users := 4
 	train, test := data.TrainTest(data.SMNISTConfig(0, o.Seed+85), trainN, testN)
-	cfg := fl.Config{
-		Arch: smallArch("LeNet", train.C), Rounds: rounds, BatchSize: 20,
-		LR: 0.02, Momentum: 0.9, Seed: o.Seed, Precision: o.Precision,
-		Workers: o.Workers, Trace: o.Trace,
-	}
+	cfg := flConfig(o, smallArch("LeNet", train.C), rounds, o.Seed)
 	mkClients := func() ([]*fl.Client, error) {
-		part := data.IIDEqual(train, users, rand.New(rand.NewSource(o.Seed)))
-		return fl.BuildClients(nilDevices(users), wifiLinks(users), part.Materialize(train))
+		return clientsOn(nil, train, data.IIDEqual(train, users, rand.New(rand.NewSource(o.Seed))))
 	}
 	tbl := &Table{
 		Title:   fmt.Sprintf("%d users, %d rounds", users, rounds),
@@ -233,13 +216,11 @@ func ExtDP(o Options) (*Report, error) {
 		Title:   "S(II), α=500, β=2; schedules from privatized class reports (10 trials/ε)",
 		Columns: []string{"epsilon", "flip prob", "mean makespan [s]", "mean participants", "coverage (of 10)"},
 	}
-	trueReq := func() (*sched.Request, error) {
-		req, err := tb.Request(arch, ds.TotalSamples)
-		if err != nil {
-			return nil, err
-		}
-		req.K, req.Alpha, req.Beta = 10, 500, 2
-		return req, nil
+	// The schedule is scored under the TRUE cost model; sched.Makespan
+	// reads only costs.
+	costs, err := tb.Request(arch, ds.TotalSamples)
+	if err != nil {
+		return nil, err
 	}
 	for _, eps := range []float64{0.5, 1, 2, 4, 8} {
 		rep2, err := privacy.NewReporter(eps, 10)
@@ -250,62 +231,28 @@ func ExtDP(o Options) (*Report, error) {
 		const trials = 10
 		makespan, participants, coverage := 0.0, 0.0, 0.0
 		for trial := 0; trial < trials; trial++ {
-			req, err := trueReq()
-			if err != nil {
-				return nil, err
+			reported := make([][]int, len(sc.ClassSets))
+			for j, cs := range sc.ClassSets {
+				reported[j] = rep2.EstimateSet(rep2.Randomize(cs, rng))
 			}
-			for j, u := range req.Users {
-				u.Classes = rep2.EstimateSet(rep2.Randomize(sc.ClassSets[j], rng))
-			}
-			asg, err := sched.FedMinAvg{}.Schedule(req, nil)
+			asg, err := tb.ScheduleNonIID(arch, ds.TotalSamples, reported, 10, 500, 2)
 			if err != nil {
 				// Fully erased class sets can make scheduling impossible;
 				// count it as a degenerate trial.
 				continue
 			}
-			// Evaluate the schedule under the TRUE cost model.
-			evalReq, err := trueReq()
-			if err != nil {
-				return nil, err
-			}
-			for j, u := range evalReq.Users {
-				u.Classes = sc.ClassSets[j]
-			}
-			makespan += sched.Makespan(evalReq, asg)
+			makespan += sched.Makespan(costs, asg)
 			participants += float64(asg.Participants())
-			cover := map[int]bool{}
-			for j, k := range asg.Shards {
-				if k > 0 {
-					for _, c := range sc.ClassSets[j] {
-						cover[c] = true
-					}
-				}
-			}
-			coverage += float64(len(cover))
+			coverage += float64(covered(asg, sc.ClassSets))
 		}
 		tbl.AddRow(eps, rep2.FlipProbability(), makespan/trials, participants/trials, coverage/trials)
 	}
 	// Truthful baseline.
-	req, err := trueReq()
+	asg, err := tb.ScheduleNonIID(arch, ds.TotalSamples, sc.ClassSets, 10, 500, 2)
 	if err != nil {
 		return nil, err
 	}
-	for j, u := range req.Users {
-		u.Classes = sc.ClassSets[j]
-	}
-	asg, err := sched.FedMinAvg{}.Schedule(req, nil)
-	if err != nil {
-		return nil, err
-	}
-	cover := map[int]bool{}
-	for j, k := range asg.Shards {
-		if k > 0 {
-			for _, c := range sc.ClassSets[j] {
-				cover[c] = true
-			}
-		}
-	}
-	tbl.AddRow("truthful", 0.0, asg.PredictedMakespan, asg.Participants(), len(cover))
+	tbl.AddRow("truthful", 0.0, asg.PredictedMakespan, asg.Participants(), covered(asg, sc.ClassSets))
 	rep.Tables = append(rep.Tables, tbl)
 	rep.Notes = append(rep.Notes,
 		"Expected shape: schedules converge to the truthful one as ε grows; small ε inflates perceived class counts (randomized response reports ~half the bits set), flattening the accuracy cost.")
@@ -336,12 +283,11 @@ func ExtGranularity(o Options) (*Report, error) {
 			return nil, err
 		}
 		schedMS := float64(time.Since(start).Microseconds()) / 1000
-		devs, links := tb.Devices()
-		spans, err := fl.SimulateRounds(arch, devs, links, asg.Samples(shard), 20, 1)
+		span, _, err := meanSpan(tb, arch, asg.Samples(shard), 1, nil)
 		if err != nil {
 			return nil, err
 		}
-		tbl.AddRow(shard, req.TotalShards, asg.PredictedMakespan, spans[0], schedMS)
+		tbl.AddRow(shard, req.TotalShards, asg.PredictedMakespan, span, schedMS)
 	}
 	rep.Tables = append(rep.Tables, tbl)
 	rep.Notes = append(rep.Notes,
@@ -379,38 +325,24 @@ func ExtDropout(o Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	meanSpan := func(samples []int, skipModel string) (float64, error) {
-		devs, links := tb.Devices()
-		// For the deadline strategy the round ends when the last NON-
-		// straggler finishes; emulate by zeroing the stragglers' samples
-		// in the time simulation (their updates are discarded anyway).
-		s := append([]int(nil), samples...)
-		if skipModel != "" {
-			for i, d := range devs {
-				if d.Model == skipModel {
-					s[i] = 0
-				}
-			}
-		}
-		spans, err := fl.SimulateRounds(arch, devs, links, s, 20, 3)
-		if err != nil {
-			return 0, err
-		}
-		sum := 0.0
-		for _, v := range spans {
-			sum += v
-		}
-		return sum / float64(len(spans)), nil
-	}
-	waitSpan, err := meanSpan(equalAsg.Samples(fedsched.ShardSize), "")
+	waitSpan, _, err := meanSpan(tb, arch, equalAsg.Samples(fedsched.ShardSize), 3, nil)
 	if err != nil {
 		return nil, err
 	}
-	dropSpan, err := meanSpan(equalAsg.Samples(fedsched.ShardSize), "Nexus6P")
+	// For the deadline strategy the round ends when the last NON-straggler
+	// finishes; emulate by zeroing the stragglers' samples in the time
+	// simulation (their updates are discarded anyway).
+	dropSamples := equalAsg.Samples(fedsched.ShardSize)
+	for i, p := range tb.Profiles {
+		if p.Model == "Nexus6P" {
+			dropSamples[i] = 0
+		}
+	}
+	dropSpan, _, err := meanSpan(tb, arch, dropSamples, 3, nil)
 	if err != nil {
 		return nil, err
 	}
-	lbapSpan, err := meanSpan(lbapAsg.Samples(fedsched.ShardSize), "")
+	lbapSpan, _, err := meanSpan(tb, arch, lbapAsg.Samples(fedsched.ShardSize), 3, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -439,7 +371,11 @@ func ExtDropout(o Options) (*Report, error) {
 		// shrinks by the same fraction the strategy drops.
 		target := train.Len() * used / before
 		part := data.IIDSizes(train, scaleSizes(s, target), rng)
-		return runFL(o, train, test, part, rounds)
+		hist, err := fedAvg(o, smallArch("LeNet", train.C), train, test, part, rounds)
+		if err != nil {
+			return 0, err
+		}
+		return hist.FinalAccuracy, nil
 	}
 	equalSizes := make([]int, users)
 	for i := range equalSizes {
@@ -521,10 +457,10 @@ func ExtAdaptive(o Options) (*Report, error) {
 	}
 	tbl.AddRow("static schedule",
 		staticRes.TotalTime, staticRes.Records[len(staticRes.Records)-1].Makespan,
-		staticRes.Reschedules, staticRes.Assignment.Samples(100)[2])
+		staticRes.Reschedules, staticRes.Assignment.Samples(adaptiveShard)[2])
 	tbl.AddRow("adaptive (drift>30% → reschedule)",
 		adaptiveRes.TotalTime, adaptiveRes.Records[len(adaptiveRes.Records)-1].Makespan,
-		adaptiveRes.Reschedules, adaptiveRes.Assignment.Samples(100)[2])
+		adaptiveRes.Reschedules, adaptiveRes.Assignment.Samples(adaptiveShard)[2])
 	rep.Tables = append(rep.Tables, tbl)
 	rep.Notes = append(rep.Notes,
 		"Expected shape: the adaptive controller detects the misprediction, shifts load off the degraded phone and recovers the round time; the static schedule stays stuck behind it.")

@@ -108,11 +108,11 @@ func Tab3(o Options) (*Report, error) {
 					}
 					sizes := scaleSizes(asg.Samples(req.ShardSize), train.Len())
 					part := data.IIDSizes(train, sizes, rng)
-					acc, err := runFLWithArch(o, smallArch(model, train.C), train, test, part, rounds)
+					hist, err := fedAvg(o, smallArch(model, train.C), train, test, part, rounds)
 					if err != nil {
 						return nil, err
 					}
-					row = append(row, acc)
+					row = append(row, hist.FinalAccuracy)
 				}
 				tbl.AddRow(row...)
 			}

@@ -6,7 +6,6 @@ import (
 
 	"fedsched/internal/data"
 	"fedsched/internal/fl"
-	"fedsched/internal/nn"
 )
 
 func init() {
@@ -23,42 +22,6 @@ func accuracyScale(o Options) (trainN, testN, rounds, users int) {
 	return 4000, 1000, 15, 20
 }
 
-// runFL trains FedAvg over a partition of the training set without time
-// simulation and returns final accuracy, using the reduced-scale LeNet.
-func runFL(o Options, train, test *data.Dataset, part data.Partition, rounds int) (float64, error) {
-	return runFLWithArch(o, smallArch("LeNet", train.C), train, test, part, rounds)
-}
-
-// runFLWithArch is runFL with an explicit architecture.
-func runFLWithArch(o Options, arch *nn.Arch, train, test *data.Dataset, part data.Partition, rounds int) (float64, error) {
-	hist, err := runFLHist(o, arch, train, test, part, rounds)
-	if err != nil {
-		return 0, err
-	}
-	return hist.FinalAccuracy, nil
-}
-
-// runFLHist returns the full history (confusion matrix included).
-func runFLHist(o Options, arch *nn.Arch, train, test *data.Dataset, part data.Partition, rounds int) (*fl.History, error) {
-	locals := part.Materialize(train)
-	clients, err := fl.BuildClients(nilDevices(len(locals)), wifiLinks(len(locals)), locals)
-	if err != nil {
-		return nil, err
-	}
-	cfg := fl.Config{
-		Arch:      arch,
-		Rounds:    rounds,
-		BatchSize: 20,
-		LR:        0.02,
-		Momentum:  0.9,
-		Seed:      o.Seed + 1,
-		Precision: o.Precision,
-		Workers:   o.Workers,
-		Trace:     o.Trace,
-	}
-	return fl.Run(cfg, clients, test)
-}
-
 // Fig2 reproduces Fig 2: accuracy vs imbalance ratio for IID data on both
 // datasets, with centralized and balanced-distributed references.
 func Fig2(o Options) (*Report, error) {
@@ -71,12 +34,8 @@ func Fig2(o Options) (*Report, error) {
 			Title:   fmt.Sprintf("%s (stand-in %s), %d users, %d rounds", ds.PaperName, train.Name, users, rounds),
 			Columns: []string{"imbalance ratio", "accuracy"},
 		}
-		cfg := fl.Config{
-			Arch: smallArch("LeNet", train.C), Rounds: rounds, BatchSize: 20,
-			LR: 0.02, Momentum: 0.9, Seed: o.Seed + 2, Precision: o.Precision,
-			Workers: o.Workers,
-		}
-		central, err := fl.Centralized(cfg, train, test)
+		arch := smallArch("LeNet", train.C)
+		central, err := fl.Centralized(flConfig(o, arch, rounds, o.Seed+2), train, test)
 		if err != nil {
 			return nil, err
 		}
@@ -89,12 +48,12 @@ func Fig2(o Options) (*Report, error) {
 				sizes := data.GaussianSizes(rng, users, train.Len(), ratio)
 				part = data.IIDSizes(train, sizes, rng)
 			}
-			acc, err := runFL(o, train, test, part, rounds)
+			hist, err := fedAvg(o, arch, train, test, part, rounds)
 			if err != nil {
 				return nil, err
 			}
 			label := fmt.Sprintf("%.2f (empirical %.2f)", ratio, data.ImbalanceRatio(part.Sizes()))
-			tbl.AddRow(label, acc)
+			tbl.AddRow(label, hist.FinalAccuracy)
 		}
 		tbl.AddRow("centralized ref", central)
 		rep.Tables = append(rep.Tables, tbl)
@@ -119,11 +78,11 @@ func Fig3a(o Options) (*Report, error) {
 	for _, ncls := range ns {
 		rng := rand.New(rand.NewSource(o.Seed + int64(ncls)))
 		part := data.NClass(train, data.NClassConfig{Users: users, ClassesPerUser: ncls, SizeStd: 0.2}, rng)
-		acc, err := runFL(o, train, test, part, rounds)
+		hist, err := fedAvg(o, smallArch("LeNet", train.C), train, test, part, rounds)
 		if err != nil {
 			return nil, err
 		}
-		tbl.AddRow(ncls, acc)
+		tbl.AddRow(ncls, hist.FinalAccuracy)
 	}
 	rep.Tables = append(rep.Tables, tbl)
 	rep.Notes = append(rep.Notes,
@@ -154,7 +113,7 @@ func Fig3b(o Options) (*Report, error) {
 			}
 		}
 		part := data.ByClassSets(train, sets, sizes, rng)
-		hist, err := runFLHist(o, smallArch("LeNet", train.C), train, test, part, rounds)
+		hist, err := fedAvg(o, smallArch("LeNet", train.C), train, test, part, rounds)
 		if err != nil {
 			return nil, err
 		}

@@ -93,26 +93,16 @@ func Tab2(o Options) (*Report, error) {
 		}
 		for _, p := range []device.Profile{device.Nexus6(), device.Nexus6P(), device.Mate10(), device.Pixel2()} {
 			cells := []interface{}{p.Model}
-			var t3, t6 float64
 			for _, n := range []int{3000, 6000} {
-				d := device.New(p)
-				comp := d.ColdEpochTime(arch, n)
-				if n == 3000 {
-					t3 = comp
-				} else {
-					t6 = comp
-				}
+				comp := device.New(p).ColdEpochTime(arch, n)
 				for _, link := range []network.Link{network.WiFi(), network.LTE()} {
 					comm := link.RoundTripTime(arch.SizeBytes())
 					total := comp + comm
 					cells = append(cells, fmt.Sprintf("%.0f(%.1f%%)", total, 100*comm/total))
 				}
 			}
-			// reorder: currently device, 3KWiFi, 3KLTE, 6KWiFi, 6KLTE — fine
 			pv := paper[model][p.Model]
 			cells = append(cells, fmt.Sprintf("%.0f", pv[0]), fmt.Sprintf("%.0f", pv[2]))
-			_ = t3
-			_ = t6
 			tbl.AddRow(cells...)
 		}
 		rep.Tables = append(rep.Tables, tbl)

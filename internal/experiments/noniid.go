@@ -7,7 +7,6 @@ import (
 
 	"fedsched"
 	"fedsched/internal/data"
-	"fedsched/internal/fl"
 	"fedsched/internal/nn"
 	"fedsched/internal/sched"
 )
@@ -89,31 +88,22 @@ func Fig6(o Options) (*Report, error) {
 		}
 		for _, beta := range []float64{0, 2} {
 			for _, alpha := range alphas {
-				req, err := tb.Request(arch, ds.TotalSamples)
+				asg, err := tb.ScheduleNonIID(arch, ds.TotalSamples, sc.ClassSets, 10, alpha, beta)
 				if err != nil {
 					return nil, err
 				}
-				for j, u := range req.Users {
-					u.Classes = sc.ClassSets[j]
-				}
-				req.K, req.Alpha, req.Beta = 10, alpha, beta
-				asg, err := sched.FedMinAvg{}.Schedule(req, nil)
+				span, _, err := meanSpan(tb, arch, asg.Samples(fedsched.ShardSize), 2, nil)
 				if err != nil {
 					return nil, err
 				}
-				spans, err := tb.SimulateRounds(arch, asg, 2)
-				if err != nil {
-					return nil, err
-				}
-				meanSpan := (spans[0] + spans[1]) / 2
 				rng := rand.New(rand.NewSource(o.Seed + int64(alpha) + int64(beta*13)))
 				sizes := scaleSizes(asg.Samples(fedsched.ShardSize), train.Len())
 				part := data.ByClassSets(train, sc.ClassSets, sizes, rng)
-				acc, err := runFL(o, train, test, part, rounds)
+				hist, err := fedAvg(o, smallArch("LeNet", train.C), train, test, part, rounds)
 				if err != nil {
 					return nil, err
 				}
-				tbl.AddRow(alpha, beta, meanSpan, acc, asg.Participants())
+				tbl.AddRow(alpha, beta, span, hist.FinalAccuracy, asg.Participants())
 			}
 		}
 		rep.Tables = append(rep.Tables, tbl)
@@ -144,19 +134,11 @@ func Tab4(o Options) (*Report, error) {
 		}
 		cols := make([][]float64, len(params))
 		for pi, pr := range params {
-			req, err := tb.Request(arch, ds.TotalSamples)
+			asg, err := tb.ScheduleNonIID(arch, ds.TotalSamples, sc.ClassSets, 10, pr.alpha, pr.beta)
 			if err != nil {
 				return nil, err
 			}
-			for j, u := range req.Users {
-				u.Classes = sc.ClassSets[j]
-			}
-			req.K, req.Alpha, req.Beta = 10, pr.alpha, pr.beta
-			asg, err := sched.FedMinAvg{}.Schedule(req, nil)
-			if err != nil {
-				return nil, err
-			}
-			col := make([]float64, len(req.Users))
+			col := make([]float64, len(sc.ClassSets))
 			for j, s := range asg.Samples(fedsched.ShardSize) {
 				col[j] = float64(s) / 1000
 			}
@@ -240,16 +222,10 @@ func Fig7(o Options) (*Report, error) {
 				if err != nil {
 					return nil, err
 				}
-				devs, links := tb.Devices()
-				spans, err := fl.SimulateRoundsTraced(arch, devs, links, asg.Samples(fedsched.ShardSize), 20, rounds, o.Trace)
+				times["Fed-MinAvg"], _, err = meanSpan(tb, arch, asg.Samples(fedsched.ShardSize), rounds, o.Trace)
 				if err != nil {
 					return nil, err
 				}
-				sum := 0.0
-				for _, v := range spans {
-					sum += v
-				}
-				times["Fed-MinAvg"] = sum / float64(len(spans))
 				tbl.AddRow(
 					fmt.Sprintf("%d (%d devices)", tbID, len(tb.Profiles)),
 					times["Prop."], times["Random"], times["Equal"], times["Fed-MinAvg"],
@@ -291,11 +267,11 @@ func Tab5(o Options) (*Report, error) {
 				addRun := func(samples []int) error {
 					sizes := scaleSizes(samples, train.Len())
 					part := data.ByClassSets(train, classSets, sizes, rng)
-					acc, err := runFLWithArch(o, smallArch(model, train.C), train, test, part, rounds)
+					hist, err := fedAvg(o, smallArch(model, train.C), train, test, part, rounds)
 					if err != nil {
 						return err
 					}
-					row = append(row, acc)
+					row = append(row, hist.FinalAccuracy)
 					return nil
 				}
 				for _, s := range []sched.Scheduler{sched.Proportional{}, sched.Random{}, sched.Equal{}} {

@@ -32,15 +32,12 @@ func ExtPrecision(o Options) (*Report, error) {
 			train, test := data.TrainTest(ds.Cfg(0, o.Seed+71), trainN, testN)
 			run := func(p nn.Precision) (float64, float64, error) {
 				part := data.IIDEqual(train, users, rand.New(rand.NewSource(o.Seed)))
-				clients, err := fl.BuildClients(nilDevices(users), wifiLinks(users), part.Materialize(train))
+				clients, err := clientsOn(nil, train, part)
 				if err != nil {
 					return 0, 0, err
 				}
-				cfg := fl.Config{
-					Arch: smallArch(model, train.C), Rounds: rounds, BatchSize: 20,
-					LR: 0.02, Momentum: 0.9, Seed: o.Seed, Precision: p,
-					Workers: o.Workers, Trace: o.Trace,
-				}
+				cfg := flConfig(o, smallArch(model, train.C), rounds, o.Seed)
+				cfg.Precision = p
 				start := time.Now()
 				hist, err := fl.Run(cfg, clients, test)
 				if err != nil {

@@ -394,16 +394,9 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 	return hist, nil
 }
 
-// EvaluateConfusion runs the model over the test set in batches of at most
-// batch samples and returns the full confusion matrix (per-class
-// recall/precision for the outlier analyses). Batches fan out across
-// network clones on a pool of up to GOMAXPROCS workers; see evaluate.
-func EvaluateConfusion(net *nn.Network, test *data.Dataset, batch int) *Confusion {
-	return evaluate(net, test, batch, 0, nil)
-}
-
-// Evaluate computes test accuracy in batches of at most batch samples,
-// fanned out like EvaluateConfusion.
+// Evaluate computes test accuracy in batches of at most batch samples.
+// Batches fan out across network clones on a pool of up to GOMAXPROCS
+// workers; see evaluate.
 func Evaluate(net *nn.Network, test *data.Dataset, batch int) float64 {
 	return evaluate(net, test, batch, 0, nil).Accuracy()
 }

@@ -234,7 +234,7 @@ func TestSimulateRounds(t *testing.T) {
 	arch := nn.LeNet(1, 28, 28, 10)
 	devs := []*device.Device{device.New(device.Pixel2()), device.New(device.Nexus6())}
 	links := []network.Link{network.WiFi(), network.WiFi()}
-	spans, err := SimulateRounds(arch, devs, links, []int{2000, 1000}, 20, 3)
+	spans, err := SimulateRounds(arch, devs, links, []int{2000, 1000}, 20, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +247,11 @@ func TestSimulateRounds(t *testing.T) {
 		}
 	}
 	// Zero samples for everyone → error-free zero spans.
-	spans, err = SimulateRounds(arch, devs, links, []int{0, 0}, 20, 1)
+	spans, err = SimulateRounds(arch, devs, links, []int{0, 0}, 20, 1, nil)
 	if err != nil || spans[0] != 0 {
 		t.Fatalf("zero work: spans=%v err=%v", spans, err)
 	}
-	if _, err := SimulateRounds(arch, devs, links[:1], []int{1, 2}, 20, 1); err == nil {
+	if _, err := SimulateRounds(arch, devs, links[:1], []int{1, 2}, 20, 1, nil); err == nil {
 		t.Fatal("expected mismatch error")
 	}
 }

@@ -58,18 +58,13 @@ func BuildClients(devices []*device.Device, links []network.Link, datasets []*da
 // sample counts without training any model: devices simulate computation
 // (with persistent thermal state across rounds) and links add the model
 // transfer time. This is what the computation-time experiments (Figs 5, 7)
-// measure; accuracy experiments use Run instead.
-func SimulateRounds(arch *nn.Arch, devices []*device.Device, links []network.Link, samples []int, batch, rounds int) ([]float64, error) {
-	return SimulateRoundsTraced(arch, devices, links, samples, batch, rounds, nil)
-}
-
-// SimulateRoundsTraced is SimulateRounds with a round trace: devices emit
-// their throttle transitions and each round closes with per-client
-// KindClientRound events plus a KindRoundSummary (makespan, straggler).
-// rec may be nil (no trace, identical to SimulateRounds). It is the
-// simplest policy over the round core (round.go): everyone participates
-// with a fixed sample count, nothing trains and nothing merges.
-func SimulateRoundsTraced(arch *nn.Arch, devices []*device.Device, links []network.Link, samples []int, batch, rounds int, rec *trace.Recorder) ([]float64, error) {
+// measure; accuracy experiments use Run instead. With a non-nil rec,
+// devices emit their throttle transitions and each round closes with
+// per-client KindClientRound events plus a KindRoundSummary (makespan,
+// straggler). It is the simplest policy over the round core (round.go):
+// everyone participates with a fixed sample count, nothing trains and
+// nothing merges.
+func SimulateRounds(arch *nn.Arch, devices []*device.Device, links []network.Link, samples []int, batch, rounds int, rec *trace.Recorder) ([]float64, error) {
 	if len(devices) != len(samples) || len(links) != len(samples) {
 		return nil, fmt.Errorf("fl: mismatched lengths: %d devices, %d links, %d sample counts",
 			len(devices), len(links), len(samples))

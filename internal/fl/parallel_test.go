@@ -326,18 +326,18 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	// Serial: GOMAXPROCS 1 → workerCount resolves to 1, no clones.
 	forceLanes(t, 1)
 	serialAcc := Evaluate(net, test, 64)
-	serialConf := EvaluateConfusion(net, test, 64)
+	serialConf := evaluate(net, test, 64, 0, nil)
 
 	// Parallel: 4 lanes → batches spread over clones.
 	forceLanes(t, 4)
 	parAcc := Evaluate(net, test, 64)
-	parConf := EvaluateConfusion(net, test, 64)
+	parConf := evaluate(net, test, 64, 0, nil)
 
 	if serialAcc != parAcc {
 		t.Fatalf("Evaluate differs across worker counts: %v vs %v", serialAcc, parAcc)
 	}
 	if serialConf.Accuracy() != parConf.Accuracy() || serialConf.MacroRecall() != parConf.MacroRecall() {
-		t.Fatalf("EvaluateConfusion differs: acc %v/%v recall %v/%v",
+		t.Fatalf("confusion differs: acc %v/%v recall %v/%v",
 			serialConf.Accuracy(), parConf.Accuracy(), serialConf.MacroRecall(), parConf.MacroRecall())
 	}
 }
@@ -370,7 +370,7 @@ func TestEvaluateLanesSaturated(t *testing.T) {
 	}
 	tensor.ReleaseLanes(held)
 
-	bare := nn.NewNetwork("bare", net.Layers...)
+	bare := nn.NewNetworkOf[float64]("bare", net.Layers...)
 	calls := 0
 	forEachBatch(bare, nil, 4, 8, func(_ int, m *nn.Network) {
 		if m != bare {
@@ -431,8 +431,8 @@ func TestEvaluateSplitInvariant(t *testing.T) {
 				if got := Evaluate(net, test, batch); got != want.Accuracy() {
 					t.Fatalf("batch %d: Evaluate %v, want %v", batch, got, want.Accuracy())
 				}
-				if got := EvaluateConfusion(net, test, batch); !reflect.DeepEqual(got, want) {
-					t.Fatalf("batch %d: EvaluateConfusion %v, want %v", batch, got.Counts, want.Counts)
+				if got := evaluate(net, test, batch, 0, nil); !reflect.DeepEqual(got, want) {
+					t.Fatalf("batch %d: default pool %v, want %v", batch, got.Counts, want.Counts)
 				}
 			}
 		})
@@ -470,10 +470,10 @@ func TestRunEvaluationClones(t *testing.T) {
 	// The exported evaluator sizes its pool from GOMAXPROCS and keeps no
 	// clone between calls.
 	clones = 0
-	EvaluateConfusion(model, test, 256)
-	EvaluateConfusion(model, test, 256)
+	Evaluate(model, test, 256)
+	Evaluate(model, test, 256)
 	if clones != 8 {
-		t.Errorf("two EvaluateConfusion calls with 4 lanes free built %d clones, want 8", clones)
+		t.Errorf("two Evaluate calls with 4 lanes free built %d clones, want 8", clones)
 	}
 }
 

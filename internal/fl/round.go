@@ -21,7 +21,7 @@ import (
 //
 //	strike → burn-or-train → meter → classify → quorum cut → reduce → report → idle → emit
 //
-// Run, RunGossip, PopulationRunner.Round and SimulateRoundsTraced are
+// Run, RunGossip, PopulationRunner.Round and SimulateRounds are
 // policies over it: each supplies who is in the cohort, what a model
 // exchange costs on the link, how surviving updates merge and whether a
 // snapshot is taken. RunAsync has no rounds but shares the client-side

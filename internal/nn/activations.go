@@ -34,9 +34,6 @@ type ReLUOf[T tensor.Float] struct {
 // ReLU is the float64 ReLU layer.
 type ReLU = ReLUOf[float64]
 
-// NewReLU returns a float64 ReLU activation layer.
-func NewReLU() *ReLU { return NewReLUOf[float64]() }
-
 // NewReLUOf returns a ReLU activation layer.
 func NewReLUOf[T tensor.Float]() *ReLUOf[T] { return &ReLUOf[T]{} }
 
@@ -90,9 +87,6 @@ type FlattenOf[T tensor.Float] struct {
 
 // Flatten is the float64 flatten layer.
 type Flatten = FlattenOf[float64]
-
-// NewFlatten returns a float64 flatten layer.
-func NewFlatten() *Flatten { return NewFlattenOf[float64]() }
 
 // NewFlattenOf returns a flatten layer.
 func NewFlattenOf[T tensor.Float]() *FlattenOf[T] { return &FlattenOf[T]{} }
@@ -153,12 +147,6 @@ type MaxPool2DOf[T tensor.Float] struct {
 
 // MaxPool2D is the float64 max-pool layer.
 type MaxPool2D = MaxPool2DOf[float64]
-
-// NewMaxPool2D constructs a float64 max-pool layer with the given window
-// and stride.
-func NewMaxPool2D(size, stride int) *MaxPool2D {
-	return NewMaxPool2DOf[float64](size, stride)
-}
 
 // NewMaxPool2DOf constructs a max-pool layer with the given window and
 // stride.
@@ -302,11 +290,6 @@ type DropoutOf[T tensor.Float] struct {
 
 // Dropout is the float64 dropout layer.
 type Dropout = DropoutOf[float64]
-
-// NewDropout constructs a float64 dropout layer driven by rng.
-func NewDropout(rng *rand.Rand, p float64) *Dropout {
-	return NewDropoutOf[float64](rng, p)
-}
 
 // NewDropoutOf constructs a dropout layer driven by rng.
 func NewDropoutOf[T tensor.Float](rng *rand.Rand, p float64) *DropoutOf[T] {

@@ -44,12 +44,6 @@ type Conv2DOf[T tensor.Float] struct {
 // Conv2D is the float64 convolution layer.
 type Conv2D = Conv2DOf[float64]
 
-// NewConv2D constructs a float64 convolution layer with He-initialized
-// weights.
-func NewConv2D(rng *rand.Rand, inC, outC, k, stride, pad int) *Conv2D {
-	return NewConv2DOf[float64](rng, inC, outC, k, stride, pad)
-}
-
 // NewConv2DOf constructs a convolution layer with He-initialized weights.
 // The rng draw sequence is identical for every element type, so a float32
 // and a float64 network built from the same seed start from the same

@@ -30,11 +30,6 @@ type DenseOf[T tensor.Float] struct {
 // Dense is the float64 dense layer.
 type Dense = DenseOf[float64]
 
-// NewDense constructs a float64 dense layer with He-initialized weights.
-func NewDense(rng *rand.Rand, in, out int) *Dense {
-	return NewDenseOf[float64](rng, in, out)
-}
-
 // NewDenseOf constructs a dense layer with He-initialized weights. The rng
 // draw sequence is identical for every element type, so a float32 and a
 // float64 network built from the same seed start from the same (rounded)

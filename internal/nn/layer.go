@@ -75,7 +75,3 @@ func newParamOf[T tensor.Float](name string, shape ...int) *ParamOf[T] {
 		Grad: tensor.NewOf[T](shape...),
 	}
 }
-
-func newParam(name string, shape ...int) *Param {
-	return newParamOf[float64](name, shape...)
-}

@@ -21,7 +21,7 @@ type NetworkOf[T tensor.Float] struct {
 	Layers []LayerOf[T]
 
 	// arch is the blueprint this network was built from (nil for networks
-	// assembled directly with NewNetwork); it enables Clone.
+	// assembled directly with NewNetworkOf); it enables Clone.
 	arch *Arch
 
 	// firstParam is the index of the first layer that has parameters
@@ -56,12 +56,6 @@ type reluFused[T tensor.Float] interface {
 // Backward would, and skips the input gradient.
 type paramsBackward[T tensor.Float] interface {
 	backwardParams(grad *tensor.TensorOf[T])
-}
-
-// NewNetwork builds a float64 network from layers with the given
-// architecture name.
-func NewNetwork(arch string, layers ...Layer) *Network {
-	return NewNetworkOf(arch, layers...)
 }
 
 // NewNetworkOf builds a network from layers with the given architecture

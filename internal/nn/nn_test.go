@@ -10,7 +10,7 @@ import (
 
 func TestDenseForwardShapeAndBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	d := NewDense(rng, 4, 3)
+	d := NewDenseOf[float64](rng, 4, 3)
 	// Zero the weights so output equals the bias.
 	d.w.W.Zero()
 	d.b.W.Data()[0], d.b.W.Data()[1], d.b.W.Data()[2] = 1, 2, 3
@@ -30,7 +30,7 @@ func TestDenseForwardShapeAndBias(t *testing.T) {
 
 func TestDenseGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	net := NewNetwork("test", NewDense(rng, 5, 4), NewReLU(), NewDense(rng, 4, 3))
+	net := NewNetworkOf[float64]("test", NewDenseOf[float64](rng, 5, 4), NewReLUOf[float64](), NewDenseOf[float64](rng, 4, 3))
 	x := tensor.Randn(rng, 1, 6, 5)
 	labels := []int{0, 1, 2, 0, 1, 2}
 	if worst := GradCheck(net, x, labels, 1e-5); worst > 1e-4 {
@@ -40,12 +40,12 @@ func TestDenseGradCheck(t *testing.T) {
 
 func TestConvGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	net := NewNetwork("test",
-		NewConv2D(rng, 1, 2, 3, 1, 1),
-		NewReLU(),
-		NewMaxPool2D(2, 2),
-		NewFlatten(),
-		NewDense(rng, 2*3*3, 3),
+	net := NewNetworkOf[float64]("test",
+		NewConv2DOf[float64](rng, 1, 2, 3, 1, 1),
+		NewReLUOf[float64](),
+		NewMaxPool2DOf[float64](2, 2),
+		NewFlattenOf[float64](),
+		NewDenseOf[float64](rng, 2*3*3, 3),
 	)
 	x := tensor.Randn(rng, 1, 2, 1, 6, 6)
 	labels := []int{0, 2}
@@ -107,7 +107,7 @@ func TestMaxPoolForwardBackward(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
-	p := NewMaxPool2D(2, 2)
+	p := NewMaxPool2DOf[float64](2, 2)
 	y := p.Forward(x, true)
 	want := []float64{6, 8, 14, 16}
 	for i, v := range y.Data() {
@@ -142,7 +142,7 @@ func TestMaxPoolBackwardNeedsMatchingForward(t *testing.T) {
 		f()
 	}
 	rng := rand.New(rand.NewSource(63))
-	p := NewMaxPool2D(2, 2)
+	p := NewMaxPool2DOf[float64](2, 2)
 	mustPanic("no forward", func() { p.Backward(tensor.Randn(rng, 1, 2, 3, 2, 2)) })
 	p.Forward(tensor.Randn(rng, 1, 2, 3, 4, 4), false)
 	mustPanic("inference forward only", func() { p.Backward(tensor.Randn(rng, 1, 2, 3, 2, 2)) })
@@ -154,7 +154,7 @@ func TestMaxPoolBackwardNeedsMatchingForward(t *testing.T) {
 
 func TestDropoutTrainVsEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	d := NewDropout(rng, 0.5)
+	d := NewDropoutOf[float64](rng, 0.5)
 	x := tensor.New(1, 1000)
 	x.Fill(1)
 	yTrain := d.Forward(x, true)
@@ -178,10 +178,10 @@ func TestDropoutTrainVsEval(t *testing.T) {
 }
 
 func TestSGDPlainStep(t *testing.T) {
-	p := newParam("w", 2)
+	p := newParamOf[float64]("w", 2)
 	p.W.Data()[0], p.W.Data()[1] = 1, 2
 	p.Grad.Data()[0], p.Grad.Data()[1] = 10, -10
-	opt := NewSGD(0.1, 0, 0)
+	opt := NewSGDOf[float64](0.1, 0, 0)
 	opt.Step([]*Param{p})
 	if p.W.Data()[0] != 0 || p.W.Data()[1] != 3 {
 		t.Fatalf("after step: %v", p.W.Data())
@@ -192,8 +192,8 @@ func TestSGDPlainStep(t *testing.T) {
 }
 
 func TestSGDMomentumAccumulates(t *testing.T) {
-	p := newParam("w", 1)
-	opt := NewSGD(1, 0.9, 0)
+	p := newParamOf[float64]("w", 1)
+	opt := NewSGDOf[float64](1, 0.9, 0)
 	for i := 0; i < 2; i++ {
 		p.Grad.Data()[0] = 1
 		opt.Step([]*Param{p})
@@ -256,9 +256,9 @@ func TestSGDStepMatchesSweeps(t *testing.T) {
 }
 
 func TestSGDWeightDecay(t *testing.T) {
-	p := newParam("w", 1)
+	p := newParamOf[float64]("w", 1)
 	p.W.Data()[0] = 10
-	opt := NewSGD(0.1, 0, 0.5)
+	opt := NewSGDOf[float64](0.1, 0, 0.5)
 	opt.Step([]*Param{p}) // grad = 0 + 0.5*10 = 5; w = 10 - 0.5 = 9.5
 	if math.Abs(p.W.Data()[0]-9.5) > 1e-12 {
 		t.Fatalf("decay step wrong: %v", p.W.Data()[0])
@@ -351,14 +351,14 @@ func TestVGGSmallGradCheck(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9))
 	// A tiny VGG-style stack exercising conv+conv+pool composition.
-	net := NewNetwork("tiny-vgg",
-		NewConv2D(rng, 1, 2, 3, 1, 1),
-		NewReLU(),
-		NewConv2D(rng, 2, 2, 3, 1, 1),
-		NewReLU(),
-		NewMaxPool2D(2, 2),
-		NewFlatten(),
-		NewDense(rng, 2*3*3, 3),
+	net := NewNetworkOf[float64]("tiny-vgg",
+		NewConv2DOf[float64](rng, 1, 2, 3, 1, 1),
+		NewReLUOf[float64](),
+		NewConv2DOf[float64](rng, 2, 2, 3, 1, 1),
+		NewReLUOf[float64](),
+		NewMaxPool2DOf[float64](2, 2),
+		NewFlattenOf[float64](),
+		NewDenseOf[float64](rng, 2*3*3, 3),
 	)
 	x := tensor.Randn(rng, 1, 1, 1, 6, 6)
 	if worst := GradCheck(net, x, []int{1}, 1e-5); worst > 1e-3 {
@@ -370,11 +370,11 @@ func TestTrainingReducesLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	net := LeNetSmall(1, 8, 8, 4).Build(rng)
 	// LeNetSmall expects 16x16; build a matching tiny problem instead.
-	net = NewNetwork("toy",
-		NewFlatten(),
-		NewDense(rng, 64, 32),
-		NewReLU(),
-		NewDense(rng, 32, 4),
+	net = NewNetworkOf[float64]("toy",
+		NewFlattenOf[float64](),
+		NewDenseOf[float64](rng, 64, 32),
+		NewReLUOf[float64](),
+		NewDenseOf[float64](rng, 32, 4),
 	)
 	// Linearly separable toy data: class = quadrant of strongest corner.
 	n := 64
@@ -390,7 +390,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 			}
 		}
 	}
-	opt := NewSGD(0.05, 0.9, 0)
+	opt := NewSGDOf[float64](0.05, 0.9, 0)
 	first := net.TrainBatch(x, labels)
 	opt.Step(net.Params())
 	var last float64
@@ -560,7 +560,7 @@ func TestReLUBackwardNeedsMatchingForward(t *testing.T) {
 		f()
 	}
 	rng := rand.New(rand.NewSource(62))
-	r := NewReLU()
+	r := NewReLUOf[float64]()
 	mustPanic("no forward", func() { r.Backward(tensor.Randn(rng, 1, 2, 3)) })
 	r.Forward(tensor.Randn(rng, 1, 2, 3), false)
 	mustPanic("inference forward only", func() { r.Backward(tensor.Randn(rng, 1, 2, 3)) })

@@ -17,11 +17,6 @@ type SGDOf[T tensor.Float] struct {
 // SGD is the float64 optimizer used throughout the federated engine.
 type SGD = SGDOf[float64]
 
-// NewSGD constructs a float64 SGD optimizer.
-func NewSGD(lr, momentum, decay float64) *SGD {
-	return NewSGDOf[float64](lr, momentum, decay)
-}
-
 // NewSGDOf constructs an SGD optimizer.
 func NewSGDOf[T tensor.Float](lr, momentum, decay float64) *SGDOf[T] {
 	return &SGDOf[T]{LR: lr, Momentum: momentum, Decay: decay, velocity: make(map[*ParamOf[T]]*tensor.TensorOf[T])}

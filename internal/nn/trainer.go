@@ -67,9 +67,8 @@ type Trainer interface {
 	// HasNonFinite reports whether any weight is NaN or ±Inf.
 	HasNonFinite() bool
 	// EvalNetwork returns a float64 network holding the current weights,
-	// for Evaluate/EvaluateConfusion. On the f64 path it is the live
-	// network; on the f32 path a cached float64 twin is synced and
-	// returned.
+	// for evaluation. On the f64 path it is the live network; on the f32
+	// path a cached float64 twin is synced and returned.
 	EvalNetwork() *Network
 	// Precision reports the training element type.
 	Precision() Precision

@@ -153,7 +153,7 @@ func TestConvNoIm2ColWorkspace(t *testing.T) {
 	defer tensor.SetMaxLanes(old)
 	rng := rand.New(rand.NewSource(21))
 	// Geometry where the patch matrix dwarfs activations: kdim = 24·3·3.
-	conv := NewConv2D(rng, 24, 16, 3, 1, 1)
+	conv := NewConv2DOf[float64](rng, 24, 16, 3, 1, 1)
 	x := tensor.Randn(rng, 1, 2, 24, 14, 14)
 	y := conv.Forward(x, true)
 	g := tensor.Randn(rng, 1, y.Shape()...)

@@ -12,14 +12,17 @@ import (
 // offline profiling ("this can be done either online through a
 // bootstrapping phase or offline", §IV-B). It wraps an optional offline
 // prior and overrides it with a per-architecture least-squares fit once
-// enough live observations accumulate. Online observations capture what
+// enough live observations accumulate. Architectures are told apart by
+// their (conv, dense) parameter split, as DeviceProfile.Line does: two
+// models of one name (LeNet on 1×28×28 and on 3×32×32) are different
+// workloads. Online observations capture what
 // the offline cold-start profile cannot: sustained-operation thermal
 // state.
 type OnlineProfile struct {
 	mu   sync.Mutex
 	base *DeviceProfile
-	obs  map[string][]obsPoint
-	fits map[string]*regress.Model
+	obs  map[[2]int][]obsPoint
+	fits map[[2]int]*regress.Model
 	// MinObservations gates switching from the prior to the online fit.
 	MinObservations int
 }
@@ -33,8 +36,8 @@ type obsPoint struct {
 func NewOnline(base *DeviceProfile) *OnlineProfile {
 	return &OnlineProfile{
 		base:            base,
-		obs:             make(map[string][]obsPoint),
-		fits:            make(map[string]*regress.Model),
+		obs:             make(map[[2]int][]obsPoint),
+		fits:            make(map[[2]int]*regress.Model),
 		MinObservations: 3,
 	}
 }
@@ -46,10 +49,11 @@ func (o *OnlineProfile) Observe(arch *nn.Arch, n int, seconds float64) {
 	if n <= 0 || seconds <= 0 {
 		return
 	}
+	key := archKey(arch)
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.obs[arch.Name] = append(o.obs[arch.Name], obsPoint{n, seconds})
-	delete(o.fits, arch.Name) // invalidate the cached fit
+	o.obs[key] = append(o.obs[key], obsPoint{n, seconds})
+	delete(o.fits, key) // invalidate the cached fit
 }
 
 // Predict estimates the epoch time for n samples: the online fit once
@@ -60,15 +64,16 @@ func (o *OnlineProfile) Predict(arch *nn.Arch, n int) float64 {
 	if n <= 0 {
 		return 0
 	}
+	key := archKey(arch)
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	pts := o.obs[arch.Name]
+	pts := o.obs[key]
 	if len(pts) >= o.MinObservations && spansSizes(pts) {
-		m, ok := o.fits[arch.Name]
+		m, ok := o.fits[key]
 		if !ok {
 			m = fitPoints(pts)
 			if m != nil {
-				o.fits[arch.Name] = m
+				o.fits[key] = m
 			}
 		}
 		if m != nil {
@@ -108,6 +113,13 @@ func (o *OnlineProfile) Predict(arch *nn.Arch, n int) float64 {
 		return rate / total * float64(n)
 	}
 	return 0
+}
+
+// archKey is the (conv, dense) parameter split that identifies an
+// architecture's workload.
+func archKey(a *nn.Arch) [2]int {
+	conv, dense := a.ParamCounts()
+	return [2]int{conv, dense}
 }
 
 // spansSizes reports whether the observations cover more than one distinct

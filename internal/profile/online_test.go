@@ -113,3 +113,24 @@ func TestOnlineDriftRatioCorrection(t *testing.T) {
 		t.Fatalf("ratio not applied across sizes: %v", got)
 	}
 }
+
+func TestOnlineKeyedByParamSplit(t *testing.T) {
+	// LeNet at MNIST and at CIFAR geometry share a name, not a workload:
+	// observations of one must not answer for the other.
+	dev := device.New(device.Nexus6())
+	prior, err := BuildOffline(dev, Suite(3, 32, 32, 10), DefaultSizes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mnist, cifar := nn.LeNet(1, 28, 28, 10), nn.LeNet(3, 32, 32, 10)
+	on := NewOnline(prior)
+	for _, n := range []int{1000, 2000, 3000} {
+		on.Observe(mnist, n, device.New(device.Nexus6()).EpochTime(mnist, n))
+	}
+	if got, want := on.Predict(cifar, 1000), NewOnline(prior).Predict(cifar, 1000); got != want {
+		t.Fatalf("CIFAR LeNet predicted %v s after MNIST observations, %v s without", got, want)
+	}
+	if got, want := on.Predict(mnist, 2000), NewOnline(prior).Predict(mnist, 2000); got == want {
+		t.Fatalf("MNIST observations ignored: %v s either way", got)
+	}
+}

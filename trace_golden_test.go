@@ -40,7 +40,7 @@ func lbapGoldenTrace(t *testing.T) []trace.Event {
 		t.Fatal(err)
 	}
 	devs, links := tb.Devices()
-	if _, err := fl.SimulateRoundsTraced(arch, devs, links, asg.Samples(ShardSize), 20, 3, rec); err != nil {
+	if _, err := fl.SimulateRounds(arch, devs, links, asg.Samples(ShardSize), 20, 3, rec); err != nil {
 		t.Fatal(err)
 	}
 	return rec.Events()
@@ -67,7 +67,7 @@ func minavgGoldenTrace(t *testing.T) []trace.Event {
 		t.Fatal(err)
 	}
 	devs, links := tb.Devices()
-	if _, err := fl.SimulateRoundsTraced(arch, devs, links, asg.Samples(ShardSize), 20, 2, rec); err != nil {
+	if _, err := fl.SimulateRounds(arch, devs, links, asg.Samples(ShardSize), 20, 2, rec); err != nil {
 		t.Fatal(err)
 	}
 	return rec.Events()
