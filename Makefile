@@ -7,7 +7,7 @@ GO ?= go
 
 .PHONY: build test vet lint lint-ci \
 	fuzz-smoke fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-job \
-	fuzz-smoke-ckpt fuzz-smoke-convblock fuzz-smoke-device \
+	fuzz-smoke-ckpt fuzz-smoke-convblock fuzz-smoke-device fuzz-smoke-fedminavg \
 	fmt-check check check-nolint race race-tensor purego nofma trace-golden loc \
 	bench profile-pop profile-sched profile-train profile-churn \
 	population-smoke fault-smoke serve-smoke exp-snapshot
@@ -45,11 +45,12 @@ lint-ci:
 # run-checkpoint loaders (never a panic, never an allocation beyond a
 # small multiple of the input, Save → Load → Save stable), and the
 # device simulator's two-phone lockstep against the one-loop reference
-# (every phone's seconds, state and throttle events, bit for bit). Seeds
-# live under testdata/fuzz (or in the target); CI runs this in the lint
-# lane. Each target is its own recipe so one failing fuzzer no longer
-# hides the others: the umbrella runs all nine and fails at the end with
-# the full list of failed targets.
+# (every phone's seconds, state and throttle events, bit for bit), and
+# Fed-MinAvg (Algorithm 2) against its step-by-step reference on random
+# non-IID problems. Seeds live under testdata/fuzz (or in the target); CI
+# runs this in the lint lane. Each target is its own recipe so one
+# failing fuzzer no longer hides the others: the umbrella runs all ten
+# and fails at the end with the full list of failed targets.
 FUZZTIME ?= 10s
 fuzz-smoke-sched:
 	$(GO) test ./internal/sched -run '^$$' -fuzz FuzzFedLBAP -fuzztime $(FUZZTIME)
@@ -78,9 +79,12 @@ fuzz-smoke-ckpt:
 fuzz-smoke-device:
 	$(GO) test ./internal/device -run '^$$' -fuzz FuzzTrainLockstep -fuzztime $(FUZZTIME)
 
+fuzz-smoke-fedminavg:
+	$(GO) test ./internal/sched -run '^$$' -fuzz FuzzFedMinAvg -fuzztime $(FUZZTIME)
+
 fuzz-smoke:
 	@failed=""; \
-	for t in fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-convblock fuzz-smoke-job fuzz-smoke-ckpt fuzz-smoke-device; do \
+	for t in fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-convblock fuzz-smoke-job fuzz-smoke-ckpt fuzz-smoke-device fuzz-smoke-fedminavg; do \
 		$(MAKE) $$t FUZZTIME=$(FUZZTIME) || failed="$$failed $$t"; \
 	done; \
 	if [ -n "$$failed" ]; then \

@@ -47,37 +47,63 @@ func main() {
 
 		population  = flag.Int("population", 0, "population mode: simulate scheduling rounds over this many synthetic clients (0 = off)")
 		cohort      = flag.Int("cohort", 64, "population mode: clients sampled per round")
-		popRounds   = flag.Int("pop-rounds", 5, "population mode: rounds to simulate")
-		popShards   = flag.Int("pop-shards", 600, "population mode: data shards scheduled per round")
 		samplerName = flag.String("sampler", "uniform", "population mode: cohort sampler, 'uniform' or 'window' (availability windows)")
 		windowHours = flag.Float64("window-hours", 6, "population mode: availability window length for -sampler window")
-		battery     = flag.Float64("battery-budget", 0, "population mode: per-round battery budget fraction capping each client's shards (0 = uncapped)")
 
 		faults     = flag.String("faults", "", "fault scenario, e.g. 'crash=0.1,battery=0.02,flap=0.05,corrupt=0.01,degrade=0.2,slow=4' (empty = no faults)")
 		faultSeed  = flag.Int64("fault-seed", 0, "seed for the fault plan (0 = derive from -seed)")
 		overselect = flag.Float64("overselect", 0, "population mode: over-selection margin — grow the cohort to ceil(cohort*(1+margin)) and set the quorum to the original size")
-		quorum     = flag.Int("quorum", 0, "population mode: close each round after this many surviving clients (0 = wait for all; implied by -overselect)")
-		minPart    = flag.Int("min-participants", 0, "population mode: mark rounds with fewer surviving participants as failed (0 = off)")
 		cooldown   = flag.Int("cooldown", 0, "population mode: skip failed clients for this many rounds, doubling per repeat failure (0 = off)")
+
+		pc fl.PopulationConfig
 	)
+	flag.IntVar(&pc.Rounds, "pop-rounds", 5, "population mode: rounds to simulate")
+	flag.IntVar(&pc.TotalShards, "pop-shards", 600, "population mode: data shards scheduled per round")
+	flag.Float64Var(&pc.BatteryBudget, "battery-budget", 0, "population mode: per-round battery budget fraction capping each client's shards (0 = uncapped)")
+	flag.IntVar(&pc.Quorum, "quorum", 0, "population mode: close each round after this many surviving clients (0 = wait for all; implied by -overselect)")
+	flag.IntVar(&pc.MinParticipants, "min-participants", 0, "population mode: mark rounds with fewer surviving participants as failed (0 = off)")
 	flag.Parse()
 	if *population > 0 {
-		var rec *trace.Recorder
+		pc.Arch = nn.LeNetSmall(1, 16, 16, 10)
+		pc.Population = device.NewPopulation(*population, *seed)
+		pc.Workers = *workers
 		if *traceOut != "" || *traceCSV != "" || *traceSum {
-			rec = trace.New(*traceCap)
+			pc.Trace = trace.New(*traceCap)
 		}
-		err := runPopulation(populationOpts{
-			n: *population, cohort: *cohort, rounds: *popRounds, shards: *popShards,
-			sampler: *samplerName, windowHours: *windowHours, battery: *battery,
-			seed: *seed, workers: *workers, rec: rec,
-			faults: *faults, faultSeed: *faultSeed, overselect: *overselect,
-			quorum: *quorum, minParticipants: *minPart, cooldown: *cooldown,
-		})
+		plan, err := fault.ParseSpec(*faults, fault.PlanSeed(*faultSeed, *seed))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "population: %v\n", err)
 			os.Exit(1)
 		}
-		if err := trace.Export(rec, *traceOut, *traceCSV, *traceSum, os.Stderr); err != nil {
+		pc.Faults = plan
+		// Over-selection: draw a larger cohort and keep only the first
+		// `cohort` survivors, so faults and stragglers eat the margin.
+		drawn := *cohort
+		if *overselect > 0 {
+			drawn = int(math.Ceil(float64(*cohort) * (1 + *overselect)))
+			if pc.Quorum <= 0 {
+				pc.Quorum = *cohort
+			}
+		}
+		switch *samplerName {
+		case "uniform":
+			pc.Sampler = sample.NewUniform(*population, drawn, *seed)
+		case "window":
+			a := sample.NewAvailability(*population, drawn, *seed)
+			a.WindowHours = *windowHours
+			pc.Sampler = a
+		default:
+			fmt.Fprintf(os.Stderr, "population: unknown sampler %q (use 'uniform' or 'window')\n", *samplerName)
+			os.Exit(1)
+		}
+		if *cooldown > 0 {
+			pc.Sampler = sample.NewCooldown(pc.Sampler, *cooldown)
+		}
+		if err := runPopulation(pc, drawn); err != nil {
+			fmt.Fprintf(os.Stderr, "population: %v\n", err)
+			os.Exit(1)
+		}
+		if err := trace.Export(pc.Trace, *traceOut, *traceCSV, *traceSum, os.Stderr); err != nil {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			os.Exit(1)
 		}
@@ -131,77 +157,20 @@ func main() {
 	}
 }
 
-type populationOpts struct {
-	n, cohort, rounds, shards int
-	sampler                   string
-	windowHours               float64
-	battery                   float64
-	seed                      int64
-	workers                   int
-	rec                       *trace.Recorder
-
-	faults          string
-	faultSeed       int64
-	overselect      float64
-	quorum          int
-	minParticipants int
-	cooldown        int
-}
-
-// runPopulation executes population mode and prints one line per round.
-func runPopulation(o populationOpts) error {
-	pop := device.NewPopulation(o.n, o.seed)
-	plan, err := fault.ParseSpec(o.faults, fault.PlanSeed(o.faultSeed, o.seed))
-	if err != nil {
-		return err
-	}
-	// Over-selection: draw a larger cohort and keep only the first
-	// `cohort` survivors, so faults and stragglers eat the margin.
-	drawn, q := o.cohort, o.quorum
-	if o.overselect > 0 {
-		drawn = int(math.Ceil(float64(o.cohort) * (1 + o.overselect)))
-		if q <= 0 {
-			q = o.cohort
-		}
-	}
-	var s sample.Sampler
-	switch o.sampler {
-	case "uniform":
-		s = sample.NewUniform(o.n, drawn, o.seed)
-	case "window":
-		a := sample.NewAvailability(o.n, drawn, o.seed)
-		a.WindowHours = o.windowHours
-		s = a
-	default:
-		return fmt.Errorf("unknown sampler %q (use 'uniform' or 'window')", o.sampler)
-	}
-	if o.cooldown > 0 {
-		s = sample.NewCooldown(s, o.cooldown)
-	}
-	cfg := fl.PopulationConfig{
-		Arch:            nn.LeNetSmall(1, 16, 16, 10),
-		Population:      pop,
-		Sampler:         s,
-		Rounds:          o.rounds,
-		TotalShards:     o.shards,
-		Workers:         o.workers,
-		BatteryBudget:   o.battery,
-		Faults:          plan,
-		Quorum:          q,
-		MinParticipants: o.minParticipants,
-		Trace:           o.rec,
-	}
+// runPopulation runs population mode over cfg, whose sampler draws
+// cohorts of drawn clients, and prints one line per round.
+func runPopulation(cfg fl.PopulationConfig, drawn int) error {
 	hist, err := fl.SimulatePopulationRounds(cfg)
 	// A mid-run error still returns the completed rounds; print them
 	// before reporting the failure.
 	if err == nil || (hist != nil && len(hist.Rounds) > 0) {
 		fmt.Printf("population %d, cohort %d (%s), %d shards/round, %d rounds",
-			o.n, drawn, s.Name(), o.shards, o.rounds)
-		if plan != nil {
-			fmt.Printf(", faults %s (seed %d)", plan, plan.Seed)
+			cfg.Population.N, drawn, cfg.Sampler.Name(), cfg.TotalShards, cfg.Rounds)
+		if cfg.Faults != nil {
+			fmt.Printf(", faults %s (seed %d)", cfg.Faults, cfg.Faults.Seed)
 		}
-		if q > 0 {
-			fmt.Printf(", quorum %d", q)
+		if cfg.Quorum > 0 {
+			fmt.Printf(", quorum %d", cfg.Quorum)
 		}
 		fmt.Println()
 		fmt.Printf("%5s %8s %12s %10s %10s %10s %9s %9s %7s %5s %6s\n",

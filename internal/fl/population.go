@@ -34,17 +34,10 @@ type PopulationConfig struct {
 	// Scheduler partitions TotalShards across the cohort. Nil defaults to
 	// sched.FedLBAP.
 	Scheduler sched.Scheduler
-	// Link is the uplink/downlink model shared by all clients (zero value
-	// defaults to WiFi).
-	Link network.Link
 	// Rounds is the number of rounds to simulate (default 1).
 	Rounds int
-	// TotalShards per round (default 600) of ShardSize samples (default
-	// 100 — the paper's granularity).
+	// TotalShards per round (default 600), of popShardSize samples each.
 	TotalShards int
-	ShardSize   int
-	// BatchSize for the device compute simulation (default 20).
-	BatchSize int
 	// Workers, resolved like Config.Workers (0: GOMAXPROCS, < 0: 1),
 	// pipelines SimulatePopulationRounds: at ≥ 2 the calling goroutine
 	// plans round r+1 while a second one, holding one lane of the process
@@ -76,24 +69,23 @@ type PopulationConfig struct {
 	Trace *trace.Recorder
 }
 
+// Every population client trains popShardSize-sample shards (the
+// paper's granularity) in mini-batches of popBatchSize and exchanges its
+// model over WiFi.
+const (
+	popShardSize = 100
+	popBatchSize = 20
+)
+
 func (c PopulationConfig) withDefaults() PopulationConfig {
 	if c.Scheduler == nil {
 		c.Scheduler = sched.FedLBAP{}
-	}
-	if c.Link.Name == "" && !(c.Link.UpMbps > 0) {
-		c.Link = network.WiFi()
 	}
 	if c.Rounds <= 0 {
 		c.Rounds = 1
 	}
 	if c.TotalShards <= 0 {
 		c.TotalShards = 600
-	}
-	if c.ShardSize <= 0 {
-		c.ShardSize = 100
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 20
 	}
 	return c
 }
@@ -161,7 +153,8 @@ type PopulationRunner struct {
 
 	rng *rand.Rand // for schedulers that draw (Random baseline)
 
-	comm float64 // per-round communication seconds (uniform link)
+	link network.Link // every client's uplink/downlink: WiFi
+	comm float64      // per-round communication seconds over link
 
 	// rc is the shared round core (round.go): fault strike, device burn
 	// and meter, quorum cut, reduction and trace emission over its own
@@ -237,13 +230,14 @@ func NewPopulationRunner(cfg PopulationConfig) (*PopulationRunner, error) {
 	r := &PopulationRunner{
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Population.Seed*0x5deece66d + 11)),
-		rc:    newRoundCore(cfg.Arch, cfg.BatchSize, k, cfg.Sampler, cfg.Faults, cfg.Trace),
+		link:  network.WiFi(),
+		rc:    newRoundCore(cfg.Arch, popBatchSize, k, cfg.Sampler, cfg.Faults, cfg.Trace),
 		burns: make([]int, k),
 		secs:  make([]float64, k),
 	}
 	r.rep, r.rc.rep = r.rc.rep, nil
 	r.rc.quorum, r.rc.floor = cfg.Quorum, cfg.MinParticipants
-	r.comm = cfg.Link.RoundTripTime(r.rc.modelBytes)
+	r.comm = r.link.RoundTripTime(r.rc.modelBytes)
 
 	profs, err := profile.BuildTestbed(cfg.Population.Profiles, cfg.Arch.InC, cfg.Arch.InH, cfg.Arch.InW, cfg.Arch.Classes)
 	if err != nil {
@@ -347,7 +341,7 @@ func (r *PopulationRunner) plan(round int, p *popPlan) error {
 		if cfg.BatteryBudget > 0 {
 			// CapacityShards ≤ 0 would mean "unlimited" to the scheduler;
 			// a nearly-dead phone still carries one shard.
-			u.CapacityShards = max(1, d.CapacityShards(cfg.Arch, cfg.ShardSize, cfg.BatteryBudget))
+			u.CapacityShards = max(1, d.CapacityShards(cfg.Arch, popShardSize, cfg.BatteryBudget))
 		}
 		if r.rings != nil {
 			d.Tracer = r.rings[i]
@@ -357,7 +351,7 @@ func (r *PopulationRunner) plan(round int, p *popPlan) error {
 
 	req := &sched.Request{
 		TotalShards: cfg.TotalShards,
-		ShardSize:   cfg.ShardSize,
+		ShardSize:   popShardSize,
 		Users:       p.uptrs[:k],
 		Trace:       p.log,
 	}
@@ -402,12 +396,12 @@ func (r *PopulationRunner) play(p *popPlan) PopulationRound {
 		return pr
 	}
 	for s, id := range p.cohort {
-		r.burns[s] = rc.strike(s, id, p.shards[s]*cfg.ShardSize, &p.devs[s], p.faults[s])
+		r.burns[s] = rc.strike(s, id, p.shards[s]*popShardSize, &p.devs[s], p.faults[s])
 	}
-	device.TrainLockstep(cfg.Arch, cfg.BatchSize, rc.devs[:k], r.burns[:k], r.secs[:k])
+	device.TrainLockstep(cfg.Arch, popBatchSize, rc.devs[:k], r.burns[:k], r.secs[:k])
 	for s := 0; s < k; s++ {
 		if r.burns[s] >= 0 {
-			rc.settle(s, r.secs[s], p.faults[s], cfg.Link)
+			rc.settle(s, r.secs[s], p.faults[s], r.link)
 		}
 	}
 	cl := rc.close(p.round, p.cohort)

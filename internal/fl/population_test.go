@@ -24,7 +24,6 @@ func popConfig(n, cohort, rounds int) PopulationConfig {
 		Sampler:     sample.NewUniform(n, cohort, 42),
 		Rounds:      rounds,
 		TotalShards: 120,
-		ShardSize:   100,
 	}
 }
 

@@ -286,7 +286,7 @@ func roundEvents(rec *trace.Recorder, round int) []trace.Event {
 // for bit. (Later rounds differ by design: the population re-materializes
 // its devices, Run's keep their heat.)
 func TestPopulationMatchesRunOnSameDevices(t *testing.T) {
-	const n, shards, shardSize = 6, 2, 10
+	const n, shards, shardSize = 6, 2, popShardSize
 	arch := nn.LeNetSmall(1, 16, 16, 10)
 	train, _ := data.TrainTest(data.SMNISTConfig(0, 67), n*shards*shardSize, 10)
 	sizes := make([]int, n)
@@ -300,7 +300,7 @@ func TestPopulationMatchesRunOnSameDevices(t *testing.T) {
 		popTrace := trace.New(0)
 		runner, err := NewPopulationRunner(PopulationConfig{
 			Arch: arch, Population: pop, Sampler: sample.NewUniform(n, n, 1), Scheduler: sched.Equal{},
-			TotalShards: n * shards, ShardSize: shardSize, Workers: 4,
+			TotalShards: n * shards, Workers: 4,
 			Faults: plan, Quorum: 4, MinParticipants: 2, Trace: popTrace,
 		})
 		if err != nil {

@@ -16,15 +16,22 @@
 //
 // Supporting passes catch the classic ways either invariant rots:
 // floateq (exact ==/!= on floating-point operands outside tests),
-// syncmisuse (wg.Add inside the spawned goroutine, by-value copies of
-// lock-holding structs), goroutinebound, floatorder and tracecomplete.
+// syncmisuse (wg.Add inside the spawned goroutine), goroutinebound,
+// floatorder and tracecomplete.
+//
+// fedlint checks only what the Go toolchain does not. By-value copies of
+// lock-holding structs are go vet's copylocks pass, which runs in the
+// same make check gate; which files form a package on the host platform
+// (file-name GOOS/GOARCH suffixes, //go:build lines, in-package versus
+// external tests) is go/build's answer, the go command's own.
 //
 // Every pass is one Analyzer over one Program: all loaded packages plus
 // the static call graph joining them (program.go). Run is the driver.
 //
-// Everything here is stdlib-only: go/parser + go/types with a module-aware
-// importer (load.go) that falls back to compiling the standard library
-// from source, so the suite runs offline with no module downloads.
+// Everything here is stdlib-only: go/build + go/parser + go/types with a
+// module-aware importer (load.go) that falls back to compiling the
+// standard library from source, so the suite runs offline with no module
+// downloads.
 //
 // Findings can be suppressed with a trailing or preceding comment:
 //

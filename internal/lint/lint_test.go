@@ -1,11 +1,16 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -301,5 +306,79 @@ func TestLoadExternalTests(t *testing.T) {
 	}
 	if none != nil {
 		t.Errorf("internal/lint has no external test package, got %v", none.Path)
+	}
+}
+
+// TestLoaderMatchesGoList holds the loader's file selection to the go
+// command's: for every package under the module, Load parses exactly
+// `go list`'s GoFiles and TestGoFiles, and LoadExternalTests exactly its
+// XTestGoFiles — the GOOS/GOARCH-suffixed GEMM kernels, the
+// race-tagged test pair and the root external test package included.
+func TestLoaderMatchesGoList(t *testing.T) {
+	modPath, modDir, err := ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := PackageDirs(modPath, modDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goCmd := filepath.Join(runtime.GOROOT(), "bin", "go")
+	cmd := exec.Command(goCmd, append([]string{"list", "-json"}, paths...)...)
+	cmd.Dir = modDir
+	// GOFLAGS could carry -tags, which go/build's default context, and so
+	// the loader, never sees.
+	cmd.Env = append(os.Environ(), "GOFLAGS=")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	type listed struct {
+		ImportPath                         string
+		GoFiles, TestGoFiles, XTestGoFiles []string
+	}
+	want := make(map[string]listed)
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listed
+		if err := dec.Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		want[p.ImportPath] = p
+	}
+	// parsed lists the base names of a package's files, sorted; nil for
+	// no package.
+	parsed := func(pkg *Package) []string {
+		var ns []string
+		if pkg != nil {
+			for _, f := range pkg.Files {
+				ns = append(ns, filepath.Base(pkg.Fset.Position(f.Pos()).Filename))
+			}
+		}
+		slices.Sort(ns)
+		return ns
+	}
+	l := NewLoader(modPath, modDir)
+	for _, path := range paths {
+		w, ok := want[path]
+		if !ok {
+			t.Errorf("go list did not report %s", path)
+			continue
+		}
+		pkg, err := l.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp := slices.Concat(w.GoFiles, w.TestGoFiles)
+		slices.Sort(exp)
+		if got := parsed(pkg); !slices.Equal(got, exp) {
+			t.Errorf("Load(%s) parsed %v; go list: %v", path, got, exp)
+		}
+		ext, err := l.LoadExternalTests(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := parsed(ext); !slices.Equal(got, w.XTestGoFiles) {
+			t.Errorf("LoadExternalTests(%s) parsed %v; go list: %v", path, got, w.XTestGoFiles)
+		}
 	}
 }

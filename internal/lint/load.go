@@ -1,16 +1,16 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -71,134 +71,43 @@ const (
 	parseExternalTests                  // only the package foo_test files
 )
 
-// parse reads the buildable .go files of the package in dir selected by
-// mode. For the primary modes, external test files (their parsed package
-// name ends in "_test") are filtered out after parsing: they belong to a
-// separate package that cannot join the primary type-check. In
-// parseExternalTests mode the selection inverts and an empty result is
-// not an error — most directories have no external test package.
+// parse reads the files of the package in dir that mode selects. The
+// selection is go/build's, on the host platform: the GOOS/GOARCH
+// file-name suffixes and //go:build lines the go command applies (the
+// float32 GEMM micro-kernel's amd64/noasm pair declare the same symbols
+// and must never be type-checked together), and the split of _test.go
+// files into in-package and external (package foo_test) tests. A
+// directory import never runs the go command, so loading stays offline.
+// In parseExternalTests mode an empty result is not an error — most
+// directories have no external test package.
 func (l *Loader) parse(dir string, mode parseMode) ([]*ast.File, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
+	bp, err := build.Default.ImportDir(dir, 0)
+	var noGo *build.NoGoError
+	if err != nil && !(mode == parseExternalTests && errors.As(err, &noGo)) {
+		return nil, fmt.Errorf("lint: %w", err)
 	}
 	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		if mode == parseNoTests && strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		if mode == parseExternalTests && !strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		names = append(names, name)
+	switch mode {
+	case parseNoTests:
+		names = bp.GoFiles
+	case parseWithTests:
+		names = append(bp.GoFiles, bp.TestGoFiles...)
+		sort.Strings(names)
+	case parseExternalTests:
+		names = bp.XTestGoFiles
 	}
-	sort.Strings(names)
+	if len(names) == 0 && mode != parseExternalTests {
+		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	}
 	var files []*ast.File
 	for _, name := range names {
-		path := filepath.Join(dir, name)
-		src, err := os.ReadFile(path)
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
-		}
-		if !shouldBuild(name, src) {
-			continue
-		}
-		f, err := parser.ParseFile(l.Fset, path, src, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		external := strings.HasSuffix(f.Name.Name, "_test")
-		if external != (mode == parseExternalTests) {
-			continue
 		}
 		files = append(files, f)
 	}
-	if len(files) == 0 && mode != parseExternalTests {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
 	return files, nil
-}
-
-// shouldBuild reports whether a file is selected on the analysis
-// platform — the host's GOOS/GOARCH, same as the build the linted
-// binaries ship in. Both constraint forms the repo can contain are
-// honoured: the GOOS/GOARCH filename suffix convention and a //go:build
-// line above the package clause (e.g. the float32 GEMM micro-kernel's
-// amd64/noasm pair, which declare the same symbols and must never be
-// type-checked together).
-func shouldBuild(name string, src []byte) bool {
-	if !goodOSArchFile(name) {
-		return false
-	}
-	for _, line := range strings.Split(string(src), "\n") {
-		line = strings.TrimSpace(line)
-		if constraint.IsGoBuild(line) {
-			expr, err := constraint.Parse(line)
-			if err != nil {
-				return true
-			}
-			return expr.Eval(satisfiedTag)
-		}
-		if strings.HasPrefix(line, "package ") {
-			break
-		}
-	}
-	return true
-}
-
-// satisfiedTag reports whether one //go:build tag holds on the analysis
-// platform.
-func satisfiedTag(tag string) bool {
-	switch tag {
-	case runtime.GOOS, runtime.GOARCH, "gc":
-		return true
-	}
-	return strings.HasPrefix(tag, "go1.")
-}
-
-// knownOS and knownArch are the GOOS/GOARCH values recognised in
-// filename suffixes. Only membership matters: an unlisted suffix is an
-// ordinary name, a listed one must match the host to build.
-var knownOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "js": true,
-	"linux": true, "netbsd": true, "openbsd": true, "plan9": true,
-	"solaris": true, "wasip1": true, "windows": true,
-}
-
-var knownArch = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true,
-	"loong64": true, "mips": true, "mips64": true, "mips64le": true,
-	"mipsle": true, "ppc64": true, "ppc64le": true, "riscv64": true,
-	"s390x": true, "wasm": true,
-}
-
-// goodOSArchFile applies the name_GOOS.go / name_GOARCH.go /
-// name_GOOS_GOARCH.go filename convention against the host platform.
-func goodOSArchFile(name string) bool {
-	name = strings.TrimSuffix(name, ".go")
-	name = strings.TrimSuffix(name, "_test")
-	parts := strings.Split(name, "_")
-	if len(parts) >= 3 {
-		os, arch := parts[len(parts)-2], parts[len(parts)-1]
-		if knownOS[os] && knownArch[arch] {
-			return os == runtime.GOOS && arch == runtime.GOARCH
-		}
-	}
-	if len(parts) >= 2 {
-		switch last := parts[len(parts)-1]; {
-		case knownOS[last]:
-			return last == runtime.GOOS
-		case knownArch[last]:
-			return last == runtime.GOARCH
-		}
-	}
-	return true
 }
 
 // check type-checks files as package path, resolving imports through the

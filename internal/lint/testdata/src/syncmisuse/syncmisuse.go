@@ -1,7 +1,7 @@
-// Package syncmisuse seeds the two synchronization mistakes the pass
-// flags — wg.Add inside the spawned goroutine and by-value copies of
-// lock-holding structs — next to the correct shapes (Add before go,
-// goroutine-local WaitGroups, pointer receivers, in-place construction).
+// Package syncmisuse seeds the synchronization mistake the pass flags —
+// wg.Add inside the spawned goroutine — next to the correct shapes (Add
+// before go, goroutine-local WaitGroups). By-value copies of
+// lock-holding structs are go vet's copylocks pass, not fedlint's.
 package syncmisuse
 
 import "sync"
@@ -48,55 +48,16 @@ func innerPool() {
 	outer.Wait()
 }
 
-// guarded holds a lock directly; nested holds one transitively.
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-type nested struct {
-	g guarded
-}
-
-func (g guarded) byValue() int { // want `receiver guarded is passed by value but contains sync\.Mutex`
-	return g.n
-}
-
-func (g *guarded) byPointer() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.n
-}
-
-func takesCopy(n nested) int { // want `parameter nested is passed by value but contains sync\.Mutex`
-	return n.g.n
-}
-
-func returnsCopy() guarded { // want `result guarded is passed by value but contains sync\.Mutex`
-	return guarded{}
-}
-
-func deref(p *guarded) {
-	c := *p // want `assignment copies \*p by value but it contains sync\.Mutex`
-	_ = c
-}
-
-func rangeCopy(gs []guarded) int {
-	total := 0
-	for _, g := range gs { // want `range value g copies an element that contains sync\.Mutex`
-		total += g.n
-	}
-	return total
-}
-
-// construct builds in place — composite literals are not copies.
-func construct() *guarded {
-	g := guarded{n: 1}
-	return &g
-}
-
-// allowedCopy is an audited copy taken before any goroutine starts.
-func allowedCopy(p *guarded) {
-	c := *p //fedlint:allow syncmisuse — fixture: copy taken before any goroutine can hold the lock
-	_ = c
+// allowedAddInside is an audited Add: the spawner waits on a channel the
+// goroutine closes only after its Add.
+func allowedAddInside() {
+	var wg sync.WaitGroup
+	started := make(chan struct{})
+	go func() {
+		wg.Add(1) //fedlint:allow syncmisuse — fixture: the spawner waits for started before Wait
+		close(started)
+		wg.Done()
+	}()
+	<-started
+	wg.Wait()
 }

@@ -23,9 +23,10 @@ type OnlineProfile struct {
 	base *DeviceProfile
 	obs  map[[2]int][]obsPoint
 	fits map[[2]int]*regress.Model
-	// MinObservations gates switching from the prior to the online fit.
-	MinObservations int
 }
+
+// minObservations gates switching from the prior to the online fit.
+const minObservations = 3
 
 type obsPoint struct {
 	n       int
@@ -35,10 +36,9 @@ type obsPoint struct {
 // NewOnline wraps an (optional, may be nil) offline prior.
 func NewOnline(base *DeviceProfile) *OnlineProfile {
 	return &OnlineProfile{
-		base:            base,
-		obs:             make(map[[2]int][]obsPoint),
-		fits:            make(map[[2]int]*regress.Model),
-		MinObservations: 3,
+		base: base,
+		obs:  make(map[[2]int][]obsPoint),
+		fits: make(map[[2]int]*regress.Model),
 	}
 }
 
@@ -68,7 +68,7 @@ func (o *OnlineProfile) Predict(arch *nn.Arch, n int) float64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	pts := o.obs[key]
-	if len(pts) >= o.MinObservations && spansSizes(pts) {
+	if len(pts) >= minObservations && spansSizes(pts) {
 		m, ok := o.fits[key]
 		if !ok {
 			m = fitPoints(pts)

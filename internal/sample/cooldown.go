@@ -29,9 +29,10 @@ type cooldownState struct{ strikes, until int }
 
 // Cooldown wraps a base Sampler with per-client retry backoff: a client
 // that fails a round is skipped for BaseRounds rounds, doubling per
-// consecutive failure up to MaxRounds — the production-FL pattern of not
-// hammering a phone that keeps dying mid-round. A success clears the
-// record, so state stays O(recently failed), not O(population).
+// consecutive failure up to maxCooldownRounds — the production-FL
+// pattern of not hammering a phone that keeps dying mid-round. A success
+// clears the record, so state stays O(recently failed), not
+// O(population).
 //
 // Filtering happens inside the base cohort: the wrapper never redraws, so
 // a fully-failed cohort shrinks rather than being replaced (callers
@@ -42,19 +43,17 @@ type Cooldown struct {
 	// BaseRounds is the first-failure cooldown length in rounds
 	// (default 1), doubling per consecutive failure.
 	BaseRounds int
-	// MaxRounds caps the backoff (default 32).
-	MaxRounds int
 
 	state map[int]cooldownState
 }
 
 // NewCooldown wraps base with failure backoff starting at baseRounds
-// (≤ 0 means 1) and capped at 32 rounds.
+// (≤ 0 means 1) and capped at maxCooldownRounds.
 func NewCooldown(base Sampler, baseRounds int) *Cooldown {
 	if baseRounds <= 0 {
 		baseRounds = 1
 	}
-	return &Cooldown{Base: base, BaseRounds: baseRounds, MaxRounds: 32, state: make(map[int]cooldownState)}
+	return &Cooldown{Base: base, BaseRounds: baseRounds, state: make(map[int]cooldownState)}
 }
 
 // Name implements Sampler.
@@ -89,33 +88,25 @@ func (c *Cooldown) Cohort(round int, dst []int) []int {
 	return sel[:n]
 }
 
-// maxBackoffShift bounds the strike exponent so the doubling below never
-// overflows before the MaxRounds cap applies.
-const maxBackoffShift = 30
+// maxCooldownRounds caps every backoff.
+const maxCooldownRounds = 32
 
 // ReportFailure implements FailureReporter: the client sits out
-// BaseRounds·2^(strikes−1) rounds (capped at MaxRounds) starting next
-// round.
+// BaseRounds·2^(strikes−1) rounds (capped at maxCooldownRounds) starting
+// next round.
 func (c *Cooldown) ReportFailure(client, round int) {
 	if c.state == nil {
 		c.state = make(map[int]cooldownState)
 	}
 	st := c.state[client]
 	st.strikes++
-	base, limit := c.BaseRounds, c.MaxRounds
-	if base <= 0 {
-		base = 1
+	// The base is clamped to the cap before it doubles, so no BaseRounds
+	// can overflow into a negative cooldown.
+	d := min(max(c.BaseRounds, 1), maxCooldownRounds)
+	for i := 1; i < st.strikes && d < maxCooldownRounds; i++ {
+		d *= 2
 	}
-	if limit <= 0 {
-		limit = 32
-	}
-	d := limit
-	if st.strikes-1 < maxBackoffShift {
-		if b := base << (st.strikes - 1); b < limit {
-			d = b
-		}
-	}
-	st.until = round + 1 + d
+	st.until = round + 1 + min(d, maxCooldownRounds)
 	c.state[client] = st
 }
 

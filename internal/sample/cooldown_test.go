@@ -64,15 +64,32 @@ func TestCooldownExponentialBackoff(t *testing.T) {
 
 func TestCooldownCapped(t *testing.T) {
 	c := cooldownFixture()
-	c.MaxRounds = 4
 	for r := 0; r < 50; r++ {
 		c.ReportFailure(1, r)
 	}
-	if !c.OnCooldown(1, 53) {
-		t.Fatal("should still be cooling down at round 53")
+	// The last failure, at round 49, benches rounds 50–81.
+	if !c.OnCooldown(1, 81) {
+		t.Fatal("should still be cooling down at round 81")
 	}
-	if c.OnCooldown(1, 54) {
-		t.Fatal("cooldown exceeded MaxRounds cap")
+	if c.OnCooldown(1, 82) {
+		t.Fatal("cooldown exceeded the 32-round cap")
+	}
+}
+
+// TestCooldownHugeBaseCapped: a base beyond the cap is the cap, at any
+// strike count — doubling it first would wrap to a negative cooldown
+// and put the client straight back in the cohort.
+func TestCooldownHugeBaseCapped(t *testing.T) {
+	c := NewCooldown(NewUniform(100, 100, 1), 1<<62)
+	c.ReportFailure(7, 0)
+	c.ReportFailure(7, 5)
+	if snap := c.Snapshot(); len(snap) != 1 || snap[0].Until != 38 {
+		t.Fatalf("Snapshot() = %+v, want client 7 benched until round 38", snap)
+	}
+	for _, id := range c.Cohort(7, nil) {
+		if id == 7 {
+			t.Fatal("client 7 selected at round 7, inside its 32-round cooldown")
+		}
 	}
 }
 

@@ -152,7 +152,8 @@ func (u *Uniform) Cohort(round int, dst []int) []int {
 // availability window contains the round's wall-clock time — the
 // charging/idle-window eligibility model of production FL systems. Each
 // client's window start is a deterministic hash of (Seed, id), so
-// eligibility needs no per-client state.
+// eligibility needs no per-client state. The simulated wall clock
+// advances 1 h per round.
 type Availability struct {
 	// N is the population size; K the target cohort size per round.
 	N, K int
@@ -160,8 +161,6 @@ type Availability struct {
 	Seed int64
 	// WindowHours is each client's daily availability span (default 6).
 	WindowHours float64
-	// RoundHours advances the simulated wall clock per round (default 1).
-	RoundHours float64
 
 	set map[int]struct{} // scratch, reused across rounds
 }
@@ -172,7 +171,7 @@ func NewAvailability(n, k int, seed int64) *Availability {
 	if k > n {
 		k = n
 	}
-	return &Availability{N: n, K: k, Seed: seed, WindowHours: 6, RoundHours: 1, set: make(map[int]struct{}, k)}
+	return &Availability{N: n, K: k, Seed: seed, WindowHours: 6, set: make(map[int]struct{}, k)}
 }
 
 // Name implements Sampler.
@@ -192,11 +191,7 @@ func (a *Availability) windowStart(id int) float64 {
 
 // clockHours returns the simulated time-of-day for a round, in [0, 24).
 func (a *Availability) clockHours(round int) float64 {
-	rh := a.RoundHours
-	if rh <= 0 {
-		rh = 1
-	}
-	t := float64(float64(round) * rh)
+	t := float64(round)
 	t -= float64(24 * float64(int(t/24)))
 	return t
 }

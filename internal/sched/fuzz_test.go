@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -97,4 +98,121 @@ func assertTraceFree(t *testing.T, req *Request) {
 	if math.Float64bits(plain.PredictedMakespan) != math.Float64bits(traced.PredictedMakespan) {
 		t.Fatalf("makespan %v untraced, %v traced", plain.PredictedMakespan, traced.PredictedMakespan)
 	}
+}
+
+// fuzzMinAvgRequest builds a well-formed non-IID problem: 1–8 users,
+// 1–200 shards of 1–8 samples, K in 2–10 test classes, each user's
+// classes a bitmask over them (possibly empty), affine nondecreasing
+// costs a·n + b, comm times, capacities, α in [0, 5000] and β in [0, 5].
+// User 0 holds a class and is uncapped, so every request is solvable.
+func fuzzMinAvgRequest(seed uint64, nUsers, totalShards, k, alpha, beta int) *Request {
+	n := 1 + abs(nUsers)%8
+	s := 1 + abs(totalShards)%200
+	req := &Request{
+		TotalShards: s,
+		ShardSize:   1 + int(fuzzMix(seed)%8),
+		K:           2 + abs(k)%9,
+		Alpha:       float64(abs(alpha)%500001) / 100,
+		Beta:        float64(abs(beta)%501) / 100,
+		Users:       make([]*User, n),
+	}
+	for j := range req.Users {
+		h := fuzzMix(seed + uint64(j+1)*0x100000001b3)
+		mask := h % (1 << req.K)
+		if j == 0 && mask == 0 {
+			mask = 1
+		}
+		var classes []int
+		for c := 0; c < req.K; c++ {
+			if mask&(1<<c) != 0 {
+				classes = append(classes, c)
+			}
+		}
+		rate := float64((h>>10)%1000) / 1000
+		fixed := float64((h>>20)%500) / 100
+		capShards := 0 // unlimited
+		if j > 0 && (h>>30)%3 == 0 {
+			capShards = 1 + int((h>>32)%uint64(s))
+		}
+		req.Users[j] = &User{
+			Name:           "u",
+			Cost:           func(samples int) float64 { return rate*float64(samples) + fixed },
+			CommSeconds:    float64((h>>40)%300) / 100,
+			CapacityShards: capShards,
+			Classes:        classes,
+		}
+	}
+	return req
+}
+
+// FuzzFedMinAvg holds Algorithm 2 to Algorithm 1's standard: on random
+// non-IID problems FedMinAvg places every shard, within every capacity
+// and never on a classless user, its shards and PredictedAvgCost are
+// bit-equal to referenceMinAvg's, and with α = β = 0 it is the plain
+// greedy that gives each shard to the user whose time — comm included
+// on opening — grows least.
+func FuzzFedMinAvg(f *testing.F) {
+	f.Add(uint64(1), 4, 40, 4, 100000, 200)
+	f.Add(uint64(7), 8, 200, 10, 500000, 500)
+	f.Add(uint64(42), 1, 1, 2, 0, 0)
+	f.Add(uint64(99), 6, 120, 6, 0, 0)
+	f.Add(uint64(3), 5, 75, 8, 2500, 150)
+	f.Fuzz(func(t *testing.T, seed uint64, nUsers, totalShards, k, alpha, beta int) {
+		req := fuzzMinAvgRequest(seed, nUsers, totalShards, k, alpha, beta)
+		asg, err := FedMinAvg{}.Schedule(req, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := 0
+		for j, u := range req.Users {
+			got := asg.Shards[j]
+			sum += got
+			if got > u.capacity(req.TotalShards) {
+				t.Fatalf("user %d: %d shards over capacity %d", j, got, u.CapacityShards)
+			}
+			if len(u.Classes) == 0 && got != 0 {
+				t.Fatalf("classless user %d got %d shards", j, got)
+			}
+		}
+		if sum != req.TotalShards {
+			t.Fatalf("shards sum to %d, want %d", sum, req.TotalShards)
+		}
+		want, wantAvg := referenceMinAvg(req)
+		if !slices.Equal(asg.Shards, want) {
+			t.Fatalf("shards %v, reference %v", asg.Shards, want)
+		}
+		if math.Float64bits(asg.PredictedAvgCost) != math.Float64bits(wantAvg) {
+			t.Fatalf("PredictedAvgCost %v, reference %v", asg.PredictedAvgCost, wantAvg)
+		}
+		if req.Alpha == 0 && req.Beta == 0 {
+			if greedy := minTimeGreedy(req); !slices.Equal(asg.Shards, greedy) {
+				t.Fatalf("α = β = 0: shards %v, min-time greedy %v", asg.Shards, greedy)
+			}
+		}
+	})
+}
+
+// minTimeGreedy gives each shard in turn to the user whose time grows
+// least — T_j((l_j+1)·d), plus comm on its first shard — among users
+// with classes and spare capacity, lowest index on ties.
+func minTimeGreedy(req *Request) []int {
+	s, d := req.TotalShards, req.ShardSize
+	shards := make([]int, len(req.Users))
+	for range s {
+		best, bestCost := -1, math.Inf(1)
+		for j, u := range req.Users {
+			if len(u.Classes) == 0 || shards[j] >= u.capacity(s) {
+				continue
+			}
+			cost := u.Cost((shards[j] + 1) * d)
+			if shards[j] == 0 {
+				cost += u.CommSeconds
+			}
+			if cost < bestCost {
+				best, bestCost = j, cost
+			}
+		}
+		shards[best]++
+	}
+	return shards
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"container/heap"
 	"math"
+	"slices"
 	"sort"
 
 	"fedsched/internal/trace"
@@ -369,4 +370,55 @@ func (h *olarHeap) Pop() any {
 	e := old[len(old)-1]
 	*h = old[:len(old)-1]
 	return e
+}
+
+// referenceMinAvg is Algorithm 2 written out step by step, the oracle
+// FedMinAvg.Schedule must match bit for bit. Where the solver keeps its
+// class coverage in a map it updates on each opening, the reference
+// recomputes it from the opened set at every step. Each step scans the
+// users in index order and takes the first one with the strictly
+// smallest marginal cost T_j((l_j+1)·d) + αF_j, plus the user's comm
+// time if it opens. F_j = K/|U_j|. While U_j holds a class no opened
+// user covers, F_j is discounted by β·D_u, with D_u the samples assigned
+// so far. Users without classes and users at capacity are never picked.
+// It returns the shards and the mean of the chosen marginal costs.
+func referenceMinAvg(req *Request) ([]int, float64) {
+	n, s, d := len(req.Users), req.TotalShards, req.ShardSize
+	shards := make([]int, n)
+	opened := make([]bool, n)
+	covered := func(class int) bool {
+		for i, u := range req.Users {
+			if opened[i] && slices.Contains(u.Classes, class) {
+				return true
+			}
+		}
+		return false
+	}
+	total := 0.0
+	for step := 0; step < s; step++ {
+		best, bestCost := -1, math.Inf(1)
+		for j, u := range req.Users {
+			if len(u.Classes) == 0 || shards[j] >= u.capacity(s) {
+				continue
+			}
+			acc := float64(req.Alpha * (float64(req.K) / float64(len(u.Classes))))
+			for _, c := range u.Classes {
+				if !covered(c) {
+					acc -= float64(req.Beta * float64(step*d))
+					break
+				}
+			}
+			cost := u.Cost((shards[j]+1)*d) + acc
+			if !opened[j] {
+				cost += u.CommSeconds
+			}
+			if cost < bestCost {
+				best, bestCost = j, cost
+			}
+		}
+		shards[best]++
+		opened[best] = true
+		total += bestCost
+	}
+	return shards, total / float64(s)
 }

@@ -89,7 +89,7 @@ func EnsureShape[T Float](t *TensorOf[T], shape ...int) *TensorOf[T] {
 			return t
 		}
 	}
-	return NewOf[T](shape...) //fedlint:allow hotalloc — reallocates only when the batch geometry changes, never in steady state
+	return NewOf[T](shape...) //fedlint:allow hotalloc — reallocates on every geometry change: each epoch's ragged last batch, then the next full batch; steps at one geometry reuse t
 }
 
 // Randn fills a new float64 tensor of the given shape with samples from
