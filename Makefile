@@ -10,7 +10,7 @@ GO ?= go
 	fuzz-smoke-ckpt fuzz-smoke-convblock fuzz-smoke-device fuzz-smoke-fedminavg \
 	fmt-check check check-nolint race race-tensor purego nofma trace-golden loc \
 	bench profile-pop profile-sched profile-train profile-churn \
-	population-smoke fault-smoke serve-smoke exp-snapshot
+	population-smoke fault-smoke serve-smoke exp-snapshot examples
 
 build:
 	$(GO) build ./...
@@ -186,6 +186,20 @@ loc:
 	@printf '%-42s %8d\n' 'internal/ packages' \
 		"$$(find internal -name '*.go' ! -path '*/testdata/*' -exec dirname {} \; | sort -u | wc -l)"
 	@printf '%-42s %8d\n' 'binaries (cmd/*)' "$$(find cmd -mindepth 1 -maxdepth 1 -type d | wc -l)"
+
+# Run every examples/* program — the library's callers — and fail if any
+# exits non-zero (each one's output is printed). About 6 s on 2 cores.
+examples:
+	@bin="$$(mktemp -d)"; trap 'rm -rf "$$bin"' EXIT; \
+	$(GO) build -o "$$bin/" ./examples/... || exit 1; \
+	failed=""; \
+	for ex in "$$bin"/*; do \
+		echo "== examples/$${ex##*/}"; \
+		"$$ex" || failed="$$failed $${ex##*/}"; \
+	done; \
+	if [ -n "$$failed" ]; then \
+		echo "examples: non-zero exit from:$$failed"; exit 1; \
+	fi
 
 # Every experiment's quick report and round trace, for proving that a
 # driver change moves nothing: for each id in `fedsim -list`, OUT/<id>.txt

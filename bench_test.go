@@ -20,7 +20,11 @@ import (
 
 	"fedsched"
 	"fedsched/internal/data"
+	"fedsched/internal/device"
 	"fedsched/internal/experiments"
+	"fedsched/internal/fault"
+	"fedsched/internal/fl"
+	"fedsched/internal/sample"
 	"fedsched/internal/tensor"
 	"fedsched/internal/trace"
 )
@@ -102,7 +106,11 @@ func BenchmarkFedMinAvgPaperScale(b *testing.B) {
 func BenchmarkSimulatedEpochTestbed3(b *testing.B) {
 	tb := fedsched.NewTestbed(3)
 	arch := fedsched.LeNet(1, 28, 28, 10)
-	asg, err := tb.ScheduleIID(arch, 60000)
+	req, err := tb.Request(arch, 60000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	asg, err := fedsched.FedLBAP.Schedule(req, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -249,15 +257,15 @@ func BenchmarkPopulationRun(b *testing.B) {
 	dir := b.TempDir()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, err := fedsched.ParseFaultSpec("crash=0.2,battery=0.05,flap=0.1,corrupt=0.05,degrade=0.3,slow=4", 12)
+		plan, err := fault.ParseSpec("crash=0.2,battery=0.05,flap=0.1,corrupt=0.05,degrade=0.3,slow=4", 12)
 		if err != nil {
 			b.Fatal(err)
 		}
 		rec := trace.New(0)
-		_, err = fedsched.SimulatePopulation(fedsched.PopulationConfig{
+		_, err = fl.SimulatePopulationRounds(fl.PopulationConfig{
 			Arch:            fedsched.LeNetSmall(1, 16, 16, 10),
-			Population:      fedsched.NewDevicePopulation(n, 5),
-			Sampler:         fedsched.NewCooldownSampler(fedsched.NewUniformSampler(n, cohort*3/2, 5), 2),
+			Population:      device.NewPopulation(n, 5),
+			Sampler:         sample.NewCooldown(sample.NewUniform(n, cohort*3/2, 5), 2),
 			Rounds:          1000,
 			Faults:          plan,
 			Quorum:          cohort,
@@ -281,10 +289,10 @@ func BenchmarkPopulationRun(b *testing.B) {
 func BenchmarkRoundLoop(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000, 1_000_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			r, err := fedsched.NewPopulationRunner(fedsched.PopulationConfig{
+			r, err := fl.NewPopulationRunner(fl.PopulationConfig{
 				Arch:       fedsched.LeNetSmall(1, 16, 16, 10),
-				Population: fedsched.NewDevicePopulation(n, 42),
-				Sampler:    fedsched.NewUniformSampler(n, 64, 42),
+				Population: device.NewPopulation(n, 42),
+				Sampler:    sample.NewUniform(n, 64, 42),
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -20,7 +20,9 @@ import (
 
 func main() {
 	// Every run-affecting flag is one field of the job schema fedserve
-	// accepts; the remaining flags say where outputs and snapshots go.
+	// accepts; the remaining flags say where outputs go. A run that must
+	// survive a crash is a fedserve job: the daemon resumes it, trace
+	// included.
 	var cfg fedsched.JobConfig
 	flag.IntVar(&cfg.Testbed, "testbed", 2, "paper testbed (1, 2 or 3)")
 	flag.StringVar(&cfg.Dataset, "dataset", "smnist", "dataset: smnist | scifar")
@@ -43,14 +45,11 @@ func main() {
 	flag.IntVar(&cfg.Quorum, "quorum", 0, "close each round after this many surviving updates, discarding later ones (0 = wait for all)")
 	flag.IntVar(&cfg.MinParticipants, "min-participants", 0, "record rounds with fewer surviving updates as failed instead of aborting (0 = off)")
 	var (
-		ckpt      = flag.String("checkpoint", "", "write final model weights to this file")
-		traceOut  = flag.String("trace", "", "write the run's round trace to this JSONL file")
-		traceCSV  = flag.String("trace-csv", "", "write the run's round trace to this CSV file")
-		traceSum  = flag.Bool("trace-summary", false, "print a per-round trace summary table to stderr")
-		traceCap  = flag.Int("trace-cap", 0, "trace ring capacity in events (0 = default 65536)")
-		ckptEvery = flag.Int("checkpoint-every", 0, "snapshot the resumable run state to -run-state every k rounds (0 = off)")
-		runState  = flag.String("run-state", "", "file for -checkpoint-every snapshots")
-		resume    = flag.String("resume", "", "resume a run from this -run-state snapshot (flags must match the original run)")
+		ckpt     = flag.String("checkpoint", "", "write final model weights to this file")
+		traceOut = flag.String("trace", "", "write the run's round trace to this JSONL file")
+		traceCSV = flag.String("trace-csv", "", "write the run's round trace to this CSV file")
+		traceSum = flag.Bool("trace-summary", false, "print a per-round trace summary table to stderr")
+		traceCap = flag.Int("trace-cap", 0, "trace ring capacity in events (0 = default 65536)")
 	)
 	flag.Parse()
 
@@ -81,25 +80,6 @@ func main() {
 		cfg.Testbed, len(job.Clients), job.Arch.Name, job.Test.Name, job.Assignment.Algorithm)
 	fmt.Printf("schedule (samples): %v  — predicted makespan %.0f s at paper scale\n",
 		job.Sizes, job.Assignment.PredictedMakespan)
-
-	if *ckptEvery > 0 {
-		if *runState == "" {
-			fatalf("-checkpoint-every needs -run-state")
-		}
-		job.CheckpointEvery = *ckptEvery
-		job.CheckpointSink = func(ck *fedsched.RunCheckpoint) error {
-			return writeRunState(*runState, ck)
-		}
-	}
-	if *resume != "" {
-		f, err := os.Open(*resume)
-		check(err)
-		ck, err := fedsched.LoadRunCheckpoint(f)
-		check(err)
-		check(f.Close())
-		job.Resume = ck
-		fmt.Printf("resuming from %s at round %d\n", *resume, ck.NextRound)
-	}
 
 	out, err := job.Run()
 	hist := out.Sync
@@ -151,27 +131,6 @@ func main() {
 	}
 
 	check(trace.Export(rec, *traceOut, *traceCSV, *traceSum, os.Stdout))
-}
-
-// writeRunState atomically replaces path with the snapshot (write to a
-// temp file in the same directory, then rename), so a crash mid-write
-// never corrupts the previous good snapshot.
-func writeRunState(path string, ck *fedsched.RunCheckpoint) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := ck.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 func check(err error) {

@@ -14,18 +14,21 @@
 //   - WiFi/LTE link models;
 //   - the two-step performance profiler (Fig 4);
 //   - the scheduling algorithms: Fed-LBAP (Algorithm 1), Fed-MinAvg
-//     (Algorithm 2), the Proportional/Random/Equal baselines and an exact
-//     brute-force oracle;
+//     (Algorithm 2) and the Proportional/Random/Equal baselines;
 //   - a synchronous FedAvg federated-learning engine over the simulated
 //     testbed;
 //   - experiment drivers regenerating every table and figure of the paper.
 //
 // Quick start: see examples/quickstart, or:
 //
-//	tb := fedsched.NewTestbed(2)                 // the paper's 6-device testbed
-//	arch := fedsched.LeNet(1, 28, 28, 10)        // ~205K-parameter LeNet
-//	asg, _ := tb.ScheduleIID(arch, 60000)        // Fed-LBAP schedule for 60K samples
-//	spans, _ := tb.SimulateRounds(arch, asg, 5)  // simulated round makespans
+//	tb := fedsched.NewTestbed(2)                  // the paper's 6-device testbed
+//	arch := fedsched.LeNet(1, 28, 28, 10)         // ~205K-parameter LeNet
+//	req, _ := tb.Request(arch, 60000)             // per-device costs for 60K samples
+//	asg, _ := fedsched.FedLBAP.Schedule(req, nil) // Fed-LBAP (Algorithm 1) schedule
+//	spans, _ := tb.SimulateRounds(arch, asg, 5)   // simulated round makespans
+//
+// The package names only what a program built on it calls; everything
+// else is spelled in its home package under internal/.
 package fedsched
 
 import (
@@ -34,36 +37,16 @@ import (
 
 	"fedsched/internal/data"
 	"fedsched/internal/device"
-	"fedsched/internal/fault"
 	"fedsched/internal/fl"
 	"fedsched/internal/network"
 	"fedsched/internal/nn"
-	"fedsched/internal/privacy"
 	"fedsched/internal/profile"
-	"fedsched/internal/sample"
 	"fedsched/internal/sched"
-	"fedsched/internal/secagg"
-	"fedsched/internal/trace"
 )
 
 // Re-exported core types. The aliases make the internal packages' fully
 // documented types available to library users without duplicating them.
 type (
-	// Arch is an analytic network architecture (buildable into a
-	// trainable Network).
-	Arch = nn.Arch
-	// Network is a trainable feed-forward network.
-	Network = nn.Network
-	// Dataset is a labelled image dataset.
-	Dataset = data.Dataset
-	// Partition assigns dataset sample indices to users.
-	Partition = data.Partition
-	// Device is a stateful simulated phone.
-	Device = device.Device
-	// DeviceProfile is a fitted two-step performance profile.
-	DeviceProfile = profile.DeviceProfile
-	// Link is a wireless link model.
-	Link = network.Link
 	// Scheduler produces workload assignments.
 	Scheduler = sched.Scheduler
 	// Request is a scheduling problem.
@@ -72,160 +55,35 @@ type (
 	Assignment = sched.Assignment
 	// User is one scheduling participant.
 	User = sched.User
-	// Client is one federated participant.
-	Client = fl.Client
 	// RunConfig drives a federated run.
 	RunConfig = fl.Config
-	// Precision selects the client training element type (F64 or F32);
-	// server-side aggregation stays float64 either way.
-	Precision = nn.Precision
-	// History is the result of a federated run.
-	History = fl.History
 	// AsyncConfig drives asynchronous (staleness-weighted) aggregation.
 	AsyncConfig = fl.AsyncConfig
-	// AsyncHistory summarizes an asynchronous run.
-	AsyncHistory = fl.AsyncHistory
 	// GossipConfig drives decentralized (serverless) training.
 	GossipConfig = fl.GossipConfig
-	// GossipHistory summarizes a decentralized run.
-	GossipHistory = fl.GossipHistory
-	// Topology selects the gossip communication pattern.
-	Topology = fl.Topology
-	// OnlineProfile refines cost predictions from live round measurements.
-	OnlineProfile = profile.OnlineProfile
-	// PrivacyReporter randomizes class-coverage reports (local DP).
-	PrivacyReporter = privacy.Reporter
-	// SecureGroup is a pairwise-mask secure-aggregation cohort.
-	SecureGroup = secagg.Group
-	// AlphaSearchResult is one candidate from TuneAlpha.
-	AlphaSearchResult = sched.AlphaSearchResult
-	// TraceRecorder is a deterministic round-trace event ring; point
-	// RunConfig.Trace / Request.Trace at one to observe a run.
-	TraceRecorder = trace.Recorder
-	// TraceEvent is one round-trace record.
-	TraceEvent = trace.Event
-	// Sampler draws per-round client cohorts (see NewUniformSampler,
-	// NewAvailabilitySampler); RunConfig.Sampler and PopulationConfig
-	// accept one.
-	Sampler = sample.Sampler
-	// DevicePopulation describes a synthetic client fleet by construction
-	// — clients materialize lazily, so fleets of millions cost O(1)
-	// memory until selected.
-	DevicePopulation = device.Population
-	// PopulationConfig drives a population-scale scheduling simulation.
-	PopulationConfig = fl.PopulationConfig
-	// PopulationRunner executes population rounds with O(selected) state.
-	PopulationRunner = fl.PopulationRunner
-	// PopulationRound summarizes one population round.
-	PopulationRound = fl.PopulationRound
-	// PopulationHistory is the result of SimulatePopulation.
-	PopulationHistory = fl.PopulationHistory
-	// FaultPlan is a seeded deterministic fault scenario; point
-	// RunConfig.Faults / PopulationConfig.Faults at one.
-	FaultPlan = fault.Plan
-	// FaultKind discriminates injected fault types (crash, battery
-	// death, link flap, corrupt update).
-	FaultKind = fault.Kind
-	// RunCheckpoint is a resumable snapshot of a synchronous run (see
-	// RunConfig.CheckpointEvery / CheckpointSink / Resume).
-	RunCheckpoint = fl.Checkpoint
 )
 
-// Gossip topologies.
-const (
-	Ring        = fl.Ring
-	RandomPairs = fl.RandomPairs
-)
+// Ring is the gossip topology that pairs each client with its successor.
+const Ring = fl.Ring
 
-// Client training precisions.
-const (
-	// F64 trains clients in float64 (the default).
-	F64 = nn.F64
-	// F32 trains clients in float32 (half the memory traffic, SIMD f32
-	// kernels); aggregation still accumulates in float64.
-	F32 = nn.F32
-)
-
-// ParsePrecision maps flag spellings (f32/float32/fp32, f64/…, "") to a
-// Precision.
-var ParsePrecision = nn.ParsePrecision
-
-// Federated run modes and substrate constructors.
+// Federated run modes.
 var (
 	// RunAsync executes staleness-weighted asynchronous FL.
 	RunAsync = fl.RunAsync
 	// RunGossip executes decentralized pairwise-averaging FL.
 	RunGossip = fl.RunGossip
-	// NewOnlineProfile wraps an (optional) offline profile with live
-	// observation refitting.
-	NewOnlineProfile = profile.NewOnline
-	// NewPrivacyReporter builds an ε-LDP class-coverage reporter.
-	NewPrivacyReporter = privacy.NewReporter
-	// NewSecureGroup builds a secure-aggregation cohort.
-	NewSecureGroup = secagg.NewGroup
-	// TuneAlpha sweeps Fed-MinAvg's α over a grid (the paper's [100,5000]
-	// search) and returns the objective-minimizing schedule.
-	TuneAlpha = sched.TuneAlpha
-	// DefaultAlphaGrid is the paper's α search interval, sampled
-	// geometrically.
-	DefaultAlphaGrid = sched.DefaultAlphaGrid
-	// RandomClassSets draws random per-user class subsets (Fig 7's
-	// distribution generator).
-	RandomClassSets = sched.RandomClassSets
-	// NewTraceRecorder builds a round-trace ring (capacity ≤ 0 = 65536).
-	NewTraceRecorder = trace.New
-	// WriteTraceJSONL / WriteTraceCSV export a trace deterministically;
-	// CompareTraces checks two traces field-by-field under tolerances.
-	WriteTraceJSONL = trace.WriteJSONL
-	WriteTraceCSV   = trace.WriteCSV
-	CompareTraces   = trace.Compare
-	// NewUniformSampler samples k of n clients uniformly without
-	// replacement each round (seeded, deterministic).
-	NewUniformSampler = sample.NewUniform
-	// NewAvailabilitySampler samples only clients whose daily
-	// availability window covers the round's hour (charging-overnight
-	// phones, §II-A).
-	NewAvailabilitySampler = sample.NewAvailability
-	// NewDevicePopulation builds an n-client synthetic fleet over the
-	// paper's device archetypes with seeded per-client jitter.
-	NewDevicePopulation = device.NewPopulation
-	// NewPopulationRunner validates a PopulationConfig and profiles its
-	// archetypes once, ready for Round calls.
-	NewPopulationRunner = fl.NewPopulationRunner
-	// SimulatePopulation runs a full population-scale simulation.
-	SimulatePopulation = fl.SimulatePopulationRounds
-	// ParseFaultSpec parses "crash=0.1,flap=0.05,…" into a FaultPlan
-	// (empty spec = nil plan, no faults).
-	ParseFaultSpec = fault.ParseSpec
-	// FaultPlanSeed picks a run's fault-plan seed: the explicit one, or a
-	// fixed derivation from the run seed when it is 0.
-	FaultPlanSeed = fault.PlanSeed
-	// LoadRunCheckpoint reads a snapshot written by RunCheckpoint.Save.
-	LoadRunCheckpoint = fl.LoadCheckpoint
-	// NewCooldownSampler wraps a Sampler with per-client failure backoff
-	// (exponential, production-FL style); the engines report outcomes to
-	// it automatically.
-	NewCooldownSampler = sample.NewCooldown
 )
 
 // Architecture constructors (paper scale and reduced scale).
 var (
 	LeNet      = nn.LeNet
-	VGG6       = nn.VGG6
 	LeNetSmall = nn.LeNetSmall
-	VGG6Small  = nn.VGG6Small
 )
 
 // Dataset generators (offline stand-ins for MNIST / CIFAR10).
 var (
 	SMNIST = data.SMNIST
 	SCIFAR = data.SCIFAR
-)
-
-// Link presets.
-var (
-	WiFi = network.WiFi
-	LTE  = network.LTE
 )
 
 // Schedulers.
@@ -295,16 +153,6 @@ func (tb *Testbed) Request(arch *nn.Arch, totalSamples int) (*sched.Request, err
 		ShardSize:   ShardSize,
 		Users:       users,
 	}, nil
-}
-
-// ScheduleIID computes the Fed-LBAP (Algorithm 1) schedule for
-// totalSamples of IID data.
-func (tb *Testbed) ScheduleIID(arch *nn.Arch, totalSamples int) (*sched.Assignment, error) {
-	req, err := tb.Request(arch, totalSamples)
-	if err != nil {
-		return nil, err
-	}
-	return sched.FedLBAP{}.Schedule(req, nil)
 }
 
 // ScheduleNonIID computes the Fed-MinAvg (Algorithm 2) schedule given each

@@ -102,36 +102,17 @@ func IIDSizes(ds *Dataset, sizes []int, rng *rand.Rand) Partition {
 	if total > ds.Len() {
 		panic(fmt.Sprintf("data: requested %d samples from dataset of %d", total, ds.Len()))
 	}
-	pools := ds.ByClass()
-	for _, pool := range pools {
-		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	// Round-robin over every class keeps the class ratio uniform; with the
+	// total in range, no user's walk runs every pool dry.
+	all := make([]int, ds.Classes)
+	for c := range all {
+		all[c] = c
 	}
-	cursor := make([]int, len(pools))
-	part := make(Partition, len(sizes))
-	for u, size := range sizes {
-		idx := make([]int, 0, size)
-		// Round-robin across classes keeps the class ratio uniform.
-		for c := 0; len(idx) < size; c = (c + 1) % len(pools) {
-			if cursor[c] < len(pools[c]) {
-				idx = append(idx, pools[c][cursor[c]])
-				cursor[c]++
-				continue
-			}
-			// This class exhausted: check that some class still has data.
-			exhausted := true
-			for cc, cur := range cursor {
-				if cur < len(pools[cc]) {
-					exhausted = false
-					break
-				}
-			}
-			if exhausted {
-				panic("data: pools exhausted before sizes satisfied")
-			}
-		}
-		part[u] = idx
+	classSets := make([][]int, len(sizes))
+	for u := range classSets {
+		classSets[u] = all
 	}
-	return part
+	return ByClassSets(ds, classSets, sizes, rng)
 }
 
 // GaussianSizes draws nUsers partition sizes from N(mean, (ratio·mean)²)

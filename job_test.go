@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fedsched"
+	"fedsched/internal/fl"
 	"fedsched/internal/serve"
 	"fedsched/internal/trace"
 )
@@ -220,7 +221,7 @@ func FuzzJobConfig(f *testing.F) {
 		if len(a.Clients) != len(a.Sizes) {
 			t.Fatalf("%d clients for %d shards", len(a.Clients), len(a.Sizes))
 		}
-		held := func(c *fedsched.Client) int {
+		held := func(c *fl.Client) int {
 			if c.Local == nil {
 				return 0
 			}

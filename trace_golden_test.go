@@ -9,8 +9,10 @@ import (
 	"testing"
 
 	"fedsched/internal/device"
+	"fedsched/internal/fault"
 	"fedsched/internal/fl"
 	"fedsched/internal/network"
+	"fedsched/internal/sample"
 	"fedsched/internal/sched"
 	"fedsched/internal/trace"
 )
@@ -27,7 +29,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden trace f
 // probes, the schedule, then three simulated rounds.
 func lbapGoldenTrace(t *testing.T) []trace.Event {
 	t.Helper()
-	rec := NewTraceRecorder(0)
+	rec := trace.New(0)
 	tb := NewTestbed(2)
 	arch := LeNet(1, 28, 28, 10)
 	req, err := tb.Request(arch, 60000)
@@ -50,7 +52,7 @@ func lbapGoldenTrace(t *testing.T) []trace.Event {
 // two simulated rounds.
 func minavgGoldenTrace(t *testing.T) []trace.Event {
 	t.Helper()
-	rec := NewTraceRecorder(0)
+	rec := trace.New(0)
 	tb := NewTestbed(2)
 	arch := LeNet(1, 28, 28, 10)
 	req, err := tb.Request(arch, 60000)
@@ -78,7 +80,7 @@ func minavgGoldenTrace(t *testing.T) []trace.Event {
 // with accuracy).
 func baselineGoldenTrace(t *testing.T) []trace.Event {
 	t.Helper()
-	rec := NewTraceRecorder(0)
+	rec := trace.New(0)
 
 	// Schedule stage: Equal over a hand-built request — no profiling
 	// needed, the costs just shape the predicted makespan in the trace.
@@ -102,7 +104,7 @@ func baselineGoldenTrace(t *testing.T) []trace.Event {
 	train, test := SMNIST(240, 3), SMNIST(120, 4)
 	part := PartitionIID(train, 2, 5)
 	devs := []*device.Device{device.New(device.Pixel2()), device.New(device.Nexus6P())}
-	links := []network.Link{WiFi(), WiFi()}
+	links := []network.Link{network.WiFi(), network.WiFi()}
 	clients, err := fl.BuildClients(devs, links, part.Materialize(train))
 	if err != nil {
 		t.Fatal(err)
@@ -127,11 +129,11 @@ func baselineGoldenTrace(t *testing.T) []trace.Event {
 // bytes.
 func populationGoldenTrace(t *testing.T) []trace.Event {
 	t.Helper()
-	rec := NewTraceRecorder(0)
-	hist, err := SimulatePopulation(fl.PopulationConfig{
+	rec := trace.New(0)
+	hist, err := fl.SimulatePopulationRounds(fl.PopulationConfig{
 		Arch:        LeNetSmall(1, 16, 16, 10),
-		Population:  NewDevicePopulation(1_000_000, 42),
-		Sampler:     NewUniformSampler(1_000_000, 16, 42),
+		Population:  device.NewPopulation(1_000_000, 42),
+		Sampler:     sample.NewUniform(1_000_000, 16, 42),
 		Rounds:      2,
 		TotalShards: 120,
 		Workers:     -1,
@@ -155,19 +157,19 @@ func populationGoldenTrace(t *testing.T) []trace.Event {
 // produce identical bytes.
 func faultsGoldenTrace(t *testing.T) []trace.Event {
 	t.Helper()
-	rec := NewTraceRecorder(0)
+	rec := trace.New(0)
 	train, test := SMNIST(240, 3), SMNIST(120, 4)
 	part := PartitionIID(train, 4, 5)
 	devs := []*device.Device{
 		device.New(device.Pixel2()), device.New(device.Nexus6P()),
 		device.New(device.Mate10()), device.New(device.Nexus6()),
 	}
-	links := []network.Link{WiFi(), WiFi(), WiFi(), WiFi()}
+	links := []network.Link{network.WiFi(), network.WiFi(), network.WiFi(), network.WiFi()}
 	clients, err := fl.BuildClients(devs, links, part.Materialize(train))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := ParseFaultSpec("crash=0.25,flap=0.2,corrupt=0.15,degrade=0.3,slow=3", 99)
+	plan, err := fault.ParseSpec("crash=0.25,flap=0.2,corrupt=0.15,degrade=0.3,slow=3", 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +193,7 @@ func faultsGoldenTrace(t *testing.T) []trace.Event {
 // engine contract makes any other worker count produce identical bytes.
 func asyncGoldenTrace(t *testing.T) []trace.Event {
 	t.Helper()
-	rec := NewTraceRecorder(0)
+	rec := trace.New(0)
 	train := SMNIST(240, 3)
 	part := PartitionIID(train, 4, 5)
 	devs, links := NewTestbed(2).Devices()
@@ -200,7 +202,7 @@ func asyncGoldenTrace(t *testing.T) []trace.Event {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := ParseFaultSpec("crash=0.15,battery=0.1,flap=0.15,corrupt=0.15,degrade=0.3,slow=3", 99)
+	plan, err := fault.ParseSpec("crash=0.15,battery=0.1,flap=0.15,corrupt=0.15,degrade=0.3,slow=3", 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +265,7 @@ func TestGoldenTrace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := CompareTraces(golden, got, trace.DefaultTolerances); err != nil {
+			if err := trace.Compare(golden, got, trace.DefaultTolerances); err != nil {
 				t.Errorf("trace diverged from golden: %v\n"+
 					"(if the change is intentional: `make trace-golden`, then review the diff)", err)
 			}
