@@ -4,14 +4,15 @@
 //
 //	fedlint                       # lint ./...
 //	fedlint ./internal/fl ./internal/tensor
-//	fedlint -checks floateq,detflow
+//	fedlint -checks floateq,nondet
 //	fedlint -list                 # describe the passes
 //	fedlint -github               # GitHub Actions ::error annotations
 //
 // Every pass sees one call graph spanning all loaded packages, external
 // test packages included, so a hot-path or determinism violation hiding
-// behind a cross-package call is still found. The nondet pass limits
-// itself to the determinism-critical packages (fl, sched, tensor, nn).
+// behind a cross-package call is still found. The nondet pass floods
+// from every function of the determinism-critical packages (fl, sched,
+// tensor, nn) as well as from the marked roots.
 //
 // fedlint exits 1 on any finding and 2 on usage or load errors. A
 // deliberate exception is suppressed in place with a justified

@@ -5,7 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strings"
 	"testing"
+
+	"fedsched/internal/lint"
 )
 
 // TestDriverContract runs fedlint over a throwaway module: one exact
@@ -40,5 +44,50 @@ func TestDriverContract(t *testing.T) {
 
 	if code := run(dir, []string{"-checks", "floateq,nosuch"}, &stdout, &stderr); code != 2 {
 		t.Errorf("unknown check: exit %d, want 2", code)
+	}
+}
+
+// TestDocsListEveryCheck holds the two tables that describe the passes
+// — README's fedlint table and DESIGN §9.2's — to lint.All(): each names
+// every analyzer and nothing else.
+func TestDocsListEveryCheck(t *testing.T) {
+	var want []string
+	for _, a := range lint.All() {
+		want = append(want, a.Name)
+	}
+	slices.Sort(want)
+	_, modDir, err := lint.ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []struct {
+		file, header string
+		row          *regexp.Regexp
+	}{
+		{"README.md", "| Check | Root marker | What it rejects |", regexp.MustCompile("^\\| `(\\w+)` \\|")},
+		{"DESIGN.md", "| Pass | Flags | Stays legal / cut by |", regexp.MustCompile(`^\| \*\*(\w+)\*\*`)},
+	} {
+		data, err := os.ReadFile(filepath.Join(modDir, doc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, table, found := strings.Cut(string(data), doc.header+"\n")
+		if !found {
+			t.Errorf("%s: no table headed %q", doc.file, doc.header)
+			continue
+		}
+		var got []string
+		for _, line := range strings.Split(table, "\n") {
+			if !strings.HasPrefix(line, "|") {
+				break
+			}
+			if m := doc.row.FindStringSubmatch(line); m != nil {
+				got = append(got, m[1])
+			}
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s lists checks %v; lint.All() has %v", doc.file, got, want)
+		}
 	}
 }

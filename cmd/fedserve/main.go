@@ -37,7 +37,6 @@ func main() {
 		queueCap   = flag.Int("queue-cap", 16, "admission queue capacity; beyond it submissions get 429")
 		maxRunning = flag.Int("max-running", 2, "max concurrently running jobs")
 		laneBudget = flag.Int("lane-budget", 0, "shared worker-lane budget across jobs (0 = tensor lanes + 1)")
-		traceCap   = flag.Int("trace-cap", 0, "per-job trace ring capacity in events (0 = 65536)")
 		quiet      = flag.Bool("quiet", false, "suppress per-job log lines")
 	)
 	flag.Parse()
@@ -48,7 +47,7 @@ func main() {
 	}
 	s, err := serve.New(serve.Options{
 		Dir: *dir, QueueCap: *queueCap, MaxRunning: *maxRunning,
-		LaneBudget: *laneBudget, TraceCap: *traceCap, Logf: logf,
+		LaneBudget: *laneBudget, Logf: logf,
 	})
 	if err != nil {
 		fatalf("%v", err)

@@ -64,6 +64,10 @@ func main() {
 	flag.IntVar(&pc.MinParticipants, "min-participants", 0, "population mode: mark rounds with fewer surviving participants as failed (0 = off)")
 	flag.Parse()
 	if *population > 0 {
+		if err := checkPopulationFlags(*population, *cohort, *windowHours, *overselect, *cooldown); err != nil {
+			fmt.Fprintf(os.Stderr, "population: %v\n", err)
+			os.Exit(2)
+		}
 		pc.Arch = nn.LeNetSmall(1, 16, 16, 10)
 		pc.Population = device.NewPopulation(*population, *seed)
 		pc.Workers = *workers
@@ -155,6 +159,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// checkPopulationFlags rejects the population-mode flags the sampler
+// constructors would otherwise clamp or ignore; the runner itself
+// rejects negative rounds, shards, quorum and floor, and a battery
+// budget outside [0, 1].
+func checkPopulationFlags(population, cohort int, windowHours, overselect float64, cooldown int) error {
+	switch {
+	case cohort < 1 || cohort > population:
+		return fmt.Errorf("-cohort %d outside [1, %d]", cohort, population)
+	case !(windowHours > 0):
+		return fmt.Errorf("-window-hours %g, want > 0", windowHours)
+	case !(overselect >= 0):
+		return fmt.Errorf("-overselect %g, want ≥ 0", overselect)
+	case cooldown < 0:
+		return fmt.Errorf("-cooldown %d, want ≥ 0", cooldown)
+	}
+	return nil
 }
 
 // runPopulation runs population mode over cfg, whose sampler draws

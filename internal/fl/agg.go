@@ -7,7 +7,6 @@ import "fedsched/internal/tensor"
 // and gossip engines. sum and w must have matching lengths and shapes.
 //
 // fedlint:hotpath
-// fedlint:detreduce
 func accumulateWeighted(sum, w []*tensor.Tensor, weight float64) {
 	for i, t := range w {
 		sum[i].AddScaled(weight, t)

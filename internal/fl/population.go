@@ -34,9 +34,9 @@ type PopulationConfig struct {
 	// Scheduler partitions TotalShards across the cohort. Nil defaults to
 	// sched.FedLBAP.
 	Scheduler sched.Scheduler
-	// Rounds is the number of rounds to simulate (default 1).
+	// Rounds is the number of rounds to simulate (0: 1).
 	Rounds int
-	// TotalShards per round (default 600), of popShardSize samples each.
+	// TotalShards per round (0: 600), of popShardSize samples each.
 	TotalShards int
 	// Workers, resolved like Config.Workers (0: GOMAXPROCS, < 0: 1),
 	// pipelines SimulatePopulationRounds: at ≥ 2 the calling goroutine
@@ -44,9 +44,9 @@ type PopulationConfig struct {
 	// budget, plays round r; at 1 (or with no lane free) both run inline.
 	// Results and traces are bit-identical for any value.
 	Workers int
-	// BatteryBudget, when positive, caps each cohort member's shards at
-	// what that fraction of its remaining battery affords per round
-	// (capacity C_j, §VI-A).
+	// BatteryBudget, a fraction in [0, 1], caps each cohort member's
+	// shards at what that fraction of its remaining battery affords per
+	// round (capacity C_j, §VI-A); 0 leaves them uncapped.
 	BatteryBudget float64
 	// Faults, when non-nil, injects deterministic client faults
 	// (internal/fault) keyed by (round, client id) — O(selected), like
@@ -81,10 +81,10 @@ func (c PopulationConfig) withDefaults() PopulationConfig {
 	if c.Scheduler == nil {
 		c.Scheduler = sched.FedLBAP{}
 	}
-	if c.Rounds <= 0 {
+	if c.Rounds == 0 {
 		c.Rounds = 1
 	}
-	if c.TotalShards <= 0 {
+	if c.TotalShards == 0 {
 		c.TotalShards = 600
 	}
 	return c
@@ -208,6 +208,13 @@ func NewPopulationRunner(cfg PopulationConfig) (*PopulationRunner, error) {
 	}
 	if cfg.Population == nil {
 		return nil, fmt.Errorf("fl: population: no population")
+	}
+	switch {
+	case cfg.Rounds < 0, cfg.TotalShards < 0, cfg.Quorum < 0, cfg.MinParticipants < 0:
+		return nil, fmt.Errorf("fl: population: negative count (rounds %d, shards %d, quorum %d, min participants %d)",
+			cfg.Rounds, cfg.TotalShards, cfg.Quorum, cfg.MinParticipants)
+	case !(cfg.BatteryBudget >= 0 && cfg.BatteryBudget <= 1):
+		return nil, fmt.Errorf("fl: population: battery budget %g outside [0, 1]", cfg.BatteryBudget)
 	}
 	if err := cfg.Population.Check(); err != nil {
 		return nil, err

@@ -199,6 +199,12 @@ func TestPopulationConfigValidation(t *testing.T) {
 		{"no-sampler", func(c *PopulationConfig) { c.Sampler = nil }},
 		{"sampler-mismatch", func(c *PopulationConfig) { c.Sampler = sample.NewUniform(999, 16, 1) }},
 		{"bad-population", func(c *PopulationConfig) { c.Population.SpeedJitter = 2 }},
+		{"negative-rounds", func(c *PopulationConfig) { c.Rounds = -2 }},
+		{"negative-shards", func(c *PopulationConfig) { c.TotalShards = -5 }},
+		{"negative-quorum", func(c *PopulationConfig) { c.Quorum = -3 }},
+		{"negative-min-participants", func(c *PopulationConfig) { c.MinParticipants = -1 }},
+		{"battery-budget-above-1", func(c *PopulationConfig) { c.BatteryBudget = 5 }},
+		{"negative-battery-budget", func(c *PopulationConfig) { c.BatteryBudget = -0.1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -37,9 +37,9 @@ var fixturePasses = map[string]fixture{
 // fixtureProgramPasses are the fixtures whose findings depend on edges
 // between several loaded packages or between functions.
 var fixtureProgramPasses = map[string]fixture{
-	"detflow":        {DetFlow, []string{"detflow", "detflowdep"}},
+	"detflow":        {NonDet, []string{"detflow", "detflowdep"}},
 	"goroutinebound": {GoroutineBound, []string{"goroutinebound", "tensor"}},
-	"floatorder":     {FloatOrder, []string{"floatorder"}},
+	"floatorder":     {NonDet, []string{"floatorder"}},
 	"tracecomplete":  {TraceComplete, []string{"tracecomplete", "trace"}},
 	"hotallocx":      {HotAlloc, []string{"hotallocx", "hotallocdep"}},
 }

@@ -7,29 +7,42 @@ import (
 	"strings"
 )
 
-// NonDet flags the three ambient-state leaks that break the engines'
-// bit-identical-run guarantee inside the determinism-critical packages:
+// NonDet is the determinism pass: it keeps ambient nondeterminism out of
+// everything the engines' bit-identical-run guarantee covers. One flood
+// of the static call graph starts from every function of the
+// determinism-critical packages (fl, sched, tensor and nn, tests
+// included) and every function documented `// fedlint:deterministic` or
+// `// fedlint:hotpath`, and reports five source shapes in whatever it
+// reaches, in any package of the module:
 //
 //   - calls to the top-level math/rand convenience functions (rand.Intn,
 //     rand.Float64, …), which draw from the shared global source instead
 //     of a *rand.Rand threaded from Config.Seed;
 //   - wall-clock reads (time.Now, time.Since, time.Until) outside
-//     benchmark functions — they feed timestamps into results that then
-//     differ run to run (simulated time comes from the device/network
-//     models instead);
+//     benchmark functions — simulated time comes from the device/network
+//     models instead;
 //   - range statements over maps whose body is order-sensitive (appends,
-//     floating-point or string accumulation, channel sends) without the
-//     sorted-keys idiom: map iteration order is deliberately randomized
-//     by the runtime, so any order-dependent fold over it diverges
-//     between runs.
+//     float, complex or string accumulation into outer state, channel
+//     sends) without the sorted-keys idiom: map iteration order is
+//     deliberately randomized by the runtime;
+//   - goroutines spawned in a declaration with no visible join (no
+//     WaitGroup.Wait, channel receive or channel range anywhere in it):
+//     whatever such a goroutine writes races the caller's reads;
+//   - the same accumulation into outer state inside a `go` function
+//     literal, which folds in goroutine completion order.
 //
 // The sole-statement key-collection loop (`for k := range m { keys =
-// append(keys, k) }`) is recognized as the first half of the sorted-keys
-// idiom and never flagged. Unlike detflow, nondet covers every function
-// of its packages, tests included, reachable from a root or not.
+// append(keys, k) }`) is the first half of the sorted-keys idiom and is
+// never flagged. A callee documented `// fedlint:detsafe` is an audited
+// boundary the flood does not enter, and a call site carrying
+// //fedlint:allow nondet does not propagate. A source inside the four
+// packages is reported as is; one elsewhere names the root that reached
+// it and the call path. Package-level initializers of the four packages
+// are not functions, so the flood never reaches them: they are scanned
+// directly.
 var NonDet = &Analyzer{
 	Name: "nondet",
-	Doc:  "global math/rand, wall clocks, and order-sensitive map iteration in packages fl, sched, tensor and nn",
+	Doc:  "global math/rand, wall clocks, order-sensitive map ranges and goroutine folds in packages fl, sched, tensor and nn and wherever deterministic or hotpath roots reach",
 	Run:  runNonDet,
 }
 
@@ -38,6 +51,10 @@ var NonDet = &Analyzer{
 // FL engines touch numerically. The experiment drivers deliberately are
 // not here: they time wall clocks for their report tables.
 var nonDetScope = map[string]bool{"fl": true, "sched": true, "tensor": true, "nn": true}
+
+func inNonDetScope(p *Package) bool {
+	return nonDetScope[strings.TrimSuffix(p.Types.Name(), "_test")]
+}
 
 // globalRandFuncs are the math/rand (and math/rand/v2) top-level
 // functions that consult process-global state. Constructors (New,
@@ -57,41 +74,123 @@ var globalRandFuncs = map[string]bool{
 
 func runNonDet(pr *Program) []Diagnostic {
 	r := &reporter{check: "nondet"}
+	var roots []string
+	for _, key := range pr.keys {
+		pf := pr.Funcs[key]
+		if inNonDetScope(pf.Pkg) || declMarker(pf.Decl, detMarker) || declMarker(pf.Decl, hotpathMarker) {
+			roots = append(roots, key)
+		}
+	}
+	reached := pr.flood(roots, "nondet", func(pf *ProgFunc) bool {
+		return declMarker(pf.Decl, detSafeMarker)
+	})
+	for _, key := range sortedReach(reached) {
+		node, pf := reached[key], pr.Funcs[key]
+		if inNonDetScope(pf.Pkg) {
+			continue // scanned declaration by declaration below
+		}
+		for _, src := range pf.Pkg.detSources(pf.Decl) {
+			r.reportf(pf.Pkg, src.pos, "%s is reachable from deterministic root %s (path: %s); %s",
+				src.what, pr.pathFrom(rootNode(node)), pr.pathFrom(node), src.fix)
+		}
+	}
 	for _, p := range pr.Packages {
-		if !nonDetScope[strings.TrimSuffix(p.Types.Name(), "_test")] {
+		if !inNonDetScope(p) {
 			continue
 		}
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
-				fd, isFunc := decl.(*ast.FuncDecl)
-				inBenchmark := isFunc && strings.HasPrefix(fd.Name.Name, "Benchmark") && p.isTestFile(fd.Pos())
-				ast.Inspect(decl, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.CallExpr:
-						p.checkNonDetCall(r, n, inBenchmark)
-					case *ast.RangeStmt:
-						p.checkMapRange(r, n)
-					}
-					return true
-				})
+				for _, src := range p.detSources(decl) {
+					r.reportf(p, src.pos, "%s", src.local)
+				}
 			}
 		}
 	}
 	return r.diags
 }
 
-func (p *Package) checkNonDetCall(r *reporter, call *ast.CallExpr, inBenchmark bool) {
-	switch kind, what := p.nonDetCallSource(call, inBenchmark); kind {
-	case "rand":
-		r.reportf(p, call.Pos(), "call to %s draws from the shared process-wide source; thread a seeded *rand.Rand (from Config.Seed) instead", what)
-	case "time":
-		r.reportf(p, call.Pos(), "%s in a determinism-critical package; simulated time must come from the device/network models, wall clocks only belong in benchmarks", what)
-	}
+// detSource is one nondeterminism source inside a declaration, worded
+// two ways: local is the whole message for a determinism-critical
+// package; what and fix frame the call path for a source reached from
+// elsewhere.
+type detSource struct {
+	pos              token.Pos
+	local, what, fix string
 }
 
-// nonDetCallSource classifies a call as an ambient-nondeterminism source
-// — shared by the nondet pass and the detflow taint walk. kind is "rand" or "time" ("" when the call is
-// clean); what is a short human description of the source.
+// detSources scans one top-level declaration for the five source shapes.
+func (p *Package) detSources(decl ast.Decl) []detSource {
+	fd, isFunc := decl.(*ast.FuncDecl)
+	inBenchmark := isFunc && strings.HasPrefix(fd.Name.Name, "Benchmark") && p.isTestFile(fd.Pos())
+	const seeded = "thread seeded state from Config.Seed / the simulated clock instead"
+	var srcs []detSource
+	var goPos []token.Pos
+	joined := false
+	ast.Inspect(decl, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			switch kind, what := p.nonDetCallSource(n, inBenchmark); kind {
+			case "rand":
+				srcs = append(srcs, detSource{n.Pos(), "call to " + what + " draws from the shared process-wide source; thread a seeded *rand.Rand (from Config.Seed) instead", what, seeded})
+			case "time":
+				srcs = append(srcs, detSource{n.Pos(), what + " in a determinism-critical package; simulated time must come from the device/network models, wall clocks only belong in benchmarks", what, seeded})
+			}
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
+				joined = true // WaitGroup.Wait (or any explicit join point)
+			}
+		case *ast.RangeStmt:
+			if what := p.mapRangeSource(n); what != "" {
+				const fix = "collect and sort the keys, then iterate the sorted slice"
+				srcs = append(srcs, detSource{n.Pos(), "range over map " + exprString(n.X) + " has an order-sensitive body (" + what + "); " + fix,
+					"order-sensitive map iteration (" + what + ")", fix})
+			}
+			if t := p.Info.TypeOf(n.X); t != nil {
+				if _, ok := t.Underlying().(*types.Chan); ok {
+					joined = true
+				}
+			}
+		case *ast.GoStmt:
+			goPos = append(goPos, n.Pos())
+			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
+				srcs = append(srcs, p.goroutineFolds(lit.Body)...)
+			}
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				joined = true
+			}
+		}
+		return true
+	})
+	if !joined {
+		const what, fix = "goroutine with no visible join in the enclosing function", "join (WaitGroup.Wait or a channel receive) before returning, then reduce in a deterministic order"
+		for _, pos := range goPos {
+			srcs = append(srcs, detSource{pos, what + "; " + fix, what, fix})
+		}
+	}
+	return srcs
+}
+
+// goroutineFolds reports every accumulation into state outside a spawned
+// function literal's body: the fold happens in completion order, racing
+// the other workers' folds even when a mutex makes it race-free.
+func (p *Package) goroutineFolds(body *ast.BlockStmt) []detSource {
+	var srcs []detSource
+	ast.Inspect(body, func(n ast.Node) bool {
+		if asg, ok := n.(*ast.AssignStmt); ok {
+			if kind, target := p.orderSensitiveAssign(asg, body); kind != "" {
+				acc := kind + " accumulation into " + target
+				local := acc + " from a spawned goroutine folds in completion order; write per-worker partials and reduce after the join"
+				srcs = append(srcs, detSource{asg.Pos(), local, "goroutine fold (" + acc + ")", local})
+			}
+		}
+		return true
+	})
+	return srcs
+}
+
+// nonDetCallSource classifies a call as an ambient-nondeterminism
+// source. kind is "rand" or "time" ("" when the call is clean); what is
+// a short human description of the source.
 func (p *Package) nonDetCallSource(call *ast.CallExpr, inBenchmark bool) (kind, what string) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -121,17 +220,9 @@ func (p *Package) nonDetCallSource(call *ast.CallExpr, inBenchmark bool) (kind, 
 	return "", ""
 }
 
-// checkMapRange flags order-sensitive folds over map iteration.
-func (p *Package) checkMapRange(r *reporter, rng *ast.RangeStmt) {
-	if what := p.mapRangeSource(rng); what != "" {
-		r.reportf(p, rng.Pos(), "range over map %s has an order-sensitive body (%s); collect and sort the keys, then iterate the sorted slice",
-			exprString(rng.X), what)
-	}
-}
-
 // mapRangeSource reports a non-empty description when rng is a range
 // over a map whose body is order-sensitive and not the audited
-// key-collection idiom — shared by nondet and detflow.
+// key-collection idiom.
 func (p *Package) mapRangeSource(rng *ast.RangeStmt) string {
 	t := p.Info.TypeOf(rng.X)
 	if t == nil {
@@ -190,8 +281,8 @@ func (p *Package) orderSensitive(rng *ast.RangeStmt) string {
 				what = "append"
 			}
 		case *ast.AssignStmt:
-			if what == "" {
-				what = p.orderSensitiveAssign(n, body)
+			if kind, target := p.orderSensitiveAssign(n, body); kind != "" {
+				what = "accumulation into " + target
 			}
 		}
 		return what == ""
@@ -199,15 +290,16 @@ func (p *Package) orderSensitive(rng *ast.RangeStmt) string {
 	return what
 }
 
-// orderSensitiveAssign reports op-assignments (+=, *=, …) that fold into
-// a float, complex or string accumulator declared outside the loop body.
-// Integer folds with commutative operators are order-insensitive and
-// stay legal.
-func (p *Package) orderSensitiveAssign(asg *ast.AssignStmt, body *ast.BlockStmt) string {
+// orderSensitiveAssign reports an op-assignment (+=, -=, *=, /=) that
+// folds into a float, complex or string accumulator declared outside
+// body: kind is "float" or "string" ("" when the assignment is not such
+// a fold) and target the accumulator. Integer folds with commutative
+// operators are order-insensitive and stay legal.
+func (p *Package) orderSensitiveAssign(asg *ast.AssignStmt, body *ast.BlockStmt) (kind, target string) {
 	switch asg.Tok {
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 	default:
-		return ""
+		return "", ""
 	}
 	for _, lhs := range asg.Lhs {
 		t := p.Info.TypeOf(lhs)
@@ -224,7 +316,10 @@ func (p *Package) orderSensitiveAssign(asg *ast.AssignStmt, body *ast.BlockStmt)
 				continue
 			}
 		}
-		return "accumulation into " + exprString(lhs)
+		if b.Info()&types.IsString != 0 {
+			return "string", exprString(lhs)
+		}
+		return "float", exprString(lhs)
 	}
-	return ""
+	return "", ""
 }

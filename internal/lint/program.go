@@ -12,7 +12,7 @@ import (
 // Program is the whole-module view every pass operates on: every loaded
 // package plus a static call graph connecting their function
 // declarations across package boundaries, which the reachability passes
-// (hotalloc, detflow, goroutinebound, floatorder, tracecomplete) flood.
+// (nondet, hotalloc, goroutinebound, tracecomplete) flood.
 //
 // Cross-package function identity is by key, not by *types.Func: a
 // package type-checked as an analysis target (with its test files) and
@@ -141,11 +141,10 @@ func recvTypeName(fn *types.Func) string {
 // spaced and the directive comment forms work and prose that mentions a
 // marker does not.
 const (
-	hotpathMarker   = "fedlint:hotpath"       // root: nothing reachable may allocate
-	detMarker       = "fedlint:deterministic" // root: all reachable code must be bit-reproducible
-	detSafeMarker   = "fedlint:detsafe"       // sanitizer: audited boundary, taint does not cross
-	detReduceMarker = "fedlint:detreduce"     // audited deterministic float reduction helper
-	traceMarker     = "fedlint:trace"         // required trace kinds, e.g. fedlint:trace KindSchedule,KindSolver
+	hotpathMarker = "fedlint:hotpath"       // root: nothing reachable may allocate
+	detMarker     = "fedlint:deterministic" // root: all reachable code must be bit-reproducible
+	detSafeMarker = "fedlint:detsafe"       // sanitizer: audited boundary, taint does not cross
+	traceMarker   = "fedlint:trace"         // required trace kinds, e.g. fedlint:trace KindSchedule,KindSolver
 )
 
 // markerLine returns the rest of the first doc-comment line of fd that
@@ -218,6 +217,14 @@ type reachNode struct {
 	parent *reachNode
 }
 
+// rootNode walks a reach chain back to its root.
+func rootNode(n *reachNode) *reachNode {
+	for n.parent != nil {
+		n = n.parent
+	}
+	return n
+}
+
 // pathFrom renders the call chain "root → … → here" using display names.
 func (pr *Program) pathFrom(n *reachNode) string {
 	var names []string
@@ -233,8 +240,8 @@ func (pr *Program) pathFrom(n *reachNode) string {
 // flood BFS-walks the static call graph from the given roots (processed
 // in order; the first root to reach a function claims it). Call sites
 // suppressed for check via //fedlint:allow do not propagate, and callees
-// for which cut returns true are not entered — that is how detsafe /
-// detreduce sanitizers terminate a taint walk.
+// for which cut returns true are not entered — that is how the detsafe
+// sanitizer terminates the determinism walk.
 func (pr *Program) flood(roots []string, check string, cut func(pf *ProgFunc) bool) map[string]*reachNode {
 	reached := make(map[string]*reachNode)
 	var queue []*reachNode

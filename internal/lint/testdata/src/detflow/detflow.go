@@ -1,7 +1,7 @@
 // Package detflow seeds the interprocedural determinism-taint fixture:
 // deterministic roots whose static call graph — including one edge into
 // the detflowdep package — reaches seeded nondeterminism sources. The
-// expectations sit on the source lines, where detflow reports.
+// expectations sit on the source lines, where nondet reports.
 package detflow
 
 import (
@@ -65,7 +65,7 @@ func fill(out []float64) {
 //
 // fedlint:deterministic
 func Gated() float64 {
-	//fedlint:allow detflow — audited: report timestamps never feed results
+	//fedlint:allow nondet — audited: report timestamps never feed results
 	return jitter()
 }
 

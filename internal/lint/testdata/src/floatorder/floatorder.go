@@ -1,7 +1,7 @@
 // Package floatorder seeds the float-accumulation-order fixture: folds
 // whose bit pattern depends on map iteration or goroutine completion
 // order, reachable from a deterministic root, minus the audited
-// fedlint:detreduce helper and the order-insensitive integer fold.
+// fedlint:detsafe helper and the order-insensitive integer fold.
 package floatorder
 
 import "sync"
@@ -20,8 +20,8 @@ func Reduce(m map[int]float64, xs []float64) float64 {
 // mapFold folds floats in map iteration order.
 func mapFold(m map[int]float64) float64 {
 	var sum float64
-	for _, v := range m {
-		sum += v // want `float accumulation into sum folds in map iteration order`
+	for _, v := range m { // want `order-sensitive map iteration \(accumulation into sum\) is reachable from deterministic root floatorder\.Reduce`
+		sum += v
 	}
 	return sum
 }
@@ -47,7 +47,7 @@ func spawnFold(xs []float64) float64 {
 
 // audited is an allowed reduction helper: its callers fix the order.
 //
-// fedlint:detreduce
+// fedlint:detsafe
 func audited(m map[int]float64) float64 {
 	var sum float64
 	for _, v := range m {

@@ -11,6 +11,10 @@ import (
 	"time"
 )
 
+// seeded is a package-level initializer: not a function, so it is
+// scanned directly rather than reached through the call graph.
+var seeded = rand.Intn(10) // want `call to global rand\.Intn draws from the shared process-wide source`
+
 func globalRand() int {
 	return rand.Intn(10) // want `call to global rand\.Intn draws from the shared process-wide source`
 }

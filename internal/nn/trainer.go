@@ -70,8 +70,6 @@ type Trainer interface {
 	// for evaluation. On the f64 path it is the live network; on the f32
 	// path a cached float64 twin is synced and returned.
 	EvalNetwork() *Network
-	// Precision reports the training element type.
-	Precision() Precision
 }
 
 // NewTrainer builds a model of the requested precision with weights
@@ -141,7 +139,6 @@ func (t *trainer64) HasNonFinite() bool {
 }
 
 func (t *trainer64) EvalNetwork() *Network { return t.net }
-func (t *trainer64) Precision() Precision  { return F64 }
 
 // trainer32 trains a float32 model behind the float64 boundary: inputs
 // narrow through a persistent buffer, weights cross the boundary through
@@ -250,5 +247,3 @@ func (t *trainer32) EvalNetwork() *Network {
 	}
 	return t.eval
 }
-
-func (t *trainer32) Precision() Precision { return F32 }

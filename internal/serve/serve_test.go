@@ -12,6 +12,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fedsched"
+	"fedsched/internal/trace"
 )
 
 // startServer boots a Server over a fresh state dir plus an httptest
@@ -489,12 +492,11 @@ func TestConcurrentJobs(t *testing.T) {
 	}
 }
 
-// TestEngineCoverage runs one job per engine end to end, twice: on the
-// default trace ring, and on one far smaller than any of the runs' event
-// counts. Only the sync engine has a per-round checkpoint sink to flush
-// from; async and gossip rely on the flush in the Cancel poll, without
-// which they overflow the small ring and fail after doing all their work.
-// Whatever the ring, the streamed trace must be the same bytes.
+// TestEngineCoverage runs one job per engine end to end. Only the sync
+// engine has a per-round checkpoint sink to flush the trace from; async
+// and gossip stream theirs from the Cancel poll. Either way the streamed
+// trace must be the same bytes as the same JobConfig's in-process run
+// (BuildJob, Run, trace.WriteJSONL).
 func TestEngineCoverage(t *testing.T) {
 	jobs := []struct {
 		body string
@@ -504,41 +506,46 @@ func TestEngineCoverage(t *testing.T) {
 		{`{"engine":"async","clients":2,"samples":100,"test_samples":40,"max_updates":20,"seed":2}`, 20},
 		{`{"engine":"gossip","clients":2,"rounds":6,"samples":100,"test_samples":40,"seed":2}`, 6},
 	}
-	traces := func(opt Options) []string {
-		_, ts := startServer(t, opt)
-		out := make([]string, len(jobs))
-		for i, job := range jobs {
-			st, resp := submit(t, ts, job.body)
-			if resp.StatusCode != http.StatusAccepted {
-				t.Fatalf("submit %s: HTTP %d", job.body, resp.StatusCode)
-			}
-			final := waitFor(t, ts, st.ID, StateCompleted, func(s JobStatus) bool { return terminal(s.State) })
-			if final.State != StateCompleted || final.RoundsDone != job.done {
-				t.Fatalf("TraceCap %d, %s: %+v", opt.TraceCap, job.body, final)
-			}
-			tr, err := http.Get(ts.URL + "/jobs/" + st.ID + "/trace")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			buf.ReadFrom(tr.Body)
-			tr.Body.Close()
-			out[i] = buf.String()
+	_, ts := startServer(t, Options{MaxRunning: 2, LaneBudget: 4})
+	for _, job := range jobs {
+		st, resp := submit(t, ts, job.body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s: HTTP %d", job.body, resp.StatusCode)
 		}
-		return out
-	}
-	want := traces(Options{MaxRunning: 2, LaneBudget: 4})
-	got := traces(Options{MaxRunning: 2, LaneBudget: 4, TraceCap: 8})
-	for i, job := range jobs {
-		if strings.Count(want[i], "\n") <= 8 {
-			t.Errorf("%s: only %d trace events, the small ring proves nothing", job.body, strings.Count(want[i], "\n"))
+		final := waitFor(t, ts, st.ID, StateCompleted, func(s JobStatus) bool { return terminal(s.State) })
+		if final.State != StateCompleted || final.RoundsDone != job.done {
+			t.Fatalf("%s: %+v", job.body, final)
 		}
-		if got[i] != want[i] {
-			t.Errorf("%s: trace differs between the default and the 8-event ring (%d vs %d bytes)", job.body, len(want[i]), len(got[i]))
+		tr, err := http.Get(ts.URL + "/jobs/" + st.ID + "/trace")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !strings.Contains(want[2], `"kind":"round"`) {
-		t.Error("gossip trace is missing round summaries")
+		var got bytes.Buffer
+		got.ReadFrom(tr.Body)
+		tr.Body.Close()
+
+		var cfg JobConfig
+		if err := json.Unmarshal([]byte(job.body), &cfg); err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.NewLog(0)
+		run, err := fedsched.BuildJob(cfg.WithDefaults(), rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := run.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := trace.WriteJSONL(&want, rec.Events()); err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() == 0 || got.String() != want.String() {
+			t.Errorf("%s: streamed trace differs from the in-process run's (%d vs %d bytes)", job.body, got.Len(), want.Len())
+		}
+		if strings.Contains(job.body, "gossip") && !strings.Contains(got.String(), `"kind":"round"`) {
+			t.Error("gossip trace is missing round summaries")
+		}
 	}
 }
 

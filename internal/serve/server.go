@@ -56,9 +56,6 @@ type Options struct {
 	// the queue — unless nothing is running, so one oversized job can
 	// never deadlock the daemon.
 	LaneBudget int
-	// TraceCap is each job's trace-ring capacity in events (default
-	// 65536). The ring only needs to hold one round between flushes.
-	TraceCap int
 	// Logf, when set, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -72,9 +69,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LaneBudget <= 0 {
 		o.LaneBudget = tensor.MaxLanes() + 1
-	}
-	if o.TraceCap <= 0 {
-		o.TraceCap = trace.DefaultCapacity
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -609,7 +603,10 @@ func (s *Server) runJob(j *job) {
 	}
 	stream := trace.NewStream(tf, base)
 
-	rec := trace.New(s.opt.TraceCap)
+	// A log, not a ring: it only ever holds the events since the last
+	// flush, and grows past its initial 256 to the largest such batch
+	// instead of dropping.
+	rec := trace.NewLog(256)
 	run, err := fedsched.BuildJob(j.cfg, rec)
 	if err != nil {
 		s.fail(j, fmt.Errorf("build job: %w", err))
@@ -628,11 +625,11 @@ func (s *Server) runJob(j *job) {
 
 	// The engines poll Cancel on their own goroutine between rounds (at
 	// every virtual event for async) — the same contract as the
-	// checkpoint sink, so it doubles as the flush point that keeps an
-	// engine without round checkpoints from overflowing the ring.
+	// checkpoint sink, so it doubles as the flush point of the engines
+	// without round checkpoints: every poll that finds events writes them.
 	var flushErr error
 	run.Cancel = func() bool {
-		if flushErr == nil && rec.Len() > s.opt.TraceCap/2 {
+		if flushErr == nil {
 			flushErr = stream.Flush(rec)
 		}
 		return flushErr != nil || j.cancelled.Load() || s.closing.Load()
