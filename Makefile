@@ -178,7 +178,7 @@ LOC_FILES = find $(1) -name '*.go' ! -name '*_test.go' ! -path './bench/*' \
 	! -path '*/testdata/*' ! -path './.bench_build/*' -print0
 loc:
 	@printf '%-42s %8s %10s\n' scope raw code-only
-	@for scope in internal/fl internal/tensor internal/serve internal/experiments 'internal/lint cmd/fedlint' .; do \
+	@for scope in internal/fl internal/tensor internal/nn internal/serve internal/experiments 'internal/lint cmd/fedlint' .; do \
 		printf '%-42s %8d %10d\n' "$$scope (non-test .go)" \
 			"$$($(call LOC_FILES,$$scope) | xargs -0 cat | wc -l)" \
 			"$$($(call LOC_FILES,$$scope) | xargs -0 cat | grep -vcE '^\s*(//.*)?$$')"; \
@@ -207,7 +207,8 @@ examples:
 # Take one snapshot per tree and `diff -r` them. The only columns that may
 # differ are wall clocks: ext-precision `f64 [ms]`, `f32 [ms]` and
 # `speedup`, ext-secagg `wall time [ms]`, ext-granularity `schedule time
-# [ms]`. About a minute on 2 cores.
+# [ms]`. A run whose trace ring overflowed (its `.jsonl` would hold only
+# the newest events) fails the target. About a minute on 2 cores.
 exp-snapshot:
 	@test -n "$(OUT)" || { echo "usage: make exp-snapshot OUT=<dir>"; exit 2; }
 	mkdir -p $(OUT)
@@ -215,7 +216,12 @@ exp-snapshot:
 	$(GO) build -o "$$bin/fedsim" ./cmd/fedsim && \
 	for id in $$("$$bin/fedsim" -list | tail -n +2); do \
 		"$$bin/fedsim" -exp $$id -quick -trace $(OUT)/$$id.jsonl -trace-cap 4000000 \
-			> $(OUT)/$$id.txt || exit 1; \
+			> $(OUT)/$$id.txt 2> "$$bin/stderr"; status=$$?; \
+		cat "$$bin/stderr" >&2; \
+		[ $$status -eq 0 ] || exit 1; \
+		if grep -q '^trace: ring overflowed' "$$bin/stderr"; then \
+			echo "exp-snapshot: $$id: trace truncated; raise -trace-cap" >&2; exit 1; \
+		fi; \
 	done
 
 # Regenerate the golden round traces under testdata/trace after an

@@ -30,7 +30,7 @@ type Device struct {
 	Throttles int
 	// Tracer, when non-nil, receives one KindThrottle event per governor
 	// transition. Engines that train clients in parallel point it at a
-	// per-client ring and merge post-join (see internal/trace).
+	// per-client log and merge post-join (see internal/trace).
 	Tracer *trace.Recorder
 	// TraceID labels this device's events (the owning client's id).
 	TraceID int

@@ -3,7 +3,6 @@ package fl
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"fedsched/internal/data"
 	"fedsched/internal/fault"
@@ -71,7 +70,6 @@ type cycle struct {
 	commDown, commUp float64
 	version          int              // global model version at the pull
 	pulled           []*tensor.Tensor // the pulled weights; nil when the iteration aborts
-	trained          chan struct{}    // closed when a background local epoch ends; nil if inline
 	cr               ClientRound      // the download's compute burn, reported at the upload
 }
 
@@ -123,13 +121,11 @@ func (q *eventQueue) next(deadline float64) *cycle {
 // stops at the first event past Duration, or when MaxUpdates merges or
 // Config.Cancel (both checked at every event) end it.
 //
-// Real wall-clock parallelism: a client's local epoch is a pure function
-// of the weights it pulled and its own RNG/optimizer state, both fixed
-// the moment its cycle starts, so with Workers > 1 the gradient descent
-// runs ahead on a bounded pool of background futures while the virtual
-// event loop advances other clients. The loop joins each future when the
-// client's download lands, which keeps every server merge in exact virtual
-// time order — results are bit-identical to the sequential engine.
+// Every local epoch runs on the event loop's goroutine, when the
+// client's download lands, from the weights it pulled when its cycle
+// began: server merges happen in exact virtual-time order, and between
+// two events no training is in flight. Config.Workers bounds only the
+// final evaluation.
 //
 // Injected faults (Config.Faults) are drawn per (client cycle, client
 // id): a fault that aborts the cycle wastes its virtual time and energy
@@ -166,25 +162,15 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 		return cancelled || cfg.MaxUpdates > 0 && hist.Updates >= cfg.MaxUpdates
 	}
 
-	workers := workerCount(cfg.Workers, len(active))
-	// outstanding counts in-flight training futures; it is only touched
-	// from the event-loop goroutine. inflight joins every future before
-	// RunAsync returns so no goroutine outlives the engine.
-	outstanding := 0
-	var inflight sync.WaitGroup
-
-	// begin starts cy's next iteration now: draw its fault, pull the
-	// model, and schedule the download landing. The local epoch starts
-	// speculatively on a background future when the pool has room and the
-	// lane budget allows it — its inputs are frozen (pulled is a snapshot;
-	// c's state is untouched until the join), so it computes exactly what
-	// the inline path would. An aborted iteration never trains.
+	// begin starts cy's next iteration now: draw its fault, pull a
+	// snapshot of the model, and schedule the download landing. An aborted
+	// iteration pulls nothing and never trains.
 	q := eventQueue{cycles: make([]cycle, len(active))}
 	begin := func(cy *cycle) {
 		c := cy.c
 		f := cfg.Faults.Fault(cy.n, c.ID)
 		link := c.Link.Degraded(f.Slow)
-		cy.f, cy.uploaded, cy.pulled, cy.trained = f, false, nil, nil
+		cy.f, cy.uploaded, cy.pulled = f, false, nil
 		cy.commDown, cy.commUp = link.DownloadTime(modelBytes), link.UploadTime(modelBytes)
 		switch f.Kind {
 		case fault.Crash, fault.Battery:
@@ -194,18 +180,6 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 		}
 		if !f.Kind.Aborts() {
 			cy.version, cy.pulled = version, cloneWeights(globalW)
-			if workers > 1 && outstanding < workers && tensor.TryAcquireLanes(1) == 1 {
-				outstanding++
-				pulled, trained := cy.pulled, make(chan struct{})
-				cy.trained = trained
-				inflight.Add(1)
-				go func() {
-					defer inflight.Done()
-					c.train(&cfg.Config, pulled)
-					tensor.ReleaseLanes(1)
-					close(trained)
-				}()
-			}
 		}
 		q.after(cy, cy.commDown)
 	}
@@ -222,12 +196,9 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 		cfg.Trace.Emit(trace.Event{Kind: trace.KindSimStep, Round: cy.seq, Client: -1, AtS: q.now})
 		c, f := cy.c, cy.f
 		if !cy.uploaded {
-			// The download landed: finish the local epoch (join the future,
-			// or train inline now), burn its compute, schedule the upload.
-			if cy.trained != nil {
-				<-cy.trained // join before anything can observe c's state
-				outstanding--
-			} else if !f.Kind.Aborts() {
+			// The download landed: run the local epoch, burn its compute,
+			// schedule the upload.
+			if !f.Kind.Aborts() {
 				c.train(&cfg.Config, cy.pulled)
 			}
 			cy.cr = ClientRound{Samples: c.Local.Len(), BatteryFrac: 1}
@@ -268,10 +239,6 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 			begin(cy)
 		}
 	}
-	// Join any futures whose download never landed (the run ended first):
-	// nothing may mutate client state after we return.
-	inflight.Wait()
-
 	hist.VirtualSeconds = q.now
 	if hist.Updates > 0 {
 		hist.MeanStaleness = stalenessSum / float64(hist.Updates)

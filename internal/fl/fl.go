@@ -77,7 +77,8 @@ type Config struct {
 	// a fixed (Seed, Precision).
 	Precision nn.Precision
 	// Workers bounds how many clients train concurrently within a round
-	// (all three engines honour it). Zero means runtime.GOMAXPROCS(0);
+	// (Run and RunGossip; RunAsync trains on its event loop and uses it
+	// only for its final evaluation). Zero means runtime.GOMAXPROCS(0);
 	// negative values clamp to 1 (strictly sequential, no goroutines);
 	// the effective count never exceeds the participant count. The
 	// History is bit-identical for every Workers value at a fixed Seed:
@@ -116,7 +117,7 @@ type Config struct {
 	// round events (compute/comm seconds, energy, battery, temperature,
 	// DVFS throttle transitions, assigned samples) and per-round
 	// aggregates (makespan, straggler id, loss, accuracy). Each client
-	// buffers its events in a private ring during the parallel section;
+	// buffers its events in a private log during the parallel section;
 	// the engine merges them post-join in client order, so the trace is
 	// bit-identical for any Workers value — same contract as the History.
 	Trace *trace.Recorder

@@ -70,11 +70,11 @@ func SimulateRounds(arch *nn.Arch, devices []*device.Device, links []network.Lin
 			len(devices), len(links), len(samples))
 	}
 	if rec != nil {
-		// Per-device rings (even though this loop is sequential) so the
+		// Per-device logs (even though this loop is sequential) so the
 		// throttle events get round-stamped on the drain, exactly like the
 		// training engines.
 		for i, dev := range devices {
-			dev.Tracer = trace.New(clientRingCapacity)
+			dev.Tracer = trace.NewLog(clientLogCapacity)
 			dev.TraceID = i
 		}
 	}

@@ -170,10 +170,10 @@ type PopulationRunner struct {
 	// the samples strike hands it and the compute seconds it returns.
 	burns []int
 	secs  []float64
-	// rings are the per-slot device event rings (tracing only), shared by
-	// every plan: each play drains its cohort's rings in emit, so the
-	// rings are empty whenever the next play starts.
-	rings []*trace.Recorder
+	// logs are the per-slot device event logs (tracing only), shared by
+	// every plan: each play drains its cohort's logs in emit, so the
+	// logs are empty whenever the next play starts.
+	logs []*trace.Recorder
 }
 
 // popPlan is one planned population round: everything plan decides —
@@ -255,9 +255,9 @@ func NewPopulationRunner(cfg PopulationConfig) (*PopulationRunner, error) {
 		r.lines[a] = dp.Line(cfg.Arch)
 	}
 	if cfg.Trace != nil {
-		r.rings = make([]*trace.Recorder, k)
-		for i := range r.rings {
-			r.rings[i] = trace.New(clientRingCapacity)
+		r.logs = make([]*trace.Recorder, k)
+		for i := range r.logs {
+			r.logs[i] = trace.NewLog(clientLogCapacity)
 		}
 	}
 	r.plans = []*popPlan{r.newPlan(k)}
@@ -350,8 +350,8 @@ func (r *PopulationRunner) plan(round int, p *popPlan) error {
 			// a nearly-dead phone still carries one shard.
 			u.CapacityShards = max(1, d.CapacityShards(cfg.Arch, popShardSize, cfg.BatteryBudget))
 		}
-		if r.rings != nil {
-			d.Tracer = r.rings[i]
+		if r.logs != nil {
+			d.Tracer = r.logs[i]
 			d.TraceID = id
 		}
 	}

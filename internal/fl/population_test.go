@@ -58,7 +58,7 @@ func TestPopulationDeterministic(t *testing.T) {
 
 func TestPopulationTraceWorkerInvariant(t *testing.T) {
 	// The population trace must be byte-identical for any Workers value:
-	// per-slot rings are drained post-join in slot order, so parallelism
+	// per-slot logs are drained post-join in slot order, so parallelism
 	// never reorders events.
 	run := func(workers int) []byte {
 		cfg := popConfig(10_000, 16, 2)

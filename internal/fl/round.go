@@ -79,7 +79,7 @@ func (c *Config) check(e engine) error {
 // setup is the training engines' shared start: validate the config, keep
 // the data-holding clients, check the sampler against them, build the
 // global model and give every participant its trainer, seeded RNG and
-// throttle-trace ring.
+// throttle-trace log.
 func setup(cfg *Config, e engine, clients []*Client) (active []*Client, global *nn.Network, err error) {
 	if err := cfg.check(e); err != nil {
 		return nil, nil, err
@@ -127,25 +127,26 @@ func setup(cfg *Config, e engine, clients []*Client) (active []*Client, global *
 		c.rng = rand.New(rand.NewSource(cfg.Seed + int64(c.ID)*7919 + 1))
 		if cfg.Trace != nil && c.Device != nil {
 			// Round engines train clients concurrently, so each device
-			// gets a private ring that emit drains post-join in cohort
+			// gets a private log that emit drains post-join in cohort
 			// order — the merged trace is bit-identical for any worker
 			// count. Async device work runs on the event-loop goroutine
 			// only, so its devices share the run recorder.
 			c.Device.TraceID = c.ID
 			c.Device.Tracer = cfg.Trace
 			if e != asyncEngine {
-				c.Device.Tracer = trace.New(clientRingCapacity)
+				c.Device.Tracer = trace.NewLog(clientLogCapacity)
 			}
 		}
 	}
 	return active, global, nil
 }
 
-// clientRingCapacity bounds each client's private throttle ring. A round
-// produces a handful of governor transitions per device (engage/release
-// pairs plus rare hard trips), so 1024 is generous without being wasteful
-// per client.
-const clientRingCapacity = 1024
+// clientLogCapacity is the starting size of each device's private
+// throttle log. A log never drops: a large shard on a hot device makes
+// thousands of governor transitions in one round (a Nexus 6 training
+// VGG6 on 15,000 samples makes over 4,000), and the log grows to hold
+// them, then keeps that storage for later rounds.
+const clientLogCapacity = 1024
 
 // localEpoch runs one shuffled pass of minibatch SGD over local and
 // returns the mean batch loss — the only place gradient descent happens.
@@ -554,7 +555,7 @@ func (rc *roundCore) idle(k int, makespan float64) {
 }
 
 // emit merges one finished round over the first k slots into the run
-// trace: per-device throttle rings (drained in cohort order, stamped with
+// trace: per-device throttle logs (drained in cohort order, stamped with
 // the round), one KindClientRound event per member — immediately followed
 // by a KindFault event for fault victims — and the KindRoundSummary
 // aggregate. k = 0 records an empty round (nobody available). Runs on

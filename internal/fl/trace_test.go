@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"fedsched/internal/data"
+	"fedsched/internal/device"
+	"fedsched/internal/network"
+	"fedsched/internal/nn"
 	"fedsched/internal/trace"
 )
 
@@ -29,9 +32,48 @@ func countKind(events []trace.Event, kind trace.Kind) int {
 	return n
 }
 
+// TestThrottleTraceKeepsEveryTransition: a device's throttle events are
+// staged per round and drained into the run trace, and the staging must
+// not drop any. A Nexus 6 training VGG6 on a third of 60,000 samples makes
+// thousands of governor transitions in one round, more than the staging
+// buffer's starting size; every client_round's throttle count must be
+// matched by that many throttle events for the client in the round.
+func TestThrottleTraceKeepsEveryTransition(t *testing.T) {
+	var devs []*device.Device
+	var links []network.Link
+	var samples []int
+	for _, p := range device.Testbed(1) {
+		devs = append(devs, device.New(p))
+		links = append(links, network.WiFi())
+		samples = append(samples, 60000/3)
+	}
+	rec := trace.NewLog(0)
+	if _, err := SimulateRounds(nn.VGG6(1, 28, 28, 10), devs, links, samples, 20, 1, rec); err != nil {
+		t.Fatal(err)
+	}
+	type key struct{ round, client int }
+	staged := map[key]int{}
+	most := 0
+	for _, e := range rec.Events() {
+		switch e.Kind {
+		case trace.KindThrottle:
+			staged[key{e.Round, e.Client}]++
+		case trace.KindClientRound:
+			if got := staged[key{e.Round, e.Client}]; got < e.Throttles {
+				t.Errorf("round %d client %d: client_round reports %d throttles, trace holds %d throttle events",
+					e.Round, e.Client, e.Throttles, got)
+			}
+			most = max(most, e.Throttles)
+		}
+	}
+	if most <= clientLogCapacity {
+		t.Fatalf("busiest client made %d transitions; the test needs more than %d to exercise log growth", most, clientLogCapacity)
+	}
+}
+
 // TestRunTraceWorkersByteIdentical extends the engine's bit-identity
 // guarantee to the trace: the JSONL bytes of a fixed-seed run must be
-// equal for Workers 1 and 8 — per-client rings are merged post-join in
+// equal for Workers 1 and 8 — per-client logs are merged post-join in
 // client order, never in completion order.
 func TestRunTraceWorkersByteIdentical(t *testing.T) {
 	forceLanes(t, 8)
@@ -87,7 +129,7 @@ func TestRunTraceWorkersByteIdentical(t *testing.T) {
 	}
 }
 
-// TestAsyncTraceWorkersByteIdentical: the futures engine's merge events
+// TestAsyncTraceWorkersByteIdentical: the async engine's merge events
 // fire in virtual-time order on the event-loop goroutine, so the async
 // trace is byte-stable across worker counts too.
 func TestAsyncTraceWorkersByteIdentical(t *testing.T) {
@@ -110,7 +152,7 @@ func TestAsyncTraceWorkersByteIdentical(t *testing.T) {
 		t.Fatalf("expected 12 merge events, got %d", got)
 	}
 	if countKind(base.Events(), trace.KindSimStep) == 0 {
-		t.Fatal("expected sim-step events from the futures engine")
+		t.Fatal("expected sim-step events from the async engine")
 	}
 	if !bytes.Equal(traceJSONL(t, base), traceJSONL(t, run(4))) {
 		t.Fatal("async trace bytes differ between Workers=1 and Workers=4")

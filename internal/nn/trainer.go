@@ -79,104 +79,73 @@ type Trainer interface {
 // seeded draws stay aligned.
 func NewTrainer(p Precision, arch *Arch, rng *rand.Rand, lr, momentum float64) Trainer {
 	if p == F32 {
-		n := BuildNetwork[float32](arch, rng)
-		return &trainer32{
-			arch: arch,
-			net:  n,
-			opt:  NewSGDOf[float32](lr, momentum, 0),
-			ps:   n.Params(),
-		}
+		return newTrainer[float32](arch, rng, lr, momentum)
 	}
-	n := BuildNetwork[float64](arch, rng)
-	return &trainer64{net: n, opt: NewSGDOf[float64](lr, momentum, 0), ps: n.Params()}
+	return newTrainer[float64](arch, rng, lr, momentum)
 }
 
-// trainer64 is the zero-overhead float64 path: every method forwards to
-// the network/optimizer exactly as the engines historically called them,
-// and Weights exposes the live parameter tensors without copying.
-type trainer64 struct {
-	net *Network
-	opt *SGD
-	ps  []*Param
-	ws  []*tensor.Tensor // cached live-weight view
+func newTrainer[T tensor.Float](arch *Arch, rng *rand.Rand, lr, momentum float64) *trainer[T] {
+	n := BuildNetwork[T](arch, rng)
+	t := &trainer[T]{arch: arch, net: n, opt: NewSGDOf[T](lr, momentum, 0), ps: n.Params()}
+	t.live, _ = any(n).(*Network)
+	return t
 }
 
-// TrainBatch implements Trainer.
-//
-// fedlint:hotpath
-func (t *trainer64) TrainBatch(x *tensor.Tensor, labels []int) float64 {
-	return t.net.TrainBatch(x, labels)
-}
-
-// Step implements Trainer.
-//
-// fedlint:hotpath
-func (t *trainer64) Step() { t.opt.Step(t.ps) }
-
-func (t *trainer64) ResetOpt()        { t.opt.Reset() }
-func (t *trainer64) SetLR(lr float64) { t.opt.LR = lr }
-
-func (t *trainer64) SetWeights(ws []*tensor.Tensor) { t.net.SetWeights(ws) }
-
-func (t *trainer64) Weights() []*tensor.Tensor {
-	if t.ws == nil {
-		t.ws = t.net.Weights()
-	}
-	return t.ws
-}
-
-func (t *trainer64) GetWeights() []*tensor.Tensor { return t.net.GetWeights() }
-
-func (t *trainer64) HasNonFinite() bool {
-	for _, p := range t.ps {
-		for _, v := range p.W.Data() {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (t *trainer64) EvalNetwork() *Network { return t.net }
-
-// trainer32 trains a float32 model behind the float64 boundary: inputs
-// narrow through a persistent buffer, weights cross the boundary through
-// persistent float64 shadow tensors, and evaluation runs on a cached
-// float64 twin of the architecture.
-type trainer32 struct {
+// trainer trains a NetworkOf[T] behind the float64 boundary. At float64
+// the boundary is zero-copy: batches pass through, and Weights and
+// EvalNetwork hand out the live network's tensors. At float32 batches
+// narrow through a persistent buffer, Weights widens into persistent
+// float64 shadow tensors, and evaluation runs on a cached float64 twin of
+// the architecture.
+type trainer[T tensor.Float] struct {
 	arch *Arch
-	net  *NetworkOf[float32]
-	opt  *SGDOf[float32]
-	ps   []*ParamOf[float32]
+	net  *NetworkOf[T]
+	live *Network // net itself when T is float64, else nil
+	opt  *SGDOf[T]
+	ps   []*ParamOf[T]
 
-	xbuf   *tensor.TensorOf[float32] // persistent input-narrowing buffer
-	shadow []*tensor.Tensor          // persistent f64 weight shadows
-	eval   *Network                  // cached f64 twin for Evaluate
+	xbuf *tensor.TensorOf[T] // persistent input-narrowing buffer (float32)
+	ws   []*tensor.Tensor    // Weights' view: the live tensors or the shadows
+	eval *Network            // cached float64 twin for evaluation (float32)
 }
 
-// TrainBatch implements Trainer. The batch narrows into a workspace that
-// is reused across batches, so the steady state stays allocation-free.
+// convert copies src into dst, which has src's length, rounding or
+// widening each element; between equal element types it is a plain copy.
+func convert[D, S tensor.Float](dst *tensor.TensorOf[D], src *tensor.TensorOf[S]) {
+	if d, ok := any(dst).(*tensor.TensorOf[S]); ok {
+		copy(d.Data(), src.Data())
+		return
+	}
+	d := dst.Data()
+	for i, v := range src.Data() {
+		d[i] = D(v)
+	}
+}
+
+// TrainBatch implements Trainer. A float32 model narrows the batch into a
+// workspace that is reused across batches, so the steady state stays
+// allocation-free.
 //
 // fedlint:hotpath
-func (t *trainer32) TrainBatch(x *tensor.Tensor, labels []int) float64 {
-	t.xbuf = tensor.EnsureShape(t.xbuf, x.Shape()...)
-	xd, bd := x.Data(), t.xbuf.Data()
-	for i, v := range xd {
-		bd[i] = float32(v)
+func (t *trainer[T]) TrainBatch(x *tensor.Tensor, labels []int) float64 {
+	xt, ok := any(x).(*tensor.TensorOf[T])
+	if !ok {
+		t.xbuf = tensor.EnsureShape(t.xbuf, x.Shape()...)
+		convert(t.xbuf, x)
+		xt = t.xbuf
 	}
-	return t.net.TrainBatch(t.xbuf, labels)
+	return t.net.TrainBatch(xt, labels)
 }
 
 // Step implements Trainer.
 //
 // fedlint:hotpath
-func (t *trainer32) Step() { t.opt.Step(t.ps) }
+func (t *trainer[T]) Step() { t.opt.Step(t.ps) }
 
-func (t *trainer32) ResetOpt()        { t.opt.Reset() }
-func (t *trainer32) SetLR(lr float64) { t.opt.LR = lr }
+func (t *trainer[T]) ResetOpt()        { t.opt.Reset() }
+func (t *trainer[T]) SetLR(lr float64) { t.opt.LR = lr }
 
-func (t *trainer32) SetWeights(ws []*tensor.Tensor) {
+func (t *trainer[T]) SetWeights(ws []*tensor.Tensor) {
 	if len(ws) != len(t.ps) {
 		panic(fmt.Sprintf("nn: SetWeights got %d tensors, model has %d params", len(ws), len(t.ps)))
 	}
@@ -184,47 +153,42 @@ func (t *trainer32) SetWeights(ws []*tensor.Tensor) {
 		if p.W.Len() != ws[i].Len() {
 			panic(fmt.Sprintf("nn: SetWeights param %d size mismatch", i))
 		}
-		d, s := p.W.Data(), ws[i].Data()
-		for j, v := range s {
-			d[j] = float32(v)
-		}
+		convert(p.W, ws[i])
 	}
 }
 
-func (t *trainer32) Weights() []*tensor.Tensor {
-	if t.shadow == nil {
-		t.shadow = make([]*tensor.Tensor, len(t.ps))
+func (t *trainer[T]) Weights() []*tensor.Tensor {
+	if t.live != nil {
+		if t.ws == nil {
+			t.ws = t.live.Weights()
+		}
+		return t.ws
+	}
+	if t.ws == nil {
+		t.ws = make([]*tensor.Tensor, len(t.ps))
 		for i, p := range t.ps {
-			t.shadow[i] = tensor.New(p.W.Shape()...)
+			t.ws[i] = tensor.New(p.W.Shape()...)
 		}
 	}
 	for i, p := range t.ps {
-		d, s := t.shadow[i].Data(), p.W.Data()
-		for j, v := range s {
-			d[j] = float64(v)
-		}
+		convert(t.ws[i], p.W)
 	}
-	return t.shadow
+	return t.ws
 }
 
-func (t *trainer32) GetWeights() []*tensor.Tensor {
+func (t *trainer[T]) GetWeights() []*tensor.Tensor {
 	out := make([]*tensor.Tensor, len(t.ps))
 	for i, p := range t.ps {
-		w := tensor.New(p.W.Shape()...)
-		d := w.Data()
-		for j, v := range p.W.Data() {
-			d[j] = float64(v)
-		}
-		out[i] = w
+		out[i] = tensor.New(p.W.Shape()...)
+		convert(out[i], p.W)
 	}
 	return out
 }
 
-func (t *trainer32) HasNonFinite() bool {
+func (t *trainer[T]) HasNonFinite() bool {
 	for _, p := range t.ps {
 		for _, v := range p.W.Data() {
-			f := float64(v)
-			if math.IsNaN(f) || math.IsInf(f, 0) {
+			if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
 				return true
 			}
 		}
@@ -232,18 +196,17 @@ func (t *trainer32) HasNonFinite() bool {
 	return false
 }
 
-func (t *trainer32) EvalNetwork() *Network {
+func (t *trainer[T]) EvalNetwork() *Network {
+	if t.live != nil {
+		return t.live
+	}
 	if t.eval == nil {
 		// The fixed-seed build is weight-free in effect: every parameter
 		// is overwritten by the sync below before anyone reads it.
 		t.eval = BuildNetwork[float64](t.arch, rand.New(rand.NewSource(0)))
 	}
-	evalPs := t.eval.Params()
-	for i, p := range t.ps {
-		d := evalPs[i].W.Data()
-		for j, v := range p.W.Data() {
-			d[j] = float64(v)
-		}
+	for i, p := range t.eval.Params() {
+		convert(p.W, t.ps[i].W)
 	}
 	return t.eval
 }

@@ -492,6 +492,49 @@ func TestConcurrentJobs(t *testing.T) {
 	}
 }
 
+// TestTraceFollow tails a running job's trace with ?follow=1: the
+// response must keep streaming past what was on disk when it started, end
+// once the job settles, and carry exactly the final trace.jsonl.
+func TestTraceFollow(t *testing.T) {
+	s, ts := startServer(t, Options{})
+	st, resp := submit(t, ts, `{"clients":3,"rounds":30,"samples":120,"test_samples":60,"seed":4}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	waitFor(t, ts, st.ID, "a completed round", func(s JobStatus) bool { return s.RoundsDone >= 1 })
+	path := filepath.Join(s.opt.Dir, "jobs", st.ID, "trace.jsonl")
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur := getStatus(t, ts, st.ID); terminal(cur.State) {
+		t.Fatalf("job settled before the tail started: %+v", cur)
+	}
+
+	tr, err := http.Get(ts.URL + "/jobs/" + st.ID + "/trace?follow=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Body.Close()
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(tr.Body); err != nil {
+		t.Fatal(err)
+	}
+	if final := getStatus(t, ts, st.ID); final.State != StateCompleted {
+		t.Fatalf("follow ended with the job %s (%s)", final.State, final.Error)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body.Bytes(), want) {
+		t.Fatalf("followed trace (%d B) differs from the final trace.jsonl (%d B)", body.Len(), len(want))
+	}
+	if int64(body.Len()) <= before.Size() {
+		t.Fatalf("follow streamed %d B, no more than the %d B on disk when it began", body.Len(), before.Size())
+	}
+}
+
 // TestEngineCoverage runs one job per engine end to end. Only the sync
 // engine has a per-round checkpoint sink to flush the trace from; async
 // and gossip stream theirs from the Cancel poll. Either way the streamed

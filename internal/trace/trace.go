@@ -9,9 +9,9 @@
 // per-round aggregates (makespan, straggler id, accuracy).
 //
 // Determinism contract: a Recorder is single-writer. Engines that fan
-// client work out across a worker pool give each client its own ring
-// (one Recorder per client) and Drain them into the run recorder after
-// the round's join, in client-ID order — so the merged trace is
+// client work out across a worker pool give each client its own log
+// (one NewLog Recorder per client) and Drain them into the run recorder
+// after the round's join, in client-ID order — so the merged trace is
 // bit-identical for any worker count, exactly like the History itself
 // (see internal/fl/parallel_test.go). Exports (JSONL, CSV) are plain
 // field-ordered encodings of the event sequence, so equal event
@@ -150,12 +150,11 @@ type Event struct {
 // DefaultCapacity is the ring size used when New is given no capacity.
 const DefaultCapacity = 1 << 16
 
-// Recorder is a bounded ring of events. The zero ring is sized lazily by
-// New; when full, the oldest events are overwritten (and counted in
-// Dropped) so a long run records a bounded, most-recent window — unless
-// it is a log (NewLog), which grows instead. A nil
-// *Recorder is a valid sink that discards everything — call sites need no
-// enable branch. A Recorder is NOT safe for concurrent use: each engine
+// Recorder is a bounded ring of events, sized by New; when full, the
+// oldest events are overwritten (and counted in Dropped) so a long run
+// records a bounded, most-recent window — unless it is a log (NewLog),
+// which grows instead. A nil or zero *Recorder is a valid sink that
+// discards everything — call sites need no enable branch. A Recorder is NOT safe for concurrent use: each engine
 // (or each client inside a parallel round) owns its own.
 type Recorder struct {
 	buf     []Event

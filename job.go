@@ -58,8 +58,9 @@ type JobConfig struct {
 	Momentum    float64 `json:"momentum,omitempty"`     // default 0.9; negative means 0
 	Seed        int64   `json:"seed,omitempty"`
 	Precision   string  `json:"precision,omitempty"` // f64 (default) | f32
-	// Workers bounds intra-job training parallelism (fl.Config.Workers);
-	// it is also a fedserve job's lane budget for admission.
+	// Workers bounds intra-job parallelism (fl.Config.Workers: training
+	// for sync and gossip, only the final evaluation for async); it is
+	// also a fedserve job's lane budget for admission.
 	Workers int `json:"workers,omitempty"`
 
 	// CohortSize, when positive, samples that many clients uniformly
