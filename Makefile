@@ -6,7 +6,7 @@
 GO ?= go
 
 .PHONY: build test vet lint lint-ci \
-	fuzz-smoke fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-job \
+	fuzz-smoke fuzz-smoke-sched fuzz-smoke-select fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-job \
 	fuzz-smoke-ckpt fuzz-smoke-convblock fuzz-smoke-device fuzz-smoke-fedminavg \
 	fmt-check check check-nolint race race-tensor purego nofma trace-golden loc \
 	bench profile-pop profile-sched profile-train profile-churn \
@@ -35,7 +35,8 @@ lint-ci:
 
 # Short native-fuzz pass over the property-based targets: the Fed-LBAP
 # solver against the dense oracle and the full-range reference's event
-# stream, the cohort samplers' sortedness/bounds/determinism
+# stream, the sampled selection behind its cost ceiling against a sorted
+# copy, the cohort samplers' sortedness/bounds/determinism
 # contract, the fault plan's spec-parse/draw invariants, the trace
 # encoder against encoding/json, the pack-free convolution kernels
 # against the im2col oracle over random geometries, the fused backward
@@ -49,11 +50,14 @@ lint-ci:
 # Fed-MinAvg (Algorithm 2) against its step-by-step reference on random
 # non-IID problems. Seeds live under testdata/fuzz (or in the target); CI
 # runs this in the lint lane. Each target is its own recipe so one
-# failing fuzzer no longer hides the others: the umbrella runs all ten
+# failing fuzzer no longer hides the others: the umbrella runs all eleven
 # and fails at the end with the full list of failed targets.
 FUZZTIME ?= 10s
 fuzz-smoke-sched:
 	$(GO) test ./internal/sched -run '^$$' -fuzz FuzzFedLBAP -fuzztime $(FUZZTIME)
+
+fuzz-smoke-select:
+	$(GO) test ./internal/sched -run '^$$' -fuzz FuzzKthSmallest -fuzztime $(FUZZTIME)
 
 fuzz-smoke-sample:
 	$(GO) test ./internal/sample -run '^$$' -fuzz FuzzCohort -fuzztime $(FUZZTIME)
@@ -84,7 +88,7 @@ fuzz-smoke-fedminavg:
 
 fuzz-smoke:
 	@failed=""; \
-	for t in fuzz-smoke-sched fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-convblock fuzz-smoke-job fuzz-smoke-ckpt fuzz-smoke-device fuzz-smoke-fedminavg; do \
+	for t in fuzz-smoke-sched fuzz-smoke-select fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-convblock fuzz-smoke-job fuzz-smoke-ckpt fuzz-smoke-device fuzz-smoke-fedminavg; do \
 		$(MAKE) $$t FUZZTIME=$(FUZZTIME) || failed="$$failed $$t"; \
 	done; \
 	if [ -n "$$failed" ]; then \
@@ -255,7 +259,7 @@ profile-pop:
 # profile-pop: CPU-profile 20 sparse solves over 10^6 users × 10^4 shards
 # (BenchmarkFedLBAPFleet, the instance pop_scale times) and print the
 # cumulative top. Read the probe rows (survivor.kmax, survivor.at) and
-# the O(n) pass rows (sched.FedLBAP.Schedule flat, selectKth) off it. The
+# the O(n) pass rows (sched.FedLBAP.Schedule flat, kthSmallest) off it. The
 # profile and test binary stay under artifacts/ for `go tool pprof -list`.
 profile-sched:
 	mkdir -p artifacts

@@ -275,6 +275,9 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 	// evalNets are the evaluation pool's spare networks, likewise.
 	var sumW []*tensor.Tensor
 	var evalNets []*nn.Network
+	// final is the last round's evaluation of the weights the run ends
+	// with, nil when that round did not evaluate.
+	var final *Confusion
 
 	// finish stamps the run-final fields; it is shared by the success
 	// path and the partial-History error paths so callers can always
@@ -369,7 +372,11 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 			rc.idle(len(sel), cl.makespan)
 			if test != nil && (round == cfg.Rounds-1 || (cfg.EvalEvery > 0 && (round+1)%cfg.EvalEvery == 0)) {
 				global.SetWeights(globalW)
-				stats.Accuracy = evaluate(global, test, 256, cfg.Workers, &evalNets).Accuracy()
+				conf := evaluate(global, test, 256, cfg.Workers, &evalNets)
+				stats.Accuracy = conf.Accuracy()
+				if round == cfg.Rounds-1 {
+					final = conf
+				}
 			}
 		}
 		rc.emit(round, len(sel), &cl, stats.TrainLoss, stats.Accuracy)
@@ -387,10 +394,14 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 
 	finish()
 	if test != nil {
-		// Evaluate the final model directly: the last round may not have
-		// evaluated (all-dropped deadline rounds report -1).
-		hist.Confusion = evaluate(global, test, 256, cfg.Workers, &evalNets)
-		hist.FinalAccuracy = hist.Confusion.Accuracy()
+		// The last round evaluated the final model already, unless it was
+		// idle, failed or all-dropped (reported -1) or a resume left no
+		// round to run.
+		if final == nil {
+			final = evaluate(global, test, 256, cfg.Workers, &evalNets)
+		}
+		hist.Confusion = final
+		hist.FinalAccuracy = final.Accuracy()
 	}
 	return hist, nil
 }
@@ -425,7 +436,7 @@ func evaluate(net *nn.Network, test *data.Dataset, batch, workers int, spares *[
 	preds := make([][]int, nb)
 	forEachBatch(net, spares, workers, nb, func(bi int, m *nn.Network) {
 		x, _ := test.Batch(bi*batch, min((bi+1)*batch, n))
-		preds[bi] = m.Predict(x)
+		preds[bi] = predict(m, x)
 	})
 	for bi, p := range preds {
 		c.Add(test.Labels[bi*batch:bi*batch+len(p)], p)

@@ -3,12 +3,14 @@ package fl
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"fedsched/internal/data"
 	"fedsched/internal/device"
 	"fedsched/internal/network"
 	"fedsched/internal/nn"
+	"fedsched/internal/tensor"
 )
 
 func smallConfig(rounds int) Config {
@@ -184,6 +186,36 @@ func TestEvalEvery(t *testing.T) {
 	}
 	if hist.Rounds[1].Accuracy < 0 || hist.Rounds[3].Accuracy < 0 {
 		t.Fatal("missing evaluation on scheduled rounds")
+	}
+}
+
+func TestFinalRoundEvaluatedOnce(t *testing.T) {
+	// With EvalEvery 1 the last round evaluates the weights the run ends
+	// with, so the final confusion matrix is that evaluation, not a second
+	// pass over the test set. Workers 1 and a one-batch test set make
+	// every pass one predict call.
+	train, test := data.TrainTest(data.SMNISTConfig(0, 4), 300, 100)
+	part := data.IIDEqual(train, 2, rand.New(rand.NewSource(1)))
+	const rounds = 3
+	cfg := smallConfig(rounds)
+	cfg.EvalEvery, cfg.Workers = 1, 1
+	calls := 0
+	prev := predict
+	predict = func(m *nn.Network, x *tensor.Tensor) []int { calls++; return prev(m, x) }
+	t.Cleanup(func() { predict = prev })
+	hist, err := Run(cfg, clientsFromPartition(t, train, part), test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != rounds {
+		t.Errorf("%d rounds evaluated the test set %d times, want %d", rounds, calls, rounds)
+	}
+	fresh := evaluate(hist.Model, test, 256, 1, nil)
+	if !reflect.DeepEqual(hist.Confusion, fresh) {
+		t.Errorf("final confusion %+v, a fresh evaluation gives %+v", hist.Confusion, fresh)
+	}
+	if hist.FinalAccuracy != hist.Rounds[rounds-1].Accuracy {
+		t.Errorf("final accuracy %v, last round's %v", hist.FinalAccuracy, hist.Rounds[rounds-1].Accuracy)
 	}
 }
 

@@ -131,3 +131,6 @@ func forEachBatch(net *nn.Network, spares *[]*nn.Network, workers, n int, fn fun
 
 // cloneNet builds an extra batch worker's network; tests count the calls.
 var cloneNet = (*nn.Network).Clone
+
+// predict classifies one evaluation batch; tests count the calls.
+var predict = (*nn.Network).Predict

@@ -31,8 +31,10 @@ type cooldownState struct{ strikes, until int }
 // that fails a round is skipped for BaseRounds rounds, doubling per
 // consecutive failure up to maxCooldownRounds — the production-FL
 // pattern of not hammering a phone that keeps dying mid-round. A success
-// clears the record, so state stays O(recently failed), not
-// O(population).
+// clears the record, but nothing else does: a client that fails and is
+// never drawn again keeps its record, so state grows with the number of
+// distinct clients that ever failed, bounded by the population, not with
+// the recently failed.
 //
 // Filtering happens inside the base cohort: the wrapper never redraws, so
 // a fully-failed cohort shrinks rather than being replaced (callers

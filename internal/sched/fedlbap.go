@@ -24,9 +24,9 @@ var ErrNotMonotone = errors.New("sched: a cost curve is not nondecreasing (Prope
 // classic LBAP's perfect-matching test with g(c) ≥ s. The solve finds the
 // smallest matrix value c* with g(c*) ≥ s:
 //
-//  1. Bound: c_hi = the s-th smallest first-shard cost (n > s, found by
-//     deterministic quickselect) or the max full-capacity cost (n ≤ s);
-//     g(c_hi) ≥ s by construction.
+//  1. Bound: c_hi = the s-th smallest first-shard cost (n > s, selected
+//     from a sampled band without copying or permuting the n costs) or
+//     the max full-capacity cost (n ≤ s); g(c_hi) ≥ s by construction.
 //  2. Prune: users whose first-shard cost exceeds c_hi can never hold a
 //     shard at any feasible threshold ≤ c_hi, so only the ~s survivors
 //     participate from here on — this is what makes the solve
@@ -37,9 +37,9 @@ var ErrNotMonotone = errors.New("sched: a cost curve is not nondecreasing (Prope
 //     bisection cannot give: c* is a value of the implicit matrix, the
 //     one a binary search over the sorted materialised matrix finds.
 //     Every probe narrows a per-survivor bracket on the feasible maximum
-//     and the next one searches only inside it, so the ~60 probes cost
-//     O(m log² s) evaluations between them on smooth curves instead of
-//     O(m log s) each.
+//     and the next one gallops up from the bracket's bottom, so a
+//     survivor whose maximum barely moves costs O(1) evaluations a probe
+//     and a settled one (bracket closed) costs none.
 //  4. Assign: hand out per-user feasible maxima under c*, then trim the
 //     overshoot from the largest marginal costs via a replace-top
 //     max-heap (ties broken toward the smallest user index), so the
@@ -59,15 +59,16 @@ type FedLBAP struct{}
 func (FedLBAP) Name() string { return "Fed-LBAP" }
 
 // Schedule implements Scheduler. Runtime is one pass over the n users to
-// validate, bound and prune, plus the threshold search over m ≈ s
+// validate and price the first shard, one read pass over those costs to
+// select the bound, the prune, plus the threshold search over m ≈ s
 // survivors, amortised across its ~60 probes by the per-survivor brackets
-// (invariant below): a bracket's width follows kmax(hiv) − kmax(lov),
-// which halving (lov, hiv] roughly halves, so a survivor's searches cost
-// about log s, log s − 1, …, 0 evaluations (a cliff that no probe crosses
-// still costs its survivor log s every time). From the prune on, the
-// solve reads only its survivor records, never the request's users:
-// ~60 ms at n=10^6, s=10^4 on a 2-vCPU Xeon (see BenchmarkFedLBAPFleet),
-// 2,623,060 cost evaluations of which 10^6 are the first-shard pass.
+// (invariant below): a probe gallops from klo, so a survivor pays about
+// 2·log₂(kmax(c) − klo + 1) evaluations — a feasible maximum that moved
+// by d since the last infeasible probe costs O(log d), not the log of the
+// bracket — and nothing once its bracket has closed. From the prune on,
+// the solve reads only its survivor records, never the request's users:
+// ~40 ms at n=10^6, s=10^4 on a 2-vCPU Xeon (see BenchmarkFedLBAPFleet),
+// 1,185,486 cost evaluations of which 10^6 are the first-shard pass.
 // Deterministic (rng is unused). The O(n) workspaces below are per-solve
 // scratch, freed on return — the population round loop passes
 // cohort-sized requests, so in steady state this stays O(selected).
@@ -106,10 +107,9 @@ func (FedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 	}
 	if n > s {
 		// s users can each take one shard at the s-th smallest first-shard
-		// cost, so g(c_hi) ≥ s. Quickselect permutes, so work on a copy.
-		scratch := make([]float64, n) //fedlint:allow hotalloc — per-solve O(n) scratch, not round-loop state
-		copy(scratch, first)
-		chi = selectKth(scratch, s-1)
+		// cost, so g(c_hi) ≥ s. The prune reads first in user order, so
+		// the selection leaves it as it is.
+		chi = kthSmallest(first, s-1)
 	}
 
 	// Prune: a user with first-shard cost above c_hi (beyond float slack)
@@ -150,7 +150,11 @@ func (FedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 		lim := slackAbove(c)
 		for i := range recs {
 			r := &recs[i]
-			r.kcur = r.kmax(c, lim, hiv, sz)
+			if r.klo == r.khi && c <= hiv {
+				r.kcur = r.klo // settled: kmax would return klo unevaluated
+			} else {
+				r.kcur = r.kmax(c, lim, hiv, sz)
+			}
 			total += r.kcur
 			if total >= s {
 				return total, i + 1
@@ -323,14 +327,29 @@ func (r *survivor) at(k, shardSize int) float64 {
 	return floorCost(r.cost(k*shardSize) + r.comm)
 }
 
-// kmax is kmax_i(c), lim = slackAbove(c): bisection inside the bracket
-// [klo, khi], or up to the capacity for a c above hiv.
+// kmax is kmax_i(c), lim = slackAbove(c), inside the bracket [klo, khi]
+// (up to the capacity for a c above hiv): a gallop up from klo in
+// doubling steps, klo+1, klo+3, klo+7, …, capped at the top, then
+// bisection inside the step that failed. Between probes the maximum
+// moves little, so the gallop stops after a few steps where a bisection
+// of the whole bracket would pay its log₂ every time. On a
+// nondecreasing curve the maximum is unique, so the route does not
+// change the result.
 //
 // fedlint:hotpath
 func (r *survivor) kmax(c, lim, hiv float64, shardSize int) int {
 	lo, hi := r.klo, r.khi
 	if c > hiv {
 		hi = r.capacity
+	}
+	for step := 1; lo < hi; step *= 2 {
+		probe := min(lo+step, hi)
+		if r.at(probe, shardSize) <= lim {
+			lo = probe
+		} else {
+			hi = probe - 1
+			break
+		}
 	}
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
@@ -407,6 +426,72 @@ func siftDown(heapBuf []trimEntry, i, hn int) {
 		heapBuf[i], heapBuf[best] = heapBuf[best], heapBuf[i]
 		i = best
 	}
+}
+
+// selectSample is the size of the strided sample kthSmallest takes its
+// pivots from.
+const selectSample = 1024
+
+// kthSmallest returns the k-th smallest element (0-indexed, k < len(a))
+// of a without permuting it. Two pivots taken from a strided sample
+// bracket the k-th value's expected rank, one read pass counts the values
+// below that band and gathers the band, and selectKth finishes on the
+// band alone. The k-th smallest value is unique (±0 compare equal), so
+// for any order of non-NaN values the result is what selectKth returns on
+// a full copy: a band that misses k widens to everything on the side that
+// missed (the pass has counted it), a band too large for ws gets an exact
+// one, and either takes one more pass — at most two in all.
+//
+// fedlint:hotpath
+func kthSmallest(a []float64, k int) float64 {
+	n := len(a)
+	m := min(n, selectSample)
+	// The k-th value's rank in the sample is binomial around r; a band
+	// three standard deviations either side rarely misses.
+	r := k * m / n
+	d := 2 + int(3*math.Sqrt(float64(r*(m-r))/float64(m)))
+	r1, r2 := max(r-d, 0), min(r+d, m-1)
+	ws := grow(nil, max(m, 2*(r2-r1+1)*(n/m+1)))
+	for i := range m {
+		ws[i] = a[i*n/m]
+	}
+	selectKth(ws[:m], r2)
+	hi := ws[r2]
+	selectKth(ws[:r2+1], r1)
+	lo := ws[r1]
+	for {
+		below, nb := 0, 0
+		for _, v := range a {
+			if v < lo {
+				below++
+			} else if v <= hi {
+				if nb < len(ws) {
+					ws[nb] = v
+				}
+				nb++
+			}
+		}
+		switch {
+		case k < below:
+			lo, hi, nb = math.Inf(-1), math.Nextafter(lo, math.Inf(-1)), below
+		case k >= below+nb:
+			if math.IsInf(hi, 1) {
+				return math.NaN() // only NaNs lie above the band
+			}
+			lo, hi, nb = math.Nextafter(hi, math.Inf(1)), math.Inf(1), n-below-nb
+		case nb <= len(ws):
+			return selectKth(ws[:nb], k-below)
+		}
+		ws = grow(ws, nb)
+	}
+}
+
+// grow returns ws if it holds n values, else a fresh slice of n.
+func grow(ws []float64, n int) []float64 {
+	if n <= len(ws) {
+		return ws
+	}
+	return make([]float64, n) //fedlint:allow hotalloc — per-solve selection scratch: a sample, then a band
 }
 
 // selectKth returns the k-th smallest element (0-indexed) of a,

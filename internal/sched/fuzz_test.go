@@ -68,7 +68,7 @@ func abs(v int) int {
 func FuzzFedLBAP(f *testing.F) {
 	f.Add(uint64(1), 8, 40, 2)
 	f.Add(uint64(42), 1, 1, 1)
-	f.Add(uint64(7), 30, 5, 3)   // n > s: quickselect bound + pruning path
+	f.Add(uint64(7), 30, 5, 3)   // n > s: selected bound + pruning path
 	f.Add(uint64(99), 4, 199, 1) // deep curves: bisection + exact walk
 	f.Fuzz(func(t *testing.T, seed uint64, nUsers, totalShards, shardSize int) {
 		req := fuzzRequest(seed, nUsers, totalShards, shardSize)
@@ -215,4 +215,53 @@ func minTimeGreedy(req *Request) []int {
 		shards[best]++
 	}
 	return shards
+}
+
+// FuzzKthSmallest holds kthSmallest, the sampled selection behind
+// FedLBAP's cost ceiling, to a sorted copy at lengths FuzzFedLBAP's
+// instances never reach: fuzzed length, k and value order — hashed, few
+// distinct values, ascending, descending, and the sampled positions
+// filled from either far end so the band misses k and widens.
+func FuzzKthSmallest(f *testing.F) {
+	f.Add(uint64(1), 5000, 50, uint8(0))
+	f.Add(uint64(2), 1025, 1023, uint8(1))
+	f.Add(uint64(3), 9000, 30, uint8(4))
+	f.Add(uint64(4), 9000, 8990, uint8(5))
+	f.Fuzz(func(t *testing.T, seed uint64, length, k int, order uint8) {
+		n := 1 + abs(length)%20_000
+		k = abs(k) % n
+		m := min(n, selectSample)
+		sampled := make([]bool, n)
+		for i := range m {
+			sampled[i*n/m] = true
+		}
+		a := make([]float64, n)
+		for i := range a {
+			h := fuzzMix(seed + uint64(i))
+			switch order % 6 {
+			case 0:
+				a[i] = float64(h>>11) / (1 << 53)
+			case 1:
+				a[i] = float64(h % 4)
+			case 2:
+				a[i] = float64(i)
+			case 3:
+				a[i] = float64(n - i)
+			case 4, 5:
+				a[i] = float64(h % 1000)
+				if sampled[i] == (order%6 == 4) {
+					a[i] += 1000
+				}
+			}
+		}
+		sorted := slices.Clone(a)
+		slices.Sort(sorted)
+		orig := slices.Clone(a)
+		if got := kthSmallest(a, k); got != sorted[k] {
+			t.Fatalf("n=%d: kthSmallest(%d) = %v, want %v", n, k, got, sorted[k])
+		}
+		if !slices.Equal(a, orig) {
+			t.Fatalf("n=%d: kthSmallest permuted its input", n)
+		}
+	})
 }

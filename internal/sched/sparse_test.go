@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -274,6 +275,25 @@ func TestSparseProbeStreamMatchesReference(t *testing.T) {
 			return 0.5 + float64(samples)/100
 		}},
 	}
+	// Galloping edges. A cheap user behind every feasible probe's early
+	// exit keeps its bracket top at the capacity: past its cliff at k = 3
+	// the first gallop step fails (kmax == klo).
+	wall := append(jitterUsers(40), &User{Cost: func(samples int) float64 {
+		if samples > 300 {
+			return 1e9
+		}
+		return 0.1
+	}})
+	// One free user takes every shard: the gallop runs 1, 3, 7, … into its
+	// capacity s.
+	free := append([]*User{{Cost: func(int) float64 { return 0.5 }}}, jitterUsers(5)...)
+	// The same with a capped user: the gallop is cut short at cap 6.
+	capped6 := append(jitterUsers(30), &User{Cost: func(int) float64 { return 0.2 }, CapacityShards: 6})
+	// The exact walk's candidate 2 lies above hiv ≈ 2 − 2e-9, and user 0
+	// is settled at klo = khi = 1 with C[0][2] = 2 + 1e-12 inside the
+	// candidate's slack: its search must run up to the capacity.
+	over := []*User{tableUser(50, []float64{1, 2 + 1e-12}), tableUser(50, []float64{1.5, 2, 100})}
+	over[0].CapacityShards, over[1].CapacityShards = 2, 3
 	for _, c := range []struct {
 		name string
 		req  *Request
@@ -285,6 +305,10 @@ func TestSparseProbeStreamMatchesReference(t *testing.T) {
 		{"exact-fit", &Request{TotalShards: 10, ShardSize: 50, Users: exact}},
 		{"within-slack", &Request{TotalShards: 40, ShardSize: 100, Users: hair}},
 		{"long-walk", &Request{TotalShards: 10, ShardSize: 100, Users: cliff}},
+		{"gallop-first-step-fails", &Request{TotalShards: 200, ShardSize: 100, Users: wall}},
+		{"gallop-to-capacity", &Request{TotalShards: 50, ShardSize: 100, Users: free}},
+		{"gallop-to-cap", &Request{TotalShards: 200, ShardSize: 100, Users: capped6}},
+		{"walk-over-hiv", &Request{TotalShards: 3, ShardSize: 50, Users: over}},
 	} {
 		t.Run(c.name, func(t *testing.T) { assertSparseMatchesReference(t, c.req) })
 	}
@@ -304,15 +328,18 @@ func countCosts(users []*User) *int {
 func TestSparseCostEvalBudget(t *testing.T) {
 	// The counts are deterministic, so they gate exactly. The full-range
 	// reference spends 50,821 evaluations on the cohort-sized instance and
-	// 8,384,261 on the fleet-sized one. A traced solve adds one more
+	// 8,384,261 on the fleet-sized one; bisecting every bracket from end
+	// to end spent 3,816 and 2,623,060. Galloping up from klo and
+	// skipping settled survivors leaves 2,912 and 1,185,486, of which
+	// 10^6 are the fleet's first-shard pass. A traced solve adds one more
 	// pricing per shard holder, for its KindSchedule events; an untraced
 	// one prices nothing after the makespan.
 	for _, c := range []struct {
 		n, s, want int
 		long       bool
 	}{
-		{96, 600, 3_816, false},
-		{1_000_000, 10_000, 2_623_060, true},
+		{96, 600, 2_912, false},
+		{1_000_000, 10_000, 1_185_486, true},
 	} {
 		if c.long && testing.Short() {
 			continue
@@ -446,6 +473,56 @@ func TestSelectKth(t *testing.T) {
 	one := []float64{7}
 	if selectKth(one, 0) != 7 {
 		t.Fatal("single-element select")
+	}
+
+	// kthSmallest against a sorted copy, leaving its input as it was. The
+	// sizes straddle the sample; n = 4·selectSample samples every fourth
+	// value, which the two "hidden" orders fill with values from the far
+	// end, so the band misses k and widens (low, then high side), and the
+	// all-equal inputs overfill the band.
+	for _, c := range []struct {
+		name  string
+		order func(i, n int) float64
+	}{
+		{"ascending", func(i, n int) float64 { return float64(i) }},
+		{"descending", func(i, n int) float64 { return float64(n - i) }},
+		{"all-equal", func(i, n int) float64 { return 3.5 }},
+		{"two-valued", func(i, n int) float64 { return float64(i % 2) }},
+		{"organ-pipe", func(i, n int) float64 { return float64(min(i, n-1-i)) }},
+		{"hidden-low", func(i, n int) float64 {
+			if i%4 == 0 {
+				return float64(n + i)
+			}
+			return float64(i)
+		}},
+		{"hidden-high", func(i, n int) float64 {
+			if i%4 == 0 {
+				return float64(i)
+			}
+			return float64(n + i)
+		}},
+	} {
+		for _, n := range []int{2, 3, selectSample - 1, selectSample, selectSample + 1, 4 * selectSample, 100_003} {
+			a := make([]float64, n)
+			for i := range a {
+				a[i] = c.order(i, n)
+			}
+			sorted := slices.Clone(a)
+			slices.Sort(sorted)
+			orig := slices.Clone(a)
+			// n − 2 is the bound's k when n = s + 1.
+			for _, k := range []int{0, n / 100, 10, n / 2, n - 10, n - 2, n - 1} {
+				if k < 0 || k >= n {
+					continue
+				}
+				if got := kthSmallest(a, k); got != sorted[k] {
+					t.Fatalf("%s n=%d: kthSmallest(%d) = %v, want %v", c.name, n, k, got, sorted[k])
+				}
+			}
+			if !slices.Equal(a, orig) {
+				t.Fatalf("%s n=%d: kthSmallest permuted its input", c.name, n)
+			}
+		}
 	}
 }
 
