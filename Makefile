@@ -244,11 +244,12 @@ bench:
 # fedsim run at the benchmark's settings (10^6 clients, faults,
 # over-selection, quorum, cooldown, 1,000 rounds, traced, JSONL export)
 # through SimulatePopulationRounds — and print the cumulative top of the
-# profile. Pipelined, the planner's rows (the sampler draw,
-# sched.FedLBAP.Schedule) sit under fl.(*PopulationRunner).pipeline and
-# the player's (device.TrainLockstep, Device.advance) under its
-# goroutine, fl.(*PopulationRunner).pipeline.func1. The profile and test
-# binary stay under artifacts/ for `go tool pprof -list`.
+# profile. Both halves of a step run under the fan-out task
+# fl.SimulatePopulationRounds.func1: the planner's rows (the sampler
+# draw, sched.FedLBAP.Schedule) under fl.(*PopulationRunner).plan, the
+# player's (device.TrainLockstep, Device.advance) under
+# fl.(*PopulationRunner).play. The profile and test binary stay under
+# artifacts/ for `go tool pprof -list`.
 profile-pop:
 	mkdir -p artifacts
 	$(GO) test -run '^$$' -bench 'BenchmarkPopulationRun$$' -benchtime=5x -benchmem \

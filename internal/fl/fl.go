@@ -315,7 +315,7 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 			// owns its network, optimizer, RNG, local shard and simulated
 			// device, so workers never share mutable state; everything
 			// order-sensitive happens after the join, in cohort order.
-			workers := workerCount(cfg.Workers, len(sel))
+			workers := tensor.WorkerCount(cfg.Workers, len(sel))
 			order := rc.longestFirst(workers, sel, active)
 			forEach(workers, len(sel), func(i int) {
 				si := order[i]
@@ -430,7 +430,7 @@ func evaluate(net *nn.Network, test *data.Dataset, batch, workers int, spares *[
 	if n == 0 {
 		return c
 	}
-	workers = workerCount(workers, n)
+	workers = tensor.WorkerCount(workers, n)
 	batch = min(batch, (n+workers-1)/workers)
 	nb := (n + batch - 1) / batch
 	preds := make([][]int, nb)

@@ -6,6 +6,7 @@ import (
 
 	"fedsched/internal/data"
 	"fedsched/internal/nn"
+	"fedsched/internal/tensor"
 )
 
 // Topology selects the gossip communication pattern.
@@ -96,7 +97,7 @@ func RunGossip(cfg GossipConfig, clients []*Client, test *data.Dataset) (*Gossip
 		// so they fan out across the worker pool; everything that couples
 		// clients — makespan, idling, pairwise averaging — runs after the
 		// join in deterministic order.
-		workers := workerCount(cfg.Workers, len(sel))
+		workers := tensor.WorkerCount(cfg.Workers, len(sel))
 		order := rc.longestFirst(workers, sel, active)
 		forEach(workers, len(sel), func(i int) {
 			rc.stepClient(order[i], round, active[sel[order[i]]], &cfg.Config, nil)

@@ -323,7 +323,7 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	_, test := data.TrainTest(data.SMNISTConfig(0, 64), 10, 230)
 	net := nn.LeNetSmall(1, 16, 16, 10).Build(rand.New(rand.NewSource(3)))
 
-	// Serial: GOMAXPROCS 1 → workerCount resolves to 1, no clones.
+	// Serial: GOMAXPROCS 1 → WorkerCount resolves to 1, no clones.
 	forceLanes(t, 1)
 	serialAcc := Evaluate(net, test, 64)
 	serialConf := evaluate(net, test, 64, 0, nil)
@@ -568,8 +568,8 @@ func TestWorkerCount(t *testing.T) {
 		{5, 0, 1},
 	}
 	for _, c := range cases {
-		if got := workerCount(c.requested, c.tasks); got != c.want {
-			t.Errorf("workerCount(%d, %d) = %d, want %d", c.requested, c.tasks, got, c.want)
+		if got := tensor.WorkerCount(c.requested, c.tasks); got != c.want {
+			t.Errorf("tensor.WorkerCount(%d, %d) = %d, want %d", c.requested, c.tasks, got, c.want)
 		}
 	}
 }

@@ -39,10 +39,11 @@ type PopulationConfig struct {
 	// TotalShards per round (0: 600), of popShardSize samples each.
 	TotalShards int
 	// Workers, resolved like Config.Workers (0: GOMAXPROCS, < 0: 1),
-	// pipelines SimulatePopulationRounds: at ≥ 2 the calling goroutine
-	// plans round r+1 while a second one, holding one lane of the process
-	// budget, plays round r; at 1 (or with no lane free) both run inline.
-	// Results and traces are bit-identical for any value.
+	// overlaps SimulatePopulationRounds' plan and play: at ≥ 2 a
+	// tensor.FanOut worker holding one lane of the process budget plays
+	// a batch of rounds while the other plans the next batch; at 1 (or
+	// with no lane free) the two run one after the other. Results and
+	// traces are bit-identical for any value.
 	Workers int
 	// BatteryBudget, a fraction in [0, 1], caps each cohort member's
 	// shards at what that fraction of its remaining battery affords per
@@ -163,8 +164,8 @@ type PopulationRunner struct {
 	rc  *roundCore
 	rep sample.FailureReporter
 
-	// plans[0] serves Round; a pipelined run alternates two batches of
-	// pipelineBatch plans.
+	// plans[0] serves Round; SimulatePopulationRounds alternates two
+	// batches of pipelineBatch plans.
 	plans []*popPlan
 	// burns and secs are play's per-slot scratch for the lockstep burn:
 	// the samples strike hands it and the compute seconds it returns.
@@ -421,105 +422,66 @@ func (r *PopulationRunner) play(p *popPlan) PopulationRound {
 }
 
 // SimulatePopulationRounds builds a runner and simulates cfg.Rounds
-// rounds, pipelined when Workers allows (see PopulationConfig.Workers).
-// Same-seed runs are bit-identical (history and trace) for any Workers
+// rounds in batches of pipelineBatch: each step is a two-task FanOut
+// that plays the batch planned last while it plans the next, on two
+// goroutines when Workers and a free lane allow, one after the other
+// otherwise (see PopulationConfig.Workers). Plans run in round order and
+// plays in round order, and no plan depends on a play (see plan), so
+// same-seed runs are bit-identical (history and trace) for any Workers
 // value. A mid-run scheduler error returns the completed rounds as a
-// partial history alongside the error.
+// partial history alongside the error: every round planned before the
+// failure still plays, then the failed plan's partial solver events are
+// drained after theirs.
 func SimulatePopulationRounds(cfg PopulationConfig) (*PopulationHistory, error) {
 	r, err := NewPopulationRunner(cfg)
 	if err != nil {
 		return nil, err
 	}
 	hist := &PopulationHistory{Rounds: make([]PopulationRound, 0, r.cfg.Rounds)}
-	if workerCount(r.cfg.Workers, r.cfg.Rounds) > 1 {
-		return hist, r.pipeline(hist)
-	}
-	return hist, r.inline(hist)
-}
-
-// inline simulates the rounds one Round at a time.
-func (r *PopulationRunner) inline(hist *PopulationHistory) error {
-	for round := 0; round < r.cfg.Rounds; round++ {
-		pr, err := r.Round(round)
-		if err != nil {
-			return err
-		}
-		hist.add(pr)
-	}
-	return nil
-}
-
-// pipelineBatch is how many rounds a pipelined run hands from planner to
-// player at a time. The two goroutines meet once per batch, not twice
-// per round: a round takes a few hundred microseconds, and waking a
-// parked goroutine for each one ate the overlap (on a host whose second
-// vCPU was contended, a per-round handoff ran 12 % slower than inline).
-// Two batches of plans stay resident (a plan is ~75 KB at cohort 96);
-// batches of 8 were 3 % faster for twice the memory.
-const pipelineBatch = 4
-
-// pipeline simulates the rounds on two goroutines: this one plans the
-// next batch of rounds while a player, holding one borrowed lane, plays
-// the batch before it. Plans run in round order here and plays in round
-// order on the player, and no plan depends on a play (see plan), so
-// history and trace are inline's to the byte. A failed plan still lets
-// every round before it finish, then drains its partial solver events
-// after theirs. With no lane free it is inline.
-func (r *PopulationRunner) pipeline(hist *PopulationHistory) error {
-	if tensor.TryAcquireLanes(1) == 0 {
-		return r.inline(hist)
-	}
-	defer tensor.ReleaseLanes(1)
 	for len(r.plans) < 2*pipelineBatch {
 		r.plans = append(r.plans, r.newPlan(len(r.plans[0].sel)))
 	}
-	// The player owns hist until it exits; done hands it back.
-	plays := make(chan []*popPlan)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for batch := range plays {
-			for _, p := range batch {
-				hist.add(r.play(p))
-			}
-			done <- struct{}{}
-		}
-	}()
-
+	var played []*popPlan
 	var failed *popPlan
-	var err error
-	planBatch := func(from int, batch []*popPlan) []*popPlan {
-		for i, p := range batch {
-			if from+i == r.cfg.Rounds {
-				return batch[:i]
-			}
-			if err = r.plan(from+i, p); err != nil {
-				failed = p
-				return batch[:i]
-			}
-		}
-		return batch
-	}
-	side := func(b int) []*popPlan { return r.plans[b*pipelineBatch : (b+1)*pipelineBatch] }
-	b, next := 0, 0
-	batch := planBatch(next, side(b))
-	for len(batch) > 0 {
-		next += len(batch)
-		plays <- batch
-		b = 1 - b
-		batch = nil
+	for b, next := 0, 0; ; b = 1 - b {
+		var planning []*popPlan
 		if err == nil {
-			batch = planBatch(next, side(b))
+			planning = r.plans[b*pipelineBatch : b*pipelineBatch+min(pipelineBatch, r.cfg.Rounds-next)]
 		}
-		<-done
+		if len(played) == 0 && len(planning) == 0 {
+			break
+		}
+		planned := 0
+		tensor.FanOut(r.cfg.Workers, 2, struct{}{}, nil, func(task int, _ struct{}) {
+			if task == 0 {
+				for _, p := range played {
+					hist.add(r.play(p))
+				}
+				return
+			}
+			for ; planned < len(planning); planned++ {
+				if err = r.plan(next+planned, planning[planned]); err != nil {
+					failed = planning[planned]
+					return
+				}
+			}
+		})
+		played, next = planning[:planned], next+planned
 	}
-	close(plays)
-	<-done // the player has exited
-	if err != nil {
+	if failed != nil {
 		r.rc.trace.Drain(failed.log)
 	}
-	return err
+	return hist, err
 }
+
+// pipelineBatch is how many rounds one step of SimulatePopulationRounds
+// plans and plays. The two tasks meet once per batch, not twice per
+// round: a round takes a few hundred microseconds, and waking a parked
+// goroutine for each one ate the overlap (on a host whose second vCPU
+// was contended, a per-round handoff ran 12 % slower than inline). Two
+// batches of plans stay resident (a plan is ~75 KB at cohort 96);
+// batches of 8 were 3 % faster for twice the memory.
+const pipelineBatch = 4
 
 // add appends one simulated round to the history.
 func (h *PopulationHistory) add(pr PopulationRound) {

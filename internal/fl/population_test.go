@@ -236,8 +236,10 @@ func (s *failingScheduler) Schedule(req *sched.Request, rng *rand.Rand) (*sched.
 }
 
 // TestPopulationPipelineByteIdentical: a pipelined run (Workers ≥ 2,
-// lanes free) plans rounds ahead of their play; histories, trace bytes
-// and the ring's drop count must equal the inline loop's across hundreds
+// lanes free) plans a batch of rounds while it plays the last one;
+// histories, trace bytes and the ring's drop count must equal a
+// Round-by-Round run's, and so must a sequential one's (Workers −1:
+// play, then plan), across hundreds
 // of rounds under every knob that feeds back into the next draw or the
 // trace — cooldown reports, faults, quorum, the participation floor,
 // battery budgets, availability windows and a trace cap the run
@@ -256,12 +258,28 @@ func TestPopulationPipelineByteIdentical(t *testing.T) {
 		trace   []byte
 		dropped uint64
 	}
-	run := func(workers int, mutate func(*PopulationConfig)) result {
+	// roundByRound is the reference: plan and play one round at a time.
+	roundByRound := func(cfg PopulationConfig) (*PopulationHistory, error) {
+		r, err := NewPopulationRunner(cfg)
+		if err != nil {
+			return nil, err
+		}
+		hist := &PopulationHistory{Rounds: []PopulationRound{}}
+		for round := 0; round < r.cfg.Rounds; round++ {
+			pr, err := r.Round(round)
+			if err != nil {
+				return hist, err
+			}
+			hist.add(pr)
+		}
+		return hist, nil
+	}
+	run := func(sim func(PopulationConfig) (*PopulationHistory, error), workers int, mutate func(*PopulationConfig)) result {
 		cfg := popConfig(20_000, 24, 210)
 		cfg.Workers = workers
 		cfg.Faults = plan
 		mutate(&cfg)
-		hist, err := SimulatePopulationRounds(cfg)
+		hist, err := sim(cfg)
 		var buf bytes.Buffer
 		if err := trace.WriteJSONL(&buf, cfg.Trace.Events()); err != nil {
 			t.Fatal(err)
@@ -298,20 +316,20 @@ func TestPopulationPipelineByteIdentical(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want := run(-1, c.mutate)
+			want := run(roundByRound, 1, c.mutate)
 			if len(want.trace) == 0 || (want.err == nil && len(want.hist.Rounds) != 210) {
-				t.Fatalf("inline run: %d rounds, %d trace bytes, err %v", len(want.hist.Rounds), len(want.trace), want.err)
+				t.Fatalf("round-by-round run: %d rounds, %d trace bytes, err %v", len(want.hist.Rounds), len(want.trace), want.err)
 			}
-			for _, w := range []int{1, 2, 8} {
-				got := run(w, c.mutate)
+			for _, w := range []int{-1, 1, 2, 8} {
+				got := run(SimulatePopulationRounds, w, c.mutate)
 				if fmt.Sprint(got.err) != fmt.Sprint(want.err) {
-					t.Fatalf("Workers=%d: error %v, inline %v", w, got.err, want.err)
+					t.Fatalf("Workers=%d: error %v, round by round %v", w, got.err, want.err)
 				}
 				if !reflect.DeepEqual(got.hist, want.hist) {
-					t.Fatalf("Workers=%d: history differs from the inline run's (%d vs %d rounds)", w, len(got.hist.Rounds), len(want.hist.Rounds))
+					t.Fatalf("Workers=%d: history differs from the round-by-round run's (%d vs %d rounds)", w, len(got.hist.Rounds), len(want.hist.Rounds))
 				}
 				if !bytes.Equal(got.trace, want.trace) || got.dropped != want.dropped {
-					t.Fatalf("Workers=%d: trace differs from the inline run's (%d vs %d bytes, dropped %d vs %d)",
+					t.Fatalf("Workers=%d: trace differs from the round-by-round run's (%d vs %d bytes, dropped %d vs %d)",
 						w, len(got.trace), len(want.trace), got.dropped, want.dropped)
 				}
 			}

@@ -12,7 +12,7 @@ import (
 //
 //   - the lane semaphore (tensor.TryAcquireLanes / ReleaseLanes) that
 //     caps the whole process at GOMAXPROCS−1 extra workers, and
-//   - the worker pool (internal/fl's fanOut), whose spawn loop runs
+//   - tensor.FanOut, the one sanctioned spawner, whose spawn loop runs
 //     under lanes acquired the same way,
 //
 // both of which read as a call to an Acquire-family function before the

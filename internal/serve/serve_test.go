@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -489,6 +491,34 @@ func TestConcurrentJobs(t *testing.T) {
 		if final.State != StateCompleted || final.RoundsDone != 2 {
 			t.Fatalf("job %s: %+v", id, final)
 		}
+	}
+}
+
+// TestSequentialJobChargedOneLane: a "workers": -1 job runs its engine
+// on one goroutine, so admission charges it one lane — not the process
+// width, which would hold a second job in the queue behind it.
+func TestSequentialJobChargedOneLane(t *testing.T) {
+	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	var mu sync.Mutex
+	var logs []string
+	_, ts := startServer(t, Options{MaxRunning: 2, LaneBudget: 8, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
+	st, resp := submit(t, ts, `{"clients":2,"rounds":1,"samples":100,"test_samples":40,"workers":-1,"seed":3}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	if final := waitFor(t, ts, st.ID, StateCompleted, func(s JobStatus) bool { return terminal(s.State) }); final.State != StateCompleted {
+		t.Fatalf("job: %+v", final)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := fmt.Sprintf("serve: %s running (sync, budget 1)", st.ID)
+	if !slices.Contains(logs, want) {
+		t.Fatalf("no %q among the daemon's log lines %q", want, logs)
 	}
 }
 

@@ -15,10 +15,10 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -143,6 +143,9 @@ type job struct {
 	cfg    JobConfig
 	dir    string
 	rounds []RoundInfo
+	// budget is the job's admission cost in lanes: Workers resolved the
+	// way the engines resolve it (tensor.WorkerCount, no task cap), capped
+	// against LaneBudget at dispatch.
 	budget int
 
 	cancelled atomic.Bool
@@ -157,7 +160,7 @@ func newJob(id string, num int, cfg JobConfig, dir string) *job {
 	}
 	return &job{
 		JobStatus: JobStatus{ID: id, Name: cfg.Name, State: StateQueued, Engine: cfg.Engine, Rounds: total},
-		num:       num, cfg: cfg, dir: dir, budget: jobBudget(cfg.Workers),
+		num:       num, cfg: cfg, dir: dir, budget: tensor.WorkerCount(cfg.Workers, math.MaxInt),
 	}
 }
 
@@ -273,16 +276,6 @@ func loadJob(dir string) (*job, error) {
 		return nil, fmt.Errorf("state.json has unknown state %q", j.State)
 	}
 	return j, nil
-}
-
-// jobBudget is a job's admission cost in lanes: its configured worker
-// count, at least 1 (0 meaning the full process width). The cap against
-// the server's LaneBudget happens at dispatch.
-func jobBudget(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
 }
 
 // Close interrupts every running job at its next round boundary and

@@ -353,19 +353,27 @@ func gemmBlockedOps[T Float](c matView[T], a, b packSrc[T], m, n, k int, e epi[T
 	pool.Put(s)
 }
 
-// gemmCellsParallel is the fan-out path of gemmBlockedOps. It is its own
-// function so that the closure — and the operands it captures, which
-// move to the heap with it — exist only when cells are actually handed
-// to other lanes: the serial path above stays allocation-free.
+// gemmCellsParallel is the fan-out path of gemmBlockedOps: the cells go
+// to FanOut's workers one at a time, each worker on a pooled scratch of
+// its own. It is its own function so that the closures — and the
+// operands they capture, which move to the heap with them — exist only
+// when cells are actually handed to other lanes: the serial path above
+// stays allocation-free.
 func gemmCellsParallel[T Float](c matView[T], a, b packSrc[T], m, n, k int, e epi[T], rc, cells int) {
-	parallelChunks(cells, func(c0, c1 int) {
-		pool := gemmScratchPool[T]()
-		s := getGemmScratch[T](pool)
-		for cell := c0; cell < c1; cell++ {
-			gemmCell(c, a, b, m, n, k, e, rc, cell, s)
-		}
-		pool.Put(s)
+	pool := gemmScratchPool[T]()
+	// One scratch per worker: the caller's, then one per lane granted.
+	scratch := make([]*gemmScratch[T], 1, min(cells, MaxLanes()+1))
+	scratch[0] = getGemmScratch[T](pool)
+	FanOut(cells, cells, scratch[0], func(*gemmScratch[T]) (*gemmScratch[T], bool) {
+		scratch = scratch[:len(scratch)+1]
+		scratch[len(scratch)-1] = getGemmScratch[T](pool)
+		return scratch[len(scratch)-1], true
+	}, func(cell int, s *gemmScratch[T]) {
+		gemmCell(c, a, b, m, n, k, e, rc, cell, s)
 	})
+	for _, s := range scratch {
+		pool.Put(s)
+	}
 }
 
 // Flag bits of tileDst, shared with the store-through tails in

@@ -3,17 +3,18 @@ package tensor
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // extraLanes is a process-wide pool of "extra" parallelism tokens shared
-// by every goroutine-spawning kernel in this package and by external
-// worker pools (the federated engines' per-client training pool). The
-// calling goroutine never needs a token — only the workers it spawns on
-// top of itself do — so with a capacity of GOMAXPROCS−1 the total number
-// of concurrently running goroutines stays ≈ GOMAXPROCS no matter how
-// pools nest: when the client-level pool holds most lanes, the matmuls
-// running inside its workers find none left and stay single-threaded;
-// when training is sequential, the matmuls grab every lane and fan out.
+// by every FanOut: GEMM cells, client training, evaluation batches,
+// population plan/play and JSONL export. The calling goroutine never
+// needs a token — only the workers it spawns on top of itself do — so
+// with a capacity of GOMAXPROCS−1 the total number of concurrently
+// running goroutines stays ≈ GOMAXPROCS no matter how fan-outs nest:
+// when the client-level pool holds most lanes, the matmuls running
+// inside its workers find none left and stay single-threaded; when
+// training is sequential, the matmuls grab every lane and fan out.
 //
 // Acquisition is strictly non-blocking, so lane exhaustion can never
 // deadlock — callers degrade to doing the work themselves.
@@ -71,39 +72,78 @@ func ReleaseLanes(n int) {
 	}
 }
 
-// parallelChunks runs kernel over the task range [0, m) split across the
-// caller plus as many extra lanes as the shared pool will give it (at
-// most m−1). Each task — a GEMM grid cell in the blocked kernel's case —
-// is processed entirely by one goroutine with a fixed inner loop order,
-// so the result is bit-identical no matter how many lanes were available;
-// chunking only changes wall-clock time.
-func parallelChunks(m int, kernel func(i0, i1 int)) {
-	extra := TryAcquireLanes(m - 1)
-	if extra == 0 {
-		kernel(0, m)
-		return
+// WorkerCount resolves a Workers knob against a task count: zero means
+// one worker per logical CPU, negative values are clamped to strictly
+// sequential, and the result never exceeds the number of tasks (nor
+// drops below 1).
+func WorkerCount(requested, tasks int) int {
+	w := requested
+	switch {
+	case w < 0:
+		w = 1
+	case w == 0:
+		w = runtime.GOMAXPROCS(0)
 	}
-	parts := extra + 1
-	chunk := (m + parts - 1) / parts
-	var wg sync.WaitGroup
-	for w := 1; w < parts; w++ {
-		i0 := w * chunk
-		i1 := i0 + chunk
-		if i1 > m {
-			i1 = m
+	return max(1, min(w, tasks))
+}
+
+// FanOut runs fn(i, s) for every i in [0, n) on at most
+// WorkerCount(workers, n) goroutines, the caller included, each pulling
+// the next index off a shared counter and each with its own state s:
+// own for the caller, fork(own) for every extra worker (a nil fork
+// shares own). It is the one place a goroutine is spawned under the lane
+// budget: each extra worker holds one lane, so a fan-out nested inside
+// another one's workers finds the lanes taken and runs its loop on its
+// own goroutine. Lanes are taken before anything is forked — a saturated
+// budget must not pay for state it cannot use — at most one fork is
+// made per lane granted, and when a fork reports failure every lane goes
+// back and the sequential loop runs. With one worker, or no lane free,
+// that loop runs in index order with no goroutine spawned and no
+// synchronization. fn(i, s) must touch only task i's results and s; any
+// ordering is the caller's, after FanOut returns.
+func FanOut[S any](workers, n int, own S, fork func(S) (S, bool), fn func(i int, s S)) {
+	extra := 0
+	if w := WorkerCount(workers, n); w > 1 {
+		extra = TryAcquireLanes(w - 1)
+	}
+	states := make([]S, extra)
+	for w := range states {
+		s, ok := own, true
+		if fork != nil {
+			s, ok = fork(own)
 		}
-		if i0 >= i1 {
+		if !ok {
+			ReleaseLanes(extra)
+			extra = 0
 			break
 		}
+		states[w] = s
+	}
+	if extra == 0 {
+		for i := 0; i < n; i++ {
+			fn(i, own)
+		}
+		return
+	}
+	var next atomic.Int64
+	work := func(s S) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i, s)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, s := range states {
 		wg.Add(1)
-		go func(i0, i1 int) {
+		go func() {
 			defer wg.Done()
-			kernel(i0, i1)
-		}(i0, i1)
+			work(s)
+		}()
 	}
-	if chunk > 0 {
-		kernel(0, min(chunk, m))
-	}
+	work(own) // the calling goroutine is a worker too
 	wg.Wait()
 	ReleaseLanes(extra)
 }

@@ -109,92 +109,37 @@ func appendFloat(b []byte, f float64) []byte {
 // WriteJSONL writes one JSON object per event, one per line, in order.
 // Encoding is deterministic (fixed field order, shortest float
 // round-trip representation), so equal event sequences produce
-// byte-identical files. A trace longer than one block is formatted in
-// blocks of exportBlock events on two goroutines — the caller and one
-// lane borrowed from the process budget (internal/tensor), taking turns —
-// and written in order; without a free lane it is formatted serially.
-// Either way the bytes and the error (the first non-finite event, by
-// index) are the same.
+// byte-identical files. The events are formatted two blocks of
+// exportBlock at a time — one tensor.FanOut task each, on two goroutines
+// when the process budget has a lane free — and each pair is written in
+// order. Either way the bytes and the error (the first non-finite
+// event, by index) are the same.
 func WriteJSONL(w io.Writer, events []Event) error {
-	if len(events) <= exportBlock || tensor.TryAcquireLanes(1) == 0 {
-		return writeSerial(w, events)
-	}
-	defer tensor.ReleaseLanes(1)
-	return writeBlocks(w, events)
-}
-
-// writeSerial formats and writes the events one line at a time.
-func writeSerial(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	var line []byte
-	for i := range events {
-		var err error
-		if line, err = appendEvents(line[:0], events[i:i+1], i); err != nil {
-			return err
-		}
-		bw.Write(line) // a failed write sticks and surfaces in Flush
-	}
-	return bw.Flush()
-}
-
-// exportBlock is the events per formatted block of a two-lane export:
-// large enough that handing blocks between goroutines is cheap, small
-// enough that the two blocks in flight (about 40 KB each) add nothing to
-// a run's peak memory.
-const exportBlock = 256
-
-// writeBlocks formats events in pairs of blocks — the even one here, the
-// odd one on a helper goroutine, whose lane the caller holds — and writes
-// each pair in order.
-func writeBlocks(w io.Writer, events []Event) error {
-	type job struct {
-		buf []byte
-		err error
-		at  int
-	}
-	jobs, done := make(chan *job), make(chan *job)
-	go func() {
-		defer close(done)
-		for j := range jobs {
-			end := min(j.at+exportBlock, len(events))
-			j.buf, j.err = appendEvents(j.buf[:0], events[j.at:end], j.at)
-			done <- j
-		}
-	}()
-	defer func() {
-		close(jobs)
-		<-done // the helper has exited
-	}()
-	var mine []byte
-	odd := &job{}
+	var bufs [2][]byte
+	var errs [2]error
 	for at := 0; at < len(events); at += 2 * exportBlock {
-		helped := at+exportBlock < len(events)
-		if helped {
-			odd.at = at + exportBlock
-			jobs <- odd
-		}
-		var err error
-		mine, err = appendEvents(mine[:0], events[at:min(at+exportBlock, len(events))], at)
-		if helped {
-			<-done
-		}
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(mine); err != nil {
-			return err
-		}
-		if helped {
-			if odd.err != nil {
-				return odd.err
+		blocks := min(2, (len(events)-at+exportBlock-1)/exportBlock)
+		tensor.FanOut(2, blocks, struct{}{}, nil, func(i int, _ struct{}) {
+			lo := at + i*exportBlock
+			bufs[i], errs[i] = appendEvents(bufs[i][:0], events[lo:min(lo+exportBlock, len(events))], lo)
+		})
+		for i := range blocks {
+			if errs[i] != nil {
+				return errs[i]
 			}
-			if _, err := w.Write(odd.buf); err != nil {
+			if _, err := w.Write(bufs[i]); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
 }
+
+// exportBlock is the events per formatted block of WriteJSONL: large
+// enough that handing blocks between goroutines is cheap, small enough
+// that the two blocks in flight (about 40 KB each) add nothing to a
+// run's peak memory.
+const exportBlock = 256
 
 // appendEvents appends events as JSONL lines to b; the first event is
 // event number first of the trace, for the error.

@@ -237,14 +237,20 @@ func TestExportLeavesEventsUnchanged(t *testing.T) {
 	}
 }
 
-// TestWriteJSONLBlocksMatchSerial holds the two-lane export to the serial
-// writer: the same bytes at every length around the block boundaries,
-// and for a non-finite event in the first block, in a helper's block and
-// at the last event, the same error naming the same event index.
+// TestWriteJSONLBlocksMatchSerial holds the two-lane export to the
+// sequential fallback (WriteJSONL with no lane free): the same bytes at
+// every length around the block boundaries, and for a non-finite event
+// in the first block, in the second worker's block and at the last
+// event, the same error naming the same event index.
 func TestWriteJSONLBlocksMatchSerial(t *testing.T) {
 	prev := tensor.MaxLanes()
-	tensor.SetMaxLanes(1) // WriteJSONL takes the block path on any host
 	t.Cleanup(func() { tensor.SetMaxLanes(prev) })
+	writeSerial := func(w io.Writer, events []Event) error {
+		tensor.SetMaxLanes(0)
+		defer tensor.SetMaxLanes(1) // WriteJSONL fans out on any host
+		return WriteJSONL(w, events)
+	}
+	tensor.SetMaxLanes(1)
 	base := sample()
 	events := make([]Event, 5*exportBlock+3)
 	for i := range events {

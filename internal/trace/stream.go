@@ -48,13 +48,9 @@ func (s *Stream) Flush(r *Recorder) error {
 	if d := r.Dropped(); d > 0 {
 		return fmt.Errorf("trace: stream flush lost %d events to ring overflow; raise the ring capacity or flush more often", d)
 	}
-	s.buf = s.buf[:0]
-	for i := 0; i < r.n; i++ {
-		var err error
-		if s.buf, err = appendEvent(s.buf, &r.buf[(r.start+i)%len(r.buf)]); err != nil {
-			return fmt.Errorf("trace: stream event %d: %w", i, err)
-		}
-		s.buf = append(s.buf, '\n')
+	var err error
+	if s.buf, err = appendEvents(s.buf[:0], r.inOrder(), 0); err != nil {
+		return err
 	}
 	n, err := s.w.Write(s.buf)
 	if err != nil {
