@@ -37,7 +37,8 @@ lint-ci:
 # solver against the dense oracle and the full-range reference's event
 # stream, the sampled selection behind its cost ceiling against a sorted
 # copy, the cohort samplers' sortedness/bounds/determinism
-# contract, the fault plan's spec-parse/draw invariants, the trace
+# contract, the fault plan's draw invariants and its spec parser (every
+# accepted spec finite and in range), the trace
 # encoder against encoding/json, the pack-free convolution kernels
 # against the im2col oracle over random geometries, the fused backward
 # pass of a Conv2D → ReLU → MaxPool2D block against the same layers
@@ -64,6 +65,7 @@ fuzz-smoke-sample:
 
 fuzz-smoke-fault:
 	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzFaultPlan -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzParseSpec -fuzztime $(FUZZTIME)
 
 fuzz-smoke-trace:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzEventJSON -fuzztime $(FUZZTIME)

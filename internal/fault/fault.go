@@ -28,6 +28,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -198,7 +199,9 @@ func (p *Plan) Active() bool {
 		p.CorruptRate > 0 || p.DegradeRate > 0
 }
 
-// Check validates the plan's rates. Nil plans are valid (inject nothing).
+// Check validates the plan: every rate in [0, 1] and a degrade factor of
+// 0 (default) or a finite value ≥ 1; NaN and ±Inf are rejected. Nil
+// plans are valid (inject nothing).
 func (p *Plan) Check() error {
 	if p == nil {
 		return nil
@@ -214,12 +217,12 @@ func (p *Plan) Check() error {
 		{"degrade", p.DegradeRate},
 	}
 	for _, r := range rates {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("fault: %s rate %g outside [0, 1]", r.name, r.v)
 		}
 	}
-	if f := p.DegradeFactor; f < 0 || (f > 0 && f < 1) {
-		return fmt.Errorf("fault: degrade factor %g must be 0 (default) or ≥ 1", f)
+	if f := p.DegradeFactor; math.IsNaN(f) || math.IsInf(f, 0) || f < 0 || (f > 0 && f < 1) {
+		return fmt.Errorf("fault: degrade factor %g must be 0 (default) or a finite value ≥ 1", f)
 	}
 	return nil
 }

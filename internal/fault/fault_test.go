@@ -132,7 +132,11 @@ func TestParseSpec(t *testing.T) {
 	if p, err := ParseSpec("", 1); p != nil || err != nil {
 		t.Fatalf("empty spec: got (%v, %v), want (nil, nil)", p, err)
 	}
-	for _, bad := range []string{"crash", "crash=x", "meteor=0.1", "crash=1.5", "slow=0.5,degrade=1"} {
+	for _, bad := range []string{
+		"crash", "crash=x", "meteor=0.1", "crash=1.5", "slow=0.5,degrade=1",
+		// strconv.ParseFloat reads these; Check must not admit them.
+		"degrade=1,slow=Inf", "crash=NaN", "battery=+Inf", "flap=-Inf", "degrade=0.5,slow=NaN",
+	} {
 		if _, err := ParseSpec(bad, 1); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
@@ -148,6 +152,15 @@ func TestCheck(t *testing.T) {
 	}
 	if err := (&Plan{DegradeRate: 0.5, DegradeFactor: 0.2}).Check(); err == nil {
 		t.Error("degrade factor < 1 accepted")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, p := range []Plan{
+		{CrashRate: nan}, {BatteryRate: inf}, {FlapRate: -inf}, {CorruptRate: nan}, {DegradeRate: nan},
+		{DegradeRate: 1, DegradeFactor: inf}, {DegradeRate: 1, DegradeFactor: nan}, {DegradeFactor: -inf},
+	} {
+		if err := p.Check(); err == nil {
+			t.Errorf("non-finite plan %+v accepted", p)
+		}
 	}
 	if err := (&Plan{CrashRate: 1, DegradeRate: 1, DegradeFactor: 4}).Check(); err != nil {
 		t.Errorf("valid plan rejected: %v", err)

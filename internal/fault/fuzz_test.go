@@ -98,3 +98,31 @@ func FuzzFaultPlan(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseSpec fuzzes the spec parser: every spec it accepts yields
+// finite rates in [0, 1], a degrade factor that is 0 (default) or finite
+// and ≥ 1, and draws whose Slow is finite and ≥ 1.
+func FuzzParseSpec(f *testing.F) {
+	f.Add("crash=0.1, battery=0.02,flap=0.05,corrupt=0.01,degrade=0.2,slow=6", int64(42))
+	f.Add("degrade=1,slow=Inf", int64(1))
+	f.Add("crash=NaN", int64(1))
+	f.Fuzz(func(t *testing.T, spec string, seed int64) {
+		p, err := ParseSpec(spec, seed)
+		if err != nil || p == nil {
+			return
+		}
+		for _, r := range []float64{p.CrashRate, p.BatteryRate, p.FlapRate, p.CorruptRate, p.DegradeRate} {
+			if !(r >= 0 && r <= 1) {
+				t.Fatalf("ParseSpec(%q) accepted rate %g", spec, r)
+			}
+		}
+		if f := p.DegradeFactor; math.IsInf(f, 0) || !(f >= 1 || f == 0) {
+			t.Fatalf("ParseSpec(%q) accepted degrade factor %g", spec, f)
+		}
+		for client := range 64 {
+			if s := p.Fault(3, client).Slow; math.IsInf(s, 0) || !(s >= 1) {
+				t.Fatalf("ParseSpec(%q): client %d drew Slow %g", spec, client, s)
+			}
+		}
+	})
+}

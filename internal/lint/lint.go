@@ -5,7 +5,7 @@
 //     at a fixed seed (the parallel FL engines and the blocked GEMM core
 //     both stake their correctness argument on it). The nondet pass keeps
 //     hidden ambient state (global math/rand, wall clocks, unsorted map
-//     iteration, un-joined goroutines, completion-order folds) out of the
+//     iteration) and every `go` statement but tensor.FanOut's out of the
 //     determinism-critical packages and out of everything the call graph
 //     reaches from a `// fedlint:deterministic` or hotpath root.
 //  2. Allocation-free steady state — the training hot path (TrainBatch →
@@ -16,8 +16,7 @@
 //
 // Supporting passes catch the classic ways either invariant rots:
 // floateq (exact ==/!= on floating-point operands outside tests),
-// syncmisuse (wg.Add inside the spawned goroutine), goroutinebound and
-// tracecomplete.
+// syncmisuse (wg.Add inside the spawned goroutine) and tracecomplete.
 //
 // fedlint checks only what the Go toolchain does not. By-value copies of
 // lock-holding structs are go vet's copylocks pass, which runs in the
@@ -88,7 +87,7 @@ type Analyzer struct {
 
 // All returns every fedlint analyzer in its canonical order.
 func All() []*Analyzer {
-	return []*Analyzer{NonDet, FloatEq, SyncMisuse, HotAlloc, GoroutineBound, TraceComplete}
+	return []*Analyzer{NonDet, FloatEq, SyncMisuse, HotAlloc, TraceComplete}
 }
 
 // ByName returns the analyzer with the given name, or nil.

@@ -38,7 +38,7 @@ var fixturePasses = map[string]fixture{
 // between several loaded packages or between functions.
 var fixtureProgramPasses = map[string]fixture{
 	"detflow":        {NonDet, []string{"detflow", "detflowdep"}},
-	"goroutinebound": {GoroutineBound, []string{"goroutinebound", "tensor"}},
+	"goroutinebound": {NonDet, []string{"goroutinebound", "tensor"}},
 	"floatorder":     {NonDet, []string{"floatorder"}},
 	"tracecomplete":  {TraceComplete, []string{"tracecomplete", "trace"}},
 	"hotallocx":      {HotAlloc, []string{"hotallocx", "hotallocdep"}},

@@ -12,7 +12,7 @@ import (
 // of the static call graph starts from every function of the
 // determinism-critical packages (fl, sched, tensor and nn, tests
 // included) and every function documented `// fedlint:deterministic` or
-// `// fedlint:hotpath`, and reports five source shapes in whatever it
+// `// fedlint:hotpath`, and reports four source shapes in whatever it
 // reaches, in any package of the module:
 //
 //   - calls to the top-level math/rand convenience functions (rand.Intn,
@@ -25,11 +25,11 @@ import (
 //     float, complex or string accumulation into outer state, channel
 //     sends) without the sorted-keys idiom: map iteration order is
 //     deliberately randomized by the runtime;
-//   - goroutines spawned in a declaration with no visible join (no
-//     WaitGroup.Wait, channel receive or channel range anywhere in it):
-//     whatever such a goroutine writes races the caller's reads;
-//   - the same accumulation into outer state inside a `go` function
-//     literal, which folds in goroutine completion order.
+//   - every `go` statement. tensor.FanOut is the one spawner: it runs
+//     under the lane budget, joins before it returns and hands each index
+//     to exactly one call, so results land in per-index slots whatever
+//     the completion order. Its own spawn, and test watchdogs that only
+//     bound a call's wall time, carry //fedlint:allow nondet.
 //
 // The sole-statement key-collection loop (`for k := range m { keys =
 // append(keys, k) }`) is the first half of the sorted-keys idiom and is
@@ -42,7 +42,7 @@ import (
 // directly.
 var NonDet = &Analyzer{
 	Name: "nondet",
-	Doc:  "global math/rand, wall clocks, order-sensitive map ranges and goroutine folds in packages fl, sched, tensor and nn and wherever deterministic or hotpath roots reach",
+	Doc:  "global math/rand, wall clocks, order-sensitive map ranges and go statements outside tensor.FanOut in packages fl, sched, tensor and nn and wherever deterministic or hotpath roots reach",
 	Run:  runNonDet,
 }
 
@@ -118,14 +118,12 @@ type detSource struct {
 	local, what, fix string
 }
 
-// detSources scans one top-level declaration for the five source shapes.
+// detSources scans one top-level declaration for the four source shapes.
 func (p *Package) detSources(decl ast.Decl) []detSource {
 	fd, isFunc := decl.(*ast.FuncDecl)
 	inBenchmark := isFunc && strings.HasPrefix(fd.Name.Name, "Benchmark") && p.isTestFile(fd.Pos())
 	const seeded = "thread seeded state from Config.Seed / the simulated clock instead"
 	var srcs []detSource
-	var goPos []token.Pos
-	joined := false
 	ast.Inspect(decl, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -135,53 +133,15 @@ func (p *Package) detSources(decl ast.Decl) []detSource {
 			case "time":
 				srcs = append(srcs, detSource{n.Pos(), what + " in a determinism-critical package; simulated time must come from the device/network models, wall clocks only belong in benchmarks", what, seeded})
 			}
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
-				joined = true // WaitGroup.Wait (or any explicit join point)
-			}
 		case *ast.RangeStmt:
 			if what := p.mapRangeSource(n); what != "" {
 				const fix = "collect and sort the keys, then iterate the sorted slice"
 				srcs = append(srcs, detSource{n.Pos(), "range over map " + exprString(n.X) + " has an order-sensitive body (" + what + "); " + fix,
 					"order-sensitive map iteration (" + what + ")", fix})
 			}
-			if t := p.Info.TypeOf(n.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					joined = true
-				}
-			}
 		case *ast.GoStmt:
-			goPos = append(goPos, n.Pos())
-			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				srcs = append(srcs, p.goroutineFolds(lit.Body)...)
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				joined = true
-			}
-		}
-		return true
-	})
-	if !joined {
-		const what, fix = "goroutine with no visible join in the enclosing function", "join (WaitGroup.Wait or a channel receive) before returning, then reduce in a deterministic order"
-		for _, pos := range goPos {
-			srcs = append(srcs, detSource{pos, what + "; " + fix, what, fix})
-		}
-	}
-	return srcs
-}
-
-// goroutineFolds reports every accumulation into state outside a spawned
-// function literal's body: the fold happens in completion order, racing
-// the other workers' folds even when a mutex makes it race-free.
-func (p *Package) goroutineFolds(body *ast.BlockStmt) []detSource {
-	var srcs []detSource
-	ast.Inspect(body, func(n ast.Node) bool {
-		if asg, ok := n.(*ast.AssignStmt); ok {
-			if kind, target := p.orderSensitiveAssign(asg, body); kind != "" {
-				acc := kind + " accumulation into " + target
-				local := acc + " from a spawned goroutine folds in completion order; write per-worker partials and reduce after the join"
-				srcs = append(srcs, detSource{asg.Pos(), local, "goroutine fold (" + acc + ")", local})
-			}
+			const what, fix = "go statement", "fan out through tensor.FanOut, which joins before it returns and gives each index its own slot"
+			srcs = append(srcs, detSource{n.Pos(), what + " in a determinism-critical package; " + fix, what, fix})
 		}
 		return true
 	})

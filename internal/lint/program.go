@@ -12,7 +12,7 @@ import (
 // Program is the whole-module view every pass operates on: every loaded
 // package plus a static call graph connecting their function
 // declarations across package boundaries, which the reachability passes
-// (nondet, hotalloc, goroutinebound, tracecomplete) flood.
+// (nondet, hotalloc, tracecomplete) flood.
 //
 // Cross-package function identity is by key, not by *types.Func: a
 // package type-checked as an analysis target (with its test files) and
@@ -194,17 +194,13 @@ func traceKindsAnnotation(fd *ast.FuncDecl) ([]string, bool) {
 	return kinds, true
 }
 
-// rootsWith returns the keys of every function carrying any of the
-// given markers, in deterministic (sorted-key) order.
-func (pr *Program) rootsWith(markers ...string) []string {
+// rootsWith returns the keys of every function carrying marker, in
+// deterministic (sorted-key) order.
+func (pr *Program) rootsWith(marker string) []string {
 	var roots []string
 	for _, key := range pr.keys {
-		pf := pr.Funcs[key]
-		for _, m := range markers {
-			if declMarker(pf.Decl, m) {
-				roots = append(roots, key)
-				break
-			}
+		if declMarker(pr.Funcs[key].Decl, marker) {
+			roots = append(roots, key)
 		}
 	}
 	return roots

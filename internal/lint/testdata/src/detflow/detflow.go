@@ -47,10 +47,10 @@ func wall() float64 {
 	return (d + time.Until(t0)).Seconds() // want `time\.Until is reachable from deterministic root detflow\.Engine`
 }
 
-// fork spawns with no visible join anywhere in the declaration: whatever
-// fill writes races Engine's reads.
+// fork spawns outside tensor.FanOut: whatever fill writes races
+// Engine's reads.
 func fork(out []float64) {
-	go fill(out) // want `goroutine with no visible join`
+	go fill(out) // want `go statement is reachable from deterministic root detflow\.Engine`
 }
 
 // fill is reached through the spawn edge and is itself clean.

@@ -27,17 +27,17 @@ func mapFold(m map[int]float64) float64 {
 }
 
 // spawnFold folds from goroutines in completion order; the mutex makes
-// it race-free but not order-stable.
+// it race-free but not order-stable. The spawn itself is the finding.
 func spawnFold(xs []float64) float64 {
 	var mu sync.Mutex
 	var sum float64
 	var wg sync.WaitGroup
 	for _, x := range xs {
 		wg.Add(1)
-		go func() {
+		go func() { // want `go statement is reachable from deterministic root floatorder\.Reduce`
 			defer wg.Done()
 			mu.Lock()
-			sum += x // want `float accumulation into sum from a spawned goroutine folds in completion order`
+			sum += x
 			mu.Unlock()
 		}()
 	}

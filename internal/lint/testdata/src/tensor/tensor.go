@@ -38,8 +38,8 @@ func (t *Tensor) Len() int { return len(t.data) }
 // Float mirrors the real element-type constraint of the generic kernels.
 type Float interface{ ~float32 | ~float64 }
 
-// extraLanes mirrors the real lane semaphore so the goroutinebound
-// fixtures can exercise the audited acquire idiom.
+// extraLanes mirrors the real lane semaphore, so the goroutinebound
+// fixture can show a lane-bounded raw spawn is still reported.
 var extraLanes = make(chan struct{}, 4)
 
 // TryAcquireLanes takes up to n worker lanes, returning how many were

@@ -134,6 +134,7 @@ func solveWithin(t *testing.T, req *Request) (*Assignment, error) {
 		err error
 	}
 	done := make(chan result, 1)
+	//fedlint:allow nondet — test watchdog: the spawn only bounds the solve's wall time
 	go func() {
 		asg, err := FedLBAP{}.Schedule(req, nil)
 		done <- result{asg, err}
@@ -474,6 +475,7 @@ func TestRescaleNoPositiveShare(t *testing.T) {
 		{[]int{100, 100, 100}, 600, 2, false, []int{1, 1, 0}},
 	} {
 		done := make(chan []int, 1)
+		//fedlint:allow nondet — test watchdog: the spawn only bounds Rescale's wall time
 		go func() { done <- (&Assignment{Shards: c.shards}).Rescale(c.total, c.n, c.assignedOnly) }()
 		select {
 		case got := <-done:

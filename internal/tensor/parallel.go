@@ -138,6 +138,7 @@ func FanOut[S any](workers, n int, own S, fork func(S) (S, bool), fn func(i int,
 	var wg sync.WaitGroup
 	for _, s := range states {
 		wg.Add(1)
+		//fedlint:allow nondet — FanOut's own spawn: one goroutine per lane granted, joined by wg.Wait below
 		go func() {
 			defer wg.Done()
 			work(s)

@@ -2,6 +2,7 @@ package fedsched
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"fedsched/internal/data"
@@ -170,6 +171,15 @@ func (c JobConfig) participants() int {
 // anything out of range is rejected at admission, not discovered rounds
 // into a run.
 func (c JobConfig) Validate() error {
+	// JSON cannot carry NaN or ±Inf, but fedtrain's flags can.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"lr", c.LR}, {"momentum", c.Momentum}, {"alpha", c.Alpha}, {"beta", c.Beta}, {"deadline_seconds", c.DeadlineSeconds}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%s %v (want a finite number)", f.name, f.v)
+		}
+	}
 	switch c.Engine {
 	case "sync", "async", "gossip":
 	default:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -146,6 +147,39 @@ func TestBuildJobFedLBAPStream(t *testing.T) {
 	}
 	if probes != 58 {
 		t.Errorf("%d KindSolver events, want 58", probes)
+	}
+}
+
+// TestValidateRejectsNonFinite: JSON cannot carry NaN or ±Inf, but
+// fedtrain's flags can. Admitted, NaN momentum or deadline silently turns
+// the knob off and an infinite rate poisons every weight.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	base := fedsched.JobConfig{Testbed: 1, ClassesPerUser: 3}
+	if err := base.WithDefaults().Validate(); err != nil {
+		t.Fatalf("base config rejected: %v", err)
+	}
+	for _, c := range []struct {
+		field string
+		set   func(*fedsched.JobConfig)
+	}{
+		{"lr", func(c *fedsched.JobConfig) { c.LR = inf }},
+		{"lr", func(c *fedsched.JobConfig) { c.LR = nan }},
+		{"momentum", func(c *fedsched.JobConfig) { c.Momentum = nan }},
+		{"momentum", func(c *fedsched.JobConfig) { c.Momentum = inf }},
+		{"alpha", func(c *fedsched.JobConfig) { c.Alpha = nan }},
+		{"alpha", func(c *fedsched.JobConfig) { c.Alpha = inf }},
+		{"beta", func(c *fedsched.JobConfig) { c.Beta = nan }},
+		{"beta", func(c *fedsched.JobConfig) { c.Beta = inf }},
+		{"deadline_seconds", func(c *fedsched.JobConfig) { c.DeadlineSeconds = nan }},
+		{"deadline_seconds", func(c *fedsched.JobConfig) { c.DeadlineSeconds = inf }},
+	} {
+		cfg := base
+		c.set(&cfg)
+		cfg = cfg.WithDefaults()
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: Validate(%+v) = %v, want an error naming %s", c.field, cfg, err, c.field)
+		}
 	}
 }
 
