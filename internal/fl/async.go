@@ -65,12 +65,12 @@ type cycle struct {
 	uploaded bool    // the pending event is the upload landing, not the download
 
 	c                *Client
-	n                int         // iterations before this one: the fault-draw round
-	f                fault.Fault // this iteration's injected fault
-	commDown, commUp float64
+	n                int              // iterations before this one: the fault-draw round
+	f                fault.Fault      // this iteration's injected fault
+	commDown, commUp float64          // the exchange legs (see exchange)
 	version          int              // global model version at the pull
 	pulled           []*tensor.Tensor // the pulled weights; nil when the iteration aborts
-	cr               ClientRound      // the download's compute burn, reported at the upload
+	cr               ClientRound      // the iteration's step, reported at the upload
 }
 
 // eventQueue is RunAsync's virtual clock and its pending events, one per
@@ -116,10 +116,11 @@ func (q *eventQueue) next(deadline float64) *cycle {
 // wait for stragglers — at the price of stale gradients. There are no
 // rounds to close, so the engine keeps its own virtual-time event loop —
 // one pending event per client, the earliest dispatched next — but a
-// client cycle is built from the round core's primitives (round.go): the
-// same fault strike, compute burn, device meter and local epoch. The run
-// stops at the first event past Duration, or when MaxUpdates merges or
-// Config.Cancel (both checked at every event) end it.
+// client cycle is one step of a one-slot round core (round.go), played
+// when its download lands: the same fault strike, exchange legs, compute
+// burn, device meter and local epoch as a round. The run stops at the
+// first event past Duration, or when MaxUpdates merges or Config.Cancel
+// (both checked at every event) end it.
 //
 // Every local epoch runs on the event loop's goroutine, when the
 // client's download lands, from the weights it pulled when its cycle
@@ -133,10 +134,12 @@ func (q *eventQueue) next(deadline float64) *cycle {
 // the synchronous engine) — then the client starts its next cycle, like a
 // restarted app — and a corrupted upload is rejected at the server
 // without advancing the model version (the client trained for real, so
-// only the merge is lost). Each costs one KindFault event.
+// only the merge is lost). Each costs one KindFault event. A clean update
+// with non-finite weights is rejected the same way and recorded as a
+// KindClientRound event flagged ClientDiverged.
 //
 // fedlint:deterministic
-// fedlint:trace KindSimStep,KindMerge,KindFault
+// fedlint:trace KindSimStep,KindMerge,KindFault,KindClientRound
 func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHistory, error) {
 	cfg = cfg.withDefaults()
 	active, global, err := setup(&cfg.Config, asyncEngine, clients)
@@ -148,7 +151,7 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 
 	hist := &AsyncHistory{UpdatesPerClient: make([]int, len(clients))}
 	stalenessSum := 0.0
-	modelBytes := cfg.Arch.SizeBytes()
+	rc := newRoundCore(cfg.Arch, cfg.BatchSize, 1, nil, cfg.Faults, nil)
 	deadline := cfg.Duration
 	if deadline <= 0 {
 		deadline = math.Inf(1)
@@ -167,17 +170,9 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 	// iteration pulls nothing and never trains.
 	q := eventQueue{cycles: make([]cycle, len(active))}
 	begin := func(cy *cycle) {
-		c := cy.c
-		f := cfg.Faults.Fault(cy.n, c.ID)
-		link := c.Link.Degraded(f.Slow)
+		f := cfg.Faults.Fault(cy.n, cy.c.ID)
 		cy.f, cy.uploaded, cy.pulled = f, false, nil
-		cy.commDown, cy.commUp = link.DownloadTime(modelBytes), link.UploadTime(modelBytes)
-		switch f.Kind {
-		case fault.Crash, fault.Battery:
-			cy.commUp = 0 // died mid-shard: nothing is uploaded
-		case fault.LinkFlap:
-			cy.commUp *= f.Point // the link dies Point of the way through the upload
-		}
+		cy.commDown, cy.commUp = exchange(cy.c.Link, rc.modelBytes, false, f)
 		if !f.Kind.Aborts() {
 			cy.version, cy.pulled = version, cloneWeights(globalW)
 		}
@@ -196,33 +191,27 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 		cfg.Trace.Emit(trace.Event{Kind: trace.KindSimStep, Round: cy.seq, Client: -1, AtS: q.now})
 		c, f := cy.c, cy.f
 		if !cy.uploaded {
-			// The download landed: run the local epoch, burn its compute,
-			// schedule the upload.
-			if !f.Kind.Aborts() {
-				c.train(&cfg.Config, cy.pulled)
-			}
-			cy.cr = ClientRound{Samples: c.Local.Len(), BatteryFrac: 1}
-			if c.Device != nil {
-				m := meterOn(c.Device)
-				burn(&cy.cr, c.Device, cfg.Arch, cfg.BatchSize, f)
-				if !f.Kind.Aborts() {
-					c.Device.Idle(cy.commUp)
-				}
-				m.read(&cy.cr)
-			}
-			cy.uploaded = true
+			// The download landed: play the cycle's round on the device
+			// (the download, the compute, the upload), run the local
+			// epoch and schedule the upload's landing.
+			rc.stepClient(0, cy.n, c, &cfg.Config, cy.pulled)
+			cy.cr, cy.uploaded = rc.crs[0], true
 			q.after(cy, cy.cr.ComputeS+cy.commUp)
 			continue
 		}
 		// The upload landed: merge it with staleness damping, or report the
-		// fault that lost it.
+		// fault or divergence that lost it.
 		ev := trace.Event{
 			Kind: trace.KindFault, Round: cy.n, Client: c.ID,
 			Samples: cy.cr.Samples, Flag: int(f.Kind), AtS: q.now,
 			ComputeS: cy.cr.ComputeS, CommS: cy.commDown + cy.commUp,
 			EnergyJ: cy.cr.EnergyJ, Battery: cy.cr.BatteryFrac,
 		}
-		if f.Kind == fault.None {
+		switch {
+		case f.Kind != fault.None:
+		case cy.cr.Diverged:
+			ev.Kind, ev.Flag = trace.KindClientRound, trace.ClientDiverged
+		default:
 			staleness := float64(version - cy.version)
 			eta := cfg.MixRate / math.Pow(1+staleness, cfg.StalenessPower)
 			scaleWeights(globalW, 1-eta)

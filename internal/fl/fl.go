@@ -266,7 +266,7 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 		return nil, err
 	}
 	rc := newRoundCore(cfg.Arch, cfg.BatchSize, len(active), cfg.Sampler, cfg.Faults, cfg.Trace)
-	rc.deadline, rc.quorum, rc.floor, rc.idleByParts = cfg.DeadlineSeconds, cfg.Quorum, cfg.MinParticipants, true
+	rc.deadline, rc.quorum, rc.floor = cfg.DeadlineSeconds, cfg.Quorum, cfg.MinParticipants
 
 	hist := &History{}
 	globalW := global.GetWeights()
@@ -318,13 +318,7 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 			workers := tensor.WorkerCount(cfg.Workers, len(sel))
 			order := rc.longestFirst(workers, sel, active)
 			forEach(workers, len(sel), func(i int) {
-				si := order[i]
-				c := active[sel[si]]
-				rc.stepClient(si, round, c, &cfg, globalW)
-				// The server rejects non-finite updates. (A fault victim
-				// is out anyway, and one that never trained would read
-				// stale weights.)
-				rc.crs[si].Diverged = rc.crs[si].Fault == fault.None && c.net.HasNonFinite()
+				rc.stepClient(order[i], round, active[sel[order[i]]], &cfg, globalW)
 			})
 			cl = rc.close(round, sel)
 			stats.Makespan, stats.Failed = cl.makespan, cl.failed
@@ -332,8 +326,8 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 		}
 		switch {
 		case len(sel) == 0 || cl.failed:
-			// Idle, or below the floor: nothing aggregates, the global
-			// model stands and (pinned) the devices do not idle.
+			// Idle, or below the floor: nothing aggregates and the global
+			// model stands.
 		case cl.survivors == 0:
 			return finish(), fmt.Errorf("fl: round %d had no participants", round)
 		default:
@@ -357,19 +351,18 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 				}
 				globalW = agg
 			} else {
-				// Weighted plaintext accumulation, straight from the live
-				// client weights (no per-client clone), in cohort order.
+				// FedAvg, Σ (n_k/n)·w_k, straight from the live client
+				// weights (no per-client clone), in cohort order: a lone
+				// survivor's update becomes the global model bit for bit.
 				// globalW may alias sumW from the previous round — by now
 				// every reader of the old global weights has finished.
 				sumW = ensureWeightsLike(sumW, globalW)
 				for _, si := range survivors {
-					accumulateWeighted(sumW, active[sel[si]].net.Weights(), float64(rc.crs[si].Samples))
+					accumulateWeighted(sumW, active[sel[si]].net.Weights(), float64(rc.crs[si].Samples)/float64(cl.samples))
 				}
-				scaleWeights(sumW, 1/float64(cl.samples))
 				globalW = sumW
 			}
 			stats.TrainLoss = cl.lossSum / float64(cl.samples)
-			rc.idle(len(sel), cl.makespan)
 			if test != nil && (round == cfg.Rounds-1 || (cfg.EvalEvery > 0 && (round+1)%cfg.EvalEvery == 0)) {
 				global.SetWeights(globalW)
 				conf := evaluate(global, test, 256, cfg.Workers, &evalNets)
@@ -384,7 +377,7 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 		hist.TotalSeconds += stats.Makespan
 
 		// Snapshot once the round has fully completed (history appended,
-		// devices idled), when the cadence says so.
+		// devices at the close), when the cadence says so.
 		if cfg.CheckpointEvery > 0 && cfg.CheckpointSink != nil && (round+1)%cfg.CheckpointEvery == 0 {
 			if err := cfg.CheckpointSink(buildCheckpoint(cfg, active, global, globalW, hist, round+1)); err != nil {
 				return finish(), fmt.Errorf("fl: checkpoint after round %d: %w", round, err)

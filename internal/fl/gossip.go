@@ -95,7 +95,7 @@ func RunGossip(cfg GossipConfig, clients []*Client, test *data.Dataset) (*Gossip
 
 		// Local epochs are independent (per-client model, RNG, device),
 		// so they fan out across the worker pool; everything that couples
-		// clients — makespan, idling, pairwise averaging — runs after the
+		// clients — makespan, waiting, pairwise averaging — runs after the
 		// join in deterministic order.
 		workers := tensor.WorkerCount(cfg.Workers, len(sel))
 		order := rc.longestFirst(workers, sel, active)
@@ -103,7 +103,6 @@ func RunGossip(cfg GossipConfig, clients []*Client, test *data.Dataset) (*Gossip
 			rc.stepClient(order[i], round, active[sel[order[i]]], &cfg.Config, nil)
 		})
 		cl := rc.close(round, sel)
-		rc.idle(len(sel), cl.makespan)
 		hist.TotalSeconds += cl.makespan
 		loss := -1.0
 		if cl.samples > 0 {

@@ -244,7 +244,7 @@ func NewPopulationRunner(cfg PopulationConfig) (*PopulationRunner, error) {
 		secs:  make([]float64, k),
 	}
 	r.rep, r.rc.rep = r.rc.rep, nil
-	r.rc.quorum, r.rc.floor = cfg.Quorum, cfg.MinParticipants
+	r.rc.quorum, r.rc.floor, r.rc.discard = cfg.Quorum, cfg.MinParticipants, true
 	r.comm = r.link.RoundTripTime(r.rc.modelBytes)
 
 	profs, err := profile.BuildTestbed(cfg.Population.Profiles, cfg.Arch.InC, cfg.Arch.InH, cfg.Arch.InW, cfg.Arch.Classes)
@@ -404,12 +404,12 @@ func (r *PopulationRunner) play(p *popPlan) PopulationRound {
 		return pr
 	}
 	for s, id := range p.cohort {
-		r.burns[s] = rc.strike(s, id, p.shards[s]*popShardSize, &p.devs[s], p.faults[s])
+		r.burns[s] = rc.strike(s, id, p.shards[s]*popShardSize, &p.devs[s], r.link, p.faults[s])
 	}
 	device.TrainLockstep(cfg.Arch, popBatchSize, rc.devs[:k], r.burns[:k], r.secs[:k])
 	for s := 0; s < k; s++ {
 		if r.burns[s] >= 0 {
-			rc.settle(s, r.secs[s], p.faults[s], r.link)
+			rc.settle(s, r.secs[s], p.faults[s])
 		}
 	}
 	cl := rc.close(p.round, p.cohort)

@@ -6,6 +6,7 @@ import (
 
 	"fedsched/internal/data"
 	"fedsched/internal/nn"
+	"fedsched/internal/trace"
 )
 
 func TestDivergedClientRejected(t *testing.T) {
@@ -90,4 +91,81 @@ func hasNonFinite(net *nn.Network) bool {
 		}
 	}
 	return false
+}
+
+// TestNonFiniteUpdateRejected: every training engine rejects an update
+// with non-finite weights. Client 1's shard holds one NaN pixel, so its
+// first local epoch turns its weights to NaN; the other client's model —
+// the global model, or the gossip peer's — must stay finite. Run marks
+// the update Diverged, gossip leaves the member unpaired, and async
+// neither merges it nor advances the version, tracing a client_round
+// event flagged diverged instead of a merge.
+func TestNonFiniteUpdateRejected(t *testing.T) {
+	train, test := data.TrainTest(data.SMNISTConfig(0, 103), 300, 100)
+	poisoned := func() []*Client {
+		clients := asyncClients(t, train, 2, true)
+		clients[1].Local.X.Data()[0] = math.NaN()
+		return clients
+	}
+	diverged := func(t *testing.T, rec *trace.Recorder) {
+		t.Helper()
+		n := 0
+		for _, e := range rec.Events() {
+			switch {
+			case e.Kind == trace.KindMerge && e.Client == 1:
+				t.Fatalf("the non-finite update merged: %+v", e)
+			case e.Kind == trace.KindClientRound && e.Client == 1 && e.Flag == trace.ClientDiverged:
+				n++
+			}
+		}
+		if n == 0 {
+			t.Fatal("no rejected update traced")
+		}
+	}
+
+	t.Run("run", func(t *testing.T) {
+		clients, rec := poisoned(), trace.New(0)
+		cfg := smallConfig(3)
+		cfg.Trace = rec
+		hist, err := Run(cfg, clients, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diverged(t, rec)
+		if hasNonFinite(hist.Model) {
+			t.Fatal("global model corrupted by the non-finite update")
+		}
+	})
+	t.Run("gossip", func(t *testing.T) {
+		clients, rec := poisoned(), trace.New(0)
+		cfg := GossipConfig{Config: smallConfig(3)}
+		cfg.Trace = rec
+		if _, err := RunGossip(cfg, clients, test); err != nil {
+			t.Fatal(err)
+		}
+		diverged(t, rec)
+		if !clients[1].net.HasNonFinite() {
+			t.Fatal("fixture: the poisoned member never diverged")
+		}
+		if clients[0].net.HasNonFinite() {
+			t.Fatal("the peer paired with the non-finite model")
+		}
+	})
+	t.Run("async", func(t *testing.T) {
+		clients, rec := poisoned(), trace.New(0)
+		cfg := AsyncConfig{Config: smallConfig(0), MaxUpdates: 6, MixRate: 0.5}
+		cfg.Trace = rec
+		hist, err := RunAsync(cfg, clients, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diverged(t, rec)
+		if hist.Updates != 6 || hist.UpdatesPerClient[1] != 0 {
+			t.Fatalf("updates %d, per client %v: want 6, all from client 0", hist.Updates, hist.UpdatesPerClient)
+		}
+		// Client 0 trains from the global model it pulls every cycle.
+		if clients[0].net.HasNonFinite() || math.IsNaN(hist.FinalAccuracy) || hist.FinalAccuracy < 0.3 {
+			t.Fatalf("global model corrupted: client 0 non-finite %v, accuracy %v", clients[0].net.HasNonFinite(), hist.FinalAccuracy)
+		}
+	})
 }

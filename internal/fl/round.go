@@ -16,16 +16,19 @@ import (
 )
 
 // This file is the one implementation of the paper's round cost model —
-// a round lasts as long as its slowest surviving participant's compute +
-// communication — and of everything the engines agree on around it:
+// a round lasts as long as its slowest surviving participant's
+// T^d(M) + T^c + T^u(M) — and of everything the engines agree on around
+// it:
 //
-//	strike → burn-or-train → meter → classify → quorum cut → reduce → report → idle → emit
+//	strike → exchange legs around burn-or-train → meter → classify → quorum cut → reduce → report → wait → emit
 //
-// Run, RunGossip, PopulationRunner.Round and SimulateRounds are
-// policies over it: each supplies who is in the cohort, what a model
-// exchange costs on the link, how surviving updates merge and whether a
-// snapshot is taken. RunAsync has no rounds but shares the client-side
-// primitives (strike, burn, meter, train).
+// It also owns the device timeline: a device's clock advances through
+// every leg of its round in protocol order (exchange), then waits until
+// the round closes (close). Run, RunGossip, PopulationRunner.Round and
+// SimulateRounds are policies over it: each supplies who is in the
+// cohort, whether a model exchange is a server round trip or a peer swap,
+// how surviving updates merge and whether a snapshot is taken. RunAsync
+// has no rounds; each client cycle is a one-slot step of the same core.
 
 // engine names a training engine for set-up and config validation.
 type engine uint8
@@ -191,17 +194,6 @@ func burnt(n int, f fault.Fault) int {
 	return n
 }
 
-// burn spends a member's compute on its device (burnt of its samples),
-// after which a dead battery also empties its account.
-//
-// fedlint:hotpath
-func burn(cr *ClientRound, dev *device.Device, arch *nn.Arch, batch int, f fault.Fault) {
-	cr.ComputeS = dev.Train(arch, burnt(cr.Samples, f), batch)
-	if f.Kind == fault.Battery {
-		dev.DrainBattery()
-	}
-}
-
 // meter reads a device's cumulative counters around a stretch of work and
 // charges the difference to a ClientRound.
 type meter struct {
@@ -236,18 +228,18 @@ type roundCore struct {
 	quorum   int
 	floor    int // MinParticipants
 
-	// Policy: what a model exchange is. False: a server round trip
-	// (download the global model, upload the update). True: a gossip
-	// peer swap (upload own model, then download the peer's).
+	// Policy: what a model exchange is (see exchange). False: a server
+	// round trip. True: a gossip peer swap.
 	swap bool
-	// Pinned for golden compatibility: Run has always idled a device for
-	// makespan − compute − comm, the other engines for makespan − span;
-	// the two differ in the last bit and Idle is sensitive to it.
-	idleByParts bool
+	// Policy: the devices leave the simulation at close (population
+	// rounds re-materialize them on their next selection), so no output
+	// can read their wait and close skips it.
+	discard bool
 
 	sel    []int // cohort scratch: the sampler's buffer, or the identity
 	crs    []ClientRound
 	spans  []float64
+	post   []float64 // the exchange leg a slot's device plays after its compute
 	devs   []*device.Device
 	meters []meter
 	order  []int // close: candidates for the cut, then the surviving slots
@@ -264,7 +256,7 @@ func newRoundCore(arch *nn.Arch, batch, n int, s sample.Sampler, faults *fault.P
 	rc := &roundCore{
 		arch: arch, batch: batch, modelBytes: arch.SizeBytes(),
 		faults: faults, trace: rec, sampler: s,
-		sel: make([]int, n), crs: make([]ClientRound, n), spans: make([]float64, n),
+		sel: make([]int, n), crs: make([]ClientRound, n), spans: make([]float64, n), post: make([]float64, n),
 		devs: make([]*device.Device, n), order: make([]int, n), meters: make([]meter, n),
 	}
 	rc.rep, _ = s.(sample.FailureReporter)
@@ -288,9 +280,10 @@ func (rc *roundCore) draw(round int) []int {
 }
 
 // step plays slot s's round for one member on its device and link:
-// strike the fault plan, burn the compute it gets through and settle. A
-// member with no samples sits the round out (its device is reported at
-// rest); one with no device costs nothing. Slots own their cells and
+// strike the fault plan, then the exchange legs around the compute it
+// gets through (strike, Train, settle). A member with no samples sits
+// the round out (its device is reported at rest); one with no device
+// costs nothing. Slots own their cells and
 // fault draws are pure hashes of (round, id), so steps run concurrently.
 //
 // fedlint:hotpath
@@ -299,20 +292,21 @@ func (rc *roundCore) step(s, round, id, samples int, dev *device.Device, link ne
 	if samples > 0 {
 		f = rc.faults.Fault(round, id)
 	}
-	if n := rc.strike(s, id, samples, dev, f); n >= 0 {
-		rc.settle(s, dev.Train(rc.arch, n, rc.batch), f, link)
+	if n := rc.strike(s, id, samples, dev, link, f); n >= 0 {
+		rc.settle(s, dev.Train(rc.arch, n, rc.batch), f)
 	}
 	return f
 }
 
 // strike opens slot s for member id holding samples, struck by fault f
-// (the caller's draw; the zero Fault when samples ≤ 0). It returns how many
-// samples the member's device must burn before settle — −1 when the slot
-// sits the round out: no samples (its device is reported at rest) or no
-// device (nothing to burn or settle).
+// (the caller's draw; the zero Fault when samples ≤ 0), prices its model
+// exchange on link and plays the leg before the compute. It returns how
+// many samples the member's device must burn before settle — −1 when the
+// slot sits the round out: no samples (its device is reported at rest) or
+// no device (nothing to time, burn or settle).
 //
 // fedlint:hotpath
-func (rc *roundCore) strike(s, id, samples int, dev *device.Device, f fault.Fault) int {
+func (rc *roundCore) strike(s, id, samples int, dev *device.Device, link network.Link, f fault.Fault) int {
 	cr := &rc.crs[s]
 	*cr = ClientRound{ClientID: id, Samples: samples}
 	rc.spans[s], rc.devs[s] = 0, dev
@@ -327,57 +321,75 @@ func (rc *roundCore) strike(s, id, samples int, dev *device.Device, f fault.Faul
 		return -1
 	}
 	rc.meters[s] = meterOn(dev)
+	var pre float64
+	pre, rc.post[s] = exchange(link, rc.modelBytes, rc.swap, f)
+	cr.CommS = pre + rc.post[s]
+	dev.Idle(pre)
 	return burnt(samples, f)
 }
 
+// exchange prices a member's model exchange on link under fault f as the
+// two legs its device plays around the compute: pre, the server's model
+// download (a gossip swap has none), and post, the upload — for a swap
+// followed by the peer's model download. f.Slow degrades both. A crash or
+// battery death strikes mid-compute: the download was paid, nothing is
+// sent. A link flap cuts the upload at f.Point, and no later leg happens.
+// A completed exchange costs link.RoundTripTime either way. The one
+// definition of what a fault does to an exchange, for every engine.
+func exchange(link network.Link, bytes int, swap bool, f fault.Fault) (pre, post float64) {
+	link = link.Degraded(f.Slow)
+	if !swap {
+		pre = link.DownloadTime(bytes)
+	}
+	switch {
+	case f.Kind == fault.Crash || f.Kind == fault.Battery:
+	case f.Kind == fault.LinkFlap:
+		post = f.Point * link.UploadTime(bytes)
+	case swap:
+		post = link.RoundTripTime(bytes)
+	default:
+		post = link.UploadTime(bytes)
+	}
+	return pre, post
+}
+
 // settle closes slot s once its device has burned computeS seconds: a
-// battery death empties the account, the model exchange is charged on the
-// (possibly degraded) link and the device is metered.
+// battery death empties the account, the device plays the exchange leg
+// after the compute and is metered.
 //
 // fedlint:hotpath
-func (rc *roundCore) settle(s int, computeS float64, f fault.Fault, link network.Link) {
+func (rc *roundCore) settle(s int, computeS float64, f fault.Fault) {
 	cr := &rc.crs[s]
 	cr.ComputeS = computeS
 	if f.Kind == fault.Battery {
 		rc.devs[s].DrainBattery()
 	}
-	link = link.Degraded(f.Slow)
-	switch {
-	case f.Kind == fault.Crash || f.Kind == fault.Battery:
-		// Died mid-shard: nothing is ever transmitted.
-	case f.Kind == fault.LinkFlap && rc.swap:
-		// The link dies Point of the way through the upload; the peer's
-		// model is never fetched.
-		cr.CommS = f.Point * link.UploadTime(rc.modelBytes)
-	case f.Kind == fault.LinkFlap:
-		cr.CommS = f.Point * link.RoundTripTime(rc.modelBytes)
-	case !rc.swap:
-		cr.CommS = link.RoundTripTime(rc.modelBytes)
-	}
+	rc.devs[s].Idle(rc.post[s])
 	rc.spans[s] = cr.ComputeS + cr.CommS
-	if rc.swap && !f.Kind.Aborts() {
-		// Pinned for golden compatibility: a completed peer swap has
-		// always been summed leg by leg, its comm reported as span −
-		// compute.
-		rc.spans[s] = cr.ComputeS + link.UploadTime(rc.modelBytes) + link.DownloadTime(rc.modelBytes)
-		cr.CommS = rc.spans[s] - cr.ComputeS
-	}
 	rc.meters[s].read(cr)
 }
 
-// stepClient is step for a member that also trains for real. A fault that
-// aborts the round skips the gradient work entirely — the update would be
-// discarded anyway, and leaving the trainer, RNG and round counter
-// untouched means a resumed run replays only completed training — while
-// step still charges the simulated cost spent before the failure.
-// Corrupt clients train normally; the damage happens on the wire.
+// stepClient is step for a member that also trains for real (update).
 //
 // fedlint:hotpath
 func (rc *roundCore) stepClient(s, round int, c *Client, cfg *Config, from []*tensor.Tensor) {
-	f := rc.step(s, round, c.ID, c.Local.Len(), c.Device, c.Link)
-	rc.crs[s].TrainLoss = -1
+	c.update(cfg, from, rc.step(s, round, c.ID, c.Local.Len(), c.Device, c.Link), &rc.crs[s])
+}
+
+// update trains c into cr unless fault f aborts its round. An aborted
+// round skips the gradient work entirely — the update would be discarded
+// anyway, and leaving the trainer, RNG and round counter untouched means
+// a resumed run replays only completed training — and reports loss −1.
+// Corrupt clients train normally; the damage happens on the wire. A
+// clean update with non-finite weights is Diverged: the server, or a
+// gossip peer, rejects it.
+//
+// fedlint:hotpath
+func (c *Client) update(cfg *Config, from []*tensor.Tensor, f fault.Fault, cr *ClientRound) {
+	cr.TrainLoss = -1
 	if !f.Kind.Aborts() {
-		rc.crs[s].TrainLoss = c.train(cfg, from)
+		cr.TrainLoss = c.train(cfg, from)
+		cr.Diverged = f.Kind == fault.None && c.net.HasNonFinite()
 	}
 }
 
@@ -473,7 +485,11 @@ type roundClose struct {
 //	           it learns an update is lost — but everyone's energy counts;
 //	report   — outcomes feed a failure-aware sampler (late survivors did
 //	           finish, so they count as successes). Population rounds
-//	           report when they plan instead, and leave rep unset.
+//	           report when they plan instead, and leave rep unset;
+//	wait     — every cohort device idles until the round closes, so its
+//	           clock reads its open clock plus the makespan; a member the
+//	           close did not wait for (a victim, a late or a dropped
+//	           member) whose own span is longer ends at open plus span.
 //
 // fedlint:hotpath
 func (rc *roundCore) close(round int, sel []int) roundClose {
@@ -536,22 +552,12 @@ func (rc *roundCore) close(round int, sel []int) roundClose {
 	if out.survivors == 0 || out.survivors < rc.floor {
 		out.failed = rc.deadline > 0 || rc.floor > 0 || rc.faults.Active()
 	}
-	return out
-}
-
-// idle parks the first k slots' devices for the rest of the round, so
-// stragglers' heat and fast devices' cooling evolve realistically.
-func (rc *roundCore) idle(k int, makespan float64) {
-	for s := 0; s < k; s++ {
-		if rc.devs[s] == nil {
-			continue
+	for s := 0; s < k && !rc.discard; s++ {
+		if rc.devs[s] != nil {
+			rc.devs[s].Idle(out.makespan - rc.spans[s])
 		}
-		rest := makespan - rc.spans[s]
-		if rc.idleByParts {
-			rest = makespan - rc.crs[s].ComputeS - rc.crs[s].CommS
-		}
-		rc.devs[s].Idle(rest)
 	}
+	return out
 }
 
 // emit merges one finished round over the first k slots into the run

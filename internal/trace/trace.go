@@ -36,7 +36,10 @@
 //	                end-of-training temperature, throttle transitions
 //	                during training, Flag 1 = dropped, 2 = diverged,
 //	                3 = faulted (injected; see KindFault), 4 = late
-//	                (finished after the quorum closed).
+//	                (finished after the quorum closed). The async engine
+//	                emits one, flagged diverged, for each update it
+//	                rejects as non-finite: AtS its arrival, Round the
+//	                client's cycle index.
 //	KindRoundSummary per-round aggregate: MakespanS, Straggler (client id
 //	                defining the makespan, −1 if none), Loss (sample-
 //	                weighted, −1 when unavailable), Accuracy (−1 when the

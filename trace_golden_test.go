@@ -3,9 +3,11 @@ package fedsched
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fedsched/internal/device"
@@ -266,9 +268,117 @@ func TestGoldenTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := trace.Compare(golden, got, trace.DefaultTolerances); err != nil {
-				t.Errorf("trace diverged from golden: %v\n"+
-					"(if the change is intentional: `make trace-golden`, then review the diff)", err)
+				t.Errorf("trace diverged from golden: %v\n%s"+
+					"(if the change is intentional: `make trace-golden`, then review the diff)", err, goldenDiff(golden, got))
 			}
 		})
 	}
+}
+
+// diffFields enumerates the event fields goldenDiff compares; kind, round
+// and client are the key.
+var diffFields = []struct {
+	name string
+	get  func(*trace.Event) float64
+}{
+	{"samples", func(e *trace.Event) float64 { return float64(e.Samples) }},
+	{"throttles", func(e *trace.Event) float64 { return float64(e.Throttles) }},
+	{"straggler", func(e *trace.Event) float64 { return float64(e.Straggler) }},
+	{"staleness", func(e *trace.Event) float64 { return float64(e.Staleness) }},
+	{"flag", func(e *trace.Event) float64 { return float64(e.Flag) }},
+	{"at_s", func(e *trace.Event) float64 { return e.AtS }},
+	{"compute_s", func(e *trace.Event) float64 { return e.ComputeS }},
+	{"comm_s", func(e *trace.Event) float64 { return e.CommS }},
+	{"energy_j", func(e *trace.Event) float64 { return e.EnergyJ }},
+	{"battery", func(e *trace.Event) float64 { return e.Battery }},
+	{"temp_c", func(e *trace.Event) float64 { return e.TempC }},
+	{"freq_ghz", func(e *trace.Event) float64 { return e.FreqGHz }},
+	{"makespan_s", func(e *trace.Event) float64 { return e.MakespanS }},
+	{"loss", func(e *trace.Event) float64 { return e.Loss }},
+	{"accuracy", func(e *trace.Event) float64 { return e.Accuracy }},
+}
+
+// goldenDiff summarizes how got moved from golden, per event kind: the
+// event count on each side, how many events found no partner, then every
+// field that moved beyond DefaultTolerances with its largest |Δ| and how
+// many events it moved in. Events pair by (kind, round, client,
+// occurrence), so a throttle event that appears or vanishes shifts only
+// its own device's later throttles in that round, not the rest of the
+// trace, and a reordering pairs each event with itself.
+func goldenDiff(golden, got []trace.Event) string {
+	type key struct {
+		kind               trace.Kind
+		round, client, nth int
+	}
+	index := func(evs []trace.Event) map[key]*trace.Event {
+		m := make(map[key]*trace.Event, len(evs))
+		for i := range evs {
+			k := key{kind: evs[i].Kind, round: evs[i].Round, client: evs[i].Client}
+			for m[k] != nil {
+				k.nth++
+			}
+			m[k] = &evs[i]
+		}
+		return m
+	}
+	type moved struct {
+		events int
+		maxAbs float64
+	}
+	type kindDiff struct {
+		golden, got, unpaired int
+		fields                []moved // by diffFields index
+	}
+	kinds := map[trace.Kind]*kindDiff{}
+	of := func(k trace.Kind) *kindDiff {
+		if kinds[k] == nil {
+			kinds[k] = &kindDiff{fields: make([]moved, len(diffFields))}
+		}
+		return kinds[k]
+	}
+	for i := range golden {
+		of(golden[i].Kind).golden++
+	}
+	for i := range got {
+		of(got[i].Kind).got++
+	}
+	gotBy := index(got)
+	for k, g := range index(golden) {
+		h := gotBy[k]
+		kd := of(k.kind)
+		if h == nil {
+			kd.unpaired++
+			continue
+		}
+		delete(gotBy, k)
+		for f, field := range diffFields {
+			if a, b := field.get(g), field.get(h); math.Abs(b-a) > trace.DefaultTolerances.Abs+trace.DefaultTolerances.Rel*math.Abs(a) {
+				kd.fields[f].events++
+				kd.fields[f].maxAbs = max(kd.fields[f].maxAbs, math.Abs(b-a))
+			}
+		}
+	}
+	for k := range gotBy {
+		of(k.kind).unpaired++
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-13s %7s %7s %9s  %-11s %7s %12s\n", "kind", "golden", "got", "unpaired", "moved", "events", "max |Δ|")
+	for k := range 256 {
+		kd := kinds[trace.Kind(k)]
+		if kd == nil {
+			continue
+		}
+		fmt.Fprintf(&b, "%-13s %7d %7d %9d", trace.Kind(k), kd.golden, kd.got, kd.unpaired)
+		sep := ""
+		for f, m := range kd.fields {
+			if m.events > 0 {
+				fmt.Fprintf(&b, "%s  %-11s %7d %12.6g\n", sep, diffFields[f].name, m.events, m.maxAbs)
+				sep = strings.Repeat(" ", 39)
+			}
+		}
+		if sep == "" {
+			b.WriteString("  —\n")
+		}
+	}
+	return b.String()
 }
