@@ -8,7 +8,7 @@ GO ?= go
 .PHONY: build test vet lint lint-ci \
 	fuzz-smoke fuzz-smoke-sched fuzz-smoke-select fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-job \
 	fuzz-smoke-ckpt fuzz-smoke-convblock fuzz-smoke-device fuzz-smoke-fedminavg \
-	fmt-check check check-nolint race race-tensor purego nofma trace-golden loc \
+	fmt-check check check-nolint race race-tensor purego nofma trace-golden loc test-times \
 	bench profile-pop profile-sched profile-train profile-churn \
 	population-smoke fault-smoke serve-smoke exp-snapshot examples
 
@@ -192,6 +192,23 @@ loc:
 	@printf '%-42s %8d\n' 'internal/ packages' \
 		"$$(find internal -name '*.go' ! -path '*/testdata/*' -exec dirname {} \; | sort -u | wc -l)"
 	@printf '%-42s %8d\n' 'binaries (cmd/*)' "$$(find cmd -mindepth 1 -maxdepth 1 -type d | wc -l)"
+
+# Where the test suite's time goes: `go test -json -p 1` (one package at
+# a time, so packages do not slow each other down) over every package,
+# then the 25 slowest top-level tests with their package and
+# wall seconds, slowest first; a failed test is marked FAIL. Informational
+# — CI prints it, nothing gates on it.
+test-times:
+	@out="$$(mktemp)"; trap 'rm -f "$$out"' EXIT; \
+	$(GO) test -json -p 1 -count=1 ./... > "$$out"; status=$$?; \
+	awk 'function field(k) { return match($$0, "\"" k "\":\"[^\"]*\"") ? substr($$0, RSTART + length(k) + 4, RLENGTH - length(k) - 5) : "" } \
+		/"Action":"(pass|fail)"/ && /"Test":/ { \
+			test = field("Test"); if (index(test, "/")) next; \
+			match($$0, /"Elapsed":[0-9.eE+-]+/); \
+			printf "%.2f\t%s\t%s%s\n", substr($$0, RSTART + 10, RLENGTH - 10), field("Package"), test, /"Action":"fail"/ ? " FAIL" : "" \
+		}' "$$out" | sort -t "$$(printf '\t')" -k1,1 -g -r | head -n 25 | \
+	awk -F '\t' 'BEGIN { printf "%9s  %-34s %s\n", "seconds", "package", "test" } { printf "%9s  %-34s %s\n", $$1, $$2, $$3 }'; \
+	[ $$status -eq 0 ] || echo "test-times: go test exited $$status (failed tests are marked FAIL)"
 
 # Run every examples/* program — the library's callers — and fail if any
 # exits non-zero (each one's output is printed). About 6 s on 2 cores.

@@ -187,7 +187,15 @@ func (tb *Testbed) Devices() ([]*device.Device, []network.Link) {
 // fresh devices and returns each round's makespan in simulated seconds.
 func (tb *Testbed) SimulateRounds(arch *nn.Arch, asg *sched.Assignment, rounds int) ([]float64, error) {
 	devs, links := tb.Devices()
-	return fl.SimulateRounds(arch, devs, links, asg.Samples(ShardSize), 20, rounds, nil)
+	stats, err := fl.SimulateRounds(arch, devs, links, asg.Samples(ShardSize), 20, rounds, nil)
+	if err != nil {
+		return nil, err
+	}
+	spans := make([]float64, len(stats))
+	for i, rs := range stats {
+		spans[i] = rs.Makespan
+	}
+	return spans, nil
 }
 
 // RunFederated trains a real model with FedAvg over the partitioned

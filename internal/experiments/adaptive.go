@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"fedsched/internal/device"
+	"fedsched/internal/fl"
 	"fedsched/internal/network"
 	"fedsched/internal/nn"
 	"fedsched/internal/profile"
@@ -65,9 +66,11 @@ type adaptiveResult struct {
 }
 
 // runAdaptive executes cfg.Rounds synchronous rounds over the devices,
-// re-profiling online and rescheduling on drift. Base profiles may be nil
-// entries (pure-online learning from scratch is then used, bootstrapped by
-// the first observed round under an equal split).
+// re-profiling online and rescheduling on drift. Each round is a
+// one-round fl.SimulateRounds, so the devices keep the one device clock:
+// download, compute, upload, then wait for the round to close. Base
+// profiles may be nil entries (pure-online learning from scratch is then
+// used, bootstrapped by the first observed round under an equal split).
 func runAdaptive(cfg adaptiveConfig, devs []*device.Device, links []network.Link, base []*profile.DeviceProfile) (*adaptiveResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Arch == nil {
@@ -120,19 +123,18 @@ func runAdaptive(cfg adaptiveConfig, devs []*device.Device, links []network.Link
 			needReschedule = false
 		}
 		samples := asg.Samples(adaptiveShard)
-		times := make([]float64, n)
-		for j, dev := range devs {
+		stats, err := fl.SimulateRounds(cfg.Arch, devs, links, samples, adaptiveBatch, 1, nil)
+		if err != nil {
+			return nil, err
+		}
+		rec.Makespan = stats[0].Makespan
+		for j, cr := range stats[0].Clients {
 			if samples[j] <= 0 {
 				continue
 			}
 			predicted := online[j].Predict(cfg.Arch, samples[j]) + links[j].RoundTripTime(cfg.Arch.SizeBytes())
-			comp := dev.Train(cfg.Arch, samples[j], adaptiveBatch)
-			obs := comp + links[j].RoundTripTime(cfg.Arch.SizeBytes())
-			times[j] = obs
-			online[j].Observe(cfg.Arch, samples[j], comp)
-			if obs > rec.Makespan {
-				rec.Makespan = obs
-			}
+			obs := cr.ComputeS + cr.CommS
+			online[j].Observe(cfg.Arch, samples[j], cr.ComputeS)
 			if predicted > rec.Predicted {
 				rec.Predicted = predicted
 			}
@@ -141,9 +143,6 @@ func runAdaptive(cfg adaptiveConfig, devs []*device.Device, links []network.Link
 					rec.WorstDrift = drift
 				}
 			}
-		}
-		for j, dev := range devs {
-			dev.Idle(rec.Makespan - times[j])
 		}
 		if rec.WorstDrift > cfg.DriftThreshold {
 			needReschedule = true

@@ -8,6 +8,7 @@ import (
 	"fedsched/internal/network"
 	"fedsched/internal/nn"
 	"fedsched/internal/profile"
+	"fedsched/internal/trace"
 )
 
 var adaptiveArch = nn.LeNet(1, 28, 28, 10)
@@ -42,6 +43,27 @@ func TestStableRigNeedsNoReschedule(t *testing.T) {
 	}
 	if res.TotalTime <= 0 {
 		t.Fatal("no time accumulated")
+	}
+}
+
+// TestAdaptiveDevicesKeepTheRoundClock: runAdaptive plays every round on
+// the round core's device timeline — download, compute, upload, then wait
+// for the round to close — so after a run on fresh devices each device's
+// clock reads the run's Σ makespans, the straggler's and the waiters'
+// alike. A device that trained without playing its model exchange would
+// lag by one round trip per round.
+func TestAdaptiveDevicesKeepTheRoundClock(t *testing.T) {
+	devs, links, base := adaptiveRig(t)
+	res, err := runAdaptive(adaptiveConfig{Arch: adaptiveArch, TotalSamples: 12000, Rounds: 4}, devs, links, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tol := trace.DefaultTolerances
+	for i, d := range devs {
+		if math.Abs(d.NowSeconds-res.TotalTime) > tol.Abs+tol.Rel*res.TotalTime {
+			t.Errorf("device %d (%s): clock %.9f s after the run, want Σ makespans %.9f s (off by %.9f s; one round trip is %.9f s)",
+				i, d.Model, d.NowSeconds, res.TotalTime, res.TotalTime-d.NowSeconds, links[i].RoundTripTime(adaptiveArch.SizeBytes()))
+		}
 	}
 }
 

@@ -82,15 +82,15 @@ func meanRoundTime(tb *fedsched.Testbed, arch *nn.Arch, s sched.Scheduler, req *
 // devices as the rounds left them.
 func meanSpan(tb *fedsched.Testbed, arch *nn.Arch, samples []int, rounds int, rec *trace.Recorder) (float64, []*device.Device, error) {
 	devs, links := tb.Devices()
-	spans, err := fl.SimulateRounds(arch, devs, links, samples, 20, rounds, rec)
+	stats, err := fl.SimulateRounds(arch, devs, links, samples, 20, rounds, rec)
 	if err != nil {
 		return 0, nil, err
 	}
 	sum := 0.0
-	for _, v := range spans {
-		sum += v
+	for _, rs := range stats {
+		sum += rs.Makespan
 	}
-	return sum / float64(len(spans)), devs, nil
+	return sum / float64(len(stats)), devs, nil
 }
 
 // flConfig is the training recipe every driver shares: batch 20, LR 0.02,

@@ -311,16 +311,7 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 		cl := roundClose{straggler: -1}
 		sel := rc.draw(round)
 		if len(sel) > 0 {
-			// Local training fans out across the worker pool. Every client
-			// owns its network, optimizer, RNG, local shard and simulated
-			// device, so workers never share mutable state; everything
-			// order-sensitive happens after the join, in cohort order.
-			workers := tensor.WorkerCount(cfg.Workers, len(sel))
-			order := rc.longestFirst(workers, sel, active)
-			forEach(workers, len(sel), func(i int) {
-				rc.stepClient(order[i], round, active[sel[order[i]]], &cfg, globalW)
-			})
-			cl = rc.close(round, sel)
+			cl = rc.train(round, sel, active, &cfg, globalW)
 			stats.Makespan, stats.Failed = cl.makespan, cl.failed
 			stats.Clients = append(stats.Clients, rc.crs[:len(sel)]...)
 		}

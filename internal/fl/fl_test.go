@@ -266,22 +266,33 @@ func TestSimulateRounds(t *testing.T) {
 	arch := nn.LeNet(1, 28, 28, 10)
 	devs := []*device.Device{device.New(device.Pixel2()), device.New(device.Nexus6())}
 	links := []network.Link{network.WiFi(), network.WiFi()}
-	spans, err := SimulateRounds(arch, devs, links, []int{2000, 1000}, 20, 3, nil)
+	rounds, err := SimulateRounds(arch, devs, links, []int{2000, 1000}, 20, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spans) != 3 {
-		t.Fatalf("%d spans", len(spans))
+	if len(rounds) != 3 {
+		t.Fatalf("%d rounds", len(rounds))
 	}
-	for _, s := range spans {
-		if s <= 0 {
-			t.Fatal("non-positive makespan")
+	for r, rs := range rounds {
+		if rs.Round != r || rs.Makespan <= 0 {
+			t.Fatalf("round %d: %+v", r, rs)
+		}
+		// The makespan is the slowest member's compute + comm.
+		slowest := 0.0
+		for i, cr := range rs.Clients {
+			if cr.ClientID != i || cr.ComputeS <= 0 || cr.CommS <= 0 {
+				t.Fatalf("round %d member %d: %+v", r, i, cr)
+			}
+			slowest = max(slowest, cr.ComputeS+cr.CommS)
+		}
+		if len(rs.Clients) != 2 || slowest != rs.Makespan {
+			t.Fatalf("round %d: makespan %v, slowest member %v over %d members", r, rs.Makespan, slowest, len(rs.Clients))
 		}
 	}
 	// Zero samples for everyone → error-free zero spans.
-	spans, err = SimulateRounds(arch, devs, links, []int{0, 0}, 20, 1, nil)
-	if err != nil || spans[0] != 0 {
-		t.Fatalf("zero work: spans=%v err=%v", spans, err)
+	rounds, err = SimulateRounds(arch, devs, links, []int{0, 0}, 20, 1, nil)
+	if err != nil || rounds[0].Makespan != 0 {
+		t.Fatalf("zero work: rounds=%+v err=%v", rounds, err)
 	}
 	if _, err := SimulateRounds(arch, devs, links[:1], []int{1, 2}, 20, 1, nil); err == nil {
 		t.Fatal("expected mismatch error")

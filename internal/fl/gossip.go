@@ -6,7 +6,6 @@ import (
 
 	"fedsched/internal/data"
 	"fedsched/internal/nn"
-	"fedsched/internal/tensor"
 )
 
 // Topology selects the gossip communication pattern.
@@ -92,17 +91,7 @@ func RunGossip(cfg GossipConfig, clients []*Client, test *data.Dataset) (*Gossip
 			rc.emit(round, 0, &roundClose{straggler: -1}, -1, -1)
 			continue
 		}
-
-		// Local epochs are independent (per-client model, RNG, device),
-		// so they fan out across the worker pool; everything that couples
-		// clients — makespan, waiting, pairwise averaging — runs after the
-		// join in deterministic order.
-		workers := tensor.WorkerCount(cfg.Workers, len(sel))
-		order := rc.longestFirst(workers, sel, active)
-		forEach(workers, len(sel), func(i int) {
-			rc.stepClient(order[i], round, active[sel[order[i]]], &cfg.Config, nil)
-		})
-		cl := rc.close(round, sel)
+		cl := rc.train(round, sel, active, &cfg.Config, nil)
 		hist.TotalSeconds += cl.makespan
 		loss := -1.0
 		if cl.samples > 0 {

@@ -2,10 +2,12 @@ package fl
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"fedsched/internal/data"
 	"fedsched/internal/device"
+	"fedsched/internal/fault"
 	"fedsched/internal/network"
 	"fedsched/internal/nn"
 	"fedsched/internal/trace"
@@ -54,39 +56,36 @@ func BuildClients(devices []*device.Device, links []network.Link, datasets []*da
 	return clients, nil
 }
 
-// SimulateRounds computes per-round makespans for the given per-user
+// SimulateRounds plays `rounds` synchronous rounds of the given per-user
 // sample counts without training any model: devices simulate computation
 // (with persistent thermal state across rounds) and links add the model
 // transfer time. This is what the computation-time experiments (Figs 5, 7)
-// measure; accuracy experiments use Run instead. With a non-nil rec,
-// devices emit their throttle transitions and each round closes with
-// per-client KindClientRound events plus a KindRoundSummary (makespan,
-// straggler). It is the simplest policy over the round core (round.go):
-// everyone participates with a fixed sample count, nothing trains and
-// nothing merges.
-func SimulateRounds(arch *nn.Arch, devices []*device.Device, links []network.Link, samples []int, batch, rounds int, rec *trace.Recorder) ([]float64, error) {
+// measure; accuracy experiments use Run instead. Each round returns the
+// record Run returns — its makespan and every member's ClientRound —
+// with TrainLoss NaN and Accuracy −1, since nothing trains (a member's
+// TrainLoss reads 0). With a non-nil rec, devices emit their throttle
+// transitions and each round closes with per-client KindClientRound
+// events plus a KindRoundSummary (makespan, straggler). It is the
+// simplest policy over the round core (round.go): everyone participates
+// with a fixed sample count, nothing trains and nothing merges.
+func SimulateRounds(arch *nn.Arch, devices []*device.Device, links []network.Link, samples []int, batch, rounds int, rec *trace.Recorder) ([]RoundStats, error) {
 	if len(devices) != len(samples) || len(links) != len(samples) {
 		return nil, fmt.Errorf("fl: mismatched lengths: %d devices, %d links, %d sample counts",
 			len(devices), len(links), len(samples))
 	}
-	if rec != nil {
-		// Per-device logs (even though this loop is sequential) so the
-		// throttle events get round-stamped on the drain, exactly like the
-		// training engines.
-		for i, dev := range devices {
-			dev.Tracer = trace.NewLog(clientLogCapacity)
-			dev.TraceID = i
-		}
-	}
-	rc := newRoundCore(arch, batch, len(devices), nil, nil, rec)
-	spans := make([]float64, 0, rounds)
+	k := len(devices)
+	rc := newRoundCore(arch, batch, k, nil, nil, rec)
+	out := make([]RoundStats, 0, rounds)
 	for r := 0; r < rounds; r++ {
 		for i, dev := range devices {
-			rc.step(i, r, i, samples[i], dev, links[i])
+			rc.strike(i, i, samples[i], dev, links[i], fault.Fault{})
 		}
-		cl := rc.close(r, rc.sel)
-		spans = append(spans, cl.makespan)
-		rc.emit(r, len(devices), &cl, -1, -1)
+		cl := rc.play(r, rc.sel)
+		out = append(out, RoundStats{
+			Round: r, Makespan: cl.makespan, TrainLoss: math.NaN(), Accuracy: -1,
+			Failed: cl.failed, Clients: append([]ClientRound(nil), rc.crs[:k]...),
+		})
+		rc.emit(r, k, &cl, -1, -1)
 	}
-	return spans, nil
+	return out, nil
 }

@@ -167,14 +167,6 @@ type PopulationRunner struct {
 	// plans[0] serves Round; SimulatePopulationRounds alternates two
 	// batches of pipelineBatch plans.
 	plans []*popPlan
-	// burns and secs are play's per-slot scratch for the lockstep burn:
-	// the samples strike hands it and the compute seconds it returns.
-	burns []int
-	secs  []float64
-	// logs are the per-slot device event logs (tracing only), shared by
-	// every plan: each play drains its cohort's logs in emit, so the
-	// logs are empty whenever the next play starts.
-	logs []*trace.Recorder
 }
 
 // popPlan is one planned population round: everything plan decides —
@@ -236,12 +228,10 @@ func NewPopulationRunner(cfg PopulationConfig) (*PopulationRunner, error) {
 	}
 
 	r := &PopulationRunner{
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Population.Seed*0x5deece66d + 11)),
-		link:  network.WiFi(),
-		rc:    newRoundCore(cfg.Arch, popBatchSize, k, cfg.Sampler, cfg.Faults, cfg.Trace),
-		burns: make([]int, k),
-		secs:  make([]float64, k),
+		cfg:  cfg,
+		rng:  rand.New(rand.NewSource(cfg.Population.Seed*0x5deece66d + 11)),
+		link: network.WiFi(),
+		rc:   newRoundCore(cfg.Arch, popBatchSize, k, cfg.Sampler, cfg.Faults, cfg.Trace),
 	}
 	r.rep, r.rc.rep = r.rc.rep, nil
 	r.rc.quorum, r.rc.floor, r.rc.discard = cfg.Quorum, cfg.MinParticipants, true
@@ -254,12 +244,6 @@ func NewPopulationRunner(cfg PopulationConfig) (*PopulationRunner, error) {
 	r.lines = make([]profile.Line, len(profs))
 	for a, dp := range profs {
 		r.lines[a] = dp.Line(cfg.Arch)
-	}
-	if cfg.Trace != nil {
-		r.logs = make([]*trace.Recorder, k)
-		for i := range r.logs {
-			r.logs[i] = trace.NewLog(clientLogCapacity)
-		}
 	}
 	r.plans = []*popPlan{r.newPlan(k)}
 	return r, nil
@@ -351,10 +335,6 @@ func (r *PopulationRunner) plan(round int, p *popPlan) error {
 			// a nearly-dead phone still carries one shard.
 			u.CapacityShards = max(1, d.CapacityShards(cfg.Arch, popShardSize, cfg.BatteryBudget))
 		}
-		if r.logs != nil {
-			d.Tracer = r.logs[i]
-			d.TraceID = id
-		}
 	}
 
 	req := &sched.Request{
@@ -395,7 +375,7 @@ func (r *PopulationRunner) plan(round int, p *popPlan) error {
 // fedlint:hotpath
 // fedlint:deterministic
 func (r *PopulationRunner) play(p *popPlan) PopulationRound {
-	cfg, rc := r.cfg, r.rc
+	rc := r.rc
 	k := len(p.cohort)
 	pr := PopulationRound{Round: p.round, Selected: k, PredictedS: p.predicted, Straggler: -1}
 	rc.trace.Drain(p.log)
@@ -404,15 +384,9 @@ func (r *PopulationRunner) play(p *popPlan) PopulationRound {
 		return pr
 	}
 	for s, id := range p.cohort {
-		r.burns[s] = rc.strike(s, id, p.shards[s]*popShardSize, &p.devs[s], r.link, p.faults[s])
+		rc.strike(s, id, p.shards[s]*popShardSize, &p.devs[s], r.link, p.faults[s])
 	}
-	device.TrainLockstep(cfg.Arch, popBatchSize, rc.devs[:k], r.burns[:k], r.secs[:k])
-	for s := 0; s < k; s++ {
-		if r.burns[s] >= 0 {
-			rc.settle(s, r.secs[s], p.faults[s])
-		}
-	}
-	cl := rc.close(p.round, p.cohort)
+	cl := rc.play(p.round, p.cohort)
 	pr.Participants, pr.Samples = cl.survivors, cl.samples
 	pr.MakespanS, pr.Straggler = cl.makespan, cl.straggler
 	pr.EnergyJ, pr.Throttles = cl.energyJ, cl.throttles

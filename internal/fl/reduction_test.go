@@ -182,12 +182,12 @@ func TestPopulationRoundIsSimulateRoundsOnFreshDevices(t *testing.T) {
 		}
 		devs, links, samples := fresh()
 		simTrace := trace.New(0)
-		spans, err := SimulateRounds(arch, devs, links, samples, popBatchSize, 1, simTrace)
+		sim, err := SimulateRounds(arch, devs, links, samples, popBatchSize, 1, simTrace)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if spans[0] != pr.MakespanS || pr.Participants != n {
-			t.Fatalf("round %d: SimulateRounds makespan %v, population %+v", round, spans[0], pr)
+		if sim[0].Makespan != pr.MakespanS || pr.Participants != n {
+			t.Fatalf("round %d: SimulateRounds makespan %v, population %+v", round, sim[0].Makespan, pr)
 		}
 		want := roundEvents(simTrace, 0)
 		for i := range want {
@@ -196,10 +196,10 @@ func TestPopulationRoundIsSimulateRoundsOnFreshDevices(t *testing.T) {
 		if err := trace.Compare(want, roundEvents(popTrace, round), trace.Exact); err != nil {
 			t.Fatalf("round %d: population round diverged from SimulateRounds: %v", round, err)
 		}
-		if round == 0 && warm[0] != pr.MakespanS {
-			t.Fatalf("round 0: multi-round SimulateRounds makespan %v, population %v", warm[0], pr.MakespanS)
+		if round == 0 && warm[0].Makespan != pr.MakespanS {
+			t.Fatalf("round 0: multi-round SimulateRounds makespan %v, population %v", warm[0].Makespan, pr.MakespanS)
 		}
-		t.Logf("round %d: population %.9f s, multi-round SimulateRounds %.9f s", round, pr.MakespanS, warm[round])
+		t.Logf("round %d: population %.9f s, multi-round SimulateRounds %.9f s", round, pr.MakespanS, warm[round].Makespan)
 	}
 }
 
@@ -302,13 +302,13 @@ func TestDeviceClockAtRoundClose(t *testing.T) {
 	var ps poll
 	snap(&ps, clients)
 	for r := 0; r < 4; r++ {
-		spans, err := SimulateRounds(nn.LeNetSmall(1, 16, 16, 10), devs, links, samples, 20, 1, nil)
+		sim, err := SimulateRounds(nn.LeNetSmall(1, 16, 16, 10), devs, links, samples, 20, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		snap(&ps, clients)
 		for id := range clients {
-			check(t, "SimulateRounds", &ps, r, id, spans[0], 0)
+			check(t, "SimulateRounds", &ps, r, id, sim[0].Makespan, 0)
 		}
 	}
 }

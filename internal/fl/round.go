@@ -24,11 +24,15 @@ import (
 //
 // It also owns the device timeline: a device's clock advances through
 // every leg of its round in protocol order (exchange), then waits until
-// the round closes (close). Run, RunGossip, PopulationRunner.Round and
-// SimulateRounds are policies over it: each supplies who is in the
+// the round closes (close). A synchronous round is played here and
+// nowhere else, through one of two entry points: train, for rounds whose
+// members train for real (Run, RunGossip), and play, for train-free
+// rounds burned in device lockstep (PopulationRunner, SimulateRounds).
+// The engines are policies over them: each supplies who is in the
 // cohort, whether a model exchange is a server round trip or a peer swap,
 // how surviving updates merge and whether a snapshot is taken. RunAsync
-// has no rounds; each client cycle is a one-slot step of the same core.
+// has no rounds; each client cycle is a one-slot stepClient of the same
+// core.
 
 // engine names a training engine for set-up and config validation.
 type engine uint8
@@ -81,8 +85,7 @@ func (c *Config) check(e engine) error {
 
 // setup is the training engines' shared start: validate the config, keep
 // the data-holding clients, check the sampler against them, build the
-// global model and give every participant its trainer, seeded RNG and
-// throttle-trace log.
+// global model and give every participant its trainer and seeded RNG.
 func setup(cfg *Config, e engine, clients []*Client) (active []*Client, global *nn.Network, err error) {
 	if err := cfg.check(e); err != nil {
 		return nil, nil, err
@@ -128,27 +131,22 @@ func setup(cfg *Config, e engine, clients []*Client) (active []*Client, global *
 		// overwrite its weights before the first local epoch.
 		c.net = nn.NewTrainer(cfg.Precision, cfg.Arch, rootRNG, cfg.LR, cfg.Momentum)
 		c.rng = rand.New(rand.NewSource(cfg.Seed + int64(c.ID)*7919 + 1))
-		if cfg.Trace != nil && c.Device != nil {
-			// Round engines train clients concurrently, so each device
-			// gets a private log that emit drains post-join in cohort
-			// order — the merged trace is bit-identical for any worker
-			// count. Async device work runs on the event-loop goroutine
-			// only, so its devices share the run recorder.
+		if e == asyncEngine && cfg.Trace != nil && c.Device != nil {
+			// Async device work runs on the event-loop goroutine only,
+			// so its devices share the run recorder; the round engines'
+			// devices log through their cohort slot (strike).
 			c.Device.TraceID = c.ID
 			c.Device.Tracer = cfg.Trace
-			if e != asyncEngine {
-				c.Device.Tracer = trace.NewLog(clientLogCapacity)
-			}
 		}
 	}
 	return active, global, nil
 }
 
-// clientLogCapacity is the starting size of each device's private
-// throttle log. A log never drops: a large shard on a hot device makes
-// thousands of governor transitions in one round (a Nexus 6 training
-// VGG6 on 15,000 samples makes over 4,000), and the log grows to hold
-// them, then keeps that storage for later rounds.
+// clientLogCapacity is the starting size of each cohort slot's throttle
+// log. A log never drops: a large shard on a hot device makes thousands
+// of governor transitions in one round (a Nexus 6 training VGG6 on
+// 15,000 samples makes over 4,000), and the log grows to hold them, then
+// keeps that storage for later rounds.
 const clientLogCapacity = 1024
 
 // localEpoch runs one shuffled pass of minibatch SGD over local and
@@ -242,6 +240,13 @@ type roundCore struct {
 	post   []float64 // the exchange leg a slot's device plays after its compute
 	devs   []*device.Device
 	meters []meter
+	burns  []int     // samples a slot's device burns (strike), −1: none
+	secs   []float64 // play: the compute seconds each burn took
+	// logs are the slots' device throttle logs (traced runs only), made
+	// on a slot's first device and drained by emit every round, so a slot
+	// holds only its current member's events. Slots own their logs, so
+	// concurrent steps and TrainLockstep never share one.
+	logs   []*trace.Recorder
 	order  []int // close: candidates for the cut, then the surviving slots
 	sorter spanOrder
 	lpt    shardOrder // longestFirst's scratch
@@ -258,6 +263,10 @@ func newRoundCore(arch *nn.Arch, batch, n int, s sample.Sampler, faults *fault.P
 		faults: faults, trace: rec, sampler: s,
 		sel: make([]int, n), crs: make([]ClientRound, n), spans: make([]float64, n), post: make([]float64, n),
 		devs: make([]*device.Device, n), order: make([]int, n), meters: make([]meter, n),
+		burns: make([]int, n), secs: make([]float64, n),
+	}
+	if rec != nil {
+		rc.logs = make([]*trace.Recorder, n)
 	}
 	rc.rep, _ = s.(sample.FailureReporter)
 	rc.sorter.spans, rc.sorter.crs = rc.spans, rc.crs
@@ -279,37 +288,25 @@ func (rc *roundCore) draw(round int) []int {
 	return rc.sampler.Cohort(round, rc.sel)
 }
 
-// step plays slot s's round for one member on its device and link:
-// strike the fault plan, then the exchange legs around the compute it
-// gets through (strike, Train, settle). A member with no samples sits
-// the round out (its device is reported at rest); one with no device
-// costs nothing. Slots own their cells and
-// fault draws are pure hashes of (round, id), so steps run concurrently.
-//
-// fedlint:hotpath
-func (rc *roundCore) step(s, round, id, samples int, dev *device.Device, link network.Link) fault.Fault {
-	var f fault.Fault
-	if samples > 0 {
-		f = rc.faults.Fault(round, id)
-	}
-	if n := rc.strike(s, id, samples, dev, link, f); n >= 0 {
-		rc.settle(s, dev.Train(rc.arch, n, rc.batch), f)
-	}
-	return f
-}
-
 // strike opens slot s for member id holding samples, struck by fault f
-// (the caller's draw; the zero Fault when samples ≤ 0), prices its model
-// exchange on link and plays the leg before the compute. It returns how
-// many samples the member's device must burn before settle — −1 when the
-// slot sits the round out: no samples (its device is reported at rest) or
-// no device (nothing to time, burn or settle).
+// (the caller's draw; the zero Fault when samples ≤ 0), attaches the
+// slot's throttle log to the member's device, prices its model exchange
+// on link and plays the leg before the compute. It records and returns
+// how many samples the member's device must burn before settle — −1 when
+// the slot sits the round out: no samples (its device is reported at
+// rest) or no device (nothing to time, burn or settle).
 //
 // fedlint:hotpath
 func (rc *roundCore) strike(s, id, samples int, dev *device.Device, link network.Link, f fault.Fault) int {
 	cr := &rc.crs[s]
 	*cr = ClientRound{ClientID: id, Samples: samples}
-	rc.spans[s], rc.devs[s] = 0, dev
+	rc.spans[s], rc.devs[s], rc.burns[s] = 0, dev, -1
+	if rc.logs != nil && dev != nil {
+		if rc.logs[s] == nil {
+			rc.logs[s] = trace.NewLog(clientLogCapacity)
+		}
+		dev.Tracer, dev.TraceID = rc.logs[s], id
+	}
 	if samples <= 0 {
 		if dev != nil {
 			cr.BatteryFrac, cr.Temperature = dev.BatteryRemaining(), dev.TempC
@@ -325,7 +322,8 @@ func (rc *roundCore) strike(s, id, samples int, dev *device.Device, link network
 	pre, rc.post[s] = exchange(link, rc.modelBytes, rc.swap, f)
 	cr.CommS = pre + rc.post[s]
 	dev.Idle(pre)
-	return burnt(samples, f)
+	rc.burns[s] = burnt(samples, f)
+	return rc.burns[s]
 }
 
 // exchange prices a member's model exchange on link under fault f as the
@@ -354,14 +352,14 @@ func exchange(link network.Link, bytes int, swap bool, f fault.Fault) (pre, post
 }
 
 // settle closes slot s once its device has burned computeS seconds: a
-// battery death empties the account, the device plays the exchange leg
-// after the compute and is metered.
+// battery death (the fault strike recorded) empties the account, the
+// device plays the exchange leg after the compute and is metered.
 //
 // fedlint:hotpath
-func (rc *roundCore) settle(s int, computeS float64, f fault.Fault) {
+func (rc *roundCore) settle(s int, computeS float64) {
 	cr := &rc.crs[s]
 	cr.ComputeS = computeS
-	if f.Kind == fault.Battery {
+	if cr.Fault == fault.Battery {
 		rc.devs[s].DrainBattery()
 	}
 	rc.devs[s].Idle(rc.post[s])
@@ -369,27 +367,67 @@ func (rc *roundCore) settle(s int, computeS float64, f fault.Fault) {
 	rc.meters[s].read(cr)
 }
 
-// stepClient is step for a member that also trains for real (update).
+// train plays round `round` of cohort sel, whose slot s trains
+// members[sel[s]] from the weights `from` (nil: from its own model): the
+// slots fan out across the worker pool longest shard first, then the
+// round closes. Every member owns its network, optimizer, RNG, local
+// shard and simulated device and every slot its cells, so workers never
+// share mutable state; everything order-sensitive happens in close and
+// later, in cohort order.
+func (rc *roundCore) train(round int, sel []int, members []*Client, cfg *Config, from []*tensor.Tensor) roundClose {
+	workers := tensor.WorkerCount(cfg.Workers, len(sel))
+	order := rc.longestFirst(workers, sel, members)
+	forEach(workers, len(sel), func(i int) {
+		rc.stepClient(order[i], round, members[sel[order[i]]], cfg, from)
+	})
+	return rc.close(round, sel)
+}
+
+// play closes a train-free round over cohort sel once the caller has
+// struck every slot: the burns strike recorded run in device lockstep
+// (device.TrainLockstep, bit-identical to training phone by phone), then
+// every burned slot settles and the round closes.
+//
+// fedlint:hotpath
+func (rc *roundCore) play(round int, sel []int) roundClose {
+	k := len(sel)
+	device.TrainLockstep(rc.arch, rc.batch, rc.devs[:k], rc.burns[:k], rc.secs[:k])
+	for s := 0; s < k; s++ {
+		if rc.burns[s] >= 0 {
+			rc.settle(s, rc.secs[s])
+		}
+	}
+	return rc.close(round, sel)
+}
+
+// stepClient plays slot s's round for member c, which trains for real:
+// strike the fault plan, burn the compute the device gets through on its
+// own (Device.Train), settle, then run the local epoch (update). Fault
+// draws are pure hashes of (round, id), so steps run concurrently.
 //
 // fedlint:hotpath
 func (rc *roundCore) stepClient(s, round int, c *Client, cfg *Config, from []*tensor.Tensor) {
-	c.update(cfg, from, rc.step(s, round, c.ID, c.Local.Len(), c.Device, c.Link), &rc.crs[s])
+	if n := rc.strike(s, c.ID, c.Local.Len(), c.Device, c.Link, rc.faults.Fault(round, c.ID)); n >= 0 {
+		rc.settle(s, c.Device.Train(rc.arch, n, rc.batch))
+	}
+	c.update(cfg, from, &rc.crs[s])
 }
 
-// update trains c into cr unless fault f aborts its round. An aborted
-// round skips the gradient work entirely — the update would be discarded
-// anyway, and leaving the trainer, RNG and round counter untouched means
-// a resumed run replays only completed training — and reports loss −1.
+// update trains c into cr unless the fault strike recorded aborts its
+// round. An aborted round skips the gradient work entirely — the update
+// would be discarded anyway, and leaving the trainer, RNG and round
+// counter untouched means a resumed run replays only completed training
+// — and reports loss −1.
 // Corrupt clients train normally; the damage happens on the wire. A
 // clean update with non-finite weights is Diverged: the server, or a
 // gossip peer, rejects it.
 //
 // fedlint:hotpath
-func (c *Client) update(cfg *Config, from []*tensor.Tensor, f fault.Fault, cr *ClientRound) {
+func (c *Client) update(cfg *Config, from []*tensor.Tensor, cr *ClientRound) {
 	cr.TrainLoss = -1
-	if !f.Kind.Aborts() {
+	if !cr.Fault.Aborts() {
 		cr.TrainLoss = c.train(cfg, from)
-		cr.Diverged = f.Kind == fault.None && c.net.HasNonFinite()
+		cr.Diverged = cr.Fault == fault.None && c.net.HasNonFinite()
 	}
 }
 
@@ -575,9 +613,7 @@ func (rc *roundCore) emit(round, k int, cl *roundClose, loss, accuracy float64) 
 	}
 	for s := 0; s < k; s++ {
 		cr := &rc.crs[s]
-		if rc.devs[s] != nil && rc.devs[s].Tracer != nil {
-			root.DrainRound(rc.devs[s].Tracer, round)
-		}
+		root.DrainRound(rc.logs[s], round)
 		flag := trace.ClientOK
 		switch {
 		case cr.Fault != fault.None:

@@ -225,12 +225,6 @@ func (n *NetworkOf[T]) FlopsPerSample() float64 {
 	return total
 }
 
-// SizeBytes returns the serialized model size used for communication-time
-// modelling.
-func (n *NetworkOf[T]) SizeBytes() int {
-	return n.ParamCount() * BytesPerParam
-}
-
 // Clone returns an independent network with the same architecture and a
 // deep copy of the weights — fresh layer caches and workspaces, so the
 // clone can run forward/backward passes concurrently with the original.

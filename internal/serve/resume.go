@@ -37,6 +37,20 @@ const (
 
 var resumeFiles = [...]string{slotsFile, historyFile, legacyFile}
 
+// persistTerminal writes a job's terminal state and then deletes its
+// resume store: nothing resumes a finished or failed job. If the state
+// write fails the store stays, because the next daemon will re-run the
+// job and resume from it.
+func (s *Server) persistTerminal(j *job, st JobStatus) {
+	if err := persistState(j.dir, st); err != nil {
+		s.opt.Logf("serve: %s: persist state: %v", j.ID, err)
+		return
+	}
+	for _, name := range resumeFiles {
+		os.Remove(filepath.Join(j.dir, name))
+	}
+}
+
 type resumeStore struct {
 	dir         string
 	slots, hist *os.File

@@ -460,6 +460,44 @@ func TestRestartResume(t *testing.T) {
 	}
 }
 
+// TestPreRunFailureLeavesNoResumeStore: a job that passes Validate but
+// fails in BuildJob has already had its resume store created by then.
+// It must read failed with the builder's error, leave no resume file
+// behind, and a restarted daemon must still serve it as failed.
+func TestPreRunFailureLeavesNoResumeStore(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	st, resp := submit(t, ts1, `{"testbed":1,"scheduler":"fedminavg","classes_per_user":2,"seed":9,"cohort_size":3}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	const want = "cohort_size 3 exceeds the 2 data-holding clients"
+	check := func(ts *httptest.Server, when string) {
+		t.Helper()
+		got := waitFor(t, ts, st.ID, StateFailed, func(s JobStatus) bool { return terminal(s.State) })
+		if got.State != StateFailed || !strings.Contains(got.Error, want) {
+			t.Fatalf("%s: job %s (%q), want failed with %q", when, got.State, got.Error, want)
+		}
+	}
+	check(ts1, "first daemon")
+	ts1.Close()
+	s1.Close()
+
+	jobDir := filepath.Join(dir, "jobs", st.ID)
+	for _, name := range resumeFiles {
+		if _, err := os.Stat(filepath.Join(jobDir, name)); !os.IsNotExist(err) {
+			t.Fatalf("failed job left %s behind (err %v)", name, err)
+		}
+	}
+
+	_, ts2 := startServer(t, Options{Dir: dir})
+	check(ts2, "restarted daemon")
+}
+
 // TestConcurrentJobs exercises the admission path and the engines' shared
 // tensor-lane pool under concurrent submissions — this is the test the
 // race detector leans on (`make race` includes this package).

@@ -691,12 +691,7 @@ func (s *Server) settle(j *job, out fedsched.Outcome, runErr error) {
 	if err := writeJSONAtomic(filepath.Join(j.dir, "rounds.json"), rounds); err != nil {
 		s.opt.Logf("serve: %s: persist rounds: %v", j.ID, err)
 	}
-	if err := persistState(j.dir, st); err != nil {
-		s.opt.Logf("serve: %s: persist state: %v", j.ID, err)
-	}
-	for _, name := range resumeFiles {
-		os.Remove(filepath.Join(j.dir, name))
-	}
+	s.persistTerminal(j, st)
 
 	s.mu.Lock()
 	j.JobStatus = st
@@ -705,12 +700,11 @@ func (s *Server) settle(j *job, out fedsched.Outcome, runErr error) {
 	s.opt.Logf("serve: %s %s (%d rounds, accuracy %.4f)", j.ID, st.State, out.Done, out.Accuracy)
 }
 
-// fail records a pre-run failure (build or I/O error).
+// fail records a pre-run failure (build or I/O error). By then runJob
+// may have created the resume store; like settle, fail removes it.
 func (s *Server) fail(j *job, err error) {
 	st := JobStatus{State: StateFailed, Error: err.Error()}
-	if perr := persistState(j.dir, st); perr != nil {
-		s.opt.Logf("serve: %s: persist state: %v", j.ID, perr)
-	}
+	s.persistTerminal(j, st)
 	s.mu.Lock()
 	j.State, j.Error = st.State, st.Error
 	s.mu.Unlock()

@@ -237,6 +237,49 @@ func TestExportLeavesEventsUnchanged(t *testing.T) {
 	}
 }
 
+// TestExportJSONLAndCSV exports one recorder — wrapped, so Export rotates
+// it first — to both files the binaries' -trace and -trace-csv flags
+// name: the JSONL bytes must equal WriteJSONL's over the same events, and
+// the CSV rows must parse back to those events, floats bit for bit.
+func TestExportJSONLAndCSV(t *testing.T) {
+	events := sample()
+	rec := New(len(events) - 2)
+	for _, e := range events {
+		rec.Emit(e)
+	}
+	live := rec.Events()
+	var want bytes.Buffer
+	if err := WriteJSONL(&want, live); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	jsonlPath, csvPath := dir+"/trace.jsonl", dir+"/trace.csv"
+	var notice bytes.Buffer
+	if err := Export(rec, jsonlPath, csvPath, false, &notice); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(jsonlPath); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("exported JSONL %q (err %v), want %q", got, err, want.Bytes())
+	}
+	f, err := os.Open(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := readCSV(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Compare(live, rows, Exact); err != nil {
+		t.Fatalf("exported CSV does not parse back to the events: %v", err)
+	}
+	for _, path := range []string{jsonlPath, csvPath} {
+		if line := fmt.Sprintf("trace: %d events written to %s\n", len(live), path); !strings.Contains(notice.String(), line) {
+			t.Errorf("notice %q does not announce %q", notice.String(), line)
+		}
+	}
+}
+
 // TestWriteJSONLBlocksMatchSerial holds the two-lane export to the
 // sequential fallback (WriteJSONL with no lane free): the same bytes at
 // every length around the block boundaries, and for a non-finite event
