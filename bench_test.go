@@ -275,7 +275,7 @@ func BenchmarkPopulationRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := trace.Export(rec, filepath.Join(dir, "trace.jsonl"), "", false, io.Discard); err != nil {
+		if err := trace.Export(rec, filepath.Join(dir, "trace.jsonl"), "", false, io.Discard, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

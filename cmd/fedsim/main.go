@@ -107,7 +107,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "population: %v\n", err)
 			os.Exit(1)
 		}
-		if err := trace.Export(pc.Trace, *traceOut, *traceCSV, *traceSum, os.Stderr); err != nil {
+		if err := trace.Export(pc.Trace, *traceOut, *traceCSV, *traceSum, os.Stderr, os.Stderr); err != nil {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			os.Exit(1)
 		}
@@ -155,7 +155,7 @@ func main() {
 			fmt.Println(rep.String())
 		}
 	}
-	if err := trace.Export(opts.Trace, *traceOut, *traceCSV, *traceSum, os.Stderr); err != nil {
+	if err := trace.Export(opts.Trace, *traceOut, *traceCSV, *traceSum, os.Stderr, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 		os.Exit(1)
 	}

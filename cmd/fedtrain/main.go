@@ -130,7 +130,7 @@ func main() {
 		fmt.Printf("checkpoint written to %s\n", *ckpt)
 	}
 
-	check(trace.Export(rec, *traceOut, *traceCSV, *traceSum, os.Stdout))
+	check(trace.Export(rec, *traceOut, *traceCSV, *traceSum, os.Stdout, os.Stderr))
 }
 
 func check(err error) {

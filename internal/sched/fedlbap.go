@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"fedsched/internal/tensor"
 	"fedsched/internal/trace"
 )
 
@@ -66,11 +67,16 @@ func (FedLBAP) Name() string { return "Fed-LBAP" }
 // 2·log₂(kmax(c) − klo + 1) evaluations — a feasible maximum that moved
 // by d since the last infeasible probe costs O(log d), not the log of the
 // bracket — and nothing once its bracket has closed. From the prune on,
-// the solve reads only its survivor records, never the request's users:
-// ~40 ms at n=10^6, s=10^4 on a 2-vCPU Xeon (see BenchmarkFedLBAPFleet),
-// 1,185,486 cost evaluations of which 10^6 are the first-shard pass.
-// Deterministic (rng is unused). The O(n) workspaces below are per-solve
-// scratch, freed on return — the population round loop passes
+// the solve reads only its survivor records, never the request's users.
+// The first pass, which chases a pointer per user, is the one that
+// scales with n: from fanOutUsers users on, its chunks run on every lane
+// free (tensor.FanOut), so User.Cost is called concurrently there; below
+// that — every cohort-sized solve — it runs on the caller alone. The rest
+// is sequential. At n=10^6, s=10^4 on a 2-vCPU Xeon: ~29 ms with a lane
+// free, ~47 ms without (see BenchmarkFedLBAPFleet); 1,185,486 cost
+// evaluations of which 10^6 are the first-shard pass. Deterministic at
+// any lane count (rng is unused). The O(n) workspaces below are
+// per-solve scratch, freed on return — the population round loop passes
 // cohort-sized requests, so in steady state this stays O(selected).
 //
 // fedlint:hotpath
@@ -82,24 +88,35 @@ func (FedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 		return nil, req.check()
 	}
 
-	// The one pass over the users: req.check()'s nil-Cost and capacity
-	// tests (a failure re-runs it for its error message), the first-shard
-	// costs and, for n ≤ s, the feasible upper bound c_hi on the optimal
-	// threshold — full capacities are feasible once Σ cap_j ≥ s.
+	// The one pass over the users, in chunks of chunkUsers: req.check()'s
+	// nil-Cost and capacity tests (a failure re-runs it for its error
+	// message), the first-shard costs and, for n ≤ s, the feasible upper
+	// bound c_hi on the optimal threshold — full capacities are feasible
+	// once Σ cap_j ≥ s. A fleet-sized request fans the chunks out; each
+	// writes only its span of first and its own totals, which merge in
+	// chunk order — an integer sum, a max that skips NaN and a flag — so
+	// nothing depends on the lane count.
 	first := make([]float64, n) //fedlint:allow hotalloc — per-solve O(n) scratch, not round-loop state
+	chunks := make([]firstChunk, (n+chunkUsers-1)/chunkUsers)
+	for i := range chunks {
+		lo, hi := i*chunkUsers, min((i+1)*chunkUsers, n)
+		chunks[i] = firstChunk{users: req.Users[lo:hi], first: first[lo:hi], s: s, sz: sz, full: n <= s}
+	}
+	workers := -1
+	if n >= fanOutUsers {
+		workers = 0
+	}
+	tensor.FanOut(workers, len(chunks), chunks, nil, func(i int, chunks []firstChunk) { chunks[i].price() })
 	var chi float64
 	capSum := 0
-	for j, u := range req.Users {
-		if u.Cost == nil {
+	for i := range chunks {
+		c := &chunks[i]
+		if c.noCost {
 			return nil, req.check()
 		}
-		c := u.capacity(s)
-		capSum += c
-		first[j] = floorCost(u.Cost(sz) + u.CommSeconds)
-		if n <= s {
-			if v := floorCost(u.Cost(c*sz) + u.CommSeconds); v > chi {
-				chi = v
-			}
+		capSum += c.capSum
+		if c.chi > chi {
+			chi = c.chi
 		}
 	}
 	if capSum < s {
@@ -299,6 +316,52 @@ func (FedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 	asg := &Assignment{Shards: shards, PredictedMakespan: makespan, Algorithm: "Fed-LBAP"}
 	emitSchedule(req, asg)
 	return asg, nil
+}
+
+// The first pass prices the users in chunks of chunkUsers. A request of
+// at least fanOutUsers users runs its chunks on every lane free; a
+// smaller one — every cohort-sized solve — runs them in order on the
+// caller.
+const (
+	chunkUsers  = 1 << 13
+	fanOutUsers = 1 << 16
+)
+
+// firstChunk is one chunk of the first pass: a span of the users, the
+// same span of the first-shard costs, and what the pass found in it.
+type firstChunk struct {
+	users []*User
+	first []float64
+	s, sz int
+	full  bool // n ≤ s: price every user at full capacity too
+
+	capSum int     // Σ capacity
+	chi    float64 // max full-capacity cost (full only)
+	noCost bool    // a user has no Cost; the chunk stopped there
+}
+
+// price runs the first pass over the chunk: the first-shard costs into
+// c.first, the capacity sum and full-capacity bound into c. Calls run on
+// any lane, each touching only its own chunk.
+//
+// fedlint:hotpath
+func (c *firstChunk) price() {
+	capSum, chi := 0, 0.0
+	for j, u := range c.users {
+		if u.Cost == nil {
+			c.noCost = true
+			return
+		}
+		k := u.capacity(c.s)
+		capSum += k
+		c.first[j] = floorCost(u.Cost(c.sz) + u.CommSeconds)
+		if c.full {
+			if v := floorCost(u.Cost(k*c.sz) + u.CommSeconds); v > chi {
+				chi = v
+			}
+		}
+	}
+	c.capSum, c.chi = capSum, chi
 }
 
 // survivor is one pruned-in user's share of a FedLBAP solve: its cost

@@ -19,6 +19,11 @@ type User struct {
 	// Name identifies the device (diagnostics only).
 	Name string
 	// Cost predicts the training time in seconds for n samples (T_j^c).
+	// Fed-LBAP prices a request of 2^16 users or more on several
+	// goroutines at once, so Cost must be safe for concurrent use. The
+	// in-tree sources are: profile.Line.Predict and the population cost
+	// line are pure, DeviceProfile.Line memoizes through a sync.Map and
+	// OnlineProfile.Predict holds its mutex.
 	Cost func(samples int) float64
 	// CommSeconds is the per-epoch communication time T_j^u(M)+T_j^d(M),
 	// incurred once if the user participates at all.

@@ -1,13 +1,17 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
+	"fedsched/internal/tensor"
 	"fedsched/internal/trace"
 )
 
@@ -208,7 +212,7 @@ func TestSparseDeterministicProbes(t *testing.T) {
 func solveTraced(t testing.TB, req *Request, solve func(*Request) (*Assignment, error)) (*Assignment, []trace.Event) {
 	t.Helper()
 	traced := *req
-	traced.Trace = trace.New(0)
+	traced.Trace = trace.NewLog(0)
 	asg, err := solve(&traced)
 	if err != nil {
 		t.Fatal(err)
@@ -226,21 +230,26 @@ func assertSparseMatchesReference(t testing.TB, req *Request) {
 	got, gotEv := solveTraced(t, req, func(r *Request) (*Assignment, error) {
 		return FedLBAP{}.Schedule(r, nil)
 	})
+	assertSameSolve(t, "bracketed vs reference", got, gotEv, want, wantEv)
+}
+
+// assertSameSolve requires two traced solves to agree to the bit: shards,
+// predicted makespan and every event.
+func assertSameSolve(t testing.TB, what string, got *Assignment, gotEv []trace.Event, want *Assignment, wantEv []trace.Event) {
+	t.Helper()
+	if !slices.Equal(got.Shards, want.Shards) {
+		t.Fatalf("%s: shards differ", what)
+	}
+	if math.Float64bits(got.PredictedMakespan) != math.Float64bits(want.PredictedMakespan) {
+		t.Fatalf("%s: makespan %v, want %v", what, got.PredictedMakespan, want.PredictedMakespan)
+	}
 	if len(gotEv) != len(wantEv) {
-		t.Fatalf("event counts differ: bracketed %d, reference %d", len(gotEv), len(wantEv))
+		t.Fatalf("%s: %d events, want %d", what, len(gotEv), len(wantEv))
 	}
 	for i := range wantEv {
 		if gotEv[i] != wantEv[i] {
-			t.Fatalf("event %d differs:\nbracketed %+v\nreference %+v", i, gotEv[i], wantEv[i])
+			t.Fatalf("%s: event %d differs:\ngot  %+v\nwant %+v", what, i, gotEv[i], wantEv[i])
 		}
-	}
-	for j := range want.Shards {
-		if got.Shards[j] != want.Shards[j] {
-			t.Fatalf("shards differ at user %d: bracketed %d, reference %d", j, got.Shards[j], want.Shards[j])
-		}
-	}
-	if got.PredictedMakespan != want.PredictedMakespan {
-		t.Fatalf("predicted makespan differs: bracketed %v, reference %v", got.PredictedMakespan, want.PredictedMakespan)
 	}
 }
 
@@ -315,12 +324,13 @@ func TestSparseProbeStreamMatchesReference(t *testing.T) {
 }
 
 // countCosts wraps every user's Cost so the returned counter reads the
-// solve's total cost evaluations.
-func countCosts(users []*User) *int {
-	n := new(int)
+// solve's total cost evaluations. A fleet-sized solve prices its users on
+// several lanes, so the count is atomic.
+func countCosts(users []*User) *atomic.Int64 {
+	n := new(atomic.Int64)
 	for _, u := range users {
 		cost := u.Cost
-		u.Cost = func(samples int) float64 { *n++; return cost(samples) }
+		u.Cost = func(samples int) float64 { n.Add(1); return cost(samples) }
 	}
 	return n
 }
@@ -350,17 +360,99 @@ func TestSparseCostEvalBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("n=%d s=%d: %d cost evaluations", c.n, c.s, *evals)
-		if *evals != c.want {
-			t.Errorf("n=%d s=%d: %d cost evaluations, want %d", c.n, c.s, *evals, c.want)
+		t.Logf("n=%d s=%d: %d cost evaluations", c.n, c.s, evals.Load())
+		if got := evals.Load(); got != int64(c.want) {
+			t.Errorf("n=%d s=%d: %d cost evaluations, want %d", c.n, c.s, got, c.want)
 		}
-		*evals = 0
+		evals.Store(0)
 		req.Trace = trace.New(0)
 		if _, err := (FedLBAP{}).Schedule(req, nil); err != nil {
 			t.Fatal(err)
 		}
-		if want := c.want + asg.Participants(); *evals != want {
-			t.Errorf("n=%d s=%d traced: %d cost evaluations, want %d", c.n, c.s, *evals, want)
+		if got, want := evals.Load(), int64(c.want+asg.Participants()); got != want {
+			t.Errorf("n=%d s=%d traced: %d cost evaluations, want %d", c.n, c.s, got, want)
+		}
+	}
+}
+
+// laneUsers is a fleet of n hashed-jitter users with the awkward ones
+// mixed in: a NaN cost curve every 97th (never survives the prune), a
+// curve that starts negative every 89th (floored at 0), a negative
+// CapacityShards every 83rd (unlimited, like the zero of every other
+// user) and a cap of 1–7 shards every 5th. User 1, in the first chunk,
+// is the steepest, so its full-capacity cost alone bounds an n ≤ s solve.
+func laneUsers(n int) []*User {
+	users := jitterUsers(n)
+	for j, u := range users {
+		switch {
+		case j == 1:
+			u.Cost = func(samples int) float64 { return 1 + 0.1*float64(samples) }
+		case j%97 == 0:
+			u.Cost = func(int) float64 { return math.NaN() }
+		case j%89 == 0:
+			u.Cost = func(samples int) float64 { return -3 + 0.01*float64(samples) }
+		case j%83 == 0:
+			u.CapacityShards = -1
+		case j%5 == 0:
+			u.CapacityShards = 1 + j%7
+		}
+	}
+	return users
+}
+
+func TestFedLBAPLanesBitIdentical(t *testing.T) {
+	// Above fanOutUsers the first pass prices its chunks on every lane
+	// free and merges their totals in chunk order, so the solve must not
+	// depend on the lane count: the same shards, makespan and solver and
+	// schedule events with one lane and three as with none. n > s bounds
+	// c* by selection, n ≤ s by the merged max; there, for a merge that is
+	// wrong at every lane count, the solve must also match the full-range
+	// reference (its quickselect copy is not defined on the NaN users an
+	// n > s bound selects among). Each n leaves a ragged last chunk.
+	prevProcs := runtime.GOMAXPROCS(4)
+	prevLanes := tensor.MaxLanes()
+	t.Cleanup(func() {
+		tensor.SetMaxLanes(prevLanes)
+		runtime.GOMAXPROCS(prevProcs)
+	})
+	n := fanOutUsers + 3*chunkUsers/2
+	solve := func(r *Request) (*Assignment, error) { return FedLBAP{}.Schedule(r, nil) }
+	for _, s := range []int{2_000, n + n/2} {
+		req := &Request{TotalShards: s, ShardSize: 100, Users: laneUsers(n)}
+		tensor.SetMaxLanes(0)
+		want, wantEv := solveTraced(t, req, solve)
+		if n <= s {
+			ref, refEv := solveTraced(t, req, referenceSparse)
+			assertSameSolve(t, fmt.Sprintf("s=%d lanes=0 vs reference", s), want, wantEv, ref, refEv)
+		}
+		for _, lanes := range []int{1, 3} {
+			tensor.SetMaxLanes(lanes)
+			got, gotEv := solveTraced(t, req, solve)
+			assertSameSolve(t, fmt.Sprintf("s=%d lanes=%d vs 0", s, lanes), got, gotEv, want, wantEv)
+		}
+	}
+
+	// The errors are req.check()'s at every lane count: a nil Cost in the
+	// last chunk, and a total capacity short of s.
+	noCost := laneUsers(n)
+	noCost[n-1].Cost = nil
+	short := laneUsers(n)
+	for _, u := range short {
+		u.CapacityShards = 1
+	}
+	for _, req := range []*Request{
+		{TotalShards: 2_000, ShardSize: 100, Users: noCost},
+		{TotalShards: n + 1, ShardSize: 100, Users: short},
+	} {
+		want := req.check()
+		if want == nil {
+			t.Fatal("request passes req.check()")
+		}
+		for _, lanes := range []int{0, 1, 3} {
+			tensor.SetMaxLanes(lanes)
+			if _, err := solve(req); err == nil || err.Error() != want.Error() {
+				t.Fatalf("lanes=%d: error %v, want %v", lanes, err, want)
+			}
 		}
 	}
 }

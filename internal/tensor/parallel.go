@@ -8,10 +8,11 @@ import (
 
 // extraLanes is a process-wide pool of "extra" parallelism tokens shared
 // by every FanOut: GEMM cells, client training, evaluation batches,
-// population plan/play and JSONL export. The calling goroutine never
-// needs a token — only the workers it spawns on top of itself do — so
-// with a capacity of GOMAXPROCS−1 the total number of concurrently
-// running goroutines stays ≈ GOMAXPROCS no matter how fan-outs nest:
+// population plan/play, JSONL export and the first pass of a fleet-sized
+// Fed-LBAP solve. The calling goroutine never needs a token — only the
+// workers it spawns on top of itself do — so with a capacity of
+// GOMAXPROCS−1 the total number of concurrently running goroutines
+// stays ≈ GOMAXPROCS no matter how fan-outs nest:
 // when the client-level pool holds most lanes, the matmuls running
 // inside its workers find none left and stay single-threaded; when
 // training is sequential, the matmuls grab every lane and fan out.
@@ -106,18 +107,18 @@ func FanOut[S any](workers, n int, own S, fork func(S) (S, bool), fn func(i int,
 	if w := WorkerCount(workers, n); w > 1 {
 		extra = TryAcquireLanes(w - 1)
 	}
-	states := make([]S, extra)
-	for w := range states {
-		s, ok := own, true
-		if fork != nil {
-			s, ok = fork(own)
+	var states []S // fork's, one per lane; a nil fork shares own
+	if fork != nil {
+		states = make([]S, extra)
+		for w := range states {
+			s, ok := fork(own)
+			if !ok {
+				ReleaseLanes(extra)
+				extra = 0
+				break
+			}
+			states[w] = s
 		}
-		if !ok {
-			ReleaseLanes(extra)
-			extra = 0
-			break
-		}
-		states[w] = s
 	}
 	if extra == 0 {
 		for i := 0; i < n; i++ {
@@ -125,26 +126,34 @@ func FanOut[S any](workers, n int, own S, fork func(S) (S, bool), fn func(i int,
 		}
 		return
 	}
-	var next atomic.Int64
-	work := func(s S) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i, s)
-		}
+	// One record the workers share: with the closure each spawned
+	// goroutine needs, a fan-out over k extra lanes allocates k + 1 times
+	// (plus the states of a fork).
+	var job struct {
+		next atomic.Int64
+		wg   sync.WaitGroup
 	}
-	var wg sync.WaitGroup
-	for _, s := range states {
-		wg.Add(1)
-		//fedlint:allow nondet — FanOut's own spawn: one goroutine per lane granted, joined by wg.Wait below
+	for w := range extra {
+		s := own
+		if fork != nil {
+			s = states[w]
+		}
+		job.wg.Add(1)
+		//fedlint:allow nondet — FanOut's own spawn: one goroutine per lane granted, joined by job.wg.Wait below
 		go func() {
-			defer wg.Done()
-			work(s)
+			defer job.wg.Done()
+			pull(&job.next, n, fn, s)
 		}()
 	}
-	work(own) // the calling goroutine is a worker too
-	wg.Wait()
+	pull(&job.next, n, fn, own) // the calling goroutine is a worker too
+	job.wg.Wait()
 	ReleaseLanes(extra)
+}
+
+// pull runs fn(i, s) for every index it takes off next, until none is
+// left below n.
+func pull[S any](next *atomic.Int64, n int, fn func(int, S), s S) {
+	for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+		fn(i, s)
+	}
 }

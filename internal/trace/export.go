@@ -242,17 +242,17 @@ func WriteCSV(w io.Writer, events []Event) error {
 
 // Export writes a finished run's trace wherever its command line asked:
 // a JSONL file, a CSV file (either path may be empty) and the per-round
-// summary table on stderr. Each file written is announced on notice; a
-// ring overflow is reported on stderr. A nil recorder is a no-op. The
-// events are written straight from the ring, which Export rotates into
-// order instead of copying.
-func Export(rec *Recorder, jsonlPath, csvPath string, summary bool, notice io.Writer) error {
+// summary table. Each file written is announced on notice; a ring
+// overflow warning and the summary table go to report. A nil recorder is
+// a no-op. The events are written straight from the ring, which Export
+// rotates into order instead of copying.
+func Export(rec *Recorder, jsonlPath, csvPath string, summary bool, notice, report io.Writer) error {
 	if rec == nil {
 		return nil
 	}
 	events := rec.inOrder()
 	if d := rec.Dropped(); d > 0 {
-		fmt.Fprintf(os.Stderr, "trace: ring overflowed, %d oldest events dropped (raise -trace-cap)\n", d)
+		fmt.Fprintf(report, "trace: ring overflowed, %d oldest events dropped (raise -trace-cap)\n", d)
 	}
 	if jsonlPath != "" {
 		if err := WriteFileJSONL(jsonlPath, events); err != nil {
@@ -267,7 +267,7 @@ func Export(rec *Recorder, jsonlPath, csvPath string, summary bool, notice io.Wr
 		fmt.Fprintf(notice, "trace: %d events written to %s\n", len(events), csvPath)
 	}
 	if summary {
-		return WriteSummary(os.Stderr, events)
+		return WriteSummary(report, events)
 	}
 	return nil
 }

@@ -215,8 +215,16 @@ func TestExportLeavesEventsUnchanged(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := t.TempDir() + "/trace.jsonl"
-			if err := Export(rec, path, "", false, io.Discard); err != nil {
+			var report bytes.Buffer
+			if err := Export(rec, path, "", false, io.Discard, &report); err != nil {
 				t.Fatal(err)
+			}
+			warning := ""
+			if d := c.emits - c.cap; d > 0 {
+				warning = fmt.Sprintf("trace: ring overflowed, %d oldest events dropped (raise -trace-cap)\n", d)
+			}
+			if report.String() != warning {
+				t.Fatalf("report %q, want %q", report.String(), warning)
 			}
 			if err := Compare(before, rec.Events(), Exact); err != nil {
 				t.Fatalf("Events() changed across Export: %v", err)
@@ -254,9 +262,12 @@ func TestExportJSONLAndCSV(t *testing.T) {
 	}
 	dir := t.TempDir()
 	jsonlPath, csvPath := dir+"/trace.jsonl", dir+"/trace.csv"
-	var notice bytes.Buffer
-	if err := Export(rec, jsonlPath, csvPath, false, &notice); err != nil {
+	var notice, report bytes.Buffer
+	if err := Export(rec, jsonlPath, csvPath, false, &notice, &report); err != nil {
 		t.Fatal(err)
+	}
+	if want := "trace: ring overflowed, 2 oldest events dropped (raise -trace-cap)\n"; report.String() != want {
+		t.Errorf("report %q, want %q", report.String(), want)
 	}
 	if got, err := os.ReadFile(jsonlPath); err != nil || !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("exported JSONL %q (err %v), want %q", got, err, want.Bytes())
