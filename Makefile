@@ -6,8 +6,7 @@
 GO ?= go
 
 .PHONY: build test vet lint lint-ci \
-	fuzz-smoke fuzz-smoke-sched fuzz-smoke-select fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-job \
-	fuzz-smoke-ckpt fuzz-smoke-convblock fuzz-smoke-device fuzz-smoke-fedminavg \
+	fuzz-smoke \
 	fmt-check check check-nolint race race-tensor purego nofma trace-golden loc test-times \
 	bench profile-pop profile-sched profile-train profile-churn \
 	population-smoke fault-smoke serve-smoke exp-snapshot examples
@@ -33,65 +32,28 @@ lint:
 lint-ci:
 	$(GO) run ./cmd/fedlint -github ./...
 
-# Short native-fuzz pass over the property-based targets: the Fed-LBAP
-# solver against the dense oracle and the full-range reference's event
-# stream, the sampled selection behind its cost ceiling against a sorted
-# copy, the cohort samplers' sortedness/bounds/determinism
-# contract, the fault plan's draw invariants and its spec parser (every
-# accepted spec finite and in range), the trace
-# encoder against encoding/json, the pack-free convolution kernels
-# against the im2col oracle over random geometries, the fused backward
-# pass of a Conv2D → ReLU → MaxPool2D block against the same layers
-# driven one by one, the job schema's admission path (decode, defaults,
-# Validate, job.json round trip, deterministic BuildJob), the
-# run-checkpoint loaders (never a panic, never an allocation beyond a
-# small multiple of the input, Save → Load → Save stable), and the
-# device simulator's two-phone lockstep against the one-loop reference
-# (every phone's seconds, state and throttle events, bit for bit), and
-# Fed-MinAvg (Algorithm 2) against its step-by-step reference on random
-# non-IID problems. Seeds live under testdata/fuzz (or in the target); CI
-# runs this in the lint lane. Each target is its own recipe so one
-# failing fuzzer no longer hides the others: the umbrella runs all eleven
-# and fails at the end with the full list of failed targets.
+# Short native-fuzz pass over every `func Fuzz…` target in the module's
+# _test.go files, FUZZTIME each — among them the Fed-LBAP solver against
+# the dense oracle and the full-range reference's event stream, the
+# sampled selection against a sorted copy, the cohort samplers, the fault
+# plan and its spec parser, the trace encoder against encoding/json, the
+# pack-free convolution kernels against the im2col oracle, the fused
+# Conv2D → ReLU → MaxPool2D backward pass against the layers one by one,
+# the job schema's admission path, the run-checkpoint loaders, the device
+# simulator's lockstep against the one-loop reference and Fed-MinAvg
+# against its step-by-step reference. A new target is fuzzed without an
+# edit here; one target alone is
+# `go test ./internal/sched -run '^$$' -fuzz '^FuzzFedLBAP$$' -fuzztime 10s`.
+# Seeds live under testdata/fuzz (or in the target); CI runs this in the
+# lint lane. One failing fuzzer does not hide the others: every target
+# runs, and the pass fails at the end with the full list of failed ones.
 FUZZTIME ?= 10s
-fuzz-smoke-sched:
-	$(GO) test ./internal/sched -run '^$$' -fuzz FuzzFedLBAP -fuzztime $(FUZZTIME)
-
-fuzz-smoke-select:
-	$(GO) test ./internal/sched -run '^$$' -fuzz FuzzKthSmallest -fuzztime $(FUZZTIME)
-
-fuzz-smoke-sample:
-	$(GO) test ./internal/sample -run '^$$' -fuzz FuzzCohort -fuzztime $(FUZZTIME)
-
-fuzz-smoke-fault:
-	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzFaultPlan -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzParseSpec -fuzztime $(FUZZTIME)
-
-fuzz-smoke-trace:
-	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzEventJSON -fuzztime $(FUZZTIME)
-
-fuzz-smoke-conv:
-	$(GO) test ./internal/tensor -run '^$$' -fuzz FuzzConvGeom -fuzztime $(FUZZTIME)
-
-fuzz-smoke-convblock:
-	$(GO) test ./internal/nn -run '^$$' -fuzz FuzzConvBlockBackward -fuzztime $(FUZZTIME)
-
-fuzz-smoke-job:
-	$(GO) test . -run '^$$' -fuzz FuzzJobConfig -fuzztime $(FUZZTIME)
-
-fuzz-smoke-ckpt:
-	$(GO) test ./internal/fl -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime $(FUZZTIME)
-
-fuzz-smoke-device:
-	$(GO) test ./internal/device -run '^$$' -fuzz FuzzTrainLockstep -fuzztime $(FUZZTIME)
-
-fuzz-smoke-fedminavg:
-	$(GO) test ./internal/sched -run '^$$' -fuzz FuzzFedMinAvg -fuzztime $(FUZZTIME)
-
 fuzz-smoke:
 	@failed=""; \
-	for t in fuzz-smoke-sched fuzz-smoke-select fuzz-smoke-sample fuzz-smoke-fault fuzz-smoke-trace fuzz-smoke-conv fuzz-smoke-convblock fuzz-smoke-job fuzz-smoke-ckpt fuzz-smoke-device fuzz-smoke-fedminavg; do \
-		$(MAKE) $$t FUZZTIME=$(FUZZTIME) || failed="$$failed $$t"; \
+	for f in $$(grep -rl --include='*_test.go' '^func Fuzz' . | sort); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			$(GO) test $$(dirname $$f) -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) || failed="$$failed $$t"; \
+		done; \
 	done; \
 	if [ -n "$$failed" ]; then \
 		echo "fuzz-smoke: failed targets:$$failed"; exit 1; \

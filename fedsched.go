@@ -145,7 +145,9 @@ func (tb *Testbed) Request(arch *nn.Arch, totalSamples int) (*sched.Request, err
 			MeanFreqGHz: p.MeanFreqGHz(),
 		}
 		if tb.BatteryBudget > 0 {
-			users[j].CapacityShards = device.New(p).CapacityShards(arch, ShardSize, tb.BatteryBudget)
+			// CapacityShards ≤ 0 would mean "unlimited" to the scheduler;
+			// a nearly-dead phone still carries one shard.
+			users[j].CapacityShards = max(1, device.New(p).CapacityShards(arch, ShardSize, tb.BatteryBudget))
 		}
 	}
 	return &sched.Request{

@@ -127,6 +127,31 @@ func TestCustomTestbedAndMakespan(t *testing.T) {
 	}
 }
 
+// TestBatteryBudgetTinyStaysCapped: a budget too small for one shard
+// caps every user at one shard instead of lifting the cap — device
+// CapacityShards reads 0 there, which the scheduler would take as
+// unlimited. On testbed II the caps sum to 32 of 600 shards at 1e-3 and
+// to 6 at 1e-4, so Fed-LBAP finds no schedule at either.
+func TestBatteryBudgetTinyStaysCapped(t *testing.T) {
+	arch := LeNet(1, 28, 28, 10)
+	for _, budget := range []float64{1e-3, 1e-4} {
+		tb := NewTestbed(2)
+		tb.BatteryBudget = budget
+		req, err := tb.Request(arch, 60000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, u := range req.Users {
+			if u.CapacityShards < 1 {
+				t.Errorf("budget %g: user %d capacity %d, want at least 1 shard", budget, j, u.CapacityShards)
+			}
+		}
+		if asg, err := FedLBAP.Schedule(req, nil); err == nil {
+			t.Errorf("budget %g: Fed-LBAP scheduled %v past the battery caps", budget, asg.Shards)
+		}
+	}
+}
+
 func TestBatteryBudgetCapsSchedule(t *testing.T) {
 	arch := LeNet(1, 28, 28, 10)
 	reqFree, err := NewTestbed(1).Request(arch, 60000)

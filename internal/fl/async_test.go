@@ -5,30 +5,14 @@ import (
 	"testing"
 
 	"fedsched/internal/data"
-	"fedsched/internal/device"
 	"fedsched/internal/network"
 )
 
+// asyncClients builds users clients on equal shards of train, on devices
+// (see partitionClients) when withDevices is set.
 func asyncClients(t *testing.T, train *data.Dataset, users int, withDevices bool) []*Client {
 	t.Helper()
-	part := data.IIDEqual(train, users, rand.New(rand.NewSource(1)))
-	locals := part.Materialize(train)
-	devs := make([]*device.Device, users)
-	if withDevices {
-		profiles := []device.Profile{device.Pixel2(), device.Nexus6(), device.Nexus6P(), device.Mate10()}
-		for i := range devs {
-			devs[i] = device.New(profiles[i%len(profiles)])
-		}
-	}
-	links := make([]network.Link, users)
-	for i := range links {
-		links[i] = network.WiFi()
-	}
-	clients, err := BuildClients(devs, links, locals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return clients
+	return partitionClients(t, train, data.IIDEqual(train, users, rand.New(rand.NewSource(1))), withDevices)
 }
 
 func TestAsyncLearns(t *testing.T) {
@@ -112,21 +96,6 @@ func TestAsyncValidation(t *testing.T) {
 	c := NewClient(0, "empty", nil, network.WiFi(), nil)
 	if _, err := RunAsync(cfg, []*Client{c}, nil); err == nil {
 		t.Fatal("expected error when no client holds data")
-	}
-}
-
-func TestAsyncDeterministic(t *testing.T) {
-	train, test := data.TrainTest(data.SMNISTConfig(0, 37), 400, 100)
-	run := func() float64 {
-		clients := asyncClients(t, train, 3, true)
-		hist, err := RunAsync(AsyncConfig{Config: smallConfig(0), MaxUpdates: 12}, clients, test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hist.FinalAccuracy
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("nondeterministic async run: %v vs %v", a, b)
 	}
 }
 

@@ -21,7 +21,7 @@ func countingCancel(stopAfter int) (func() bool, *int) {
 func TestRunCancelledReturnsPartialHistory(t *testing.T) {
 	train, test := data.TrainTest(data.SMNISTConfig(0, 5), 300, 100)
 	part := data.IIDEqual(train, 3, rand.New(rand.NewSource(2)))
-	clients := clientsFromPartition(t, train, part)
+	clients := partitionClients(t, train, part, false)
 
 	cfg := smallConfig(6)
 	// The poll runs once before each round: allowing two polls stops the
@@ -43,7 +43,7 @@ func TestRunCancelledMatchesUninterruptedPrefix(t *testing.T) {
 	mk := func(cancelAfter int) *History {
 		train, _ := data.TrainTest(data.SMNISTConfig(0, 11), 300, 100)
 		part := data.IIDEqual(train, 3, rand.New(rand.NewSource(2)))
-		clients := clientsFromPartition(t, train, part)
+		clients := partitionClients(t, train, part, false)
 		cfg := smallConfig(4)
 		cfg.EvalEvery = 1
 		if cancelAfter > 0 {
@@ -74,7 +74,7 @@ func TestRunCancelledMatchesUninterruptedPrefix(t *testing.T) {
 func TestGossipCancelled(t *testing.T) {
 	train, _ := data.TrainTest(data.SMNISTConfig(0, 5), 240, 0)
 	part := data.IIDEqual(train, 4, rand.New(rand.NewSource(3)))
-	clients := clientsFromPartition(t, train, part)
+	clients := partitionClients(t, train, part, false)
 
 	cfg := GossipConfig{Config: smallConfig(5)}
 	cfg.Cancel, _ = countingCancel(2)
@@ -90,7 +90,7 @@ func TestGossipCancelled(t *testing.T) {
 func TestAsyncCancelled(t *testing.T) {
 	train, _ := data.TrainTest(data.SMNISTConfig(0, 5), 240, 0)
 	part := data.IIDEqual(train, 3, rand.New(rand.NewSource(4)))
-	clients := clientsFromPartition(t, train, part)
+	clients := partitionClients(t, train, part, false)
 
 	cfg := AsyncConfig{Config: smallConfig(1), MaxUpdates: 50}
 	// done() is polled at every virtual event on the loop goroutine, so a

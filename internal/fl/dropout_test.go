@@ -94,7 +94,7 @@ func TestNoDeadlineUnaffected(t *testing.T) {
 	train, test := data.TrainTest(data.SMNISTConfig(0, 93), 300, 100)
 	run := func(deadline float64) float64 {
 		part := data.IIDEqual(train, 2, newTestRand())
-		clients := clientsFromPartition(t, train, part)
+		clients := partitionClients(t, train, part, false)
 		cfg := smallConfig(2)
 		cfg.DeadlineSeconds = deadline
 		hist, err := Run(cfg, clients, test)

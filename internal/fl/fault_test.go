@@ -3,6 +3,7 @@ package fl
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -37,58 +38,6 @@ func traceRange(t *testing.T, rec *trace.Recorder, from, to int) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-func countFaultEvents(rec *trace.Recorder) int {
-	n := 0
-	for _, e := range rec.Events() {
-		if e.Kind == trace.KindFault {
-			n++
-		}
-	}
-	return n
-}
-
-// faultyRun executes a 4-client FedAvg run under an aggressive fault
-// plan with a quorum cut, returning the history and serialized trace.
-func faultyRun(t *testing.T, workers int) (*History, []byte, int) {
-	t.Helper()
-	train, test := data.TrainTest(data.SMNISTConfig(0, 23), 600, 200)
-	clients := parallelClients(t, train, 4, true)
-	cfg := smallConfig(5)
-	cfg.Workers = workers
-	cfg.Faults = mustPlan(t, "crash=0.25,battery=0.05,flap=0.2,corrupt=0.15,degrade=0.3,slow=3", 17)
-	cfg.Quorum = 3
-	cfg.MinParticipants = 1
-	cfg.Trace = trace.New(0)
-	hist, err := Run(cfg, clients, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := trace.WriteJSONL(&buf, cfg.Trace.Events()); err != nil {
-		t.Fatal(err)
-	}
-	return hist, buf.Bytes(), countFaultEvents(cfg.Trace)
-}
-
-// TestRunFaultsWorkerBitIdentical extends the engine's parallelism
-// contract to faulty rounds: fault draws are keyed by (round, client),
-// never by scheduling order, so any Workers value yields bit-identical
-// histories and traces.
-func TestRunFaultsWorkerBitIdentical(t *testing.T) {
-	forceLanes(t, 4)
-	want, wantTrace, faults := faultyRun(t, 1)
-	if faults == 0 {
-		t.Fatal("fault plan injected nothing — the scenario tests no fault path")
-	}
-	for _, w := range []int{2, 4, -1} {
-		got, gotTrace, _ := faultyRun(t, w)
-		requireSameHistory(t, want, got)
-		if !bytes.Equal(gotTrace, wantTrace) {
-			t.Fatalf("Workers=%d trace differs from sequential under faults", w)
-		}
-	}
 }
 
 // TestRunFaultKindsObserved drives all four fault kinds through the
@@ -126,22 +75,12 @@ func TestRunFaultKindsObserved(t *testing.T) {
 // size, every round closes after Quorum survivors and flags exactly the
 // slowest remainder late.
 func TestRunQuorumMarksLate(t *testing.T) {
-	train, test := data.TrainTest(data.SMNISTConfig(0, 43), 600, 200)
-	clients := parallelClients(t, train, 4, true)
-	cfg := smallConfig(3)
-	cfg.Quorum = 3
-	hist, err := Run(cfg, clients, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range hist.Rounds {
+	// The harness's quorum row: 4 devices, quorum 3, no faults.
+	for _, r := range syncQuorum.at(t, 1, harnessLanes).hist.(*History).Rounds {
 		late := 0
 		for _, cr := range r.Clients {
 			if cr.Late {
 				late++
-				if cr.Fault != fault.None {
-					t.Fatalf("round %d client %d is both late and faulted", r.Round, cr.ClientID)
-				}
 			}
 		}
 		if late != 1 {
@@ -375,17 +314,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		if histB == nil || len(histB.Rounds) != 4 {
 			t.Fatalf("Workers=%d: killed run must return the 4 completed rounds, got %+v", workers, histB)
 		}
-		for i := range histB.Rounds {
-			ra, rb := histA.Rounds[i], histB.Rounds[i]
-			if !eqFloat(ra.Makespan, rb.Makespan) || !eqFloat(ra.TrainLoss, rb.TrainLoss) || ra.Failed != rb.Failed {
-				t.Fatalf("Workers=%d: partial round %d diverged: %+v vs %+v", workers, i, ra, rb)
-			}
-			for j := range ra.Clients {
-				if ra.Clients[j] != rb.Clients[j] {
-					t.Fatalf("Workers=%d: partial round %d client %d diverged", workers, i, j)
-				}
-			}
-		}
+		requireSameDump(t, fmt.Sprintf("Workers=%d: partial rounds", workers), dumpOf(histA.Rounds[:4]), dumpOf(histB.Rounds))
 		if !bytes.Equal(traceRange(t, cfgA.Trace, 0, 4), traceRange(t, cfgB.Trace, 0, 4)) {
 			t.Fatalf("Workers=%d: killed run's trace diverged from the reference", workers)
 		}
@@ -436,121 +365,6 @@ func TestResumeValidation(t *testing.T) {
 	if _, err := Run(cfg, clients, test); err == nil {
 		t.Fatal("resume with mismatched rounds must fail")
 	}
-}
-
-// TestGossipFaultsWorkerBitIdentical: the gossip engine's worker
-// contract holds under faults — pair scheduling skips victims without
-// perturbing the pairing RNG, so histories and traces stay
-// bit-identical.
-func TestGossipFaultsWorkerBitIdentical(t *testing.T) {
-	forceLanes(t, 4)
-	train, test := data.TrainTest(data.SMNISTConfig(0, 67), 600, 200)
-	run := func(workers int) (float64, []byte, int) {
-		clients := asyncClients(t, train, 4, true)
-		cfg := GossipConfig{Config: smallConfig(5), Topology: Ring}
-		cfg.Workers = workers
-		cfg.Faults = mustPlan(t, "crash=0.2,flap=0.2,degrade=0.3", 13)
-		cfg.Trace = trace.New(0)
-		hist, err := RunGossip(cfg, clients, test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := trace.WriteJSONL(&buf, cfg.Trace.Events()); err != nil {
-			t.Fatal(err)
-		}
-		return hist.MeanAccuracy, buf.Bytes(), countFaultEvents(cfg.Trace)
-	}
-	wantAcc, wantTrace, faults := run(1)
-	if faults == 0 {
-		t.Fatal("fault plan injected nothing into the gossip run")
-	}
-	for _, w := range []int{2, -1} {
-		acc, tr, _ := run(w)
-		if acc != wantAcc {
-			t.Fatalf("Workers=%d gossip accuracy %v, want %v", w, acc, wantAcc)
-		}
-		if !bytes.Equal(tr, wantTrace) {
-			t.Fatalf("Workers=%d gossip trace differs under faults", w)
-		}
-	}
-}
-
-// TestAsyncFaultsDeterministic: faulted cycles burn virtual time and
-// energy but never count as updates; the run still reaches MaxUpdates
-// real merges and stays deterministic.
-func TestAsyncFaultsDeterministic(t *testing.T) {
-	train, test := data.TrainTest(data.SMNISTConfig(0, 63), 400, 100)
-	run := func() (*AsyncHistory, int) {
-		clients := asyncClients(t, train, 3, true)
-		cfg := AsyncConfig{Config: smallConfig(0), MaxUpdates: 12}
-		cfg.Faults = mustPlan(t, "crash=0.25,flap=0.2,corrupt=0.2,degrade=0.3", 19)
-		cfg.Trace = trace.New(0)
-		hist, err := RunAsync(cfg, clients, test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hist, countFaultEvents(cfg.Trace)
-	}
-	a, faults := run()
-	if faults == 0 {
-		t.Fatal("fault plan injected nothing into the async run")
-	}
-	if a.Updates != 12 {
-		t.Fatalf("async run merged %d updates, want 12 — faulted cycles must not count", a.Updates)
-	}
-	b, _ := run()
-	if a.FinalAccuracy != b.FinalAccuracy || a.VirtualSeconds != b.VirtualSeconds ||
-		a.TotalEnergyJ != b.TotalEnergyJ {
-		t.Fatalf("nondeterministic faulty async run: %+v vs %+v", a, b)
-	}
-}
-
-// TestPopulationFaultsWorkerInvariant: the population runner's trace
-// stays byte-identical for any Workers value with faults, a quorum cut
-// and failed-round tolerance all active.
-func TestPopulationFaultsWorkerInvariant(t *testing.T) {
-	run := func(workers int) ([]PopulationRound, []byte) {
-		cfg := popConfig(10_000, 16, 3)
-		cfg.Workers = workers
-		cfg.Faults = mustPlan(t, "crash=0.2,battery=0.05,flap=0.15,corrupt=0.1,degrade=0.3", 31)
-		cfg.Quorum = 10
-		cfg.MinParticipants = 2
-		cfg.Trace = trace.New(0)
-		hist, err := SimulatePopulationRounds(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := trace.WriteJSONL(&buf, cfg.Trace.Events()); err != nil {
-			t.Fatal(err)
-		}
-		return hist.Rounds, buf.Bytes()
-	}
-	wantRounds, wantTrace := run(1)
-	faulted, late := 0, 0
-	for _, r := range wantRounds {
-		faulted += r.Faulted
-		late += r.Late
-		if r.Participants > 10 {
-			t.Fatalf("round %d aggregated %d participants past quorum 10", r.Round, r.Participants)
-		}
-	}
-	if faulted == 0 {
-		t.Fatal("fault plan injected nothing at population scale")
-	}
-	for _, w := range []int{4, -1} {
-		gotRounds, gotTrace := run(w)
-		for i := range wantRounds {
-			if wantRounds[i] != gotRounds[i] {
-				t.Fatalf("Workers=%d round %d differs: %+v vs %+v", w, i, wantRounds[i], gotRounds[i])
-			}
-		}
-		if !bytes.Equal(gotTrace, wantTrace) {
-			t.Fatalf("Workers=%d population trace differs under faults", w)
-		}
-	}
-	_ = late
 }
 
 // TestPopulationFailedRounds: a fully-decimated population round is

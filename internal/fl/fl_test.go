@@ -24,25 +24,10 @@ func smallConfig(rounds int) Config {
 	}
 }
 
-func clientsFromPartition(t *testing.T, ds *data.Dataset, part data.Partition) []*Client {
-	t.Helper()
-	locals := part.Materialize(ds)
-	devs := make([]*device.Device, len(locals))
-	links := make([]network.Link, len(locals))
-	for i := range links {
-		links[i] = network.WiFi()
-	}
-	cs, err := BuildClients(devs, links, locals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cs
-}
-
 func TestFedAvgLearnsIID(t *testing.T) {
 	train, test := data.TrainTest(data.SMNISTConfig(0, 42), 1200, 400)
 	part := data.IIDEqual(train, 4, rand.New(rand.NewSource(1)))
-	clients := clientsFromPartition(t, train, part)
+	clients := partitionClients(t, train, part, false)
 	hist, err := Run(smallConfig(8), clients, test)
 	if err != nil {
 		t.Fatal(err)
@@ -60,22 +45,6 @@ func TestFedAvgLearnsIID(t *testing.T) {
 	}
 }
 
-func TestFedAvgDeterministic(t *testing.T) {
-	train, test := data.TrainTest(data.SMNISTConfig(0, 7), 400, 200)
-	mk := func() float64 {
-		part := data.IIDEqual(train, 3, rand.New(rand.NewSource(2)))
-		clients := clientsFromPartition(t, train, part)
-		hist, err := Run(smallConfig(3), clients, test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hist.FinalAccuracy
-	}
-	if a, b := mk(), mk(); a != b {
-		t.Fatalf("nondeterministic run: %v vs %v", a, b)
-	}
-}
-
 func TestFedAvgMatchesCentralizedOnIID(t *testing.T) {
 	// Fig 2's reference lines: distributed IID training should land near
 	// the centralized result.
@@ -86,7 +55,7 @@ func TestFedAvgMatchesCentralizedOnIID(t *testing.T) {
 		t.Fatal(err)
 	}
 	part := data.IIDEqual(train, 5, rand.New(rand.NewSource(3)))
-	clients := clientsFromPartition(t, train, part)
+	clients := partitionClients(t, train, part, false)
 	hist, err := Run(cfg, clients, test)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +142,7 @@ func TestTimeSimulationWiredIn(t *testing.T) {
 func TestEvalEvery(t *testing.T) {
 	train, test := data.TrainTest(data.SMNISTConfig(0, 4), 300, 100)
 	part := data.IIDEqual(train, 2, rand.New(rand.NewSource(1)))
-	clients := clientsFromPartition(t, train, part)
+	clients := partitionClients(t, train, part, false)
 	cfg := smallConfig(4)
 	cfg.EvalEvery = 2
 	hist, err := Run(cfg, clients, test)
@@ -203,7 +172,7 @@ func TestFinalRoundEvaluatedOnce(t *testing.T) {
 	prev := predict
 	predict = func(m *nn.Network, x *tensor.Tensor) []int { calls++; return prev(m, x) }
 	t.Cleanup(func() { predict = prev })
-	hist, err := Run(cfg, clientsFromPartition(t, train, part), test)
+	hist, err := Run(cfg, partitionClients(t, train, part, false), test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,13 +197,13 @@ func TestNonIIDWorseThanIID(t *testing.T) {
 		LR: 0.02, Momentum: 0.9, Seed: 5,
 	}
 	iidPart := data.IIDEqual(train, 5, rand.New(rand.NewSource(11)))
-	iidClients := clientsFromPartition(t, train, iidPart)
+	iidClients := partitionClients(t, train, iidPart, false)
 	iidHist, err := Run(cfg, iidClients, test)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nonPart := data.NClass(train, data.NClassConfig{Users: 5, ClassesPerUser: 2}, rand.New(rand.NewSource(11)))
-	nonClients := clientsFromPartition(t, train, nonPart)
+	nonClients := partitionClients(t, train, nonPart, false)
 	nonHist, err := Run(cfg, nonClients, test)
 	if err != nil {
 		t.Fatal(err)

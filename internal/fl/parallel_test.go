@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -10,10 +9,8 @@ import (
 
 	"fedsched/internal/data"
 	"fedsched/internal/device"
-	"fedsched/internal/fault"
 	"fedsched/internal/network"
 	"fedsched/internal/nn"
-	"fedsched/internal/sample"
 	"fedsched/internal/tensor"
 )
 
@@ -22,67 +19,26 @@ import (
 // test box. Restored on cleanup.
 func forceLanes(t *testing.T, procs int) {
 	t.Helper()
-	prevProcs := runtime.GOMAXPROCS(procs)
-	prevLanes := tensor.MaxLanes()
-	tensor.SetMaxLanes(procs - 1)
-	t.Cleanup(func() {
-		tensor.SetMaxLanes(prevLanes)
-		runtime.GOMAXPROCS(prevProcs)
-	})
+	t.Cleanup(setLanes(procs, procs-1))
 }
 
-func eqFloat(a, b float64) bool {
-	return a == b || (math.IsNaN(a) && math.IsNaN(b))
+// setLanes sets GOMAXPROCS to procs and the tensor lane budget to lanes,
+// and returns what restores both.
+func setLanes(procs, lanes int) (restore func()) {
+	prevProcs := runtime.GOMAXPROCS(procs)
+	prevLanes := tensor.MaxLanes()
+	tensor.SetMaxLanes(lanes)
+	return func() {
+		tensor.SetMaxLanes(prevLanes)
+		runtime.GOMAXPROCS(prevProcs)
+	}
 }
 
 // requireSameHistory asserts two synchronous runs are bit-identical:
-// every per-round and per-client statistic, and every final weight.
+// every history field and every final weight.
 func requireSameHistory(t *testing.T, a, b *History) {
 	t.Helper()
-	if len(a.Rounds) != len(b.Rounds) {
-		t.Fatalf("round counts differ: %d vs %d", len(a.Rounds), len(b.Rounds))
-	}
-	for i := range a.Rounds {
-		ra, rb := a.Rounds[i], b.Rounds[i]
-		if !eqFloat(ra.Makespan, rb.Makespan) || !eqFloat(ra.TrainLoss, rb.TrainLoss) ||
-			!eqFloat(ra.Accuracy, rb.Accuracy) {
-			t.Fatalf("round %d stats differ: %+v vs %+v", i, ra, rb)
-		}
-		if len(ra.Clients) != len(rb.Clients) {
-			t.Fatalf("round %d participant counts differ: %d vs %d", i, len(ra.Clients), len(rb.Clients))
-		}
-		for j := range ra.Clients {
-			if ra.Clients[j] != rb.Clients[j] {
-				t.Fatalf("round %d client %d differs:\n%+v\n%+v", i, j, ra.Clients[j], rb.Clients[j])
-			}
-		}
-	}
-	if !eqFloat(a.FinalAccuracy, b.FinalAccuracy) ||
-		!eqFloat(a.TotalSeconds, b.TotalSeconds) || !eqFloat(a.TotalEnergyJ, b.TotalEnergyJ) {
-		t.Fatalf("summary differs: acc %v/%v time %v/%v energy %v/%v",
-			a.FinalAccuracy, b.FinalAccuracy, a.TotalSeconds, b.TotalSeconds,
-			a.TotalEnergyJ, b.TotalEnergyJ)
-	}
-	requireSameWeights(t, a.Model.GetWeights(), b.Model.GetWeights())
-}
-
-func requireSameWeights(t *testing.T, wa, wb []*tensor.Tensor) {
-	t.Helper()
-	if len(wa) != len(wb) {
-		t.Fatalf("weight tensor counts differ: %d vs %d", len(wa), len(wb))
-	}
-	for k := range wa {
-		da, db := wa[k].Data(), wb[k].Data()
-		if len(da) != len(db) {
-			t.Fatalf("tensor %d sizes differ: %d vs %d", k, len(da), len(db))
-		}
-		for e := range da {
-			if da[e] != db[e] {
-				t.Fatalf("tensor %d element %d differs: %v vs %v (bitwise determinism broken)",
-					k, e, da[e], db[e])
-			}
-		}
-	}
+	requireSameDump(t, "history", dumpOf(a), dumpOf(b))
 }
 
 // parallelClients builds a fresh client set — fresh devices matter, since
@@ -93,27 +49,16 @@ func parallelClients(t *testing.T, train *data.Dataset, users int, withDevices b
 	return partitionClients(t, train, data.IIDEqual(train, users, rand.New(rand.NewSource(5))), withDevices)
 }
 
-// lbapSizes is Fed-LBAP's partition of train_heavy's 1,200 samples over
-// testbed II. Its shards are unequal, so the pool's longest-first order
+// lbapSizes is Fed-LBAP's schedule of 600 shards over testbed II, one
+// sample a shard. Its shards are unequal, so the pool's longest-first order
 // (slots 5 1 0 4 2 3) is not the cohort order — with equal shards the two
 // coincide and a worker-count comparison says nothing about dispatch.
-var lbapSizes = []int{276, 278, 66, 66, 194, 320}
+var lbapSizes = []int{138, 139, 33, 33, 97, 160}
 
 // lbapClients builds six device-backed clients on lbapSizes shards.
 func lbapClients(t *testing.T, train *data.Dataset) []*Client {
 	t.Helper()
 	return partitionClients(t, train, data.IIDSizes(train, lbapSizes, rand.New(rand.NewSource(5))), true)
-}
-
-// lbapConfig puts a fault plan and a 5-of-6 cohort sampler on top of the
-// unequal shards, so a round's cohort and its survivors vary too.
-func lbapConfig(t *testing.T, rounds, workers int) Config {
-	t.Helper()
-	cfg := smallConfig(rounds)
-	cfg.Workers = workers
-	cfg.Faults = mustPlan(t, "crash=0.15,flap=0.1,degrade=0.3,slow=3", 19)
-	cfg.Sampler = sample.NewUniform(len(lbapSizes), 5, 23)
-	return cfg
 }
 
 // partitionClients builds one client per partition entry, on a device
@@ -138,158 +83,6 @@ func partitionClients(t *testing.T, train *data.Dataset, part data.Partition, wi
 		t.Fatal(err)
 	}
 	return clients
-}
-
-// TestRunWorkersBitIdentical is the tentpole guarantee: Workers: 1 and
-// Workers: 4 produce bit-identical histories for the same seed, in plain
-// FedAvg, under secure aggregation, and under deadline dropout.
-func TestRunWorkersBitIdentical(t *testing.T) {
-	forceLanes(t, 4)
-	train, test := data.TrainTest(data.SMNISTConfig(0, 61), 600, 200)
-
-	variants := []struct {
-		name        string
-		withDevices bool
-		mutate      func(*Config)
-	}{
-		{"plain", false, func(c *Config) {}},
-		{"devices", true, func(c *Config) {}},
-		{"secureagg", true, func(c *Config) { c.SecureAgg = true }},
-		{"evalEvery", false, func(c *Config) { c.EvalEvery = 2 }},
-		{"f32", false, func(c *Config) { c.Precision = nn.F32 }},
-		{"f32-secureagg", true, func(c *Config) { c.Precision = nn.F32; c.SecureAgg = true }},
-	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			run := func(workers int) *History {
-				cfg := smallConfig(3)
-				cfg.Workers = workers
-				v.mutate(&cfg)
-				hist, err := Run(cfg, parallelClients(t, train, 4, v.withDevices), test)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return hist
-			}
-			requireSameHistory(t, run(1), run(4))
-		})
-	}
-
-	t.Run("unequal-shards", func(t *testing.T) {
-		train, test := data.TrainTest(data.SMNISTConfig(0, 61), 1200, 200)
-		run := func(workers int) *History {
-			hist, err := Run(lbapConfig(t, 3, workers), lbapClients(t, train), test)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return hist
-		}
-		want := run(-1)
-		faulted := 0
-		for _, r := range want.Rounds {
-			for _, cr := range r.Clients {
-				if cr.Fault != fault.None {
-					faulted++
-				}
-			}
-		}
-		if faulted == 0 {
-			t.Fatal("the fault plan struck nobody")
-		}
-		for _, workers := range []int{2, 4} {
-			requireSameHistory(t, want, run(workers))
-		}
-	})
-}
-
-// TestRunGEMMLanesBitIdentical extends the workers guarantee one layer
-// down, into the blocked GEMM kernels: with the client worker pool held
-// fixed, the number of tensor lanes the matmuls may fan out over must not
-// change a single bit of the history either. (At batch 20 the LeNetSmall
-// convolutions cross the kernel's parallel cutoff, so lanes > 0 genuinely
-// split the output grid across goroutines.)
-func TestRunGEMMLanesBitIdentical(t *testing.T) {
-	prevProcs := runtime.GOMAXPROCS(4)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prevProcs) })
-	train, test := data.TrainTest(data.SMNISTConfig(0, 67), 600, 200)
-
-	for _, prec := range []nn.Precision{nn.F64, nn.F32} {
-		t.Run(string(prec), func(t *testing.T) {
-			run := func(lanes int) *History {
-				prev := tensor.MaxLanes()
-				tensor.SetMaxLanes(lanes)
-				defer tensor.SetMaxLanes(prev)
-				cfg := smallConfig(3)
-				cfg.Workers = 1 // serial client pool: every lane goes to the GEMMs
-				cfg.Precision = prec
-				hist, err := Run(cfg, parallelClients(t, train, 4, true), test)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return hist
-			}
-			serial := run(0)
-			for _, lanes := range []int{1, 3} {
-				requireSameHistory(t, serial, run(lanes))
-			}
-		})
-	}
-}
-
-// TestRunWorkersDeadlineBitIdentical covers straggler dropout: the
-// deadline sits between the fast and slow device's warm spans, so one
-// client is dropped every round — identically for any worker count.
-func TestRunWorkersDeadlineBitIdentical(t *testing.T) {
-	forceLanes(t, 4)
-	train, test := data.TrainTest(data.SMNISTConfig(0, 62), 400, 150)
-
-	newClients := func() []*Client {
-		part := data.IIDEqual(train, 2, rand.New(rand.NewSource(5)))
-		locals := part.Materialize(train)
-		devs := []*device.Device{device.New(device.Pixel2()), device.New(device.Nexus6P())}
-		links := []network.Link{network.WiFi(), network.WiFi()}
-		clients, err := BuildClients(devs, links, locals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return clients
-	}
-
-	// Probe warm spans to place the deadline between the two devices.
-	probe, err := Run(smallConfig(3), newClients(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := probe.Rounds[len(probe.Rounds)-1]
-	fast := last.Clients[0].ComputeS + last.Clients[0].CommS
-	slow := last.Clients[1].ComputeS + last.Clients[1].CommS
-	if slow <= fast {
-		t.Fatalf("precondition: Nexus6P (%.2f s) not slower than Pixel2 (%.2f s)", slow, fast)
-	}
-
-	run := func(workers int) *History {
-		cfg := smallConfig(3)
-		cfg.Workers = workers
-		cfg.DeadlineSeconds = (fast + slow) / 2
-		hist, err := Run(cfg, newClients(), test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hist
-	}
-	a, b := run(1), run(4)
-	dropped := 0
-	for _, r := range a.Rounds {
-		for _, cr := range r.Clients {
-			if cr.Dropped {
-				dropped++
-			}
-		}
-	}
-	if dropped == 0 {
-		t.Fatal("deadline variant dropped nobody — test is vacuous")
-	}
-	requireSameHistory(t, a, b)
 }
 
 // TestWorkersGuards: negative Workers degrades to strictly sequential and
@@ -481,7 +274,7 @@ func TestRunEvaluationClones(t *testing.T) {
 // descending, ties by slot, the identity for a sequential pool — all
 // without allocating.
 func TestLongestFirst(t *testing.T) {
-	train, _ := data.TrainTest(data.SMNISTConfig(0, 76), 1200, 10)
+	train, _ := data.TrainTest(data.SMNISTConfig(0, 76), 600, 10)
 	members := partitionClients(t, train, data.IIDSizes(train, lbapSizes, rand.New(rand.NewSource(5))), false)
 	rc := newRoundCore(smallConfig(1).Arch, 20, len(members), nil, nil, nil)
 	sel := rc.draw(0)
@@ -492,70 +285,12 @@ func TestLongestFirst(t *testing.T) {
 		t.Errorf("sequential pool: slots %v, want cohort order %v", got, want)
 	}
 	// A sampled cohort orders its slots, not the members' indices: members
-	// 3, 2, 5 hold 66, 66 and 320 samples.
+	// 3, 2, 5 hold 33, 33 and 160 samples.
 	if got, want := rc.longestFirst(4, []int{3, 2, 5}, members), []int{2, 0, 1}; !slices.Equal(got, want) {
 		t.Errorf("cohort [3 2 5]: slots %v, want %v", got, want)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { rc.longestFirst(4, sel, members) }); allocs != 0 {
 		t.Errorf("longestFirst allocated %v times per call", allocs)
-	}
-}
-
-// TestAsyncWorkersBitIdentical: the futures engine must keep every server
-// merge in exact virtual-time order, so the whole history matches the
-// sequential engine field by field.
-func TestAsyncWorkersBitIdentical(t *testing.T) {
-	forceLanes(t, 4)
-	train, test := data.TrainTest(data.SMNISTConfig(0, 65), 400, 100)
-
-	run := func(workers int) *AsyncHistory {
-		cfg := AsyncConfig{Config: smallConfig(0), MaxUpdates: 16, MixRate: 0.4, StalenessPower: 0.5}
-		cfg.Workers = workers
-		hist, err := RunAsync(cfg, parallelClients(t, train, 3, true), test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hist
-	}
-	a, b := run(1), run(4)
-	if a.Updates != b.Updates || !eqFloat(a.VirtualSeconds, b.VirtualSeconds) ||
-		!eqFloat(a.FinalAccuracy, b.FinalAccuracy) || !eqFloat(a.MeanStaleness, b.MeanStaleness) ||
-		!eqFloat(a.TotalEnergyJ, b.TotalEnergyJ) {
-		t.Fatalf("async histories differ:\n%+v\n%+v", a, b)
-	}
-	for i := range a.UpdatesPerClient {
-		if a.UpdatesPerClient[i] != b.UpdatesPerClient[i] {
-			t.Fatalf("updates per client differ at %d: %v vs %v",
-				i, a.UpdatesPerClient, b.UpdatesPerClient)
-		}
-	}
-}
-
-// TestGossipWorkersBitIdentical: local epochs fan out, pairing and
-// averaging happen after the join — any worker count, same history.
-func TestGossipWorkersBitIdentical(t *testing.T) {
-	forceLanes(t, 4)
-	train, test := data.TrainTest(data.SMNISTConfig(0, 66), 400, 100)
-
-	run := func(workers int) *GossipHistory {
-		cfg := GossipConfig{Config: smallConfig(3), Topology: Ring}
-		cfg.Workers = workers
-		hist, err := RunGossip(cfg, parallelClients(t, train, 4, true), test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hist
-	}
-	a, b := run(1), run(4)
-	if a.Rounds != b.Rounds || !eqFloat(a.MeanAccuracy, b.MeanAccuracy) ||
-		!eqFloat(a.BestAccuracy, b.BestAccuracy) || !eqFloat(a.Disagreement, b.Disagreement) ||
-		!eqFloat(a.TotalSeconds, b.TotalSeconds) {
-		t.Fatalf("gossip histories differ:\n%+v\n%+v", a, b)
-	}
-	for i := range a.PerClient {
-		if a.PerClient[i] != b.PerClient[i] {
-			t.Fatalf("per-client accuracy differs at %d: %v vs %v", i, a.PerClient, b.PerClient)
-		}
 	}
 }
 

@@ -27,63 +27,6 @@ func popConfig(n, cohort, rounds int) PopulationConfig {
 	}
 }
 
-func TestPopulationDeterministic(t *testing.T) {
-	a, err := SimulatePopulationRounds(popConfig(10_000, 16, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SimulatePopulationRounds(popConfig(10_000, 16, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Rounds) != len(b.Rounds) {
-		t.Fatalf("round counts differ: %d vs %d", len(a.Rounds), len(b.Rounds))
-	}
-	for i := range a.Rounds {
-		if a.Rounds[i] != b.Rounds[i] {
-			t.Fatalf("round %d differs: %+v vs %+v", i, a.Rounds[i], b.Rounds[i])
-		}
-	}
-	if a.TotalSeconds != b.TotalSeconds || a.TotalEnergyJ != b.TotalEnergyJ {
-		t.Fatal("aggregate totals differ across identical runs")
-	}
-	r0 := a.Rounds[0]
-	if r0.Selected != 16 || r0.Participants == 0 || r0.Samples == 0 {
-		t.Fatalf("implausible round: %+v", r0)
-	}
-	if r0.MakespanS <= 0 || r0.PredictedS <= 0 || r0.Straggler < 0 {
-		t.Fatalf("implausible timings: %+v", r0)
-	}
-}
-
-func TestPopulationTraceWorkerInvariant(t *testing.T) {
-	// The population trace must be byte-identical for any Workers value:
-	// per-slot logs are drained post-join in slot order, so parallelism
-	// never reorders events.
-	run := func(workers int) []byte {
-		cfg := popConfig(10_000, 16, 2)
-		cfg.Workers = workers
-		cfg.Trace = trace.New(0)
-		if _, err := SimulatePopulationRounds(cfg); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := trace.WriteJSONL(&buf, cfg.Trace.Events()); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	want := run(1)
-	if len(want) == 0 {
-		t.Fatal("no trace produced")
-	}
-	for _, w := range []int{2, 8, -1} {
-		if got := run(w); !bytes.Equal(got, want) {
-			t.Fatalf("trace differs between Workers=1 and Workers=%d", w)
-		}
-	}
-}
-
 func TestPopulationRoundScalesWithCohortNotPopulation(t *testing.T) {
 	// The tentpole invariant: steady-state per-round allocations depend on
 	// the cohort, not the population. A 100× larger fleet must cost the

@@ -12,7 +12,7 @@ import (
 func TestDivergedClientRejected(t *testing.T) {
 	train, test := data.TrainTest(data.SMNISTConfig(0, 101), 400, 150)
 	part := data.IIDEqual(train, 2, newTestRand())
-	clients := clientsFromPartition(t, train, part)
+	clients := partitionClients(t, train, part, false)
 	// Poison client 1's local data so its gradients explode immediately.
 	poison := clients[1].Local.X.Data()
 	for i := range poison {
@@ -48,7 +48,7 @@ func TestLRScheduleApplied(t *testing.T) {
 	train, test := data.TrainTest(data.SMNISTConfig(0, 102), 400, 150)
 	run := func(sched nn.LRSchedule) float64 {
 		part := data.IIDEqual(train, 2, newTestRand())
-		clients := clientsFromPartition(t, train, part)
+		clients := partitionClients(t, train, part, false)
 		cfg := smallConfig(4)
 		cfg.LRSchedule = sched
 		hist, err := Run(cfg, clients, test)

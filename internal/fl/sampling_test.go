@@ -1,74 +1,19 @@
 package fl
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
 	"fedsched/internal/data"
 	"fedsched/internal/sample"
-	"fedsched/internal/trace"
 )
-
-// sampledRun executes a small FedAvg run with a uniform 3-of-6 sampler
-// and returns the history and serialized trace.
-func sampledRun(t *testing.T, workers int) (*History, []byte) {
-	t.Helper()
-	train, test := data.TrainTest(data.SMNISTConfig(0, 9), 600, 200)
-	part := data.IIDEqual(train, 6, rand.New(rand.NewSource(3)))
-	clients := clientsFromPartition(t, train, part)
-	cfg := smallConfig(4)
-	cfg.Workers = workers
-	cfg.Sampler = sample.NewUniform(6, 3, 42)
-	cfg.Trace = trace.New(0)
-	hist, err := Run(cfg, clients, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := trace.WriteJSONL(&buf, cfg.Trace.Events()); err != nil {
-		t.Fatal(err)
-	}
-	return hist, buf.Bytes()
-}
-
-func TestRunSamplerDeterministic(t *testing.T) {
-	a, traceA := sampledRun(t, 1)
-	b, traceB := sampledRun(t, 1)
-	if a.FinalAccuracy != b.FinalAccuracy || a.TotalSeconds != b.TotalSeconds {
-		t.Fatalf("sampled runs differ: acc %v vs %v, time %v vs %v",
-			a.FinalAccuracy, b.FinalAccuracy, a.TotalSeconds, b.TotalSeconds)
-	}
-	if !bytes.Equal(traceA, traceB) {
-		t.Fatal("sampled run traces differ across identical configs")
-	}
-	for _, rs := range a.Rounds {
-		if len(rs.Clients) != 3 {
-			t.Fatalf("round %d had %d participants, want cohort of 3", rs.Round, len(rs.Clients))
-		}
-	}
-}
-
-func TestRunSamplerWorkerInvariant(t *testing.T) {
-	// The sampled-run contract matches the full-participation one: history
-	// and trace are bit-identical for any Workers value.
-	want, wantTrace := sampledRun(t, 1)
-	for _, w := range []int{2, 8, -1} {
-		got, gotTrace := sampledRun(t, w)
-		if got.FinalAccuracy != want.FinalAccuracy {
-			t.Fatalf("Workers=%d accuracy %v, want %v", w, got.FinalAccuracy, want.FinalAccuracy)
-		}
-		if !bytes.Equal(gotTrace, wantTrace) {
-			t.Fatalf("Workers=%d trace differs from sequential", w)
-		}
-	}
-}
 
 func TestRunSamplerRoundsDiffer(t *testing.T) {
 	// Different rounds must draw different cohorts (with overwhelming
-	// probability at 3-of-6 over 4 rounds) — a frozen cohort would mean
-	// the round index is not reaching the sampler.
-	hist, _ := sampledRun(t, 1)
+	// probability at 3-of-6 over 3 rounds) — a frozen cohort would mean
+	// the round index is not reaching the sampler. The harness's sampler
+	// row has the run.
+	hist := syncSampler.at(t, 1, harnessLanes).hist.(*History)
 	ids := func(rs RoundStats) [3]int {
 		var out [3]int
 		for i, cr := range rs.Clients {
@@ -91,7 +36,7 @@ func TestRunSamplerRoundsDiffer(t *testing.T) {
 func TestRunSamplerPopulationMismatch(t *testing.T) {
 	train, _ := data.TrainTest(data.SMNISTConfig(0, 9), 300, 100)
 	part := data.IIDEqual(train, 4, rand.New(rand.NewSource(3)))
-	clients := clientsFromPartition(t, train, part)
+	clients := partitionClients(t, train, part, false)
 	cfg := smallConfig(1)
 	cfg.Sampler = sample.NewUniform(99, 3, 1)
 	if _, err := Run(cfg, clients, nil); err == nil {
@@ -99,39 +44,10 @@ func TestRunSamplerPopulationMismatch(t *testing.T) {
 	}
 }
 
-func TestGossipSamplerDeterministic(t *testing.T) {
-	run := func(workers int) (*GossipHistory, []byte) {
-		train, test := data.TrainTest(data.SMNISTConfig(0, 5), 600, 200)
-		part := data.IIDEqual(train, 6, rand.New(rand.NewSource(4)))
-		clients := clientsFromPartition(t, train, part)
-		cfg := GossipConfig{Config: smallConfig(3)}
-		cfg.Workers = workers
-		cfg.Sampler = sample.NewUniform(6, 4, 7)
-		cfg.Trace = trace.New(0)
-		hist, err := RunGossip(cfg, clients, test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := trace.WriteJSONL(&buf, cfg.Trace.Events()); err != nil {
-			t.Fatal(err)
-		}
-		return hist, buf.Bytes()
-	}
-	a, traceA := run(1)
-	b, traceB := run(4)
-	if a.MeanAccuracy != b.MeanAccuracy || a.TotalSeconds != b.TotalSeconds {
-		t.Fatalf("gossip sampled runs differ across Workers: %+v vs %+v", a, b)
-	}
-	if !bytes.Equal(traceA, traceB) {
-		t.Fatal("gossip sampled traces differ across Workers")
-	}
-}
-
 func TestAsyncSamplerRestrictsCohort(t *testing.T) {
 	train, test := data.TrainTest(data.SMNISTConfig(0, 6), 600, 200)
 	part := data.IIDEqual(train, 6, rand.New(rand.NewSource(5)))
-	clients := clientsFromPartition(t, train, part)
+	clients := partitionClients(t, train, part, false)
 	cfg := AsyncConfig{Config: smallConfig(1), MaxUpdates: 12}
 	cfg.Sampler = sample.NewUniform(6, 2, 11)
 	hist, err := RunAsync(cfg, clients, test)

@@ -12,7 +12,7 @@ func TestSecureAggMatchesPlaintext(t *testing.T) {
 	train, test := data.TrainTest(data.SMNISTConfig(0, 55), 600, 200)
 	run := func(secure bool) *History {
 		part := data.IIDEqual(train, 3, rand.New(rand.NewSource(1)))
-		clients := clientsFromPartition(t, train, part)
+		clients := partitionClients(t, train, part, false)
 		cfg := smallConfig(3)
 		cfg.SecureAgg = secure
 		hist, err := Run(cfg, clients, test)
@@ -40,7 +40,7 @@ func TestSecureAggMatchesPlaintext(t *testing.T) {
 func TestSecureAggSingleParticipant(t *testing.T) {
 	train, test := data.TrainTest(data.SMNISTConfig(0, 56), 200, 100)
 	part := data.IIDEqual(train, 1, rand.New(rand.NewSource(1)))
-	clients := clientsFromPartition(t, train, part)
+	clients := partitionClients(t, train, part, false)
 	cfg := smallConfig(2)
 	cfg.SecureAgg = true
 	hist, err := Run(cfg, clients, test)

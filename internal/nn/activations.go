@@ -31,9 +31,6 @@ type ReLUOf[T tensor.Float] struct {
 	dx  *tensor.TensorOf[T] // input gradient
 }
 
-// ReLU is the float64 ReLU layer.
-type ReLU = ReLUOf[float64]
-
 // NewReLUOf returns a ReLU activation layer.
 func NewReLUOf[T tensor.Float]() *ReLUOf[T] { return &ReLUOf[T]{} }
 
@@ -84,9 +81,6 @@ type FlattenOf[T tensor.Float] struct {
 	out     *tensor.TensorOf[T] // cached forward view
 	back    *tensor.TensorOf[T] // cached backward view
 }
-
-// Flatten is the float64 flatten layer.
-type Flatten = FlattenOf[float64]
 
 // NewFlattenOf returns a flatten layer.
 func NewFlattenOf[T tensor.Float]() *FlattenOf[T] { return &FlattenOf[T]{} }
@@ -144,9 +138,6 @@ type MaxPool2DOf[T tensor.Float] struct {
 	y            *tensor.TensorOf[T] // forward output
 	dx           *tensor.TensorOf[T] // input gradient
 }
-
-// MaxPool2D is the float64 max-pool layer.
-type MaxPool2D = MaxPool2DOf[float64]
 
 // NewMaxPool2DOf constructs a max-pool layer with the given window and
 // stride.
@@ -287,9 +278,6 @@ type DropoutOf[T tensor.Float] struct {
 	y    *tensor.TensorOf[T] // forward output (training path)
 	dx   *tensor.TensorOf[T] // input gradient
 }
-
-// Dropout is the float64 dropout layer.
-type Dropout = DropoutOf[float64]
 
 // NewDropoutOf constructs a dropout layer driven by rng.
 func NewDropoutOf[T tensor.Float](rng *rand.Rand, p float64) *DropoutOf[T] {

@@ -41,9 +41,6 @@ type Conv2DOf[T tensor.Float] struct {
 	dx *tensor.TensorOf[T] // input gradient (N, InC, H, W)
 }
 
-// Conv2D is the float64 convolution layer.
-type Conv2D = Conv2DOf[float64]
-
 // NewConv2DOf constructs a convolution layer with He-initialized weights.
 // The rng draw sequence is identical for every element type, so a float32
 // and a float64 network built from the same seed start from the same

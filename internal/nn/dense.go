@@ -27,9 +27,6 @@ type DenseOf[T tensor.Float] struct {
 	dx *tensor.TensorOf[T] // input gradient (N, In)
 }
 
-// Dense is the float64 dense layer.
-type Dense = DenseOf[float64]
-
 // NewDenseOf constructs a dense layer with He-initialized weights. The rng
 // draw sequence is identical for every element type, so a float32 and a
 // float64 network built from the same seed start from the same (rounded)

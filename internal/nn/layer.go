@@ -5,10 +5,9 @@
 // paper §IV-B) and FLOP estimates.
 //
 // Every layer, the network container and the optimizer are generic over the
-// tensor element type (float32 or float64). The float64 instantiations keep
-// their historical names via aliases (Layer, Dense, Network, …), so existing
-// code is untouched; the float32 path is reached through BuildNetwork and
-// the Trainer constructor (see trainer.go).
+// tensor element type (float32 or float64). The float64 network, which the
+// federated engine evaluates and aggregates, is Network; both paths are
+// built through BuildNetwork and the Trainer constructor (see trainer.go).
 package nn
 
 import "fedsched/internal/tensor"
@@ -20,9 +19,6 @@ type ParamOf[T tensor.Float] struct {
 	W    *tensor.TensorOf[T]
 	Grad *tensor.TensorOf[T]
 }
-
-// Param is the float64 parameter used throughout the federated engine.
-type Param = ParamOf[float64]
 
 // LayerOf is a differentiable network stage. Forward consumes the previous
 // activation and returns the next one; Backward consumes dLoss/dOutput and
@@ -40,9 +36,6 @@ type LayerOf[T tensor.Float] interface {
 	// Params returns the layer's trainable parameters (possibly empty).
 	Params() []*ParamOf[T]
 }
-
-// Layer is the float64 layer interface.
-type Layer = LayerOf[float64]
 
 // ParamClass distinguishes convolutional from densely-connected parameters;
 // the profiler regresses training time against the two counts separately

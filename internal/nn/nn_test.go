@@ -182,7 +182,7 @@ func TestSGDPlainStep(t *testing.T) {
 	p.W.Data()[0], p.W.Data()[1] = 1, 2
 	p.Grad.Data()[0], p.Grad.Data()[1] = 10, -10
 	opt := NewSGDOf[float64](0.1, 0, 0)
-	opt.Step([]*Param{p})
+	opt.Step([]*ParamOf[float64]{p})
 	if p.W.Data()[0] != 0 || p.W.Data()[1] != 3 {
 		t.Fatalf("after step: %v", p.W.Data())
 	}
@@ -196,7 +196,7 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	opt := NewSGDOf[float64](1, 0.9, 0)
 	for i := 0; i < 2; i++ {
 		p.Grad.Data()[0] = 1
-		opt.Step([]*Param{p})
+		opt.Step([]*ParamOf[float64]{p})
 	}
 	// Step1: v=1, w=-1. Step2: v=0.9+1=1.9, w=-2.9.
 	if math.Abs(p.W.Data()[0]+2.9) > 1e-12 {
@@ -204,7 +204,7 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	}
 	opt.Reset()
 	p.Grad.Data()[0] = 1
-	opt.Step([]*Param{p})
+	opt.Step([]*ParamOf[float64]{p})
 	if math.Abs(p.W.Data()[0]+3.9) > 1e-12 {
 		t.Fatalf("after reset expected plain step: %v", p.W.Data()[0])
 	}
@@ -259,7 +259,7 @@ func TestSGDWeightDecay(t *testing.T) {
 	p := newParamOf[float64]("w", 1)
 	p.W.Data()[0] = 10
 	opt := NewSGDOf[float64](0.1, 0, 0.5)
-	opt.Step([]*Param{p}) // grad = 0 + 0.5*10 = 5; w = 10 - 0.5 = 9.5
+	opt.Step([]*ParamOf[float64]{p}) // grad = 0 + 0.5*10 = 5; w = 10 - 0.5 = 9.5
 	if math.Abs(p.W.Data()[0]-9.5) > 1e-12 {
 		t.Fatalf("decay step wrong: %v", p.W.Data()[0])
 	}

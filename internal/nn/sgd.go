@@ -14,9 +14,6 @@ type SGDOf[T tensor.Float] struct {
 	velocity map[*ParamOf[T]]*tensor.TensorOf[T]
 }
 
-// SGD is the float64 optimizer used throughout the federated engine.
-type SGD = SGDOf[float64]
-
 // NewSGDOf constructs an SGD optimizer.
 func NewSGDOf[T tensor.Float](lr, momentum, decay float64) *SGDOf[T] {
 	return &SGDOf[T]{LR: lr, Momentum: momentum, Decay: decay, velocity: make(map[*ParamOf[T]]*tensor.TensorOf[T])}

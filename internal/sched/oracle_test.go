@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"container/heap"
 	"math"
 	"slices"
@@ -45,10 +46,11 @@ func referenceSparse(req *Request) (*Assignment, error) {
 	var chi float64
 	if n > s {
 		// s users can each take one shard at the s-th smallest first-shard
-		// cost, so g(c_hi) ≥ s. Quickselect permutes, so work on a copy.
-		scratch := make([]float64, n)
-		copy(scratch, first)
-		chi = selectKth(scratch, s-1)
+		// cost, so g(c_hi) ≥ s. NaN costs sort last, as in FedLBAP's
+		// selection: a NaN is no bound.
+		sorted := slices.Clone(first)
+		slices.SortFunc(sorted, nanLast)
+		chi = sorted[s-1]
 	} else {
 		// Full capacities are feasible by req.check(): Σ cap_j ≥ s.
 		for j := range caps {
@@ -209,6 +211,14 @@ func referenceSparse(req *Request) (*Assignment, error) {
 	asg.PredictedMakespan = Makespan(req, asg)
 	emitSchedule(req, asg)
 	return asg, nil
+}
+
+// nanLast orders numbers ascending and NaN after every number.
+func nanLast(a, b float64) int {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return cmp.Compare(b, a)
+	}
+	return cmp.Compare(a, b)
 }
 
 // denseFedLBAP is Algorithm 1 as the paper writes it: materialise the

@@ -405,10 +405,10 @@ func TestFedLBAPLanesBitIdentical(t *testing.T) {
 	// free and merges their totals in chunk order, so the solve must not
 	// depend on the lane count: the same shards, makespan and solver and
 	// schedule events with one lane and three as with none. n > s bounds
-	// c* by selection, n ≤ s by the merged max; there, for a merge that is
-	// wrong at every lane count, the solve must also match the full-range
-	// reference (its quickselect copy is not defined on the NaN users an
-	// n > s bound selects among). Each n leaves a ragged last chunk.
+	// c* by selection among users some of whom cost NaN, n ≤ s by the
+	// merged max; for a selection or a merge that is wrong at every lane
+	// count, the solve must also match the full-range reference at both.
+	// Each n leaves a ragged last chunk.
 	prevProcs := runtime.GOMAXPROCS(4)
 	prevLanes := tensor.MaxLanes()
 	t.Cleanup(func() {
@@ -421,10 +421,8 @@ func TestFedLBAPLanesBitIdentical(t *testing.T) {
 		req := &Request{TotalShards: s, ShardSize: 100, Users: laneUsers(n)}
 		tensor.SetMaxLanes(0)
 		want, wantEv := solveTraced(t, req, solve)
-		if n <= s {
-			ref, refEv := solveTraced(t, req, referenceSparse)
-			assertSameSolve(t, fmt.Sprintf("s=%d lanes=0 vs reference", s), want, wantEv, ref, refEv)
-		}
+		ref, refEv := solveTraced(t, req, referenceSparse)
+		assertSameSolve(t, fmt.Sprintf("s=%d lanes=0 vs reference", s), want, wantEv, ref, refEv)
 		for _, lanes := range []int{1, 3} {
 			tensor.SetMaxLanes(lanes)
 			got, gotEv := solveTraced(t, req, solve)
