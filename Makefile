@@ -74,17 +74,18 @@ check: build vet lint test race-tensor purego
 # smoke). Local pre-push runs should keep using `make check`.
 check-nolint: build vet test race-tensor
 
-# The engines, kernels and daemon, plus the cheap packages the round core
-# calls into from its worker pool (samplers, fault draws, schedulers, trace
+# The engines, kernels, layers and daemon, plus the cheap packages the
+# round core calls into from its worker pool (samplers, fault draws, schedulers, trace
 # rings, device simulators, and the device profiles the daemon's jobs
 # share — a few seconds all together). The async engine's event loop is
 # part of internal/fl. The root package's BuildJob and ProfileMemo tests
 # race the offline-profile memo that concurrent jobs, testbeds and
 # population runners share.
 race:
-	$(GO) test -race ./internal/fl/... ./internal/tensor/... ./internal/serve/... \
-		./internal/sample/... ./internal/fault/... ./internal/sched/... \
-		./internal/trace/... ./internal/device/... ./internal/profile/...
+	$(GO) test -race ./internal/fl/... ./internal/tensor/... ./internal/nn/... \
+		./internal/serve/... ./internal/sample/... ./internal/fault/... \
+		./internal/sched/... ./internal/trace/... ./internal/device/... \
+		./internal/profile/...
 	$(GO) test -race -run 'BuildJob|ProfileMemo' .
 
 # Fast race pass over just the GEMM core and lane semaphore — cheap

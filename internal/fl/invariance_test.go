@@ -26,8 +26,11 @@ import (
 // sampler and the sync and gossip fault rows. Each cell — a scenario at one worker and lane count — is
 // trained at most once per test binary and rendered as one canonical dump
 // (see newCell); the pinned tests below name the rows they hold and add
-// the preconditions that keep a row from passing vacuously. Every row
-// logs its dump's SHA-256, so
+// the preconditions that keep a row from passing vacuously. A drain
+// order that is wrong the same way at every worker count shows in no
+// comparison, so every sync, gossip and population row's trace must also
+// close each client's throttle events with that client's round event
+// (throttlesClosed). Every row logs its dump's SHA-256, so
 //
 //	go test ./internal/fl -run 'BitIdentical|ByteIdentical|Deterministic|WorkerInvariant' -v | grep -o 'digest .*'
 //
@@ -124,6 +127,9 @@ func (sc *scenario) row(t *testing.T, name string, workers, lanes []int, checks 
 	t.Helper()
 	t.Run(name, func(t *testing.T) {
 		want := sc.at(t, 1, harnessLanes)
+		if sc.engine != "async" {
+			throttlesClosed(t, sc, want)
+		}
 		for _, ck := range checks {
 			ck(t, sc, want)
 		}
@@ -395,6 +401,11 @@ var (
 		c.Faults = mustPlan(t, "crash=0.2,battery=0.05,flap=0.15,corrupt=0.1,degrade=0.3", 31)
 		c.Quorum, c.MinParticipants = 10, 2
 	})
+	// VGG6 on 28×28 inputs heats some of the cohort past its soft trip
+	// point, so the slot throttle logs the round core drains hold events.
+	popHot = populationScenario("hot", func(_ *testing.T, c *PopulationConfig) {
+		c.Arch, c.TotalShards = nn.VGG6(1, 28, 28, 10), 600
+	})
 )
 
 const (
@@ -452,6 +463,48 @@ var (
 	struck    = some(trace.KindFault, -1, "the fault plan struck nobody")
 	throttled = some(trace.KindThrottle, -1, "no device throttled")
 )
+
+// throttledClients requires throttle events from at least n clients.
+func throttledClients(n int) check {
+	return func(t *testing.T, _ *scenario, c *cell) {
+		t.Helper()
+		seen := map[int]bool{}
+		for _, e := range c.events {
+			if e.Kind == trace.KindThrottle {
+				seen[e.Client] = true
+			}
+		}
+		t.Logf("%d throttle events from %d clients", c.count(trace.KindThrottle, -1), len(seen))
+		if len(seen) < n {
+			t.Fatalf("precondition: %d clients throttled, want at least %d", len(seen), n)
+		}
+	}
+}
+
+// throttlesClosed requires every throttle event to be followed, past any
+// further throttle events of its client, by that client's client-round
+// event of the same round: the round core drains each slot's throttle
+// log just before emitting the slot's own event.
+func throttlesClosed(t *testing.T, _ *scenario, c *cell) {
+	t.Helper()
+	ev := c.events
+	for i := 0; i < len(ev); i++ {
+		e := ev[i]
+		if e.Kind != trace.KindThrottle {
+			continue
+		}
+		for i+1 < len(ev) && ev[i+1].Kind == trace.KindThrottle && ev[i+1].Client == e.Client {
+			i++
+		}
+		if i+1 == len(ev) || ev[i+1].Kind != trace.KindClientRound || ev[i+1].Client != e.Client || ev[i+1].Round != e.Round {
+			next := "the end of the trace"
+			if i+1 < len(ev) {
+				next = fmt.Sprintf("%+v", ev[i+1])
+			}
+			t.Fatalf("client %d's round-%d throttle events end at event %d, followed by %s", e.Client, e.Round, i, next)
+		}
+	}
+}
 
 // The pinned tests: each holds its rows plus its own preconditions.
 
@@ -558,6 +611,7 @@ func TestPopulationDeterministic(t *testing.T) {
 
 func TestPopulationTraceWorkerInvariant(t *testing.T) {
 	popPlain.holds(t, exactly(trace.KindRoundSummary, harnessRounds))
+	popHot.holds(t, exactly(trace.KindRoundSummary, harnessRounds), throttledClients(2))
 }
 
 func TestPopulationFaultsWorkerInvariant(t *testing.T) {

@@ -182,10 +182,10 @@ func TestEvaluateLanesSaturated(t *testing.T) {
 }
 
 // TestEvaluateSplitInvariant: how the test set splits into batches and
-// how many workers run them changes no prediction and no count. At batch
-// 1 the dense layers' GEMMs fall under gemmSmallCutoff and run the naive
-// kernels; larger batches run the blocked ones. Covered on an f64
-// trainer's live network and on an f32 trainer's float64 evaluation twin.
+// how many workers run them changes no prediction and no count: a row's
+// outputs do not depend on how many other rows share its GEMMs, from
+// batch 1 (one-row products) up. Covered on an f64 trainer's live network
+// and on an f32 trainer's float64 evaluation twin.
 func TestEvaluateSplitInvariant(t *testing.T) {
 	forceLanes(t, 4)
 	train, test := data.TrainTest(data.SMNISTConfig(0, 74), 200, 230)

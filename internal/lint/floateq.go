@@ -9,8 +9,8 @@ import (
 // FloatEq flags == and != where either operand is a floating-point (or
 // complex) value, outside _test.go files. Exact float comparison is
 // almost always a rounding-error bug in scheduling/cost code; the few
-// legitimate uses — exact-zero sparsity sentinels in the naive GEMM
-// kernels, NaN probes — carry //fedlint:allow floateq directives so each
+// legitimate uses — "field unset" zeros, exact tie-breaks, an
+// exact-zero pivot skip — carry //fedlint:allow floateq directives so each
 // one is an audited, visible decision rather than an accident.
 var FloatEq = &Analyzer{
 	Name: "floateq",

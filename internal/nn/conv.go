@@ -167,21 +167,18 @@ func (c *Conv2DOf[T]) backwardParams(grad *tensor.TensorOf[T]) {
 }
 
 // backwardPooled is Backward — backwardParams when no input gradient is
-// wanted — for the output gradient pg describes rather than holds (see
-// NetworkOf.backwardConvBlock). It reports false, with no gradient
-// touched, when the kernels want the dense form.
+// wanted, returning nil — for the output gradient pg describes rather
+// than holds (see NetworkOf.backwardConvBlock).
 //
 // fedlint:hotpath
-func (c *Conv2DOf[T]) backwardPooled(pg tensor.PooledGrad[T], wantDX bool) (*tensor.TensorOf[T], bool) {
+func (c *Conv2DOf[T]) backwardPooled(pg tensor.PooledGrad[T], wantDX bool) *tensor.TensorOf[T] {
 	var dx *tensor.TensorOf[T]
 	if wantDX {
 		c.dx = tensor.EnsureShape(c.dx, c.x.Shape()...)
 		dx = c.dx
 	}
 	c.dw = tensor.EnsureShape(c.dw, c.OutC, c.InC*c.K*c.K)
-	if !tensor.ConvBackwardPooled(c.dw, c.b.Grad, dx, pg, c.x, c.w.W, c.K, c.K, c.Stride, c.Pad) {
-		return nil, false
-	}
+	tensor.ConvBackwardPooled(c.dw, c.b.Grad, dx, pg, c.x, c.w.W, c.K, c.K, c.Stride, c.Pad)
 	c.w.Grad.Add(c.dw)
-	return dx, true
+	return dx
 }

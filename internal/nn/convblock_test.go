@@ -24,17 +24,11 @@ type blockCase struct {
 	inner, detour, fused     bool
 }
 
-// fusedExpected is the rule backwardConvBlock and tensor.ConvBackwardPooled
-// implement between them, written down once more: a pool whose stride is
-// its window, layer state left by this pass, and no GEMM of the block —
-// dW, or the last (smallest) row chunk of dX — at or below the naive
-// kernels' 4096-volume cutoff.
+// fusedExpected is the rule backwardConvBlock implements, written down
+// once more: a pool whose stride is its window and layer state left by
+// this pass. The shape plays no part.
 func fusedExpected(tc blockCase) bool {
-	oh := tc.hw + 2*tc.pad - tc.k + 1
-	pos, kdim := tc.n*oh*oh, tc.inC*tc.k*tc.k
-	chunk := max(1, (1<<14)/kdim)
-	last := pos - (pos-1)/chunk*chunk
-	return tc.stride == tc.pool && !tc.detour && tc.outC*kdim*pos > 4096 && (!tc.inner || last*kdim*tc.outC > 4096)
+	return tc.stride == tc.pool && !tc.detour
 }
 
 var blockCases = []blockCase{
@@ -53,12 +47,12 @@ var blockCases = []blockCase{
 	{name: "pool 3", n: 4, inC: 2, hw: 12, outC: 6, k: 3, pad: 1, pool: 3, stride: 3, inner: true, fused: true},
 	{name: "one filter", n: 6, inC: 3, hw: 12, outC: 1, k: 5, pad: 2, pool: 2, stride: 2, fused: true},
 	{name: "two row cells", n: 3, inC: 16, hw: 10, outC: 9, k: 3, pad: 1, pool: 2, stride: 2, inner: true, fused: true},
-	// Both sides of gemmSmallCutoff (4096): 2·9·16 = 288 runs the naive
-	// dW kernel, 4·9·2·64 = 4608 the blocked one; 2·150·13 = 3900 is a
-	// naive last chunk of the input gradient behind a blocked dW.
-	{name: "below the cutoff", n: 1, inC: 1, hw: 6, outC: 2, k: 3, pool: 2, stride: 2},
-	{name: "above the cutoff", n: 2, inC: 1, hw: 8, outC: 4, k: 3, pad: 1, pool: 2, stride: 2, fused: true},
-	{name: "naive dX chunk", n: 122, inC: 6, hw: 5, outC: 2, k: 5, pool: 1, stride: 1, inner: true},
+	// Tiny GEMMs: a dW of volume 2·9·16 = 288 and one of 4·9·2·64 = 4608;
+	// a last input-gradient chunk of 13 rows (2·150·13 = 3900) behind a
+	// full one.
+	{name: "one tiny image", n: 1, inC: 1, hw: 6, outC: 2, k: 3, pool: 2, stride: 2, fused: true},
+	{name: "two small images", n: 2, inC: 1, hw: 8, outC: 4, k: 3, pad: 1, pool: 2, stride: 2, fused: true},
+	{name: "short last dX chunk", n: 122, inC: 6, hw: 5, outC: 2, k: 5, pool: 1, stride: 1, inner: true, fused: true},
 	// Patterns the peephole must leave to the layers.
 	{name: "overlapping pool", n: 4, inC: 2, hw: 12, outC: 6, k: 3, pad: 1, pool: 3, stride: 2, inner: true},
 	{name: "inference detour", n: 4, inC: 2, hw: 12, outC: 6, k: 3, pad: 1, pool: 2, stride: 2, inner: true, detour: true},
@@ -176,10 +170,10 @@ func FuzzConvBlockBackward(f *testing.F) {
 	f.Add(uint8(19), uint8(5), uint8(4), uint8(11), uint8(2), uint8(0), uint8(1), uint8(1), true, int64(2))  // LeNet-S conv2
 	f.Add(uint8(3), uint8(7), uint8(12), uint8(15), uint8(1), uint8(1), uint8(1), uint8(1), true, int64(3))  // VGG6-S block
 	f.Add(uint8(4), uint8(2), uint8(10), uint8(4), uint8(1), uint8(1), uint8(2), uint8(1), true, int64(4))   // overlapping pool
-	f.Add(uint8(121), uint8(5), uint8(1), uint8(1), uint8(2), uint8(0), uint8(0), uint8(0), true, int64(5))  // naive dX chunk
+	f.Add(uint8(121), uint8(5), uint8(1), uint8(1), uint8(2), uint8(0), uint8(0), uint8(0), true, int64(5))  // short last dX chunk
 	f.Add(uint8(2), uint8(1), uint8(14), uint8(6), uint8(1), uint8(1), uint8(1), uint8(1), true, int64(6))   // plane 324
 	f.Add(uint8(2), uint8(15), uint8(6), uint8(8), uint8(1), uint8(1), uint8(1), uint8(1), true, int64(7))   // two row cells
-	f.Add(uint8(0), uint8(0), uint8(2), uint8(1), uint8(1), uint8(0), uint8(1), uint8(1), false, int64(8))   // below the cutoff
+	f.Add(uint8(0), uint8(0), uint8(2), uint8(1), uint8(1), uint8(0), uint8(1), uint8(1), false, int64(8))   // one tiny image
 	f.Add(uint8(3), uint8(1), uint8(8), uint8(5), uint8(1), uint8(1), uint8(2), uint8(2), true, int64(9))    // pool 3
 	f.Add(uint8(2), uint8(1), uint8(11), uint8(3), uint8(1), uint8(1), uint8(1), uint8(1), true, int64(10))  // odd plane
 	f.Add(uint8(4), uint8(2), uint8(10), uint8(4), uint8(1), uint8(1), uint8(1), uint8(1), false, int64(11)) // plane 196, first

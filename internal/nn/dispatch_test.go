@@ -18,7 +18,7 @@ import (
 var tensorUseAVX bool
 
 // trainLeNetSmall trains a fixed-seed LeNet-S for a few momentum-SGD
-// steps — blocked and small-shape GEMMs, both indirect convolution
+// steps — GEMMs of one and of many cells, both indirect convolution
 // passes, the fused epilogues, pooling — and returns the losses and
 // every weight.
 func trainLeNetSmall[T tensor.Float]() (losses []float64, weights [][]T) {

@@ -138,9 +138,9 @@ func (n *NetworkOf[T]) Backward(grad *tensor.TensorOf[T]) {
 // read from is) and the pool's and the ReLU's Backward never run. The
 // result is the convolution's input gradient, nil when it is the
 // network's first parameterized layer. Any other pattern — an unfused
-// ReLU, an overlapping pool, stale layer state, a shape below the blocked
-// kernels' cutoff — reports false, and the layers run one by one: that
-// path is the definition, and this one equals it bit for bit.
+// ReLU, an overlapping pool, stale layer state — reports false, and the
+// layers run one by one: that path is the definition, and this one
+// equals it bit for bit, at every shape.
 func (n *NetworkOf[T]) backwardConvBlock(i int, grad *tensor.TensorOf[T]) (*tensor.TensorOf[T], bool) {
 	if i-2 < n.firstParam {
 		return nil, false
@@ -153,7 +153,7 @@ func (n *NetworkOf[T]) backwardConvBlock(i int, grad *tensor.TensorOf[T]) (*tens
 		return nil, false
 	}
 	pg := tensor.PooledGrad[T]{G: grad, Y: p.y, Argmax: p.argmax, Size: p.Size}
-	return c.backwardPooled(pg, i-2 > n.firstParam)
+	return c.backwardPooled(pg, i-2 > n.firstParam), true
 }
 
 // TrainBatch runs a forward/backward pass on one mini-batch and returns the

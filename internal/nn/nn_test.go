@@ -592,7 +592,7 @@ func TestTrainBatchSteadyStateAllocs(t *testing.T) {
 	})
 	// Allow a sliver of slack for a GC emptying the GEMM scratch pool
 	// mid-measurement; anything recurring would show up as ≥ 1 per run.
-	if avg > 0.5 {
+	if avg > 0.5 && !raceEnabled {
 		t.Fatalf("steady-state TrainBatch allocates %.1f objects/run, want 0", avg)
 	}
 }

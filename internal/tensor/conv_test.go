@@ -9,7 +9,7 @@ import (
 // convCase is one point of the implicit-vs-im2col property grid,
 // covering degenerate 1×1 kernels, edge padding (pad ≥ k/2 so whole
 // patch rows are out of bounds), stride > 1, and multi-channel shapes
-// large enough to cross the blocked-dispatch cutoff.
+// of several register tiles.
 type convCase struct {
 	n, c, h, w, f, k, stride, pad int
 }
@@ -22,7 +22,7 @@ var convCases = []convCase{
 	{1, 2, 6, 6, 3, 1, 1, 0},   // 1×1 kernel
 	{2, 1, 4, 4, 2, 1, 2, 0},   // 1×1 kernel, stride 2
 	{1, 1, 3, 3, 2, 3, 1, 2},   // pad > (k-1)/2: fully-padded border rows
-	{3, 4, 12, 12, 6, 3, 1, 1}, // crosses the blocked-dispatch cutoff
+	{3, 4, 12, 12, 6, 3, 1, 1}, // dW's two KC panels of positions cut an image
 	{2, 5, 10, 10, 8, 5, 2, 2},
 }
 
@@ -71,8 +71,8 @@ func bitsEqual[T Float](a, b *TensorOf[T]) (int, bool) {
 // weight-gradient and input-gradient match the materialized im2col path
 // bit-for-bit (not just within tolerance) on both geometry grids, serial
 // and fanned out — the indirect kernel reads the values the packers
-// would have copied, the blocked core and dispatch cutoffs are shared,
-// and ±0 bookkeeping of padded taps cannot leak into any sum.
+// would have copied, the blocked core is shared, and ±0 bookkeeping of
+// padded taps cannot leak into any sum.
 func testConvImplicitMatchesOracle[T Float](t *testing.T) {
 	for _, lanes := range []int{0, 3} {
 		withLanes(t, lanes, func() { testConvCasesMatchOracle[T](t) })
@@ -422,12 +422,14 @@ func TestConvPackersMatchIm2col(t *testing.T) {
 // blocks that start or end inside a plane, inside a pooled row's band,
 // across images — must hold the same bits either way; so must the
 // column sums read off a packed B block against a pass down the dense
-// columns.
+// columns. A plane narrower than the window pools to nothing: its
+// panels are the all-zero dense gradient's.
 func testPackPooledMatchesPosChan[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for _, tc := range []struct{ n, ch, oh, ow, size int }{
 		{20, 6, 16, 16, 2}, {20, 12, 4, 4, 2}, {5, 5, 14, 14, 2}, {3, 7, 18, 18, 2},
 		{3, 4, 15, 13, 2}, {4, 6, 12, 12, 3}, {2, 3, 9, 9, 1}, {7, 9, 7, 5, 2},
+		{2, 3, 4, 1, 2},
 	} {
 		sp, ph, pw := tc.oh*tc.ow, tc.oh/tc.size, tc.ow/tc.size
 		act := randTensorOf[T](rng, tc.n, tc.ch, tc.oh, tc.ow)
@@ -452,7 +454,7 @@ func testPackPooledMatchesPosChan[T Float](t *testing.T) {
 		}
 		gv := matView[T]{d: dense.data, sp: sp, ch: tc.ch}
 		ps := packSrc[T]{d: g.data, kind: srcPooled, view: matView[T]{sp: sp, ch: tc.ch},
-			y: y.data, argmax: argmax, psp: ph * pw, pw: pw, band: tc.size * tc.ow}
+			y: y.data, argmax: argmax, ph: ph, pw: pw, band: tc.size * tc.ow}
 		rows := tc.n * sp
 		want := make([]T, gemmMC*gemmKC+gemmKC*gemmNC)
 		got := make([]T, len(want))

@@ -26,13 +26,9 @@ import "sync"
 // indirect kernels run the packed kernels' instruction schedule on the
 // same values (a border element reads +0, exactly what im2col stores for
 // a padding tap; a·b and b·a round alike, which is all the operand swap
-// of dW changes), the KC panels and the merge are the shared core's, and
-// the small-shape naive paths below replicate the exact loop order of
-// the naive matmul kernels the old path dispatched to at the same
-// (unchanged) volume cutoffs. Skipping an out-of-bounds term there
-// instead of adding a materialized 0·w is bit-safe: a +0-initialized
-// accumulator never becomes -0 under round-to-nearest, so the ±0
-// contribution of a padded product cannot change any sum.
+// of dW changes), and the KC panels and the merge are the shared core's.
+// Every shape takes that one path: a padding tap is a product like any
+// other, so 0·±Inf is NaN here exactly as it is in the oracle.
 
 // ConvOutSize returns the output spatial size for input size in, kernel k,
 // stride and padding.
@@ -178,9 +174,9 @@ func convView[T Float](t *TensorOf[T], g *convGeom, nOut int, what string) matVi
 
 // ConvForwardInto computes the convolution forward pass
 // y = im2col(x)·Wᵀ + bias without materializing im2col(x). x is
-// (N,C,H,W), w (OutC, C·KH·KW), bias length OutC; y is either the
-// (N, OutC, OH, OW) activation or the (N·OH·OW)×OutC matmul-layout
-// matrix, told apart by rank.
+// (N,C,H,W), w (OutC, C·KH·KW) with C·KH·KW ≥ 1, bias length OutC; y is
+// either the (N, OutC, OH, OW) activation or the (N·OH·OW)×OutC
+// matmul-layout matrix, told apart by rank.
 //
 // fedlint:hotpath
 func ConvForwardInto[T Float](y, x, w, bias *TensorOf[T], kh, kw, stride, pad int) {
@@ -199,7 +195,7 @@ func convForward[T Float](y, x, w *TensorOf[T], e epi[T], kh, kw, stride, pad in
 	g := makeConvGeom(x.shape, kh, kw, stride, pad)
 	m, kdim := g.rows(), g.cols()
 	nOut := w.Dim(0)
-	if w.Dim(1) != kdim {
+	if w.Dim(1) != kdim || kdim == 0 {
 		panic("tensor: ConvForwardInto weight shape mismatch")
 	}
 	if len(e.bias) != nOut {
@@ -207,11 +203,6 @@ func convForward[T Float](y, x, w *TensorOf[T], e epi[T], kh, kw, stride, pad in
 	}
 	c := convView(y, &g, nOut, "ConvForwardInto output")
 	if m == 0 || nOut == 0 {
-		return
-	}
-	if m*nOut*kdim <= gemmSmallCutoff {
-		naiveConvForward(&c, x.data, w.data, &g, nOut)
-		applyEpi(&c, m, nOut, &e)
 		return
 	}
 	pool := convScratchPool[T]()
@@ -222,51 +213,6 @@ func convForward[T Float](y, x, w *TensorOf[T], e epi[T], kh, kw, stride, pad in
 		packSrc[T]{d: w.data, rs: 1, cs: kdim},
 		m, nOut, kdim, e)
 	pool.Put(s)
-}
-
-// naiveConvForward replicates naiveMatMulTransBInto over the virtual
-// im2col rows: per output element one dot product in ascending
-// (ch, ky, kx) order, out-of-bounds taps skipped.
-func naiveConvForward[T Float](c *matView[T], xd, wd []T, g *convGeom, nOut int) {
-	kdim := g.cols()
-	hw := g.h * g.w
-	i := 0
-	for img := 0; img < g.n; img++ {
-		base := img * g.c * hw
-		for oy := 0; oy < g.oh; oy++ {
-			for ox := 0; ox < g.ow; ox++ {
-				iy0 := oy*g.stride - g.pad
-				ix0 := ox*g.stride - g.pad
-				for j := 0; j < nOut; j++ {
-					wj := wd[j*kdim : (j+1)*kdim]
-					var s T
-					idx := 0
-					for ch := 0; ch < g.c; ch++ {
-						chBase := base + ch*hw
-						for ky := 0; ky < g.kh; ky++ {
-							iy := iy0 + ky
-							if iy < 0 || iy >= g.h {
-								idx += g.kw
-								continue
-							}
-							srcRow := chBase + iy*g.w
-							for kx := 0; kx < g.kw; kx++ {
-								ix := ix0 + kx
-								if ix < 0 || ix >= g.w {
-									idx++
-									continue
-								}
-								s += T(xd[srcRow+ix] * wj[idx])
-								idx++
-							}
-						}
-					}
-					c.d[c.off(i, j)] = s
-				}
-				i++
-			}
-		}
-	}
 }
 
 // ConvGradWeightsInto computes the weight gradient dw = gmᵀ·im2col(x)
@@ -295,10 +241,6 @@ func convGradWeights[T Float](dw *TensorOf[T], gs packSrc[T], x *TensorOf[T], g 
 		dw.Zero()
 		return
 	}
-	if nOut*kdim*pos <= gemmSmallCutoff {
-		naiveConvDW(dw.data, &gs.view, x.data, g, nOut)
-		return
-	}
 	// dWᵀ = im2colᵀ·g, so that the patch matrix is again the A operand:
 	// taps are the rows, and a kdim-position, one-image view of dw puts
 	// element (tap i, filter j) at dw[j·kdim+i].
@@ -310,56 +252,6 @@ func convGradWeights[T Float](dw *TensorOf[T], gs packSrc[T], x *TensorOf[T], g 
 		gs,
 		kdim, nOut, pos, epi[T]{})
 	pool.Put(s)
-}
-
-// naiveConvDW replicates naiveMatMulTransAInto over the virtual im2col
-// rows: positions outermost (ascending — the k reduction), the usual
-// exact-zero skip on the gradient value, patch taps ascending within.
-func naiveConvDW[T Float](dwd []T, gv *matView[T], xd []T, g *convGeom, nOut int) {
-	kdim := g.cols()
-	hw := g.h * g.w
-	for i := range dwd {
-		dwd[i] = 0
-	}
-	l := 0
-	for img := 0; img < g.n; img++ {
-		base := img * g.c * hw
-		for oy := 0; oy < g.oh; oy++ {
-			for ox := 0; ox < g.ow; ox++ {
-				iy0 := oy*g.stride - g.pad
-				ix0 := ox*g.stride - g.pad
-				for i := 0; i < nOut; i++ {
-					av := gv.d[gv.off(l, i)]
-					if av == 0 { //fedlint:allow floateq — exact-zero sparsity sentinel: skipping a true 0 never changes the sum
-						continue
-					}
-					ci := dwd[i*kdim : (i+1)*kdim]
-					idx := 0
-					for ch := 0; ch < g.c; ch++ {
-						chBase := base + ch*hw
-						for ky := 0; ky < g.kh; ky++ {
-							iy := iy0 + ky
-							if iy < 0 || iy >= g.h {
-								idx += g.kw
-								continue
-							}
-							srcRow := chBase + iy*g.w
-							for kx := 0; kx < g.kw; kx++ {
-								ix := ix0 + kx
-								if ix < 0 || ix >= g.w {
-									idx++
-									continue
-								}
-								ci[idx] += T(av * xd[srcRow+ix])
-								idx++
-							}
-						}
-					}
-				}
-				l++
-			}
-		}
-	}
 }
 
 // convChunkElems bounds the pooled scratch for the input-gradient pass:
@@ -399,42 +291,16 @@ func convGradInput[T Float](dx *TensorOf[T], gs packSrc[T], w *TensorOf[T], g *c
 	pool := convScratchPool[T]()
 	s := pool.Get().(*convScratch[T])
 	buf := s.grow(min(chunk, pos) * kdim)
-	wd, dxd := w.data, dx.data
 	for r0 := 0; r0 < pos; r0 += chunk {
 		rows := min(chunk, pos-r0)
 		cbuf := buf[:rows*kdim]
-		if rows*kdim*nOut <= gemmSmallCutoff {
-			naiveGradRows(cbuf, &gs.view, wd, r0, rows, kdim, nOut)
-		} else {
-			gemmBlockedOps(matView[T]{d: cbuf, ld: kdim},
-				gs.fromRow(r0),
-				packSrc[T]{d: wd, rs: kdim, cs: 1},
-				rows, kdim, nOut, epi[T]{})
-		}
-		convScatterChunk(dxd, cbuf, g, r0, rows)
+		gemmBlockedOps(matView[T]{d: cbuf, ld: kdim},
+			gs.fromRow(r0),
+			packSrc[T]{d: w.data, rs: kdim, cs: 1},
+			rows, kdim, nOut, epi[T]{})
+		convScatterChunk(dx.data, cbuf, g, r0, rows)
 	}
 	pool.Put(s)
-}
-
-// naiveGradRows is naiveMatMulInto for rows [r0, r0+m) of the gradient
-// view: C(m×n) = G(m×k)·B(k×n) with the exact-zero skip, i-k-j order.
-func naiveGradRows[T Float](cd []T, gv *matView[T], bd []T, r0, m, n, k int) {
-	for i := range cd[:m*n] {
-		cd[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		ci := cd[i*n : (i+1)*n]
-		for l := 0; l < k; l++ {
-			av := gv.d[gv.off(r0+i, l)]
-			if av == 0 { //fedlint:allow floateq — exact-zero sparsity sentinel: skipping a true 0 never changes the sum
-				continue
-			}
-			bi := bd[l*n : (l+1)*n]
-			for j, bv := range bi {
-				ci[j] += T(av * bv)
-			}
-		}
-	}
 }
 
 // convScatterChunk accumulates rows [r0, r0+rows) of the virtual
@@ -501,39 +367,25 @@ type PooledGrad[T Float] struct {
 // panels straight from pg (packPooled) — the same panels, zeros included,
 // so no product is skipped — and the bias sum is read off the weight
 // gradient's panels as they are packed (addColumnSums), every position
-// ascending, as the pass over the dense tensor adds them. It reports
-// false, having written nothing, when one of those GEMMs would run as a
-// naive small-shape kernel, which reads its gradient element by element:
-// the caller then builds the dense form.
+// ascending, as the pass over the dense tensor adds them. An empty pooled
+// gradient packs as the all-zero dense one it describes.
 //
 // fedlint:hotpath
-func ConvBackwardPooled[T Float](dw, db, dx *TensorOf[T], pg PooledGrad[T], x, w *TensorOf[T], kh, kw, stride, pad int) bool {
+func ConvBackwardPooled[T Float](dw, db, dx *TensorOf[T], pg PooledGrad[T], x, w *TensorOf[T], kh, kw, stride, pad int) {
 	g := makeConvGeom(x.shape, kh, kw, stride, pad)
-	pos, kdim, nOut := g.rows(), g.cols(), w.Dim(0)
+	kdim, nOut := g.cols(), w.Dim(0)
 	gd := pg.G
 	if w.Dim(1) != kdim || dw.Dim(0) != nOut || dw.Dim(1) != kdim || db.Len() != nOut || dx != nil && dx.Len() != x.Len() ||
 		gd.Rank() != 4 || gd.Dim(0) != g.n || gd.Dim(1) != nOut || pg.Size < 1 || gd.Dim(2)*pg.Size > g.oh || gd.Dim(3)*pg.Size > g.ow ||
 		pg.Y.Len() != gd.Len() || len(pg.Argmax) != gd.Len() {
 		panic("tensor: ConvBackwardPooled shape mismatch")
 	}
-	ph, pw := gd.Dim(2), gd.Dim(3)
-	if gd.Len() == 0 || nOut*kdim*pos <= gemmSmallCutoff {
-		return false
-	}
-	if dx != nil {
-		// The last row chunk of the input gradient is its smallest GEMM.
-		chunk := max(1, convChunkElems/kdim)
-		if (pos-(pos-1)/chunk*chunk)*kdim*nOut <= gemmSmallCutoff {
-			return false
-		}
-	}
 	gs := packSrc[T]{d: gd.data, kind: srcPooled, view: matView[T]{sp: g.oh * g.ow, ch: nOut},
-		y: pg.Y.data, argmax: pg.Argmax, psp: ph * pw, pw: pw, band: pg.Size * g.ow}
+		y: pg.Y.data, argmax: pg.Argmax, ph: gd.Dim(2), pw: gd.Dim(3), band: pg.Size * g.ow}
 	gw := gs
 	gw.colSum = db.data
 	convGradWeights(dw, gw, x, &g)
 	if dx != nil {
 		convGradInput(dx, gs, w, &g)
 	}
-	return true
 }

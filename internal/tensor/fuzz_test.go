@@ -9,7 +9,7 @@ import (
 // any (n, c, h, w, f, k, stride, pad) the forward pass and the weight
 // gradient must equal the materialized im2col oracle bit for bit, in
 // both precisions — offset tables, zero border, tile slack, the dWᵀ
-// write-back and the naive/blocked dispatch included.
+// write-back and one-tile shapes included.
 func FuzzConvGeom(f *testing.F) {
 	for _, a := range convGeomSeeds() {
 		f.Add(a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7], int64(1))

@@ -8,9 +8,9 @@ import (
 // Blocked, packed GEMM core with fused epilogues, generic over the
 // element type.
 //
-// Every matrix multiply in this package (plain, Aᵀ·B, A·Bᵀ) routes through
-// gemm, which dispatches between a naive single-threaded kernel for tiny
-// problems and a BLIS/GotoBLAS-style blocked kernel for everything else:
+// Every matrix multiply in this package (plain, Aᵀ·B, A·Bᵀ), and every
+// convolution GEMM (convgemm.go), runs through one BLIS/GotoBLAS-style
+// blocked kernel at every shape:
 //
 //   - The output matrix is cut into a fixed grid of gemmMC×gemmNC cells,
 //     numbered down the columns so that consecutive cells share their
@@ -71,11 +71,6 @@ import (
 // unless the product is explicitly converted, so every multiply-add in
 // this package and in internal/nn is written c += T(a*b) — as is every
 // one outside them that feeds a result. `make nofma` holds the line.
-
-// gemmSmallCutoff is the m·n·k volume below which the retained naive
-// kernels win (no packing or pool traffic). Depends only on the shape,
-// never on lane availability, so path selection is deterministic too.
-const gemmSmallCutoff = 4096
 
 // gemmParallelCutoff is the m·n·k volume below which the blocked kernel
 // does not ask the lane semaphore for help.
@@ -165,16 +160,16 @@ type packSrc[T Float] struct {
 	// with copies of the last (the tile's surplus rows compute a valid
 	// row again and are dropped by mergeTile); depthOff one per k.
 	rowOff, depthOff []int
-	// view is the matrix itself for a dense gradient (the naive kernels
-	// read it), its geometry alone — sp and ch — for a pooled one.
+	// view is the matrix itself for a position-by-channel operand, its
+	// geometry alone — sp and ch — for a pooled one.
 	view matView[T]
 	row0 int
 	// srcPooled: d is the pooled gradient, y the pool's output and argmax
-	// its index into the view's tensor, all in planes of psp elements in
-	// rows of pw; a pooled row's windows span band consecutive positions.
-	y             []T
-	argmax        []int
-	psp, pw, band int
+	// its index into the view's tensor, all in ph×pw planes; a pooled
+	// row's windows span band consecutive positions.
+	y            []T
+	argmax       []int
+	ph, pw, band int
 	// colSum, B only and nil for none: colSum[j] += Σ B[l][j], l ascending
 	// — a running sum per column, read off the packed panels as the first
 	// row of cells walks them (addColumnSums).
@@ -185,7 +180,7 @@ type packSrc[T Float] struct {
 // ordinary strided matrix.
 func (v matView[T]) operand() packSrc[T] {
 	if v.sp == 0 {
-		return packSrc[T]{d: v.d, rs: v.ld, cs: 1, view: v}
+		return packSrc[T]{d: v.d, rs: v.ld, cs: 1}
 	}
 	return packSrc[T]{kind: srcPosChan, view: v}
 }
@@ -305,27 +300,13 @@ func gemm[T Float](dst, a, b *TensorOf[T], transA, transB bool, e epi[T]) {
 	if m == 0 || n == 0 {
 		return
 	}
-	c := matView[T]{d: cd, ld: n}
 	if k == 0 {
 		for i := range cd {
-			cd[i] = 0
+			cd[i] = e.apply(0, i%n)
 		}
-		applyEpi(&c, m, n, &e)
 		return
 	}
-	if m*n*k <= gemmSmallCutoff {
-		switch {
-		case transA:
-			naiveMatMulTransAInto(dst, a, b)
-		case transB:
-			naiveMatMulTransBInto(dst, a, b)
-		default:
-			naiveMatMulInto(dst, a, b)
-		}
-		applyEpi(&c, m, n, &e)
-		return
-	}
-	gemmBlockedOps(c,
+	gemmBlockedOps(matView[T]{d: cd, ld: n},
 		packSrc[T]{d: a.data, rs: ars, cs: acs},
 		packSrc[T]{d: b.data, rs: brs, cs: bcs},
 		m, n, k, e)
@@ -650,19 +631,4 @@ func (e *epi[T]) apply(v T, j int) T {
 		v = Select(v > 0, v, 0)
 	}
 	return v
-}
-
-// applyEpi applies the epilogue to a finished m×n output in place — the
-// path of the naive small-shape kernels and of k = 0, where no blocked
-// merge runs.
-func applyEpi[T Float](c *matView[T], m, n int, e *epi[T]) {
-	if !e.active() {
-		return
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			o := c.off(i, j)
-			c.d[o] = e.apply(c.d[o], j)
-		}
-	}
 }

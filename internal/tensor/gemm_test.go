@@ -18,15 +18,6 @@ func randTensorOf[T Float](rng *rand.Rand, shape ...int) *TensorOf[T] {
 	return t
 }
 
-// blockedInto forces the blocked kernel (bypassing the small-shape naive
-// fast path) with the same stride setup as gemm, so property tests can
-// exercise packing/micro-kernel logic on tiny shapes too.
-func blockedInto[T Float](dst, a, b *TensorOf[T], transA, transB bool, e epi[T]) {
-	m, n, k, pa, pb := stridedOperands(a, b, transA, transB)
-	gemmBlockedOps(matView[T]{d: dst.data, ld: n}, pa, pb, m, n, k, e)
-	logOutput(dst)
-}
-
 // stridedOperands is gemm's operand setup: the logical m, n, k and the
 // two strided packSrcs for op(a)·op(b).
 func stridedOperands[T Float](a, b *TensorOf[T], transA, transB bool) (m, n, k int, pa, pb packSrc[T]) {
@@ -61,10 +52,9 @@ func maxAbsDiff[T Float](a, b *TensorOf[T]) float64 {
 
 // testBlockedMatchesNaive sweeps all three layouts over every (m, k, n)
 // combination from a size set covering 1×1, sub-tile, exactly one tile,
-// and one-past-a-tile ragged edges, comparing the blocked kernel
-// (forced, even below the small cutoff) against the retained naive
-// references. The tolerance comes from the element type: ≈1e-12 at
-// float64, ≈1e-4 at float32.
+// and one-past-a-tile ragged edges, comparing the blocked kernel against
+// the naive references (naive_test.go). The tolerance comes from the
+// element type: ≈1e-12 at float64, ≈1e-4 at float32.
 func testBlockedMatchesNaive[T Float](t *testing.T) {
 	sizes := []int{1, 3, 5, 17, 64, 65}
 	eps := Eps[T]()
@@ -77,21 +67,24 @@ func testBlockedMatchesNaive[T Float](t *testing.T) {
 				b := randTensorOf[T](rng, k, n)
 				want, got := NewOf[T](m, n), NewOf[T](m, n)
 				naiveMatMulInto(want, a, b)
-				blockedInto(got, a, b, false, false, epi[T]{})
+				gemm(got, a, b, false, false, epi[T]{})
+				logOutput(got)
 				if d := maxAbsDiff(want, got); d > eps {
 					t.Fatalf("A·B m=%d k=%d n=%d: max diff %g", m, k, n, d)
 				}
 				// Aᵀ·B with A stored (k, m).
 				at := randTensorOf[T](rng, k, m)
 				naiveMatMulTransAInto(want, at, b)
-				blockedInto(got, at, b, true, false, epi[T]{})
+				gemm(got, at, b, true, false, epi[T]{})
+				logOutput(got)
 				if d := maxAbsDiff(want, got); d > eps {
 					t.Fatalf("Aᵀ·B m=%d k=%d n=%d: max diff %g", m, k, n, d)
 				}
 				// A·Bᵀ with B stored (n, k).
 				bt := randTensorOf[T](rng, n, k)
 				naiveMatMulTransBInto(want, a, bt)
-				blockedInto(got, a, bt, false, true, epi[T]{})
+				gemm(got, a, bt, false, true, epi[T]{})
+				logOutput(got)
 				if d := maxAbsDiff(want, got); d > eps {
 					t.Fatalf("A·Bᵀ m=%d k=%d n=%d: max diff %g", m, k, n, d)
 				}
@@ -144,8 +137,8 @@ func TestBlockedMatchesNaiveMultiPanel(t *testing.T) {
 	t.Run("f32", testBlockedMultiPanel[float32])
 }
 
-// TestGEMMEpilogueBias checks the fused bias epilogue on both dispatch
-// paths (naive small-shape and blocked) against an explicit reference.
+// TestGEMMEpilogueBias checks the fused bias epilogue against an
+// explicit reference at a few-tile and a many-tile shape.
 func TestGEMMEpilogueBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, dims := range [][3]int{{5, 7, 9}, {100, 80, 70}} {
@@ -169,9 +162,10 @@ func TestGEMMEpilogueBias(t *testing.T) {
 	}
 }
 
-// TestGEMMEpilogueBiasReLU checks the fused bias+ReLU epilogue on both
-// dispatch paths: the output is positive exactly where the pre-activation
-// was, which is what ReLU's backward pass reads off it.
+// TestGEMMEpilogueBiasReLU checks the fused bias+ReLU epilogue at a
+// few-tile, a many-tile and a three-panel shape: the output is positive
+// exactly where the pre-activation was, which is what ReLU's backward
+// pass reads off it.
 func TestGEMMEpilogueBiasReLU(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, dims := range [][3]int{{5, 7, 9}, {100, 80, 70}, {37, 2*gemmKC + 19, 21}} {

@@ -199,11 +199,12 @@ func (p *packSrc[T]) packPooled(dst []T, r0, rows, c0, chans, kc, w int, posLane
 		slot[i] = (i&^pm)*kc + (i&pm)*ps
 	}
 	clear(dst[:(lanes+w-1)/w*w*kc])
-	sp, ch, psp, pw := p.view.sp, p.view.ch, p.psp, p.pw
+	sp, ch, ph, pw := p.view.sp, p.view.ch, p.ph, p.pw
+	psp := ph * pw
 	for img := r0 / sp; img*sp < r0+rows; img++ {
 		// Only the pooled rows whose bands meet the block can land in it.
 		lo, hi := max(r0-img*sp, 0), min(r0+rows-img*sp, sp)
-		qa, qb := min(lo/p.band, psp/pw)*pw, min((hi-1)/p.band+1, psp/pw)*pw
+		qa, qb := min(lo/p.band, ph)*pw, min((hi-1)/p.band+1, ph)*pw
 		for c := 0; c < chans; c++ {
 			off := (c&^(w-1))*kc + c&(w-1)
 			if posLanes {

@@ -209,14 +209,12 @@ func TestPackBOncePerColumnBlock(t *testing.T) {
 
 // lenetSTrainStep runs the GEMMs of one LeNet-S train step (16×16
 // single-channel input, batch n) at the entry points nn calls, and
-// returns how many register tiles they take: per blocked m×n×k product
-// one tile per mr rows, nr columns and KC panel.
+// returns how many register tiles they take: per m×n×k product one tile
+// per mr rows, nr columns and KC panel.
 func lenetSTrainStep[T Float](rng *rand.Rand, n int) (tiles int) {
 	mr, nr := microTile[T]()
 	gemm := func(m, n, k int) {
-		if m*n*k > gemmSmallCutoff {
-			tiles += ((m + mr - 1) / mr) * ((n + nr - 1) / nr) * ((k + gemmKC - 1) / gemmKC)
-		}
+		tiles += ((m + mr - 1) / mr) * ((n + nr - 1) / nr) * ((k + gemmKC - 1) / gemmKC)
 	}
 	conv := func(c, hw, f, pad int, dX bool) {
 		const k = 5

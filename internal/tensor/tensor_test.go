@@ -96,21 +96,6 @@ func TestScaleAddApplySum(t *testing.T) {
 	}
 }
 
-func naiveMatMul(a, b *Tensor) *Tensor {
-	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
-	c := New(m, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			s := 0.0
-			for l := 0; l < k; l++ {
-				s += a.At(i, l) * b.At(l, j)
-			}
-			c.Set(s, i, j)
-		}
-	}
-	return c
-}
-
 // The allocating forms of the three GEMM entry points, and an explicit
 // transpose to check the transposed layouts against.
 func matMul(a, b *Tensor) *Tensor {
@@ -159,7 +144,9 @@ func TestMatMulMatchesNaiveProperty(t *testing.T) {
 		m, k, n := 1+r.Intn(40), 1+r.Intn(40), 1+r.Intn(40)
 		a := Randn(r, 1, m, k)
 		b := Randn(r, 1, k, n)
-		return Equal(matMul(a, b), naiveMatMul(a, b), 1e-9)
+		want := New(m, n)
+		naiveMatMulInto(want, a, b)
+		return Equal(matMul(a, b), want, 1e-9)
 	}
 	cfg := &quick.Config{MaxCount: 25, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
@@ -171,7 +158,9 @@ func TestMatMulParallelPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := Randn(rng, 1, 130, 50)
 	b := Randn(rng, 1, 50, 120)
-	if !Equal(matMul(a, b), naiveMatMul(a, b), 1e-9) {
+	want := New(130, 120)
+	naiveMatMulInto(want, a, b)
+	if !Equal(matMul(a, b), want, 1e-9) {
 		t.Fatal("parallel MatMul disagrees with naive result")
 	}
 }
@@ -204,9 +193,9 @@ func TestMatMulTransBParallelPath(t *testing.T) {
 	}
 }
 
-// naiveConv performs a direct convolution for comparison with the
+// directConv performs a direct convolution for comparison with the
 // im2col+matmul path.
-func naiveConv(x, w *Tensor, stride, pad int) *Tensor {
+func directConv(x, w *Tensor, stride, pad int) *Tensor {
 	n, c, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	f, _, kh, kw := w.Dim(0), w.Dim(1), w.Dim(2), w.Dim(3)
 	oh := ConvOutSize(h, kh, stride, pad)
@@ -263,7 +252,7 @@ func TestIm2ColConvMatchesNaive(t *testing.T) {
 				}
 			}
 		}
-		want := naiveConv(x, w, tc.stride, tc.pad)
+		want := directConv(x, w, tc.stride, tc.pad)
 		if !Equal(y, want, 1e-9) {
 			t.Fatalf("im2col conv mismatch for case %+v", tc)
 		}
