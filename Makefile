@@ -241,13 +241,14 @@ profile-pop:
 # Where a fleet-scale Fed-LBAP solve's time goes — the solver's twin of
 # profile-pop: CPU-profile 20 sparse solves over 10^6 users × 10^4 shards
 # (BenchmarkFedLBAPFleet, the instance pop_scale times) and print the
-# cumulative top. Read the probe rows (survivor.kmax, survivor.at), the
-# O(n) pass rows (sched.FedLBAP.Schedule flat, kthSmallest) and the
-# first pass off it: sched.(*firstChunk).price under tensor.pull, split
-# between the caller (tensor.FanOut) and its spawned worker
-# (tensor.FanOut.func1); runtime.gcBgMarkWorker competes with that
-# worker for the second lane. The profile and test binary stay under
-# artifacts/ for `go tool pprof -list`.
+# cumulative top. Read the probe rows (survivor.kmax, survivor.at) and
+# the one O(n) pass, sched.(*firstChunk).price under tensor.pull, which
+# prices every user and gathers the ~2 % below the sampled pivot; it
+# splits between the caller (tensor.FanOut) and its spawned worker
+# (tensor.FanOut.func1). sched.prune's own rows are the selection over
+# what was gathered; runtime.gcBgMarkWorker competes with the worker for
+# the second lane. The profile and test binary stay under artifacts/ for
+# `go tool pprof -list`.
 profile-sched:
 	mkdir -p artifacts
 	$(GO) test -run '^$$' -bench 'BenchmarkFedLBAPFleet/n=1000000' -benchtime=20x -benchmem \

@@ -156,6 +156,11 @@ func (p *MaxPool2DOf[T]) Params() []*ParamOf[T] { return nil }
 // fedlint:hotpath
 func (p *MaxPool2DOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	if h < p.Size || w < p.Size {
+		// The truncating division below would size such an output to
+		// one row or column and read past the input plane.
+		panic("nn: MaxPool2D.Forward input smaller than its window")
+	}
 	oh := (h-p.Size)/p.Stride + 1
 	ow := (w-p.Size)/p.Stride + 1
 	p.y = tensor.EnsureShape(p.y, n, c, oh, ow)

@@ -152,6 +152,22 @@ func TestMaxPoolBackwardNeedsMatchingForward(t *testing.T) {
 	mustPanic("longer gradient", func() { p.Backward(tensor.Randn(rng, 1, 3, 3, 2, 2)) })
 }
 
+// TestMaxPoolForwardNeedsWindow pins the pool's shape check: an input
+// plane smaller than the window in either dimension is refused with the
+// package's message, not an out-of-range read.
+func TestMaxPoolForwardNeedsWindow(t *testing.T) {
+	for _, shape := range [][]int{{1, 3, 1, 2}, {1, 3, 2, 1}} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); msg != "nn: MaxPool2D.Forward input smaller than its window" {
+					t.Fatalf("shape %v: recovered %q", shape, msg)
+				}
+			}()
+			NewMaxPool2DOf[float64](2, 2).Forward(tensor.New(shape...), true)
+		}()
+	}
+}
+
 func TestDropoutTrainVsEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	d := NewDropoutOf[float64](rng, 0.5)

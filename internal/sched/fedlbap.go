@@ -26,8 +26,9 @@ var ErrNotMonotone = errors.New("sched: a cost curve is not nondecreasing (Prope
 // smallest matrix value c* with g(c*) ≥ s:
 //
 //  1. Bound: c_hi = the s-th smallest first-shard cost (n > s, selected
-//     from a sampled band without copying or permuting the n costs) or
-//     the max full-capacity cost (n ≤ s); g(c_hi) ≥ s by construction.
+//     among the users the pricing pass gathers below a sampled pivot, no
+//     array of the n costs built) or the max full-capacity cost (n ≤ s);
+//     g(c_hi) ≥ s by construction.
 //  2. Prune: users whose first-shard cost exceeds c_hi can never hold a
 //     shard at any feasible threshold ≤ c_hi, so only the ~s survivors
 //     participate from here on — this is what makes the solve
@@ -59,24 +60,26 @@ type FedLBAP struct{}
 // Name implements Scheduler.
 func (FedLBAP) Name() string { return "Fed-LBAP" }
 
-// Schedule implements Scheduler. Runtime is one pass over the n users to
-// validate and price the first shard, one read pass over those costs to
-// select the bound, the prune, plus the threshold search over m ≈ s
-// survivors, amortised across its ~60 probes by the per-survivor brackets
-// (invariant below): a probe gallops from klo, so a survivor pays about
-// 2·log₂(kmax(c) − klo + 1) evaluations — a feasible maximum that moved
-// by d since the last infeasible probe costs O(log d), not the log of the
-// bracket — and nothing once its bracket has closed. From the prune on,
-// the solve reads only its survivor records, never the request's users.
-// The first pass, which chases a pointer per user, is the one that
-// scales with n: from fanOutUsers users on, its chunks run on every lane
-// free (tensor.FanOut), so User.Cost is called concurrently there; below
-// that — every cohort-sized solve — it runs on the caller alone. The rest
-// is sequential. At n=10^6, s=10^4 on a 2-vCPU Xeon: ~29 ms with a lane
-// free, ~47 ms without (see BenchmarkFedLBAPFleet); 1,185,486 cost
-// evaluations of which 10^6 are the first-shard pass. Deterministic at
-// any lane count (rng is unused). The O(n) workspaces below are
-// per-solve scratch, freed on return — the population round loop passes
+// Schedule implements Scheduler. Runtime is one pass over the n users
+// that validates them, prices the first shard and gathers the ~2 % below
+// a sampled pivot (prune), a selection over what it gathered, plus the
+// threshold search over m ≈ s survivors, amortised across its ~60 probes
+// by the per-survivor brackets (invariant below): a probe gallops from
+// klo, so a survivor pays about 2·log₂(kmax(c) − klo + 1) evaluations — a
+// feasible maximum that moved by d since the last infeasible probe costs
+// O(log d), not the log of the bracket — and nothing once its bracket has
+// closed. From the prune on, the solve reads only its survivor records,
+// never the request's users. The pass, which chases a pointer per user,
+// is the one that scales with n: from fanOutUsers users on, its chunks
+// run on every lane free (tensor.FanOut), so User.Cost is called
+// concurrently there; below that — every cohort-sized solve — it runs on
+// the caller alone. The rest is sequential. At n=10^6, s=10^4 on a 2-vCPU
+// Xeon: ~24 ms with a lane free, ~41 ms without (see
+// BenchmarkFedLBAPFleet); 1,185,486 cost evaluations of which 10^6 are
+// the first-shard pass. Deterministic at any lane count (rng is unused).
+// The only O(n) allocation is the returned Shards: the pass keeps the
+// users it gathers, not a cost per user, so a fleet solve allocates
+// ~10.9 MB, 8 of them Shards. The population round loop passes
 // cohort-sized requests, so in steady state this stays O(selected).
 //
 // fedlint:hotpath
@@ -88,68 +91,13 @@ func (FedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 		return nil, req.check()
 	}
 
-	// The one pass over the users, in chunks of chunkUsers: req.check()'s
-	// nil-Cost and capacity tests (a failure re-runs it for its error
-	// message), the first-shard costs and, for n ≤ s, the feasible upper
-	// bound c_hi on the optimal threshold — full capacities are feasible
-	// once Σ cap_j ≥ s. A fleet-sized request fans the chunks out; each
-	// writes only its span of first and its own totals, which merge in
-	// chunk order — an integer sum, a max that skips NaN and a flag — so
-	// nothing depends on the lane count.
-	first := make([]float64, n) //fedlint:allow hotalloc — per-solve O(n) scratch, not round-loop state
-	chunks := make([]firstChunk, (n+chunkUsers-1)/chunkUsers)
-	for i := range chunks {
-		lo, hi := i*chunkUsers, min((i+1)*chunkUsers, n)
-		chunks[i] = firstChunk{users: req.Users[lo:hi], first: first[lo:hi], s: s, sz: sz, full: n <= s}
+	// The one pass over the users (steps 1 and 2): validation, the bound
+	// c_hi and the survivor records, in user order.
+	recs, chi, err := prune(req)
+	if err != nil {
+		return nil, err
 	}
-	workers := -1
-	if n >= fanOutUsers {
-		workers = 0
-	}
-	tensor.FanOut(workers, len(chunks), chunks, nil, func(i int, chunks []firstChunk) { chunks[i].price() })
-	var chi float64
-	capSum := 0
-	for i := range chunks {
-		c := &chunks[i]
-		if c.noCost {
-			return nil, req.check()
-		}
-		capSum += c.capSum
-		if c.chi > chi {
-			chi = c.chi
-		}
-	}
-	if capSum < s {
-		return nil, req.check()
-	}
-	if n > s {
-		// s users can each take one shard at the s-th smallest first-shard
-		// cost, so g(c_hi) ≥ s. The prune reads first in user order, so
-		// the selection leaves it as it is.
-		chi = kthSmallest(first, s-1)
-	}
-
-	// Prune: a user with first-shard cost above c_hi (beyond float slack)
-	// holds zero shards at every threshold ≤ c_hi, in particular at c*,
-	// and none of its matrix values can be c* (they all exceed c_hi ≥ c*).
-	// Each survivor gets one record, in user order.
-	lim := slackAbove(chi)
-	m := 0
-	for _, c := range first {
-		if c <= lim {
-			m++
-		}
-	}
-	recs := make([]survivor, m)
-	fill := 0
-	for j, c := range first {
-		if c <= lim {
-			u := req.Users[j]
-			cp := u.capacity(s)
-			recs[fill] = survivor{cost: u.Cost, comm: u.CommSeconds, user: j, capacity: cp, khi: cp}
-			fill++
-		}
-	}
+	m := len(recs)
 
 	// With kmax_i(c) = max{k ≤ cap_i : C[i][k] ≤ c} — nondecreasing in c by
 	// Property 1 — the search keeps (lov, hiv] with g(lov) < s ≤ g(hiv) and,
@@ -259,7 +207,7 @@ func (FedLBAP) Schedule(req *Request, _ *rand.Rand) (*Assignment, error) {
 	// Hand out feasible maxima under c* — the last probe's, completed past
 	// its early exit; non-survivors stay at zero.
 	total := 0
-	lim = slackAbove(cstar)
+	lim := slackAbove(cstar)
 	for i := range recs {
 		r := &recs[i]
 		if i >= done {
@@ -327,26 +275,211 @@ const (
 	fanOutUsers = 1 << 16
 )
 
-// firstChunk is one chunk of the first pass: a span of the users, the
-// same span of the first-shard costs, and what the pass found in it.
-type firstChunk struct {
-	users []*User
-	first []float64
-	s, sz int
-	full  bool // n ≤ s: price every user at full capacity too
+// selectSample is the size of the strided sample prune takes its pivot
+// from.
+const selectSample = 1024
 
-	capSum int     // Σ capacity
-	chi    float64 // max full-capacity cost (full only)
-	noCost bool    // a user has no Cost; the chunk stopped there
+// prune is the solve's one pass over the users. It runs req.check()'s
+// nil-Cost and capacity tests (a failure re-runs it for its error
+// message), prices every user's first shard, and returns the upper bound
+// c_hi on the optimal threshold with the survivors: one record per user
+// whose first-shard cost is at or below slackAbove(c_hi), in user order.
+// A user above that holds zero shards at every threshold ≤ c_hi, in
+// particular at c*, and none of its matrix values can be c* (they all
+// exceed c_hi ≥ c*).
+//
+// For n ≤ s, c_hi is the max full-capacity cost — full capacities are
+// feasible once Σ cap_j ≥ s — and the pass gathers every user. For n > s
+// it is the s-th smallest first-shard cost: s users can each take one
+// shard there, so g(c_hi) ≥ s. That selection needs only the users near
+// the bottom, so the pass gathers only those. A strided sample of
+// selectSample users is priced first, and its value at rank r2, three
+// standard deviations above the rank r at which the s-th smallest value
+// is expected, is the pivot (unless r2 reaches the sample's top: then
+// the pass gathers every user). Each chunk gathers the users at or below
+// slackAbove(pivot), about (r2+1)/selectSample of the fleet, with their
+// first-shard costs; c_hi is selectKth over the gathered costs. The pass
+// reuses the sample's prices, so every user is priced once, unless the
+// pivot misses: fewer than s users gather, or c_hi's slack reaches past
+// the pivot's. Then the pass runs again and gathers every user. That
+// re-run — on a fleet whose strided sample sits below the rest of it,
+// or by a three-sigma chance — is the one path that prices a user
+// twice. A chunk that gathers more than its presized span (a sample
+// sitting above the rest) doubles its own buffer. Neither changes the
+// survivors.
+//
+// A fleet-sized request fans the chunks out. Each writes only its own
+// buffer and totals, which merge in chunk order — an integer sum, a max
+// that skips NaN, a flag and the gathered records — so nothing depends on
+// the lane count. A NaN cost never gathers; with fewer than s costs that
+// are numbers, c_hi is NaN and nothing survives.
+func prune(req *Request) ([]survivor, float64, error) {
+	n, s, sz := len(req.Users), req.TotalShards, req.ShardSize
+	full := n <= s
+	lim, q := math.Inf(1), 1.0 // gather at or below lim, about a share q of each chunk
+	var sample []float64
+	if !full {
+		m := min(n, selectSample)
+		buf := newFloats(2 * m)
+		sample = buf[:m]
+		sel := buf[m:] // the sample again, for selectKth to permute
+		for i := range sample {
+			u := req.Users[i*n/m]
+			if u.Cost == nil {
+				return nil, 0, req.check()
+			}
+			sample[i] = floorCost(u.Cost(sz) + u.CommSeconds)
+			sel[i] = sample[i]
+			if math.IsNaN(sel[i]) {
+				sel[i] = math.Inf(1) // selectKth orders numbers only
+			}
+		}
+		// The s-th value's rank in the sample is binomial around r. A
+		// pivot that would be the sample's top bounds nothing the fleet
+		// holds above it, so then the pass gathers every user. The share
+		// of the fleet at or below the pivot has a standard deviation of
+		// about √(p(1−p)/m); the spans allow for two.
+		r := (s - 1) * m / n
+		if r2 := r + 2 + int(3*math.Sqrt(float64(r*(m-r))/float64(m))); r2 < m-1 {
+			lim = slackAbove(selectKth(sel, r2))
+			p := float64(r2+1) / float64(m)
+			q = min(1, p+float64(2*math.Sqrt(p*(1-p)/float64(m))))
+		}
+	}
+
+	chunks := make([]firstChunk, (n+chunkUsers-1)/chunkUsers)
+	spans := 0
+	for i := range chunks {
+		lo, hi := i*chunkUsers, min((i+1)*chunkUsers, n)
+		chunks[i] = firstChunk{users: req.Users[lo:hi], lo: lo, n: n, sample: sample, s: s, sz: sz, full: full}
+		spans += span(hi-lo, q)
+	}
+	workers := -1
+	if n >= fanOutUsers {
+		workers = 0
+	}
+	var (
+		ws    []survivor // the chunks' spans, in chunk order
+		chi   float64
+		got   int
+		grown bool // some chunk outgrew its span
+	)
+	for {
+		ws = make([]survivor, spans)
+		off := 0
+		for i := range chunks {
+			c := &chunks[i]
+			k := span(len(c.users), q)
+			c.lim, c.got, c.grown = lim, ws[off:off+k], false
+			off += k
+		}
+		tensor.FanOut(workers, len(chunks), chunks, nil, func(i int, chunks []firstChunk) { chunks[i].price() })
+		capSum := 0
+		chi, got, grown = 0, 0, false
+		for i := range chunks {
+			c := &chunks[i]
+			if c.noCost {
+				return nil, 0, req.check()
+			}
+			capSum += c.capSum
+			got += len(c.got)
+			grown = grown || c.grown
+			if c.chi > chi {
+				chi = c.chi
+			}
+		}
+		if capSum < s {
+			return nil, 0, req.check()
+		}
+		if full {
+			break
+		}
+		if got >= s {
+			costs := newFloats(got)
+			off := 0
+			for i := range chunks {
+				for _, r := range chunks[i].got {
+					costs[off] = r.first
+					off++
+				}
+			}
+			if chi = selectKth(costs, s-1); slackAbove(chi) <= lim {
+				break
+			}
+		} else if math.IsInf(lim, 1) {
+			chi = math.NaN() // fewer than s first-shard costs are numbers
+			break
+		}
+		// The pivot missed: gather every user.
+		lim, q, spans = math.Inf(1), 1, n
+	}
+
+	// The survivors, in chunk order and so in user order. They compact in
+	// place: each chunk's records start at its span's offset in ws, and
+	// the spans before it hold no more records than they have room for,
+	// so no write overtakes a record still to be read. A chunk that
+	// outgrew its span breaks that, so then they go to a fresh slice.
+	keep := slackAbove(chi)
+	recs := ws
+	if grown {
+		recs = make([]survivor, got)
+	}
+	kept := 0
+	for i := range chunks {
+		for _, r := range chunks[i].got {
+			if r.first <= keep {
+				recs[kept] = r
+				kept++
+			}
+		}
+	}
+	return recs[:kept], chi, nil
 }
 
-// price runs the first pass over the chunk: the first-shard costs into
-// c.first, the capacity sum and full-capacity bound into c. Calls run on
+// span is the room a chunk of l users keeps for its records when the
+// pass gathers about a share q of the users: the binomial count's mean
+// plus four standard deviations and 8, at most l.
+func span(l int, q float64) int {
+	if q >= 1 {
+		return l
+	}
+	e := float64(l) * q
+	return min(l, 8+int(e)+int(4*math.Sqrt(e*(1-q))))
+}
+
+// firstChunk is one chunk of the first pass: a span of the users, what
+// it gathers, and what the pass found in it.
+type firstChunk struct {
+	users  []*User
+	lo, n  int       // users[0]'s index in the request, and the request's size
+	sample []float64 // the sample's first-shard costs: sample i is user i·n/len(sample)
+	s, sz  int
+	full   bool    // n ≤ s: price every user at full capacity too
+	lim    float64 // gather the users whose first-shard cost is at or below lim
+
+	got    []survivor // the records gathered, in user order; presized
+	grown  bool       // got outgrew its span
+	capSum int        // Σ capacity
+	chi    float64    // max full-capacity cost (full only)
+	noCost bool       // a user has no Cost; the chunk stopped there
+}
+
+// price runs the first pass over the chunk: the capacity sum and
+// full-capacity bound into c, and into c.got a survivor record for every
+// user whose first-shard cost is at or below c.lim, built from what the
+// pass has just read. A sampled user's cost is the sample's. Calls run on
 // any lane, each touching only its own chunk.
 //
 // fedlint:hotpath
 func (c *firstChunk) price() {
-	capSum, chi := 0, 0.0
+	capSum, chi, got := 0, 0.0, 0
+	buf := c.got
+	m := len(c.sample)
+	i := (c.lo*m + c.n - 1) / c.n // the chunk's first sampled user is sample i,
+	next := c.n                   // at this index in the request
+	if i < m {
+		next = i * c.n / m
+	}
 	for j, u := range c.users {
 		if u.Cost == nil {
 			c.noCost = true
@@ -354,23 +487,44 @@ func (c *firstChunk) price() {
 		}
 		k := u.capacity(c.s)
 		capSum += k
-		c.first[j] = floorCost(u.Cost(c.sz) + u.CommSeconds)
+		var v float64
+		if c.lo+j == next {
+			v = c.sample[i]
+			i++
+			next = c.n
+			if i < m {
+				next = i * c.n / m
+			}
+		} else {
+			v = floorCost(u.Cost(c.sz) + u.CommSeconds)
+		}
 		if c.full {
-			if v := floorCost(u.Cost(k*c.sz) + u.CommSeconds); v > chi {
-				chi = v
+			if w := floorCost(u.Cost(k*c.sz) + u.CommSeconds); w > chi {
+				chi = w
 			}
 		}
+		if v <= c.lim {
+			if got == len(buf) {
+				// The span is full: double it, up to one record per user.
+				grown := make([]survivor, min(2*got+16, len(c.users)))
+				copy(grown, buf)
+				buf, c.grown = grown, true
+			}
+			buf[got] = survivor{cost: u.Cost, comm: u.CommSeconds, first: v, user: c.lo + j, capacity: k, khi: k}
+			got++
+		}
 	}
-	c.capSum, c.chi = capSum, chi
+	c.got, c.capSum, c.chi = buf[:got], capSum, chi
 }
 
 // survivor is one pruned-in user's share of a FedLBAP solve: its cost
-// curve, capacity and bracket side by side, so a probe's evaluation is
-// one indirect call instead of a walk from the request through the user
-// object first.
+// curve, first-shard cost, capacity and bracket side by side, so a
+// probe's evaluation is one indirect call instead of a walk from the
+// request through the user object first.
 type survivor struct {
 	cost           func(samples int) float64
 	comm           float64
+	first          float64 // C[user][1], what the prune compares
 	user, capacity int
 	klo, khi, kcur int
 }
@@ -491,70 +645,9 @@ func siftDown(heapBuf []trimEntry, i, hn int) {
 	}
 }
 
-// selectSample is the size of the strided sample kthSmallest takes its
-// pivots from.
-const selectSample = 1024
-
-// kthSmallest returns the k-th smallest element (0-indexed, k < len(a))
-// of a without permuting it. Two pivots taken from a strided sample
-// bracket the k-th value's expected rank, one read pass counts the values
-// below that band and gathers the band, and selectKth finishes on the
-// band alone. The k-th smallest value is unique (±0 compare equal), so
-// for any order of non-NaN values the result is what selectKth returns on
-// a full copy: a band that misses k widens to everything on the side that
-// missed (the pass has counted it), a band too large for ws gets an exact
-// one, and either takes one more pass — at most two in all.
-//
-// fedlint:hotpath
-func kthSmallest(a []float64, k int) float64 {
-	n := len(a)
-	m := min(n, selectSample)
-	// The k-th value's rank in the sample is binomial around r; a band
-	// three standard deviations either side rarely misses.
-	r := k * m / n
-	d := 2 + int(3*math.Sqrt(float64(r*(m-r))/float64(m)))
-	r1, r2 := max(r-d, 0), min(r+d, m-1)
-	ws := grow(nil, max(m, 2*(r2-r1+1)*(n/m+1)))
-	for i := range m {
-		ws[i] = a[i*n/m]
-	}
-	selectKth(ws[:m], r2)
-	hi := ws[r2]
-	selectKth(ws[:r2+1], r1)
-	lo := ws[r1]
-	for {
-		below, nb := 0, 0
-		for _, v := range a {
-			if v < lo {
-				below++
-			} else if v <= hi {
-				if nb < len(ws) {
-					ws[nb] = v
-				}
-				nb++
-			}
-		}
-		switch {
-		case k < below:
-			lo, hi, nb = math.Inf(-1), math.Nextafter(lo, math.Inf(-1)), below
-		case k >= below+nb:
-			if math.IsInf(hi, 1) {
-				return math.NaN() // only NaNs lie above the band
-			}
-			lo, hi, nb = math.Nextafter(hi, math.Inf(1)), math.Inf(1), n-below-nb
-		case nb <= len(ws):
-			return selectKth(ws[:nb], k-below)
-		}
-		ws = grow(ws, nb)
-	}
-}
-
-// grow returns ws if it holds n values, else a fresh slice of n.
-func grow(ws []float64, n int) []float64 {
-	if n <= len(ws) {
-		return ws
-	}
-	return make([]float64, n) //fedlint:allow hotalloc — per-solve selection scratch: a sample, then a band
+// newFloats returns a fresh slice of n float64s.
+func newFloats(n int) []float64 {
+	return make([]float64, n) //fedlint:allow hotalloc — per-solve selection scratch: the sample, then the gathered costs
 }
 
 // selectKth returns the k-th smallest element (0-indexed) of a,

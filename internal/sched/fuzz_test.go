@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -217,11 +218,12 @@ func minTimeGreedy(req *Request) []int {
 	return shards
 }
 
-// FuzzKthSmallest holds kthSmallest, the sampled selection behind
-// FedLBAP's cost ceiling, to a sorted copy at lengths FuzzFedLBAP's
-// instances never reach: fuzzed length, k and value order — hashed, few
-// distinct values, ascending, descending, and the sampled positions
-// filled from either far end so the band misses k and widens.
+// FuzzKthSmallest holds prune's sampled-pivot selection of FedLBAP's
+// cost ceiling to a sorted copy at lengths FuzzFedLBAP's instances never
+// reach: fuzzed length, k and value order — hashed, few distinct values,
+// ascending, descending, and the sampled positions filled from either far
+// end, so the chunks outgrow their spans or the pivot misses and the pass
+// runs again.
 func FuzzKthSmallest(f *testing.F) {
 	f.Add(uint64(1), 5000, 50, uint8(0))
 	f.Add(uint64(2), 1025, 1023, uint8(1))
@@ -256,12 +258,6 @@ func FuzzKthSmallest(f *testing.F) {
 		}
 		sorted := slices.Clone(a)
 		slices.Sort(sorted)
-		orig := slices.Clone(a)
-		if got := kthSmallest(a, k); got != sorted[k] {
-			t.Fatalf("n=%d: kthSmallest(%d) = %v, want %v", n, k, got, sorted[k])
-		}
-		if !slices.Equal(a, orig) {
-			t.Fatalf("n=%d: kthSmallest permuted its input", n)
-		}
+		pruneOver(t, fmt.Sprintf("n=%d", n), a, k, sorted[k])
 	})
 }

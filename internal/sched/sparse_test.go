@@ -375,6 +375,48 @@ func TestSparseCostEvalBudget(t *testing.T) {
 	}
 }
 
+func TestFedLBAPCohortAllocs(t *testing.T) {
+	// A cohort-sized solve — every fedsim round's — allocates its chunk
+	// table, its survivor records (gathered and compacted in place), the
+	// shards and the assignment: 4. Before the pass gathered its
+	// survivors it made 5, a first-shard cost array among them.
+	if raceEnabled {
+		t.Skip("allocation counts are pinned for the plain build")
+	}
+	req := &Request{TotalShards: 600, ShardSize: 100, Users: jitterUsers(96)}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := (FedLBAP{}).Schedule(req, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("cohort solve: %v allocations, want ≤ 4", allocs)
+	}
+}
+
+func TestFedLBAPFleetBytes(t *testing.T) {
+	// A solve at 10^6 users × 10^4 shards allocates the 8 MB of returned
+	// shards and under 3 MB besides: the presized spans for the ~2 % of
+	// the fleet the pass gathers, which become the survivors in place,
+	// and their costs for the selection. The first-shard cost array it
+	// replaced made it 17.1 MB.
+	if testing.Short() {
+		t.Skip("builds a fleet of 10^6 users")
+	}
+	req := &Request{TotalShards: 10_000, ShardSize: 100, Users: jitterUsers(1_000_000)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := (FedLBAP{}).Schedule(req, nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("fleet solve: %d bytes", got)
+	if got > 11_000_000 {
+		t.Fatalf("fleet solve allocated %d bytes, want ≤ 11,000,000", got)
+	}
+}
+
 // laneUsers is a fleet of n hashed-jitter users with the awkward ones
 // mixed in: a NaN cost curve every 97th (never survives the prune), a
 // curve that starts negative every 89th (floored at 0), a negative
@@ -565,11 +607,13 @@ func TestSelectKth(t *testing.T) {
 		t.Fatal("single-element select")
 	}
 
-	// kthSmallest against a sorted copy, leaving its input as it was. The
-	// sizes straddle the sample; n = 4·selectSample samples every fourth
-	// value, which the two "hidden" orders fill with values from the far
-	// end, so the band misses k and widens (low, then high side), and the
-	// all-equal inputs overfill the band.
+	// prune's c_hi against a sorted copy, on a fleet whose first-shard
+	// costs are the values. The sizes straddle the sample; n =
+	// 4·selectSample samples every fourth value, which the two "hidden"
+	// orders fill with values from the far end: hidden-low puts the
+	// sample above the rest, so the chunks outgrow their spans, and
+	// hidden-high puts it below, so the pivot misses and the pass runs
+	// again. The all-equal inputs gather everything at once.
 	for _, c := range []struct {
 		name  string
 		order func(i, n int) float64
@@ -599,19 +643,115 @@ func TestSelectKth(t *testing.T) {
 			}
 			sorted := slices.Clone(a)
 			slices.Sort(sorted)
-			orig := slices.Clone(a)
-			// n − 2 is the bound's k when n = s + 1.
+			// n − 2 is the bound's k when n = s + 1; n − 1 is s = n, the
+			// max full-capacity cost of the flat curves.
 			for _, k := range []int{0, n / 100, 10, n / 2, n - 10, n - 2, n - 1} {
 				if k < 0 || k >= n {
 					continue
 				}
-				if got := kthSmallest(a, k); got != sorted[k] {
-					t.Fatalf("%s n=%d: kthSmallest(%d) = %v, want %v", c.name, n, k, got, sorted[k])
-				}
+				pruneOver(t, fmt.Sprintf("%s n=%d", c.name, n), a, k, sorted[k])
 			}
-			if !slices.Equal(a, orig) {
-				t.Fatalf("%s n=%d: kthSmallest permuted its input", c.name, n)
+		}
+	}
+}
+
+// pruneOver runs prune at s = k+1 on a fleet whose first-shard costs are
+// a — user j's curve flat at a[j], no communication time — and requires
+// c_hi = want and the survivors to be every user at or below
+// slackAbove(want), in user order. It also requires the pass to price
+// each user once (twice at n ≤ s, where the full-capacity cost is priced
+// too), or, when the pivot misses, every unsampled user twice. It reports
+// whether the pivot missed.
+func pruneOver(t *testing.T, what string, a []float64, k int, want float64) bool {
+	t.Helper()
+	n := len(a)
+	users := make([]*User, n)
+	for j, v := range a {
+		users[j] = &User{Cost: func(int) float64 { return v }}
+	}
+	calls := countCosts(users)
+	recs, chi, err := prune(&Request{TotalShards: k + 1, ShardSize: 1, Users: users})
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if chi != want {
+		t.Fatalf("%s: c_hi at k=%d = %v, want %v", what, k, chi, want)
+	}
+	lim, i := slackAbove(want), 0
+	for j, v := range a {
+		if v > lim {
+			continue
+		}
+		if i == len(recs) || recs[i].user != j {
+			t.Fatalf("%s k=%d: survivor %d is not user %d", what, k, i, j)
+		}
+		i++
+	}
+	if i != len(recs) {
+		t.Fatalf("%s k=%d: %d survivors, want %d", what, k, len(recs), i)
+	}
+	once, missed := int64(n), int64(2*n-min(n, selectSample))
+	if k+1 >= n {
+		once, missed = 2*int64(n), 2*int64(n)
+	}
+	switch calls.Load() {
+	case once:
+		return false
+	case missed:
+		return true
+	}
+	t.Fatalf("%s k=%d: %d cost evaluations, want %d (or %d after a miss)", what, k, calls.Load(), once, missed)
+	return false
+}
+
+func TestFedLBAPPivotMiss(t *testing.T) {
+	// Above fanOutUsers, on a fleet whose strided sample is its cheapest
+	// users, fewer than s users gather at the pivot: the pass misses and
+	// runs again, gathering every user and pricing each unsampled one
+	// twice. On a fleet whose sample is its dearest users nearly every
+	// user gathers, and each chunk outgrows its span. Either way the
+	// solve is the full-range reference's, at every lane count.
+	prevProcs := runtime.GOMAXPROCS(4)
+	prevLanes := tensor.MaxLanes()
+	t.Cleanup(func() {
+		tensor.SetMaxLanes(prevLanes)
+		runtime.GOMAXPROCS(prevProcs)
+	})
+	const s = 2_000
+	n := fanOutUsers + 3*chunkUsers/2
+	sampled := make([]bool, n)
+	for i := range selectSample {
+		sampled[i*n/selectSample] = true
+	}
+	solve := func(r *Request) (*Assignment, error) { return FedLBAP{}.Schedule(r, nil) }
+	for _, c := range []struct {
+		name       string
+		sampleLow  bool
+		wantMissed bool
+	}{
+		{"sample-low", true, true},
+		{"sample-high", false, false},
+	} {
+		users := jitterUsers(n)
+		a := make([]float64, n)
+		for j, u := range users {
+			if sampled[j] != c.sampleLow {
+				u.CommSeconds += 10
 			}
+			a[j] = floorCost(u.Cost(100) + u.CommSeconds)
+		}
+		req := &Request{TotalShards: s, ShardSize: 100, Users: users}
+		tensor.SetMaxLanes(0)
+		sorted := slices.Clone(a)
+		slices.Sort(sorted)
+		if missed := pruneOver(t, c.name, a, s-1, sorted[s-1]); missed != c.wantMissed {
+			t.Fatalf("%s: pivot missed = %v, want %v", c.name, missed, c.wantMissed)
+		}
+		want, wantEv := solveTraced(t, req, referenceSparse)
+		for _, lanes := range []int{0, 1, 3} {
+			tensor.SetMaxLanes(lanes)
+			got, gotEv := solveTraced(t, req, solve)
+			assertSameSolve(t, fmt.Sprintf("%s lanes=%d vs reference", c.name, lanes), got, gotEv, want, wantEv)
 		}
 	}
 }
