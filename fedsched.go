@@ -139,15 +139,11 @@ func (tb *Testbed) Request(arch *nn.Arch, totalSamples int) (*sched.Request, err
 	users := make([]*sched.User, len(tb.Profiles))
 	for j, p := range tb.Profiles {
 		users[j] = &sched.User{
-			Name:        fmt.Sprintf("%s-%d", p.Model, j),
-			Cost:        profs[j].Line(arch).Predict,
-			CommSeconds: comm,
-			MeanFreqGHz: p.MeanFreqGHz(),
-		}
-		if tb.BatteryBudget > 0 {
-			// CapacityShards ≤ 0 would mean "unlimited" to the scheduler;
-			// a nearly-dead phone still carries one shard.
-			users[j].CapacityShards = max(1, device.New(p).CapacityShards(arch, ShardSize, tb.BatteryBudget))
+			Name:           fmt.Sprintf("%s-%d", p.Model, j),
+			Cost:           profs[j].Line(arch).Predict,
+			CommSeconds:    comm,
+			MeanFreqGHz:    p.MeanFreqGHz(),
+			CapacityShards: device.New(p).UserCapacity(arch, ShardSize, tb.BatteryBudget),
 		}
 	}
 	return &sched.Request{

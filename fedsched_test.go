@@ -152,6 +152,48 @@ func TestBatteryBudgetTinyStaysCapped(t *testing.T) {
 	}
 }
 
+// TestDrainedDeviceCarriesOneShard drives phones whose battery affords
+// no shard — device.CapacityShards reads 0 for them, its "dead" — through
+// both producers of a battery cap. Each must cap them at one shard
+// (Device.UserCapacity), not hand the scheduler a 0 it reads as
+// unlimited: Testbed.Request's users carry cap 1, and a population round
+// of 16 such phones has room for 16 of its 120 shards, so Fed-LBAP
+// refuses it.
+func TestDrainedDeviceCarriesOneShard(t *testing.T) {
+	const budget = 0.05
+	drained := func(profiles []device.Profile) {
+		for i := range profiles {
+			profiles[i].BatteryJ = 1e-9
+		}
+	}
+	arch := LeNet(1, 28, 28, 10)
+	tb := NewTestbed(1)
+	tb.BatteryBudget = budget
+	drained(tb.Profiles)
+	if c := device.New(tb.Profiles[0]).CapacityShards(arch, ShardSize, budget); c != 0 {
+		t.Fatalf("fixture: CapacityShards = %d, want 0", c)
+	}
+	req, err := tb.Request(arch, 6000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, u := range req.Users {
+		if u.CapacityShards != 1 {
+			t.Errorf("Testbed.Request: user %d capacity %d, want 1", j, u.CapacityShards)
+		}
+	}
+
+	pop := device.NewPopulation(1000, 7)
+	drained(pop.Profiles)
+	_, err = fl.SimulatePopulationRounds(fl.PopulationConfig{
+		Arch: LeNetSmall(1, 16, 16, 10), Population: pop, Sampler: sample.NewUniform(1000, 16, 7),
+		Rounds: 1, TotalShards: 120, BatteryBudget: budget,
+	})
+	if err == nil || !strings.Contains(err.Error(), "total capacity 16 shards < 120") {
+		t.Fatalf("population round: error %v, want a total capacity of 16 shards", err)
+	}
+}
+
 func TestBatteryBudgetCapsSchedule(t *testing.T) {
 	arch := LeNet(1, 28, 28, 10)
 	reqFree, err := NewTestbed(1).Request(arch, 60000)

@@ -489,3 +489,15 @@ func (d *Device) CapacityShards(arch *nn.Arch, shardSize int, budgetFraction flo
 	}
 	return int(remaining * budgetFraction / perShard)
 }
+
+// UserCapacity is CapacityShards as a scheduler cap, in the terms of
+// sched.User.CapacityShards, where 0 or less means unlimited: 0 without a
+// budget (budgetFraction ≤ 0), and under a positive budget at least 1 —
+// a nearly dead phone still carries one shard where CapacityShards reads
+// 0. Every producer of a battery cap goes through it.
+func (d *Device) UserCapacity(arch *nn.Arch, shardSize int, budgetFraction float64) int {
+	if budgetFraction <= 0 {
+		return 0
+	}
+	return max(1, d.CapacityShards(arch, shardSize, budgetFraction))
+}

@@ -329,12 +329,7 @@ func (r *PopulationRunner) plan(round int, p *popPlan) error {
 		u := &p.users[i]
 		u.CommSeconds = r.comm
 		u.MeanFreqGHz = d.MeanFreqGHz()
-		u.CapacityShards = 0
-		if cfg.BatteryBudget > 0 {
-			// CapacityShards ≤ 0 would mean "unlimited" to the scheduler;
-			// a nearly-dead phone still carries one shard.
-			u.CapacityShards = max(1, d.CapacityShards(cfg.Arch, popShardSize, cfg.BatteryBudget))
-		}
+		u.CapacityShards = d.UserCapacity(cfg.Arch, popShardSize, cfg.BatteryBudget)
 	}
 
 	req := &sched.Request{

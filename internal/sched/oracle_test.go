@@ -74,12 +74,13 @@ func referenceSparse(req *Request) (*Assignment, error) {
 	surv = surv[:m]
 
 	// kmaxAt = max{k ≤ cap_j : C[j][k] ≤ c}, by binary search on the
-	// implicit nondecreasing curve. Never evaluates k = 0.
+	// implicit nondecreasing curve. Never evaluates k = 0. The ≤ is
+	// almostLE's, its slack hoisted.
 	kmaxAt := func(j int, c float64) int {
-		lo, hi := 0, caps[j]
+		lo, hi, lim := 0, caps[j], slackAbove(c)
 		for lo < hi {
 			mid := (lo + hi + 1) / 2
-			if almostLE(ec(j, mid), c) {
+			if ec(j, mid) <= lim {
 				lo = mid
 			} else {
 				hi = mid - 1

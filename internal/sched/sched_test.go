@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -28,93 +27,6 @@ func testRequest(shards int) *Request {
 			linUser("mid", 2, 0.020, 2),
 			linUser("slow", 3, 0.060, 2),
 		},
-	}
-}
-
-func TestFedLBAPBasic(t *testing.T) {
-	req := testRequest(30)
-	asg, err := FedLBAP{}.Schedule(req, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Validate(req, asg); err != nil {
-		t.Fatal(err)
-	}
-	// The fast user must get the most data, the slow user the least.
-	if !(asg.Shards[0] > asg.Shards[1] && asg.Shards[1] > asg.Shards[2]) {
-		t.Fatalf("assignment not speed-ordered: %v", asg.Shards)
-	}
-	if asg.PredictedMakespan != Makespan(req, asg) {
-		t.Fatal("stale PredictedMakespan")
-	}
-}
-
-func TestFedLBAPMatchesBruteForce(t *testing.T) {
-	// Optimality, not just dense-equivalence: the makespan must match the
-	// brute-force DP oracle on small instances.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(4)
-		users := make([]*User, n)
-		for j := range users {
-			a := rng.Float64() * 5
-			b := 0.005 + rng.Float64()*0.1
-			comm := rng.Float64() * 3
-			users[j] = linUser("u", a, b, comm)
-			if rng.Float64() < 0.3 {
-				users[j].CapacityShards = 3 + rng.Intn(20)
-			}
-		}
-		shards := 5 + rng.Intn(25)
-		req := &Request{TotalShards: shards, ShardSize: 50, Users: users}
-		if req.totalCapacity() < shards {
-			return true // infeasible instance; skip
-		}
-		got, err := FedLBAP{}.Schedule(req, nil)
-		if err != nil {
-			return false
-		}
-		if Validate(req, got) != nil {
-			return false
-		}
-		want, err := bruteForce(req)
-		if err != nil {
-			return false
-		}
-		return math.Abs(Makespan(req, got)-Makespan(req, want)) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFedLBAPNeverWorseThanBaselines(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(6)
-		users := make([]*User, n)
-		for j := range users {
-			users[j] = linUser("u", rng.Float64()*4, 0.002+rng.Float64()*0.05, rng.Float64()*2)
-			users[j].MeanFreqGHz = 1 + rng.Float64()*2
-		}
-		req := &Request{TotalShards: 20 + rng.Intn(80), ShardSize: 100, Users: users}
-		opt, err := FedLBAP{}.Schedule(req, nil)
-		if err != nil {
-			return false
-		}
-		for _, s := range []Scheduler{Proportional{}, Random{}, Equal{}} {
-			b, err := s.Schedule(req, rng)
-			if err != nil {
-				return false
-			}
-			if Makespan(req, opt) > Makespan(req, b)+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -198,32 +110,6 @@ func TestFedLBAPNonMonotoneTerminates(t *testing.T) {
 		}
 	}
 	t.Logf("%d instances: %d ErrNotMonotone, %d valid assignments", instances, named, instances-named)
-}
-
-func TestFedLBAPSingleUser(t *testing.T) {
-	req := &Request{TotalShards: 7, ShardSize: 10, Users: []*User{linUser("only", 0, 0.1, 1)}}
-	asg, err := FedLBAP{}.Schedule(req, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if asg.Shards[0] != 7 {
-		t.Fatalf("single user must take everything: %v", asg.Shards)
-	}
-}
-
-func TestFedLBAPRespectsCapacity(t *testing.T) {
-	req := testRequest(30)
-	req.Users[0].CapacityShards = 5 // cap the fastest user
-	asg, err := FedLBAP{}.Schedule(req, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Validate(req, asg); err != nil {
-		t.Fatal(err)
-	}
-	if asg.Shards[0] > 5 {
-		t.Fatalf("capacity violated: %v", asg.Shards)
-	}
 }
 
 func TestRequestValidation(t *testing.T) {
