@@ -63,7 +63,7 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Deliberately omits the full `race` target (only the ~35s race-tensor
+# Deliberately omits the full `race` target (only the ~40 s race-tensor
 # pass): the fl race suite retrains real models for minutes, far too
 # slow to gate every local pre-push run. CI covers the gap — its `race`
 # job runs `make race` on every push in parallel with this gate.
@@ -89,9 +89,12 @@ race:
 	$(GO) test -race -run 'BuildJob|ProfileMemo' .
 
 # Fast race pass over just the GEMM core and lane semaphore — cheap
-# enough (~35s on 2 cores: the suites run once per kernel dispatch state,
-# the second time on race-instrumented Go twins) to gate every
-# `make check`.
+# enough to gate every `make check`: the conformance table computes each
+# row once per kernel dispatch state, the second time on
+# race-instrumented Go twins. `go test -race -count=1 ./internal/tensor`
+# on 2 vCPU, median of 3 alternating runs: 38.3 s (47.8 s before the
+# table replaced the digest replay, which ran every suite test a third
+# time).
 race-tensor:
 	$(GO) test -race ./internal/tensor/...
 

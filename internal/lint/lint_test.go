@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -250,6 +251,29 @@ func TestPackageDirs(t *testing.T) {
 	}
 }
 
+// moduleLoader returns the one Loader over this module that the
+// whole-module tests share: its standard-library and dependency caches
+// are filled by whichever of them runs first, so the module's imports
+// are type-checked once per test binary rather than once per test.
+// Tests using it must not run in parallel — a Loader is not safe for
+// concurrent use.
+func moduleLoader(t *testing.T) *Loader {
+	t.Helper()
+	l, err := sharedLoader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+var sharedLoader = sync.OnceValues(func() (*Loader, error) {
+	modPath, modDir, err := ModuleRoot(".")
+	if err != nil {
+		return nil, err
+	}
+	return NewLoader(modPath, modDir), nil
+})
+
 // TestRepoTreeClean locks the acceptance criterion in place: the fedlint
 // driver, every pass over every package (external test packages like
 // the root bench_test.go included), reports nothing on the module.
@@ -257,15 +281,12 @@ func TestRepoTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source")
 	}
-	modPath, modDir, err := ModuleRoot(".")
+	l := moduleLoader(t)
+	paths, err := PackageDirs(l.ModPath, l.ModDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := PackageDirs(modPath, modDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := Run(NewLoader(modPath, modDir), paths, All())
+	diags, err := Run(l, paths, All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +303,8 @@ func TestLoadExternalTests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the root package and its imports from source")
 	}
-	modPath, modDir, err := ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := NewLoader(modPath, modDir)
+	l := moduleLoader(t)
+	modPath := l.ModPath
 	pkg, err := l.LoadExternalTests(modPath)
 	if err != nil {
 		t.Fatal(err)
@@ -315,11 +333,9 @@ func TestLoadExternalTests(t *testing.T) {
 // XTestGoFiles — the GOOS/GOARCH-suffixed GEMM kernels, the
 // race-tagged test pair and the root external test package included.
 func TestLoaderMatchesGoList(t *testing.T) {
-	modPath, modDir, err := ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths, err := PackageDirs(modPath, modDir)
+	l := moduleLoader(t)
+	modDir := l.ModDir
+	paths, err := PackageDirs(l.ModPath, modDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +373,6 @@ func TestLoaderMatchesGoList(t *testing.T) {
 		slices.Sort(ns)
 		return ns
 	}
-	l := NewLoader(modPath, modDir)
 	for _, path := range paths {
 		w, ok := want[path]
 		if !ok {

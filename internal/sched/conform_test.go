@@ -35,7 +35,7 @@ import (
 const (
 	denseMax  = 500_000   // Σ cap_j: the dense oracle's matrix entries
 	bruteMax  = 2_000_000 // n·s²: the DP's inner steps
-	minAvgMax = 100_000   // n·s: Fed-MinAvg's marginal-cost scans
+	minAvgMax = 1_000_000 // n·s: Fed-MinAvg's marginal-cost scans
 )
 
 // family is one row: seeds instances build(0), …, build(seeds−1), or the
@@ -104,20 +104,20 @@ func families() []family {
 		{TestSparseMatchesDenseCapacityEdges, "tight", 0, edges([4]int{5, 5, 0, 0})},
 		{TestSparseMatchesDenseCapacityEdges, "mixed", 0, edges([4]int{3, 100, -1, 7})},
 		// Σ cap_j == s: everyone is forced to full capacity.
-		{TestSparseMatchesDenseExactFit, "exact-fit-linear", 0, func(int) *Request {
+		{TestFedLBAPMatchesDenseExactFit, "exact-fit-linear", 0, func(int) *Request {
 			users := []*User{linUser("a", 1, 0.01, 1), linUser("b", 2, 0.02, 1), linUser("c", 3, 0.03, 1)}
 			users[0].CapacityShards, users[1].CapacityShards, users[2].CapacityShards = 4, 3, 3
 			return &Request{TotalShards: 10, ShardSize: 50, Users: users}
 		}},
 		{TestSparseMatchesDenseMidScale, "capped-2000x200", 0, jitter(7, 2000, 200)},
-		{TestSparseLargeScaleValid, "capped-50000x2000", 0, func(int) *Request {
+		{TestFedLBAPLargeScaleValid, "capped-50000x2000", 0, func(int) *Request {
 			req := jitterRequest(0, 50_000, 2_000, 100)
 			for j := 0; j < len(req.Users); j += 3 {
 				req.Users[j].CapacityShards = 1 + j%7
 			}
 			return req
 		}},
-		{TestSparseDeterministicProbes, "jitter-1000x200", 0, jitter(0, 1000, 200)},
+		{TestFedLBAPDeterministicProbes, "jitter-1000x200", 0, jitter(0, 1000, 200)},
 
 		{TestSparseProbeStreamMatchesReference, "cohort-96x600", 0, jitter(0, 96, 600)},
 		{TestSparseProbeStreamMatchesReference, "pruned-2000x200", 0, jitter(0, 2000, 200)},
@@ -467,13 +467,13 @@ func TestFedLBAPRespectsCapacity(t *testing.T)           { conformEntry(t) }
 func TestFedLBAPMatchesBruteForce(t *testing.T)          { conformEntry(t) }
 func TestFedLBAPNeverWorseThanBaselines(t *testing.T)    { conformEntry(t) }
 func TestFedLBAPMatchesOLAR(t *testing.T)                { conformEntry(t) }
+func TestFedLBAPMatchesDenseExactFit(t *testing.T)       { conformEntry(t) }
+func TestFedLBAPLargeScaleValid(t *testing.T)            { conformEntry(t) }
+func TestFedLBAPDeterministicProbes(t *testing.T)        { conformEntry(t) }
 func TestSparseMatchesDenseBasic(t *testing.T)           { conformEntry(t) }
 func TestSparseMatchesDenseSingleUser(t *testing.T)      { conformEntry(t) }
 func TestSparseMatchesDenseConstantCosts(t *testing.T)   { conformEntry(t) }
 func TestSparseMatchesDenseCapacityEdges(t *testing.T)   { conformEntry(t) }
-func TestSparseMatchesDenseExactFit(t *testing.T)        { conformEntry(t) }
 func TestSparseMatchesDenseMidScale(t *testing.T)        { conformEntry(t) }
 func TestSparseMatchesDenseProperty(t *testing.T)        { conformEntry(t) }
-func TestSparseLargeScaleValid(t *testing.T)             { conformEntry(t) }
-func TestSparseDeterministicProbes(t *testing.T)         { conformEntry(t) }
 func TestSparseProbeStreamMatchesReference(t *testing.T) { conformEntry(t) }

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// convCase is one point of the implicit-vs-im2col property grid,
-// covering degenerate 1×1 kernels, edge padding (pad ≥ k/2 so whole
-// patch rows are out of bounds), stride > 1, and multi-channel shapes
-// of several register tiles.
+// convCase is a convolution geometry. convCases, rows of the
+// conformance table, cover degenerate 1×1 kernels, edge padding
+// (pad ≥ k/2 so whole patch rows are out of bounds), stride > 1, and
+// multi-channel shapes of several register tiles.
 type convCase struct {
 	n, c, h, w, f, k, stride, pad int
 }
@@ -40,147 +40,6 @@ func oracleConv[T Float](x, w, bias, gm *TensorOf[T], k, stride, pad int) (ym, d
 	dx = NewOf[T](x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3))
 	col2imInto(dx, dcols, k, k, stride, pad)
 	return ym, dw, dx
-}
-
-// implicitConv runs the three pack-free conv kernels on the same inputs.
-func implicitConv[T Float](x, w, bias, gm *TensorOf[T], k, stride, pad int) (ym, dw, dx *TensorOf[T]) {
-	oh := ConvOutSize(x.Dim(2), k, stride, pad)
-	ow := ConvOutSize(x.Dim(3), k, stride, pad)
-	m := x.Dim(0) * oh * ow
-	ym = NewOf[T](m, w.Dim(0))
-	ConvForwardInto(ym, x, w, bias, k, k, stride, pad)
-	dw = NewOf[T](w.Dim(0), w.Dim(1))
-	ConvGradWeightsInto(dw, gm, x, k, k, stride, pad)
-	dx = NewOf[T](x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3))
-	ConvGradInputInto(dx, gm, w, k, k, stride, pad)
-	logOutput(ym, dw, dx)
-	return ym, dw, dx
-}
-
-func bitsEqual[T Float](a, b *TensorOf[T]) (int, bool) {
-	for i := range a.Data() {
-		av, bv := float64(a.Data()[i]), float64(b.Data()[i])
-		if math.Float64bits(av) != math.Float64bits(bv) {
-			return i, false
-		}
-	}
-	return 0, true
-}
-
-// testConvImplicitMatchesOracle pins the headline claim: forward,
-// weight-gradient and input-gradient match the materialized im2col path
-// bit-for-bit (not just within tolerance) on both geometry grids, serial
-// and fanned out — the indirect kernel reads the values the packers
-// would have copied, the blocked core is shared, and ±0 bookkeeping of
-// padded taps cannot leak into any sum.
-func testConvImplicitMatchesOracle[T Float](t *testing.T) {
-	for _, lanes := range []int{0, 3} {
-		withLanes(t, lanes, func() { testConvCasesMatchOracle[T](t) })
-	}
-}
-
-func testConvCasesMatchOracle[T Float](t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, tc := range append(convCases, packCases...) {
-		x := randTensorOf[T](rng, tc.n, tc.c, tc.h, tc.w)
-		w := randTensorOf[T](rng, tc.f, tc.c*tc.k*tc.k)
-		bias := randTensorOf[T](rng, tc.f)
-		oh := ConvOutSize(tc.h, tc.k, tc.stride, tc.pad)
-		ow := ConvOutSize(tc.w, tc.k, tc.stride, tc.pad)
-		gm := randTensorOf[T](rng, tc.n*oh*ow, tc.f)
-
-		wantY, wantDW, wantDX := oracleConv(x, w, bias, gm, tc.k, tc.stride, tc.pad)
-		gotY, gotDW, gotDX := implicitConv(x, w, bias, gm, tc.k, tc.stride, tc.pad)
-
-		if i, ok := bitsEqual(wantY, gotY); !ok {
-			t.Fatalf("case %+v: forward differs at %d: %g vs %g", tc, i, wantY.Data()[i], gotY.Data()[i])
-		}
-		if i, ok := bitsEqual(wantDW, gotDW); !ok {
-			t.Fatalf("case %+v: dW differs at %d: %g vs %g", tc, i, wantDW.Data()[i], gotDW.Data()[i])
-		}
-		if i, ok := bitsEqual(wantDX, gotDX); !ok {
-			t.Fatalf("case %+v: dX differs at %d: %g vs %g", tc, i, wantDX.Data()[i], gotDX.Data()[i])
-		}
-	}
-}
-
-func TestConvImplicitMatchesIm2ColOracle(t *testing.T) {
-	t.Run("f64", testConvImplicitMatchesOracle[float64])
-	t.Run("f32", testConvImplicitMatchesOracle[float32])
-}
-
-// TestConvImplicitBitIdenticalAcrossLanes mirrors the GEMM lane-
-// determinism tests for the implicit conv kernels: a geometry big enough
-// to fan out across lanes must produce bit-identical results for every
-// lane count, in both precisions.
-func TestConvImplicitBitIdenticalAcrossLanes(t *testing.T) {
-	t.Run("f64", testConvLaneDeterminism[float64])
-	t.Run("f32", testConvLaneDeterminism[float32])
-}
-
-func testConvLaneDeterminism[T Float](t *testing.T) {
-	// Batch 8, 20→40 channels at 12×12, k=5: the forward GEMM is
-	// 512×500×40 ≫ the parallel cutoff with multiple grid cells. The
-	// second geometry fans out through the zero-bordered copy: stride 2,
-	// pad 2, ragged m and n, two KC panels either way round.
-	testConvLaneDeterminismAt[T](t, convCase{8, 20, 12, 12, 40, 5, 1, 0})
-	testConvLaneDeterminismAt[T](t, packCases[len(packCases)-1])
-}
-
-func testConvLaneDeterminismAt[T Float](t *testing.T, tc convCase) {
-	rng := rand.New(rand.NewSource(23))
-	n, c, h, wdt, f, k, stride, pad := tc.n, tc.c, tc.h, tc.w, tc.f, tc.k, tc.stride, tc.pad
-	x := randTensorOf[T](rng, n, c, h, wdt)
-	w := randTensorOf[T](rng, f, c*k*k)
-	bias := randTensorOf[T](rng, f)
-	oh := ConvOutSize(h, k, stride, pad)
-	ow := ConvOutSize(wdt, k, stride, pad)
-	gm := randTensorOf[T](rng, n*oh*ow, f)
-
-	var refY, refDW, refDX *TensorOf[T]
-	withLanes(t, 0, func() { refY, refDW, refDX = implicitConv(x, w, bias, gm, k, stride, pad) })
-	for _, lanes := range []int{1, 2, 3, 8} {
-		var gotY, gotDW, gotDX *TensorOf[T]
-		withLanes(t, lanes, func() { gotY, gotDW, gotDX = implicitConv(x, w, bias, gm, k, stride, pad) })
-		if i, ok := bitsEqual(refY, gotY); !ok {
-			t.Fatalf("%+v lanes=%d: forward differs at %d", tc, lanes, i)
-		}
-		if i, ok := bitsEqual(refDW, gotDW); !ok {
-			t.Fatalf("%+v lanes=%d: dW differs at %d", tc, lanes, i)
-		}
-		if i, ok := bitsEqual(refDX, gotDX); !ok {
-			t.Fatalf("%+v lanes=%d: dX differs at %d", tc, lanes, i)
-		}
-	}
-}
-
-// TestConvGradInputChunkBoundaries forces several chunk sizes through
-// odd kdim values (kdim not dividing convChunkElems) and kdim larger
-// than one chunk, so the chunked scatter's bookkeeping at both ends is
-// covered.
-func TestConvGradInputChunkBoundaries(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, tc := range []convCase{
-		{1, 7, 9, 9, 3, 3, 1, 1},   // kdim=63: 16384/63 = 260 rows per chunk, m=81 → single short chunk
-		{4, 6, 17, 17, 2, 5, 2, 2}, // kdim=150, m=324: multiple chunks with ragged tail
-	} {
-		w := randTensorOf[float64](rng, tc.f, tc.c*tc.k*tc.k)
-		oh := ConvOutSize(tc.h, tc.k, tc.stride, tc.pad)
-		ow := ConvOutSize(tc.w, tc.k, tc.stride, tc.pad)
-		gm := randTensorOf[float64](rng, tc.n*oh*ow, tc.f)
-
-		dcols := NewOf[float64](tc.n*oh*ow, tc.c*tc.k*tc.k)
-		MatMulInto(dcols, gm, w)
-		want := NewOf[float64](tc.n, tc.c, tc.h, tc.w)
-		col2imInto(want, dcols, tc.k, tc.k, tc.stride, tc.pad)
-
-		got := NewOf[float64](tc.n, tc.c, tc.h, tc.w)
-		ConvGradInputInto(got, gm, w, tc.k, tc.k, tc.stride, tc.pad)
-		logOutput(got)
-		if i, ok := bitsEqual(want, got); !ok {
-			t.Fatalf("case %+v: dX differs at %d: %g vs %g", tc, i, want.Data()[i], got.Data()[i])
-		}
-	}
 }
 
 // Implicit-GEMM vs materialized-im2col layer benchmarks on the two
@@ -299,8 +158,9 @@ func BenchmarkConvLeNetS(b *testing.B) {
 	}
 }
 
-// packCases is the geometry grid for the offset-table, packer and
-// fused-layout property tests: stride 1 and 2, pad 0/1/2, output rows
+// packCases is the geometry grid of the offset-table and packer
+// property test and of the conformance table's packCases and lane rows:
+// stride 1 and 2, pad 0/1/2, output rows
 // narrower than a register tile (ow = 4 < f32's mr = 8) and wider, ragged
 // m and n tails against both register tiles in both the forward
 // (m = positions) and the weight-gradient (m = taps) GEMM, and k long
@@ -409,10 +269,7 @@ func testConvPackersMatchIm2col[T Float](t *testing.T) {
 	}
 }
 
-func TestConvPackersMatchIm2col(t *testing.T) {
-	t.Run("f64", testConvPackersMatchIm2col[float64])
-	t.Run("f32", testConvPackersMatchIm2col[float32])
-}
+func TestConvPackersMatchIm2col(t *testing.T) { conformEntry(t) }
 
 // testPackPooledMatchesPosChan pins the packers of a gradient that exists
 // only as its pooled form (PooledGrad) against the packers of the dense
@@ -515,74 +372,4 @@ func testPackPooledMatchesPosChan[T Float](t *testing.T) {
 func TestPackPooledMatchesPosChan(t *testing.T) {
 	t.Run("f64", testPackPooledMatchesPosChan[float64])
 	t.Run("f32", testPackPooledMatchesPosChan[float32])
-}
-
-// testConvFusedLayoutsMatchOracle pins the (N,C,H,W) entry points — the
-// ones nn calls — against the im2col oracle over the same grid: output
-// written straight into the activation layout with bias and ReLU
-// applied in the epilogue, and both gradients read straight from the
-// activation-layout output gradient, must equal, bit for bit, the
-// materialized matmul-layout pipeline followed by an explicit permute
-// and clamp.
-func testConvFusedLayoutsMatchOracle[T Float](t *testing.T) {
-	for _, lanes := range []int{0, 3} {
-		withLanes(t, lanes, func() { testConvFusedLayoutsAt[T](t) })
-	}
-}
-
-func testConvFusedLayoutsAt[T Float](t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	for _, tc := range append(packCases, convCases...) {
-		x := randTensorOf[T](rng, tc.n, tc.c, tc.h, tc.w)
-		w := randTensorOf[T](rng, tc.f, tc.c*tc.k*tc.k)
-		bias := randTensorOf[T](rng, tc.f)
-		g := makeConvGeom(x.shape, tc.k, tc.k, tc.stride, tc.pad)
-		grad := randTensorOf[T](rng, tc.n, tc.f, g.oh, g.ow)
-		gv := convView(grad, &g, tc.f, "test")
-		gm := NewOf[T](g.rows(), tc.f)
-		for i := 0; i < g.rows(); i++ {
-			for j := 0; j < tc.f; j++ {
-				gm.data[i*tc.f+j] = grad.data[gv.off(i, j)]
-			}
-		}
-		wantYm, wantDW, wantDX := oracleConv(x, w, bias, gm, tc.k, tc.stride, tc.pad)
-
-		y := NewOf[T](tc.n, tc.f, g.oh, g.ow)
-		yr := NewOf[T](tc.n, tc.f, g.oh, g.ow)
-		ConvForwardInto(y, x, w, bias, tc.k, tc.k, tc.stride, tc.pad)
-		ConvForwardReLUInto(yr, x, w, bias, tc.k, tc.k, tc.stride, tc.pad)
-		yv := convView(y, &g, tc.f, "test")
-		for i := 0; i < g.rows(); i++ {
-			for j := 0; j < tc.f; j++ {
-				o := yv.off(i, j)
-				pre := wantYm.data[i*tc.f+j]
-				if math.Float64bits(float64(pre)) != math.Float64bits(float64(y.data[o])) {
-					t.Fatalf("%+v: forward (%d,%d): %v vs %v", tc, i, j, y.data[o], pre)
-				}
-				clamped := pre
-				if !(pre > 0) {
-					clamped = 0
-				}
-				if math.Float64bits(float64(clamped)) != math.Float64bits(float64(yr.data[o])) {
-					t.Fatalf("%+v: fused ReLU (%d,%d): %v, pre-activation %v", tc, i, j, yr.data[o], pre)
-				}
-			}
-		}
-		dw := NewOf[T](tc.f, tc.c*tc.k*tc.k)
-		dx := NewOf[T](tc.n, tc.c, tc.h, tc.w)
-		ConvGradWeightsInto(dw, grad, x, tc.k, tc.k, tc.stride, tc.pad)
-		ConvGradInputInto(dx, grad, w, tc.k, tc.k, tc.stride, tc.pad)
-		logOutput(y, yr, dw, dx)
-		if i, ok := bitsEqual(wantDW, dw); !ok {
-			t.Fatalf("%+v: dW differs at %d: %v vs %v", tc, i, dw.data[i], wantDW.data[i])
-		}
-		if i, ok := bitsEqual(wantDX, dx); !ok {
-			t.Fatalf("%+v: dX differs at %d: %v vs %v", tc, i, dx.data[i], wantDX.data[i])
-		}
-	}
-}
-
-func TestConvFusedLayoutsMatchOracle(t *testing.T) {
-	t.Run("f64", testConvFusedLayoutsMatchOracle[float64])
-	t.Run("f32", testConvFusedLayoutsMatchOracle[float32])
 }

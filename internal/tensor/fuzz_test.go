@@ -1,15 +1,19 @@
 package tensor
 
 import (
-	"math/rand"
+	"slices"
 	"testing"
 )
 
-// FuzzConvGeom searches the geometry space the case tables sample: for
-// any (n, c, h, w, f, k, stride, pad) the forward pass and the weight
-// gradient must equal the materialized im2col oracle bit for bit, in
-// both precisions — offset tables, zero border, tile slack, the dWᵀ
-// write-back and one-tile shapes included.
+// FuzzConvGeom searches the geometry space the conformance table's
+// convolution rows sample: for any (n, c, h, w, f, k, stride, pad) and
+// seed, conform holds every convolution entry point — forward, fused
+// ReLU, dW and dX, in both layouts and both precisions — to the im2col
+// oracle bit for bit, to directConv and to the adjoint identities, and
+// the lanes to each other where the geometry fans out: offset tables,
+// zero border, tile slack, the dWᵀ write-back, the dX chunks and
+// one-tile shapes included. The seed corpus runs as the table's
+// FuzzConvGeomSeeds row.
 func FuzzConvGeom(f *testing.F) {
 	for _, a := range convGeomSeeds() {
 		f.Add(a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7], int64(1))
@@ -19,8 +23,11 @@ func FuzzConvGeom(f *testing.F) {
 		if !ok {
 			t.Skip("kernel larger than the padded input")
 		}
-		fuzzConvGeom[float64](t, tc, seed)
-		fuzzConvGeom[float32](t, tc, seed)
+		// A seed input shares its outputs and its pass with the table.
+		in := instance{cv: tc, seed: seed}
+		keep := seed == 1 && slices.Contains(fuzzSeedCases(), tc)
+		conform[float64](t, in, defaultState(), keep)
+		conform[float32](t, in, defaultState(), keep)
 	})
 }
 
@@ -42,22 +49,4 @@ func convCaseFromFuzz(a [8]uint8) (tc convCase, ok bool) {
 		f: 1 + int(a[4])%10, k: 1 + int(a[5])%5, stride: 1 + int(a[6])%3, pad: int(a[7]) % 4,
 	}
 	return tc, tc.h+2*tc.pad >= tc.k && tc.w+2*tc.pad >= tc.k
-}
-
-func fuzzConvGeom[T Float](t *testing.T, tc convCase, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	x := randTensorOf[T](rng, tc.n, tc.c, tc.h, tc.w)
-	w := randTensorOf[T](rng, tc.f, tc.c*tc.k*tc.k)
-	bias := randTensorOf[T](rng, tc.f)
-	oh := ConvOutSize(tc.h, tc.k, tc.stride, tc.pad)
-	ow := ConvOutSize(tc.w, tc.k, tc.stride, tc.pad)
-	gm := randTensorOf[T](rng, tc.n*oh*ow, tc.f)
-	wantY, wantDW, _ := oracleConv(x, w, bias, gm, tc.k, tc.stride, tc.pad)
-	gotY, gotDW, _ := implicitConv(x, w, bias, gm, tc.k, tc.stride, tc.pad)
-	if i, ok := bitsEqual(wantY, gotY); !ok {
-		t.Fatalf("%+v: forward differs at %d: %v vs %v", tc, i, wantY.Data()[i], gotY.Data()[i])
-	}
-	if i, ok := bitsEqual(wantDW, gotDW); !ok {
-		t.Fatalf("%+v: dW differs at %d: %v vs %v", tc, i, wantDW.Data()[i], gotDW.Data()[i])
-	}
 }

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -225,58 +224,36 @@ func micro8x2[T Float](kc int, ap, bp []T, acc *[gemmAccLen]T) {
 	copy(acc[:16], c[:])
 }
 
-// TestBlockedTileEquivalence pins the tile-shape independence claim the
+// testBlockedTileEquivalence pins the tile-shape independence claim the
 // bake-off and the kernel dispatch rely on: within one KC panel every
 // register tile sums each output element in the same ascending-k order,
 // so all tiles (the production 4×4 and 8×4 or — where the 256-bit
 // kernels run — 8×8, assembly or twin, included) produce bit-identical
 // results.
-func TestBlockedTileEquivalence(t *testing.T) {
+func testBlockedTileEquivalence[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	m, k, n := 65, 130, 37 // ragged against every tile, single k-panel and multi-cell-free
+	a := randTensorOf[T](rng, m, k)
+	b := randTensorOf[T](rng, k, n)
+	ref := NewOf[T](m, n)
+	blockedTileInto(ref, a, b, false, false, 4, 2)
 	// 8×8 exists only as float32's production tile under the 256-bit
 	// kernels; a tile with no kernel is skipped.
-	tiles := [][2]int{{4, 2}, {8, 2}, {4, 4}, {8, 4}, {8, 8}}
-	t.Run("f32", func(t *testing.T) {
-		a := randTensorOf[float32](rng, m, k)
-		b := randTensorOf[float32](rng, k, n)
-		ref := NewOf[float32](m, n)
-		blockedTileInto(ref, a, b, false, false, 4, 2)
-		logOutput(ref)
-		for _, tile := range tiles[1:] {
-			if tileKernel[float32](tile[0], tile[1]) == nil {
-				continue
-			}
-			got := NewOf[float32](m, n)
-			blockedTileInto(got, a, b, false, false, tile[0], tile[1])
-			for i, v := range got.Data() {
-				if math.Float32bits(v) != math.Float32bits(ref.Data()[i]) {
-					t.Fatalf("tile %dx%d differs from 4x2 at %d: %x vs %x",
-						tile[0], tile[1], i, math.Float32bits(v), math.Float32bits(ref.Data()[i]))
-				}
+	for _, tile := range [][2]int{{8, 2}, {4, 4}, {8, 4}, {8, 8}} {
+		if tileKernel[T](tile[0], tile[1]) == nil {
+			continue
+		}
+		got := NewOf[T](m, n)
+		blockedTileInto(got, a, b, false, false, tile[0], tile[1])
+		for i, v := range got.Data() {
+			if bits64(v) != bits64(ref.Data()[i]) {
+				t.Fatalf("tile %dx%d differs from 4x2 at %d: %#x vs %#x", tile[0], tile[1], i, bits64(v), bits64(ref.Data()[i]))
 			}
 		}
-	})
-	t.Run("f64", func(t *testing.T) {
-		a := randTensorOf[float64](rng, m, k)
-		b := randTensorOf[float64](rng, k, n)
-		ref := NewOf[float64](m, n)
-		blockedTileInto(ref, a, b, false, false, 4, 2)
-		logOutput(ref)
-		for _, tile := range tiles[1:] {
-			if tileKernel[float64](tile[0], tile[1]) == nil {
-				continue
-			}
-			got := NewOf[float64](m, n)
-			blockedTileInto(got, a, b, false, false, tile[0], tile[1])
-			for i, v := range got.Data() {
-				if math.Float64bits(v) != math.Float64bits(ref.Data()[i]) {
-					t.Fatalf("tile %dx%d differs from 4x2 at %d", tile[0], tile[1], i)
-				}
-			}
-		}
-	})
+	}
 }
+
+func TestBlockedTileEquivalence(t *testing.T) { conformEntry(t) }
 
 // Register-tile bake-off on the LeNet conv2 shape, serial, per width:
 // the production tile (assembly on an AVX host) against the scalar

@@ -6,10 +6,6 @@ import (
 	"testing"
 )
 
-func randTensor(rng *rand.Rand, shape ...int) *Tensor {
-	return randTensorOf[float64](rng, shape...)
-}
-
 func randTensorOf[T Float](rng *rand.Rand, shape ...int) *TensorOf[T] {
 	t := NewOf[T](shape...)
 	for i := range t.Data() {
@@ -39,164 +35,6 @@ func stridedOperands[T Float](a, b *TensorOf[T], transA, transB bool) (m, n, k i
 	return m, n, k, pa, pb
 }
 
-// maxAbsDiff returns the largest elementwise |a−b|.
-func maxAbsDiff[T Float](a, b *TensorOf[T]) float64 {
-	worst := 0.0
-	for i, v := range a.Data() {
-		if d := math.Abs(float64(v) - float64(b.Data()[i])); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
-// testBlockedMatchesNaive sweeps all three layouts over every (m, k, n)
-// combination from a size set covering 1×1, sub-tile, exactly one tile,
-// and one-past-a-tile ragged edges, comparing the blocked kernel against
-// the naive references (naive_test.go). The tolerance comes from the
-// element type: ≈1e-12 at float64, ≈1e-4 at float32.
-func testBlockedMatchesNaive[T Float](t *testing.T) {
-	sizes := []int{1, 3, 5, 17, 64, 65}
-	eps := Eps[T]()
-	rng := rand.New(rand.NewSource(42))
-	for _, m := range sizes {
-		for _, k := range sizes {
-			for _, n := range sizes {
-				// Plain A·B.
-				a := randTensorOf[T](rng, m, k)
-				b := randTensorOf[T](rng, k, n)
-				want, got := NewOf[T](m, n), NewOf[T](m, n)
-				naiveMatMulInto(want, a, b)
-				gemm(got, a, b, false, false, epi[T]{})
-				logOutput(got)
-				if d := maxAbsDiff(want, got); d > eps {
-					t.Fatalf("A·B m=%d k=%d n=%d: max diff %g", m, k, n, d)
-				}
-				// Aᵀ·B with A stored (k, m).
-				at := randTensorOf[T](rng, k, m)
-				naiveMatMulTransAInto(want, at, b)
-				gemm(got, at, b, true, false, epi[T]{})
-				logOutput(got)
-				if d := maxAbsDiff(want, got); d > eps {
-					t.Fatalf("Aᵀ·B m=%d k=%d n=%d: max diff %g", m, k, n, d)
-				}
-				// A·Bᵀ with B stored (n, k).
-				bt := randTensorOf[T](rng, n, k)
-				naiveMatMulTransBInto(want, a, bt)
-				gemm(got, a, bt, false, true, epi[T]{})
-				logOutput(got)
-				if d := maxAbsDiff(want, got); d > eps {
-					t.Fatalf("A·Bᵀ m=%d k=%d n=%d: max diff %g", m, k, n, d)
-				}
-			}
-		}
-	}
-}
-
-func TestBlockedMatchesNaiveProperty(t *testing.T) {
-	t.Run("f64", testBlockedMatchesNaive[float64])
-	t.Run("f32", testBlockedMatchesNaive[float32])
-}
-
-// TestBlockedMatchesNaiveMultiPanel covers shapes that span several MC/NC
-// grid cells and several KC k-panels, where the blocked kernel's partial-
-// sum tree differs from the naive running sum — agreement must hold to
-// accumulated-roundoff tolerance (100× the single-panel tolerance for
-// the element type).
-func testBlockedMultiPanel[T Float](t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	eps := 100 * Eps[T]()
-	m, k, n := 150, 600, 500 // rc=2, cc=3, three k-panels
-	a := randTensorOf[T](rng, m, k)
-	b := randTensorOf[T](rng, k, n)
-	want, got := NewOf[T](m, n), NewOf[T](m, n)
-	naiveMatMulInto(want, a, b)
-	MatMulInto(got, a, b)
-	logOutput(got)
-	if d := maxAbsDiff(want, got); d > eps {
-		t.Fatalf("multi-panel A·B: max diff %g", d)
-	}
-	at := randTensorOf[T](rng, k, m)
-	naiveMatMulTransAInto(want, at, b)
-	MatMulTransAInto(got, at, b)
-	logOutput(got)
-	if d := maxAbsDiff(want, got); d > eps {
-		t.Fatalf("multi-panel Aᵀ·B: max diff %g", d)
-	}
-	bt := randTensorOf[T](rng, n, k)
-	naiveMatMulTransBInto(want, a, bt)
-	MatMulTransBInto(got, a, bt)
-	logOutput(got)
-	if d := maxAbsDiff(want, got); d > eps {
-		t.Fatalf("multi-panel A·Bᵀ: max diff %g", d)
-	}
-}
-
-func TestBlockedMatchesNaiveMultiPanel(t *testing.T) {
-	t.Run("f64", testBlockedMultiPanel[float64])
-	t.Run("f32", testBlockedMultiPanel[float32])
-}
-
-// TestGEMMEpilogueBias checks the fused bias epilogue against an
-// explicit reference at a few-tile and a many-tile shape.
-func TestGEMMEpilogueBias(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, dims := range [][3]int{{5, 7, 9}, {100, 80, 70}} {
-		m, k, n := dims[0], dims[1], dims[2]
-		a := randTensor(rng, m, k)
-		bt := randTensor(rng, n, k)
-		bias := randTensor(rng, n)
-		want := New(m, n)
-		naiveMatMulTransBInto(want, a, bt)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				want.Data()[i*n+j] += bias.Data()[j]
-			}
-		}
-		got := New(m, n)
-		MatMulTransBBiasInto(got, a, bt, bias)
-		logOutput(got)
-		if d := maxAbsDiff(want, got); d > 1e-10 {
-			t.Fatalf("bias epilogue m=%d k=%d n=%d: max diff %g", m, k, n, d)
-		}
-	}
-}
-
-// TestGEMMEpilogueBiasReLU checks the fused bias+ReLU epilogue at a
-// few-tile, a many-tile and a three-panel shape: the output is positive
-// exactly where the pre-activation was, which is what ReLU's backward
-// pass reads off it.
-func TestGEMMEpilogueBiasReLU(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, dims := range [][3]int{{5, 7, 9}, {100, 80, 70}, {37, 2*gemmKC + 19, 21}} {
-		m, k, n := dims[0], dims[1], dims[2]
-		a := randTensor(rng, m, k)
-		bt := randTensor(rng, n, k)
-		bias := randTensor(rng, n)
-		pre := New(m, n)
-		naiveMatMulTransBInto(pre, a, bt)
-		got := New(m, n)
-		MatMulTransBBiasReLUInto(got, a, bt, bias)
-		logOutput(got)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				v := pre.Data()[i*n+j] + bias.Data()[j]
-				wantMask := v > 0
-				if !wantMask {
-					v = 0
-				}
-				idx := i*n + j
-				if math.Abs(got.Data()[idx]-v) > 1e-10 {
-					t.Fatalf("relu epilogue value (%d,%d): got %g want %g", i, j, got.Data()[idx], v)
-				}
-				if (got.Data()[idx] > 0) != wantMask {
-					t.Fatalf("relu sign (%d,%d): output %g, pre-activation positive %v", i, j, got.Data()[idx], wantMask)
-				}
-			}
-		}
-	}
-}
-
 // withLanes runs f with the lane pool resized to n, restoring the previous
 // capacity afterwards.
 func withLanes(t *testing.T, n int, f func()) {
@@ -205,109 +43,6 @@ func withLanes(t *testing.T, n int, f func()) {
 	SetMaxLanes(n)
 	defer SetMaxLanes(old)
 	f()
-}
-
-// TestGEMMBitIdenticalAcrossLanes verifies the kernel's core determinism
-// claim: on a shape spanning multiple grid cells and k-panels (so the
-// parallel path genuinely fans out), results are bit-identical for every
-// lane count, mirroring the federated engines' bit-identical-history
-// guarantee in internal/fl/parallel_test.go.
-func TestGEMMBitIdenticalAcrossLanes(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m, k, n := 260, 300, 250 // rc=3, cc=2 cells; two k-panels; mnk ≫ parallel cutoff
-	a := randTensor(rng, m, k)
-	b := randTensor(rng, k, n)
-	at := randTensor(rng, k, m)
-	bt := randTensor(rng, n, k)
-	bias := randTensor(rng, n)
-
-	type op struct {
-		name string
-		run  func(dst *Tensor)
-	}
-	ops := []op{
-		{"MatMulInto", func(dst *Tensor) { MatMulInto(dst, a, b) }},
-		{"MatMulTransAInto", func(dst *Tensor) { MatMulTransAInto(dst, at, b) }},
-		{"MatMulTransBInto", func(dst *Tensor) { MatMulTransBInto(dst, a, bt) }},
-		{"MatMulTransBBiasReLUInto", func(dst *Tensor) { MatMulTransBBiasReLUInto(dst, a, bt, bias) }},
-	}
-	for _, o := range ops {
-		ref := New(m, n)
-		withLanes(t, 0, func() { o.run(ref) })
-		logOutput(ref)
-		for _, lanes := range []int{1, 2, 3, 8} {
-			got := New(m, n)
-			withLanes(t, lanes, func() { o.run(got) })
-			for i, v := range got.Data() {
-				if math.Float64bits(v) != math.Float64bits(ref.Data()[i]) {
-					t.Fatalf("%s: lanes=%d differs from serial at %d: %x vs %x",
-						o.name, lanes, i, math.Float64bits(v), math.Float64bits(ref.Data()[i]))
-				}
-			}
-		}
-	}
-}
-
-// TestGEMMBitIdenticalAcrossLanesF32 is the float32 instantiation of the
-// lane-determinism claim, exercising the float32 micro-kernel through the
-// parallel dispatch path.
-func TestGEMMBitIdenticalAcrossLanesF32(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	m, k, n := 260, 300, 250
-	a := randTensorOf[float32](rng, m, k)
-	b := randTensorOf[float32](rng, k, n)
-	at := randTensorOf[float32](rng, k, m)
-	bt := randTensorOf[float32](rng, n, k)
-	bias := randTensorOf[float32](rng, n)
-
-	type op struct {
-		name string
-		run  func(dst *TensorOf[float32])
-	}
-	ops := []op{
-		{"MatMulInto", func(dst *TensorOf[float32]) { MatMulInto(dst, a, b) }},
-		{"MatMulTransAInto", func(dst *TensorOf[float32]) { MatMulTransAInto(dst, at, b) }},
-		{"MatMulTransBInto", func(dst *TensorOf[float32]) { MatMulTransBInto(dst, a, bt) }},
-		{"MatMulTransBBiasReLUInto", func(dst *TensorOf[float32]) { MatMulTransBBiasReLUInto(dst, a, bt, bias) }},
-	}
-	for _, o := range ops {
-		ref := NewOf[float32](m, n)
-		withLanes(t, 0, func() { o.run(ref) })
-		logOutput(ref)
-		for _, lanes := range []int{1, 2, 3, 8} {
-			got := NewOf[float32](m, n)
-			withLanes(t, lanes, func() { o.run(got) })
-			for i, v := range got.Data() {
-				if math.Float32bits(v) != math.Float32bits(ref.Data()[i]) {
-					t.Fatalf("%s: lanes=%d differs from serial at %d: %x vs %x",
-						o.name, lanes, i, math.Float32bits(v), math.Float32bits(ref.Data()[i]))
-				}
-			}
-		}
-	}
-}
-
-// TestGEMMKZeroAndEmpty pins the degenerate-shape contract: k=0 zeroes the
-// output (then applies the epilogue), m=0 or n=0 is a no-op.
-func TestGEMMKZeroAndEmpty(t *testing.T) {
-	a := New(3, 0)
-	b := New(0, 4)
-	dst := New(3, 4)
-	dst.Fill(99)
-	MatMulInto(dst, a, b)
-	for _, v := range dst.Data() {
-		if v != 0 {
-			t.Fatalf("k=0 must zero dst, got %v", v)
-		}
-	}
-	bias := From([]float64{1, 2, 3, 4}, 4)
-	bt := New(4, 0)
-	MatMulTransBBiasInto(dst, a, bt, bias)
-	for i, v := range dst.Data() {
-		if v != bias.Data()[i%4] {
-			t.Fatalf("k=0 bias epilogue: dst[%d]=%v", i, v)
-		}
-	}
 }
 
 func TestEnsureShape(t *testing.T) {
@@ -591,16 +326,10 @@ func testKernelParity[T Float](t *testing.T, indirect bool) {
 // On an AVX host that is the 256-bit assembly and the Go twins against
 // one reference; under the purego tag (and on other architectures) the
 // twins are all there is.
-func TestMicroKernelMatchesTwin(t *testing.T) {
-	t.Run("f64", func(t *testing.T) { testKernelParity[float64](t, false) })
-	t.Run("f32", func(t *testing.T) { testKernelParity[float32](t, false) })
-}
+func TestMicroKernelMatchesTwin(t *testing.T) { conformEntry(t) }
 
 // TestMicroKernelIndMatchesTwin is the indirect column: the same kernels
 // reading a[r][l] = x[rowOff[r]+depthOff[l]] in place — offsets repeat
 // and run backwards, which the convolution tables never do — against
 // the reference and against the packed kernel fed the gathered panel.
-func TestMicroKernelIndMatchesTwin(t *testing.T) {
-	t.Run("f64", func(t *testing.T) { testKernelParity[float64](t, true) })
-	t.Run("f32", func(t *testing.T) { testKernelParity[float32](t, true) })
-}
+func TestMicroKernelIndMatchesTwin(t *testing.T) { conformEntry(t) }

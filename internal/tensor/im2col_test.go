@@ -3,8 +3,8 @@ package tensor
 // Materialized im2col lowering: the reference oracle for the pack-free
 // convolution kernels (convgemm.go). Nothing outside the tests builds
 // these matrices — the blocked GEMM reads the same patch elements in
-// place from the input tensor — and the property tests in conv_test.go
-// verify the kernels bit-for-bit against this lowering.
+// place from the input tensor — and the conformance table
+// (conform_test.go) holds the kernels to this lowering bit for bit.
 
 // im2col lowers a batch of images (N, C, H, W) into a matrix of patch
 // columns so that a convolution with kernel (KH, KW), stride and padding
@@ -61,19 +61,12 @@ func im2colInto[T Float](cols, x *TensorOf[T], kh, kw, stride, pad int) {
 	}
 }
 
-// col2im is the adjoint of im2col: it scatters patch-column gradients back
-// into an image gradient of shape (N, C, H, W), accumulating overlaps.
-func col2im[T Float](cols *TensorOf[T], n, c, h, w, kh, kw, stride, pad int) *TensorOf[T] {
-	x := NewOf[T](n, c, h, w)
-	col2imInto(x, cols, kh, kw, stride, pad)
-	return x
-}
-
-// col2imInto is col2im scattering into a preallocated (N, C, H, W)
-// tensor, zeroing it first. The scatter order — ascending patch row,
-// then ascending (channel, ky, kx) within the row — is the accumulation
-// order the implicit-GEMM input-gradient kernel reproduces chunk by
-// chunk (see ConvGradInputInto).
+// col2imInto is the adjoint of im2col: it scatters patch-column
+// gradients back into a preallocated image gradient of shape (N, C, H,
+// W), zeroing it first and accumulating overlaps. The scatter order —
+// ascending patch row, then ascending (channel, ky, kx) within the row —
+// is the accumulation order the implicit-GEMM input-gradient kernel
+// reproduces chunk by chunk (see ConvGradInputInto).
 func col2imInto[T Float](x, cols *TensorOf[T], kh, kw, stride, pad int) {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh := (h+2*pad-kh)/stride + 1

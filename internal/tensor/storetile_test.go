@@ -197,7 +197,7 @@ func TestPackBOncePerColumnBlock(t *testing.T) {
 		{3*gemmMC + 7, 2*gemmNC + 5, gemmKC, 3},         // three column blocks
 		{2 * gemmMC, gemmNC + 1, gemmKC + 1, 2 * 2 * 2}, // two k-panels: every cell packs both
 	} {
-		a, b := randTensor(rng, tc.m, tc.k), randTensor(rng, tc.k, tc.n)
+		a, b := randTensorOf[float64](rng, tc.m, tc.k), randTensorOf[float64](rng, tc.k, tc.n)
 		dst := New(tc.m, tc.n)
 		var got int
 		withLanes(t, 0, func() { got, _ = countGEMM(func() { MatMulInto(dst, a, b) }) })
