@@ -8,7 +8,7 @@ GO ?= go
 .PHONY: build test vet lint lint-ci \
 	fuzz-smoke \
 	fmt-check check check-nolint race race-tensor purego nofma trace-golden loc test-times \
-	bench profile-pop profile-sched profile-train profile-churn \
+	bench profile-pop profile-sched profile-train profile-churn profile-mem \
 	population-smoke fault-smoke serve-smoke exp-snapshot examples
 
 build:
@@ -92,9 +92,10 @@ race:
 # enough to gate every `make check`: the conformance table computes each
 # row once per kernel dispatch state, the second time on
 # race-instrumented Go twins. `go test -race -count=1 ./internal/tensor`
-# on 2 vCPU, median of 3 alternating runs: 38.3 s (47.8 s before the
-# table replaced the digest replay, which ran every suite test a third
-# time).
+# on 2 vCPU, median of 3 alternating runs: 32.1 s (38.6 s before the
+# per-call packing scratch and TestPackPooledMatchesPosChan's span-only
+# checks; 47.8 s before the table replaced the digest replay, which ran
+# every suite test a third time).
 race-tensor:
 	$(GO) test -race ./internal/tensor/...
 
@@ -112,8 +113,12 @@ purego: nofma
 # The no-FMA contract. For the Go code: the Go spec lets arm64, ppc64le,
 # s390x and riscv64 fuse x*y + z into one rounding unless the product is
 # explicitly converted (c += T(a*b)); the kernels' bit-identity with the
-# assembly, and of one platform's weights, virtual seconds and joules
-# with another's, needs two. Cross-compile everything that feeds a result
+# assembly needs two roundings, and so does platform-independence of the
+# arithmetic this code writes. That is not platform-independence of every
+# result: math.Exp runs per-CPU assembly (an FMA path on amd64 hosts with
+# FMA, its own on arm64), so weights, virtual seconds and joules may differ
+# in the last bits between CPUs, and the goldens compare under
+# trace.DefaultTolerances. Cross-compile everything that feeds a result
 # — the root package, internal/ and cmd/; bench/ only does timing
 # arithmetic — for arm64, read the compiler's own listing, and fail on
 # any fused multiply-add in it. For the assembly, the same way: the amd64
@@ -293,6 +298,20 @@ profile-churn:
 	$(GO) test -run '^$$' -bench 'BenchmarkServeChurn$$' -benchtime=10x \
 		-cpuprofile artifacts/churn.prof -o artifacts/churn.test ./internal/serve/
 	$(GO) tool pprof -top -cum artifacts/churn.test artifacts/churn.prof | head -60
+
+# Where the daemon's bytes are allocated — the memory twin of
+# profile-churn: run BenchmarkServeChurn (round_churn in process) and
+# BenchmarkServeMix (one engine_mix sweep of 8 fixed-seed jobs) with
+# -benchmem, whose B/op is the reproducible count to compare, and print
+# each one's alloc_space top.
+profile-mem:
+	mkdir -p artifacts
+	$(GO) test -run '^$$' -bench 'BenchmarkServeChurn$$' -benchtime=3x -benchmem \
+		-memprofile artifacts/churn_mem.prof -o artifacts/serve_mem.test ./internal/serve/
+	$(GO) tool pprof -sample_index=alloc_space -top artifacts/serve_mem.test artifacts/churn_mem.prof | head -30
+	$(GO) test -run '^$$' -bench 'BenchmarkServeMix$$' -benchtime=3x -benchmem \
+		-memprofile artifacts/mix_mem.prof -o artifacts/serve_mem.test ./internal/serve/
+	$(GO) tool pprof -sample_index=alloc_space -top artifacts/serve_mem.test artifacts/mix_mem.prof | head -30
 
 # 100K-client fixed-seed population smoke: build, solve and trace one
 # scheduling round over a fleet three orders of magnitude past the

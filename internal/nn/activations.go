@@ -7,13 +7,6 @@ import (
 	"fedsched/internal/tensor"
 )
 
-// sameStorage reports whether two tensors share the same backing array —
-// the cheap identity check behind the cached-view reuse in Flatten.
-func sameStorage[T tensor.Float](a, b *tensor.TensorOf[T]) bool {
-	ad, bd := a.Data(), b.Data()
-	return len(ad) == len(bd) && (len(ad) == 0 || &ad[0] == &bd[0])
-}
-
 // ReLUOf applies max(0, x) elementwise.
 //
 // When a ReLU directly follows a Dense or Conv2D layer, NetworkOf.Forward
@@ -23,11 +16,11 @@ func sameStorage[T tensor.Float](a, b *tensor.TensorOf[T]) bool {
 // positive exactly where its pre-activation was (NaN and ±0 included:
 // both clamp to +0), so the gradient mask is the sign of the stored
 // output and nothing else is kept. act is the live output tensor, not a
-// copy: a later forward of the same shape overwrites it in place, which
-// is why NetworkOf.Backward refuses to follow one (see Forward there).
+// copy: the next training forward overwrites it in place. An inference
+// forward writes elsewhere (see NetworkOf.Forward) and leaves it alone.
 type ReLUOf[T tensor.Float] struct {
 	act *tensor.TensorOf[T] // output of the last training forward: y, or the fused producer's
-	y   *tensor.TensorOf[T] // forward output (unfused path)
+	y   *tensor.TensorOf[T] // training forward output (unfused path)
 	dx  *tensor.TensorOf[T] // input gradient
 }
 
@@ -40,19 +33,38 @@ func (r *ReLUOf[T]) Name() string { return "ReLU" }
 // Params implements LayerOf.
 func (r *ReLUOf[T]) Params() []*ParamOf[T] { return nil }
 
-// Forward implements LayerOf.
+// Forward implements LayerOf. A training forward writes the layer's own
+// output workspace and records it in act; an inference forward writes a
+// fresh tensor (see infer).
 //
 // fedlint:hotpath
 func (r *ReLUOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
-	r.y = tensor.EnsureShape(r.y, x.Shape()...)
-	xd, yd := x.Data(), r.y.Data()
+	if !train {
+		return r.infer(x, new(inferSlot[T]))
+	}
+	r.y = r.forward(r.y, x)
+	r.act = r.y
+	return r.y
+}
+
+// infer implements inferer.
+//
+// fedlint:hotpath
+func (r *ReLUOf[T]) infer(x *tensor.TensorOf[T], s *inferSlot[T]) *tensor.TensorOf[T] {
+	s.y = r.forward(s.y, x)
+	return s.y
+}
+
+// forward sizes y like x and rectifies x into it, every element written.
+//
+// fedlint:hotpath
+func (r *ReLUOf[T]) forward(y, x *tensor.TensorOf[T]) *tensor.TensorOf[T] {
+	y = tensor.EnsureShape(y, x.Shape()...)
+	xd, yd := x.Data(), y.Data()
 	for i, v := range xd {
 		yd[i] = tensor.Select(v > 0, v, 0)
 	}
-	if train {
-		r.act = r.y
-	}
-	return r.y
+	return y
 }
 
 // Backward implements LayerOf.
@@ -73,12 +85,12 @@ func (r *ReLUOf[T]) Backward(grad *tensor.TensorOf[T]) *tensor.TensorOf[T] {
 // FlattenOf reshapes (N, ...) inputs to (N, prod(...)).
 //
 // Reshape only wraps the storage in a new header, but even that small
-// allocation recurs every batch; since upstream layers hand Flatten the
-// same workspace tensor each pass, the views are cached and reused as
-// long as the storage identity and geometry match.
+// allocation would recur every batch; so each pass re-points a cached
+// view (tensor.View) instead — the training views here, an inference
+// pass's in its slot.
 type FlattenOf[T tensor.Float] struct {
 	inShape []int
-	out     *tensor.TensorOf[T] // cached forward view
+	out     *tensor.TensorOf[T] // cached training forward view
 	back    *tensor.TensorOf[T] // cached backward view
 }
 
@@ -95,37 +107,36 @@ func (f *FlattenOf[T]) Params() []*ParamOf[T] { return nil }
 //
 // fedlint:hotpath
 func (f *FlattenOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
-	if train {
-		f.inShape = x.Shape()
+	if !train {
+		return f.infer(x, new(inferSlot[T]))
 	}
-	n := x.Dim(0)
-	cols := x.Len() / n
-	if f.out == nil || !sameStorage(f.out, x) || f.out.Dim(0) != n || f.out.Dim(1) != cols {
-		f.out = x.Reshape(n, cols)
-	}
+	f.inShape = x.Shape()
+	f.out = flat(f.out, x)
 	return f.out
+}
+
+// infer implements inferer: the view goes in s.view.
+//
+// fedlint:hotpath
+func (f *FlattenOf[T]) infer(x *tensor.TensorOf[T], s *inferSlot[T]) *tensor.TensorOf[T] {
+	s.view = flat(s.view, x)
+	return s.view
+}
+
+// flat re-points v at x viewed as (N, prod(...)).
+//
+// fedlint:hotpath
+func flat[T tensor.Float](v, x *tensor.TensorOf[T]) *tensor.TensorOf[T] {
+	n := x.Dim(0)
+	return tensor.View(v, x, n, x.Len()/n)
 }
 
 // Backward implements LayerOf.
 //
 // fedlint:hotpath
 func (f *FlattenOf[T]) Backward(grad *tensor.TensorOf[T]) *tensor.TensorOf[T] {
-	if f.back == nil || !sameStorage(f.back, grad) || !shapeEq(f.back.Shape(), f.inShape) {
-		f.back = grad.Reshape(f.inShape...)
-	}
+	f.back = tensor.View(f.back, grad, f.inShape...)
 	return f.back
-}
-
-func shapeEq(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, d := range a {
-		if b[i] != d {
-			return false
-		}
-	}
-	return true
 }
 
 // MaxPool2DOf is a 2-D max pooling layer over (N, C, H, W). The argmax
@@ -135,7 +146,7 @@ type MaxPool2DOf[T tensor.Float] struct {
 	Size, Stride int
 	argmax       []int
 	inShape      []int
-	y            *tensor.TensorOf[T] // forward output
+	y            *tensor.TensorOf[T] // training forward output
 	dx           *tensor.TensorOf[T] // input gradient
 }
 
@@ -151,10 +162,34 @@ func (p *MaxPool2DOf[T]) Name() string { return fmt.Sprintf("MaxPool2D(%d,s=%d)"
 // Params implements LayerOf.
 func (p *MaxPool2DOf[T]) Params() []*ParamOf[T] { return nil }
 
-// Forward implements LayerOf.
+// Forward implements LayerOf. A training forward writes the layer's own
+// output workspace and records the argmax Backward scatters through; an
+// inference forward writes a fresh tensor and records nothing (see infer).
 //
 // fedlint:hotpath
 func (p *MaxPool2DOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
+	if !train {
+		return p.infer(x, new(inferSlot[T]))
+	}
+	p.inShape = x.Shape()
+	p.y = p.forward(p.y, x, true)
+	return p.y
+}
+
+// infer implements inferer.
+//
+// fedlint:hotpath
+func (p *MaxPool2DOf[T]) infer(x *tensor.TensorOf[T], s *inferSlot[T]) *tensor.TensorOf[T] {
+	s.y = p.forward(s.y, x, false)
+	return s.y
+}
+
+// forward sizes y to the pooled shape of x and pools x into it; both
+// kernels write every output element. Only when train is set is the
+// argmax recorded, into p.argmax.
+//
+// fedlint:hotpath
+func (p *MaxPool2DOf[T]) forward(y, x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	if h < p.Size || w < p.Size {
 		// The truncating division below would size such an output to
@@ -163,11 +198,9 @@ func (p *MaxPool2DOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.Tens
 	}
 	oh := (h-p.Size)/p.Stride + 1
 	ow := (w-p.Size)/p.Stride + 1
-	p.y = tensor.EnsureShape(p.y, n, c, oh, ow)
-	y := p.y
+	y = tensor.EnsureShape(y, n, c, oh, ow)
 	var argmax []int // stays nil at inference: nothing is recorded
 	if train {
-		p.inShape = x.Shape()
 		if cap(p.argmax) < y.Len() {
 			p.argmax = make([]int, y.Len())
 		}
@@ -324,6 +357,9 @@ func (d *DropoutOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.Tensor
 	}
 	return d.y
 }
+
+// infer implements inferer: dropout is the identity at inference.
+func (d *DropoutOf[T]) infer(x *tensor.TensorOf[T], _ *inferSlot[T]) *tensor.TensorOf[T] { return x }
 
 // Backward implements LayerOf.
 //

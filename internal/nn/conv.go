@@ -16,11 +16,12 @@ import (
 // never materialized, not even a panel at a time. Weights have shape
 // (OutC, InC·K·K).
 //
-// The layer keeps every per-batch buffer — the output activation and the
-// two gradients — alive across batches, so on steady-state batch sizes
-// the forward and backward passes allocate nothing at all. Workspaces are
-// per layer (hence per network), so concurrently-training client networks
-// never share scratch memory. Activations and gradients stay in
+// The layer keeps every per-batch training buffer — the output
+// activation and the two gradients — alive across batches, each sized by
+// the largest batch it has held, so once the largest batch has run the
+// training forward and backward passes allocate nothing, at any batch
+// size. Workspaces are per layer (hence per network), so
+// concurrently-training client networks never share scratch memory. Activations and gradients stay in
 // (N,C,H,W) end to end: the kernels write the output, and read the
 // output gradient, through that layout directly, with the bias add — and
 // a directly following ReLU (see NetworkOf.Forward) — fused into the
@@ -33,10 +34,11 @@ type Conv2DOf[T tensor.Float] struct {
 	x              *tensor.TensorOf[T] // cached training input for backward (weight grad)
 	outH, outW     int
 
-	// Reusable workspaces, sized lazily and re-sized only when the batch
-	// geometry changes. y is overwritten by the next Forward; downstream
-	// layers consume it within the current pass.
-	y  *tensor.TensorOf[T] // forward output (N, OutC, OH, OW)
+	// Reusable workspaces, sized lazily by EnsureShape: each grows to the
+	// largest batch geometry it has held. y is overwritten by the next
+	// training Forward; downstream layers consume it within the current
+	// pass. Inference never writes them.
+	y  *tensor.TensorOf[T] // training forward output (N, OutC, OH, OW)
 	dw *tensor.TensorOf[T] // weight gradient (OutC, InC*K*K)
 	dx *tensor.TensorOf[T] // input gradient (N, InC, H, W)
 }
@@ -92,39 +94,65 @@ func (c *Conv2DOf[T]) OutSize(h, w int) (int, int) {
 	return tensor.ConvOutSize(h, c.K, c.Stride, c.Pad), tensor.ConvOutSize(w, c.K, c.Stride, c.Pad)
 }
 
-// Forward implements LayerOf. x must be (N, InC, H, W).
+// Forward implements LayerOf. x must be (N, InC, H, W). A training
+// forward writes the layer's own output workspace; an inference forward
+// a fresh tensor (see infer).
 //
 // fedlint:hotpath
 func (c *Conv2DOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
-	c.prepare(x, train)
-	tensor.ConvForwardInto(c.y, x, c.w.W, c.b.W, c.K, c.K, c.Stride, c.Pad)
+	if !train {
+		return c.infer(x, new(inferSlot[T]))
+	}
+	c.x = x
+	c.y = c.forward(c.y, x, false)
 	return c.y
+}
+
+// infer implements inferer.
+//
+// fedlint:hotpath
+func (c *Conv2DOf[T]) infer(x *tensor.TensorOf[T], s *inferSlot[T]) *tensor.TensorOf[T] {
+	s.y = c.forward(s.y, x, false)
+	return s.y
 }
 
 // forwardFusedReLU implements reluFused: the activation clamp rides
 // along in the kernel epilogue, and r differentiates through c.y.
 //
 // fedlint:hotpath
-func (c *Conv2DOf[T]) forwardFusedReLU(x *tensor.TensorOf[T], train bool, r *ReLUOf[T]) *tensor.TensorOf[T] {
-	c.prepare(x, train)
-	tensor.ConvForwardReLUInto(c.y, x, c.w.W, c.b.W, c.K, c.K, c.Stride, c.Pad)
-	if train {
-		r.act = c.y
-	}
+func (c *Conv2DOf[T]) forwardFusedReLU(x *tensor.TensorOf[T], r *ReLUOf[T]) *tensor.TensorOf[T] {
+	c.x = x
+	c.y = c.forward(c.y, x, true)
+	r.act = c.y
 	return c.y
 }
 
-// prepare validates x, records the geometry, sizes the output workspace
-// and — only when training — keeps x for the backward pass.
-func (c *Conv2DOf[T]) prepare(x *tensor.TensorOf[T], train bool) {
+// inferFusedReLU implements reluFused.
+//
+// fedlint:hotpath
+func (c *Conv2DOf[T]) inferFusedReLU(x *tensor.TensorOf[T], s *inferSlot[T]) *tensor.TensorOf[T] {
+	s.y = c.forward(s.y, x, true)
+	return s.y
+}
+
+// forward validates x, records the geometry, sizes y with EnsureShape
+// and convolves into it — rectified when relu is set — returning it.
+// The GEMM writes every element of y (C·KH·KW ≥ 1, so its first k-panel
+// stores each one), so a reused y needs no clearing.
+//
+// fedlint:hotpath
+func (c *Conv2DOf[T]) forward(y, x *tensor.TensorOf[T], relu bool) *tensor.TensorOf[T] {
 	if x.Rank() != 4 || x.Dim(1) != c.InC {
 		panic(fmt.Sprintf("nn: %s got input %v", c.Name(), x.Shape()))
 	}
 	c.SetInputSize(x.Dim(2), x.Dim(3))
-	if train {
-		c.x = x
+	y = tensor.EnsureShape(y, x.Dim(0), c.OutC, c.outH, c.outW)
+	if relu {
+		tensor.ConvForwardReLUInto(y, x, c.w.W, c.b.W, c.K, c.K, c.Stride, c.Pad)
+	} else {
+		tensor.ConvForwardInto(y, x, c.w.W, c.b.W, c.K, c.K, c.Stride, c.Pad)
 	}
-	c.y = tensor.EnsureShape(c.y, x.Dim(0), c.OutC, c.outH, c.outW)
+	return y
 }
 
 // Backward implements LayerOf. grad must be (N, OutC, OH, OW). The returned

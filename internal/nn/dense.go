@@ -10,19 +10,20 @@ import (
 
 // DenseOf is a fully-connected layer: y = x·Wᵀ + b with W of shape (out, in).
 //
-// Like Conv2DOf, the layer keeps its output and gradient workspaces alive
-// across batches (y, dw, dx below), so a steady-state training step
-// allocates nothing. The bias add is fused into the matmul epilogue, and
-// when a ReLU immediately follows (see NetworkOf.Forward), the activation
-// is fused in as well.
+// Like Conv2DOf, the layer keeps its training output and gradient
+// workspaces alive across batches (y, dw, dx below), so once the largest
+// batch has run a training step allocates nothing. The bias add is fused
+// into the matmul epilogue, and when a ReLU immediately follows (see
+// NetworkOf.Forward), the activation is fused in as well.
 type DenseOf[T tensor.Float] struct {
 	In, Out int
 	w, b    *ParamOf[T]
 	x       *tensor.TensorOf[T] // cached training input for backward
 
-	// Reusable workspaces, sized lazily. y is overwritten by the next
-	// Forward; downstream layers consume it within the current pass.
-	y  *tensor.TensorOf[T] // forward output (N, Out)
+	// Reusable workspaces, sized lazily by EnsureShape. y is overwritten
+	// by the next training Forward; downstream layers consume it within
+	// the current pass. Inference never writes them.
+	y  *tensor.TensorOf[T] // training forward output (N, Out)
 	dw *tensor.TensorOf[T] // weight gradient (Out, In)
 	dx *tensor.TensorOf[T] // input gradient (N, In)
 }
@@ -57,38 +58,64 @@ func (d *DenseOf[T]) Params() []*ParamOf[T] { return []*ParamOf[T]{d.w, d.b} }
 // FlopsPerSample implements FlopsCounter: one multiply-add per weight.
 func (d *DenseOf[T]) FlopsPerSample() float64 { return 2 * float64(d.In) * float64(d.Out) }
 
-// Forward implements LayerOf. x must be (N, In).
+// Forward implements LayerOf. x must be (N, In). A training forward
+// writes the layer's own output workspace; an inference forward a fresh
+// tensor (see infer).
 //
 // fedlint:hotpath
 func (d *DenseOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
-	d.prepare(x, train)
-	tensor.MatMulTransBBiasInto(d.y, x, d.w.W, d.b.W) // (N,in)·(out,in)ᵀ + b
+	if !train {
+		return d.infer(x, new(inferSlot[T]))
+	}
+	d.x = x
+	d.y = d.forward(d.y, x, false)
 	return d.y
+}
+
+// infer implements inferer.
+//
+// fedlint:hotpath
+func (d *DenseOf[T]) infer(x *tensor.TensorOf[T], s *inferSlot[T]) *tensor.TensorOf[T] {
+	s.y = d.forward(s.y, x, false)
+	return s.y
 }
 
 // forwardFusedReLU implements reluFused: it additionally rectifies the
 // output in the kernel epilogue, and r differentiates through d.y.
 //
 // fedlint:hotpath
-func (d *DenseOf[T]) forwardFusedReLU(x *tensor.TensorOf[T], train bool, r *ReLUOf[T]) *tensor.TensorOf[T] {
-	d.prepare(x, train)
-	tensor.MatMulTransBBiasReLUInto(d.y, x, d.w.W, d.b.W)
-	if train {
-		r.act = d.y
-	}
+func (d *DenseOf[T]) forwardFusedReLU(x *tensor.TensorOf[T], r *ReLUOf[T]) *tensor.TensorOf[T] {
+	d.x = x
+	d.y = d.forward(d.y, x, true)
+	r.act = d.y
 	return d.y
 }
 
-// prepare validates x, sizes the output workspace and — only when
-// training — keeps x for the backward pass.
-func (d *DenseOf[T]) prepare(x *tensor.TensorOf[T], train bool) {
+// inferFusedReLU implements reluFused.
+//
+// fedlint:hotpath
+func (d *DenseOf[T]) inferFusedReLU(x *tensor.TensorOf[T], s *inferSlot[T]) *tensor.TensorOf[T] {
+	s.y = d.forward(s.y, x, true)
+	return s.y
+}
+
+// forward validates x, sizes y with EnsureShape and computes the layer
+// into it — rectified when relu is set — returning it. The GEMM writes
+// every element of y (its first k-panel stores, and k = 0 stores the
+// epilogue of zero), so a reused y needs no clearing.
+//
+// fedlint:hotpath
+func (d *DenseOf[T]) forward(y, x *tensor.TensorOf[T], relu bool) *tensor.TensorOf[T] {
 	if x.Rank() != 2 || x.Dim(1) != d.In {
 		panic(fmt.Sprintf("nn: %s got input %v", d.Name(), x.Shape()))
 	}
-	if train {
-		d.x = x
+	y = tensor.EnsureShape(y, x.Dim(0), d.Out)
+	if relu {
+		tensor.MatMulTransBBiasReLUInto(y, x, d.w.W, d.b.W)
+	} else {
+		tensor.MatMulTransBBiasInto(y, x, d.w.W, d.b.W) // (N,in)·(out,in)ᵀ + b
 	}
-	d.y = tensor.EnsureShape(d.y, x.Dim(0), d.Out)
+	return y
 }
 
 // Backward implements LayerOf. grad must be (N, Out). The returned input

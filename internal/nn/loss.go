@@ -67,8 +67,12 @@ func SoftmaxCrossEntropyInto[T tensor.Float](grad, logits *tensor.TensorOf[T], l
 
 // Argmax returns the index of the largest value in each row of a 2-D tensor.
 func Argmax[T tensor.Float](x *tensor.TensorOf[T]) []int {
+	return argmaxInto(make([]int, x.Dim(0)), x)
+}
+
+// argmaxInto is Argmax writing into out, which holds one entry per row.
+func argmaxInto[T tensor.Float](out []int, x *tensor.TensorOf[T]) []int {
 	n, k := x.Dim(0), x.Dim(1)
-	out := make([]int, n)
 	d := x.Data()
 	for i := 0; i < n; i++ {
 		row := d[i*k : (i+1)*k]

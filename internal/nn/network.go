@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"fedsched/internal/tensor"
 )
@@ -46,9 +47,45 @@ type Network = NetworkOf[float64]
 // uses it as a peephole — the ReLU layer's own Forward is skipped, while
 // its Backward (which only reads the sign of that output) runs unchanged,
 // so fusion never alters results, only removes a full pass over the
-// activation tensor.
+// activation tensor. forwardFusedReLU is the training pass,
+// inferFusedReLU the inference one (see inferer).
 type reluFused[T tensor.Float] interface {
-	forwardFusedReLU(x *tensor.TensorOf[T], train bool, r *ReLUOf[T]) *tensor.TensorOf[T]
+	forwardFusedReLU(x *tensor.TensorOf[T], r *ReLUOf[T]) *tensor.TensorOf[T]
+	inferFusedReLU(x *tensor.TensorOf[T], s *inferSlot[T]) *tensor.TensorOf[T]
+}
+
+// inferSlot holds one layer's output in an inference pass: y for a layer
+// that computes its output, view for one that hands its input on
+// reshaped (Flatten). The two are kept apart, so a computed output is
+// never written through a view of another slot's storage.
+type inferSlot[T tensor.Float] struct{ y, view *tensor.TensorOf[T] }
+
+// inferer is implemented by every layer of this package: infer is
+// Forward(x, false) with the output kept in s instead of in the layer,
+// so an inference pass writes nothing a training forward left for
+// Backward. Each layer's Forward(x, false) is infer into a fresh slot.
+type inferer[T tensor.Float] interface {
+	infer(x *tensor.TensorOf[T], s *inferSlot[T]) *tensor.TensorOf[T]
+}
+
+// inferBank is the working memory of one inference pass through a
+// network, one slot per layer. Predict borrows a bank from inferPool for
+// the length of the call, so the networks of an element type share a
+// few banks, each grown to the largest batch it has evaluated, and no
+// network keeps eval-sized outputs of its own.
+type inferBank[T tensor.Float] struct{ slots []inferSlot[T] }
+
+var (
+	inferPool64 = sync.Pool{New: func() any { return new(inferBank[float64]) }}
+	inferPool32 = sync.Pool{New: func() any { return new(inferBank[float32]) }}
+)
+
+// inferPool returns the bank pool of element type T.
+func inferPool[T tensor.Float]() *sync.Pool {
+	if _, ok := any((*T)(nil)).(*float32); ok {
+		return &inferPool32
+	}
+	return &inferPool64
 }
 
 // paramsBackward is implemented by the parameterized layers (Dense,
@@ -70,31 +107,73 @@ func NewNetworkOf[T tensor.Float](arch string, layers ...LayerOf[T]) *NetworkOf[
 
 // Forward runs all layers and returns the logits. Dense/Conv2D layers
 // directly followed by a ReLU run as one fused kernel (see reluFused).
-// Only a training forward (train = true) leaves behind what Backward
-// needs — cached inputs, ReLU activations, pooling argmax — so inference
-// between two training steps disturbs nothing. Between a training
-// forward and its Backward, inference is safe at another batch size
-// only: the cached inputs and activations are the layers' own output
-// tensors, which a pass of the same shape overwrites in place, and
-// Backward refuses to run on them.
+// A training forward (train = true) writes each layer's output into the
+// layer's own workspace and leaves behind what Backward needs — cached
+// inputs, ReLU activations, pooling argmax. An inference forward writes
+// none of that: its outputs go to a bank of their own (see infer), here
+// a fresh one, so the logits returned are the caller's. Inference at any
+// batch size therefore leaves training state alone; a same-batch-size
+// inference between a training forward and its Backward still makes
+// Backward refuse to run, since a layer from outside this package (no
+// inferer) runs its own Forward(x, false) and may overwrite what it
+// cached.
 //
 // fedlint:hotpath
 func (n *NetworkOf[T]) Forward(x *tensor.TensorOf[T], train bool) *tensor.TensorOf[T] {
-	if train {
-		n.fwdBatch = x.Dim(0)
-	} else if x.Dim(0) == n.fwdBatch {
+	if !train {
+		return n.infer(x, new(inferBank[T]))
+	}
+	n.fwdBatch = x.Dim(0)
+	for i := 0; i < len(n.Layers); i++ {
+		if f, r := n.fusedAt(i); f != nil {
+			x = f.forwardFusedReLU(x, r)
+			i++ // the ReLU already ran inside the producer's kernel
+			continue
+		}
+		x = n.Layers[i].Forward(x, true)
+	}
+	return x
+}
+
+// fusedAt returns layer i as a reluFused producer, with the ReLU that
+// directly follows it, or nil when Forward runs layer i on its own.
+func (n *NetworkOf[T]) fusedAt(i int) (reluFused[T], *ReLUOf[T]) {
+	f, ok := n.Layers[i].(reluFused[T])
+	if !ok || i+1 == len(n.Layers) {
+		return nil, nil
+	}
+	r, ok := n.Layers[i+1].(*ReLUOf[T])
+	if !ok {
+		return nil, nil
+	}
+	return f, r
+}
+
+// infer is Forward's inference pass, with layer i's output kept in slot i
+// of b.
+//
+// fedlint:hotpath
+func (n *NetworkOf[T]) infer(x *tensor.TensorOf[T], b *inferBank[T]) *tensor.TensorOf[T] {
+	if x.Dim(0) == n.fwdBatch {
 		n.fwdBatch = 0
 	}
+	if len(b.slots) < len(n.Layers) {
+		slots := make([]inferSlot[T], len(n.Layers))
+		copy(slots, b.slots)
+		b.slots = slots
+	}
 	for i := 0; i < len(n.Layers); i++ {
-		l := n.Layers[i]
-		if f, ok := l.(reluFused[T]); ok && i+1 < len(n.Layers) {
-			if r, ok := n.Layers[i+1].(*ReLUOf[T]); ok {
-				x = f.forwardFusedReLU(x, train, r)
-				i++ // the ReLU already ran inside the producer's kernel
-				continue
-			}
+		s := &b.slots[i]
+		if f, _ := n.fusedAt(i); f != nil {
+			x = f.inferFusedReLU(x, s)
+			i++
+			continue
 		}
-		x = l.Forward(x, train)
+		if l, ok := n.Layers[i].(inferer[T]); ok {
+			x = l.infer(x, s)
+		} else {
+			x = n.Layers[i].Forward(x, false)
+		}
 	}
 	return x
 }
@@ -168,9 +247,20 @@ func (n *NetworkOf[T]) TrainBatch(x *tensor.TensorOf[T], labels []int) float64 {
 	return loss
 }
 
-// Predict returns the predicted class per sample.
+// Predict returns the predicted class per sample. The layer outputs live
+// in a bank borrowed from inferPool for the call.
 func (n *NetworkOf[T]) Predict(x *tensor.TensorOf[T]) []int {
-	return Argmax(n.Forward(x, false))
+	return n.predictInto(make([]int, x.Dim(0)), x)
+}
+
+// predictInto is Predict writing into dst, which holds one entry per
+// sample.
+func (n *NetworkOf[T]) predictInto(dst []int, x *tensor.TensorOf[T]) []int {
+	pool := inferPool[T]()
+	b := pool.Get().(*inferBank[T])
+	argmaxInto(dst, n.infer(x, b))
+	pool.Put(b)
+	return dst
 }
 
 // Params returns every trainable parameter in layer order.

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"fedsched/internal/tensor"
@@ -289,8 +290,8 @@ func TestGetSetWeightsRoundTrip(t *testing.T) {
 	w := n1.GetWeights()
 	n2.SetWeights(w)
 	x := tensor.Randn(rng, 1, 2, 1, 16, 16)
-	// Forward returns a per-network workspace that the next Forward on the
-	// same network overwrites, so snapshot y1 before re-running n1.
+	// An inference Forward returns logits the caller owns; the snapshot
+	// keeps y1 apart from n1 whatever Forward hands out.
 	y1 := n1.Forward(x, false).Clone()
 	y2 := n2.Forward(x, false)
 	if !tensor.Equal(y1, y2, 1e-12) {
@@ -613,6 +614,83 @@ func TestTrainBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// testAllocsAcrossGeometries pins the allocation-free steady state across
+// the batch geometries a client goes through: a full TrainBatch at 20, an
+// epoch's ragged last batch at 16 and an evaluation Predict at 100. After
+// one warm-up cycle, a cycle allocates nothing: the layer workspaces keep
+// their storage across geometries (tensor.EnsureShape), the Predict
+// borrows its outputs from the bank pool, and the GEMM scratch is pooled.
+// The slack is TestTrainBatchSteadyStateAllocs's. The pooled GEMM scratch
+// then holds no more than the largest blocks of the cycle's GEMMs, listed
+// below and rounded up to the widest register tile (8×8).
+func testAllocsAcrossGeometries[T tensor.Float](t *testing.T) {
+	old := tensor.MaxLanes()
+	tensor.SetMaxLanes(0)
+	defer tensor.SetMaxLanes(old)
+	rng := rand.New(rand.NewSource(15))
+	net := BuildNetwork[T](LeNetSmall(1, 16, 16, 10), rng)
+	full := tensor.RandnOf[T](rng, 1, 20, 1, 16, 16)
+	ragged := tensor.RandnOf[T](rng, 1, 16, 1, 16, 16)
+	eval := tensor.RandnOf[T](rng, 1, 100, 1, 16, 16)
+	labels := make([]int, 20)
+	for i := range labels {
+		labels[i] = i % 10
+	}
+	preds := make([]int, 100)
+	cycle := func() {
+		net.TrainBatch(full, labels)
+		net.TrainBatch(ragged, labels[:16])
+		net.predictInto(preds, eval)
+	}
+	// Two collections empty the pools of what earlier tests grew, so
+	// the warm-up cycle sizes every workspace and scratch afresh.
+	runtime.GC()
+	runtime.GC()
+	cycle()
+	if avg := testing.AllocsPerRun(10, cycle); avg > 0.5 && !raceEnabled {
+		t.Fatalf("a train 20 / train 16 / predict 100 cycle allocates %.1f objects/run, want 0", avg)
+	}
+	if raceEnabled {
+		return // the race detector drops pooled items at random
+	}
+	// LeNet-S's GEMMs at batch N ∈ {20, 16} (training) and 100
+	// (inference), as m, n, k and whether A is packed: conv1 and conv2
+	// forward, dense 48→48 and 48→10 forward, their weight and input
+	// gradients, and the two conv blocks' weight gradients and conv2's
+	// input gradient in chunks of ⌊2¹⁴/150⌋ = 109 rows.
+	var needA, needB int
+	block := func(m, n, k int, packA bool) {
+		kc := min(256, k)
+		if packA {
+			needA = max(needA, (min(128, m)+7)/8*8*kc)
+		}
+		needB = max(needB, (min(240, n)+7)/8*8*kc)
+	}
+	for _, batch := range []int{20, 16, 100} {
+		block(batch*256, 6, 25, false)
+		block(batch*16, 12, 150, false)
+		block(batch, 48, 48, true)
+		block(batch, 10, 48, true)
+	}
+	for _, batch := range []int{20, 16} {
+		block(10, 48, batch, true)
+		block(batch, 48, 10, true)
+		block(48, 48, batch, true)
+		block(batch, 48, 48, true)
+		block(150, 12, batch*16, false)
+		block(min(109, batch*16), 150, 12, true)
+		block(25, 6, batch*256, false)
+	}
+	if a, b := tensor.GemmScratchHeld[T](); a > needA || b > needB {
+		t.Fatalf("pooled GEMM scratch holds %d + %d elements, the cycle's largest blocks need %d + %d", a, b, needA, needB)
+	}
+}
+
+func TestAllocsAcrossGeometries(t *testing.T) {
+	t.Run("f64", testAllocsAcrossGeometries[float64])
+	t.Run("f32", testAllocsAcrossGeometries[float32])
+}
+
 // benchLeNetSmallTrainBatch times the full local-training step (forward,
 // loss, backward, SGD) on the network every benchmark job trains —
 // LeNet-S on 16×16 inputs, at batch 20 (train_heavy's shape) or 5
@@ -670,9 +748,9 @@ func sameBits[T tensor.Float](a, b []T) (int, bool) {
 // the backward pass reads, so Predict calls — between steps at any batch
 // size, between a step's forward and backward at another one — leave
 // the loss and weight sequence of training bit-identical. A Predict of
-// the training batch's shape between forward and backward overwrites
-// the activations Backward differentiates through, and Backward panics
-// rather than use them.
+// the training batch's size between forward and backward still makes
+// Backward panic: the guard is kept for layers from outside this
+// package, whose Forward(x, false) may overwrite what they cached.
 func testPredictInterleaved[T tensor.Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	plain := BuildNetwork[T](LeNetSmall(1, 16, 16, 10), rng)

@@ -694,3 +694,60 @@ func BenchmarkServeChurn(b *testing.B) {
 	}
 	b.ReportMetric(float64(2*rounds*b.N)/b.Elapsed().Seconds(), "rounds/s")
 }
+
+// mixFaults is the fault plan of the sync-faulty jobs in BenchmarkServeMix.
+const mixFaults = "crash=0.15,flap=0.1,corrupt=0.05,degrade=0.3,slow=4"
+
+// serveMixJobs is one sweep of the benchmark's engine_mix workload,
+// written out: two faulty sync jobs on testbed III, two async and two
+// gossip jobs, one f32 job under the proportional scheduler and one on
+// the synthetic CIFAR stand-in, each on 300 training and 100 test
+// samples at one worker. The seeds are fixed, so every sweep runs the
+// same jobs.
+var serveMixJobs = []JobConfig{
+	{Name: "faulty", Testbed: 3, CohortSize: 8, Quorum: 6, MinParticipants: 3, Faults: mixFaults, Seed: 11},
+	{Name: "async", Engine: "async", Testbed: 1, MaxUpdates: 24, Seed: 12},
+	{Name: "gossip", Engine: "gossip", Clients: 6, Rounds: 3, Topology: "random", Seed: 13},
+	{Name: "f32-prop", Testbed: 1, Scheduler: "prop", Precision: "f32", Seed: 14},
+	{Name: "scifar", Dataset: "scifar", Clients: 4, Seed: 15},
+	{Name: "faulty", Testbed: 3, CohortSize: 8, Quorum: 6, MinParticipants: 3, Faults: mixFaults, Seed: 16},
+	{Name: "async", Engine: "async", Testbed: 1, MaxUpdates: 24, Seed: 17},
+	{Name: "gossip", Engine: "gossip", Clients: 6, Rounds: 3, Topology: "random", Seed: 18},
+}
+
+// BenchmarkServeMix is the benchmark's engine_mix workload in process,
+// for counting what a sweep allocates (`make profile-mem`): the eight
+// jobs of serveMixJobs are queued at once on a Server with the daemon's
+// benchmark settings (two running slots, a lane budget of two) and
+// polled every 5 ms until all have completed. One iteration is one sweep.
+func BenchmarkServeMix(b *testing.B) {
+	_, ts := startServer(b, Options{MaxRunning: 2, LaneBudget: 2})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ids := make([]string, len(serveMixJobs))
+		for j, cfg := range serveMixJobs {
+			cfg.Samples, cfg.TestSamples, cfg.Workers = 300, 100, 1
+			body, err := json.Marshal(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			st, resp := submit(b, ts, string(body))
+			if resp.StatusCode != http.StatusAccepted {
+				b.Fatalf("submit %s: HTTP %d", body, resp.StatusCode)
+			}
+			ids[j] = st.ID
+		}
+		for running := len(ids); running > 0; time.Sleep(5 * time.Millisecond) {
+			running = 0
+			for _, id := range ids {
+				switch st := getStatus(b, ts, id); {
+				case !terminal(st.State):
+					running++
+				case st.State != StateCompleted:
+					b.Fatalf("job ended %+v", st)
+				}
+			}
+		}
+	}
+}

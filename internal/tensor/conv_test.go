@@ -313,8 +313,18 @@ func testPackPooledMatchesPosChan[T Float](t *testing.T) {
 		ps := packSrc[T]{d: g.data, kind: srcPooled, view: matView[T]{sp: sp, ch: tc.ch},
 			y: y.data, argmax: argmax, ph: ph, pw: pw, band: tc.size * tc.ow}
 		rows := tc.n * sp
-		want := make([]T, gemmMC*gemmKC+gemmKC*gemmNC)
-		got := make([]T, len(want))
+		// Each block is packed into, and compared over, exactly the span
+		// it owns — ⌈rows/w⌉·w by its depth — cut to that capacity, so a
+		// packer writing past its span panics instead of going unseen.
+		wantBuf, gotBuf := make([]T, gemmKC*gemmNC), make([]T, gemmKC*gemmNC)
+		var want, got []T
+		span := func(rows, w, depth int) {
+			n := (rows + w - 1) / w * w * depth
+			want, got = wantBuf[:n:n], gotBuf[:n:n]
+			for i := range want {
+				want[i], got[i] = 7, 7
+			}
+		}
 		check := func(what string, i0, p0, a, b, w int) {
 			t.Helper()
 			for i := range want {
@@ -328,9 +338,7 @@ func testPackPooledMatchesPosChan[T Float](t *testing.T) {
 			for _, i0 := range []int{0, 3, sp - 1, sp + tc.ow + 1, max(0, rows-gemmMC), rows - 5} {
 				for _, p0 := range []int{0, 1} {
 					mc, kc := min(gemmMC, rows-i0), tc.ch-p0
-					for i := range want {
-						want[i], got[i] = 7, 7
-					}
+					span(mc, w, kc)
 					packAPosChan(want, &gv, i0, p0, mc, kc, w)
 					src := ps.fromRow(i0)
 					src.packIntoA(got, 0, p0, mc, kc, w)
@@ -343,9 +351,7 @@ func testPackPooledMatchesPosChan[T Float](t *testing.T) {
 						continue
 					}
 					kc, nc := min(gemmKC, rows-p0), tc.ch-j0
-					for i := range want {
-						want[i], got[i] = 7, 7
-					}
+					span(nc, w, kc)
 					packBPosChan(want, &gv, p0, j0, kc, nc, w)
 					ps.packIntoB(got, p0, j0, kc, nc, w)
 					check("B", p0, j0, kc, nc, w)

@@ -83,7 +83,7 @@ func convScratchPool[T Float]() *sync.Pool {
 // grow returns s.buf resized to n elements, contents unspecified.
 func (s *convScratch[T]) grow(n int) []T {
 	if cap(s.buf) < n {
-		s.buf = make([]T, n) //fedlint:allow hotalloc — grows once per conv geometry, pooled and reused thereafter
+		s.buf = make([]T, n) //fedlint:allow hotalloc — grows only past the largest geometry this pooled scratch has served; every smaller one reuses it
 	}
 	return s.buf[:n]
 }
@@ -105,7 +105,7 @@ func (s *convScratch[T]) im2col(xd []T, g *convGeom) (x []T, pos, tap []int) {
 	const slack = gemmMaxMR - 1
 	rows, cols := g.rows(), g.cols()
 	if need := rows + cols + 2*slack; cap(s.offs) < need {
-		s.offs = make([]int, need) //fedlint:allow hotalloc — grows once per conv geometry, pooled and reused thereafter
+		s.offs = make([]int, need) //fedlint:allow hotalloc — grows only past the largest geometry this pooled scratch has served; every smaller one reuses it
 	}
 	pos = s.offs[:rows+slack]
 	tap = s.offs[rows+slack:][:cols+slack]

@@ -222,9 +222,11 @@ func (p *packSrc[T]) packIntoB(bp []T, p0, j0, kc, nc, nr int) {
 // gemmScratch is one goroutine's packing workspace. Pooled per element
 // type so that concurrently-training clients (and concurrent GEMM lanes)
 // never share scratch, while steady-state training allocates nothing.
+// It starts empty and is sized by the calls it serves (see fit), not by
+// the largest block the grid allows.
 type gemmScratch[T Float] struct {
-	ap []T // packed A block, gemmMC×gemmKC
-	bp []T // packed B block, gemmKC×gemmNC
+	ap []T // packed A block, at most gemmMC×gemmKC
+	bp []T // packed B block, at most gemmKC×gemmNC
 	// bp holds the B panel at (bP0, bJ0) of the current gemmBlockedOps
 	// call, bP0 < 0 for none: a panel depends on nothing else, so the
 	// cells of one column block share it instead of re-packing per cell.
@@ -232,30 +234,41 @@ type gemmScratch[T Float] struct {
 }
 
 // getGemmScratch takes a scratch from pool for one gemmBlockedOps call
-// (one lane of it), holding no panel of an earlier call's B.
-func getGemmScratch[T Float](pool *sync.Pool) *gemmScratch[T] {
+// (one lane of it) of an m×n result over depth k, fitted to the call's
+// blocks (packA false: A is read in place) and holding no panel of an
+// earlier call's B.
+func getGemmScratch[T Float](pool *sync.Pool, m, n, k int, packA bool) *gemmScratch[T] {
 	s := pool.Get().(*gemmScratch[T])
+	mr, nr := microTile[T]()
+	s.fit(m, n, k, mr, nr, packA)
 	s.bP0 = -1
 	return s
 }
+
+// fit grows s to hold the largest blocks a call of an m×n result over
+// depth k packs with an mr×nr register tile: ⌈min(gemmMC, m)/mr⌉·mr rows
+// of A (none when packA is false) and ⌈min(gemmNC, n)/nr⌉·nr columns of
+// B, each min(gemmKC, k) deep. It never shrinks a block, so a pooled
+// scratch holds what the largest call it served needed and no more.
+func (s *gemmScratch[T]) fit(m, n, k, mr, nr int, packA bool) {
+	kc := min(gemmKC, k)
+	if need := roundUp(min(gemmMC, m), mr) * kc; packA && cap(s.ap) < need {
+		s.ap = make([]T, need) //fedlint:allow hotalloc — grows only when a call packs a larger A block than any this scratch served; pooled and reused thereafter
+	}
+	if need := roundUp(min(gemmNC, n), nr) * kc; cap(s.bp) < need {
+		s.bp = make([]T, need) //fedlint:allow hotalloc — grows only when a call packs a larger B panel than any this scratch served; pooled and reused thereafter
+	}
+}
+
+// roundUp rounds x up to a multiple of q.
+func roundUp(x, q int) int { return (x + q - 1) / q * q }
 
 // gemmCount, nil outside tests, counts the B panels packed and the tiles
 // stored through.
 var gemmCount *struct{ packB, direct atomic.Int64 }
 
-var gemmPool64 = sync.Pool{New: func() any {
-	return &gemmScratch[float64]{
-		ap: make([]float64, gemmMC*gemmKC),
-		bp: make([]float64, gemmKC*gemmNC),
-	}
-}}
-
-var gemmPool32 = sync.Pool{New: func() any {
-	return &gemmScratch[float32]{
-		ap: make([]float32, gemmMC*gemmKC),
-		bp: make([]float32, gemmKC*gemmNC),
-	}
-}}
+var gemmPool64 = sync.Pool{New: func() any { return new(gemmScratch[float64]) }}
+var gemmPool32 = sync.Pool{New: func() any { return new(gemmScratch[float32]) }}
 
 // gemmScratchPool returns the scratch pool matching element type T.
 func gemmScratchPool[T Float]() *sync.Pool {
@@ -327,7 +340,7 @@ func gemmBlockedOps[T Float](c matView[T], a, b packSrc[T], m, n, k int, e epi[T
 		return
 	}
 	pool := gemmScratchPool[T]()
-	s := getGemmScratch[T](pool)
+	s := getGemmScratch[T](pool, m, n, k, a.kind != srcIndirect)
 	for cell := 0; cell < cells; cell++ {
 		gemmCell(c, a, b, m, n, k, e, rc, cell, s)
 	}
@@ -344,10 +357,11 @@ func gemmCellsParallel[T Float](c matView[T], a, b packSrc[T], m, n, k int, e ep
 	pool := gemmScratchPool[T]()
 	// One scratch per worker: the caller's, then one per lane granted.
 	scratch := make([]*gemmScratch[T], 1, min(cells, MaxLanes()+1))
-	scratch[0] = getGemmScratch[T](pool)
+	packA := a.kind != srcIndirect
+	scratch[0] = getGemmScratch[T](pool, m, n, k, packA)
 	FanOut(cells, cells, scratch[0], func(*gemmScratch[T]) (*gemmScratch[T], bool) {
 		scratch = scratch[:len(scratch)+1]
-		scratch[len(scratch)-1] = getGemmScratch[T](pool)
+		scratch[len(scratch)-1] = getGemmScratch[T](pool, m, n, k, packA)
 		return scratch[len(scratch)-1], true
 	}, func(cell int, s *gemmScratch[T]) {
 		gemmCell(c, a, b, m, n, k, e, rc, cell, s)
@@ -631,4 +645,15 @@ func (e *epi[T]) apply(v T, j int) T {
 		v = Select(v > 0, v, 0)
 	}
 	return v
+}
+
+// GemmScratchHeld reports how many elements a pooled GEMM workspace of
+// element type T holds for its A block and its B panel: each is the
+// largest that any call it served packed. For tests and diagnostics; it
+// takes one workspace from the pool and puts it back.
+func GemmScratchHeld[T Float]() (a, b int) {
+	pool := gemmScratchPool[T]()
+	s := pool.Get().(*gemmScratch[T])
+	defer pool.Put(s)
+	return cap(s.ap), cap(s.bp)
 }

@@ -42,6 +42,7 @@ func blockedTileInto[T Float](dst, a, b *TensorOf[T], transA, transB bool, mr, n
 	c := matView[T]{d: dst.data, ld: n}
 	pool := gemmScratchPool[T]()
 	s := pool.Get().(*gemmScratch[T])
+	s.fit(m, n, k, mr, nr, true)
 	defer pool.Put(s)
 	var rowOffs [gemmMC]int
 	var acc [gemmAccLen]T

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -55,14 +56,66 @@ func TestEnsureShape(t *testing.T) {
 		t.Fatal("EnsureShape must preserve reused contents")
 	}
 	b := EnsureShape(a, 4, 3)
-	if b == a {
-		t.Fatal("EnsureShape must reallocate on shape change")
+	if b != a {
+		t.Fatal("EnsureShape must reshape in place on a shape change that fits")
 	}
 	if b.Dim(0) != 4 || b.Dim(1) != 3 || b.Data()[0] != 0 {
 		t.Fatal("EnsureShape reallocation must be zeroed with the new shape")
 	}
+	// A smaller shape, then the larger one again, keep the storage; one
+	// past its capacity gets a fresh tensor and leaves t alone.
+	b.Fill(5)
+	if c := EnsureShape(EnsureShape(b, 1, 5), 2, 6); c != a || c.Len() != 12 || slices.ContainsFunc(c.Data(), func(v float64) bool { return v != 0 }) {
+		t.Fatal("EnsureShape must reuse and zero the storage of a larger shape it held")
+	}
+	if d := EnsureShape(a, 13); d == a || d.Len() != 13 || a.Len() != 12 {
+		t.Fatal("EnsureShape must allocate past the capacity and leave t unchanged")
+	}
 	if got := EnsureShape[float64](nil, 2, 2); got == nil || got.Len() != 4 {
 		t.Fatal("EnsureShape must allocate for nil input")
+	}
+}
+
+// TestGemmScratchSizedByCall pins the packing scratch's sizing rule: a
+// scratch starts empty; a call grows its A block to
+// ⌈min(gemmMC, m)/mr⌉·mr·min(gemmKC, k) elements (none when A is read in
+// place) and its B panel to ⌈min(gemmNC, n)/nr⌉·nr·min(gemmKC, k); and a
+// smaller call after a larger one keeps what the larger one grew.
+func TestGemmScratchSizedByCall(t *testing.T) {
+	t.Run("f64", testGemmScratchSizedByCall[float64])
+	t.Run("f32", testGemmScratchSizedByCall[float32])
+}
+
+func testGemmScratchSizedByCall[T Float](t *testing.T) {
+	mr, nr := microTile[T]()
+	up := func(x, q int) int { return (x + q - 1) / q * q }
+	s := new(gemmScratch[T])
+	var wantA, wantB int
+	for _, c := range []struct {
+		name    string
+		m, n, k int
+		packA   bool
+	}{
+		{"LeNet-S conv1 forward at batch 20", 20 * 16 * 16, 6, 25, false},
+		{"LeNet-S dense forward at batch 100", 100, 48, 48, true},
+		{"one element", 1, 1, 1, true},
+		{"multi-panel", 150, 600, 500, true},
+		{"LeNet-S conv1 forward again", 20 * 16 * 16, 6, 25, false},
+	} {
+		s.fit(c.m, c.n, c.k, mr, nr, c.packA)
+		if c.packA {
+			wantA = max(wantA, up(min(gemmMC, c.m), mr)*min(gemmKC, c.k))
+		}
+		wantB = max(wantB, up(min(gemmNC, c.n), nr)*min(gemmKC, c.k))
+		if cap(s.ap) != wantA || cap(s.bp) != wantB {
+			t.Fatalf("%s: scratch holds %d + %d elements, want %d + %d", c.name, cap(s.ap), cap(s.bp), wantA, wantB)
+		}
+		if c.name == "LeNet-S conv1 forward at batch 20" && (cap(s.ap) != 0 || cap(s.bp) != 25*8) {
+			t.Fatalf("%s: scratch holds %d + %d elements, want no A block and a 25×8 B panel", c.name, cap(s.ap), cap(s.bp))
+		}
+	}
+	if wantA != gemmMC*gemmKC || wantB != gemmKC*gemmNC {
+		t.Fatalf("the multi-panel call grew the scratch to %d + %d elements, not to the full blocks", wantA, wantB)
 	}
 }
 

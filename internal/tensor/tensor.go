@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // TensorOf is a dense, row-major tensor over element type T. The zero
@@ -37,6 +38,15 @@ func New(shape ...int) *Tensor { return NewOf[float64](shape...) }
 // NewOf returns a zero-filled tensor of element type T with the given
 // shape. It panics if any dimension is negative.
 func NewOf[T Float](shape ...int) *TensorOf[T] {
+	n := volume(shape)
+	s := make([]int, len(shape))
+	copy(s, shape)
+	return &TensorOf[T]{shape: s, data: make([]T, n)}
+}
+
+// volume returns the element count of shape, panicking on a negative
+// dimension.
+func volume(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
@@ -48,14 +58,14 @@ func NewOf[T Float](shape ...int) *TensorOf[T] {
 		}
 		n *= d
 	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &TensorOf[T]{shape: s, data: make([]T, n)}
+	return n
 }
 
 // From wraps the given data slice in a tensor with the given shape. The
-// slice is used directly (not copied); it panics if the length does not
-// match the shape volume.
+// slice is used directly (not copied), cut to its length: the tensor's
+// capacity is what it was given, so EnsureShape never grows it into the
+// caller's memory beyond. It panics if the length does not match the
+// shape volume.
 func From[T Float](data []T, shape ...int) *TensorOf[T] {
 	n := 1
 	for _, d := range shape {
@@ -66,30 +76,60 @@ func From[T Float](data []T, shape ...int) *TensorOf[T] {
 	}
 	s := make([]int, len(shape))
 	copy(s, shape)
-	return &TensorOf[T]{shape: s, data: data}
+	return &TensorOf[T]{shape: s, data: data[:n:n]}
 }
 
-// EnsureShape returns t when it already has exactly the wanted shape and
-// a fresh zeroed tensor otherwise — the workspace (re)allocation policy
-// shared by the layer, loss and aggregation scratch across the codebase.
-// Contents of a reused tensor are preserved; callers that need zeroed
-// scratch must Zero it themselves when t comes back unchanged.
+// EnsureShape returns a tensor of the wanted shape, reusing t's storage
+// whenever it fits — the workspace policy shared by the layer, loss and
+// aggregation scratch across the codebase:
+//
+//   - t itself, contents preserved, when it already has exactly that
+//     shape (callers that need zeroed scratch must Zero it themselves);
+//   - t reshaped in place and zeroed when the new volume fits its
+//     capacity, so a "fresh zeroed tensor" is still what comes back;
+//   - a fresh zeroed tensor when t is nil or too small.
+//
+// So a workspace grows to the largest geometry it has held and is never
+// reallocated for a smaller one: an epoch's ragged last batch, and the
+// full batch after it, allocate nothing. A reshaped t is the same
+// *TensorOf with the same backing array, so every holder of t — or of
+// its Shape() — sees the new shape; t must not be a Reshape view of
+// another tensor.
 //
 // fedlint:hotpath
 func EnsureShape[T Float](t *TensorOf[T], shape ...int) *TensorOf[T] {
-	if t != nil && len(t.shape) == len(shape) {
-		same := true
-		for i, d := range shape {
-			if t.shape[i] != d {
-				same = false
-				break
-			}
-		}
-		if same {
-			return t
-		}
+	if t != nil && slices.Equal(t.shape, shape) {
+		return t
 	}
-	return NewOf[T](shape...) //fedlint:allow hotalloc — reallocates on every geometry change: each epoch's ragged last batch, then the next full batch; steps at one geometry reuse t
+	n := volume(shape)
+	if t == nil || n > cap(t.data) {
+		return NewOf[T](shape...) //fedlint:allow hotalloc — a workspace's first use, or a geometry past the largest it has held; every smaller one reuses it
+	}
+	if len(t.shape) != len(shape) {
+		t.shape = make([]int, len(shape))
+	}
+	copy(t.shape, shape)
+	t.data = t.data[:n]
+	clear(t.data)
+	return t
+}
+
+// View returns a tensor sharing t's data with a new shape of equal
+// volume, as Reshape does, but re-points v instead of allocating when v
+// is not nil and has that rank: a layer that hands its input on as a
+// view keeps one header across batches. It panics on volume mismatch.
+//
+// fedlint:hotpath
+func View[T Float](v, t *TensorOf[T], shape ...int) *TensorOf[T] {
+	if volume(shape) != len(t.data) {
+		panic("tensor: View volume mismatch")
+	}
+	if v == nil || len(v.shape) != len(shape) {
+		v = &TensorOf[T]{shape: make([]int, len(shape))}
+	}
+	copy(v.shape, shape)
+	v.data = t.data
+	return v
 }
 
 // Randn fills a new float64 tensor of the given shape with samples from
