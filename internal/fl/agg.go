@@ -43,6 +43,29 @@ func ensureWeightsLike(dst, ws []*tensor.Tensor) []*tensor.Tensor {
 	return dst
 }
 
+// copyWeights copies src into dst, tensor by tensor; the two must match
+// shape for shape.
+//
+// fedlint:hotpath
+func copyWeights(dst, src []*tensor.Tensor) {
+	for i, t := range src {
+		copy(dst[i].Data(), t.Data())
+	}
+}
+
+// roundToFloat32 rounds every element of ws to the nearest float32, as
+// storing it in a float32 model would.
+//
+// fedlint:hotpath
+func roundToFloat32(ws []*tensor.Tensor) {
+	for _, t := range ws {
+		d := t.Data()
+		for i, v := range d {
+			d[i] = float64(float32(v))
+		}
+	}
+}
+
 // cloneWeights deep-copies a weight list.
 func cloneWeights(ws []*tensor.Tensor) []*tensor.Tensor {
 	out := make([]*tensor.Tensor, len(ws))

@@ -69,7 +69,7 @@ type cycle struct {
 	f                fault.Fault      // this iteration's injected fault
 	commDown, commUp float64          // the exchange legs (see exchange)
 	version          int              // global model version at the pull
-	pulled           []*tensor.Tensor // the pulled weights; nil when the iteration aborts
+	pulled           []*tensor.Tensor // the weights pulled at the iteration's start; one buffer for all of them
 	cr               ClientRound      // the iteration's step, reported at the upload
 }
 
@@ -125,12 +125,14 @@ func (q *eventQueue) next(deadline float64) *cycle {
 // Every local epoch runs on the event loop's goroutine, when the
 // client's download lands, from the weights it pulled when its cycle
 // began: server merges happen in exact virtual-time order, and between
-// two events no training is in flight. Config.Workers bounds only the
-// final evaluation.
+// two events no training is in flight. So one trainer, the one-slot
+// core's lane 0, trains every client, and each client holds its update
+// in its own weights until the upload lands. Config.Workers bounds only
+// the final evaluation.
 //
 // Injected faults (Config.Faults) are drawn per (client cycle, client
 // id): a fault that aborts the cycle wastes its virtual time and energy
-// without ever merging (the trainer and RNG are untouched, exactly as in
+// without ever merging (the weights and RNG are untouched, exactly as in
 // the synchronous engine) — then the client starts its next cycle, like a
 // restarted app — and a corrupted upload is rejected at the server
 // without advancing the model version (the client trained for real, so
@@ -171,10 +173,18 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 	q := eventQueue{cycles: make([]cycle, len(active))}
 	begin := func(cy *cycle) {
 		f := cfg.Faults.Fault(cy.n, cy.c.ID)
-		cy.f, cy.uploaded, cy.pulled = f, false, nil
+		cy.f, cy.uploaded = f, false
 		cy.commDown, cy.commUp = exchange(cy.c.Link, rc.modelBytes, false, f)
 		if !f.Kind.Aborts() {
-			cy.version, cy.pulled = version, cloneWeights(globalW)
+			// The last pull was read when its download landed, so its
+			// buffer is free again. An aborted iteration never trains, so
+			// it reads no pull.
+			if cy.pulled == nil {
+				cy.pulled = cloneWeights(globalW)
+			} else {
+				copyWeights(cy.pulled, globalW)
+			}
+			cy.version = version
 		}
 		q.after(cy, cy.commDown)
 	}
@@ -194,7 +204,7 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 			// The download landed: play the cycle's round on the device
 			// (the download, the compute, the upload), run the local
 			// epoch and schedule the upload's landing.
-			rc.stepClient(0, cy.n, c, &cfg.Config, cy.pulled)
+			rc.stepClient(0, cy.n, c, rc.trainer(0, &cfg.Config), &cfg.Config, cy.pulled)
 			cy.cr, cy.uploaded = rc.crs[0], true
 			q.after(cy, cy.cr.ComputeS+cy.commUp)
 			continue
@@ -215,7 +225,7 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *data.Dataset) (*AsyncHis
 			staleness := float64(version - cy.version)
 			eta := cfg.MixRate / math.Pow(1+staleness, cfg.StalenessPower)
 			scaleWeights(globalW, 1-eta)
-			accumulateWeighted(globalW, c.net.Weights(), eta)
+			accumulateWeighted(globalW, c.w, eta)
 			version++
 			hist.Updates++
 			hist.UpdatesPerClient[c.at]++

@@ -44,7 +44,9 @@ type Checkpoint struct {
 	// Cooldown is the failure-backoff state of a *sample.Cooldown
 	// sampler (nil otherwise).
 	Cooldown []sample.CooldownEntry
-	// Model is the global model serialized with nn.SaveWeights.
+	// Model is the global model serialized with nn.SaveWeights. In a
+	// snapshot handed to Config.CheckpointSink it is valid only during
+	// the call.
 	Model []byte
 	// HistoryRounds and TotalSeconds are the history completed so far.
 	// TotalEnergyJ is not stored: it is recomputed from the restored
@@ -367,15 +369,17 @@ func LoadCheckpointParts(state, rounds []byte) (*Checkpoint, error) {
 	return cr.done(ck)
 }
 
-// buildCheckpoint snapshots the run after `next-1` rounds completed. Its
-// cost is O(model), whatever the round: the history is shared, not copied.
-func buildCheckpoint(cfg Config, active []*Client, global *nn.Network, globalW []*tensor.Tensor, hist *History, next int) *Checkpoint {
+// buildCheckpoint snapshots the run after `next-1` rounds completed,
+// encoding the model onto model (the run passes the last snapshot's
+// buffer, emptied). Its cost is O(model), whatever the round: the
+// history is shared, not copied.
+func buildCheckpoint(cfg Config, active []*Client, global *nn.Network, globalW []*tensor.Tensor, hist *History, next int, model []byte) *Checkpoint {
 	global.SetWeights(globalW)
 	ck := &Checkpoint{
 		Seed:      cfg.Seed,
 		Rounds:    cfg.Rounds,
 		NextRound: next,
-		Model:     global.AppendWeights(nil),
+		Model:     global.AppendWeights(model),
 		// Past RoundStats are append-only, and the capped slice makes the
 		// run's next append reallocate or write past the cap, never into
 		// the snapshot.
@@ -397,8 +401,9 @@ func buildCheckpoint(cfg Config, active []*Client, global *nn.Network, globalW [
 }
 
 // resumeRun restores a checkpointed run onto freshly-initialized clients
-// (Run has already reseeded their RNGs and trainers) and returns the
-// next round to execute.
+// (setup has already reseeded their RNGs; their weights need nothing,
+// since every round loads the global model first) and returns the next
+// round to execute.
 func resumeRun(cfg Config, active []*Client, global *nn.Network, hist *History) (int, error) {
 	ck := cfg.Resume
 	if ck.Seed != cfg.Seed {

@@ -346,7 +346,12 @@ func TestResumeValidation(t *testing.T) {
 	}
 	var snap *Checkpoint
 	clients, cfg := mk()
-	cfg.CheckpointSink = func(ck *Checkpoint) error { snap = ck; return nil }
+	cfg.CheckpointSink = func(ck *Checkpoint) error {
+		kept := *ck
+		kept.Model = bytes.Clone(ck.Model) // the run rewrites ck.Model at its next snapshot
+		snap = &kept
+		return nil
+	}
 	if _, err := Run(cfg, clients, test); err != nil {
 		t.Fatal(err)
 	}

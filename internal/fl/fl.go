@@ -37,7 +37,10 @@ import (
 // past the same point.
 var ErrCancelled = errors.New("run cancelled")
 
-// Client is one federated participant.
+// Client is one federated participant. It owns its data, device, link,
+// RNG and model weights, but no trainer: a run trains its clients on one
+// nn.Trainer per worker lane (see roundCore.train), so a run's training
+// memory follows its workers, not its client count.
 type Client struct {
 	ID     int
 	Name   string
@@ -45,7 +48,12 @@ type Client struct {
 	Link   network.Link
 	Local  *data.Dataset // local training data (nil or empty → skipped)
 
-	net   nn.Trainer
+	// w is the client's model as float64 tensors, laid out like the run
+	// architecture's parameters (set by setup): the update it trained last
+	// (Run, RunAsync) or its own model (RunGossip). A lane's trainer,
+	// bound to w, trains in it in place at float64 and widens into it at
+	// float32.
+	w     []*tensor.Tensor
 	rng   *rand.Rand
 	round int // rounds this client has trained (drives LR schedules)
 	at    int // position in the run's client list (set by setup)
@@ -154,8 +162,10 @@ type Config struct {
 	// CheckpointSink receives each snapshot; typically it serializes via
 	// Checkpoint.Save (or, round by round, AppendState + AppendRounds).
 	// The snapshot's HistoryRounds shares the run's completed rounds —
-	// read, never written. A sink error aborts the run (returning the
-	// partial History).
+	// read, never written. Its Model bytes are valid only during the
+	// call: the run rewrites the same buffer at its next snapshot, so a
+	// sink that keeps the checkpoint keeps a copy of Model. A sink error
+	// aborts the run (returning the partial History).
 	CheckpointSink func(*Checkpoint) error
 	// Resume, when non-nil, restores a checkpointed run: the
 	// configuration must match the checkpointed one (seed, rounds,
@@ -278,6 +288,9 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 	// final is the last round's evaluation of the weights the run ends
 	// with, nil when that round did not evaluate.
 	var final *Confusion
+	// ckModel is the snapshots' model encoding, one buffer rewritten by
+	// every snapshot (see Config.CheckpointSink).
+	var ckModel []byte
 
 	// finish stamps the run-final fields; it is shared by the success
 	// path and the partial-History error paths so callers can always
@@ -349,7 +362,7 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 				// every reader of the old global weights has finished.
 				sumW = ensureWeightsLike(sumW, globalW)
 				for _, si := range survivors {
-					accumulateWeighted(sumW, active[sel[si]].net.Weights(), float64(rc.crs[si].Samples)/float64(cl.samples))
+					accumulateWeighted(sumW, active[sel[si]].w, float64(rc.crs[si].Samples)/float64(cl.samples))
 				}
 				globalW = sumW
 			}
@@ -370,7 +383,9 @@ func Run(cfg Config, clients []*Client, test *data.Dataset) (*History, error) {
 		// Snapshot once the round has fully completed (history appended,
 		// devices at the close), when the cadence says so.
 		if cfg.CheckpointEvery > 0 && cfg.CheckpointSink != nil && (round+1)%cfg.CheckpointEvery == 0 {
-			if err := cfg.CheckpointSink(buildCheckpoint(cfg, active, global, globalW, hist, round+1)); err != nil {
+			ck := buildCheckpoint(cfg, active, global, globalW, hist, round+1, ckModel[:0])
+			ckModel = ck.Model
+			if err := cfg.CheckpointSink(ck); err != nil {
 				return finish(), fmt.Errorf("fl: checkpoint after round %d: %w", round, err)
 			}
 		}

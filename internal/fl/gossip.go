@@ -69,10 +69,15 @@ func RunGossip(cfg GossipConfig, clients []*Client, test *data.Dataset) (*Gossip
 	if err != nil {
 		return nil, err
 	}
-	// There is no server: every peer starts from the same initial model.
-	init := global.GetWeights()
+	// There is no server: every peer starts from the same initial model,
+	// as its network would hold it — rounded through float32 on the f32
+	// path, like every pair average below.
+	init := global.Weights()
 	for _, c := range active {
-		c.net.SetWeights(init)
+		copyWeights(c.w, init)
+		if cfg.Precision == nn.F32 {
+			roundToFloat32(c.w)
+		}
 	}
 	rc := newRoundCore(cfg.Arch, cfg.BatchSize, len(active), cfg.Sampler, cfg.Faults, cfg.Trace)
 	rc.swap = true
@@ -99,29 +104,32 @@ func RunGossip(cfg GossipConfig, clients []*Client, test *data.Dataset) (*Gossip
 		}
 		rc.emit(round, len(sel), &cl, loss, -1)
 
-		// Pairwise averaging in float64 boundary space: both partners'
-		// weights widen into a's boundary tensors, average there, and the
-		// result writes back through SetWeights on both sides (a's boundary
-		// tensors are only guaranteed to be live views on the f64 path).
-		// Pairings draw over the round's survivors, so the peer graph
-		// follows the sampler; with no fault plan that is the whole cohort.
+		// Pairwise averaging in float64: b's model adds into a's, the sum
+		// halves, and both partners keep the average (rounded through
+		// float32 on the f32 path). Pairings draw over the round's
+		// survivors, so the peer graph follows the sampler; with no fault
+		// plan that is the whole cohort.
 		pairable := rc.order[:cl.survivors]
 		for _, pair := range pairings(len(pairable), round, cfg.Topology, pairRNG) {
 			a, b := active[sel[pairable[pair[0]]]], active[sel[pairable[pair[1]]]]
-			wa := a.net.Weights()
-			accumulateWeighted(wa, b.net.Weights(), 1)
-			scaleWeights(wa, 0.5)
-			a.net.SetWeights(wa)
-			b.net.SetWeights(wa)
+			accumulateWeighted(a.w, b.w, 1)
+			scaleWeights(a.w, 0.5)
+			if cfg.Precision == nn.F32 {
+				roundToFloat32(a.w)
+			}
+			copyWeights(b.w, a.w)
 		}
 	}
 
 	hist.Disagreement = weightDisagreement(active)
 	if test != nil {
+		// Each peer's model is evaluated on the global network, which
+		// gossip leaves unused after the initial model.
 		hist.PerClient = make([]float64, len(active))
 		var evalNets []*nn.Network
 		for i, c := range active {
-			acc := evaluate(c.net.EvalNetwork(), test, 256, cfg.Workers, &evalNets).Accuracy()
+			global.SetWeights(c.w)
+			acc := evaluate(global, test, 256, cfg.Workers, &evalNets).Accuracy()
 			hist.PerClient[i] = acc
 			hist.MeanAccuracy += acc
 			if acc > hist.BestAccuracy {
@@ -163,13 +171,12 @@ func weightDisagreement(clients []*Client) float64 {
 	if len(clients) < 2 {
 		return 0
 	}
-	ref := clients[0].net.GetWeights()
+	ref := clients[0].w
 	worst := 0.0
 	for _, c := range clients[1:] {
-		w := c.net.GetWeights()
 		for k := range ref {
 			diff := ref[k].Clone()
-			diff.AddScaled(-1, w[k])
+			diff.AddScaled(-1, c.w[k])
 			if m := diff.MaxAbs(); m > worst {
 				worst = m
 			}

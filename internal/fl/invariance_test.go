@@ -167,8 +167,8 @@ func newCell(t *testing.T, hist any, clients []*Client, rec *trace.Recorder) *ce
 	dumpValue(&b, "history", reflect.ValueOf(hist))
 	_, global := hist.(*History)
 	for i, c := range clients {
-		if !global && c.net != nil {
-			dumpValue(&b, fmt.Sprintf("client[%d].weights", i), reflect.ValueOf(c.net.GetWeights()))
+		if !global && c.w != nil {
+			dumpValue(&b, fmt.Sprintf("client[%d].weights", i), reflect.ValueOf(c.w))
 		}
 		if c.Device != nil {
 			dumpValue(&b, fmt.Sprintf("client[%d].device", i), reflect.ValueOf(c.Device.Snapshot()))
@@ -382,6 +382,7 @@ var (
 	asyncFaults = asyncScenario("faults", equalShards(3, true), func(t *testing.T, c *AsyncConfig) {
 		c.Faults = mustPlan(t, "crash=0.25,flap=0.2,corrupt=0.2,degrade=0.3", 19)
 	})
+	asyncF32      = asyncScenario("f32", equalShards(3, true), func(_ *testing.T, c *AsyncConfig) { c.Precision = nn.F32 })
 	asyncDuration = asyncScenario("duration", equalShards(4, true), func(_ *testing.T, c *AsyncConfig) {
 		c.MaxUpdates, c.Duration = 0, asyncWindow
 		c.Sampler = sample.NewUniform(4, 3, 11)
@@ -394,6 +395,11 @@ var (
 	})
 	gossipSampler = gossipScenario("sampler", baseAxis, Ring, equalShards(6, false), func(_ *testing.T, c *Config) {
 		c.Sampler = sample.NewUniform(6, 4, 7)
+	})
+	// Cohorts of 2 of 6 over two rounds leave some peers untrained: their
+	// final models are the initial one, as a float32 network holds it.
+	gossipF32 = gossipScenario("f32", baseAxis, Ring, equalShards(6, true), func(_ *testing.T, c *Config) {
+		c.Precision, c.Sampler = nn.F32, sample.NewUniform(6, 2, 5)
 	})
 
 	popPlain  = populationScenario("plain", nil)
@@ -559,6 +565,7 @@ func TestFedAvgDeterministic(t *testing.T) {
 
 func TestAsyncWorkersBitIdentical(t *testing.T) {
 	asyncPlain.holds(t)
+	asyncF32.holds(t, exactly(trace.KindMerge, asyncMerges))
 	asyncDuration.holds(t, func(t *testing.T, _ *scenario, c *cell) {
 		if h := c.hist.(*AsyncHistory); h.Updates == 0 || h.Updates >= asyncMerges || h.VirtualSeconds > asyncWindow {
 			t.Fatalf("precondition: %d merges in %v virtual seconds — the %v s window bounded nothing", h.Updates, h.VirtualSeconds, asyncWindow)
@@ -582,6 +589,17 @@ func TestAsyncDeterministic(t *testing.T) {
 
 func TestGossipWorkersBitIdentical(t *testing.T) {
 	gossipRing.holds(t)
+	gossipF32.holds(t, exactly(trace.KindRoundSummary, harnessRounds), func(t *testing.T, _ *scenario, c *cell) {
+		trained := map[int]bool{}
+		for _, e := range c.events {
+			if e.Kind == trace.KindClientRound {
+				trained[e.Client] = true
+			}
+		}
+		if len(trained) >= 6 {
+			t.Fatal("precondition: every peer trained — no final model is the initial one")
+		}
+	})
 }
 
 func TestGossipTraceWorkersByteIdentical(t *testing.T) {

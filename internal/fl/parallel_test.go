@@ -273,6 +273,51 @@ func TestRunEvaluationClones(t *testing.T) {
 // TestLongestFirst pins the pool's dispatch order: local shard size
 // descending, ties by slot, the identity for a sequential pool — all
 // without allocating.
+// TestTrainersFollowLanes: a run builds one trainer per worker lane it
+// fans out to, whatever its client count — a 10-client sync run one at
+// Workers 1 and one per lane at Workers 4 — and async, which trains on
+// its event loop, exactly one.
+func TestTrainersFollowLanes(t *testing.T) {
+	forceLanes(t, 5)
+	train, _ := data.TrainTest(data.SMNISTConfig(0, 76), 400, 10)
+	builds := 0
+	prev := buildTrainer
+	buildTrainer = func(cfg *Config) nn.Trainer { builds++; return prev(cfg) }
+	t.Cleanup(func() { buildTrainer = prev })
+
+	for _, c := range []struct{ workers, want int }{{1, 1}, {4, 4}} {
+		builds = 0
+		cfg := smallConfig(2)
+		cfg.Workers = c.workers
+		if _, err := Run(cfg, parallelClients(t, train, 10, false), nil); err != nil {
+			t.Fatal(err)
+		}
+		if builds != c.want {
+			t.Errorf("a 10-client Workers-%d sync run built %d trainers, want %d", c.workers, builds, c.want)
+		}
+	}
+
+	builds = 0
+	acfg := AsyncConfig{Config: smallConfig(0), MaxUpdates: 12}
+	acfg.Workers = 4
+	if _, err := RunAsync(acfg, parallelClients(t, train, 10, false), nil); err != nil {
+		t.Fatal(err)
+	}
+	if builds != 1 {
+		t.Errorf("a 10-client async run built %d trainers, want 1", builds)
+	}
+
+	builds = 0
+	gcfg := GossipConfig{Config: smallConfig(2)}
+	gcfg.Workers = 3
+	if _, err := RunGossip(gcfg, parallelClients(t, train, 10, false), nil); err != nil {
+		t.Fatal(err)
+	}
+	if builds < 1 || builds > gcfg.Workers {
+		t.Errorf("a 10-client Workers-%d gossip run built %d trainers, want 1 to %d", gcfg.Workers, builds, gcfg.Workers)
+	}
+}
+
 func TestLongestFirst(t *testing.T) {
 	train, _ := data.TrainTest(data.SMNISTConfig(0, 76), 600, 10)
 	members := partitionClients(t, train, data.IIDSizes(train, lbapSizes, rand.New(rand.NewSource(5))), false)
@@ -305,21 +350,6 @@ func TestWorkerCount(t *testing.T) {
 	for _, c := range cases {
 		if got := tensor.WorkerCount(c.requested, c.tasks); got != c.want {
 			t.Errorf("tensor.WorkerCount(%d, %d) = %d, want %d", c.requested, c.tasks, got, c.want)
-		}
-	}
-}
-
-func TestForEachCoversAllIndices(t *testing.T) {
-	forceLanes(t, 4)
-	for _, workers := range []int{1, 2, 4, 9} {
-		for _, n := range []int{0, 1, 5, 23} {
-			hits := make([]int32, n)
-			forEach(workers, n, func(i int) { hits[i]++ })
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, h)
-				}
-			}
 		}
 	}
 }

@@ -5,15 +5,6 @@ import (
 	"fedsched/internal/tensor"
 )
 
-// forEach runs fn(i) for every i in [0, n) on at most `workers`
-// goroutines (see tensor.FanOut; the workers share fn).
-//
-// fn(i) must only touch state owned by task i; result ordering is the
-// caller's job (merge after forEach returns, in index order).
-func forEach(workers, n int, fn func(i int)) {
-	tensor.FanOut(workers, n, fn, nil, func(i int, fn func(int)) { fn(i) })
-}
-
 // forEachBatch runs fn(i, net) for every batch index in [0, n), fanning
 // out across copies of net when parallelism is available. The original
 // net serves the calling goroutine; each extra worker gets its own copy

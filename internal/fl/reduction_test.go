@@ -87,8 +87,8 @@ func TestAsyncOneClientReducesToRun(t *testing.T) {
 			if h.FinalAccuracy != ha.FinalAccuracy {
 				t.Errorf("%s R=%d: accuracy sync %v, async %v", tc.name, rounds, h.FinalAccuracy, ha.FinalAccuracy)
 			}
-			requireSameDump(t, "sync vs async weights", dumpOf(h.Model), dumpOf(aClients[0].net.GetWeights()))
-			requireSameDump(t, "sync vs async client weights", dumpOf(syncClients[0].net.GetWeights()), dumpOf(aClients[0].net.GetWeights()))
+			requireSameDump(t, "sync vs async weights", dumpOf(h.Model), dumpOf(aClients[0].w))
+			requireSameDump(t, "sync vs async client weights", dumpOf(syncClients[0].w), dumpOf(aClients[0].w))
 			if s, a := syncClients[0].Device.Snapshot(), aClients[0].Device.Snapshot(); s != a {
 				t.Errorf("%s R=%d: device end state\nsync  %+v\nasync %+v", tc.name, rounds, s, a)
 			}
@@ -138,7 +138,7 @@ func TestGossipTwoShardsReducesToRun(t *testing.T) {
 			if hg.PerClient[i] != h.FinalAccuracy {
 				t.Errorf("faults %q: peer %d accuracy %v, Run %v", spec, i, hg.PerClient[i], h.FinalAccuracy)
 			}
-			requireSameDump(t, fmt.Sprintf("peer %d vs Run weights", i), dumpOf(h.Model), dumpOf(c.net.GetWeights()))
+			requireSameDump(t, fmt.Sprintf("peer %d vs Run weights", i), dumpOf(h.Model), dumpOf(c.w))
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"fedsched/internal/data"
 	"fedsched/internal/nn"
+	"fedsched/internal/tensor"
 	"fedsched/internal/trace"
 )
 
@@ -36,7 +37,7 @@ func TestDivergedClientRejected(t *testing.T) {
 	}
 	// The global model survives: finite weights and real accuracy from the
 	// healthy client's data alone.
-	if hasNonFinite(hist.Model) {
+	if hasNonFinite(hist.Model.Weights()) {
 		t.Fatal("global model corrupted by diverged update")
 	}
 	if hist.FinalAccuracy < 0.5 || math.IsNaN(hist.FinalAccuracy) {
@@ -71,20 +72,21 @@ func TestLRScheduleApplied(t *testing.T) {
 
 func TestHasNonFinite(t *testing.T) {
 	net := nn.MLP(4, 3, 2).Build(newTestRand())
-	if hasNonFinite(net) {
+	if hasNonFinite(net.Weights()) {
 		t.Fatal("fresh network flagged")
 	}
 	net.Params()[0].W.Data()[0] = math.Inf(-1)
-	if !hasNonFinite(net) {
+	if !hasNonFinite(net.Weights()) {
 		t.Fatal("Inf weight missed")
 	}
 }
 
-// hasNonFinite reports whether any weight of the float64 network is NaN or
-// ±Inf (clients check their own models through Trainer.HasNonFinite).
-func hasNonFinite(net *nn.Network) bool {
-	for _, p := range net.Params() {
-		for _, v := range p.W.Data() {
+// hasNonFinite reports whether any of the float64 weights ws — a
+// network's, or a client's — is NaN or ±Inf (the engines check a trained
+// update through Trainer.HasNonFinite).
+func hasNonFinite(ws []*tensor.Tensor) bool {
+	for _, w := range ws {
+		for _, v := range w.Data() {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return true
 			}
@@ -132,7 +134,7 @@ func TestNonFiniteUpdateRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		diverged(t, rec)
-		if hasNonFinite(hist.Model) {
+		if hasNonFinite(hist.Model.Weights()) {
 			t.Fatal("global model corrupted by the non-finite update")
 		}
 	})
@@ -144,10 +146,10 @@ func TestNonFiniteUpdateRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		diverged(t, rec)
-		if !clients[1].net.HasNonFinite() {
+		if !hasNonFinite(clients[1].w) {
 			t.Fatal("fixture: the poisoned member never diverged")
 		}
-		if clients[0].net.HasNonFinite() {
+		if hasNonFinite(clients[0].w) {
 			t.Fatal("the peer paired with the non-finite model")
 		}
 	})
@@ -164,8 +166,8 @@ func TestNonFiniteUpdateRejected(t *testing.T) {
 			t.Fatalf("updates %d, per client %v: want 6, all from client 0", hist.Updates, hist.UpdatesPerClient)
 		}
 		// Client 0 trains from the global model it pulls every cycle.
-		if clients[0].net.HasNonFinite() || math.IsNaN(hist.FinalAccuracy) || hist.FinalAccuracy < 0.3 {
-			t.Fatalf("global model corrupted: client 0 non-finite %v, accuracy %v", clients[0].net.HasNonFinite(), hist.FinalAccuracy)
+		if hasNonFinite(clients[0].w) || math.IsNaN(hist.FinalAccuracy) || hist.FinalAccuracy < 0.3 {
+			t.Fatalf("global model corrupted: client 0 non-finite %v, accuracy %v", hasNonFinite(clients[0].w), hist.FinalAccuracy)
 		}
 	})
 }

@@ -85,13 +85,14 @@ func (c *Config) check(e engine) error {
 
 // setup is the training engines' shared start: validate the config, keep
 // the data-holding clients, check the sampler against them, build the
-// global model and give every participant its trainer and seeded RNG.
+// global model and give every participant a fresh weight buffer and its
+// seeded RNG. Trainers are the run's, not the clients' (roundCore.trainer).
 func setup(cfg *Config, e engine, clients []*Client) (active []*Client, global *nn.Network, err error) {
 	if err := cfg.check(e); err != nil {
 		return nil, nil, err
 	}
 	for i, c := range clients {
-		c.at = i
+		c.at, c.w = i, nil
 		if c.Local != nil && c.Local.Len() > 0 {
 			active = append(active, c)
 		}
@@ -124,12 +125,12 @@ func setup(cfg *Config, e engine, clients []*Client) (active []*Client, global *
 		}
 	}
 
-	rootRNG := rand.New(rand.NewSource(cfg.Seed))
-	global = cfg.Arch.Build(rootRNG)
+	global = cfg.Arch.Build(rand.New(rand.NewSource(cfg.Seed)))
+	gw := global.Weights()
 	for _, c := range active {
-		// Geometry clone at the configured precision; the engines
-		// overwrite its weights before the first local epoch.
-		c.net = nn.NewTrainer(cfg.Precision, cfg.Arch, rootRNG, cfg.LR, cfg.Momentum)
+		// A buffer of the run's architecture, never one a client kept from
+		// an earlier run; every local epoch loads it before training.
+		c.w = ensureWeightsLike(nil, gw)
 		c.rng = rand.New(rand.NewSource(cfg.Seed + int64(c.ID)*7919 + 1))
 		if e == asyncEngine && cfg.Trace != nil && c.Device != nil {
 			// Async device work runs on the event-loop goroutine only,
@@ -166,20 +167,26 @@ func localEpoch(net nn.Trainer, local *data.Dataset, rng *rand.Rand, batch int) 
 	return lossSum / float64(batches)
 }
 
-// train runs the client's local epoch, starting from the given weights
-// (nil: from its own model, as gossip peers do).
+// train runs the client's local epoch on tr, starting from the given
+// weights (nil: from its own model, as gossip peers do), and leaves the
+// result in c.w. tr is bound to c.w first: at float64 it trains there in
+// place, and loading the client's own model copies nothing.
 //
 // fedlint:hotpath
-func (c *Client) train(cfg *Config, from []*tensor.Tensor) float64 {
-	if from != nil {
-		c.net.SetWeights(from)
+func (c *Client) train(cfg *Config, tr nn.Trainer, from []*tensor.Tensor) float64 {
+	if from == nil {
+		from = c.w
 	}
-	c.net.ResetOpt()
+	tr.Bind(c.w)
+	tr.SetWeights(from)
+	tr.ResetOpt()
 	if cfg.LRSchedule != nil {
-		c.net.SetLR(cfg.LRSchedule(c.round))
+		tr.SetLR(cfg.LRSchedule(c.round))
 	}
 	c.round++
-	return localEpoch(c.net, c.Local, c.rng, cfg.BatchSize)
+	loss := localEpoch(tr, c.Local, c.rng, cfg.BatchSize)
+	tr.Weights() // the f32 path widens the update into c.w
+	return loss
 }
 
 // burnt returns how many of a member's n assigned samples its device gets
@@ -250,6 +257,10 @@ type roundCore struct {
 	order  []int // close: candidates for the cut, then the surviving slots
 	sorter spanOrder
 	lpt    shardOrder // longestFirst's scratch
+	// trainers are the run's, one per worker lane, built on first use
+	// (trainer); a member trains on the trainer of whichever lane takes
+	// its slot.
+	trainers []nn.Trainer
 }
 
 // newRoundCore sizes the scratch for cohorts of up to n members — the
@@ -370,17 +381,43 @@ func (rc *roundCore) settle(s int, computeS float64) {
 // train plays round `round` of cohort sel, whose slot s trains
 // members[sel[s]] from the weights `from` (nil: from its own model): the
 // slots fan out across the worker pool longest shard first, then the
-// round closes. Every member owns its network, optimizer, RNG, local
-// shard and simulated device and every slot its cells, so workers never
-// share mutable state; everything order-sensitive happens in close and
-// later, in cohort order.
+// round closes. Every member owns its weights, RNG, local shard and
+// simulated device, every slot its cells and every lane its trainer —
+// lane 0's serves the calling goroutine, FanOut's fork hands each extra
+// lane its own — so workers never share mutable state; everything
+// order-sensitive happens in close and later, in cohort order. A trainer
+// holds nothing from one member to the next: each local epoch starts
+// from SetWeights and ResetOpt, every Step zeroes the gradients and
+// every forward kernel writes its whole output.
 func (rc *roundCore) train(round int, sel []int, members []*Client, cfg *Config, from []*tensor.Tensor) roundClose {
 	workers := tensor.WorkerCount(cfg.Workers, len(sel))
 	order := rc.longestFirst(workers, sel, members)
-	forEach(workers, len(sel), func(i int) {
-		rc.stepClient(order[i], round, members[sel[order[i]]], cfg, from)
+	lane := 0
+	tensor.FanOut(workers, len(sel), rc.trainer(0, cfg), func(nn.Trainer) (nn.Trainer, bool) {
+		lane++
+		return rc.trainer(lane, cfg), true
+	}, func(i int, tr nn.Trainer) {
+		rc.stepClient(order[i], round, members[sel[order[i]]], tr, cfg, from)
 	})
 	return rc.close(round, sel)
+}
+
+// trainer returns lane l's trainer, building it on first use: a run
+// builds at most one per lane it ever fans out to, whatever its client
+// count. Called on the engine goroutine only (FanOut forks before it
+// spawns).
+func (rc *roundCore) trainer(l int, cfg *Config) nn.Trainer {
+	if l == len(rc.trainers) { // lanes are asked for in order: 0 first, then 1, 2, …
+		rc.trainers = append(rc.trainers, buildTrainer(cfg))
+	}
+	return rc.trainers[l]
+}
+
+// buildTrainer builds a lane's trainer; tests count the calls. The
+// fixed-seed init draws nothing from the run's seed and is never read:
+// every local epoch loads its member's weights first.
+var buildTrainer = func(cfg *Config) nn.Trainer {
+	return nn.NewTrainer(cfg.Precision, cfg.Arch, rand.New(rand.NewSource(0)), cfg.LR, cfg.Momentum)
 }
 
 // play closes a train-free round over cohort sel once the caller has
@@ -400,34 +437,34 @@ func (rc *roundCore) play(round int, sel []int) roundClose {
 	return rc.close(round, sel)
 }
 
-// stepClient plays slot s's round for member c, which trains for real:
-// strike the fault plan, burn the compute the device gets through on its
-// own (Device.Train), settle, then run the local epoch (update). Fault
-// draws are pure hashes of (round, id), so steps run concurrently.
+// stepClient plays slot s's round for member c, which trains for real on
+// tr: strike the fault plan, burn the compute the device gets through on
+// its own (Device.Train), settle, then run the local epoch (update).
+// Fault draws are pure hashes of (round, id), so steps run concurrently.
 //
 // fedlint:hotpath
-func (rc *roundCore) stepClient(s, round int, c *Client, cfg *Config, from []*tensor.Tensor) {
+func (rc *roundCore) stepClient(s, round int, c *Client, tr nn.Trainer, cfg *Config, from []*tensor.Tensor) {
 	if n := rc.strike(s, c.ID, c.Local.Len(), c.Device, c.Link, rc.faults.Fault(round, c.ID)); n >= 0 {
 		rc.settle(s, c.Device.Train(rc.arch, n, rc.batch))
 	}
-	c.update(cfg, from, &rc.crs[s])
+	c.update(cfg, tr, from, &rc.crs[s])
 }
 
-// update trains c into cr unless the fault strike recorded aborts its
-// round. An aborted round skips the gradient work entirely — the update
-// would be discarded anyway, and leaving the trainer, RNG and round
-// counter untouched means a resumed run replays only completed training
-// — and reports loss −1.
+// update trains c on tr into cr unless the fault strike recorded aborts
+// its round. An aborted round skips the gradient work entirely — the
+// update would be discarded anyway, and leaving the weights, RNG and
+// round counter untouched means a resumed run replays only completed
+// training — and reports loss −1.
 // Corrupt clients train normally; the damage happens on the wire. A
 // clean update with non-finite weights is Diverged: the server, or a
 // gossip peer, rejects it.
 //
 // fedlint:hotpath
-func (c *Client) update(cfg *Config, from []*tensor.Tensor, cr *ClientRound) {
+func (c *Client) update(cfg *Config, tr nn.Trainer, from []*tensor.Tensor, cr *ClientRound) {
 	cr.TrainLoss = -1
 	if !cr.Fault.Aborts() {
-		cr.TrainLoss = c.train(cfg, from)
-		cr.Diverged = cr.Fault == fault.None && c.net.HasNonFinite()
+		cr.TrainLoss = c.train(cfg, tr, from)
+		cr.Diverged = cr.Fault == fault.None && tr.HasNonFinite()
 	}
 }
 

@@ -442,3 +442,30 @@ func TestCheckpointResumeEveryRound(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointModelBufferKept: a run encodes every snapshot's model
+// into one buffer — the sink copies what it keeps — so a run
+// checkpointed every round allocates no model-sized slice past its
+// first snapshot.
+func TestCheckpointModelBufferKept(t *testing.T) {
+	train, _ := data.TrainTest(data.SMNISTConfig(0, 77), 200, 10)
+	cfg := smallConfig(4)
+	cfg.CheckpointEvery = 1
+	var first *byte
+	snaps := 0
+	cfg.CheckpointSink = func(ck *Checkpoint) error {
+		if snaps == 0 {
+			first = &ck.Model[0]
+		} else if &ck.Model[0] != first {
+			t.Errorf("snapshot %d encoded its model into a new buffer", snaps)
+		}
+		snaps++
+		return nil
+	}
+	if _, err := Run(cfg, parallelClients(t, train, 2, false), nil); err != nil {
+		t.Fatal(err)
+	}
+	if snaps != cfg.Rounds {
+		t.Fatalf("%d snapshots in %d rounds", snaps, cfg.Rounds)
+	}
+}

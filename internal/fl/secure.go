@@ -58,7 +58,7 @@ func secureRound(net *nn.Network, active []*Client, sel []int, crs []ClientRound
 	total := 0
 	for i, idx := range sel {
 		c := active[idx]
-		scratch = flattenWeights(c.net.GetWeights(), float64(crs[i].Samples), scratch)
+		scratch = flattenWeights(c.w, float64(crs[i].Samples), scratch)
 		masked[i], err = group.Mask(i, scratch)
 		if err != nil {
 			return nil, fmt.Errorf("fl: secure aggregation mask for client %d: %w", c.ID, err)

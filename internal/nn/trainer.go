@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"fedsched/internal/tensor"
 )
@@ -54,16 +55,23 @@ type Trainer interface {
 	// SetLR overrides the learning rate (LR schedules).
 	SetLR(lr float64)
 	// SetWeights overwrites the model from float64 tensors, rounding on
-	// the f32 path.
+	// the f32 path. Handing back what Weights returns copies nothing on
+	// the f64 path.
 	SetWeights(ws []*tensor.Tensor)
 	// Weights returns the model weights as float64 tensors for
 	// aggregation. On the f64 path these are the live parameter tensors
 	// (zero-copy); on the f32 path they are persistent shadow tensors
 	// widened from the float32 weights on each call — mutating them does
-	// not write through, use SetWeights.
+	// not write through, use SetWeights. After Bind(ws) both are ws.
 	Weights() []*tensor.Tensor
-	// GetWeights returns an owned float64 deep copy of the weights.
-	GetWeights() []*tensor.Tensor
+	// Bind makes ws — float64 tensors shaped like the parameters, owned
+	// by the caller — the model's float64 weights from now on. On the f64
+	// path they become the live parameters: SetWeights writes into ws
+	// and training updates ws in place. On the f32 path Weights widens
+	// into ws. Bind reads nothing from ws: load it through SetWeights.
+	// This is how one trainer trains many models without copying each
+	// update out.
+	Bind(ws []*tensor.Tensor)
 	// HasNonFinite reports whether any weight is NaN or ±Inf.
 	HasNonFinite() bool
 	// EvalNetwork returns a float64 network holding the current weights,
@@ -105,15 +113,18 @@ type trainer[T tensor.Float] struct {
 	ps   []*ParamOf[T]
 
 	xbuf *tensor.TensorOf[T] // persistent input-narrowing buffer (float32)
-	ws   []*tensor.Tensor    // Weights' view: the live tensors or the shadows
+	ws   []*tensor.Tensor    // Weights' view: the live tensors, the shadows or Bind's
 	eval *Network            // cached float64 twin for evaluation (float32)
 }
 
 // convert copies src into dst, which has src's length, rounding or
-// widening each element; between equal element types it is a plain copy.
+// widening each element; between equal element types it is a plain copy,
+// and none at all when dst is src.
 func convert[D, S tensor.Float](dst *tensor.TensorOf[D], src *tensor.TensorOf[S]) {
 	if d, ok := any(dst).(*tensor.TensorOf[S]); ok {
-		copy(d.Data(), src.Data())
+		if d != src {
+			copy(d.Data(), src.Data())
+		}
 		return
 	}
 	d := dst.Data()
@@ -176,13 +187,21 @@ func (t *trainer[T]) Weights() []*tensor.Tensor {
 	return t.ws
 }
 
-func (t *trainer[T]) GetWeights() []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(t.ps))
-	for i, p := range t.ps {
-		out[i] = tensor.New(p.W.Shape()...)
-		convert(out[i], p.W)
+func (t *trainer[T]) Bind(ws []*tensor.Tensor) {
+	if len(ws) != len(t.ps) {
+		panic(fmt.Sprintf("nn: Bind got %d tensors, model has %d params", len(ws), len(t.ps)))
 	}
-	return out
+	for i, p := range t.ps {
+		if !slices.Equal(p.W.Shape(), ws[i].Shape()) {
+			panic(fmt.Sprintf("nn: Bind param %d is %v, want %v", i, ws[i].Shape(), p.W.Shape()))
+		}
+		// Layers read p.W afresh on every pass, so re-pointing it is
+		// enough at float64.
+		if w, ok := any(ws[i]).(*tensor.TensorOf[T]); ok {
+			p.W = w
+		}
+	}
+	t.ws = ws
 }
 
 func (t *trainer[T]) HasNonFinite() bool {

@@ -49,12 +49,12 @@ func TestTrainerInitDrawParity(t *testing.T) {
 }
 
 // TestTrainerF32RoundTrips covers the float64 boundary of the f32 path:
-// SetWeights rounds in, Weights/GetWeights widen out, and HasNonFinite sees
+// SetWeights rounds in, Weights widens out, and HasNonFinite sees
 // through the element type.
 func TestTrainerF32RoundTrips(t *testing.T) {
 	arch := MLP(6, 5, 3)
 	tr := NewTrainer(F32, arch, rand.New(rand.NewSource(4)), 0.05, 0)
-	ws := tr.GetWeights()
+	ws := ownedWeights(tr)
 	for _, w := range ws {
 		w.Fill(0.25) // exactly representable: survives the f32 round-trip
 	}
@@ -82,7 +82,7 @@ func TestTrainerF32EvalNetworkSynced(t *testing.T) {
 	arch := MLP(4, 3, 2)
 	tr := NewTrainer(F32, arch, rand.New(rand.NewSource(5)), 0.05, 0)
 	ev1 := tr.EvalNetwork()
-	ws := tr.GetWeights()
+	ws := ownedWeights(tr)
 	for _, w := range ws {
 		w.Fill(0.5)
 	}
@@ -245,7 +245,7 @@ func TestResetOptReusesVelocity(t *testing.T) {
 		arch := LeNetSmall(1, 16, 16, 10)
 		used := NewTrainer(prec, arch, rand.New(rand.NewSource(21)), 0.01, 0.9)
 		fresh := NewTrainer(prec, arch, rand.New(rand.NewSource(21)), 0.01, 0.9)
-		w0 := fresh.GetWeights()
+		w0 := ownedWeights(fresh)
 		rng := rand.New(rand.NewSource(22))
 		x := tensor.Randn(rng, 1, 5, 1, 16, 16)
 		labels := []int{0, 3, 5, 7, 9}
@@ -263,11 +263,83 @@ func TestResetOptReusesVelocity(t *testing.T) {
 		used.SetWeights(w0)
 		round(used)
 		round(fresh)
-		a, b := used.GetWeights(), fresh.GetWeights()
+		a, b := ownedWeights(used), ownedWeights(fresh)
 		for i := range a {
 			if !tensor.Equal(a[i], b[i], 0) {
 				t.Fatalf("%s: param %d differs between a reset and a fresh optimizer", prec, i)
 			}
+		}
+	}
+}
+
+// ownedWeights deep-copies tr's float64 weights.
+func ownedWeights(tr Trainer) []*tensor.Tensor {
+	ws := tr.Weights()
+	out := make([]*tensor.Tensor, len(ws))
+	for i, w := range ws {
+		out[i] = w.Clone()
+	}
+	return out
+}
+
+// TestTrainerBindTrainsMany is one trainer taking turns on two models,
+// the way a federated lane trains its clients: bound to a model's
+// float64 tensors, loaded and trained, it leaves in them (once Weights
+// is read) bit for bit what a trainer of that model's own leaves in its
+// weights — the f64 path training them in place, the f32 path widening
+// into them — and a turn on one model leaves the other alone.
+func TestTrainerBindTrainsMany(t *testing.T) {
+	arch := LeNetSmall(1, 16, 16, 10)
+	rng := rand.New(rand.NewSource(31))
+	x := tensor.Randn(rng, 1, 7, 1, 16, 16)
+	labels := []int{0, 3, 5, 7, 9, 1, 2}
+	train := func(tr Trainer) {
+		tr.ResetOpt()
+		for i := 0; i < 3; i++ {
+			tr.TrainBatch(x, labels)
+			tr.Step()
+		}
+	}
+	for _, prec := range []Precision{F64, F32} {
+		start := ownedWeights(NewTrainer(prec, arch, rand.New(rand.NewSource(32)), 0.01, 0.9))
+		own := NewTrainer(prec, arch, rand.New(rand.NewSource(33)), 0.01, 0.9)
+		own.SetWeights(start)
+		train(own)
+		want := ownedWeights(own)
+
+		lane := NewTrainer(prec, arch, rand.New(rand.NewSource(34)), 0.01, 0.9)
+		a, b := ownedWeights(lane), ownedWeights(lane)
+		for _, w := range b {
+			w.Fill(0.5)
+		}
+		lane.Bind(b)
+		lane.SetWeights(b) // its own weights: nothing to copy at f64
+		train(lane)
+		lane.Weights()
+		first := make([]*tensor.Tensor, len(b))
+		for i, w := range b {
+			first[i] = w.Clone()
+		}
+
+		lane.Bind(a)
+		lane.SetWeights(start)
+		train(lane)
+		if got := lane.Weights(); &got[0] != &a[0] {
+			t.Fatalf("%s: Weights after Bind(a) is not a", prec)
+		}
+		if prec == F64 && lane.EvalNetwork().Params()[0].W != a[0] {
+			t.Fatal("f64: the bound tensors are not the live parameters")
+		}
+		for i := range want {
+			if !tensor.Equal(a[i], want[i], 0) {
+				t.Fatalf("%s: param %d differs between a bound and an owning trainer", prec, i)
+			}
+			if !tensor.Equal(b[i], first[i], 0) {
+				t.Fatalf("%s: param %d of the other model changed", prec, i)
+			}
+		}
+		if tensor.Equal(first[0], want[0], 0) {
+			t.Fatalf("%s: fixture: both turns trained to the same weights", prec)
 		}
 	}
 }

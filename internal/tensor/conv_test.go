@@ -222,9 +222,15 @@ func testConvPackersMatchIm2col[T Float](t *testing.T) {
 			}
 		}
 
-		want := make([]T, gemmMC*gemmKC+gemmKC*gemmNC)
-		got := make([]T, len(want))
-		fill := func() {
+		// Each block is packed into, and compared over, exactly the span
+		// it owns — ⌈rows/w⌉·w by its depth — cut to that capacity, so a
+		// packer writing past its span panics instead of going unseen.
+		wantBuf := make([]T, max(gemmMC*gemmKC, gemmKC*gemmNC))
+		gotBuf := make([]T, len(wantBuf))
+		var want, got []T
+		span := func(rows, w, depth int) {
+			n := (rows + w - 1) / w * w * depth
+			want, got = wantBuf[:n:n], gotBuf[:n:n]
 			for i := range want {
 				want[i], got[i] = T(7), T(7)
 			}
@@ -249,7 +255,7 @@ func testConvPackersMatchIm2col[T Float](t *testing.T) {
 		}
 		for _, i0 := range []int{0, 3, rows - 5} {
 			mc, kc := min(gemmMC, rows-i0), tc.f
-			fill()
+			span(mc, mr, kc)
 			packA(want, gm.data, tc.f, 1, i0, 0, mc, kc, mr)
 			packAPosChan(got, &gv, i0, 0, mc, kc, mr)
 			check("A posChan", i0, 0, mc, kc)
@@ -260,7 +266,7 @@ func testConvPackersMatchIm2col[T Float](t *testing.T) {
 					continue
 				}
 				kc, nc := min(gemmKC, rows-p0), tc.f-j0
-				fill()
+				span(nc, nr, kc)
 				packB(want, gm.data, tc.f, 1, p0, j0, kc, nc, nr)
 				packBPosChan(got, &gv, p0, j0, kc, nc, nr)
 				check("B posChan", p0, j0, kc, nc)
